@@ -1,14 +1,15 @@
-"""Old-vs-new wall-clock benchmark for the fast engine's hot path.
+"""Closed-form vs bisection wall-clock benchmark for the fast engine.
 
 Runs the full Figure-5 grid (five disk presets x Δ=0..7, 40 design
-points) through two engines sharing one :class:`BuildCache`:
+points) through two engines sharing one :class:`BuildCache`.  Both run
+the fast engine's one allocation-free loop (``docs/PERFORMANCE.md``)
+and differ only in how a miss is timed:
 
-* ``fast-reference`` — the frozen pre-optimisation loop: one
-  general-purpose loop, arrivals by bisection
+* ``fast-reference`` — every miss by bisection into the page's
+  occurrences
   (:meth:`~repro.experiments.engine.FastEngine.run_trace_reference`);
-* ``fast`` — the optimized loop of ``docs/PERFORMANCE.md``: two-phase
-  allocation-free stepping over the schedule's precomputed timing
-  structures.
+* ``fast`` — every miss on a fixed-gap page by the §2.1 closed form
+  (two integer ops).
 
 **Equality is the gate, speedup is the report.**  The benchmark fails
 unless every per-point ``mean_response_time`` and config hash is
@@ -44,8 +45,8 @@ from repro.experiments.config import (
 from repro.obs.clock import perf_counter
 from repro.obs.manifest import config_hash
 
-#: Acceptance target (ISSUE 5): the optimized loop must at least halve
-#: the fig5-grid wall clock relative to the frozen reference loop.
+#: Acceptance target: the closed form must at least halve the fig5-grid
+#: wall clock relative to bisection.
 #: CI sets ``REPRO_BENCH_MIN_SPEEDUP=0`` — shared runners are too noisy
 #: for a fair ratio, so there the equality check alone is the gate and
 #: the printed speedup is informational.

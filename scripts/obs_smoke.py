@@ -12,8 +12,9 @@ artifacts CI uploads:
   :meth:`~repro.core.schedule.BroadcastSchedule.timing_stats` totals
   and with the engine's own miss count;
 * the same grid re-run under the ``fast-reference`` engine with strict
-  monitors, so both hot loops are checked against the paper's
-  invariants on every CI run;
+  monitors and a profiler, so both arithmetics of the engine's one loop
+  are checked against the paper's invariants on every CI run, and the
+  bisection tier reconciles with the reference engine's miss count;
 * a process-engine multidisk run with ``observe_every_slot()`` so the
   trace carries every ``channel.deliver`` slot
   (``broadcast-smoke.jsonl``), then the ``repro.obs summary`` §2.1
@@ -124,15 +125,23 @@ def traced_fig5_sweep(out: Path) -> None:
 
 
 def strict_reference_grid() -> None:
-    """The fig5 grid under fast-reference with strict monitors."""
+    """The fig5 grid under fast-reference, strictly monitored and profiled."""
     monitors = MonitorSuite(mode="strict")
+    profile = Profiler()
     results = sweep_results(
-        _fig5_configs(), engine="fast-reference", monitors=monitors
+        _fig5_configs(), engine="fast-reference", monitors=monitors,
+        profile=profile,
     )
     assert len(results) == 4
     assert monitors.ok, monitors.snapshot()
+    misses = profile.counters.get("engine.reference.misses", 0)
+    assert misses > 0 and profile.tier_total == misses, (
+        f"tier total {profile.tier_total} != reference misses {misses}"
+    )
+    assert profile.tiers["bisect"] == misses, profile.tiers
     print(f"  fast-reference: strict monitors over {monitors.runs} runs, "
-          f"{monitors.observed} records checked, 0 violations")
+          f"{monitors.observed} records checked, 0 violations; "
+          f"{misses} misses all timed by bisection")
 
 
 def traced_broadcast(out: Path) -> Path:
@@ -174,7 +183,7 @@ def main(argv=None) -> int:
     print("== traced + profiled + monitored fig5 smoke sweep ==")
     traced_fig5_sweep(out)
 
-    print("== strict monitors on the fast-reference engine ==")
+    print("== strict monitors + profiler on the fast-reference engine ==")
     strict_reference_grid()
 
     print("== traced broadcast (every slot observed) ==")

@@ -4,8 +4,8 @@ Every per-client scalar of the fast engine's loop becomes a length-N
 array here — clock, warm-up state, Welford accumulators, hit/miss
 counters — and every cache decision goes through the columnar policies
 in :mod:`repro.cache.batched`.  The per-step arithmetic replicates
-:meth:`repro.experiments.engine.FastEngine._run_trace_traced` operation
-for operation (same Welford update order, same closed-form clock
+:meth:`repro.experiments.engine.FastEngine.run_trace` operation for
+operation (same Welford update order, same closed-form clock
 arithmetic via :meth:`~repro.core.schedule.BroadcastSchedule.
 next_arrival_batch`), which is what makes a single-client batch run
 **byte-identical** to the ``fast`` engine — the correctness gate
@@ -15,8 +15,8 @@ Multi-channel programs run natively: the engine carries a per-client
 tuned-channel column and applies the single-frequency tuner as array
 ops — on each miss the target channel is looked up in the program's
 dense ``channel_array``, retune costs are added where the target
-differs, and retune counters accumulate per client — replicating
-``FastEngine._run_trace_multichannel`` per client, including the
+differs, and retune counters accumulate per client — replicating the
+scalar tuner of ``FastEngine.run_trace`` per client, including the
 ``client.retune`` trace record between miss and wait.
 
 Tracing: with one client the emitted record stream is identical to the
@@ -279,8 +279,7 @@ class ColumnarEngine:
             page = pages[step]
             now += think
 
-            # Warm-up bookkeeping, exactly the scalar traced loop's
-            # order: resolved per client *before* the lookup, against
+            # Warm-up bookkeeping, exactly the scalar loop's order: resolved per client *before* the lookup, against
             # the cache state left by the previous request.
             if warming.any():
                 if warmup_requests is not None:
@@ -472,7 +471,7 @@ def build_columnar_engine(
     (detected by its ``channel_array`` surface) arms the vectorized
     single-frequency tuner: per-client tuned-channel state, retune-cost
     arithmetic, and retune counters, byte-identical per client to the
-    fast engine's ``_run_trace_multichannel``.
+    fast engine's scalar tuner.
     """
     name = batchable_policy_name(config.policy)
     if name is None:

@@ -15,8 +15,8 @@ sharing them across runs cannot perturb results; the equivalence is
 asserted by ``tests/test_exec_plan.py``.
 
 Because the schedule object itself is shared, its lazily-built timing
-structures — the fixed-gap entries, wait tables, and non-empty-slot
-index of ``docs/PERFORMANCE.md`` — are built once per broadcast
+structures — the fixed-gap entries and the non-empty-slot index of
+``docs/PERFORMANCE.md`` — are built once per broadcast
 structure and reused by every sweep point that shares it.
 :meth:`BuildCache.timing_stats` exposes their occupancy so tests (and
 the curious) can assert the reuse actually happens.
@@ -29,7 +29,7 @@ import json
 from typing import Dict, Tuple
 
 from repro.core.disks import DiskLayout
-from repro.core.schedule import BroadcastSchedule
+from repro.core.schedule import TIMING_TIERS, BroadcastSchedule
 from repro.experiments.config import ExperimentConfig
 
 
@@ -99,27 +99,21 @@ class BuildCache:
 
         The per-schedule breakdown comes from
         :meth:`~repro.core.schedule.BroadcastSchedule.timing_stats`;
-        summing it here makes "one set of tables per broadcast
-        structure, not per sweep point" directly assertable.  The
-        ``queries`` sub-dict sums the per-tier ``next_arrival`` dispatch
-        counts (all zeros unless the schedules had
-        ``enable_timing_counters()`` switched on by a profiled run).
+        summing it here makes "one set of timing structures per
+        broadcast structure, not per sweep point" directly assertable.
+        The ``queries`` sub-dict sums the per-tier timing-query counts
+        (all zeros unless the schedules had ``enable_timing_counters()``
+        switched on by a profiled run).
         """
         totals: Dict[str, object] = {
             "schedules": len(self._built),
             "fixed_gap_entries": 0,
-            "wait_tables": 0,
-            "wait_table_bytes": 0,
-            "wait_tables_declined": 0,
             "nonempty_indexes_built": 0,
         }
-        queries = {"closed_form": 0, "wait_table": 0, "bisect": 0}
+        queries = dict.fromkeys(TIMING_TIERS, 0)
         for _layout, schedule in self._built.values():
             stats = schedule.timing_stats()
             totals["fixed_gap_entries"] += stats["fixed_gap_entries"]
-            totals["wait_tables"] += stats["wait_tables"]
-            totals["wait_table_bytes"] += stats["wait_table_bytes"]
-            totals["wait_tables_declined"] += stats["wait_tables_declined"]
             totals["nonempty_indexes_built"] += stats["nonempty_index_built"]
             for tier, count in stats["queries"].items():
                 queries[tier] += count

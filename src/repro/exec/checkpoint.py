@@ -23,6 +23,7 @@ import json
 import os
 from typing import Dict, Optional
 
+from repro.errors import ConfigurationError
 from repro.exec.plan import RunPlan
 from repro.exec.run import ExperimentResult, result_from_state, result_state
 
@@ -42,11 +43,18 @@ class SweepCheckpoint:
 
     def _replay(self) -> None:
         with open(self.path) as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                entry = json.loads(line)
+                try:
+                    entry = json.loads(line)
+                except json.JSONDecodeError as error:
+                    raise ConfigurationError(
+                        f"{self.path}:{number}: torn checkpoint entry "
+                        f"({error.msg}); delete that line to resume "
+                        "from the entries before it"
+                    ) from None
                 # Later entries win, matching append order.
                 self._states[entry["fingerprint"]] = entry["state"]
         self.resumed = len(self._states)

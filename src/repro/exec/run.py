@@ -105,9 +105,9 @@ def execute_plan(
     otherwise through a private internal tracer (so monitoring needs no
     sink plumbing).  In strict mode the suite raises
     :class:`~repro.errors.MonitorError` after the run.  Neither hook
-    changes measured results: profiled fast-engine runs take the
-    general traced loop, which the equivalence tests hold identical to
-    the allocation-free hot path.
+    changes which loop runs or what it measures: the fast engine runs
+    its one loop either way, with guarded trace emits and profiler
+    bookkeeping after the loop.
     """
     config = plan.config
     started = perf_counter()

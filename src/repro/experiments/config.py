@@ -119,6 +119,16 @@ class ExperimentConfig:
                 f"access_range {self.access_range} exceeds the database "
                 f"size {self.server_db_size} (§4.2: ServerDBSize >= AccessRange)"
             )
+        if self.warmup_requests is None and self.cache_size > self.access_range:
+            # §5 warm-up waits for a full cache, but a client requests
+            # at most access_range distinct pages: it would never fill.
+            raise ConfigurationError(
+                f"cache_size {self.cache_size} exceeds access_range "
+                f"{self.access_range}: a client requests at most "
+                "access_range distinct pages, so the cache never fills "
+                "and the §5 warm-up never ends; lower cache_size or set "
+                "warmup_requests"
+            )
         if not 0 <= self.offset <= self.server_db_size:
             raise ConfigurationError(
                 f"offset must be in [0, {self.server_db_size}], got {self.offset}"

@@ -8,25 +8,29 @@ broadcast slots, which is what makes full paper-scale parameter sweeps
 (48 design points x 15,000 measured requests each) practical in pure
 Python.
 
-The inner loop is written to be allocation-free (see
+One request loop (:meth:`FastEngine._run`) serves every scalar run — a
+single-channel :class:`~repro.core.schedule.BroadcastSchedule` or a
+C-row :class:`~repro.core.schedule.BroadcastProgram`, traced or not,
+profiled or not — and is written to be allocation-free (see
 ``docs/PERFORMANCE.md``):
 
 * the trace is materialised once as a plain python list, so the loop
   never boxes ``np.int64`` scalars;
 * every attribute lookup (cache protocol methods, stats accumulators,
   the schedule's tables) is hoisted to a local before the loop;
-* the warm-up and measured phases run as two separate loops, so the
-  per-request ``warming`` branching disappears entirely;
-* waits come from the schedule's precomputed timing structures: the
-  §2.1 fixed-inter-arrival property in closed form
-  (:meth:`repro.core.schedule.BroadcastSchedule.fixed_gap` — two
-  integer ops per miss, inlined below) for every page of a §2.2
-  program, with a transparent fallback to ``next_arrival`` (wait table
-  or bisection) for irregular schedules;
-* tracing runs in a separate loop (:meth:`FastEngine._run_trace_traced`)
-  so the hot path carries no tracer branches; the traced loop is also
-  the *reference loop* (:meth:`FastEngine.run_trace_reference`) that the
-  perf gate and the equivalence tests compare against.
+* a page's first miss stores its per-run facts — physical page, the
+  §2.1 ``(residue, gap)`` pair from
+  :meth:`~repro.core.schedule.BroadcastSchedule.fixed_gap`, channel and
+  disk — so every later miss costs one dict probe and two integer ops;
+  irregular pages (gap 0) are timed by bisection;
+* tracing is a guarded ``if tracing:`` emit, and profiling is
+  bookkeeping after the loop, so observing a run never changes which
+  code runs.
+
+:meth:`FastEngine.run_trace_reference` is the same loop with every miss
+timed by :meth:`~repro.core.schedule.BroadcastSchedule.next_arrival_bisect`
+instead of the closed form; the perf gate and the equivalence tests
+compare the two arithmetics.
 
 The engine is semantically identical to the process-oriented engine in
 :mod:`repro.experiments.simengine` — the test suite feeds both the same
@@ -42,7 +46,7 @@ beginning our measurements only after the cache was full"), after which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.base import CacheCounters, CachePolicy
 from repro.core.disks import DiskLayout
@@ -96,12 +100,11 @@ class FastEngine:
             raise ConfigurationError(
                 f"retune_cost must be >= 0, got {retune_cost}"
             )
+        #: A single-channel schedule or a multi-channel
+        #: :class:`~repro.core.schedule.BroadcastProgram`; a bare
+        #: schedule runs as a one-row program (every page on channel 0,
+        #: so the tuner never switches).
         self.schedule = schedule
-        #: Set when ``schedule`` is a multi-channel
-        #: :class:`~repro.core.schedule.BroadcastProgram`; such runs take
-        #: the tuner-aware loop (:meth:`_run_trace_multichannel`) and the
-        #: single-channel hot path below is never entered.
-        self.program = schedule if isinstance(schedule, BroadcastProgram) else None
         self.retune_cost = retune_cost
         self.mapping = mapping
         self.layout = layout
@@ -110,14 +113,11 @@ class FastEngine:
         self.now = 0.0
         #: Optional :class:`repro.obs.trace.Tracer` emitting the same
         #: ``client.*`` records as the process engine's client; ``None``
-        #: (the default) adds nothing to the hot loop — the traced run
-        #: takes a separate code path entirely.
+        #: (the default) costs the loop one local branch per emit site.
         self.tracer = tracer
-        #: Optional :class:`repro.obs.profile.Profiler`.  An enabled
-        #: profiler routes :meth:`run_trace` through the general loop so
-        #: every miss dispatches through ``schedule.next_arrival`` and is
-        #: tier-attributed; the allocation-free hot path stays free of
-        #: profiling branches entirely.
+        #: Optional :class:`repro.obs.profile.Profiler`, filled after the
+        #: loop from the run's own counts: it never changes which code
+        #: runs.
         self.profile = profile
 
     def run_trace(
@@ -137,154 +137,9 @@ class FastEngine:
         response times of the measured phase are retained on the outcome
         (``outcome.samples``) for engine cross-validation.
         """
-        tracer = self.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        if self.program is not None:
-            profile = self.profile
-            return self._run_trace_multichannel(
-                trace,
-                warmup_requests=warmup_requests,
-                collect_responses=collect_responses,
-                extra_warmup=extra_warmup,
-                tracer=tracer,
-                dispatch_arithmetic=(
-                    profile is not None and profile.enabled
-                ),
-            )
-        if tracer is not None:
-            return self._run_trace_traced(
-                trace,
-                warmup_requests=warmup_requests,
-                collect_responses=collect_responses,
-                extra_warmup=extra_warmup,
-                tracer=tracer,
-            )
-        profile = self.profile
-        if profile is not None and profile.enabled:
-            # Profiled runs take the general loop too: its misses all
-            # dispatch through ``schedule.next_arrival`` and are counted
-            # per timing tier, where the hot loop below inlines the
-            # closed form and would under-attribute.  The equivalence
-            # tests hold the two loops byte-identical, so profiling
-            # never changes measurements — only wall time.
-            return self._run_trace_traced(
-                trace,
-                warmup_requests=warmup_requests,
-                collect_responses=collect_responses,
-                extra_warmup=extra_warmup,
-                tracer=None,
-            )
-
-        schedule = self.schedule
-        cache = self.cache
-        think = self.think_time
-
-        # Hoist every per-request attribute lookup out of the loops.
-        cache_lookup = cache.lookup
-        cache_admit = cache.admit
-        to_physical = self.mapping.to_physical
-        disk_of_physical = self.layout.disk_of_page
-        next_arrival = schedule.next_arrival
-        fixed_gap = schedule.fixed_gap
-
-        response = RunningStats()
-        counters = CacheCounters()
-        response_add = response.add
-        record_hit = counters.record_hit
-        record_miss = counters.record_miss
-        samples: Optional[List[float]] = [] if collect_responses else None
-
-        # One plain-python materialisation of the trace: list indexing
-        # returns cached ints instead of boxing an np.int64 per request.
-        pages = trace.pages.tolist()
-        total = len(pages)
-        now = self.now
-
-        # Per-run cache of each physical page's (residue, gap) pair —
-        # the §2.1 fixed-inter-arrival property in closed form, so a
-        # miss costs one dict probe and two integer ops.  ``False``
-        # marks irregular pages, which go through
-        # ``schedule.next_arrival`` (wait table or bisection).
-        gaps: Dict[int, object] = {}
-        gaps_get = gaps.get
-        # Same trick for the miss counters' disk attribution:
-        # ``disk_of_page`` bounds-checks and scans the disk sizes on
-        # every call, but a page's disk never changes.
-        disks: Dict[int, int] = {}
-        disks_get = disks.get
-
-        # ---- warm-up phase -------------------------------------------------
-        # Measurement starts after ``warmup_requests`` requests when
-        # given, else once the cache is full plus ``extra_warmup`` more.
-        limit = total if warmup_requests is None else min(warmup_requests, total)
-        extra_left = extra_warmup
-        index = 0
-        while index < limit:
-            if warmup_requests is None and cache.is_full:
-                if extra_left <= 0:
-                    break
-                extra_left -= 1
-            page = pages[index]
-            index += 1
-            now += think
-            if cache_lookup(page, now):
-                continue
-            physical = to_physical(page)
-            entry = gaps_get(physical)
-            if entry is None:
-                entry = fixed_gap(physical)
-                gaps[physical] = entry if entry is not None else False
-            if entry:
-                residue, gap = entry
-                base = int(now) + 1
-                now = float(base + (residue - base) % gap)
-            else:
-                now = next_arrival(physical, now)
-            cache_admit(page, now)
-        warmup_seen = index
-
-        # ---- measured phase ------------------------------------------------
-        for index in range(warmup_seen, total):
-            page = pages[index]
-            now += think
-            if cache_lookup(page, now):
-                response_add(0.0)
-                record_hit()
-                if samples is not None:
-                    samples.append(0.0)
-                continue
-            physical = to_physical(page)
-            entry = gaps_get(physical)
-            if entry is None:
-                entry = fixed_gap(physical)
-                gaps[physical] = entry if entry is not None else False
-            if entry:
-                residue, gap = entry
-                base = int(now) + 1
-                arrival = float(base + (residue - base) % gap)
-            else:
-                arrival = next_arrival(physical, now)
-            wait = arrival - now
-            now = arrival
-            cache_admit(page, now)
-            response_add(wait)
-            disk = disks_get(physical)
-            if disk is None:
-                disk = disk_of_physical(physical)
-                disks[physical] = disk
-            record_miss(disk)
-            if samples is not None:
-                samples.append(wait)
-
-        self.now = now
-        return EngineOutcome(
-            response=response,
-            counters=counters,
-            measured_requests=response.count,
-            warmup_requests=warmup_seen,
-            final_time=now,
-            samples=samples,
+        return self._run(
+            trace, warmup_requests, collect_responses, extra_warmup,
+            bisect=False,
         )
 
     def run_trace_reference(
@@ -294,288 +149,167 @@ class FastEngine:
         collect_responses: bool = False,
         extra_warmup: int = 0,
     ) -> EngineOutcome:
-        """The pre-optimisation loop, kept verbatim as the golden model.
+        """:meth:`run_trace` with every miss timed by bisection.
 
-        One request at a time through the single general-purpose loop,
-        waits from :meth:`~repro.core.schedule.BroadcastSchedule.
-        next_arrival_bisect`.  ``benchmarks/bench_engine.py`` and the
-        equivalence tests run this against :meth:`run_trace` and demand
-        byte-identical measurements; it is registered as the
-        ``fast-reference`` engine for plan-level comparisons.
+        Same loop, golden-model arithmetic:
+        :meth:`~repro.core.schedule.BroadcastSchedule.next_arrival_bisect`
+        instead of the §2.1 closed form.  ``benchmarks/bench_engine.py``
+        and the equivalence tests demand byte-identical measurements
+        from both; it is registered as the ``fast-reference`` engine.
         """
-        tracer = self.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        if self.program is not None:
-            return self._run_trace_multichannel(
-                trace,
-                warmup_requests=warmup_requests,
-                collect_responses=collect_responses,
-                extra_warmup=extra_warmup,
-                tracer=tracer,
-                reference_arithmetic=True,
-            )
-        return self._run_trace_traced(
-            trace,
-            warmup_requests=warmup_requests,
-            collect_responses=collect_responses,
-            extra_warmup=extra_warmup,
-            tracer=tracer,
-            reference_arithmetic=True,
+        return self._run(
+            trace, warmup_requests, collect_responses, extra_warmup,
+            bisect=True,
         )
 
-    def _run_trace_traced(
+    def _run(
         self,
         trace: RequestTrace,
-        *,
         warmup_requests: Optional[int],
         collect_responses: bool,
         extra_warmup: int,
-        tracer,
-        reference_arithmetic: bool = False,
+        *,
+        bisect: bool,
     ) -> EngineOutcome:
-        """The general-purpose loop: tracing hooks, one request at a time.
+        """The request loop behind both public entry points.
 
-        Used for traced runs (where per-request emit calls dominate
-        anyway) and, with ``reference_arithmetic=True``, as the frozen
-        reference implementation for the perf gate.
+        The client's single-frequency tuner listens to one channel at a
+        time (channel 0 initially); a miss whose page lives on another
+        channel first retunes, which moves the earliest usable
+        completion from ``now`` to ``now + retune_cost``.
         """
         schedule = self.schedule
-        mapping = self.mapping
-        cache = self.cache
-        think = self.think_time
-        disk_of_physical = self.layout.disk_of_page
-        next_arrival = (
-            schedule.next_arrival_bisect
-            if reference_arithmetic
-            else schedule.next_arrival
-        )
-
-        response = RunningStats()
-        counters = CacheCounters()
-        samples: Optional[List[float]] = [] if collect_responses else None
-
-        warming = True
-        warmup_seen = 0
-        extra_left = extra_warmup
-        now = self.now
-        total_hits = 0
-        total_misses = 0
-
-        for index in range(len(trace)):
-            page = trace[index]
-            now += think
-            if warming:
-                if warmup_requests is not None:
-                    warming = warmup_seen < warmup_requests
-                elif cache.is_full:
-                    if extra_left <= 0:
-                        warming = False
-                    else:
-                        extra_left -= 1
-            if not warming:
-                measuring = True
-            else:
-                measuring = False
-                warmup_seen += 1
-            if tracer is not None:
-                tracer.emit(
-                    "client.request", now, page=int(page),
-                    phase="measured" if measuring else "warmup",
-                )
-
-            if cache.lookup(page, now):
-                total_hits += 1
-                if tracer is not None:
-                    tracer.emit("client.hit", now, page=int(page))
-                if measuring:
-                    response.add(0.0)
-                    counters.record_hit()
-                    if samples is not None:
-                        samples.append(0.0)
-                continue
-
-            total_misses += 1
-            physical = mapping.to_physical(page)
-            arrival = next_arrival(physical, now)
-            wait = arrival - now
-            if tracer is not None:
-                tracer.emit("client.miss", now, page=int(page),
-                            physical=int(physical))
-                tracer.emit("client.wait", arrival, page=int(page),
-                            physical=int(physical), wait=wait)
-            now = arrival
-            cache.admit(page, now)
-            if measuring:
-                response.add(wait)
-                counters.record_miss(disk_of_physical(physical))
-                if samples is not None:
-                    samples.append(wait)
-
-        profile = self.profile
-        if profile is not None and profile.enabled:
-            name = "reference" if reference_arithmetic else "fast"
-            profile.count(f"engine.{name}.loop_iterations", len(trace))
-            profile.count(f"engine.{name}.hits", total_hits)
-            profile.count(f"engine.{name}.misses", total_misses)
-
-        self.now = now
-        return EngineOutcome(
-            response=response,
-            counters=counters,
-            measured_requests=response.count,
-            warmup_requests=warmup_seen,
-            final_time=now,
-            samples=samples,
-        )
-
-    def _run_trace_multichannel(
-        self,
-        trace: RequestTrace,
-        *,
-        warmup_requests: Optional[int],
-        collect_responses: bool,
-        extra_warmup: int,
-        tracer,
-        reference_arithmetic: bool = False,
-        dispatch_arithmetic: bool = False,
-    ) -> EngineOutcome:
-        """The tuner-aware loop for multi-channel programs.
-
-        Same phase protocol as the single-channel loops, plus the
-        single-frequency tuner: the client listens to one channel at a
-        time (channel 0 initially), and a miss whose page lives on a
-        different channel first retunes — the earliest usable completion
-        moves from ``now`` to ``now + retune_cost`` broadcast units.
-        Waits still come from the §2.1 closed form (each channel row is
-        a §2.2 program with fixed per-page gaps); ``reference_arithmetic``
-        swaps in the bisection golden model and ``dispatch_arithmetic``
-        (profiled runs) routes every miss through ``next_arrival`` so the
-        timing tiers are attributed.
-        """
-        program = self.program
         cache = self.cache
         think = self.think_time
         retune_cost = self.retune_cost
+        tracer = self.tracer
+        tracing = tracer is not None and tracer.enabled
+        emit = tracer.emit if tracing else None
 
+        # Hoist every per-request attribute lookup out of the loop.
         cache_lookup = cache.lookup
         cache_admit = cache.admit
         to_physical = self.mapping.to_physical
         disk_of_physical = self.layout.disk_of_page
-        channel_map = program.channel_map()
-        next_arrival = (
-            program.next_arrival_bisect
-            if reference_arithmetic
-            else program.next_arrival
+        fixed_gap = schedule.fixed_gap
+        next_arrival_bisect = schedule.next_arrival_bisect
+        channel_of = (
+            schedule.channel_map()
+            if isinstance(schedule, BroadcastProgram) else None
         )
-        fixed_gap = program.fixed_gap
-        closed_form = not (reference_arithmetic or dispatch_arithmetic)
 
         response = RunningStats()
         counters = CacheCounters()
+        response_add = response.add
+        record_hit = counters.record_hit
+        record_miss = counters.record_miss
         samples: Optional[List[float]] = [] if collect_responses else None
 
+        # Per-run facts of each requested (logical) page, stored on its
+        # first miss: (physical, residue, gap, channel, disk).  A gap of
+        # 0 sends the page's misses to bisection.
+        facts: Dict[int, Tuple[int, int, int, int, int]] = {}
+        facts_get = facts.get
+
+        # Measurement starts after ``warmup_requests`` requests when
+        # given, else once the cache is full plus ``extra_warmup`` more.
+        fill_rule = warmup_requests is None
+        extra_left = extra_warmup
         warming = True
         warmup_seen = 0
-        extra_left = extra_warmup
-        now = self.now
+        warmup_misses = 0
+        bisected = 0
         current = 0  # tuned channel; every client starts on channel 0
+        retunes = 0
         retunes_measured = 0
-        total_hits = 0
-        total_misses = 0
-        total_retunes = 0
-        gaps: Dict[int, object] = {}
-        gaps_get = gaps.get
-        disks: Dict[int, int] = {}
-        disks_get = disks.get
+        now = self.now
 
+        # One plain-python materialisation of the trace: list iteration
+        # yields cached ints instead of boxing an np.int64 per request.
         pages = trace.pages.tolist()
-        for index in range(len(pages)):
-            page = pages[index]
+        for page in pages:
             now += think
             if warming:
-                if warmup_requests is not None:
+                if fill_rule:
+                    if cache.is_full:
+                        if extra_left <= 0:
+                            warming = False
+                        else:
+                            extra_left -= 1
+                else:
                     warming = warmup_seen < warmup_requests
-                elif cache.is_full:
-                    if extra_left <= 0:
-                        warming = False
-                    else:
-                        extra_left -= 1
-            measuring = not warming
-            if warming:
-                warmup_seen += 1
-            if tracer is not None:
-                tracer.emit(
-                    "client.request", now, page=int(page),
-                    phase="measured" if measuring else "warmup",
-                )
+                if warming:
+                    warmup_seen += 1
+            if tracing:
+                emit("client.request", now, page=page,
+                     phase="warmup" if warming else "measured")
 
             if cache_lookup(page, now):
-                total_hits += 1
-                if tracer is not None:
-                    tracer.emit("client.hit", now, page=int(page))
-                if measuring:
-                    response.add(0.0)
-                    counters.record_hit()
+                if tracing:
+                    emit("client.hit", now, page=page)
+                if not warming:
+                    response_add(0.0)
+                    record_hit()
                     if samples is not None:
                         samples.append(0.0)
                 continue
 
-            total_misses += 1
-            physical = to_physical(page)
-            target = channel_map[physical]
+            fact = facts_get(page)
+            if fact is None:
+                physical = to_physical(page)
+                entry = None if bisect else fixed_gap(physical)
+                residue, gap = (0, 0) if entry is None else entry
+                fact = (
+                    physical, residue, gap,
+                    0 if channel_of is None else channel_of[physical],
+                    disk_of_physical(physical),
+                )
+                facts[page] = fact
+            physical, residue, gap, channel, disk = fact
+            if tracing:
+                emit("client.miss", now, page=page, physical=physical)
             listen = now
-            if tracer is not None:
-                tracer.emit("client.miss", now, page=int(page),
-                            physical=int(physical))
-            if target != current:
-                total_retunes += 1
-                if measuring:
+            if channel != current:
+                retunes += 1
+                if not warming:
                     retunes_measured += 1
-                if tracer is not None:
-                    tracer.emit(
-                        "client.retune", now, page=int(page),
-                        physical=int(physical),
-                        from_channel=current, to_channel=target,
-                    )
-                current = target
+                if tracing:
+                    emit("client.retune", now, page=page, physical=physical,
+                         from_channel=current, to_channel=channel)
+                current = channel
                 listen = now + retune_cost
-            if closed_form:
-                entry = gaps_get(physical)
-                if entry is None:
-                    entry = fixed_gap(physical)
-                    gaps[physical] = entry if entry is not None else False
-                if entry:
-                    residue, gap = entry
-                    base = int(listen) + 1
-                    arrival = float(base + (residue - base) % gap)
-                else:
-                    arrival = next_arrival(physical, listen)
+            if gap:
+                base = int(listen) + 1
+                arrival = float(base + (residue - base) % gap)
             else:
-                arrival = next_arrival(physical, listen)
+                bisected += 1
+                arrival = next_arrival_bisect(physical, listen)
             wait = arrival - now
-            if tracer is not None:
-                tracer.emit("client.wait", arrival, page=int(page),
-                            physical=int(physical), wait=wait)
+            if tracing:
+                emit("client.wait", arrival, page=page, physical=physical,
+                     wait=wait)
             now = arrival
             cache_admit(page, now)
-            if measuring:
-                response.add(wait)
-                disk = disks_get(physical)
-                if disk is None:
-                    disk = disk_of_physical(physical)
-                    disks[physical] = disk
-                counters.record_miss(disk)
+            if warming:
+                warmup_misses += 1
+            else:
+                response_add(wait)
+                record_miss(disk)
                 if samples is not None:
                     samples.append(wait)
 
         profile = self.profile
         if profile is not None and profile.enabled:
-            name = "reference" if reference_arithmetic else "fast"
+            name = "reference" if bisect else "fast"
+            misses = warmup_misses + counters.misses
             profile.count(f"engine.{name}.loop_iterations", len(pages))
-            profile.count(f"engine.{name}.hits", total_hits)
-            profile.count(f"engine.{name}.misses", total_misses)
-            profile.count(f"engine.{name}.retunes", total_retunes)
+            profile.count(f"engine.{name}.hits", len(pages) - misses)
+            profile.count(f"engine.{name}.misses", misses)
+            if channel_of is not None:
+                profile.count(f"engine.{name}.retunes", retunes)
+            schedule.book_timing_queries(
+                {"closed_form": misses - bisected, "bisect": bisected}
+            )
 
         self.now = now
         return EngineOutcome(

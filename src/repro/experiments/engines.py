@@ -112,18 +112,11 @@ def get_plan_engine(name: str) -> EngineSpec:
 # Built-in engines
 # ---------------------------------------------------------------------------
 
-def _run_plan_fast(plan, *, config, schedule, mapping, layout, cache, trace,
-                   tracer=None, profile=None, channels=1, retune_cost=1.0):
-    """Drive the analytic-stepping engine for one plan.
-
-    ``channels``/``retune_cost`` arrive keyword-only from the plan
-    executor; ``schedule`` is already the built single-channel schedule
-    or C-row program, so ``channels`` is advisory here and
-    ``retune_cost`` parameterises the engine's tuner.
-    """
+def _fast_engine(config, schedule, mapping, layout, cache, tracer, profile,
+                 retune_cost):
     from repro.experiments.engine import FastEngine
 
-    fast = FastEngine(
+    return FastEngine(
         schedule=schedule,
         mapping=mapping,
         layout=layout,
@@ -133,6 +126,19 @@ def _run_plan_fast(plan, *, config, schedule, mapping, layout, cache, trace,
         profile=profile,
         retune_cost=retune_cost,
     )
+
+
+def _run_plan_fast(plan, *, config, schedule, mapping, layout, cache, trace,
+                   tracer=None, profile=None, channels=1, retune_cost=1.0):
+    """Drive the analytic-stepping engine for one plan.
+
+    ``channels``/``retune_cost`` arrive keyword-only from the plan
+    executor; ``schedule`` is already the built single-channel schedule
+    or C-row program, so ``channels`` is advisory here and
+    ``retune_cost`` parameterises the engine's tuner.
+    """
+    fast = _fast_engine(config, schedule, mapping, layout, cache, tracer,
+                        profile, retune_cost)
     return fast.run_trace(
         trace,
         warmup_requests=config.warmup_requests,
@@ -144,26 +150,16 @@ def _run_plan_fast(plan, *, config, schedule, mapping, layout, cache, trace,
 def _run_plan_fast_reference(plan, *, config, schedule, mapping, layout,
                              cache, trace, tracer=None, profile=None,
                              channels=1, retune_cost=1.0):
-    """Drive the frozen pre-optimisation fast loop for one plan.
+    """Drive the fast engine's loop with bisection arithmetic for one plan.
 
-    Same engine object as ``fast`` but through
+    Same engine object and loop as ``fast`` but through
     :meth:`~repro.experiments.engine.FastEngine.run_trace_reference`:
-    the original single general-purpose loop with bisection arithmetic.
-    ``benchmarks/bench_engine.py`` runs it as the baseline arm of the
-    byte-identity perf gate.
+    every miss is timed by ``next_arrival_bisect`` instead of the §2.1
+    closed form.  ``benchmarks/bench_engine.py`` runs it as the
+    baseline arm of the byte-identity perf gate.
     """
-    from repro.experiments.engine import FastEngine
-
-    fast = FastEngine(
-        schedule=schedule,
-        mapping=mapping,
-        layout=layout,
-        cache=cache,
-        think_time=config.think_time,
-        tracer=tracer,
-        profile=profile,
-        retune_cost=retune_cost,
-    )
+    fast = _fast_engine(config, schedule, mapping, layout, cache, tracer,
+                        profile, retune_cost)
     return fast.run_trace_reference(
         trace,
         warmup_requests=config.warmup_requests,
@@ -256,7 +252,7 @@ register_engine(EngineSpec(
 
 register_engine(EngineSpec(
     name="fast-reference",
-    summary="frozen pre-optimisation fast loop (perf-gate baseline)",
+    summary="fast's loop with bisection arithmetic (perf-gate baseline)",
     executes_plans=True,
     run_plan=_run_plan_fast_reference,
 ))

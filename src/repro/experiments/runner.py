@@ -291,7 +291,10 @@ def sweep_results(
         if profiling:
             record_profile_metrics(metrics, profile)
     if manifest is not None:
-        builds = getattr(runner, "last_builds", None)
+        # Only a profiled sweep embeds the build cache: profiling forces
+        # serial runs, and a pooled sweep keeps no cache to report, so
+        # embedding it otherwise would make manifests differ by jobs.
+        builds = getattr(runner, "last_builds", None) if profiling else None
         write_sweep_manifest(
             results, manifest, metrics=metrics, tracer=tracer,
             profile=profile, monitors=monitors,

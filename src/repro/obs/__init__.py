@@ -22,7 +22,7 @@ disabled:
   schedule-period consistency, in ``record`` or ``strict`` mode.
 * :mod:`repro.obs.profile` — a pay-for-use profiler: per-phase wall
   times, engine loop/event counters, and the broadcast-timing tier
-  dispatch counts (closed-form / wait-table / bisect).
+  counts (closed-form / bisect).
 * :mod:`repro.obs.analyze` and :mod:`repro.obs.regress` — post-hoc
   trace analytics (per-disk response attribution, slot utilization,
   residency, Jain fairness) and the benchmark regression gate over

@@ -352,9 +352,7 @@ def _print_manifest(document: Dict) -> None:
     build_cache = document.get("build_cache")
     if build_cache is not None:
         print("\nbuild cache")
-        print(f"  schedules built : {build_cache.get('schedules', 0)}  "
-              f"wait tables : {build_cache.get('wait_tables', 0)} "
-              f"({build_cache.get('wait_table_bytes', 0)} bytes)")
+        print(f"  schedules built : {build_cache.get('schedules', 0)}")
         queries = build_cache.get("queries", {})
         if any(queries.values()):
             print("  timing-tier queries:")
@@ -516,8 +514,11 @@ def _command_regress(args) -> int:
     except OSError as error:
         print(f"cannot read benchmark document: {error}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, ReproError) as error:
+    except json.JSONDecodeError as error:
         print(f"invalid benchmark document: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    except ReproError as error:  # names the offending file
+        print(f"regress: {error}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))

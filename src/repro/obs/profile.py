@@ -4,17 +4,16 @@ A :class:`Profiler` is the run-shaped container the ``--profile`` flag
 fills: per-phase wall time (build / run / aggregate, measured through
 the RL001-allowlisted :mod:`repro.obs.clock` shim), engine loop and
 event counters, and the :class:`~repro.core.schedule.BroadcastSchedule`
-timing-tier query counts (closed-form / wait-table / bisection — see
+timing-tier query counts (closed-form / bisection — see
 ``docs/PERFORMANCE.md``).
 
 The contract mirrors the trace bus: hook sites guard with
 ``profile is not None and profile.enabled`` so a run without a profiler
 pays a branch and nothing else (gated by
 ``benchmarks/bench_obs_overhead.py``), and an attached profiler never
-changes measured results — profiled fast-engine runs route through the
-general loop so every miss flows through ``schedule.next_arrival`` and
-is tier-attributed, a loop the equivalence tests hold byte-identical to
-the allocation-free hot path.
+changes which code runs or what it measures — the fast engine runs its
+one loop either way and books its counters and tier counts after the
+loop, from counts the loop keeps anyway.
 
 Wall-clock caveat: phase timings are the one wall-clock-derived block a
 manifest embeds beyond ``wall_seconds``; they live under the
@@ -32,9 +31,10 @@ from repro.obs.clock import perf_counter
 #: Schema tag of the profile snapshot embedded in manifests.
 PROFILE_SCHEMA = "repro.obs.profile/1"
 
-#: The three timing tiers of ``BroadcastSchedule.next_arrival``, in
-#: preference order (see ``docs/PERFORMANCE.md``).
-TIER_NAMES = ("closed_form", "wait_table", "bisect")
+#: The timing tiers of ``BroadcastSchedule.next_arrival``, in
+#: preference order (``repro.core.schedule.TIMING_TIERS``; see
+#: ``docs/PERFORMANCE.md``).
+TIER_NAMES = ("closed_form", "bisect")
 
 
 class Profiler:

@@ -155,7 +155,12 @@ def read_history(path: str) -> List[Dict]:
             line = line.strip()
             if not line:
                 continue
-            entry = json.loads(line)
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ConfigurationError(
+                    f"{path}:{number}: torn history entry ({error.msg})"
+                ) from None
             if entry.get("schema") != HISTORY_SCHEMA:
                 raise ConfigurationError(
                     f"{path}:{number}: unknown history schema "

@@ -20,6 +20,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import FastEngine
 from repro.experiments.runner import _warmup_trace_allowance, run_experiment
 from repro.experiments.simengine import run_single_client
+from repro.obs.profile import Profiler
 from repro.workload.mapping import LogicalPhysicalMapping
 from repro.workload.trace import RequestTrace, generate_trace
 
@@ -93,36 +94,35 @@ class TestEngineEquivalence:
 
 # Irregular spacing for every page (no count divides the period
 # evenly in an arithmetic progression), so the fast engine's fixed-gap
-# shortcut declines and misses go through the wait tables — the path
-# §2.2 programs never reach.
+# shortcut declines and misses go through bisection — the path §2.2
+# programs never reach.
 IRREGULAR_SLOTS = [
     0, 1, 0, 2, 0, EMPTY_SLOT, 1, 3, 2, 0, 3, EMPTY_SLOT, 1, 2,
 ]
 
 
 class TestOptimizedPathCrossValidation:
-    """ISSUE 5: the optimized timing paths vs the process engine."""
+    """The optimized timing paths vs the process engine."""
 
-    def _run_both(self, *, wait_table_budget):
-        schedule = BroadcastSchedule(
-            IRREGULAR_SLOTS, wait_table_budget=wait_table_budget
-        )
+    def test_irregular_vs_process_engine(self):
+        schedule = BroadcastSchedule(IRREGULAR_SLOTS)
+        schedule.enable_timing_counters()
         layout = DiskLayout.flat(4)
         rng = random.Random(3)
         trace = RequestTrace.from_pages(
             [rng.randrange(4) for _ in range(300)]
         )
+        profile = Profiler()
         fast = FastEngine(
             schedule,
             LogicalPhysicalMapping(layout),
             layout,
             LRUPolicy(2, PolicyContext()),
             think_time=0.7,
+            profile=profile,
         ).run_trace(trace, collect_responses=True)
         process = run_single_client(
-            schedule=BroadcastSchedule(
-                IRREGULAR_SLOTS, wait_table_budget=wait_table_budget
-            ),
+            schedule=BroadcastSchedule(IRREGULAR_SLOTS),
             layout=layout,
             mapping=LogicalPhysicalMapping(layout),
             cache=LRUPolicy(2, PolicyContext()),
@@ -130,36 +130,18 @@ class TestOptimizedPathCrossValidation:
             think_time=0.7,
             collect_responses=True,
         )
-        return schedule, fast, process
-
-    def test_wait_tables_vs_process_engine(self):
-        schedule, fast, process = self._run_both(
-            wait_table_budget=64 * 1024
-        )
         assert fast.samples == process.samples
         assert fast.counters.hits == process.counters.hits
         assert fast.final_time == process.final_time
-        stats = schedule.timing_stats()
-        # The fast run really did take the wait-table path.
-        assert stats["wait_tables"] == 4
+        # The fast run really did take the bisection path.
         assert all(
             schedule.fixed_gap(page) is None for page in schedule.pages
         )
-
-    def test_memory_budget_fallback_vs_process_engine(self):
-        schedule, fast, process = self._run_both(wait_table_budget=0)
-        assert fast.samples == process.samples
-        assert fast.counters.hits == process.counters.hits
-        stats = schedule.timing_stats()
-        # Over budget: every page declined, bisection served the run.
-        assert stats["wait_tables"] == 0
-        assert stats["wait_tables_declined"] == 4
-
-    def test_budget_does_not_change_measurements(self):
-        _schedule, tabled, _ = self._run_both(wait_table_budget=64 * 1024)
-        _schedule, declined, _ = self._run_both(wait_table_budget=0)
-        assert tabled.samples == declined.samples
-        assert tabled.final_time == declined.final_time
+        misses = profile.counters["engine.fast.misses"]
+        assert misses > 0
+        assert schedule.timing_queries() == {
+            "closed_form": 0, "bisect": misses,
+        }
 
     def test_fast_reference_plan_engine_agrees(self):
         config = small_config(num_requests=300)

@@ -75,6 +75,20 @@ class TestExecutorEquivalence:
             build_sweep_manifest(parallel)
         )
 
+    def test_sweep_manifest_independent_of_jobs(self, tmp_path,
+                                                monkeypatch):
+        # Two usable cores, so jobs=2 really pools even on a one-core
+        # host: a pooled sweep keeps no build cache, and the manifest
+        # must not depend on whether the executor kept one.
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 2)
+        configs = small_grid()
+        manifests = []
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.json"
+            sweep_results(configs, jobs=jobs, manifest=os.fspath(path))
+            manifests.append(canonical(json.loads(path.read_text())))
+        assert manifests[0] == manifests[1]
+
     def test_sweep_results_jobs_parameter(self):
         configs = small_grid()
         serial = sweep_results(configs)
@@ -258,6 +272,21 @@ class TestCheckpointResume:
         ]
         # Everything came from the journal: no new entries were added.
         assert len(reopened) == len(configs)
+
+    def test_torn_journal_line_names_path_and_line(self, tmp_path):
+        configs = small_grid()[:2]
+        path = os.fspath(tmp_path / "sweep.jsonl")
+        SerialExecutor().run(
+            plan_sweep(configs), checkpoint=SweepCheckpoint(path)
+        )
+        with open(path) as handle:
+            text = handle.read()
+        # Cut the second entry mid-line, as a killed writer would.
+        first_end = text.index("\n") + 1
+        with open(path, "w") as handle:
+            handle.write(text[:first_end + (len(text) - first_end) // 2])
+        with pytest.raises(ConfigurationError, match=r"sweep\.jsonl:2: "):
+            SweepCheckpoint(path)
 
     def test_checkpoint_preserves_samples(self, tmp_path):
         config = small_config(num_requests=150)

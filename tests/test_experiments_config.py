@@ -75,6 +75,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(offset=5001)
 
+    def test_cache_that_can_never_fill_rejected(self):
+        # Under the §5 rule warm-up waits for a full cache, but only
+        # access_range distinct pages are ever requested.
+        with pytest.raises(ConfigurationError, match="cache_size 101 .*100"):
+            ExperimentConfig(cache_size=101, access_range=100, region_size=10)
+
+    def test_explicit_warmup_allows_oversized_cache(self):
+        config = ExperimentConfig(
+            cache_size=101, access_range=100, region_size=10,
+            warmup_requests=50,
+        )
+        assert config.cache_size > config.access_range
+
 
 class TestBuilders:
     def test_layout_uses_delta_rule(self):

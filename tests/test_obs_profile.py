@@ -1,17 +1,21 @@
 """Hot-path profiling (repro.obs.profile).
 
 Covers the accumulator mechanics (phases, counters, peaks, tiers), the
-lifecycle errors, the metrics bridge, and the two contracts the
+lifecycle errors, the metrics bridge, and the contracts the
 observatory leans on: tier counts reconcile exactly with
-``BroadcastSchedule.timing_stats`` on a real run, and a profiled run is
-byte-identical to an unprofiled one.
+``BroadcastSchedule.timing_stats`` on a real run, a profiled run is
+byte-identical to an unprofiled one, and the profiler's engine counters
+agree with the run's own trace records.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.exec import execute_plan, plan_for
 from repro.experiments.runner import run_experiment, sweep_results
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
@@ -20,6 +24,7 @@ from repro.obs.profile import (
     Profiler,
     record_profile_metrics,
 )
+from repro.obs.trace import MemorySink, Tracer
 
 
 class TestPhases:
@@ -76,10 +81,8 @@ class TestCountersAndPeaks:
     def test_tier_counts_fold_and_total(self):
         profile = Profiler()
         profile.add_tier_counts({"closed_form": 10, "bisect": 2})
-        profile.add_tier_counts({"closed_form": 5, "wait_table": 1})
-        assert profile.tiers == {
-            "closed_form": 15, "wait_table": 1, "bisect": 2,
-        }
+        profile.add_tier_counts({"closed_form": 5, "bisect": 1})
+        assert profile.tiers == {"closed_form": 15, "bisect": 3}
         assert profile.tier_total == 18
 
     def test_snapshot_shape(self):
@@ -87,13 +90,13 @@ class TestCountersAndPeaks:
         profile.add_phase("run", 0.25)
         profile.count("plans", 2)
         profile.peak("heap", 4)
-        profile.add_tier_counts({"wait_table": 7})
+        profile.add_tier_counts({"bisect": 7})
         snapshot = profile.snapshot()
         assert snapshot["schema"] == PROFILE_SCHEMA
         assert snapshot["phase_seconds"] == {"run": 0.25}
         assert snapshot["counters"] == {"plans": 2}
         assert snapshot["peaks"] == {"heap": 4}
-        assert snapshot["tiers"]["wait_table"] == 7
+        assert snapshot["tiers"]["bisect"] == 7
 
     def test_report_mentions_every_block(self):
         profile = Profiler()
@@ -119,7 +122,6 @@ class TestMetricsBridge:
         assert counters["profile.plans"] == 4
         assert counters["profile.tier.closed_form"] == 9
         assert counters["profile.tier.bisect"] == 1
-        assert counters["profile.tier.wait_table"] == 0
 
 
 class TestRunIntegration:
@@ -184,3 +186,51 @@ class TestRunIntegration:
         ]
         assert manifest["profile"]["counters"]["plans"] == 1
         assert "aggregate" in profile.phase_seconds
+
+
+class TestOneLoop:
+    """Observing a fast-engine run never changes the loop it runs."""
+
+    #: Engine -> (its counter prefix, the tier every miss is booked to).
+    ENGINES = {
+        "fast": ("fast", "closed_form"),
+        "fast-reference": ("reference", "bisect"),
+    }
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_profiled_run_matches_bare_and_traced(
+        self, mini_config, engine, channels
+    ):
+        name, tier = self.ENGINES[engine]
+        plan = plan_for(
+            mini_config.with_(channels=channels), engine=engine,
+            collect_responses=True,
+        )
+        bare = execute_plan(plan)
+        profile = Profiler()
+        profiled = execute_plan(plan, profile=profile)
+        sink = MemorySink()
+        traced = execute_plan(plan, tracer=Tracer(sink))
+        for result in (profiled, traced):
+            assert result.samples == bare.samples
+            assert result.access_locations == bare.access_locations
+            assert result.retunes == bare.retunes
+
+        # The counters booked after the loop are the trace's own counts.
+        kinds = Counter(record.kind for record in sink.records)
+        counters = profile.counters
+        assert counters[f"engine.{name}.loop_iterations"] == (
+            kinds["client.request"]
+        )
+        assert counters[f"engine.{name}.hits"] == kinds["client.hit"]
+        assert counters[f"engine.{name}.misses"] == kinds["client.miss"]
+        assert counters.get(f"engine.{name}.retunes", 0) == (
+            kinds["client.retune"]
+        )
+        if channels > 1:
+            assert kinds["client.retune"] > 0
+        # Every miss is booked to exactly one tier: the closed form for
+        # fast, bisection for fast-reference.
+        assert profile.tier_total == counters[f"engine.{name}.misses"]
+        assert profile.tiers[tier] == profile.tier_total

@@ -9,6 +9,7 @@ renderers.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,21 @@ class TestHistoryIo:
         assert read_history(path) == []  # missing file is empty
         assert append_history(path, entries) == 2
         assert read_history(path) == entries
+
+    def test_torn_history_line_names_path_and_line(self, tmp_path):
+        committed = (
+            Path(__file__).resolve().parent.parent
+            / "results" / "bench_history.jsonl"
+        ).read_text()
+        lines = committed.splitlines(keepends=True)
+        assert len(lines) >= 2
+        path = tmp_path / "bench_history.jsonl"
+        # Keep the first entry whole and cut the second mid-line.
+        path.write_text(lines[0] + lines[1][: len(lines[1]) // 2])
+        with pytest.raises(
+            ConfigurationError, match=r"bench_history\.jsonl:2: torn"
+        ):
+            read_history(str(path))
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "history.jsonl"

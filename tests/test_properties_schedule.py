@@ -192,10 +192,10 @@ class TestNextArrivalProperties:
 
 
 class TestTimingStructureEquivalence:
-    """ISSUE 5: the table-driven arithmetic IS the bisection reference.
+    """The closed-form arithmetic IS the bisection reference.
 
-    ``next_arrival`` dispatches fixed-gap closed form → wait table →
-    bisection; each path must return the exact float the frozen
+    ``next_arrival`` dispatches fixed-gap closed form → bisection; the
+    closed form must return the exact float the frozen
     ``next_arrival_bisect`` returns, for arbitrary schedules (irregular
     spacing, padding slots) and arbitrary query instants.
     """
@@ -208,19 +208,6 @@ class TestTimingStructureEquivalence:
             assert program.next_arrival(page, time) == (
                 program.next_arrival_bisect(page, time)
             )
-
-    @given(raw_slot_lists(), query_instants)
-    @settings(max_examples=150, deadline=None)
-    def test_wait_table_arithmetic_matches_bisection(self, slots, time):
-        # Drive the table directly, so fixed-gap pages (which the
-        # dispatch would short-circuit) exercise it too.
-        program = BroadcastSchedule(slots)
-        for page in program.pages:
-            table = program.wait_table(page)
-            assert table is not None  # default budget covers tiny schedules
-            base = math.floor(time) + 1
-            arrival = float(base + table[(base - 1) % program.period])
-            assert arrival == program.next_arrival_bisect(page, time)
 
     @given(raw_slot_lists(), query_instants)
     @settings(max_examples=150, deadline=None)
@@ -247,20 +234,6 @@ class TestTimingStructureEquivalence:
                 arrival = program.next_arrival(page, completion)
                 assert arrival > completion
                 assert arrival == program.next_arrival_bisect(page, completion)
-
-    @given(raw_slot_lists(), query_instants)
-    @settings(max_examples=100, deadline=None)
-    def test_zero_budget_falls_back_to_bisection(self, slots, time):
-        program = BroadcastSchedule(slots, wait_table_budget=0)
-        for page in program.pages:
-            assert program.wait_table(page) is None
-            assert program.next_arrival(page, time) == (
-                program.next_arrival_bisect(page, time)
-            )
-        stats = program.timing_stats()
-        assert stats["wait_tables"] == 0
-        assert stats["wait_table_bytes"] == 0
-        assert stats["wait_tables_declined"] == len(program.pages)
 
     @given(raw_slot_lists(), query_instants)
     @settings(max_examples=100, deadline=None)
