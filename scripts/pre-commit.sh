@@ -13,12 +13,9 @@ set -eu
 
 cd "$(git rev-parse --show-toplevel 2>/dev/null || dirname "$0")/."
 
-echo "== repro.lint (static analysis, incremental) =="
-# The content-hash cache under .repro-lint-cache/ makes the warm path
-# fast enough for every commit: unchanged files are never re-parsed,
-# and an edit re-analyzes only the file plus its reverse dependencies.
+echo "== repro.lint (static analysis) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.lint \
-    --stats src tests scripts benchmarks
+    src tests scripts benchmarks
 
 echo "== tier-1 tests =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q

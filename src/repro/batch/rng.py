@@ -9,10 +9,9 @@ to :meth:`RandomStreams.stream <repro.sim.rng.RandomStreams.stream>`:
 ``(seed, digest-sum, *digest-bytes)`` fed to a
 :class:`numpy.random.SeedSequence`.
 
-The lint rule RL010 recognises this construction — a ``Generator`` built
-from an explicitly-seeded ``SeedSequence`` — as a blessed gateway, so
-callers receiving these generators are not flagged as consuming
-unmanaged randomness.
+Like :mod:`repro.sim.rng`, this module is allowlisted for the lint rule
+RL002 (``[tool.reprolint.allow]`` in ``pyproject.toml``): it is the
+batch layer's one sanctioned ``numpy.random`` gateway.
 """
 
 from __future__ import annotations

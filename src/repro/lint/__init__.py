@@ -5,10 +5,10 @@ same seed produce identical schedules, cache states, and response
 times.  This package is a stdlib-only (:mod:`ast`-based) linter that
 statically rejects the determinism hazards that silently break that
 property — wall-clock reads, unseeded module-level RNGs, float
-equality on simulation timestamps — plus the robustness and protocol
-mistakes (mutable defaults, swallowed exceptions, partially
-implemented cache policies) that corrupt results without failing a
-test.
+equality on simulation timestamps — plus the robustness mistakes
+(mutable defaults, swallowed exceptions, non-picklable plan fields,
+positional option arguments) that corrupt results without failing a
+test.  Every rule is per-file: one parse and one AST walk per module.
 
 Usage::
 
@@ -30,27 +30,17 @@ each rule to reproducibility.
 from __future__ import annotations
 
 from repro.lint.config import LintConfig, load_config
-from repro.lint.diagnostics import Diagnostic, format_diagnostics, to_sarif
-from repro.lint.engine import (
-    LintStats,
-    collect_files,
-    lint_paths,
-    lint_source,
-)
-from repro.lint.project import ProjectModel, summarize_module
+from repro.lint.diagnostics import Diagnostic, format_diagnostics
+from repro.lint.engine import collect_files, lint_paths, lint_source
 from repro.lint.registry import available_rules
 
 __all__ = [
     "Diagnostic",
     "LintConfig",
-    "LintStats",
-    "ProjectModel",
     "available_rules",
     "collect_files",
     "format_diagnostics",
     "lint_paths",
     "lint_source",
     "load_config",
-    "summarize_module",
-    "to_sarif",
 ]

@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.config import find_pyproject, load_config
+from repro.errors import ConfigurationError
+from repro.lint.config import load_config
 from repro.lint.diagnostics import format_diagnostics
-from repro.lint.engine import LintStats, lint_paths
+from repro.lint.engine import lint_paths
 from repro.lint.registry import available_rules
 
 #: Exit-code contract (documented in --help and docs/LINTING.md).
@@ -17,24 +18,15 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
-#: Default cache directory name, created next to pyproject.toml.
-CACHE_DIR_NAME = ".repro-lint-cache"
-
 _EPILOG = """\
 exit codes:
   0  no findings (the tree is clean)
   1  findings were reported
-  2  usage error (unknown option, bad path, bad --format)
+  2  usage error (unknown option, bad path, bad --format, bad config)
 
 suppression:
   append `# repro: noqa[CODE]` to the offending line, or configure a
   per-rule allowlist in pyproject.toml [tool.reprolint.allow].
-  RL014 flags suppressions that no longer suppress anything.
-
-caching:
-  results are cached by content hash under .repro-lint-cache/ next to
-  pyproject.toml; unchanged files are never re-parsed.  --no-cache
-  disables it, --cache-dir relocates it, --stats reports hit rates.
 """
 
 
@@ -45,9 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Simulation-correctness static analysis for the broadcast-"
             "disks reproduction: rejects wall-clock reads, unmanaged "
             "RNGs, float-equality on simulated time, mutable defaults, "
-            "swallowed exceptions, partially implemented cache "
-            "policies, unseeded RNG provenance, parallel-unsafe module "
-            "state, and platform-ordered folds."
+            "swallowed exceptions, non-picklable plan fields, and "
+            "positional option arguments."
         ),
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -60,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="diagnostic output format (default: text)",
     )
@@ -73,46 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: nearest pyproject.toml above the cwd)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="analyze every file from scratch, ignoring the cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="incremental cache directory (default: "
-        f"{CACHE_DIR_NAME}/ next to the governing pyproject.toml)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache/analysis statistics to stderr",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit 0",
     )
     return parser
-
-
-def resolve_cache_dir(
-    explicit: Optional[Path],
-    pyproject: Optional[Path],
-) -> Optional[Path]:
-    """Where the cache lives: explicit flag, else next to pyproject.
-
-    Without a pyproject there is no stable anchor, so caching is
-    silently skipped rather than scattering cache directories around.
-    """
-    if explicit is not None:
-        return explicit
-    anchor = pyproject if pyproject is not None else find_pyproject()
-    if anchor is None:
-        return None
-    return Path(anchor).resolve().parent / CACHE_DIR_NAME
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -140,21 +96,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return EXIT_USAGE
 
-    config = load_config(pyproject=args.config)
-    cache_dir = (
-        None
-        if args.no_cache
-        else resolve_cache_dir(args.cache_dir, args.config)
-    )
-    stats = LintStats()
-    diagnostics = lint_paths(
-        paths, config, cache_dir=cache_dir, stats=stats
-    )
+    try:
+        config = load_config(pyproject=args.config)
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    diagnostics = lint_paths(paths, config)
     output = format_diagnostics(diagnostics, args.format)
     if output:
         print(output)
-    if args.stats:
-        print(f"lint: {stats.describe()}", file=sys.stderr)
     if diagnostics:
         if args.format == "text":
             print(

@@ -11,9 +11,11 @@ The configuration answers three questions:
   ``numpy.random``).
 
 ``tomllib`` ships with Python 3.11+; on older interpreters the loader
-degrades gracefully to the built-in defaults rather than crashing,
-because this environment is offline and no third-party TOML parser can
-be installed.
+falls back to the built-in defaults, because the linter is
+stdlib-only.  A config the parser *can* read must be right: a TOML
+syntax error or a rule code that no rule registers raises
+:class:`~repro.errors.ConfigurationError` instead of silently doing
+nothing.
 """
 
 from __future__ import annotations
@@ -22,13 +24,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from repro.errors import ConfigurationError
+from repro.lint.registry import available_rules
+
 try:
     import tomllib
 except ImportError:  # pragma: no cover - Python < 3.11
     tomllib = None  # type: ignore[assignment]
 
 #: Files every configuration excludes from collection.
-ALWAYS_EXCLUDE = ("__pycache__", ".egg-info", ".repro-lint-cache")
+ALWAYS_EXCLUDE = ("__pycache__", ".egg-info")
 
 #: Built-in allowlists, mirrored by the shipped ``pyproject.toml`` so
 #: behaviour is identical whether or not a config file is found.
@@ -143,7 +148,9 @@ def load_config(
 
     ``pyproject`` names an explicit file; otherwise the nearest
     ``pyproject.toml`` above ``start`` is used.  Missing file, missing
-    table, or a missing TOML parser all yield the defaults.
+    table, or a missing TOML parser all yield the defaults; an
+    unreadable or unparseable file, or an ``enabled``/``allow`` entry
+    naming an unknown rule code, raises :class:`ConfigurationError`.
     """
     config = LintConfig()
     source = pyproject if pyproject is not None else find_pyproject(start)
@@ -152,8 +159,8 @@ def load_config(
     try:
         with open(source, "rb") as handle:
             document = tomllib.load(handle)
-    except (OSError, tomllib.TOMLDecodeError):
-        return config
+    except (OSError, tomllib.TOMLDecodeError) as error:
+        raise ConfigurationError(f"{source}: {error}") from error
     table = document.get("tool", {}).get("reprolint", {})
     if not isinstance(table, dict):
         return config
@@ -176,4 +183,17 @@ def load_config(
             if isinstance(patterns, Sequence) and not isinstance(patterns, str):
                 merged[str(code).upper()] = tuple(str(p) for p in patterns)
         config.allow = merged
+    _check_codes(source, (*(config.enabled or ()), *config.allow))
     return config
+
+
+def _check_codes(source: Path, named: Sequence[str]) -> None:
+    """Raise if ``named`` holds a code that no registered rule has."""
+    known = {code for code, _name, _rationale in available_rules()}
+    unknown = sorted(set(named) - known)
+    if unknown:
+        raise ConfigurationError(
+            f"{source}: [tool.reprolint] names unknown rule code"
+            f"{'s' if len(unknown) != 1 else ''} {', '.join(unknown)}; "
+            "`python -m repro.lint --list-rules` prints the catalogue"
+        )

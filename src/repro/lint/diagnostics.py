@@ -35,97 +35,12 @@ class Diagnostic:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (used by the incremental cache)."""
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            code=str(data["code"]),
-            message=str(data["message"]),
-        )
-
-
-#: SARIF 2.1.0 boilerplate (the schema CI's upload-sarif action expects).
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-_SARIF_VERSION = "2.1.0"
-_TOOL_NAME = "repro.lint"
-_TOOL_URI = "docs/LINTING.md"
-
-
-def to_sarif(diagnostics: Iterable[Diagnostic]) -> Dict[str, object]:
-    """Render ``diagnostics`` as a SARIF 2.1.0 log (one run).
-
-    The rule catalogue is embedded in ``tool.driver.rules`` so viewers
-    (GitHub code scanning among them) can show each rule's name and
-    rationale; every result carries a ``ruleIndex`` into that array.
-    """
-    # Imported lazily: the registry imports this module for Diagnostic.
-    from repro.lint.registry import available_rules
-
-    catalogue = available_rules()
-    index = {code: i for i, (code, _name, _rationale) in enumerate(catalogue)}
-    rules = [
-        {
-            "id": code,
-            "name": name,
-            "shortDescription": {"text": name},
-            "fullDescription": {"text": rationale},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for code, name, rationale in catalogue
-    ]
-    results = []
-    for diagnostic in sorted(diagnostics):
-        result: Dict[str, object] = {
-            "ruleId": diagnostic.code,
-            "level": "error",
-            "message": {"text": diagnostic.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": diagnostic.path,
-                            "uriBaseId": "%SRCROOT%",
-                        },
-                        "region": {
-                            "startLine": diagnostic.line,
-                            "startColumn": diagnostic.col,
-                        },
-                    }
-                }
-            ],
-        }
-        if diagnostic.code in index:
-            result["ruleIndex"] = index[diagnostic.code]
-        results.append(result)
-    return {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": _TOOL_NAME,
-                        "informationUri": _TOOL_URI,
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-
 
 def format_diagnostics(
     diagnostics: Iterable[Diagnostic],
     fmt: str = "text",
 ) -> str:
-    """Render diagnostics as ``text`` lines, ``json``, or ``sarif``."""
+    """Render diagnostics as ``text`` lines or ``json``."""
     ordered: List[Diagnostic] = sorted(diagnostics)
     if fmt == "json":
         return json.dumps(
@@ -135,8 +50,6 @@ def format_diagnostics(
             },
             indent=2,
         )
-    if fmt == "sarif":
-        return json.dumps(to_sarif(ordered), indent=2)
     if fmt == "text":
         return "\n".join(d.format() for d in ordered)
     raise ValueError(f"unknown diagnostic format {fmt!r}")

@@ -1,49 +1,23 @@
-"""The incremental whole-program lint engine.
+"""The per-file lint engine.
 
-Each file is read and parsed at most once per content hash.  One walk
-over the AST dispatches every node to the registered file rules; a
-second, summary-building walk distils the module into the plain-data
-facts (:class:`~repro.lint.project.ModuleSummary`) that the
-cross-module rules consume through a
-:class:`~repro.lint.project.ProjectModel`.
-
-Everything a lint run derives from a file — its diagnostics, its
-``# repro: noqa`` table, its module summary — is JSON-serialisable, so
-:class:`LintCache` can persist it keyed by content hash.  A warm run
-over an unchanged tree re-parses *nothing*: per-file results come from
-the cache, and the cross-module phase is either served from its own
-cached entry (keyed by the digest of every file hash) or re-run over
-cached summaries.  When files did change, the cross-module phase
-re-analyzes them together with their transitive reverse dependencies —
-the modules whose cross-module conclusions the edit can invalidate.
-
-Finally ``# repro: noqa[CODE]`` comments (found with :mod:`tokenize`,
-so string literals that merely *mention* noqa do not count) filter the
-collected diagnostics by line, and RL014 reports the suppressions that
-no longer suppress anything.
+Each file is read and parsed once, and one walk over its AST
+dispatches every node to the registered rules.  ``# repro: noqa[CODE]``
+comments (found with :mod:`tokenize`, so string literals that merely
+*mention* noqa do not count) then filter the findings by line.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
-import os
 import re
 import tokenize
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.lint.config import LintConfig, path_in_scope
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.project import (
-    ModuleSummary,
-    ProjectModel,
-    summarize_module,
-)
-from repro.lint.registry import Rule, file_rules, project_rules
+from repro.lint.registry import Rule, file_rules
 
 #: Matches the suppression comment: bare ``repro: noqa`` (every code)
 #: or ``repro: noqa[RL001]`` / ``repro: noqa[RL001, RL004]``.
@@ -54,20 +28,13 @@ _NOQA_RE = re.compile(
 #: Marker meaning "suppress every code on this line".
 _ALL_CODES = "*"
 
-#: The dead-suppression rule the engine implements itself.
-_DEAD_NOQA_CODE = "RL014"
-
-#: Bump to invalidate every existing cache (format or semantics change).
-CACHE_VERSION = 2
-
 
 class FileContext:
-    """Everything a file-scoped rule may consult while checking a node."""
+    """Everything a rule may consult while checking a node."""
 
     def __init__(self, path: str, tree: ast.Module, config: LintConfig):
         self.path = path.replace("\\", "/")
         self.config = config
-        self.diagnostics: List[Diagnostic] = []
         # alias → dotted module for `import numpy as np`;
         # name → dotted origin for `from time import perf_counter`.
         self.module_aliases: Dict[str, str] = {}
@@ -87,7 +54,6 @@ class FileContext:
                         f"{node.module}.{alias.name}"
                     )
 
-    # -- name resolution -----------------------------------------------------
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Dotted name for a Name/Attribute chain, import-aware.
 
@@ -107,385 +73,69 @@ class FileContext:
             return node.id
         return None
 
-    # -- scope / reporting ---------------------------------------------------
     def applies(self, rule: Rule) -> bool:
         """Whether ``rule`` runs on this file at all (scope + allowlist)."""
         if rule.scoped and not path_in_scope(self.path, self.config.scope):
             return False
         return not self.config.is_allowed(rule.code, self.path)
 
-    def report(self, node: ast.AST, code: str, message: str) -> None:
-        self.diagnostics.append(
-            Diagnostic(
-                path=self.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0) + 1,
-                code=code,
-                message=message,
-            )
-        )
 
-
-# ---------------------------------------------------------------------------
-# noqa scanning (tokenize-based: comments only, never string literals)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NoqaEntry:
-    """One ``# repro: noqa`` comment: where it sits and what it names."""
-
-    col: int
-    codes: Set[str]
-
-    def to_jsonable(self) -> Dict:
-        return {"col": self.col, "codes": sorted(self.codes)}
-
-    @classmethod
-    def from_jsonable(cls, data: Dict) -> "NoqaEntry":
-        return cls(col=data["col"], codes=set(data["codes"]))
-
-
-def _entry_from_match(match: "re.Match[str]", col: int) -> NoqaEntry:
+def _noqa_codes(comment: str) -> Optional[Set[str]]:
+    """The codes a ``# repro: noqa`` in ``comment`` names, if any."""
+    match = _NOQA_RE.search(comment)
+    if match is None:
+        return None
     codes = match.group("codes")
     if codes is None:
-        return NoqaEntry(col=col, codes={_ALL_CODES})
-    return NoqaEntry(
-        col=col,
-        codes={
-            token.strip().upper()
-            for token in codes.split(",")
-            if token.strip()
-        },
-    )
+        return {_ALL_CODES}
+    return {token.strip().upper() for token in codes.split(",") if token.strip()}
 
 
-def scan_noqa(source: str) -> Dict[int, NoqaEntry]:
-    """Map line number → the noqa suppression declared on that line.
+def scan_noqa(source: str) -> Dict[int, Set[str]]:
+    """Map line number → the codes suppressed on that line.
 
     Comments are found with :mod:`tokenize`, so a *string literal*
     containing ``# repro: noqa`` (a lint-rule fixture, a docstring
-    example) neither suppresses anything nor counts as a suppression
-    for RL014.  Unparseable source falls back to a line-regex scan.
+    example) suppresses nothing.  Source that does not tokenize falls
+    back to a line-regex scan.
     """
-    suppressed: Dict[int, NoqaEntry] = {}
     try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        comments = [
+            (token.start[0], token.string)
+            for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type == tokenize.COMMENT
+        ]
     except (tokenize.TokenError, IndentationError, SyntaxError, ValueError):
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            match = _NOQA_RE.search(line)
-            if match:
-                suppressed[lineno] = _entry_from_match(
-                    match, match.start() + 1
-                )
-        return suppressed
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        match = _NOQA_RE.search(token.string)
-        if match:
-            lineno, col = token.start
-            suppressed[lineno] = _entry_from_match(
-                match, col + match.start() + 1
-            )
+        comments = list(enumerate(source.splitlines(), start=1))
+    suppressed: Dict[int, Set[str]] = {}
+    for lineno, comment in comments:
+        codes = _noqa_codes(comment)
+        if codes is not None:
+            suppressed[lineno] = codes
     return suppressed
-
-
-def _apply_noqa(
-    diagnostics: Iterable[Diagnostic],
-    noqa_by_path: Dict[str, Dict[int, NoqaEntry]],
-) -> List[Diagnostic]:
-    kept = []
-    for diagnostic in diagnostics:
-        entry = noqa_by_path.get(diagnostic.path, {}).get(diagnostic.line)
-        if entry and (
-            _ALL_CODES in entry.codes or diagnostic.code in entry.codes
-        ):
-            continue
-        kept.append(diagnostic)
-    return kept
-
-
-def _dead_noqa(
-    config: LintConfig,
-    noqa_by_path: Dict[str, Dict[int, NoqaEntry]],
-    diagnostics: Iterable[Diagnostic],
-) -> List[Diagnostic]:
-    """RL014: suppressions that no longer suppress any finding."""
-    if not config.is_enabled(_DEAD_NOQA_CODE):
-        return []
-    fired: Dict[Tuple[str, int], Set[str]] = {}
-    for diagnostic in diagnostics:
-        fired.setdefault(
-            (diagnostic.path, diagnostic.line), set()
-        ).add(diagnostic.code)
-    found: List[Diagnostic] = []
-    for path, entries in noqa_by_path.items():
-        if config.is_allowed(_DEAD_NOQA_CODE, path):
-            continue
-        for line, entry in entries.items():
-            live = fired.get((path, line), set())
-            if _ALL_CODES in entry.codes:
-                if live:
-                    continue
-                message = (
-                    "blanket '# repro: noqa' suppresses nothing on this "
-                    "line; delete it (and scope future suppressions to "
-                    "codes)"
-                )
-            else:
-                dead = sorted(entry.codes - live)
-                if not dead:
-                    continue
-                message = (
-                    f"dead suppression: {', '.join(dead)} never fire"
-                    f"{'s' if len(dead) == 1 else ''} on this line; "
-                    "delete the stale code(s) from the noqa comment"
-                )
-            found.append(
-                Diagnostic(path, line, entry.col, _DEAD_NOQA_CODE, message)
-            )
-    return found
-
-
-# ---------------------------------------------------------------------------
-# Per-file analysis
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FileAnalysis:
-    """Everything one lint run derives from one file (cacheable)."""
-
-    path: str
-    digest: str
-    diagnostics: List[Diagnostic] = field(default_factory=list)  # pre-noqa
-    noqa: Dict[int, NoqaEntry] = field(default_factory=dict)
-    summary: Optional[ModuleSummary] = None
-
-    def to_jsonable(self) -> Dict:
-        return {
-            "path": self.path,
-            "digest": self.digest,
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-            "noqa": {
-                str(line): entry.to_jsonable()
-                for line, entry in self.noqa.items()
-            },
-            "summary": self.summary.to_dict() if self.summary else None,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict) -> "FileAnalysis":
-        return cls(
-            path=data["path"],
-            digest=data["digest"],
-            diagnostics=[
-                Diagnostic.from_dict(d) for d in data["diagnostics"]
-            ],
-            noqa={
-                int(line): NoqaEntry.from_jsonable(entry)
-                for line, entry in data["noqa"].items()
-            },
-            summary=(
-                ModuleSummary.from_dict(data["summary"])
-                if data["summary"]
-                else None
-            ),
-        )
-
-
-def _analyze_file(
-    posix: str,
-    raw: bytes,
-    digest: str,
-    config: LintConfig,
-    rules: List[Rule],
-) -> FileAnalysis:
-    """Parse ``raw`` once and derive diagnostics + noqa + summary."""
-    analysis = FileAnalysis(path=posix, digest=digest)
-    try:
-        source = raw.decode("utf-8")
-    except UnicodeDecodeError as error:
-        analysis.diagnostics.append(
-            Diagnostic(posix, 1, 1, "RL000", f"unreadable file: {error}")
-        )
-        return analysis
-    try:
-        tree = ast.parse(source, filename=posix)
-    except SyntaxError as error:
-        analysis.diagnostics.append(
-            Diagnostic(
-                posix,
-                error.lineno or 1,
-                (error.offset or 0) or 1,
-                "RL000",
-                f"syntax error: {error.msg}",
-            )
-        )
-        return analysis
-    analysis.noqa = scan_noqa(source)
-    analysis.diagnostics = _lint_tree(posix, tree, config, rules)
-    analysis.summary = summarize_module(posix, tree)
-    return analysis
 
 
 def _lint_tree(
     path: str,
     tree: ast.Module,
     config: LintConfig,
-    rules: Optional[List[Rule]] = None,
+    rules: List[Rule],
 ) -> List[Diagnostic]:
     """One walk of ``tree``, dispatching nodes to interested rules."""
     ctx = FileContext(path, tree, config)
-    active = [
-        rule
-        for rule in (rules if rules is not None else file_rules())
-        if config.is_enabled(rule.code) and ctx.applies(rule)
-    ]
-    if not active:
-        return []
     dispatch: Dict[type, List[Rule]] = {}
-    for rule in active:
-        for node_type in rule.node_types:
-            dispatch.setdefault(node_type, []).append(rule)
+    for rule in rules:
+        if config.is_enabled(rule.code) and ctx.applies(rule):
+            for node_type in rule.node_types:
+                dispatch.setdefault(node_type, []).append(rule)
+    if not dispatch:
+        return []
+    diagnostics: List[Diagnostic] = []
     for node in ast.walk(tree):
         for rule in dispatch.get(type(node), ()):
-            for diagnostic in rule.check(node, ctx):
-                ctx.diagnostics.append(diagnostic)
-    return ctx.diagnostics
+            diagnostics.extend(rule.check(node, ctx))
+    return diagnostics
 
-
-# ---------------------------------------------------------------------------
-# The incremental cache
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LintStats:
-    """What a :func:`lint_paths` run actually did (for --stats and CI)."""
-
-    files: int = 0
-    parsed: int = 0
-    cache_hits: int = 0
-    project_from_cache: bool = False
-    reanalyzed: List[str] = field(default_factory=list)
-
-    def describe(self) -> str:
-        project = "cached" if self.project_from_cache else (
-            f"re-analyzed {len(self.reanalyzed)} module(s)"
-        )
-        return (
-            f"files={self.files} parsed={self.parsed} "
-            f"cache-hits={self.cache_hits} cross-module: {project}"
-        )
-
-
-def _config_digest(config: LintConfig) -> str:
-    from repro.lint.registry import available_rules
-
-    payload = repr(
-        (
-            CACHE_VERSION,
-            config.enabled,
-            config.scope,
-            sorted(config.allow.items()),
-            config.exclude,
-            tuple(code for code, _n, _r in available_rules()),
-        )
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-class LintCache:
-    """Content-hash cache persisted under ``.repro-lint-cache/``.
-
-    One JSON document holds a per-file table (keyed by path, validated
-    by content hash) plus the cross-module phase's output keyed by the
-    digest of every file hash.  A version/config digest guards the
-    whole document: changing the rule set, the config, or the summary
-    format invalidates everything at once.
-    """
-
-    FILENAME = "cache.json"
-
-    def __init__(self, directory: Path, config: LintConfig):
-        self.directory = Path(directory)
-        self._config_key = _config_digest(config)
-        self._files: Dict[str, Dict] = {}
-        self._project: Dict[str, List[Dict]] = {}
-        self._dirty = False
-        self._load()
-
-    def _load(self) -> None:
-        path = self.directory / self.FILENAME
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if not isinstance(document, dict):
-            return
-        if document.get("key") != self._config_key:
-            return  # stale: different rules/config/cache version
-        files = document.get("files")
-        project = document.get("project")
-        if isinstance(files, dict):
-            self._files = files
-        if isinstance(project, dict):
-            self._project = project
-
-    def get_file(self, posix: str, digest: str) -> Optional[FileAnalysis]:
-        entry = self._files.get(posix)
-        if not entry or entry.get("digest") != digest:
-            return None
-        try:
-            return FileAnalysis.from_jsonable(entry)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def put_file(self, analysis: FileAnalysis) -> None:
-        self._files[analysis.path] = analysis.to_jsonable()
-        self._dirty = True
-
-    def get_project(self, key: str) -> Optional[List[Diagnostic]]:
-        entries = self._project.get(key)
-        if entries is None:
-            return None
-        try:
-            return [Diagnostic.from_dict(d) for d in entries]
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def put_project(self, key: str, diagnostics: List[Diagnostic]) -> None:
-        # One project entry suffices: a new key means the tree changed.
-        self._project = {key: [d.to_dict() for d in diagnostics]}
-        self._dirty = True
-
-    def save(self) -> None:
-        if not self._dirty:
-            return
-        # Drop entries whose file is gone (deleted files, tmp trees).
-        self._files = {
-            posix: entry
-            for posix, entry in self._files.items()
-            if os.path.exists(posix)
-        }
-        document = {
-            "key": self._config_key,
-            "files": self._files,
-            "project": self._project,
-        }
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            path = self.directory / self.FILENAME
-            path.write_text(
-                json.dumps(document, sort_keys=True), encoding="utf-8"
-            )
-        except OSError:
-            return  # caching is best-effort; linting already succeeded
-        self._dirty = False
-
-
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
 
 def lint_source(
     path: str,
@@ -493,7 +143,7 @@ def lint_source(
     *, config: Optional[LintConfig] = None,
     rules: Optional[List[Rule]] = None,
 ) -> List[Diagnostic]:
-    """Lint one module's source text (file rules only), noqa applied."""
+    """Lint one module's source text; sorted, noqa-filtered findings."""
     config = config or LintConfig()
     try:
         tree = ast.parse(source, filename=path)
@@ -507,9 +157,16 @@ def lint_source(
                 message=f"syntax error: {error.msg}",
             )
         ]
-    diagnostics = _lint_tree(path, tree, config, rules)
-    noqa = {path.replace("\\", "/"): scan_noqa(source)}
-    return sorted(_apply_noqa(diagnostics, noqa))
+    diagnostics = _lint_tree(
+        path, tree, config, rules if rules is not None else file_rules()
+    )
+    if not diagnostics:
+        return []
+    noqa = scan_noqa(source)
+    return sorted(
+        d for d in diagnostics
+        if not noqa.get(d.line, set()) & {_ALL_CODES, d.code}
+    )
 
 
 def collect_files(
@@ -530,122 +187,27 @@ def collect_files(
         elif path.suffix == ".py" and not config.is_excluded(str(path)):
             found.append(path)
     # De-duplicate while keeping deterministic order.
-    unique: List[Path] = []
-    seen = set()
-    for candidate in found:
-        key = str(candidate)
-        if key not in seen:
-            seen.add(key)
-            unique.append(candidate)
-    return unique
-
-
-def _project_diagnostics(
-    model: ProjectModel, config: LintConfig
-) -> List[Diagnostic]:
-    """Run every enabled cross-module rule, scope/allow filtered."""
-    collected: List[Diagnostic] = []
-    for rule in project_rules():
-        if not config.is_enabled(rule.code):
-            continue
-        if getattr(rule, "engine_implemented", False):
-            continue  # e.g. RL014: produced by the engine itself
-        for diagnostic in rule.check_project(model, config):
-            if rule.scoped and not path_in_scope(
-                diagnostic.path, config.scope
-            ):
-                continue
-            if config.is_allowed(rule.code, diagnostic.path):
-                continue
-            collected.append(diagnostic)
-    return collected
+    return list(dict.fromkeys(found))
 
 
 def lint_paths(
     paths: Sequence[Path],
     config: Optional[LintConfig] = None,
-    *, cache_dir: Optional[Path] = None,
-    stats: Optional[LintStats] = None,
 ) -> List[Diagnostic]:
-    """Lint files and directories; returns sorted, noqa-filtered findings.
-
-    Runs the per-file rules in a single pass over each module, then the
-    cross-module rules over the project model, then RL014 over the
-    suppression table.  With ``cache_dir`` set, per-file analyses are
-    served from / persisted to the content-hash cache and the
-    cross-module phase is reused whenever no file changed; ``stats``
-    (when given) is filled with what actually happened.
-    """
+    """Lint files and directories; returns sorted, noqa-filtered findings."""
     config = config or LintConfig()
-    stats = stats if stats is not None else LintStats()
-    cache = LintCache(cache_dir, config) if cache_dir is not None else None
     rules = file_rules()
-
-    analyses: List[FileAnalysis] = []
-    changed: List[str] = []
+    diagnostics: List[Diagnostic] = []
     for file_path in collect_files(paths, config):
         posix = str(file_path).replace("\\", "/")
-        stats.files += 1
         try:
-            raw = file_path.read_bytes()
-        except OSError as error:
-            analyses.append(
-                FileAnalysis(
-                    path=posix,
-                    digest="",
-                    diagnostics=[
-                        Diagnostic(
-                            posix, 1, 1, "RL000",
-                            f"unreadable file: {error}",
-                        )
-                    ],
-                )
+            source = file_path.read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            diagnostics.append(
+                Diagnostic(posix, 1, 1, "RL000", f"unreadable file: {error}")
             )
-            changed.append(posix)
-            stats.parsed += 1
             continue
-        digest = hashlib.sha256(raw).hexdigest()
-        cached = cache.get_file(posix, digest) if cache else None
-        if cached is not None:
-            analyses.append(cached)
-            stats.cache_hits += 1
-            continue
-        analysis = _analyze_file(posix, raw, digest, config, rules)
-        analyses.append(analysis)
-        changed.append(posix)
-        stats.parsed += 1
-        if cache is not None:
-            cache.put_file(analysis)
-
-    diagnostics: List[Diagnostic] = []
-    for analysis in analyses:
-        diagnostics.extend(analysis.diagnostics)
-
-    # -- cross-module phase -------------------------------------------------
-    project_key = hashlib.sha256(
-        repr(sorted((a.path, a.digest) for a in analyses)).encode("utf-8")
-    ).hexdigest()
-    project_diags = cache.get_project(project_key) if cache else None
-    if project_diags is not None:
-        stats.project_from_cache = True
-    else:
-        summaries = [a.summary for a in analyses if a.summary is not None]
-        model = ProjectModel(summaries)
-        if cache is not None and changed != [a.path for a in analyses]:
-            affected = set(changed) | model.reverse_dependencies(changed)
-            stats.reanalyzed = sorted(affected)
-        else:
-            stats.reanalyzed = [a.path for a in analyses]
-        project_diags = _project_diagnostics(model, config)
-        if cache is not None:
-            cache.put_project(project_key, project_diags)
-    diagnostics.extend(project_diags)
-
-    # -- suppressions and their hygiene -------------------------------------
-    noqa_by_path = {a.path: a.noqa for a in analyses if a.noqa}
-    kept = _apply_noqa(diagnostics, noqa_by_path)
-    kept.extend(_dead_noqa(config, noqa_by_path, diagnostics))
-
-    if cache is not None:
-        cache.save()
-    return sorted(kept)
+        diagnostics.extend(
+            lint_source(posix, source, config=config, rules=rules)
+        )
+    return sorted(diagnostics)

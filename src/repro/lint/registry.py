@@ -1,13 +1,4 @@
-"""Rule base classes and the registry the engine dispatches from.
-
-Two kinds of rule exist:
-
-* :class:`Rule` — file-scoped, fed individual AST nodes during the
-  engine's single pass over each module;
-* :class:`ProjectRule` — cross-module, handed the whole-program
-  :class:`~repro.lint.project.ProjectModel` (e.g. RL006's
-  policy-protocol check, which must see both ``cache/base.py`` and
-  ``cache/registry.py``, or RL010's RNG-provenance dataflow).
+"""Rule base class and the registry the engine dispatches from.
 
 Rules self-register via the :func:`register` decorator; importing
 :mod:`repro.lint.rules` populates the registry.
@@ -16,7 +7,7 @@ Rules self-register via the :func:`register` decorator; importing
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, List, Tuple, Type, Union
+from typing import Iterator, List, Tuple, Type
 
 from repro.lint.diagnostics import Diagnostic
 
@@ -54,45 +45,13 @@ class Rule:
         return f"<{type(self).__name__} {self.code}>"
 
 
-class ProjectRule:
-    """A cross-module check run once over the whole linted file set.
-
-    ``check_project`` receives a
-    :class:`~repro.lint.project.ProjectModel` built from every linted
-    module's summary — plain data, so the engine can serve it from the
-    incremental cache without re-parsing anything.  Diagnostics from a
-    ``scoped`` project rule are filtered to ``config.scope`` (and the
-    per-rule allowlist) by the engine, keyed on each diagnostic's path.
-    """
-
-    code: str = "RL000"
-    name: str = "abstract"
-    rationale: str = ""
-    scoped: bool = False
-
-    def check_project(self, model, config) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.code}>"
+_RULES: List[Type[Rule]] = []
 
 
-_FILE_RULES: List[Type[Rule]] = []
-_PROJECT_RULES: List[Type[ProjectRule]] = []
-
-AnyRule = Union[Type[Rule], Type[ProjectRule]]
-
-
-def register(rule_class: AnyRule) -> AnyRule:
+def register(rule_class: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a rule to the registry (idempotent)."""
-    if issubclass(rule_class, Rule):
-        if rule_class not in _FILE_RULES:
-            _FILE_RULES.append(rule_class)
-    elif issubclass(rule_class, ProjectRule):
-        if rule_class not in _PROJECT_RULES:
-            _PROJECT_RULES.append(rule_class)
-    else:  # pragma: no cover - developer error
-        raise TypeError(f"{rule_class!r} is neither Rule nor ProjectRule")
+    if rule_class not in _RULES:
+        _RULES.append(rule_class)
     return rule_class
 
 
@@ -102,21 +61,12 @@ def _ensure_loaded() -> None:
 
 
 def file_rules() -> List[Rule]:
-    """Fresh instances of every registered file-scoped rule."""
+    """Fresh instances of every registered rule."""
     _ensure_loaded()
-    return [cls() for cls in _FILE_RULES]
-
-
-def project_rules() -> List[ProjectRule]:
-    """Fresh instances of every registered cross-module rule."""
-    _ensure_loaded()
-    return [cls() for cls in _PROJECT_RULES]
+    return [cls() for cls in _RULES]
 
 
 def available_rules() -> List[Tuple[str, str, str]]:
     """(code, name, rationale) for every registered rule, sorted."""
     _ensure_loaded()
-    rows: Iterable[AnyRule] = [*_FILE_RULES, *_PROJECT_RULES]
-    return sorted(
-        (cls.code, cls.name, cls.rationale) for cls in rows
-    )
+    return sorted((cls.code, cls.name, cls.rationale) for cls in _RULES)

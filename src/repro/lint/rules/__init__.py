@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from repro.lint.rules import (  # noqa: F401
     api,
-    dataflow,
     determinism,
-    hygiene,
-    parallel,
     plans,
-    protocol,
     robustness,
 )

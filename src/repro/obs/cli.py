@@ -32,8 +32,9 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs.analyze import analyze, render_analysis
+from repro.obs.manifest import read_manifest
 from repro.obs.regress import (
     DEFAULT_HISTORY,
     DEFAULT_REL_FLOOR,
@@ -279,17 +280,23 @@ def _print_summary(summary: Dict) -> None:
 def _load_manifest(path: str) -> Optional[Dict]:
     """The file's manifest document, or None if it is a JSONL trace.
 
-    Run and sweep manifests are single indented JSON objects carrying a
-    ``schema`` tag; traces are one record per line.  A whole-file parse
-    that yields a schema-tagged dict is therefore unambiguous.
+    Run and sweep manifests are indented JSON objects carrying a
+    ``schema`` tag, so their first line is a lone ``{``; a trace holds
+    one compact record per line and never opens that way.  A file that
+    opens like a manifest is read as one, so a manifest cut mid-write
+    raises :class:`ConfigurationError` as a torn manifest instead of
+    failing as a malformed trace.
     """
     try:
         with open(path) as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            opening = handle.readline().strip()
+    except (OSError, UnicodeDecodeError):
         # Unreadable paths fall through to the trace loader, which
-        # reports them; non-JSON content is simply not a manifest.
+        # reports them.
         return None
+    if opening != "{":
+        return None
+    document = read_manifest(path)
     if isinstance(document, dict) and "schema" in document:
         return document
     return None
@@ -452,13 +459,17 @@ def _load_records(path: str) -> Optional[List[dict]]:
         return list(read_jsonl(path))
     except OSError as error:
         print(f"cannot read trace: {error}", file=sys.stderr)
-    except json.JSONDecodeError as error:
-        print(f"malformed trace line: {error}", file=sys.stderr)
+    except ConfigurationError as error:  # names path:line
+        print(str(error), file=sys.stderr)
     return None
 
 
 def _command_summary(args) -> int:
-    manifest = _load_manifest(args.trace)
+    try:
+        manifest = _load_manifest(args.trace)
+    except ConfigurationError as error:  # names the torn manifest
+        print(str(error), file=sys.stderr)
+        return EXIT_USAGE
     if manifest is not None:
         if args.json:
             print(json.dumps(manifest, indent=2, sort_keys=True))

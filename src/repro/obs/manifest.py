@@ -22,6 +22,8 @@ import json
 from dataclasses import asdict, is_dataclass
 from typing import Dict, Iterable, List, Optional
 
+from repro.errors import ConfigurationError
+
 MANIFEST_SCHEMA = "repro.obs.manifest/1"
 SWEEP_SCHEMA = "repro.obs.sweep/1"
 
@@ -179,9 +181,18 @@ def write_sweep_manifest(results: Iterable, path: str,
 
 
 def read_manifest(path: str) -> Dict:
-    """Load a manifest (run or sweep) written by this module."""
+    """Load a manifest (run or sweep) written by this module.
+
+    A file that is not one JSON document (a manifest cut mid-write)
+    raises :class:`ConfigurationError` naming ``path``.
+    """
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as error:
+            raise ConfigurationError(
+                f"{path}: torn manifest ({error})"
+            ) from None
 
 
 #: Manifest fields that measure elapsed wall time — the only fields

@@ -40,6 +40,8 @@ import warnings
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional
 
+from repro.errors import ConfigurationError
+
 # Record-kind constants, mirrored by the table above.
 SIM_EVENT = "sim.event"
 CHANNEL_DELIVER = "channel.deliver"
@@ -226,9 +228,20 @@ def trace_schedule(schedule, tracer: Tracer, *, periods: int = 1,
 
 
 def read_jsonl(path: str) -> Iterator[Dict[str, Any]]:
-    """Yield the record dicts of a JSONL trace file, in order."""
+    """Yield the record dicts of a JSONL trace file, in order.
+
+    A line that is not JSON (a trace cut mid-record) raises
+    :class:`ConfigurationError` naming ``path:line``.
+    """
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ConfigurationError(
+                    f"{path}:{number}: malformed trace line ({error.msg})"
+                ) from None
+            yield record

@@ -65,3 +65,24 @@ def mini_config():
         num_requests=600,
         seed=7,
     )
+
+
+@pytest.fixture
+def cut_mid_record():
+    """Truncate a text file halfway through its middle line.
+
+    Returns a function ``cut(path) -> line`` that leaves the lines
+    before ``line`` whole and the first half of ``line`` (1-based) as
+    the file's last, newline-less line — a writer killed mid-record.
+    """
+    def cut(path):
+        with open(path) as handle:
+            lines = handle.readlines()
+        line = len(lines) // 2
+        partial = lines[line - 1]
+        with open(path, "w") as handle:
+            handle.writelines(lines[: line - 1])
+            handle.write(partial[: len(partial) // 2])
+        return line
+
+    return cut

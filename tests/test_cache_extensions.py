@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cache.base import CacheCounters, PolicyContext
+from repro.cache import registry
+from repro.cache.base import CacheCounters, CachePolicy, PolicyContext
 from repro.cache.lruk import LRUKPolicy
 from repro.cache.registry import available_policies, make_policy
 from repro.cache.twoq import TwoQPolicy
@@ -133,10 +134,37 @@ class TestRegistry:
             disk_of=lambda page: 0,
             num_disks=1,
         )
-        for name in ("P", "PIX", "LRU", "L", "LIX", "LRU-K", "lru2", "2Q"):
+        for name in registry._FACTORIES:
             policy = make_policy(name, 4, context)
+            assert isinstance(policy, CachePolicy), name
             policy.admit(0, 1.0)
             assert 0 in policy
+
+    def test_policy_missing_abstract_method_cannot_be_built(self, monkeypatch):
+        # CachePolicy is an ABC, so the interpreter itself rejects a
+        # registered class that leaves part of the protocol out.
+        class NoDiscardPolicy(CachePolicy):
+            def __init__(self, capacity, context):
+                super().__init__(capacity)
+
+            def __contains__(self, page):
+                return False
+
+            def __len__(self):
+                return 0
+
+            def pages(self):
+                return ()
+
+            def lookup(self, page, now):
+                return False
+
+            def admit(self, page, now):
+                return None
+
+        monkeypatch.setitem(registry._FACTORIES, "lru", NoDiscardPolicy)
+        with pytest.raises(TypeError, match="discard"):
+            make_policy("LRU", 4, PolicyContext())
 
     def test_names_case_insensitive(self):
         context = PolicyContext(disk_of=lambda page: 0, num_disks=1)

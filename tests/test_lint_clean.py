@@ -2,12 +2,10 @@
 violations, and stays that way.
 
 This is the test that makes repro.lint a *gate* rather than advice:
-any PR that introduces a wall-clock read, a stray RNG, a float-time
-equality, a mutable default, an over-broad except, an incomplete
-registered cache policy, an unseeded generator flowing into simulation
-code, a parallel-unsafe module-state write, a platform-ordered fold,
-or a dead suppression fails here before CI even reaches the simulator
-suites.
+any change that introduces a wall-clock read, a stray RNG, a
+float-time equality, a mutable default, an over-broad except, a
+non-picklable plan field, or a positional option argument fails here
+before CI even reaches the simulator suites.
 """
 
 from __future__ import annotations
@@ -49,26 +47,10 @@ class TestCleanBaseline:
         diagnostics = lint_paths([REPO_ROOT / "scripts"], _config())
         assert diagnostics == [], _report(diagnostics)
 
-    def test_whole_tree_cross_module_pass_is_clean(self):
-        # The cross-module rules (RL010-RL012) see the most when every
-        # linted tree is analyzed together: worker roots in src/repro
-        # plus the harnesses that drive them.
-        diagnostics = lint_paths(
-            [
-                REPO_ROOT / "src" / "repro",
-                REPO_ROOT / "scripts",
-                REPO_ROOT / "benchmarks",
-            ],
-            _config(),
-        )
-        assert diagnostics == [], _report(diagnostics)
-
     def test_ci_gate_invocation_is_clean(self, monkeypatch, capsys):
         # Exactly what .github/workflows/ci.yml runs.
         monkeypatch.chdir(REPO_ROOT)
-        assert main(
-            ["src", "tests", "scripts", "benchmarks", "--no-cache"]
-        ) == EXIT_CLEAN
+        assert main(["src", "tests", "scripts", "benchmarks"]) == EXIT_CLEAN
 
     def test_config_is_loaded_from_pyproject(self):
         config = _config()
@@ -78,12 +60,10 @@ class TestCleanBaseline:
         # Benchmarks time things on purpose; the whole tree is
         # allowlisted for the wall-clock rule (directory pattern).
         assert config.is_allowed("RL001", "benchmarks/bench_sweep.py")
-        # The executor's per-worker build cache is the one sanctioned
-        # module-state write reachable from a worker.
-        assert config.is_allowed("RL011", "src/repro/exec/executor.py")
         # The old blanket allowance for the runner is gone: its wall
         # clock now flows through the obs clock shim.
         assert not config.is_allowed("RL001", "src/repro/experiments/runner.py")
         assert not config.is_allowed("RL002", "src/repro/core/disks.py")
-        for code in ("RL010", "RL011", "RL012", "RL013", "RL014"):
-            assert config.is_enabled(code)
+        assert config.enabled == (
+            "RL001", "RL002", "RL003", "RL004", "RL005", "RL007", "RL008",
+        )

@@ -1,11 +1,12 @@
 """Per-rule fixtures for repro.lint: true positive, true negative, and
-``# repro: noqa[CODE]`` suppression for each of RL001-RL006."""
+``# repro: noqa[CODE]`` suppression for each of RL001-RL005, RL007 and
+RL008."""
 
 from __future__ import annotations
 
 import textwrap
 
-from repro.lint import LintConfig, lint_paths, lint_source
+from repro.lint import LintConfig, lint_source
 
 #: A path inside the default determinism scope (src/repro).
 IN_SCOPE = "src/repro/somemodule.py"
@@ -275,135 +276,6 @@ class TestRL005BroadExcept:
 
 
 # ---------------------------------------------------------------------------
-# RL006 — registered policies implement the cache protocol
-# ---------------------------------------------------------------------------
-BASE_MODULE = """
-from abc import ABC, abstractmethod
-
-
-class CachePolicy(ABC):
-    @abstractmethod
-    def lookup(self, page, now): ...
-
-    @abstractmethod
-    def admit(self, page, now): ...
-
-    @abstractmethod
-    def discard(self, page): ...
-
-    def shared_helper(self):
-        return 0
-"""
-
-GOOD_MODULE = """
-from cache.base import CachePolicy
-
-
-class GoodPolicy(CachePolicy):
-    def lookup(self, page, now):
-        return False
-
-    def admit(self, page, now):
-        return None
-
-    def discard(self, page):
-        return False
-
-
-class InheritingPolicy(GoodPolicy):
-    def admit(self, page, now):
-        return page
-"""
-
-BAD_MODULE = """
-from cache.base import CachePolicy
-
-
-class BadPolicy(CachePolicy):
-    def lookup(self, page, now):
-        return False
-"""
-
-
-def _write_cache_package(tmp_path, registry_source):
-    package = tmp_path / "cache"
-    package.mkdir()
-    (package / "base.py").write_text(BASE_MODULE)
-    (package / "good.py").write_text(GOOD_MODULE)
-    (package / "bad.py").write_text(BAD_MODULE)
-    (package / "registry.py").write_text(textwrap.dedent(registry_source))
-    return package
-
-
-class TestRL006PolicyProtocol:
-    def test_true_positive_missing_methods(self, tmp_path):
-        package = _write_cache_package(
-            tmp_path,
-            """
-            from cache.bad import BadPolicy
-            from cache.good import GoodPolicy
-
-            _FACTORIES = {
-                "good": GoodPolicy,
-                "bad": BadPolicy,
-                "bad-lambda": lambda capacity, context: BadPolicy(capacity),
-            }
-            """,
-        )
-        diagnostics = lint_paths([package], LintConfig(scope=""))
-        assert codes(diagnostics) == ["RL006", "RL006"]
-        assert all(d.path.endswith("cache/registry.py") for d in diagnostics)
-        assert "admit" in diagnostics[0].message
-        assert "discard" in diagnostics[0].message
-        assert "lookup" not in diagnostics[0].message.split(":")[-1]
-
-    def test_true_negative_complete_and_inherited(self, tmp_path):
-        package = _write_cache_package(
-            tmp_path,
-            """
-            from cache.good import GoodPolicy, InheritingPolicy
-
-            _FACTORIES = {
-                "good": GoodPolicy,
-                "heir": InheritingPolicy,
-                "lam": lambda capacity, context: GoodPolicy(),
-            }
-            """,
-        )
-        assert lint_paths([package], LintConfig(scope="")) == []
-
-    def test_noqa_suppression(self, tmp_path):
-        package = _write_cache_package(
-            tmp_path,
-            """
-            from cache.bad import BadPolicy
-
-            _FACTORIES = {
-                "bad": BadPolicy,  # repro: noqa[RL006]
-            }
-            """,
-        )
-        assert lint_paths([package], LintConfig(scope="")) == []
-
-    def test_sibling_module_loaded_on_demand(self, tmp_path):
-        # Lint ONLY base+registry: the rule follows the registry's
-        # import to bad.py on disk and still finds the gap.
-        package = _write_cache_package(
-            tmp_path,
-            """
-            from cache.bad import BadPolicy
-
-            _FACTORIES = {"bad": BadPolicy}
-            """,
-        )
-        diagnostics = lint_paths(
-            [package / "base.py", package / "registry.py"],
-            LintConfig(scope=""),
-        )
-        assert codes(diagnostics) == ["RL006"]
-
-
-# ---------------------------------------------------------------------------
 # RL007 — picklable plans
 # ---------------------------------------------------------------------------
 class TestRL007PicklablePlan:
@@ -503,6 +375,14 @@ class TestEngine:
 
     def test_noqa_for_other_code_does_not_suppress(self):
         diagnostics = run("import random  # repro: noqa[RL001]\n")
+        assert codes(diagnostics) == ["RL002"]
+
+    def test_noqa_inside_string_literal_suppresses_nothing(self):
+        # Comments are found with tokenize: a string that merely
+        # mentions the marker is not a suppression.
+        diagnostics = run(
+            'import random; EXAMPLE = "# repro: noqa[RL002]"\n'
+        )
         assert codes(diagnostics) == ["RL002"]
 
     def test_disabled_rule_does_not_fire(self):

@@ -107,6 +107,14 @@ class TestCli:
         assert main(["summary", str(path)]) == EXIT_USAGE
         assert "malformed trace line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["summary", "analyze"])
+    def test_torn_trace_exits_2_naming_path_and_line(
+            self, experiment_trace, cut_mid_record, command, capsys):
+        line = cut_mid_record(experiment_trace)
+        assert main([command, experiment_trace]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"{experiment_trace}:{line}: malformed trace")
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -199,6 +207,17 @@ class TestManifestSummary:
         assert main(["summary", path, "--json"]) == EXIT_OK
         document = json.loads(capsys.readouterr().out)
         assert document == json.loads(open(path).read())
+
+
+    def test_torn_manifest_is_reported_as_a_manifest(
+            self, tmp_path, mini_config, cut_mid_record, capsys):
+        path = str(tmp_path / "run-manifest.json")
+        run_experiment(mini_config.with_(num_requests=300), manifest=path)
+        cut_mid_record(path)
+        assert main(["summary", path]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: torn manifest")
+        assert "malformed trace" not in err
 
 
 class TestRegressCommand:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiment, sweep, sweep_results
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -59,6 +63,15 @@ class TestRunManifest:
         text = path.read_text()
         assert text.endswith("\n")
         assert json.loads(text)["schema"] == MANIFEST_SCHEMA
+
+    def test_torn_manifest_names_the_file(self, mini_config, tmp_path,
+                                          cut_mid_record):
+        path = str(tmp_path / "run.json")
+        run_experiment(mini_config, manifest=path)
+        cut_mid_record(path)
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(path)}: torn manifest"):
+            read_manifest(path)
 
     def test_metrics_and_trace_sections_are_optional(self, mini_config):
         registry = MetricsRegistry()

@@ -12,10 +12,13 @@ The load-bearing assertions:
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cache.base import PolicyContext, TracedCache
 from repro.cache.registry import make_policy
+from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiment
 from repro.experiments.simengine import ClientSpec, ProcessEngine
 from repro.obs.trace import (
@@ -116,6 +119,16 @@ class TestSinks:
         tracer.close()
         assert len(memory) == 1
         assert len(list(read_jsonl(path))) == 1
+
+    def test_torn_trace_names_path_and_line(self, tmp_path, mini_config,
+                                            cut_mid_record):
+        path = str(tmp_path / "trace.jsonl")
+        with Tracer(JsonlSink(path)) as tracer:
+            run_experiment(mini_config.with_(num_requests=100), tracer=tracer)
+        line = cut_mid_record(path)
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(path)}:{line}: malformed trace line"):
+            list(read_jsonl(path))
 
 
 class TestScheduleTracing:
