@@ -17,15 +17,14 @@ Three studies, recorded to ``BENCH_population.json``:
   setup; the gate is ``|fleet - reference| <= 4·s·sqrt(1/n_ref +
   1/n_fleet)`` with ``s`` the pooled per-client standard deviation.
 
-* **Batch engine** — the columnar fleet engine against the per-client
-  path on the 1000-client homogeneous fleet: wall time (best of
-  ``BATCH_REPEATS``), clients/second, and a >= ``MIN_BATCH_SPEEDUP``
-  gate, with the same within-sampling-error equivalence check between
-  the two arms' fleet means (the kernel draws from group-level rather
-  than per-client streams, so the contract is statistical).  A second
-  study runs the same fleet on a ``CHANNELS``-channel broadcast
-  program — the single-frequency tuner plus the per-channel phase
-  tables — gated at >= ``MIN_MULTICHANNEL_SPEEDUP``.
+* **Batch engine** — the exact columnar fleet engine against the
+  per-client path on the 1000-client homogeneous cache-less fleet:
+  wall time (best of ``BATCH_REPEATS``), clients/second, and a >=
+  ``MIN_BATCH_SPEEDUP`` gate.  Both arms draw every client from its own
+  ``derive_seed`` streams, so their rollups must be *equal* (snapshots
+  with wall-clock fields stripped, overall and per segment), not merely
+  close.  A second study runs the same fleet on a ``CHANNELS``-channel
+  broadcast program — the single-frequency tuner — under the same gate.
 
 Runs standalone (writes ``BENCH_population.json``) or under pytest
 (tiny scale, no file output)::
@@ -87,22 +86,18 @@ REFERENCE_RUNS = 16
 #: fleet's ``derive_seed(seed=21, ...)`` stream).
 REFERENCE_SEED = 977
 
-#: Acceptance target for the batch engine against the per-client path
-#: on the 1000-client homogeneous fleet (single-threaded both sides).
-MIN_BATCH_SPEEDUP = 100.0
+#: Acceptance target for the exact batch engine against the per-client
+#: path on the 1000-client homogeneous fleets, C=1 and C=``CHANNELS``
+#: (single-threaded both sides).  The engine measured 6.3x (C=1) and
+#: 5.2x (C=4) on a 2-vCPU host; the floor leaves room for slower hosts.
+MIN_BATCH_SPEEDUP = 3.0
 
-#: Batch-arm repetitions (a kernel fleet runs in milliseconds; the
-#: best-of filters scheduler noise out of the speedup ratio).
+#: Batch-arm repetitions (one exact fleet runs in about a tenth of a
+#: second; the best-of filters scheduler noise out of the speedup ratio).
 BATCH_REPEATS = 5
 
 #: Channel count for the multi-channel batch study.
 CHANNELS = 4
-
-#: Acceptance target for the batch engine on the ``CHANNELS``-channel
-#: fleet.  Lower than the single-channel target: the scalar arm is
-#: itself faster per request on C channels (shorter per-channel
-#: periods), which shrinks the numerator of the ratio.
-MIN_MULTICHANNEL_SPEEDUP = 50.0
 
 
 def hetero_spec(clients: int, num_requests: int = REQUESTS) -> PopulationSpec:
@@ -248,18 +243,16 @@ def run_validation(delta: int, clients: int, reference_runs: int,
 def run_batch_study(delta: int, clients: int, *,
                     num_requests: int = REQUESTS,
                     repeats: int = BATCH_REPEATS,
-                    channels: int = 1,
-                    min_speedup: float = MIN_BATCH_SPEEDUP):
-    """The columnar batch engine vs the per-client path, one fleet.
+                    channels: int = 1):
+    """The exact columnar batch engine vs the per-client path, one fleet.
 
     Both arms run single-threaded; the batch arm's wall time is the
-    best of ``repeats`` (one fleet costs milliseconds, so repetition is
-    cheap and filters scheduler noise).  Equivalence uses the same
-    4-sigma sampling-error tolerance as the Figure-5 validation, with
-    both samples of size ``clients``.  With ``channels > 1`` both arms
-    simulate the C-row :class:`~repro.core.schedule.BroadcastProgram`
-    — the scalar arm through ``FastEngine.run_trace``'s tuner, the batch
-    arm through the vectorized tuner and per-channel phase tables.
+    best of ``repeats``.  ``identical`` records whether the two arms'
+    rollups are equal, wall-clock fields stripped.  With
+    ``channels > 1`` both arms simulate the C-row
+    :class:`~repro.core.schedule.BroadcastProgram` — the scalar arm
+    through ``FastEngine.run_trace``'s tuner, the batch arm through the
+    vectorized tuner.
     """
     started = perf_counter()
     per_client = run_population(
@@ -280,8 +273,6 @@ def run_batch_study(delta: int, clients: int, *,
 
     scalar_stats = per_client.overall.response_means
     batch_stats = batch.overall.response_means
-    tolerance = 4.0 * scalar_stats.stddev * math.sqrt(2.0 / clients)
-    difference = abs(batch_stats.mean - scalar_stats.mean)
     return {
         "delta": delta,
         "clients": clients,
@@ -298,10 +289,8 @@ def run_batch_study(delta: int, clients: int, *,
             "fleet_mean": batch_stats.mean,
         },
         "speedup": per_client_seconds / batch_seconds,
-        "difference": difference,
-        "tolerance": tolerance,
-        "within_sampling_error": difference <= tolerance,
-        "min_speedup_target": min_speedup,
+        "identical": snapshots(batch) == snapshots(per_client),
+        "min_speedup_target": MIN_BATCH_SPEEDUP,
     }
 
 
@@ -347,29 +336,26 @@ def test_population_matches_single_client():
 
 
 def test_batch_engine_matches_per_client():
-    """Pytest entry: tiny batch fleet within sampling error of scalar.
+    """Pytest entry: a tiny batch fleet folds exactly as per-client.
 
-    The 100x speedup gate belongs to the full-scale ``main()`` run; at
-    pytest scale only the equivalence contract is asserted.
+    The speedup gate belongs to the full-scale ``main()`` run; at
+    pytest scale only the equality contract is asserted.
     """
     row = run_batch_study(delta=1, clients=80, num_requests=150, repeats=2)
-    assert row["within_sampling_error"], (
-        f"batch mean {row['columnar']['fleet_mean']:.2f} vs per-client "
-        f"{row['per_client']['fleet_mean']:.2f} exceeds tolerance "
-        f"{row['tolerance']:.2f}"
+    assert row["identical"], (
+        f"batch mean {row['columnar']['fleet_mean']!r} vs per-client "
+        f"{row['per_client']['fleet_mean']!r}: rollups differ"
     )
     assert row["speedup"] > 1.0
 
 
 def test_multichannel_batch_engine_matches_per_client():
-    """Pytest entry: tiny C=4 batch fleet within sampling error."""
+    """Pytest entry: a tiny C=4 batch fleet folds exactly as per-client."""
     row = run_batch_study(delta=1, clients=80, num_requests=150,
-                          repeats=2, channels=CHANNELS,
-                          min_speedup=MIN_MULTICHANNEL_SPEEDUP)
-    assert row["within_sampling_error"], (
-        f"C={CHANNELS} batch mean {row['columnar']['fleet_mean']:.2f} vs "
-        f"per-client {row['per_client']['fleet_mean']:.2f} exceeds "
-        f"tolerance {row['tolerance']:.2f}"
+                          repeats=2, channels=CHANNELS)
+    assert row["identical"], (
+        f"C={CHANNELS} batch mean {row['columnar']['fleet_mean']!r} vs "
+        f"per-client {row['per_client']['fleet_mean']!r}: rollups differ"
     )
     assert row["speedup"] > 1.0
 
@@ -401,35 +387,21 @@ def main() -> int:
               f"tolerance {row['tolerance']:.2f}) -> "
               f"{'OK' if row['within_sampling_error'] else 'FAIL'}")
 
-    print(f"batch engine: {VALIDATION_CLIENTS}-client homogeneous fleet, "
-          f"columnar vs per-client (best of {BATCH_REPEATS})")
-    batch = run_batch_study(delta=3, clients=VALIDATION_CLIENTS)
-    print(f"  Δ=3: per-client {batch['per_client']['wall_seconds']:.2f}s "
-          f"({batch['per_client']['clients_per_second']:.0f} clients/s), "
-          f"batch {batch['columnar']['wall_seconds'] * 1000:.1f}ms "
-          f"({batch['columnar']['clients_per_second']:.0f} clients/s) "
-          f"-> {batch['speedup']:.0f}x, "
-          f"|Δmean|={batch['difference']:.2f} "
-          f"(tolerance {batch['tolerance']:.2f}) -> "
-          f"{'OK' if batch['within_sampling_error'] else 'FAIL'}")
-
-    print(f"batch engine, C={CHANNELS}: {VALIDATION_CLIENTS}-client "
-          f"multi-channel fleet, columnar vs per-client "
-          f"(best of {BATCH_REPEATS})")
-    multichannel = run_batch_study(
-        delta=3, clients=VALIDATION_CLIENTS, channels=CHANNELS,
-        min_speedup=MIN_MULTICHANNEL_SPEEDUP,
-    )
-    print(f"  Δ=3 C={CHANNELS}: per-client "
-          f"{multichannel['per_client']['wall_seconds']:.2f}s "
-          f"({multichannel['per_client']['clients_per_second']:.0f} "
-          f"clients/s), batch "
-          f"{multichannel['columnar']['wall_seconds'] * 1000:.1f}ms "
-          f"({multichannel['columnar']['clients_per_second']:.0f} "
-          f"clients/s) -> {multichannel['speedup']:.0f}x, "
-          f"|Δmean|={multichannel['difference']:.2f} "
-          f"(tolerance {multichannel['tolerance']:.2f}) -> "
-          f"{'OK' if multichannel['within_sampling_error'] else 'FAIL'}")
+    batch_rows = []
+    for channels in (1, CHANNELS):
+        print(f"batch engine, C={channels}: {VALIDATION_CLIENTS}-client "
+              f"homogeneous fleet, columnar vs per-client "
+              f"(best of {BATCH_REPEATS})")
+        row = run_batch_study(delta=3, clients=VALIDATION_CLIENTS,
+                              channels=channels)
+        batch_rows.append(row)
+        print(f"  Δ=3: per-client {row['per_client']['wall_seconds']:.2f}s "
+              f"({row['per_client']['clients_per_second']:.0f} clients/s), "
+              f"batch {row['columnar']['wall_seconds'] * 1000:.1f}ms "
+              f"({row['columnar']['clients_per_second']:.0f} clients/s) "
+              f"-> {row['speedup']:.1f}x, rollups "
+              f"{'identical' if row['identical'] else 'DIFFER'}")
+    batch, multichannel = batch_rows
 
     report = build_report(scaling, validation, JOBS, batch=batch,
                           batch_multichannel=multichannel)
@@ -438,27 +410,17 @@ def main() -> int:
     print(f"  wrote {out}")
 
     failures = []
-    if not batch["within_sampling_error"]:
-        failures.append(
-            f"batch fleet mean off by {batch['difference']:.2f} "
-            f"(> {batch['tolerance']:.2f})"
-        )
-    if batch["speedup"] < MIN_BATCH_SPEEDUP:
-        failures.append(
-            f"batch speedup {batch['speedup']:.0f}x below the "
-            f"{MIN_BATCH_SPEEDUP:.0f}x target"
-        )
-    if not multichannel["within_sampling_error"]:
-        failures.append(
-            f"C={CHANNELS} batch fleet mean off by "
-            f"{multichannel['difference']:.2f} "
-            f"(> {multichannel['tolerance']:.2f})"
-        )
-    if multichannel["speedup"] < MIN_MULTICHANNEL_SPEEDUP:
-        failures.append(
-            f"C={CHANNELS} batch speedup {multichannel['speedup']:.0f}x "
-            f"below the {MIN_MULTICHANNEL_SPEEDUP:.0f}x target"
-        )
+    for row in batch_rows:
+        if not row["identical"]:
+            failures.append(
+                f"C={row['channels']} batch fleet rollup differs from "
+                "the per-client fold"
+            )
+        if row["speedup"] < MIN_BATCH_SPEEDUP:
+            failures.append(
+                f"C={row['channels']} batch speedup {row['speedup']:.1f}x "
+                f"below the {MIN_BATCH_SPEEDUP:.1f}x target"
+            )
     for row in validation:
         if not row["within_sampling_error"]:
             failures.append(

@@ -1,16 +1,15 @@
 """CI smoke run for the columnar batch engine.
 
-Three gates, one per contract the engine makes
+Four gates, one per contract the engine makes
 (``src/repro/batch/fleet.py``):
 
 * **Exactness** — a single-client ``--engine batch`` plan must be
   byte-identical to ``fast`` across channel counts C ∈ {1, 2, 4}:
   result stats, collected samples, retune counters, and the full
   traced record stream (including ``client.retune`` instants).
-* **Statistical equivalence** — a 1000-client homogeneous batch fleet
-  (phase-table kernel) must sit within the 4-sigma sampling-error
-  tolerance of the per-client path, with identical client/request
-  accounting.
+* **Fleet exactness** — a 1000-client homogeneous cache-less batch
+  fleet must fold to the same rollup as the per-client path: equal
+  snapshots, wall-clock fields stripped, overall and per segment.
 * **Invariants** — a strict :class:`~repro.obs.monitor.MonitorSuite`
   over a multi-client columnar run must observe interleaved per-client
   records and finish with zero violations, and profiled tier counts
@@ -30,7 +29,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -41,6 +39,7 @@ if _SRC not in sys.path:
 from repro.batch.fleet import run_fleet
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.obs.manifest import strip_wall_clock
 from repro.obs.monitor import MonitorSuite
 from repro.obs.profile import Profiler
 from repro.obs.trace import MemorySink, Tracer
@@ -52,7 +51,7 @@ from repro.population import (
     run_population,
 )
 
-KERNEL_CLIENTS = 1000
+FLEET_CLIENTS = 1000
 
 
 def single_config(**overrides):
@@ -70,7 +69,7 @@ def single_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
-def kernel_spec(clients: int, engine: str) -> PopulationSpec:
+def cacheless_spec(clients: int, engine: str) -> PopulationSpec:
     return PopulationSpec(
         name="batch-smoke",
         base=single_config(cache_size=1, policy="LRU", num_requests=600),
@@ -128,33 +127,29 @@ def gate_exactness(failures: list) -> None:
                   f"retune records present ({retunes})", failures)
 
 
-def gate_statistical(failures: list, out: Path) -> None:
-    print(f"{KERNEL_CLIENTS}-client fleet equivalence (kernel vs "
+def rollups(result) -> dict:
+    """Overall and per-segment snapshots, wall-clock fields stripped."""
+    return strip_wall_clock({
+        "overall": result.overall.snapshot(),
+        **{name: block.snapshot() for name, block in result.segments.items()},
+    })
+
+
+def gate_fleet_exactness(failures: list, out: Path) -> None:
+    print(f"{FLEET_CLIENTS}-client cache-less fleet exactness (batch vs "
           "per-client):")
-    per_client = run_population(kernel_spec(KERNEL_CLIENTS, "fast"))
+    per_client = run_population(cacheless_spec(FLEET_CLIENTS, "fast"))
     batch = run_population(
-        kernel_spec(KERNEL_CLIENTS, "batch"),
+        cacheless_spec(FLEET_CLIENTS, "batch"),
         manifest=str(out / "batch_fleet_manifest.json"),
     )
-    scalar_stats = per_client.overall.response_means
-    batch_stats = batch.overall.response_means
-    tolerance = 4.0 * scalar_stats.stddev * math.sqrt(
-        2.0 / KERNEL_CLIENTS
-    )
-    difference = abs(batch_stats.mean - scalar_stats.mean)
-    check(batch.overall.clients == per_client.overall.clients,
-          "client counts identical", failures)
-    check(
-        batch.overall.measured_requests
-        == per_client.overall.measured_requests,
-        "measured-request totals identical", failures,
-    )
-    check(difference <= tolerance,
-          f"fleet means within sampling error "
-          f"(|{batch_stats.mean:.2f} - {scalar_stats.mean:.2f}| = "
-          f"{difference:.3f} <= {tolerance:.3f})", failures)
-    check(abs(batch.overall.hit_rate - per_client.overall.hit_rate) < 0.01,
-          "hit rates within 1%", failures)
+    expected = rollups(per_client)
+    got = rollups(batch)
+    for name in expected:
+        check(got.get(name) == expected[name],
+              f"{name} rollup identical (mean "
+              f"{expected[name]['response_mean']['mean']:.3f} bu over "
+              f"{expected[name]['clients']} clients)", failures)
 
 
 def gate_invariants(failures: list) -> None:
@@ -199,7 +194,7 @@ def gate_subsegmentation(failures: list) -> None:
             SegmentSpec("uniform", 4),
         ),
     )
-    fleet = run_fleet(spec, kernel="never", monitors=monitors)
+    fleet = run_fleet(spec, monitors=monitors)
     scalar = run_population(spec)
     fleet_doc = fleet.overall.snapshot()
     scalar_doc = scalar.overall.snapshot()
@@ -222,7 +217,7 @@ def main() -> int:
 
     failures: list = []
     gate_exactness(failures)
-    gate_statistical(failures, out)
+    gate_fleet_exactness(failures, out)
     gate_invariants(failures)
     gate_subsegmentation(failures)
 

@@ -8,8 +8,8 @@ with array operations instead of running N Python event loops.
 
 Three layers:
 
-* :mod:`repro.batch.rng` — the array-RNG gateway: per-client and
-  per-group :class:`numpy.random.Generator` columns seeded through
+* :mod:`repro.batch.rng` — the array-RNG gateway: per-client
+  :class:`numpy.random.Generator` columns seeded through
   :func:`~repro.exec.plan.derive_seed`, entropy-compatible with
   :class:`~repro.sim.rng.RandomStreams`.
 * :mod:`repro.batch.engine` — the general columnar engine.  For a
@@ -18,10 +18,11 @@ Three layers:
   registered as the ``batch`` plan engine so ``--engine batch`` works
   from every CLI.
 * :mod:`repro.batch.fleet` — :func:`~repro.batch.fleet.run_fleet`:
-  expands homogeneous population segments directly into batch groups
-  (heterogeneous or unbatchable segments fall back per-client) and,
-  for cache-less fixed-gap configurations, collapses the whole group
-  into a phase-table kernel (see ``docs/PERFORMANCE.md``).
+  expands homogeneous population segments (and finite-support
+  sub-segment buckets) directly into columnar groups; continuous or
+  unbatchable segments fall back per-client.  Every path is exact, so
+  a batch fleet folds byte-identically to ``run_population``, observed
+  or not (see ``docs/PERFORMANCE.md``).
 """
 
 from repro.batch.fleet import run_fleet

@@ -80,10 +80,13 @@ def client_generators(
 def group_generator(root_seed: int, start_index: int, name: str) -> np.random.Generator:
     """A group-level stream for whole-fleet array draws.
 
-    Used by the phase-table kernel, where per-client streams would cost
-    more than the simulation itself.  The ``batch.`` prefix keeps the
-    stream disjoint from every per-client stream name, so group draws
-    never collide with (or replay) per-client draws.
+    No fleet path calls this: every batched group draws from per-client
+    :func:`client_generators` streams, so its results fold exactly as
+    the per-client path's do.  It stays because the end-to-end
+    benchmark (``benchmarks/e2e/layers.py``) resolves it by name to
+    count group-stream fleets (``fleet.kernel_groups``, zero on every
+    workload).  The ``batch.`` prefix keeps the stream disjoint from
+    every per-client stream name.
     """
 
     return seeded_generator(derive_seed(root_seed, start_index), f"batch.{name}")

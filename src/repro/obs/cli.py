@@ -53,6 +53,7 @@ from repro.obs.trace import (
     CLIENT_WAIT,
     read_jsonl,
 )
+from repro.population.run import POPULATION_SCHEMA
 from repro.sim.stats import Histogram, RunningStats
 
 EXIT_OK = 0
@@ -336,15 +337,35 @@ def _print_monitors_block(monitors: Dict) -> None:
               f"{where}: {violation.get('message')}")
 
 
+def _print_population(document: Dict) -> None:
+    """The fleet headline and one rollup row per segment."""
+    print(f"engine       : {document['engine']}")
+    print(f"seed         : {document['seed']}")
+    print(f"clients      : {document['num_clients']}")
+    print(f"wall time    : {document['total_wall_seconds']:.3f}s")
+    rows = [("overall", document["summary"]),
+            *document["segments"].items()]
+    width = max(len(name) for name, _block in rows)
+    print(f"\n{'segment':<{width}}  clients      mean       p99  "
+          "fairness  hit rate")
+    for name, block in rows:
+        print(f"{name:<{width}}  {block['clients']:>7}  "
+              f"{block['response_mean']['mean']:>8.2f}  "
+              f"{block['percentiles']['p99']:>8.2f}  "
+              f"{block['fairness']:>8.3f}  {block['hit_rate']:>8.1%}")
+
+
 def _print_manifest(document: Dict) -> None:
-    """Human-readable headline view of a run or sweep manifest."""
+    """Human-readable headline view of a run, sweep or fleet manifest."""
     print(f"schema       : {document['schema']}")
     if "label" in document:
         print(f"label        : {document['label']}")
     if "name" in document:
         print(f"name         : {document['name']}")
     summary = document.get("summary")
-    if summary is not None:  # sweep manifest
+    if document["schema"] == POPULATION_SCHEMA:
+        _print_population(document)
+    elif summary is not None:  # sweep manifest
         print(f"runs         : {summary['runs']}")
         print(f"wall time    : {summary['total_wall_seconds']:.3f}s")
         print(f"measured     : {summary['total_measured_requests']} requests")

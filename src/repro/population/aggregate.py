@@ -188,14 +188,15 @@ class PopulationAggregate:
                        warmup_each: int) -> None:
         """Fold a whole block of per-client summaries at once.
 
-        The columnar fleet kernel produces per-client means as arrays;
-        folding them one :meth:`add_result` at a time would cost more
-        than the simulation itself.  Bucket counts and fairness sums
-        are exactly what sequential adds would produce; the moment
-        accumulator uses the parallel Welford :meth:`merge` (same
-        contract, different rounding than a sequential fold).
-        ``measured_each``/``warmup_each`` are per-client counts, uniform
-        across the block.
+        No fleet path calls this: fleets fold client by client through
+        :func:`fold_results`, like ``run_population``.  It stays because
+        the end-to-end benchmark (``benchmarks/e2e/layers.py``) resolves
+        it by name as an ``aggregate`` layer entry point.  Bucket counts
+        and fairness sums are exactly what sequential adds would
+        produce; the moment accumulator uses the parallel Welford
+        :meth:`merge` (same contract, different rounding than a
+        sequential fold).  ``measured_each``/``warmup_each`` are
+        per-client counts, uniform across the block.
         """
         means = np.asarray(means, dtype=np.float64)
         clients = len(means)

@@ -139,6 +139,55 @@ def _record_population_metrics(metrics, result: PopulationResult) -> None:
     metrics.counter("population.runs").inc()
 
 
+def finish_population(
+    spec: PopulationSpec,
+    results,
+    *,
+    started: float,
+    gamma: float = DEFAULT_GAMMA,
+    tracer=None,
+    metrics=None,
+    manifest: Optional[str] = None,
+    profile=None,
+    monitors=None,
+    keep_results: bool = False,
+) -> PopulationResult:
+    """Fold per-client results into a :class:`PopulationResult`.
+
+    The one tail of :func:`run_population` and
+    :func:`~repro.batch.fleet.run_fleet`: ``results`` holds one
+    per-client result in plan order, folded by
+    :func:`~repro.population.aggregate.fold_results`; ``metrics`` and
+    ``manifest`` then record the rollup.  Wall time counts from
+    ``started``, a :func:`~repro.obs.clock.perf_counter` reading; an
+    enabled ``profile`` times the fold as its ``aggregate`` phase.
+    """
+    profiling = profile is not None and profile.enabled
+    if profiling:
+        profile.start_phase("aggregate")
+    overall, per_segment = fold_results(
+        results, spec.segment_ranges(), gamma
+    )
+    population = PopulationResult(
+        spec=spec,
+        overall=overall,
+        segments=per_segment,
+        wall_seconds=perf_counter() - started,
+        results=list(results) if keep_results else None,
+    )
+    if metrics is not None:
+        _record_population_metrics(metrics, population)
+    if manifest is not None:
+        population.manifest = build_population_manifest(
+            population, metrics=metrics, tracer=tracer,
+            profile=profile, monitors=monitors,
+        )
+        write_manifest(population.manifest, manifest)
+    if profiling:
+        profile.stop_phase("aggregate")
+    return population
+
+
 #: Minimum clients per worker before a process pool pays for itself.
 #: ``BENCH_population.json`` recorded the per-client path at 0.86x with
 #: 4 workers over a 50-client fleet — fork/pickle overhead swamped the
@@ -217,27 +266,8 @@ def run_population(
         plans, tracer=tracer, progress=progress, checkpoint=checkpoint,
         profile=profile, monitors=monitors,
     )
-    profiling = profile is not None and profile.enabled
-    if profiling:
-        profile.start_phase("aggregate")
-    overall, per_segment = fold_results(
-        results, spec.segment_ranges(), gamma
+    return finish_population(
+        spec, results, started=started, gamma=gamma, tracer=tracer,
+        metrics=metrics, manifest=manifest, profile=profile,
+        monitors=monitors, keep_results=keep_results,
     )
-    population = PopulationResult(
-        spec=spec,
-        overall=overall,
-        segments=per_segment,
-        wall_seconds=perf_counter() - started,
-        results=list(results) if keep_results else None,
-    )
-    if metrics is not None:
-        _record_population_metrics(metrics, population)
-    if manifest is not None:
-        population.manifest = build_population_manifest(
-            population, metrics=metrics, tracer=tracer,
-            profile=profile, monitors=monitors,
-        )
-        write_manifest(population.manifest, manifest)
-    if profiling:
-        profile.stop_phase("aggregate")
-    return population

@@ -1,13 +1,10 @@
-"""The columnar batch engine: exact where promised, fast where allowed.
+"""The columnar batch engine: exact on every path.
 
-Two correctness regimes (``src/repro/batch/fleet.py`` docstring):
-
-* single-client ``--engine batch`` runs and ``run_fleet(kernel="never")``
-  fleets are **byte-identical** to the scalar ``fast`` path — stats,
-  samples, and the traced record stream;
-* the cache-less phase-table kernel draws from group-level streams, so
-  it is held to the BENCH_population contract instead: equal within
-  sampling error.
+Single-client ``--engine batch`` runs and ``run_fleet`` fleets are
+**byte-identical** to the scalar ``fast`` path — stats, samples, the
+traced record stream, and the folded fleet rollup — and a fleet folds
+the same whether or not a tracer, profiler or monitor watches it
+(``src/repro/batch/fleet.py`` docstring).
 
 Plus the rails around the engine: registry fallback for unbatchable
 policies, fleet fallback for heterogeneous segments, monitor keying on
@@ -15,11 +12,8 @@ interleaved per-client records, and the process-pool clamp that stops
 small fleets from paying for workers they cannot feed.
 """
 
-import math
-
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.obs.monitor import MonitorSuite
@@ -74,7 +68,7 @@ def snapshot(result):
 
 
 # ---------------------------------------------------------------------------
-# Regime 1: byte-identity with the scalar fast engine
+# Byte-identity with the scalar fast engine
 # ---------------------------------------------------------------------------
 
 class TestSingleClientExactness:
@@ -129,7 +123,7 @@ class TestSingleClientExactness:
 
 
 class TestFleetExactness:
-    """``kernel="never"`` fleets fold identically to run_population."""
+    """Batch fleets fold identically to run_population."""
 
     def mixed_spec(self):
         return PopulationSpec(
@@ -154,7 +148,7 @@ class TestFleetExactness:
 
         spec = self.mixed_spec()
         scalar = run_population(spec)
-        fleet = run_fleet(spec, kernel="never")
+        fleet = run_fleet(spec)
         assert snapshot(fleet) == snapshot(scalar)
 
     def test_run_population_dispatches_batch_engine(self):
@@ -183,7 +177,7 @@ class TestFleetExactness:
             seed=23,
             segments=(SegmentSpec("uniform", 6),),
         )
-        fleet = run_fleet(spec, kernel="never")
+        fleet = run_fleet(spec)
         assert snapshot(fleet) == snapshot(run_population(spec))
 
     def test_finite_support_segments_avoid_plan_fallback(self, monkeypatch):
@@ -210,7 +204,7 @@ class TestFleetExactness:
                             policy=Choice(("LRU", "LIX", "P"))),
             ),
         )
-        result = fleet_module.run_fleet(spec, kernel="never")
+        result = fleet_module.run_fleet(spec)
         assert calls == []
         assert snapshot(result) == snapshot(run_population(spec))
 
@@ -236,77 +230,40 @@ class TestFleetExactness:
                             drift_rotations=Uniform(0.5, 1.5)),
             ),
         )
-        result = fleet_module.run_fleet(spec, kernel="never")
+        result = fleet_module.run_fleet(spec)
         assert len(calls) == 3
         assert snapshot(result) == snapshot(run_population(spec))
 
 
-# ---------------------------------------------------------------------------
-# Regime 2: the phase-table kernel, statistically
-# ---------------------------------------------------------------------------
-
 class TestKernelStatistical:
+    """Cache-less fleets at the phase-table kernel's old test scale.
+
+    The kernel these tests once held within 6 sigma of the columnar
+    engine is gone; the batch fleet now runs the columnar engine and
+    must equal the per-client fold exactly.
+    """
+
     KERNEL = dict(cache_size=1, policy="LRU", think_time=2.0,
                   num_requests=400)
 
-    def test_kernel_matches_columnar_within_sampling_error(self):
+    def check_exact(self, channels):
         from repro.batch.fleet import run_fleet
 
-        spec = homogeneous_spec(200, **self.KERNEL)
-        auto = run_fleet(spec, kernel="auto")
-        exact = run_fleet(spec, kernel="never")
-        assert auto.overall.clients == exact.overall.clients == 200
-        assert auto.overall.measured_requests == \
-            exact.overall.measured_requests
-        assert auto.overall.warmup_requests == exact.overall.warmup_requests
-        stats_a, stats_e = auto.overall.response_means, \
-            exact.overall.response_means
-        tolerance = 6.0 * math.sqrt(
-            stats_a.stderr ** 2 + stats_e.stderr ** 2
-        )
-        assert abs(stats_a.mean - stats_e.mean) < tolerance
-        assert abs(auto.overall.hit_rate - exact.overall.hit_rate) < 0.01
+        spec = homogeneous_spec(200, channels=channels, **self.KERNEL)
+        fleet = run_fleet(spec)
+        per_client = run_population(homogeneous_spec(
+            200, channels=channels, engine="fast", **self.KERNEL
+        ))
+        assert fleet.overall.clients == per_client.overall.clients == 200
+        assert fleet.overall.measured_requests == \
+            per_client.overall.measured_requests
+        assert snapshot(fleet) == snapshot(per_client)
 
-    def test_kernel_declines_ineligible_configs(self):
-        from repro.batch.fleet import _kernel_eligible
-
-        assert _kernel_eligible(config(**self.KERNEL))
-        assert not _kernel_eligible(config(**{**self.KERNEL,
-                                              "cache_size": 20}))
-        assert not _kernel_eligible(config(**{**self.KERNEL,
-                                              "policy": "PIX"}))
-        assert not _kernel_eligible(config(**{**self.KERNEL,
-                                              "think_time": 2.5}))
-        assert not _kernel_eligible(config(**{**self.KERNEL, "noise": 0.2}))
-        assert not _kernel_eligible(config(**{**self.KERNEL,
-                                              "drift_rotations": 1.0}))
-        assert not _kernel_eligible(config(**{**self.KERNEL,
-                                              "warmup_requests": 10}))
-        # Multi-channel programs fold the retune penalty into integer
-        # phase tables, so fractional costs disqualify the kernel.
-        assert _kernel_eligible(config(**{**self.KERNEL, "channels": 4}))
-        assert not _kernel_eligible(config(**{**self.KERNEL, "channels": 4,
-                                              "retune_cost": 1.5}))
+    def test_kernel_matches_columnar_within_sampling_error(self):
+        self.check_exact(1)
 
     def test_kernel_matches_columnar_multichannel(self):
-        from repro.batch.fleet import run_fleet
-
-        spec = homogeneous_spec(200, channels=4, **self.KERNEL)
-        auto = run_fleet(spec, kernel="auto")
-        exact = run_fleet(spec, kernel="never")
-        stats_a, stats_e = auto.overall.response_means, \
-            exact.overall.response_means
-        tolerance = 6.0 * math.sqrt(
-            stats_a.stderr ** 2 + stats_e.stderr ** 2
-        )
-        assert abs(stats_a.mean - stats_e.mean) < tolerance
-        assert abs(auto.overall.hit_rate - exact.overall.hit_rate) < 0.01
-
-    def test_invalid_kernel_mode_rejected(self):
-        from repro.batch.fleet import run_fleet
-
-        with pytest.raises(ConfigurationError, match="kernel"):
-            run_fleet(homogeneous_spec(2), kernel="sometimes")
+        self.check_exact(4)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +271,30 @@ class TestKernelStatistical:
 # ---------------------------------------------------------------------------
 
 class TestBatchObservability:
+    CACHELESS = dict(cache_size=1, policy="LRU", think_time=2.0,
+                     num_requests=200)
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_cacheless_fleet_exact_with_or_without_observers(self,
+                                                             channels):
+        # The rollup is the per-client fold, and attaching an observer
+        # must not change it.
+        spec = homogeneous_spec(50, channels=channels, **self.CACHELESS)
+        runs = {
+            "bare": run_population(spec),
+            "profiled": run_population(spec,
+                                       profile=Profiler(enabled=True)),
+            "traced": run_population(spec, tracer=Tracer(MemorySink())),
+            "monitored": run_population(
+                spec, monitors=MonitorSuite(mode="strict")
+            ),
+        }
+        per_client = run_population(homogeneous_spec(
+            50, channels=channels, engine="fast", **self.CACHELESS
+        ))
+        for name, result in runs.items():
+            assert snapshot(result) == snapshot(per_client), name
+
     def test_strict_monitors_pass_on_interleaved_fleet(self):
         from repro.batch.fleet import run_fleet
 

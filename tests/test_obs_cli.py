@@ -200,6 +200,43 @@ class TestManifestSummary:
         assert "build cache" in out
         assert "closed_form" in out
 
+    @pytest.mark.parametrize("engine", ["fast", "batch"])
+    def test_population_manifest_lists_every_segment(
+            self, tmp_path, mini_config, engine, capsys):
+        # ``fast`` writes the manifest from the per-client plan path,
+        # ``batch`` from the fleet path; both share one schema.
+        from repro.obs.monitor import MonitorSuite
+        from repro.obs.profile import Profiler
+        from repro.population import (
+            Choice,
+            PopulationSpec,
+            SegmentSpec,
+            run_population,
+        )
+
+        spec = PopulationSpec(
+            name="cli-fleet",
+            base=mini_config.with_(num_requests=150),
+            seed=5,
+            engine=engine,
+            segments=(
+                SegmentSpec("steady", 3),
+                SegmentSpec("mixed-policy", 2,
+                            policy=Choice(("LRU", "PIX"))),
+            ),
+        )
+        path = str(tmp_path / "population-manifest.json")
+        run_population(spec, manifest=path, profile=Profiler(),
+                       monitors=MonitorSuite())
+        assert main(["summary", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "repro.population/1" in out
+        assert f"engine       : {engine}" in out
+        for name in ("overall", "steady", "mixed-policy"):
+            assert name in out
+        assert "profile" in out
+        assert "monitors" in out
+
     def test_json_passthrough_echoes_the_manifest(self, tmp_path,
                                                   mini_config, capsys):
         path = str(tmp_path / "run-manifest.json")

@@ -292,7 +292,7 @@ class TestSubSegmentationIdentity:
                 ),
             ),
         )
-        fleet = run_fleet(spec, kernel="never")
+        fleet = run_fleet(spec)
         population = run_population(spec)
 
         def strip(document):
