@@ -1,6 +1,6 @@
 """Fleet-size scaling and statistical validation for repro.population.
 
-Three studies, recorded to ``BENCH_population.json``:
+Four studies, recorded to ``BENCH_population.json``:
 
 * **Scaling** — a heterogeneous fleet at increasing sizes, each run
   serially and with ``jobs=N``: wall times, clients/second throughput,
@@ -26,6 +26,12 @@ Three studies, recorded to ``BENCH_population.json``:
   close.  A second study runs the same fleet on a ``CHANNELS``-channel
   broadcast program — the single-frequency tuner — under the same gate.
 
+* **Cached batch engine** — the same comparison for the cost-based
+  policies the batch engine exists for: a homogeneous LIX fleet and a
+  homogeneous PIX fleet of ``CACHED_CLIENTS`` Figure 13/14 clients (D5,
+  Δ=3, CacheSize = Offset = 500, Noise 30%), rollups equal and a >=
+  ``MIN_CACHED_SPEEDUP`` gate.
+
 Runs standalone (writes ``BENCH_population.json``) or under pytest
 (tiny scale, no file output)::
 
@@ -40,6 +46,7 @@ import math
 import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -47,7 +54,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.exec.plan import derive_seed
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import DISK_PRESETS, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.obs.clock import perf_counter
 from repro.obs.manifest import strip_wall_clock
@@ -98,6 +105,23 @@ BATCH_REPEATS = 5
 
 #: Channel count for the multi-channel batch study.
 CHANNELS = 4
+
+#: Acceptance target for the cached batch arms (LIX and PIX fleets at
+#: Figure 13/14 parameters) against the per-client path, single-threaded
+#: both sides.  The page→slot index, linked LIX chains and incremental
+#: P/PIX minimum of ``cache/batched.py`` took the end-to-end benchmark's
+#: mixed 250-client LIX/PIX ``fleet`` from 0.86x to 2.0x of per-client
+#: speed (2-vCPU host); these homogeneous arms measured 3.6x (LIX) and
+#: 3.4x (PIX).
+MIN_CACHED_SPEEDUP = 1.5
+
+#: Clients per cached arm (a quarter of the north star's 1000, as in
+#: the end-to-end benchmark's ``fleet`` workload) and its repetitions.
+CACHED_CLIENTS = 250
+CACHED_REPEATS = 3
+
+#: The Figure 13/14 CacheSize (= Offset).
+CACHED_SIZE = 500
 
 
 def hetero_spec(clients: int, num_requests: int = REQUESTS) -> PopulationSpec:
@@ -240,30 +264,18 @@ def run_validation(delta: int, clients: int, reference_runs: int,
     }
 
 
-def run_batch_study(delta: int, clients: int, *,
-                    num_requests: int = REQUESTS,
-                    repeats: int = BATCH_REPEATS,
-                    channels: int = 1):
-    """The exact columnar batch engine vs the per-client path, one fleet.
+def compare_engines(spec: PopulationSpec, repeats: int):
+    """Per-client and exact columnar runs of ``spec``, timed and compared.
 
     Both arms run single-threaded; the batch arm's wall time is the
     best of ``repeats``.  ``identical`` records whether the two arms'
-    rollups are equal, wall-clock fields stripped.  With
-    ``channels > 1`` both arms simulate the C-row
-    :class:`~repro.core.schedule.BroadcastProgram` — the scalar arm
-    through ``FastEngine.run_trace``'s tuner, the batch arm through the
-    vectorized tuner.
+    rollups are equal, wall-clock fields stripped.
     """
     started = perf_counter()
-    per_client = run_population(
-        homogeneous_spec(delta, clients, num_requests=num_requests,
-                         channels=channels), jobs=1
-    )
+    per_client = run_population(replace(spec, engine="fast"), jobs=1)
     per_client_seconds = perf_counter() - started
 
-    batch_spec = homogeneous_spec(delta, clients,
-                                  num_requests=num_requests,
-                                  engine="batch", channels=channels)
+    batch_spec = replace(spec, engine="batch")
     batch_seconds = math.inf
     batch = None
     for _ in range(repeats):
@@ -271,31 +283,87 @@ def run_batch_study(delta: int, clients: int, *,
         batch = run_population(batch_spec)
         batch_seconds = min(batch_seconds, perf_counter() - started)
 
-    scalar_stats = per_client.overall.response_means
-    batch_stats = batch.overall.response_means
+    clients = spec.num_clients
     return {
-        "delta": delta,
         "clients": clients,
-        "channels": channels,
         "best_of": repeats,
         "per_client": {
             "wall_seconds": per_client_seconds,
             "clients_per_second": clients / per_client_seconds,
-            "fleet_mean": scalar_stats.mean,
+            "fleet_mean": per_client.overall.response_means.mean,
         },
         "columnar": {
             "wall_seconds": batch_seconds,
             "clients_per_second": clients / batch_seconds,
-            "fleet_mean": batch_stats.mean,
+            "fleet_mean": batch.overall.response_means.mean,
         },
         "speedup": per_client_seconds / batch_seconds,
         "identical": snapshots(batch) == snapshots(per_client),
+    }
+
+
+def run_batch_study(delta: int, clients: int, *,
+                    num_requests: int = REQUESTS,
+                    repeats: int = BATCH_REPEATS,
+                    channels: int = 1):
+    """The exact columnar batch engine vs the per-client path, one
+    cache-less fleet.
+
+    With ``channels > 1`` both arms simulate the C-row
+    :class:`~repro.core.schedule.BroadcastProgram` — the scalar arm
+    through ``FastEngine.run_trace``'s tuner, the batch arm through the
+    vectorized tuner.
+    """
+    spec = homogeneous_spec(delta, clients, num_requests=num_requests,
+                            channels=channels)
+    return {
+        "delta": delta,
+        "channels": channels,
+        **compare_engines(spec, repeats),
         "min_speedup_target": MIN_BATCH_SPEEDUP,
     }
 
 
+def cached_spec(policy: str, clients: int, *,
+                num_requests: int = REQUESTS,
+                cache_size: int = CACHED_SIZE) -> PopulationSpec:
+    """A homogeneous fleet of Figure 13/14 clients running ``policy``:
+    D5, Δ=3, CacheSize = Offset, Noise 30%."""
+    base = ExperimentConfig(
+        disk_sizes=DISK_PRESETS["D5"],
+        delta=3,
+        cache_size=cache_size,
+        offset=cache_size,
+        noise=0.30,
+        policy=policy,
+        num_requests=num_requests,
+        label=f"fig13 {policy} cache={cache_size}",
+    )
+    return PopulationSpec(
+        name=f"bench-fig13-{policy.lower()}",
+        base=base,
+        seed=21,
+        segments=(SegmentSpec("uniform", clients),),
+    )
+
+
+def run_cached_study(policy: str, clients: int, *,
+                     num_requests: int = REQUESTS,
+                     cache_size: int = CACHED_SIZE,
+                     repeats: int = CACHED_REPEATS):
+    """The columnar engine vs the per-client path on a cached fleet."""
+    spec = cached_spec(policy, clients, num_requests=num_requests,
+                       cache_size=cache_size)
+    return {
+        "policy": policy,
+        "cache_size": cache_size,
+        **compare_engines(spec, repeats),
+        "min_speedup_target": MIN_CACHED_SPEEDUP,
+    }
+
+
 def build_report(scaling, validation, jobs, *, batch=None,
-                 batch_multichannel=None):
+                 batch_multichannel=None, batch_cached=None):
     return {
         "schema": "repro.bench.population/1",
         "benchmark": "population fleet scaling + Figure-5 validation",
@@ -310,6 +378,7 @@ def build_report(scaling, validation, jobs, *, batch=None,
         "validation": validation,
         "batch": batch,
         "batch_multichannel": batch_multichannel,
+        "batch_cached": batch_cached,
         "min_speedup_target": MIN_SPEEDUP,
         "target_applies": usable_cores() >= jobs,
         "identical_minus_wall_clock": True,
@@ -360,6 +429,22 @@ def test_multichannel_batch_engine_matches_per_client():
     assert row["speedup"] > 1.0
 
 
+def test_cached_batch_engine_matches_per_client():
+    """Pytest entry: tiny LIX and PIX fleets fold exactly as per-client.
+
+    Equality only: the speedup gate belongs to the full-scale
+    ``main()`` run.
+    """
+    for policy in ("LIX", "PIX"):
+        row = run_cached_study(policy, clients=20, num_requests=150,
+                               cache_size=100, repeats=1)
+        assert row["identical"], (
+            f"{policy} batch mean {row['columnar']['fleet_mean']!r} vs "
+            f"per-client {row['per_client']['fleet_mean']!r}: rollups "
+            "differ"
+        )
+
+
 def main() -> int:
     cores = usable_cores()
     print(f"population bench: fleets {FLEET_SIZES} x {REQUESTS} requests, "
@@ -403,23 +488,40 @@ def main() -> int:
               f"{'identical' if row['identical'] else 'DIFFER'}")
     batch, multichannel = batch_rows
 
+    cached_rows = []
+    for policy in ("LIX", "PIX"):
+        print(f"cached batch engine, {policy}: {CACHED_CLIENTS}-client "
+              f"Figure 13/14 fleet (CacheSize = Offset = {CACHED_SIZE}, "
+              f"Noise 30%), columnar vs per-client "
+              f"(best of {CACHED_REPEATS})")
+        row = run_cached_study(policy, CACHED_CLIENTS)
+        cached_rows.append(row)
+        print(f"  per-client {row['per_client']['wall_seconds']:.2f}s, "
+              f"batch {row['columnar']['wall_seconds']:.2f}s "
+              f"-> {row['speedup']:.2f}x, rollups "
+              f"{'identical' if row['identical'] else 'DIFFER'}")
+
     report = build_report(scaling, validation, JOBS, batch=batch,
-                          batch_multichannel=multichannel)
+                          batch_multichannel=multichannel,
+                          batch_cached=cached_rows)
     out = Path(__file__).resolve().parent.parent / "BENCH_population.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"  wrote {out}")
 
     failures = []
-    for row in batch_rows:
+    labelled = [(f"C={row['channels']}", row) for row in batch_rows] + [
+        (f"{row['policy']} cached", row) for row in cached_rows
+    ]
+    for label, row in labelled:
         if not row["identical"]:
             failures.append(
-                f"C={row['channels']} batch fleet rollup differs from "
-                "the per-client fold"
+                f"{label} batch fleet rollup differs from the per-client "
+                "fold"
             )
-        if row["speedup"] < MIN_BATCH_SPEEDUP:
+        if row["speedup"] < row["min_speedup_target"]:
             failures.append(
-                f"C={row['channels']} batch speedup {row['speedup']:.1f}x "
-                f"below the {MIN_BATCH_SPEEDUP:.1f}x target"
+                f"{label} batch speedup {row['speedup']:.2f}x below the "
+                f"{row['min_speedup_target']:.1f}x target"
             )
     for row in validation:
         if not row["within_sampling_error"]:

@@ -1,6 +1,6 @@
 """CI smoke run for the columnar batch engine.
 
-Four gates, one per contract the engine makes
+Five gates, one per contract the engine makes
 (``src/repro/batch/fleet.py``):
 
 * **Exactness** — a single-client ``--engine batch`` plan must be
@@ -10,6 +10,10 @@ Four gates, one per contract the engine makes
 * **Fleet exactness** — a 1000-client homogeneous cache-less batch
   fleet must fold to the same rollup as the per-client path: equal
   snapshots, wall-clock fields stripped, overall and per segment.
+* **Cached-fleet exactness** — a 100-client LIX/PIX fleet at cache
+  scale (Figure 13/14 shape: D5, CacheSize = Offset = 200, Noise 30%)
+  must fold to the per-client rollup the same way.  The batch/per-client
+  speedup is printed, not gated.
 * **Invariants** — a strict :class:`~repro.obs.monitor.MonitorSuite`
   over a multi-client columnar run must observe interleaved per-client
   records and finish with zero violations, and profiled tier counts
@@ -37,8 +41,9 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.batch.fleet import run_fleet
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import DISK_PRESETS, ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.obs.clock import perf_counter
 from repro.obs.manifest import strip_wall_clock
 from repro.obs.monitor import MonitorSuite
 from repro.obs.profile import Profiler
@@ -52,6 +57,8 @@ from repro.population import (
 )
 
 FLEET_CLIENTS = 1000
+CACHED_CLIENTS = 100
+CACHED_SIZE = 200
 
 
 def single_config(**overrides):
@@ -135,6 +142,17 @@ def rollups(result) -> dict:
     })
 
 
+def check_rollups(batch, per_client, failures: list) -> None:
+    """Equal overall and per-segment rollups, batch vs per-client."""
+    expected = rollups(per_client)
+    got = rollups(batch)
+    for name in expected:
+        check(got.get(name) == expected[name],
+              f"{name} rollup identical (mean "
+              f"{expected[name]['response_mean']['mean']:.3f} bu over "
+              f"{expected[name]['clients']} clients)", failures)
+
+
 def gate_fleet_exactness(failures: list, out: Path) -> None:
     print(f"{FLEET_CLIENTS}-client cache-less fleet exactness (batch vs "
           "per-client):")
@@ -143,13 +161,37 @@ def gate_fleet_exactness(failures: list, out: Path) -> None:
         cacheless_spec(FLEET_CLIENTS, "batch"),
         manifest=str(out / "batch_fleet_manifest.json"),
     )
-    expected = rollups(per_client)
-    got = rollups(batch)
-    for name in expected:
-        check(got.get(name) == expected[name],
-              f"{name} rollup identical (mean "
-              f"{expected[name]['response_mean']['mean']:.3f} bu over "
-              f"{expected[name]['clients']} clients)", failures)
+    check_rollups(batch, per_client, failures)
+
+
+def cached_spec(engine: str) -> PopulationSpec:
+    base = ExperimentConfig(
+        disk_sizes=DISK_PRESETS["D5"], delta=3, cache_size=CACHED_SIZE,
+        offset=CACHED_SIZE, noise=0.30, num_requests=300,
+    )
+    return PopulationSpec(
+        name="batch-smoke-cached",
+        base=base,
+        seed=45,
+        engine=engine,
+        segments=(SegmentSpec("cost-based", CACHED_CLIENTS,
+                              policy=Choice(("LIX", "PIX"))),),
+    )
+
+
+def gate_cached_fleet(failures: list) -> None:
+    print(f"{CACHED_CLIENTS}-client LIX/PIX fleet exactness at CacheSize "
+          f"{CACHED_SIZE} (batch vs per-client):")
+    started = perf_counter()
+    per_client = run_population(cached_spec("fast"))
+    per_client_seconds = perf_counter() - started
+    started = perf_counter()
+    batch = run_population(cached_spec("batch"))
+    batch_seconds = perf_counter() - started
+    check_rollups(batch, per_client, failures)
+    print(f"  per-client {per_client_seconds:.2f}s, batch "
+          f"{batch_seconds:.2f}s -> "
+          f"{per_client_seconds / batch_seconds:.2f}x (not gated)")
 
 
 def gate_invariants(failures: list) -> None:
@@ -218,6 +260,7 @@ def main() -> int:
     failures: list = []
     gate_exactness(failures)
     gate_fleet_exactness(failures, out)
+    gate_cached_fleet(failures)
     gate_invariants(failures)
     gate_subsegmentation(failures)
 

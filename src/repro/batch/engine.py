@@ -158,6 +158,7 @@ class ColumnarEngine:
         num_disks: int,
         think_time: float,
         *,
+        access_range: int,
         channel_of: Optional[np.ndarray] = None,
         num_channels: int = 1,
         retune_cost: float = 1.0,
@@ -194,6 +195,8 @@ class ColumnarEngine:
         )
         self.num_channels = int(num_channels)
         self.retune_cost = float(retune_cost)
+        #: Logical page ids a trace may request: ``[0, access_range)``.
+        self.access_range = int(access_range)
 
     def _physical_of(self, rows: np.ndarray, pages: np.ndarray) -> np.ndarray:
         if self.physical.shape[0] == 1:
@@ -217,7 +220,8 @@ class ColumnarEngine:
         column ``c`` is client ``c``'s request trace.  The warm-up rule
         is the fast engine's: a fixed ``warmup_requests`` count when
         given, else each client individually warms until its cache is
-        full plus ``extra_warmup`` further requests.
+        full plus ``extra_warmup`` further requests.  A page id outside
+        ``[0, access_range)`` raises :class:`ConfigurationError`.
         """
         pages = np.asarray(pages, dtype=np.int64)
         if pages.ndim != 2:
@@ -230,6 +234,16 @@ class ColumnarEngine:
             raise ConfigurationError(
                 f"trace has {clients} columns for {policy.num_clients} clients"
             )
+        # Page -1 is the empty-slot marker and larger ids would wrap
+        # through the mapping or the page→slot index, so reject both.
+        if pages.size:
+            low, high = int(pages.min()), int(pages.max())
+            if low < 0 or high >= self.access_range:
+                raise ConfigurationError(
+                    f"trace requests page {low if low < 0 else high}; page "
+                    f"ids must lie in [0, {self.access_range}) (the "
+                    "access range)"
+                )
         schedule = self.schedule
         think = self.think_time
         emit = tracer is not None and tracer.enabled
@@ -505,6 +519,7 @@ def build_columnar_engine(
         disk_of=disk_of,
         num_disks=layout.num_disks,
         think_time=config.think_time,
+        access_range=access_range,
         channel_of=channel_of,
         num_channels=num_channels,
         retune_cost=float(getattr(config, "retune_cost", 1.0)),

@@ -6,18 +6,43 @@ matrix instead of N dict-based policies.  Each class here replicates one
 scalar policy from this package *decision-for-decision* — the same
 victims in the same tie-break order — which the hypothesis property
 tests in ``tests/test_properties_batch.py`` assert against random
-request interleavings:
+request interleavings.  Batched policies never ``discard``, so a
+client's first free slot is always its ``count``, and every structure
+below only ever sees inserts, hits and evictions.
 
-* :class:`BatchedLRU` — recency stamps; the victim is the minimum stamp
-  (the scalar ``OrderedDict``'s bottom entry).
-* :class:`BatchedP` / :class:`BatchedPIX` — static per-page values; the
-  victim is the lexicographic ``(value, insertion stamp)`` minimum,
-  matching the scalar lazy min-heap, and a new page less valuable than
-  everything resident is declined (``admit`` returns the page itself).
-* :class:`BatchedLIX` / :class:`BatchedL` — per-disk chains encoded as
-  a disk column; candidates are each chain's minimum recency stamp and
-  the strict ``<`` comparison in ascending disk order reproduces the
-  scalar first-chain-wins tie-break.
+P, PIX, LIX and L keep the structures their scalar twins use, so that a
+step costs a few operations per client rather than a scan of its
+``C`` slots:
+
+* **A page→slot index** (the scalar dict): an ``(N, AccessRange)``
+  matrix in the narrowest signed dtype that holds ``capacity`` (int16
+  at CacheSize 500), :data:`EMPTY` where the page is not resident.  A
+  lookup is one gather; an admit writes the new page's slot and clears
+  the victim's.
+* :class:`BatchedLIX` / :class:`BatchedL` — **per-disk chains as linked
+  lists** (the scalar ``OrderedDict`` chains): each chain is a circular
+  doubly-linked list over flat ``next``/``prev`` columns, closed by one
+  sentinel node per (client, disk), so its bottom (least recently used
+  end) is ``next[sentinel]`` and an empty chain links its sentinel to
+  itself.  A hit's move-to-top and an eviction's unlink are a fixed
+  handful of gathers and scatters.  Victim search gathers the D chain
+  bottoms into an ``(n, D)`` lix-value matrix whose first argmin is the
+  scalar walk's strict ``<`` in ascending disk order: the earliest
+  chain wins ties.
+* :class:`BatchedP` / :class:`BatchedPIX` — **the resident ``(value,
+  insertion stamp)`` minimum per client** (the top of the scalar lazy
+  min-heap), with each slot's pair packed into one int64 key (the
+  value's dense rank above the stamp) so that a minimum is one argmin.
+  A free-slot insert carries the newest stamp, so it displaces the
+  minimum only with a strictly smaller key; the minimum is rescanned
+  only in the rows that evict.  A new page less valuable than
+  everything resident is declined (``admit`` returns the page itself)
+  against the stored minimum, touching nothing.
+
+:class:`BatchedLRU` keeps the plain ``(N, C)`` scan and a recency-stamp
+argmin.  It is the policy of cache-less fleets (capacity 1), where an
+index would add two scatters per admit and a matrix of ``AccessRange``
+entries per client to a one-slot scan.
 
 ``admit`` takes a client mask (only the clients that missed admit) and
 returns a victim column using the scalar protocol's vocabulary in array
@@ -42,11 +67,15 @@ NO_ADMIT = -2
 #: policies return ``None`` here).
 FREE = -1
 
-#: Slot content marking an empty cache slot (page ids are >= 0).
+#: Slot content marking an empty cache slot, and the page→slot index
+#: entry of a page that is not resident (page ids and slots are >= 0).
 EMPTY = -1
 
-#: Stamp placed on non-candidate slots before an argmin, so they lose.
-_STAMP_MAX = np.iinfo(np.int64).max
+#: Largest int64: the "nothing resident" P/PIX minimum key.
+_KEY_MAX = np.iinfo(np.int64).max
+
+#: Low bits of a P/PIX key that hold the insertion stamp.
+_STAMP_BITS = 32
 
 #: Minimum inter-access gap in the LIX estimator (mirrors the scalar
 #: module's ``_MIN_GAP``).
@@ -63,13 +92,28 @@ def _gather(table: np.ndarray, rows: np.ndarray, pages: np.ndarray):
     return table[rows, pages]
 
 
+def _index_dtype(capacity: int):
+    """The narrowest signed dtype holding every slot number and EMPTY."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if capacity <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _next_stamp(sequence: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Consume one per-client sequence number (the scalar counter)."""
+    sequence[rows] += 1
+    return sequence[rows]
+
+
 @dataclass
 class BatchedOracles:
     """The :class:`~repro.cache.base.PolicyContext` oracles, as arrays.
 
     ``probability`` is indexed by logical page; ``frequency`` and
     ``disk`` are ``(clients, pages)`` matrices (or ``(1, pages)`` when
-    every client shares one mapping — noise-free groups).
+    every client shares one mapping — noise-free groups).  Their page
+    axis is the client's AccessRange, which sizes the page→slot index.
     """
 
     probability: Optional[np.ndarray] = None
@@ -80,11 +124,18 @@ class BatchedOracles:
 
 
 class BatchedPolicy:
-    """Base: ``(N, C)`` slot/stamp matrices and the array protocol."""
+    """Base: the ``(N, C)`` slot matrix, the page→slot index, the protocol.
+
+    Slot ``s`` of client ``i`` is *node* ``i * C + s``: the flat
+    position of that slot in every ``(N, C)`` column.  ``num_pages``
+    (the AccessRange) sizes the page→slot index; a policy built without
+    it (LRU) answers lookups by scanning its slots instead.
+    """
 
     name = "batched"
 
-    def __init__(self, num_clients: int, capacity: int):
+    def __init__(self, num_clients: int, capacity: int,
+                 num_pages: Optional[int] = None):
         if num_clients < 1:
             raise ConfigurationError(
                 f"batched policies need >= 1 client, got {num_clients}"
@@ -96,25 +147,25 @@ class BatchedPolicy:
         self.num_clients = num_clients
         self.capacity = capacity
         self.slots = np.full((num_clients, capacity), EMPTY, dtype=np.int64)
-        self.stamps = np.zeros((num_clients, capacity), dtype=np.int64)
         self.count = np.zeros(num_clients, dtype=np.int64)
-        self._seq = np.zeros(num_clients, dtype=np.int64)
         self._rows = np.arange(num_clients)
+        self._slots = self.slots.reshape(-1)
+        self._slot_base = self._rows * capacity
+        if num_pages is not None:
+            self.index = np.full(
+                (num_clients, num_pages), EMPTY, dtype=_index_dtype(capacity)
+            )
+            self._index = self.index.reshape(-1)
+            self._page_base = self._rows * num_pages
 
     # -- protocol ----------------------------------------------------------
     def is_full(self) -> np.ndarray:
         """Boolean column: which clients' caches are at capacity."""
         return self.count >= self.capacity
 
-    def _match(self, pages: np.ndarray):
-        """``(hit, position)``: where each client's page is resident."""
-        match = self.slots == pages[:, None]
-        return match.any(axis=1), match.argmax(axis=1)
-
     def lookup(self, pages: np.ndarray, now: np.ndarray) -> np.ndarray:
         """Hit column; recency state updated where applicable."""
-        hit, _ = self._match(pages)
-        return hit
+        return self._slot_of(pages) >= 0
 
     def admit(
         self, pages: np.ndarray, now: np.ndarray, mask: np.ndarray
@@ -122,27 +173,41 @@ class BatchedPolicy:
         """Offer each masked client's page; return the victim column."""
         raise NotImplementedError
 
-    # -- shared admit plumbing --------------------------------------------
-    def _free_positions(self, rows: np.ndarray) -> np.ndarray:
-        """First empty slot of each listed client (scalar: dict append)."""
-        return (self.slots[rows] == EMPTY).argmax(axis=1)
+    # -- the page→slot index ----------------------------------------------
+    def _slot_of(self, pages: np.ndarray) -> np.ndarray:
+        """Each client's slot holding its page, or EMPTY: one gather."""
+        return self._index[self._page_base + pages]
 
-    def _stamp(self, rows: np.ndarray) -> np.ndarray:
-        """Consume one per-client sequence number (the scalar counter)."""
-        self._seq[rows] += 1
-        return self._seq[rows]
+    def _index_pages(self, rows, pages, slots) -> None:
+        """Record ``pages`` at ``slots`` (EMPTY: no longer resident)."""
+        self._index[self._page_base[rows] + pages] = slots
 
 
 class BatchedLRU(BatchedPolicy):
-    """Columnar :class:`~repro.cache.lru.LRUPolicy`: min-stamp eviction."""
+    """Columnar :class:`~repro.cache.lru.LRUPolicy`: min-stamp eviction.
+
+    Without a page→slot index: lookups compare the slot matrix, and the
+    victim is the minimum recency stamp (the scalar ``OrderedDict``'s
+    bottom entry).
+    """
 
     name = "LRU"
+
+    def __init__(self, num_clients: int, capacity: int):
+        super().__init__(num_clients, capacity)
+        self.stamps = np.zeros((num_clients, capacity), dtype=np.int64)
+        self._seq = np.zeros(num_clients, dtype=np.int64)
+
+    def _match(self, pages: np.ndarray):
+        """``(hit, position)``: where each client's page is resident."""
+        match = self.slots == pages[:, None]
+        return match.any(axis=1), match.argmax(axis=1)
 
     def lookup(self, pages: np.ndarray, now: np.ndarray) -> np.ndarray:
         hit, position = self._match(pages)
         rows = np.nonzero(hit)[0]
         if len(rows):
-            self.stamps[rows, position[rows]] = self._stamp(rows)
+            self.stamps[rows, position[rows]] = _next_stamp(self._seq, rows)
         return hit
 
     def admit(self, pages, now, mask) -> np.ndarray:
@@ -153,9 +218,11 @@ class BatchedLRU(BatchedPolicy):
         full = self.count[rows] >= self.capacity
         free_rows = rows[~full]
         if len(free_rows):
-            position = self._free_positions(free_rows)
+            position = self.count[free_rows]
             self.slots[free_rows, position] = pages[free_rows]
-            self.stamps[free_rows, position] = self._stamp(free_rows)
+            self.stamps[free_rows, position] = _next_stamp(
+                self._seq, free_rows
+            )
             self.count[free_rows] += 1
             victims[free_rows] = FREE
         full_rows = rows[full]
@@ -163,7 +230,9 @@ class BatchedLRU(BatchedPolicy):
             position = self.stamps[full_rows].argmin(axis=1)
             victims[full_rows] = self.slots[full_rows, position]
             self.slots[full_rows, position] = pages[full_rows]
-            self.stamps[full_rows, position] = self._stamp(full_rows)
+            self.stamps[full_rows, position] = _next_stamp(
+                self._seq, full_rows
+            )
         return victims
 
 
@@ -171,63 +240,91 @@ class BatchedP(BatchedPolicy):
     """Columnar :class:`~repro.cache.p.PPolicy`: static-value eviction.
 
     The scalar policy's lazy min-heap holds one live entry per resident
-    page (engines never ``discard``), so its victim is exactly the
-    lexicographic ``(value, insertion stamp)`` minimum — computed here
-    as a value argmin refined by a masked stamp argmin.
+    page (engines never ``discard``), so its top is exactly the
+    lexicographic ``(value, insertion stamp)`` minimum.  Each resident
+    slot holds that pair packed into one int64 *key*: the value's dense
+    rank among the oracle's values (ranks order and tie exactly as the
+    values do) above :data:`_STAMP_BITS` bits of per-client insertion
+    stamp, so the minimum is one argmin.  It is kept per client: a
+    free-slot insert lowers it with a strict ``<``, an eviction rescans
+    its row, and a decline only reads it.
     """
 
     name = "P"
 
     def __init__(self, num_clients: int, capacity: int,
                  oracles: BatchedOracles):
-        super().__init__(num_clients, capacity)
         if oracles.probability is None:
             raise ConfigurationError(
                 "this policy requires the 'probability' oracle in its context"
             )
-        self._oracles = oracles
-        self.values = np.zeros((num_clients, capacity), dtype=np.float64)
+        super().__init__(num_clients, capacity, len(oracles.probability))
+        values = self._value_table(oracles)
+        #: Each page's rank, shifted into key position: a (1, pages)
+        #: or (clients, pages) table like the oracles it ranks.
+        self._rank = (
+            np.unique(values, return_inverse=True)[1]
+            .reshape(values.shape).astype(np.int64) << _STAMP_BITS
+        )
+        self.keys = np.zeros((num_clients, capacity), dtype=np.int64)
+        self._keys = self.keys.reshape(-1)
+        self._seq = np.zeros(num_clients, dtype=np.int64)
+        self._min_key = np.full(num_clients, _KEY_MAX)
+        self._min_slot = np.zeros(num_clients, dtype=np.int64)
 
-    def _value_of(self, rows: np.ndarray, pages: np.ndarray) -> np.ndarray:
-        return self._oracles.probability[pages]
+    @staticmethod
+    def _value_table(oracles: BatchedOracles) -> np.ndarray:
+        """The scalar ``_value`` of every page, as a (1, pages) table."""
+        return oracles.probability[None, :]
 
     def admit(self, pages, now, mask) -> np.ndarray:
         victims = np.full(self.num_clients, NO_ADMIT, dtype=np.int64)
         rows = np.nonzero(mask)[0]
         if not len(rows):
             return victims
-        value = self._value_of(rows, pages[rows])
+        page = pages[rows]
+        rank = _gather(self._rank, rows, page)
         full = self.count[rows] >= self.capacity
-        free_rows = rows[~full]
-        if len(free_rows):
-            position = self._free_positions(free_rows)
-            self.slots[free_rows, position] = pages[free_rows]
-            self.values[free_rows, position] = value[~full]
-            self.stamps[free_rows, position] = self._stamp(free_rows)
+        # Decline when nothing resident is less valuable (scalar:
+        # ``self._resident[victim] >= value`` — no stamp consumed): the
+        # minimum's rank is at least the new page's.
+        declined = full & (self._min_key[rows] >= rank)
+        if declined.any():
+            victims[rows[declined]] = page[declined]
+            enter = ~declined
+            rows, page, rank, full = (
+                rows[enter], page[enter], rank[enter], full[enter]
+            )
+            if not len(rows):
+                return victims
+        victims[rows] = FREE
+        # Stamps count a client's inserts, bounded by its trace length
+        # and so far below 2 ** _STAMP_BITS.
+        key = rank + _next_stamp(self._seq, rows)
+        slot = np.where(full, self._min_slot[rows], self.count[rows])
+        node = self._slot_base[rows] + slot
+        evict_rows = rows[full]
+        if len(evict_rows):
+            gone = self._slots[node[full]]
+            victims[evict_rows] = gone
+            self._index_pages(evict_rows, gone, EMPTY)
+        self._slots[node] = page
+        self._keys[node] = key
+        self._index_pages(rows, page, slot)
+        free = ~full
+        if free.any():
+            free_rows = rows[free]
             self.count[free_rows] += 1
-            victims[free_rows] = FREE
-        full_rows = rows[full]
-        if len(full_rows):
-            resident = self.values[full_rows]
-            minimum = resident.min(axis=1)
-            # Decline when nothing resident is less valuable (scalar:
-            # ``self._resident[victim] >= value`` — no stamp consumed).
-            declined = minimum >= value[full]
-            victims[full_rows[declined]] = pages[full_rows[declined]]
-            evict_rows = full_rows[~declined]
-            if len(evict_rows):
-                candidates = (
-                    self.values[evict_rows]
-                    == minimum[~declined][:, None]
-                )
-                masked = np.where(
-                    candidates, self.stamps[evict_rows], _STAMP_MAX
-                )
-                position = masked.argmin(axis=1)
-                victims[evict_rows] = self.slots[evict_rows, position]
-                self.slots[evict_rows, position] = pages[evict_rows]
-                self.values[evict_rows, position] = value[full][~declined]
-                self.stamps[evict_rows, position] = self._stamp(evict_rows)
+            better = key[free] < self._min_key[free_rows]
+            self._min_key[free_rows[better]] = key[free][better]
+            self._min_slot[free_rows[better]] = slot[free][better]
+        if len(evict_rows):
+            resident = self.keys[evict_rows]
+            lowest = resident.argmin(axis=1)
+            self._min_key[evict_rows] = resident[
+                np.arange(len(evict_rows)), lowest
+            ]
+            self._min_slot[evict_rows] = lowest
         return victims
 
 
@@ -238,28 +335,29 @@ class BatchedPIX(BatchedP):
 
     def __init__(self, num_clients: int, capacity: int,
                  oracles: BatchedOracles):
-        super().__init__(num_clients, capacity, oracles)
         if oracles.frequency is None:
             raise ConfigurationError(
                 "this policy requires the 'frequency' oracle in its context"
             )
+        super().__init__(num_clients, capacity, oracles)
 
-    def _value_of(self, rows: np.ndarray, pages: np.ndarray) -> np.ndarray:
-        probability = self._oracles.probability[pages]
-        frequency = _gather(self._oracles.frequency, rows, pages)
+    @staticmethod
+    def _value_table(oracles: BatchedOracles) -> np.ndarray:
+        frequency = oracles.frequency
         with np.errstate(divide="ignore", invalid="ignore"):
-            value = probability / frequency
+            value = oracles.probability[None, :] / frequency
         return np.where(frequency > 0.0, value, np.inf)
 
 
 class BatchedLIX(BatchedPolicy):
     """Columnar :class:`~repro.cache.lix.LIXPolicy`: per-disk chains.
 
-    A slot's chain membership is its ``chain`` column entry; each
-    chain's bottom (the scalar ``next(iter(chain))``) is its minimum
-    recency stamp.  Victim search walks disks in ascending order with a
-    strict ``<``, so the earliest chain wins ties exactly as the scalar
-    ``_choose_victim`` does.
+    Links live in two flat columns over ``N·C + N·D`` nodes: node
+    ``i·C + s`` is client ``i``'s slot ``s``, node ``N·C + i·D + d`` is
+    the sentinel of client ``i``'s chain for disk ``d``.  Following
+    ``next`` from a sentinel walks its chain from the bottom (least
+    recently used) to the top and back to the sentinel, so a node past
+    ``N·C`` reached from a sentinel marks an empty chain.
     """
 
     name = "LIX"
@@ -267,7 +365,6 @@ class BatchedLIX(BatchedPolicy):
 
     def __init__(self, num_clients: int, capacity: int,
                  oracles: BatchedOracles):
-        super().__init__(num_clients, capacity)
         if oracles.disk is None:
             raise ConfigurationError(
                 "this policy requires the 'disk_of' oracle in its context"
@@ -284,11 +381,24 @@ class BatchedLIX(BatchedPolicy):
             raise ConfigurationError(
                 f"num_disks must be >= 1, got {oracles.num_disks}"
             )
+        super().__init__(num_clients, capacity, oracles.disk.shape[1])
         self._oracles = oracles
         self._alpha = float(oracles.lix_alpha)
         self.estimates = np.zeros((num_clients, capacity), dtype=np.float64)
         self.last_access = np.zeros((num_clients, capacity), dtype=np.float64)
-        self.chain = np.full((num_clients, capacity), -1, dtype=np.int64)
+        self._estimates = self.estimates.reshape(-1)
+        self._last_access = self.last_access.reshape(-1)
+        nodes = num_clients * capacity
+        #: Sentinel of each slot's chain (its page's disk).
+        self._home = np.zeros(nodes, dtype=np.int64)
+        self._nodes = nodes
+        self._disks = np.arange(oracles.num_disks)
+        self._sentinel_base = nodes + self._rows * oracles.num_disks
+        # Every node starts linked to itself: the sentinels as empty
+        # chains, the slots until they are first placed.
+        links = nodes + num_clients * oracles.num_disks
+        self._next = np.arange(links)
+        self._prev = np.arange(links)
 
     def _evaluate(self, estimates, last_access, now):
         """The scalar ``_evaluate`` formula, elementwise."""
@@ -296,78 +406,97 @@ class BatchedLIX(BatchedPolicy):
         return self._alpha / gap + (1.0 - self._alpha) * estimates
 
     def lookup(self, pages: np.ndarray, now: np.ndarray) -> np.ndarray:
-        hit, position = self._match(pages)
+        slot = self._slot_of(pages)
+        hit = slot >= 0
         rows = np.nonzero(hit)[0]
         if len(rows):
-            slot = position[rows]
-            self.estimates[rows, slot] = self._evaluate(
-                self.estimates[rows, slot],
-                self.last_access[rows, slot],
-                now[rows],
+            node = self._slot_base[rows] + slot[rows]
+            at = now[rows]
+            self._estimates[node] = self._evaluate(
+                self._estimates[node], self._last_access[node], at
             )
-            self.last_access[rows, slot] = now[rows]
-            self.stamps[rows, slot] = self._stamp(rows)
+            self._last_access[node] = at
+            self._unlink(node)
+            self._append(node)
         return hit
-
-    def _lix_values(self, rows, slot, now):
-        value = self._evaluate(
-            self.estimates[rows, slot], self.last_access[rows, slot], now
-        )
-        if self.use_frequency:
-            frequency = _gather(
-                self._oracles.frequency, rows, self.slots[rows, slot]
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                value = value / frequency
-            value = np.where(frequency > 0.0, value, np.inf)
-        return value
-
-    def _choose_victims(self, rows: np.ndarray, now: np.ndarray) -> np.ndarray:
-        best_value = np.full(len(rows), np.inf)
-        best_position = np.zeros(len(rows), dtype=np.int64)
-        chains = self.chain[rows]
-        for disk in range(self._oracles.num_disks):
-            in_chain = chains == disk
-            present = in_chain.any(axis=1)
-            if not present.any():
-                continue
-            masked = np.where(in_chain, self.stamps[rows], _STAMP_MAX)
-            position = masked.argmin(axis=1)
-            value = self._lix_values(rows, position, now)
-            # Strict <: the scalar loop keeps the earliest chain on ties.
-            better = present & (value < best_value)
-            best_value = np.where(better, value, best_value)
-            best_position = np.where(better, position, best_position)
-        return best_position
 
     def admit(self, pages, now, mask) -> np.ndarray:
         victims = np.full(self.num_clients, NO_ADMIT, dtype=np.int64)
         rows = np.nonzero(mask)[0]
         if not len(rows):
             return victims
-        full = self.count[rows] >= self.capacity
-        free_rows = rows[~full]
-        if len(free_rows):
-            position = self._free_positions(free_rows)
-            self._place(free_rows, position, pages[free_rows], now[free_rows])
-            self.count[free_rows] += 1
-            victims[free_rows] = FREE
-        full_rows = rows[full]
-        if len(full_rows):
-            position = self._choose_victims(full_rows, now[full_rows])
-            victims[full_rows] = self.slots[full_rows, position]
-            self._place(full_rows, position, pages[full_rows], now[full_rows])
+        victims[rows] = FREE
+        slot = self.count[rows]
+        full = slot >= self.capacity
+        node = self._slot_base[rows] + slot
+        if full.any():
+            full_rows = rows[full]
+            evicted = self._choose_victims(full_rows, now[full_rows])
+            gone = self._slots[evicted]
+            victims[full_rows] = gone
+            self._index_pages(full_rows, gone, EMPTY)
+            self._unlink(evicted)
+            node[full] = evicted
+        self.count[rows] += ~full
+        self._place(rows, node, pages[rows], now[rows])
         return victims
 
-    def _place(self, rows, position, pages, now):
-        """Enter ``pages`` with fresh state in its own disk's chain."""
-        self.slots[rows, position] = pages
-        self.estimates[rows, position] = 0.0
-        self.last_access[rows, position] = now
-        self.stamps[rows, position] = self._stamp(rows)
-        self.chain[rows, position] = _gather(
+    # -- internals ---------------------------------------------------------
+    def _unlink(self, node: np.ndarray) -> None:
+        before = self._prev[node]
+        after = self._next[node]
+        self._next[before] = after
+        self._prev[after] = before
+
+    def _append(self, node: np.ndarray) -> None:
+        """Link ``node`` at the top (most recent end) of its chain."""
+        sentinel = self._home[node]
+        top = self._prev[sentinel]
+        self._next[top] = node
+        self._prev[node] = top
+        self._next[node] = sentinel
+        self._prev[sentinel] = node
+
+    def _lix_values(self, rows, node, now) -> np.ndarray:
+        """The scalar ``_lix_value`` of each ``(rows, D)`` node."""
+        value = self._evaluate(
+            self._estimates[node], self._last_access[node], now
+        )
+        if self.use_frequency:
+            frequency = _gather(
+                self._oracles.frequency, rows, self._slots[node]
+            )
+            value = np.divide(
+                value, frequency, out=np.full_like(value, np.inf),
+                where=frequency > 0.0,
+            )
+        return value
+
+    def _choose_victims(self, rows: np.ndarray, now: np.ndarray) -> np.ndarray:
+        """The evicted node of each listed (full) client."""
+        column = rows[:, None]
+        bottom = self._next[self._sentinel_base[column] + self._disks]
+        empty = bottom >= self._nodes
+        # An empty chain is scored at the client's first slot (the
+        # client is full), then ruled out.
+        node = np.where(empty, self._slot_base[column], bottom)
+        value = self._lix_values(column, node, now[:, None])
+        value[empty] = np.inf
+        # The first argmin is the scalar walk's strict <: the earliest
+        # chain keeps a tie.
+        choice = value.argmin(axis=1)
+        return bottom[np.arange(len(rows)), choice]
+
+    def _place(self, rows, node, pages, now) -> None:
+        """Enter ``pages`` with fresh state at the top of its disk's chain."""
+        self._slots[node] = pages
+        self._index_pages(rows, pages, node - self._slot_base[rows])
+        self._estimates[node] = 0.0
+        self._last_access[node] = now
+        self._home[node] = self._sentinel_base[rows] + _gather(
             self._oracles.disk, rows, pages
         )
+        self._append(node)
 
 
 class BatchedL(BatchedLIX):

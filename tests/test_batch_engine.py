@@ -7,9 +7,10 @@ the same whether or not a tracer, profiler or monitor watches it
 (``src/repro/batch/fleet.py`` docstring).
 
 Plus the rails around the engine: registry fallback for unbatchable
-policies, fleet fallback for heterogeneous segments, monitor keying on
-interleaved per-client records, and the process-pool clamp that stops
-small fleets from paying for workers they cannot feed.
+policies, fleet fallback for heterogeneous segments, the page-range
+check on trace matrices, monitor keying on interleaved per-client
+records, and the process-pool clamp that stops small fleets from paying
+for workers they cannot feed.
 """
 
 import pytest
@@ -233,6 +234,60 @@ class TestFleetExactness:
         result = fleet_module.run_fleet(spec)
         assert len(calls) == 3
         assert snapshot(result) == snapshot(run_population(spec))
+
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_cached_fleet_at_cache_scale(self, channels):
+        # Figure 13/14-shaped clients (CacheSize = Offset, Noise 30%)
+        # with caches big enough for long LIX chains and a P/PIX
+        # minimum that moves on every eviction: every cost-based
+        # policy's bucket must fold exactly as per-client fast runs.
+        from repro.batch.fleet import run_fleet
+
+        spec = PopulationSpec(
+            name="cached-fleet",
+            base=config(
+                disk_sizes=(50, 250, 450), access_range=300,
+                region_size=15, cache_size=100, offset=100, noise=0.3,
+                num_requests=150, channels=channels,
+            ),
+            seed=43,
+            segments=(
+                SegmentSpec("cost-based", 8,
+                            policy=Choice(("LIX", "PIX", "L", "P"))),
+            ),
+        )
+        fleet = run_fleet(spec)
+        assert snapshot(fleet) == snapshot(run_population(spec))
+
+
+class TestPageRange:
+    """Trace page ids outside ``[0, AccessRange)`` fail fast.
+
+    Page -1 is the empty-slot marker: unchecked, it "hits" an empty
+    slot and yields a response of 0.0.  Ids at or past the access range
+    would wrap through the mapping or the page→slot index.
+    """
+
+    @pytest.mark.parametrize("policy", ["LRU", "LIX"])
+    @pytest.mark.parametrize("bad", [-1, 100])
+    def test_out_of_range_page_rejected(self, policy, bad):
+        import numpy as np
+
+        from repro.batch.engine import build_columnar_engine
+        from repro.errors import ConfigurationError
+        from repro.exec.build import BuildCache
+
+        base = config(policy=policy)  # access_range=100
+        layout, schedule = BuildCache().layout_and_schedule(base)
+        physical = base.build_mapping(layout).physical_array()[None, :]
+        engine = build_columnar_engine(base, schedule, layout, physical, 2)
+        pages = np.arange(120, dtype=np.int64).reshape(60, 2) % 100
+        engine.run(pages, warmup_requests=0)
+        pages[30, 1] = bad
+        engine = build_columnar_engine(base, schedule, layout, physical, 2)
+        with pytest.raises(ConfigurationError, match=r"\[0, 100\)"):
+            engine.run(pages, warmup_requests=0)
 
 
 class TestKernelStatistical:

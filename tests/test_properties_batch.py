@@ -11,7 +11,11 @@ random request strings:
 * tie-heavy oracles (constant probability, single disk) force the
   tie-break paths: P/PIX must evict the *oldest* minimum-value entry,
   LIX/L must prefer the earliest disk chain — exactly like the scalar
-  min-heap and chain walk.
+  min-heap and chain walk;
+* broadcast-disk-shaped oracles at realistic scale (150 pages, five
+  disks, caches up to 48 pages, hundreds of skewed requests) reach the
+  long linked chains, the emptied chains and the moving minimum of the
+  indexed policies.
 
 Decision equality on every step subsumes evict-score agreement: a
 diverging score would pick a diverging victim somewhere in the stream.
@@ -69,22 +73,33 @@ def oracle_arrays(*, tie_breaking=False):
 def drive_both(name, capacity, request_matrix, *, tie_breaking=False):
     """Advance a batched fleet and per-client scalar twins in lockstep.
 
-    ``request_matrix`` is ``(steps, clients)``.  Asserts hit columns and
-    victim columns agree on every step, translating the scalar
-    vocabulary (None / page / victim) into the batched sentinels.
+    ``request_matrix`` is ``(steps, clients)``; every client shares the
+    :func:`oracle_arrays` oracles and requests arrive 2.0 apart.
     """
     steps, clients = request_matrix.shape
     scalar_context, batched_oracles = oracle_arrays(
         tie_breaking=tie_breaking
     )
-    batched = make_batched_policy(name, clients, capacity, batched_oracles)
-    assert batched is not None
-    twins = [make_policy(name, capacity, scalar_context)
-             for _ in range(clients)]
+    drive_pair(name, capacity, request_matrix, [scalar_context] * clients,
+               batched_oracles, 2.0 * np.arange(1, steps + 1))
 
-    time = 0.0
+
+def drive_pair(name, capacity, request_matrix, contexts, oracles, times):
+    """Step a batched policy and one scalar twin per client together.
+
+    ``contexts[c]`` is client ``c``'s scalar context, ``oracles`` the
+    batched form of all of them, ``times`` the request instants.
+    Asserts hit columns and victim columns agree on every step,
+    translating the scalar vocabulary (None / page / victim) into the
+    batched sentinels.
+    """
+    steps, clients = request_matrix.shape
+    batched = make_batched_policy(name, clients, capacity, oracles)
+    assert batched is not None
+    twins = [make_policy(name, capacity, context) for context in contexts]
+
     for step in range(steps):
-        time += 2.0
+        time = float(times[step])
         pages = request_matrix[step]
         now = np.full(clients, time)
         hits = batched.lookup(pages, now)
@@ -154,6 +169,90 @@ class TestBatchedEqualsScalar:
         # One disk, constant frequency: every candidate sits in chain 0
         # and LIX's inter-access estimator alone picks the victim.
         drive_both(name, capacity, matrix, tie_breaking=True)
+
+
+# ---------------------------------------------------------------------------
+# Realistic scale: long chains, chains that empty and refill, a moving
+# minimum
+# ---------------------------------------------------------------------------
+
+WIDE_PAGES = 150
+WIDE_DISKS = 5
+
+
+def wide_oracles(clients, rng, *, per_client):
+    """Broadcast-disk-shaped oracles over WIDE_PAGES pages, WIDE_DISKS disks.
+
+    Disk ``d`` holds a contiguous run of pages, each disk larger and
+    half as frequent as the one before; probabilities fall off Zipf-like
+    over regions of five pages, so P's values tie within a region.
+    With ``per_client`` every client's pages are shuffled across the
+    disks (the noise mapping), giving ``(clients, pages)`` oracles.
+    Returns ``(scalar contexts, batched oracles)``.
+    """
+    pages = np.arange(WIDE_PAGES)
+    bounds = np.cumsum(np.arange(1, WIDE_DISKS + 1))
+    home = np.searchsorted(bounds * WIDE_PAGES / bounds[-1], pages,
+                           side="right")
+    probability = 1.0 / (1 + pages // 5) ** 0.95
+    probability /= probability.sum()
+    rows = clients if per_client else 1
+    disk = np.empty((rows, WIDE_PAGES), dtype=np.int64)
+    for row in range(rows):
+        disk[row] = home[rng.permutation(WIDE_PAGES)] if per_client else home
+    frequency = 0.5 ** disk / 4.0
+    contexts = [
+        PolicyContext(
+            probability=lambda page: float(probability[page]),
+            frequency=lambda page, row=row: float(frequency[row, page]),
+            disk_of=lambda page, row=row: int(disk[row, page]),
+            num_disks=WIDE_DISKS,
+        )
+        for row in (range(clients) if per_client else [0] * clients)
+    ]
+    oracles = BatchedOracles(
+        probability=probability,
+        frequency=frequency,
+        disk=disk,
+        num_disks=WIDE_DISKS,
+    )
+    return contexts, oracles
+
+
+def skewed_requests(clients, steps, rng):
+    """A ``(steps, clients)`` Zipf-skewed request matrix whose hot set
+    moves once, halfway through, so cached chains drain and refill."""
+    weights = 1.0 / np.arange(1, WIDE_PAGES + 1) ** rng.uniform(0.6, 1.4)
+    requests = rng.choice(WIDE_PAGES, size=(steps, clients),
+                          p=weights / weights.sum())
+    shift = int(rng.integers(1, WIDE_PAGES))
+    requests[steps // 2:] = (requests[steps // 2:] + shift) % WIDE_PAGES
+    return requests
+
+
+class TestBatchedEqualsScalarAtScale:
+    """Decisions stay identical at scales the small strategies miss:
+    chains dozens of nodes long that empty and refill when the hot set
+    moves, and a P/PIX minimum that moves after every eviction."""
+
+    @given(
+        st.sampled_from(("lix", "l", "p", "pix")),
+        st.integers(min_value=8, max_value=48),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=150, max_value=400),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_identical(self, name, capacity, clients, steps,
+                                 per_client, seed):
+        rng = np.random.default_rng(seed)
+        contexts, oracles = wide_oracles(clients, rng, per_client=per_client)
+        requests = skewed_requests(clients, steps, rng)
+        # Quantised gaps between requests: the LIX estimator sees
+        # repeated gaps.
+        times = np.cumsum(rng.integers(1, 8, size=steps) * 0.5)
+        drive_pair(name, capacity, requests, contexts, oracles, times)
 
 
 class TestBatchedSentinels:
