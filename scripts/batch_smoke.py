@@ -15,9 +15,10 @@ Five gates, one per contract the engine makes
   must fold to the per-client rollup the same way.  The batch/per-client
   speedup is printed, not gated.
 * **Invariants** — a strict :class:`~repro.obs.monitor.MonitorSuite`
-  over a multi-client columnar run must observe interleaved per-client
-  records and finish with zero violations, and profiled tier counts
-  must reconcile with the engine's miss counters.
+  over a traced multi-client columnar run must observe interleaved
+  per-client records and finish with zero violations, and the
+  profiler's ``engine.batch.misses`` must equal the trace's
+  ``client.miss`` records.
 * **Sub-segmentation** — a heterogeneous multi-channel fleet whose
   segments draw from finite-support distributions (Choice/UniformInt)
   must bucket into homogeneous columnar sub-segments and fold
@@ -198,6 +199,7 @@ def gate_invariants(failures: list) -> None:
     print("strict monitors + profiler reconciliation on a columnar run:")
     monitors = MonitorSuite(mode="strict")
     profile = Profiler(enabled=True)
+    sink = MemorySink()
     spec = PopulationSpec(
         name="batch-smoke-monitored",
         base=single_config(num_requests=300),
@@ -205,16 +207,19 @@ def gate_invariants(failures: list) -> None:
         engine="batch",
         segments=(SegmentSpec("uniform", 8),),
     )
-    result = run_fleet(spec, monitors=monitors, profile=profile)
+    result = run_fleet(spec, tracer=Tracer(sink), monitors=monitors,
+                       profile=profile)
     check(monitors.ok and monitors.runs == 1,
           f"strict invariants clean over {monitors.observed} records",
           failures)
     document = profile.snapshot()
-    tier_total = sum(document["tiers"].values())
     misses = document["counters"]["engine.batch.misses"]
-    check(tier_total == misses,
-          f"tier attribution reconciles ({tier_total} queries == "
-          f"{misses} misses)", failures)
+    traced = sum(
+        1 for record in sink.records if record.kind == "client.miss"
+    )
+    check(misses == traced,
+          f"engine.batch.misses matches the trace ({misses} == "
+          f"{traced} client.miss records)", failures)
     check(
         document["counters"]["requests.measured"]
         == result.overall.measured_requests,

@@ -8,13 +8,12 @@ artifacts CI uploads:
   (``fig5-smoke.jsonl``), an aggregated sweep manifest
   (``fig5-smoke-manifest.json``), and the profile snapshot
   (``fig5-smoke-profile.json``) — and asserting that the profiler's
-  timing-tier counts reconcile exactly with the build cache's
-  :meth:`~repro.core.schedule.BroadcastSchedule.timing_stats` totals
-  and with the engine's own miss count;
+  ``engine.fast.misses`` equals the trace's ``client.miss`` records;
 * the same grid re-run under the ``fast-reference`` engine with strict
   monitors and a profiler, so both arithmetics of the engine's one loop
   are checked against the paper's invariants on every CI run, and the
-  bisection tier reconciles with the reference engine's miss count;
+  reference engine must book as many misses as the fast sweep (same
+  loop, same grid);
 * a process-engine multidisk run with ``observe_every_slot()`` so the
   trace carries every ``channel.deliver`` slot
   (``broadcast-smoke.jsonl``), then the ``repro.obs summary`` §2.1
@@ -32,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -74,8 +74,11 @@ def _fig5_configs():
     ]
 
 
-def traced_fig5_sweep(out: Path) -> None:
-    """The reduced fig5 sweep: traced, profiled, strictly monitored."""
+def traced_fig5_sweep(out: Path) -> int:
+    """The reduced fig5 sweep: traced, profiled, strictly monitored.
+
+    Returns the sweep's ``engine.fast.misses``.
+    """
     configs = _fig5_configs()
     trace_path = out / "fig5-smoke.jsonl"
     manifest_path = out / "fig5-smoke-manifest.json"
@@ -98,34 +101,32 @@ def traced_fig5_sweep(out: Path) -> None:
     assert len(results) == len(configs)
     assert monitors.ok, monitors.snapshot()
 
-    # The profiler's tier attribution must reconcile exactly with the
-    # schedules' own dispatch counters (via the sweep manifest's
-    # build-cache block) and with the engine's miss count: every miss
-    # resolves through exactly one next_arrival tier.
-    manifest = json.loads(manifest_path.read_text())
-    cache_queries = manifest["build_cache"]["queries"]
-    assert cache_queries == profile.snapshot()["tiers"], (
-        f"tier counts diverge: build cache {cache_queries} "
-        f"vs profiler {profile.snapshot()['tiers']}"
-    )
+    # The profiler's miss counter, booked after the loop, must equal
+    # the misses the loop traced while it ran.
+    kinds = Counter(record["kind"] for record in read_jsonl(str(trace_path)))
     misses = profile.counters.get("engine.fast.misses", 0)
-    assert profile.tier_total == misses, (
-        f"tier total {profile.tier_total} != engine misses {misses}"
+    assert misses > 0 and misses == kinds["client.miss"], (
+        f"engine.fast.misses {misses} != "
+        f"{kinds['client.miss']} client.miss records"
     )
     profile_path.write_text(
         json.dumps(profile.snapshot(), indent=2, sort_keys=True) + "\n"
     )
-    records = sum(1 for _ in read_jsonl(str(trace_path)))
-    print(f"  trace    : {trace_path} ({records} records)")
+    print(f"  trace    : {trace_path} ({sum(kinds.values())} records)")
     print(f"  manifest : {manifest_path} "
           f"({metrics.snapshot()['runs']} runs aggregated)")
     print(f"  profile  : {profile_path} "
-          f"(tier counts reconcile with timing_stats: {cache_queries})")
+          f"(engine.fast.misses {misses} == client.miss records)")
     print(f"  monitors : strict, {monitors.runs} runs, 0 violations")
+    return misses
 
 
-def strict_reference_grid() -> None:
-    """The fig5 grid under fast-reference, strictly monitored and profiled."""
+def strict_reference_grid(fast_misses: int) -> None:
+    """The fig5 grid under fast-reference, strictly monitored and profiled.
+
+    The reference arithmetic runs the same loop over the same grid, so
+    it must book exactly the fast sweep's ``fast_misses``.
+    """
     monitors = MonitorSuite(mode="strict")
     profile = Profiler()
     results = sweep_results(
@@ -135,13 +136,13 @@ def strict_reference_grid() -> None:
     assert len(results) == 4
     assert monitors.ok, monitors.snapshot()
     misses = profile.counters.get("engine.reference.misses", 0)
-    assert misses > 0 and profile.tier_total == misses, (
-        f"tier total {profile.tier_total} != reference misses {misses}"
+    assert misses == fast_misses, (
+        f"engine.reference.misses {misses} != "
+        f"engine.fast.misses {fast_misses}"
     )
-    assert profile.tiers["bisect"] == misses, profile.tiers
     print(f"  fast-reference: strict monitors over {monitors.runs} runs, "
           f"{monitors.observed} records checked, 0 violations; "
-          f"{misses} misses all timed by bisection")
+          f"{misses} misses, as many as the fast sweep")
 
 
 def traced_broadcast(out: Path) -> Path:
@@ -181,10 +182,10 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     print("== traced + profiled + monitored fig5 smoke sweep ==")
-    traced_fig5_sweep(out)
+    fast_misses = traced_fig5_sweep(out)
 
     print("== strict monitors + profiler on the fast-reference engine ==")
-    strict_reference_grid()
+    strict_reference_grid(fast_misses)
 
     print("== traced broadcast (every slot observed) ==")
     broadcast_trace = traced_broadcast(out)

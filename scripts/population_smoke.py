@@ -144,6 +144,8 @@ def main(argv=None) -> int:
 
     print("== checkpoint resume ==")
     journal = out / "population-checkpoint.jsonl"
+    # A fresh journal: a previous run's would already hold every client.
+    journal.unlink(missing_ok=True)
     half = expand(spec)[: spec.num_clients // 2]
     SerialExecutor().run(half, checkpoint=SweepCheckpoint(str(journal)))
     resume = SweepCheckpoint(str(journal))

@@ -71,7 +71,7 @@ from repro.population import (
 )
 from repro.workload import LogicalPhysicalMapping, ZipfRegionDistribution
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "BroadcastProgram",

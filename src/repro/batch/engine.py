@@ -25,10 +25,9 @@ fast engine's (``client.*`` from the engine, ``cache.*`` in
 clients every record additionally carries a ``client`` label so the
 invariant monitors can key their per-stream state per client.
 
-Profiling: every miss dispatches through ``next_arrival_batch``, whose
-bulk closed-form accounting plus per-element fallback keeps the tier
-attribution exact — ``tier_total`` still equals the engine's miss count
-in batch mode (asserted in CI).
+Profiling: the engine books its ``engine.batch.*`` counters after the
+loop; ``engine.batch.misses`` equals the run's ``client.miss`` records
+(asserted in CI).
 """
 
 from __future__ import annotations

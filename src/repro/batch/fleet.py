@@ -27,9 +27,7 @@ the same :func:`~repro.population.run.finish_population` tail as
 ``run_population``, so a fleet's rollup *is* the per-client fold,
 modulo wall-clock fields.  A tracer, profiler or monitor observes the
 same path a bare run takes; every miss dispatches through
-:meth:`~repro.core.schedule.BroadcastSchedule.next_arrival_batch`, and
-profiled tier attribution reconciles (``tier_total`` == batch-engine
-misses).
+:meth:`~repro.core.schedule.BroadcastSchedule.next_arrival_batch`.
 """
 
 from __future__ import annotations
@@ -44,10 +42,13 @@ from repro.batch.rng import client_generators
 from repro.errors import ConfigurationError
 from repro.exec.build import BuildCache
 from repro.exec.plan import RunPlan
-from repro.exec.run import _warmup_trace_allowance, execute_plan
+from repro.exec.run import (
+    _warmup_trace_allowance,
+    execute_plan,
+    monitored_run,
+    require_measured,
+)
 from repro.obs.clock import perf_counter
-from repro.obs.monitor import MonitorContext
-from repro.obs.trace import Tracer
 from repro.population.aggregate import DEFAULT_GAMMA
 from repro.population.run import PopulationResult, finish_population
 from repro.population.spec import (
@@ -202,29 +203,6 @@ def _run_group_columnar(
 ) -> List[_FleetClientStats]:
     """Run one homogeneous group through the exact columnar engine."""
     clients = len(indices)
-    monitoring = monitors is not None and monitors.enabled
-    effective_tracer = tracer
-    attached_to_caller = False
-    if monitoring:
-        monitors.begin_run(MonitorContext(
-            label=config.describe(),
-            schedule=schedule,
-            cache_capacity=config.cache_size if config.has_cache else None,
-        ))
-        if tracer is not None and tracer.enabled:
-            tracer.add_sink(monitors)
-            attached_to_caller = True
-        else:
-            effective_tracer = Tracer(monitors)
-
-    labels: Optional[Sequence[str]] = None
-    if (effective_tracer is not None and effective_tracer.enabled
-            and clients > 1):
-        labels = [
-            f"{spec.name}/{segment.name}/client{client}"
-            for client in indices
-        ]
-
     engine = build_columnar_engine(
         config, schedule, layout,
         _group_physical(spec, indices, config, layout), clients,
@@ -237,42 +215,34 @@ def _run_group_columnar(
     pages = _group_traces(spec, indices, config, total)
 
     profiling = profile is not None and profile.enabled
-    if profiling:
-        schedule.enable_timing_counters()
-        queries_before = schedule.timing_queries()
-        profile.stop_phase("build")
-        profile.start_phase("run")
-    try:
-        outcome = engine.run(
-            pages,
-            warmup_requests=config.warmup_requests,
-            extra_warmup=config.extra_warmup,
-            tracer=effective_tracer,
-            profile=profile,
-            client_labels=labels,
-        )
-    finally:
+    with monitored_run(config, schedule, tracer=tracer,
+                       monitors=monitors) as run_tracer:
+        labels: Optional[Sequence[str]] = None
+        if run_tracer is not None and run_tracer.enabled and clients > 1:
+            labels = [
+                f"{spec.name}/{segment.name}/client{client}"
+                for client in indices
+            ]
         if profiling:
-            profile.stop_phase("run")
-            profile.start_phase("build")
-        if attached_to_caller:
-            tracer.remove_sink(monitors)
-    if profiling:
-        queries_after = schedule.timing_queries()
-        profile.add_tier_counts({
-            tier: queries_after[tier] - queries_before[tier]
-            for tier in queries_after
-        })
-        profile.count("requests.measured", int(outcome.count.sum()))
-        profile.count("requests.warmup", int(outcome.warmup_seen.sum()))
-    if monitoring:
-        monitors.end_run()  # raises MonitorError in strict mode
-
-    if not outcome.count.all():
-        raise ConfigurationError(
-            f"warm-up consumed the whole trace for {config.describe()}; "
-            "increase num_requests or lower cache_size"
-        )
+            profile.stop_phase("build")
+            profile.start_phase("run")
+        try:
+            outcome = engine.run(
+                pages,
+                warmup_requests=config.warmup_requests,
+                extra_warmup=config.extra_warmup,
+                tracer=run_tracer,
+                profile=profile,
+                client_labels=labels,
+            )
+        finally:
+            if profiling:
+                profile.stop_phase("run")
+                profile.start_phase("build")
+        if profiling:
+            profile.count("requests.measured", int(outcome.count.sum()))
+            profile.count("requests.warmup", int(outcome.warmup_seen.sum()))
+    require_measured(config, bool(outcome.count.all()))
     return [
         _FleetClientStats(
             mean_response_time=float(outcome.mean[column]),

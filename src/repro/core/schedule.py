@@ -35,10 +35,6 @@ import numpy as np
 from repro.core.chunks import EMPTY_SLOT
 from repro.errors import ScheduleError
 
-#: The two timing tiers of :meth:`BroadcastSchedule.next_arrival`, in
-#: preference order: the §2.1 closed form, then bisection.
-TIMING_TIERS = ("closed_form", "bisect")
-
 
 class BroadcastSchedule:
     """An immutable periodic broadcast program."""
@@ -70,9 +66,6 @@ class BroadcastSchedule:
         self._fixed_gaps: Dict[int, Optional[Tuple[int, int]]] = {}
         self._nonempty_slots: Optional[np.ndarray] = None
         self._regular_timing: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # Per-tier query counters for profiling; None (the default) means
-        # disabled and costs next_arrival a single identity check.
-        self._tier_queries: Optional[Dict[str, int]] = None
 
     # -- structure ---------------------------------------------------------
     @property
@@ -149,16 +142,11 @@ class BroadcastSchedule:
         Both return the exact same instant (asserted by the hypothesis
         property tests).
         """
-        queries = self._tier_queries
         entry = self._fixed_gaps.get(page)
         if entry is None and page not in self._fixed_gaps:
             entry = self.fixed_gap(page)
         if entry is None:
-            if queries is not None:
-                queries["bisect"] += 1
             return self.next_arrival_bisect(page, time)
-        if queries is not None:
-            queries["closed_form"] += 1
         residue, gap = entry
         base = math.floor(time) + 1
         return float(base + (residue - base) % gap)
@@ -215,52 +203,6 @@ class BroadcastSchedule:
                 return base + float(occ[index]) + 1.0
         return base + self.period + float(occ[0]) + 1.0
 
-    def enable_timing_counters(self) -> None:
-        """Start counting :meth:`next_arrival` queries per timing tier.
-
-        Off by default: the counters cost :meth:`next_arrival` a dict
-        increment per query, so only profiled runs (``--profile``)
-        switch them on.  Idempotent — enabling twice keeps the
-        accumulated counts.  Engines that time misses without calling
-        :meth:`next_arrival` (the scalar loop's inlined closed form,
-        direct :meth:`next_arrival_bisect` calls) report their own
-        counts through :meth:`book_timing_queries`.
-        """
-        if self._tier_queries is None:
-            self._tier_queries = dict.fromkeys(TIMING_TIERS, 0)
-
-    def book_timing_queries(self, counts: Mapping[str, int]) -> None:
-        """Add queries an engine answered itself to the tier counters.
-
-        A no-op unless :meth:`enable_timing_counters` was called.
-        """
-        queries = self._tier_queries
-        if queries is not None:
-            for tier, count in counts.items():
-                queries[tier] += count
-
-    def timing_queries(self) -> Dict[str, int]:
-        """Per-tier ``next_arrival`` query counts (zeros when disabled)."""
-        if self._tier_queries is None:
-            return dict.fromkeys(TIMING_TIERS, 0)
-        return dict(self._tier_queries)
-
-    def timing_stats(self) -> Dict[str, object]:
-        """Occupancy of the lazily-built timing structures.
-
-        Useful for asserting that a shared schedule (via
-        :class:`~repro.exec.build.BuildCache`) reuses its structures
-        across sweep points instead of rebuilding them.  The
-        ``queries`` sub-dict carries the per-tier counts of
-        :meth:`timing_queries` — all zeros unless
-        :meth:`enable_timing_counters` was called.
-        """
-        return {
-            "fixed_gap_entries": len(self._fixed_gaps),
-            "nonempty_index_built": int(self._nonempty_slots is not None),
-            "queries": self.timing_queries(),
-        }
-
     def wait_time(self, page: int, time: float) -> float:
         """Delay a request issued at ``time`` experiences for ``page``."""
         return self.next_arrival(page, time) - time
@@ -301,10 +243,8 @@ class BroadcastSchedule:
         Fixed-gap pages (every page of a §2.2 multidisk program) are
         answered in one closed-form array expression; irregular pages
         fall back to scalar :meth:`next_arrival` element by element, so
-        they take the bisection tier.  Tier counters,
-        when enabled, attribute the vectorized elements to
-        ``closed_form`` in bulk and let the scalar fallback count its
-        own dispatches.
+        they take the bisection.  :class:`BroadcastProgram` binds this
+        same body over its merged C-row arrays.
         """
         pages = np.asarray(pages, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
@@ -323,9 +263,6 @@ class BroadcastSchedule:
                 arrivals[index] = self.next_arrival(
                     int(pages[index]), float(times[index])
                 )
-        queries = self._tier_queries
-        if queries is not None:
-            queries["closed_form"] += int(regular.sum())
         return arrivals
 
     def gaps(self, page: int) -> np.ndarray:
@@ -500,10 +437,10 @@ class BroadcastProgram:
     one channel.  Timing queries delegate to the owning row, so a
     program duck-types the read-only surface of a single schedule
     (``next_arrival``, ``fixed_gap``, ``frequency``, ``__contains__``,
-    ``timing_stats``, ...) and slots into the engines and monitors
-    unchanged.  A one-row program is byte-identical to its single
-    schedule; the ``channels == 1`` configuration path never constructs
-    a program at all, so the legacy pipeline is untouched.
+    ...) and slots into the engines and monitors unchanged.  A one-row
+    program is byte-identical to its single schedule; the
+    ``channels == 1`` configuration path never constructs a program at
+    all, so the legacy pipeline is untouched.
     """
 
     def __init__(self, channels: Sequence[BroadcastSchedule], label: str = ""):
@@ -688,79 +625,10 @@ class BroadcastProgram:
             self._regular_timing = cached
         return cached
 
-    def next_arrival_batch(
-        self, pages: np.ndarray, times: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`next_arrival` over parallel arrays.
-
-        Same contract as
-        :meth:`BroadcastSchedule.next_arrival_batch`, over the merged
-        C-row timing grid: fixed-gap pages (every page of a §2.2
-        per-channel row) are answered in one closed-form expression and
-        irregular pages fall back to scalar :meth:`next_arrival` on
-        their owning row.  Tier counters, when enabled, attribute the
-        vectorized elements to each row's ``closed_form`` tier by
-        channel; the scalar fallback counts its own dispatches.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        times = np.asarray(times, dtype=np.float64)
-        residue, gap = self.regular_timing()
-        size = len(gap)
-        clipped = np.clip(pages, 0, size - 1)
-        gaps = gap.take(clipped)
-        regular = (pages == clipped) & (pages >= 0) & (gaps > 0)
-        base = np.floor(times).astype(np.int64) + 1
-        safe_gaps = np.where(regular, gaps, 1)
-        arrivals = (
-            base + (residue.take(clipped) - base) % safe_gaps
-        ).astype(np.float64)
-        if not regular.all():
-            for index in np.nonzero(~regular)[0]:
-                arrivals[index] = self.next_arrival(
-                    int(pages[index]), float(times[index])
-                )
-        if any(row._tier_queries is not None for row in self._channels):
-            channels = self.channel_array().take(clipped[regular])
-            counts = np.bincount(channels, minlength=self.num_channels)
-            for index, row in enumerate(self._channels):
-                queries = row._tier_queries
-                if queries is not None:
-                    queries["closed_form"] += int(counts[index])
-        return arrivals
-
-    # -- observability -------------------------------------------------------
-    def enable_timing_counters(self) -> None:
-        for row in self._channels:
-            row.enable_timing_counters()
-
-    def book_timing_queries(self, counts: Mapping[str, int]) -> None:
-        """Book engine-answered queries on channel 0's row.
-
-        The scalar engine books one program-wide count per run, so the
-        program total (:meth:`timing_queries`) is exact while the
-        per-row split of those counts is not tracked.
-        """
-        self._channels[0].book_timing_queries(counts)
-
-    def timing_queries(self) -> Dict[str, int]:
-        totals = dict.fromkeys(TIMING_TIERS, 0)
-        for row in self._channels:
-            for tier, count in row.timing_queries().items():
-                totals[tier] += count
-        return totals
-
-    def timing_stats(self) -> Dict[str, object]:
-        """Aggregate of the per-row :meth:`BroadcastSchedule.timing_stats`."""
-        stats: Dict[str, object] = {
-            "fixed_gap_entries": 0,
-            "nonempty_index_built": 0,
-        }
-        for row in self._channels:
-            for key, value in row.timing_stats().items():
-                if key != "queries":
-                    stats[key] += value
-        stats["queries"] = self.timing_queries()
-        return stats
+    #: One body for both classes: ``self.regular_timing()`` is the
+    #: merged C-row grid here, and irregular pages fall back to scalar
+    #: :meth:`next_arrival` on their owning row.
+    next_arrival_batch = BroadcastSchedule.next_arrival_batch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,8 +18,6 @@ Because the schedule object itself is shared, its lazily-built timing
 structures — the fixed-gap entries and the non-empty-slot index of
 ``docs/PERFORMANCE.md`` — are built once per broadcast
 structure and reused by every sweep point that shares it.
-:meth:`BuildCache.timing_stats` exposes their occupancy so tests (and
-the curious) can assert the reuse actually happens.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import json
 from typing import Dict, Tuple
 
 from repro.core.disks import DiskLayout
-from repro.core.schedule import TIMING_TIERS, BroadcastSchedule
+from repro.core.schedule import BroadcastSchedule
 from repro.experiments.config import ExperimentConfig
 
 
@@ -93,32 +91,6 @@ class BuildCache:
         else:
             self.hits += 1
         return entry
-
-    def timing_stats(self) -> Dict[str, object]:
-        """Timing-structure occupancy summed over the cached schedules.
-
-        The per-schedule breakdown comes from
-        :meth:`~repro.core.schedule.BroadcastSchedule.timing_stats`;
-        summing it here makes "one set of timing structures per
-        broadcast structure, not per sweep point" directly assertable.
-        The ``queries`` sub-dict sums the per-tier timing-query counts
-        (all zeros unless the schedules had ``enable_timing_counters()``
-        switched on by a profiled run).
-        """
-        totals: Dict[str, object] = {
-            "schedules": len(self._built),
-            "fixed_gap_entries": 0,
-            "nonempty_indexes_built": 0,
-        }
-        queries = dict.fromkeys(TIMING_TIERS, 0)
-        for _layout, schedule in self._built.values():
-            stats = schedule.timing_stats()
-            totals["fixed_gap_entries"] += stats["fixed_gap_entries"]
-            totals["nonempty_indexes_built"] += stats["nonempty_index_built"]
-            for tier, count in stats["queries"].items():
-                queries[tier] += count
-        totals["queries"] = queries
-        return totals
 
     def __len__(self) -> int:
         return len(self._built)

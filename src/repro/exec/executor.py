@@ -106,17 +106,7 @@ def _run_in_order(
 
 
 class SerialExecutor:
-    """Run plans one at a time, in plan order, in this process.
-
-    After a :meth:`run` the executor keeps its
-    :class:`~repro.exec.build.BuildCache` on :attr:`last_builds`, so
-    callers (the sweep manifest) can report schedule-reuse and
-    timing-tier statistics for the runs that just happened.
-    """
-
-    def __init__(self):
-        #: The build cache of the most recent :meth:`run`; None before.
-        self.last_builds: Optional[BuildCache] = None
+    """Run plans one at a time, in plan order, in this process."""
 
     def run(
         self,
@@ -128,10 +118,8 @@ class SerialExecutor:
         profile=None,
         monitors=None,
     ) -> List[ExperimentResult]:
-        builds = BuildCache()
-        self.last_builds = builds
         return _run_in_order(plans, tracer, progress, checkpoint,
-                             profile, monitors, builds)
+                             profile, monitors, BuildCache())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"
@@ -165,10 +153,6 @@ class ParallelExecutor:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
-        #: The build cache of the most recent serial-degraded ``run()``;
-        #: None before any run and after a genuinely pooled run, whose
-        #: caches live (and die) in the worker processes.
-        self.last_builds: Optional[BuildCache] = None
 
     def effective_jobs(self) -> int:
         """The worker count a run will actually use: jobs ∧ usable cores."""
@@ -195,11 +179,8 @@ class ParallelExecutor:
             # state a worker could not ship back; tiny, single-worker,
             # or single-core runs gain nothing from a pool — on a 1-core
             # host the pool *costs* wall clock.
-            builds = BuildCache()
-            self.last_builds = builds
             return _run_in_order(plans, tracer, progress, checkpoint,
-                                 profile, monitors, builds)
-        self.last_builds = None
+                                 profile, monitors, BuildCache())
 
         results: List[Optional[ExperimentResult]] = [None] * len(plans)
         pending: List[int] = []

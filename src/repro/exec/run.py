@@ -14,8 +14,9 @@ random streams are derived inside the call from the plan's config.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.cache.base import TracedCache
 from repro.errors import ConfigurationError
@@ -80,6 +81,48 @@ def _warmup_trace_allowance(config: ExperimentConfig) -> int:
     return fill_allowance + config.extra_warmup
 
 
+@contextmanager
+def monitored_run(
+    config: ExperimentConfig, schedule, *, tracer, monitors
+) -> Iterator[Optional[Tracer]]:
+    """The tracer one run emits to, with ``monitors`` fed from it.
+
+    An enabled :class:`repro.obs.monitor.MonitorSuite` begins a run on
+    entry and listens through the caller's enabled tracer when there is
+    one, otherwise through a private internal tracer (so monitoring
+    needs no sink plumbing).  The suite is detached from the caller's
+    tracer even when the run raises; after a clean run it ends the run,
+    which raises :class:`~repro.errors.MonitorError` in strict mode.
+    Without an enabled suite the caller's tracer passes through.
+    """
+    if monitors is None or not monitors.enabled:
+        yield tracer
+        return
+    monitors.begin_run(MonitorContext(
+        label=config.describe(),
+        schedule=schedule,
+        cache_capacity=config.cache_size if config.has_cache else None,
+    ))
+    if tracer is not None and tracer.enabled:
+        tracer.add_sink(monitors)
+        try:
+            yield tracer
+        finally:
+            tracer.remove_sink(monitors)
+    else:
+        yield Tracer(monitors)
+    monitors.end_run()  # raises MonitorError in strict mode
+
+
+def require_measured(config: ExperimentConfig, measured: bool) -> None:
+    """Reject a run whose warm-up left no request to measure."""
+    if not measured:
+        raise ConfigurationError(
+            f"warm-up consumed the whole trace for {config.describe()}; "
+            "increase num_requests or lower cache_size"
+        )
+
+
 def execute_plan(
     plan: RunPlan,
     *,
@@ -96,23 +139,17 @@ def execute_plan(
     supplies a :class:`~repro.exec.build.BuildCache` so plans sharing a
     broadcast structure reuse the constructed layout and schedule.
 
-    ``profile`` attaches a :class:`repro.obs.profile.Profiler`: build /
-    run phases are timed, the schedule's timing-tier counters are
-    switched on, and the per-tier ``next_arrival`` query delta of this
-    run is folded in.  ``monitors`` attaches a
-    :class:`repro.obs.monitor.MonitorSuite`, fed from the run's trace
-    stream — through the caller's enabled tracer when there is one,
-    otherwise through a private internal tracer (so monitoring needs no
-    sink plumbing).  In strict mode the suite raises
-    :class:`~repro.errors.MonitorError` after the run.  Neither hook
-    changes which loop runs or what it measures: the fast engine runs
-    its one loop either way, with guarded trace emits and profiler
-    bookkeeping after the loop.
+    ``profile`` attaches a :class:`repro.obs.profile.Profiler` that
+    times the build and run phases and counts plans and requests.
+    ``monitors`` attaches a :class:`repro.obs.monitor.MonitorSuite`
+    through :func:`monitored_run`.  Neither hook changes which loop
+    runs or what it measures: the fast engine runs its one loop either
+    way, with guarded trace emits and profiler bookkeeping after the
+    loop.
     """
     config = plan.config
     started = perf_counter()
     profiling = profile is not None and profile.enabled
-    monitoring = monitors is not None and monitors.enabled
     if profiling:
         profile.start_phase("build")
     if builds is None:
@@ -135,28 +172,6 @@ def execute_plan(
     else:
         cache = config.build_policy(schedule, mapping, distribution, layout)
 
-    if profiling:
-        schedule.enable_timing_counters()
-        queries_before = schedule.timing_queries()
-
-    effective_tracer = tracer
-    attached_to_caller = False
-    if monitoring:
-        monitors.begin_run(MonitorContext(
-            label=config.describe(),
-            schedule=schedule,
-            cache_capacity=config.cache_size if config.has_cache else None,
-        ))
-        if tracer is not None and tracer.enabled:
-            tracer.add_sink(monitors)
-            attached_to_caller = True
-        else:
-            effective_tracer = Tracer(monitors)
-
-    tracing = effective_tracer is not None and effective_tracer.enabled
-    if tracing and cache is not None:
-        cache = TracedCache(cache, effective_tracer)
-
     allowance = _warmup_trace_allowance(config)
     total_requests = config.num_requests + allowance
     if config.drift_rotations:
@@ -175,7 +190,10 @@ def execute_plan(
         profile.stop_phase("build")
         profile.start_phase("run")
 
-    try:
+    with monitored_run(config, schedule, tracer=tracer,
+                       monitors=monitors) as run_tracer:
+        if cache is not None and run_tracer is not None and run_tracer.enabled:
+            cache = TracedCache(cache, run_tracer)
         outcome = get_plan_engine(plan.engine).run_plan(
             plan,
             config=config,
@@ -184,33 +202,17 @@ def execute_plan(
             layout=layout,
             cache=cache,
             trace=trace,
-            tracer=effective_tracer,
+            tracer=run_tracer,
             profile=profile,
             channels=getattr(config, "channels", 1),
             retune_cost=getattr(config, "retune_cost", 1.0),
         )
-    finally:
-        if attached_to_caller:
-            tracer.remove_sink(monitors)
-
-    if profiling:
-        profile.stop_phase("run")
-        queries_after = schedule.timing_queries()
-        profile.add_tier_counts({
-            tier: queries_after[tier] - queries_before[tier]
-            for tier in queries_after
-        })
-        profile.count("plans", 1)
-        profile.count("requests.measured", outcome.measured_requests)
-        profile.count("requests.warmup", outcome.warmup_requests)
-    if monitoring:
-        monitors.end_run()  # raises MonitorError in strict mode
-
-    if outcome.measured_requests == 0:
-        raise ConfigurationError(
-            f"warm-up consumed the whole trace for {config.describe()}; "
-            "increase num_requests or lower cache_size"
-        )
+        if profiling:
+            profile.stop_phase("run")
+            profile.count("plans", 1)
+            profile.count("requests.measured", outcome.measured_requests)
+            profile.count("requests.warmup", outcome.warmup_requests)
+    require_measured(config, outcome.measured_requests > 0)
 
     # A multi-channel program reports its aggregate utilisation over
     # all channel slots plus the per-channel breakdown; the

@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures_cmd.add_argument(
         "--profile", action="store_true",
-        help="profile the sweeps (phase timings, engine counters, "
-             "timing-tier dispatch counts); forces serial execution",
+        help="profile the sweeps (phase timings, engine counters); "
+             "forces serial execution",
     )
 
     run_cmd = commands.add_parser("run", help="run one experiment")
@@ -133,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=list(plan_engine_names()))
     run_cmd.add_argument(
         "--profile", action="store_true",
-        help="print the run's profile (phase timings, engine counters, "
-             "timing-tier dispatch counts)",
+        help="print the run's profile (phase timings, engine counters)",
     )
 
     inspect_cmd = commands.add_parser(

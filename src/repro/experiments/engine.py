@@ -218,7 +218,6 @@ class FastEngine:
         warming = True
         warmup_seen = 0
         warmup_misses = 0
-        bisected = 0
         current = 0  # tuned channel; every client starts on channel 0
         retunes = 0
         retunes_measured = 0
@@ -282,7 +281,6 @@ class FastEngine:
                 base = int(listen) + 1
                 arrival = float(base + (residue - base) % gap)
             else:
-                bisected += 1
                 arrival = next_arrival_bisect(physical, listen)
             wait = arrival - now
             if tracing:
@@ -307,9 +305,6 @@ class FastEngine:
             profile.count(f"engine.{name}.misses", misses)
             if channel_of is not None:
                 profile.count(f"engine.{name}.retunes", retunes)
-            schedule.book_timing_queries(
-                {"closed_form": misses - bisected, "bisect": bisected}
-            )
 
         self.now = now
         return EngineOutcome(

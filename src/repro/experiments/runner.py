@@ -1,7 +1,7 @@
 """Experiment entry points: thin wrappers over the execution layer.
 
-``run_experiment`` and ``sweep``/``sweep_results`` keep their original
-signatures, but the work now flows through :mod:`repro.exec`: each
+``run_experiment`` and ``sweep``/``sweep_results`` take their options
+keyword-only, and the work flows through :mod:`repro.exec`: each
 configuration becomes a frozen :class:`~repro.exec.plan.RunPlan`, and an
 :class:`~repro.exec.executor.Executor` runs the plans — serially by
 default, or on a process pool when ``jobs > 1``.  Executor choice is a
@@ -23,8 +23,7 @@ serial run exactly.  All of it is pay-for-use: with everything left at
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.executor import Executor, resolve_executor
@@ -39,55 +38,9 @@ from repro.obs.manifest import build_manifest, write_manifest, write_sweep_manif
 from repro.obs.profile import record_profile_metrics
 
 
-def _merge_legacy_positionals(
-    function_name: str,
-    defaults: Dict[str, object],
-    legacy: tuple,
-    bound: Dict[str, object],
-) -> Dict[str, object]:
-    """One-release shim: map deprecated positional option values.
-
-    The public entry points made their option arguments keyword-only in
-    repro 1.1; this maps positional values onto the old parameter order,
-    warns, and rejects values that were also passed by keyword.  The
-    shim (and positional option passing with it) is removed in the next
-    release.
-    """
-    names = list(defaults)
-    if len(legacy) > len(names):
-        raise TypeError(
-            f"{function_name}() takes at most {len(names)} option "
-            f"arguments ({len(legacy)} given)"
-        )
-    warnings.warn(
-        f"passing {function_name}() options positionally is deprecated; "
-        f"options ({', '.join(names[:len(legacy)])}) are keyword-only "
-        "as of repro 1.1 and positional use will be removed in the next "
-        "release",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    merged = dict(bound)
-    for name, value in zip(names, legacy):
-        if merged[name] is not defaults[name]:
-            raise TypeError(
-                f"{function_name}() got multiple values for argument "
-                f"{name!r}"
-            )
-        merged[name] = value
-    return merged
-
-
-#: Old positional order of the entry points' options (shim bookkeeping).
-_RUN_EXPERIMENT_DEFAULTS: Dict[str, object] = {
-    "engine": "fast", "collect_responses": False, "tracer": None,
-    "metrics": None, "manifest": None,
-}
-
-
 def run_experiment(
     config: ExperimentConfig,
-    *legacy,
+    *,
     engine: str = "fast",
     collect_responses: bool = False,
     tracer=None,
@@ -105,24 +58,13 @@ def run_experiment(
     :class:`repro.obs.metrics.MetricsRegistry` with the run's headline
     counters and gauges.  ``manifest`` names a JSON file to write the
     run manifest to (also attached to the result).  ``profile`` attaches
-    a :class:`repro.obs.profile.Profiler` (phase timings, engine
-    counters, timing-tier attribution); ``monitors`` a
+    a :class:`repro.obs.profile.Profiler` (phase timings and engine
+    counters); ``monitors`` a
     :class:`repro.obs.monitor.MonitorSuite` checking the paper's
     invariants against the run's trace stream (strict mode raises
     :class:`~repro.errors.MonitorError`).  All default to off and leave
     the measured behaviour untouched.
     """
-    if legacy:
-        merged = _merge_legacy_positionals(
-            "run_experiment", _RUN_EXPERIMENT_DEFAULTS, legacy,
-            {"engine": engine, "collect_responses": collect_responses,
-             "tracer": tracer, "metrics": metrics, "manifest": manifest},
-        )
-        engine = merged["engine"]
-        collect_responses = merged["collect_responses"]
-        tracer = merged["tracer"]
-        metrics = merged["metrics"]
-        manifest = merged["manifest"]
     plan = plan_for(config, engine=engine, collect_responses=collect_responses)
     result = execute_plan(plan, tracer=tracer, profile=profile,
                           monitors=monitors)
@@ -174,15 +116,9 @@ def _mean_response_metric(result: ExperimentResult) -> float:
     return result.mean_response_time
 
 
-_SWEEP_DEFAULTS: Dict[str, object] = {
-    "metric": _mean_response_metric, "engine": "fast", "progress": None,
-    "manifest": None, "jobs": 1,
-}
-
-
 def sweep(
     configs: Iterable[ExperimentConfig],
-    *legacy,
+    *,
     metric: Callable[[ExperimentResult], float] = _mean_response_metric,
     engine: str = "fast",
     progress: Optional[ProgressCallback] = None,
@@ -190,17 +126,6 @@ def sweep(
     jobs: int = 1,
 ) -> List[float]:
     """Run every configuration; return ``metric`` of each, in order."""
-    if legacy:
-        merged = _merge_legacy_positionals(
-            "sweep", _SWEEP_DEFAULTS, legacy,
-            {"metric": metric, "engine": engine, "progress": progress,
-             "manifest": manifest, "jobs": jobs},
-        )
-        metric = merged["metric"]
-        engine = merged["engine"]
-        progress = merged["progress"]
-        manifest = merged["manifest"]
-        jobs = merged["jobs"]
     return [
         metric(result)
         for result in sweep_results(
@@ -210,16 +135,9 @@ def sweep(
     ]
 
 
-_SWEEP_RESULTS_DEFAULTS: Dict[str, object] = {
-    "engine": "fast", "progress": None, "manifest": None, "tracer": None,
-    "metrics": None, "jobs": 1, "collect_responses": False,
-    "executor": None, "checkpoint": None,
-}
-
-
 def sweep_results(
     configs: Iterable[ExperimentConfig],
-    *legacy,
+    *,
     engine: str = "fast",
     progress: Optional[ProgressCallback] = None,
     manifest: Optional[str] = None,
@@ -253,27 +171,8 @@ def sweep_results(
     ``monitors`` a :class:`repro.obs.monitor.MonitorSuite`; either being
     *enabled* forces in-process serial execution (like an enabled
     tracer), because both accumulate state a worker process could not
-    ship back.  With a profiler attached the sweep manifest also embeds
-    the executor's build-cache statistics (schedule reuse and
-    timing-tier dispatch counts).
+    ship back.
     """
-    if legacy:
-        merged = _merge_legacy_positionals(
-            "sweep_results", _SWEEP_RESULTS_DEFAULTS, legacy,
-            {"engine": engine, "progress": progress, "manifest": manifest,
-             "tracer": tracer, "metrics": metrics, "jobs": jobs,
-             "collect_responses": collect_responses, "executor": executor,
-             "checkpoint": checkpoint},
-        )
-        engine = merged["engine"]
-        progress = merged["progress"]
-        manifest = merged["manifest"]
-        tracer = merged["tracer"]
-        metrics = merged["metrics"]
-        jobs = merged["jobs"]
-        collect_responses = merged["collect_responses"]
-        executor = merged["executor"]
-        checkpoint = merged["checkpoint"]
     plans = plan_sweep(
         list(configs), engine=engine, collect_responses=collect_responses
     )
@@ -291,14 +190,9 @@ def sweep_results(
         if profiling:
             record_profile_metrics(metrics, profile)
     if manifest is not None:
-        # Only a profiled sweep embeds the build cache: profiling forces
-        # serial runs, and a pooled sweep keeps no cache to report, so
-        # embedding it otherwise would make manifests differ by jobs.
-        builds = getattr(runner, "last_builds", None) if profiling else None
         write_sweep_manifest(
             results, manifest, metrics=metrics, tracer=tracer,
             profile=profile, monitors=monitors,
-            build_cache=None if builds is None else builds.timing_stats(),
         )
     if profiling:
         profile.stop_phase("aggregate")

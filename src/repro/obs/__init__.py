@@ -21,8 +21,7 @@ disabled:
   occupancy bounds, clock monotonicity, hit/miss conservation, and
   schedule-period consistency, in ``record`` or ``strict`` mode.
 * :mod:`repro.obs.profile` — a pay-for-use profiler: per-phase wall
-  times, engine loop/event counters, and the broadcast-timing tier
-  counts (closed-form / bisect).
+  times, engine loop/event counters, and high-water marks.
 * :mod:`repro.obs.analyze` and :mod:`repro.obs.regress` — post-hoc
   trace analytics (per-disk response attribution, slot utilization,
   residency, Jain fairness) and the benchmark regression gate over

@@ -309,13 +309,6 @@ def _print_profile_block(profile: Dict) -> None:
         print("  phases:")
         for name in sorted(phases):
             print(f"    {name:<12} {phases[name]:.3f}s")
-    tiers = profile.get("tiers", {})
-    if any(tiers.values()):
-        total = sum(tiers.values())
-        print("  timing tiers:")
-        for name in sorted(tiers):
-            share = tiers[name] / total if total else 0.0
-            print(f"    {name:<12} {tiers[name]:<10} ({share:.1%})")
     counters = profile.get("counters", {})
     if counters:
         print("  counters:")
@@ -377,15 +370,6 @@ def _print_manifest(document: Dict) -> None:
         print(f"measured     : {document['measured_requests']} requests "
               f"(+{document['warmup_requests']} warm-up)")
         print(f"config hash  : {document['config_hash'][:16]}…")
-    build_cache = document.get("build_cache")
-    if build_cache is not None:
-        print("\nbuild cache")
-        print(f"  schedules built : {build_cache.get('schedules', 0)}")
-        queries = build_cache.get("queries", {})
-        if any(queries.values()):
-            print("  timing-tier queries:")
-            for tier in sorted(queries):
-                print(f"    {tier:<12} {queries[tier]}")
     profile = document.get("profile")
     if profile is not None:
         print("\nprofile")

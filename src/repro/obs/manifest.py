@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, is_dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.errors import ConfigurationError
 
@@ -120,17 +120,14 @@ def write_manifest(manifest: Dict, path: str) -> None:
 
 def build_sweep_manifest(results: Iterable, *, metrics=None,
                          tracer=None, name: str = "sweep",
-                         profile=None, monitors=None,
-                         build_cache: Optional[Dict] = None) -> Dict:
+                         profile=None, monitors=None) -> Dict:
     """Aggregate per-run manifests into one sweep document.
 
     The summary block carries the cross-run totals a bench trajectory
     wants in one glance (total wall time, request volume, response-time
     extremes); ``runs`` holds the full per-configuration manifests.
     ``profile``/``monitors`` embed their snapshots like
-    :func:`build_manifest`; ``build_cache`` takes a pre-computed
-    :meth:`repro.exec.build.BuildCache.timing_stats` dict (schedule
-    reuse and timing-tier totals for the whole sweep).
+    :func:`build_manifest`.
     """
     runs: List[Dict] = [build_manifest(result) for result in results]
     means = [run["mean_response_time"] for run in runs]
@@ -160,20 +157,17 @@ def build_sweep_manifest(results: Iterable, *, metrics=None,
         sweep["profile"] = profile.snapshot()
     if monitors is not None:
         sweep["monitors"] = monitors.snapshot()
-    if build_cache is not None:
-        sweep["build_cache"] = build_cache
     return sweep
 
 
 def write_sweep_manifest(results: Iterable, path: str,
                          *, name: str = "sweep",
                          metrics=None, tracer=None,
-                         profile=None, monitors=None,
-                         build_cache: Optional[Dict] = None) -> Dict:
+                         profile=None, monitors=None) -> Dict:
     """Build and write a sweep manifest; returns the written dict."""
     sweep = build_sweep_manifest(results, metrics=metrics, tracer=tracer,
                                  name=name, profile=profile,
-                                 monitors=monitors, build_cache=build_cache)
+                                 monitors=monitors)
     with open(path, "w") as handle:
         json.dump(sweep, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -6,8 +6,8 @@ Three protections for the 1.1 consolidation:
   keyword-only contract on the public entry points, so an accidental
   signature regression (an option drifting back to positional) fails
   here before it reaches a caller;
-* the one-release positional shim: deprecated positional options still
-  work, warn, and reject ambiguous keyword+positional mixes;
+* the end of the one-release positional shim (removed in 1.4): a
+  positional option is a ``TypeError``, and keyword calls never warn;
 * the engine registry: every rejection names the valid engines.
 """
 
@@ -94,7 +94,7 @@ class TestExportSnapshot:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.3.0"
+        assert repro.__version__ == "1.4.0"
 
 
 class TestKeywordOnlyContract:
@@ -117,20 +117,13 @@ class TestKeywordOnlyContract:
                 )
 
     def test_shimmed_functions_accept_varargs(self):
-        # The one-release shim: a VAR_POSITIONAL slot catches legacy
-        # positional options.  run_population is new in 1.1 and never
-        # had positional options, so it carries no shim.
-        for name in ("run_experiment", "sweep", "sweep_results"):
+        # No entry point has a VAR_POSITIONAL slot that could catch a
+        # positional option (the 1.1 shim's ``*legacy`` went in 1.4).
+        for name, function in self.ENTRY_POINTS.items():
             kinds = {
-                p.kind for p in
-                inspect.signature(self.ENTRY_POINTS[name]).parameters.values()
+                p.kind for p in inspect.signature(function).parameters.values()
             }
-            assert inspect.Parameter.VAR_POSITIONAL in kinds, name
-        population_kinds = {
-            p.kind for p in
-            inspect.signature(run_population).parameters.values()
-        }
-        assert inspect.Parameter.VAR_POSITIONAL not in population_kinds
+            assert inspect.Parameter.VAR_POSITIONAL not in kinds, name
 
     def test_run_population_option_names(self):
         signature = inspect.signature(run_population)
@@ -146,42 +139,16 @@ class TestKeywordOnlyContract:
 
 
 class TestDeprecationShim:
-    def test_positional_engine_warns_and_maps(self):
-        config = small_config()
-        with pytest.warns(DeprecationWarning, match="keyword-only"):
-            legacy = run_experiment(config, "fast", True)
-        assert legacy.samples is not None  # collect_responses mapped
-        modern = run_experiment(config, engine="fast", collect_responses=True)
-        assert legacy.mean_response_time == modern.mean_response_time
-        assert legacy.samples == modern.samples
-
-    def test_positional_plus_keyword_conflict(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values.*'engine'"):
-                run_experiment(small_config(), "fast", engine="process")
-
-    def test_too_many_positionals(self):
-        with pytest.raises(TypeError, match="at most 5 option arguments"):
-            run_experiment(small_config(), "fast", False, None, None,
-                           None, "extra")
-
-    def test_sweep_positional_metric_warns_and_maps(self):
-        configs = [small_config(), small_config(delta=7)]
-
-        def metric(result):
-            return result.hit_rate
-
-        with pytest.warns(DeprecationWarning, match="sweep"):
-            legacy = sweep(configs, metric)
-        assert legacy == sweep(configs, metric=metric)
-
-    def test_sweep_results_positional_engine_warns(self):
+    def test_positional_options_raise_type_error(self):
+        # Without the 1.1 shim (removed in 1.4) a positional option is
+        # Python's own TypeError on every entry point.
         configs = [small_config()]
-        with pytest.warns(DeprecationWarning, match="sweep_results"):
-            legacy = sweep_results(configs, "fast")
-        modern = sweep_results(configs, engine="fast")
-        assert [r.mean_response_time for r in legacy] == \
-            [r.mean_response_time for r in modern]
+        with pytest.raises(TypeError):
+            run_experiment(small_config(), "fast")
+        with pytest.raises(TypeError):
+            sweep(configs, lambda result: result.hit_rate)
+        with pytest.raises(TypeError):
+            sweep_results(configs, "fast")
 
     def test_keyword_calls_do_not_warn(self):
         with warnings.catch_warnings():

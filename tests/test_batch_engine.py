@@ -374,16 +374,20 @@ class TestBatchObservability:
         }
         assert len(labels) == 3  # every record carries its client
 
-    def test_profiler_tier_counts_reconcile(self):
+    def test_profiled_misses_match_traced_miss_records(self):
         from repro.batch.fleet import run_fleet
 
+        spec = homogeneous_spec(4, num_requests=200)
         profile = Profiler(enabled=True)
-        result = run_fleet(homogeneous_spec(4, num_requests=200),
-                           profile=profile)
-        document = profile.snapshot()
-        tier_total = sum(document["tiers"].values())
-        counters = document["counters"]
-        assert tier_total == counters["engine.batch.misses"]
+        result = run_fleet(spec, profile=profile)
+        sink = MemorySink()
+        run_fleet(spec, tracer=Tracer(sink))
+        misses = sum(
+            1 for record in sink.records if record.kind == "client.miss"
+        )
+        counters = profile.snapshot()["counters"]
+        assert misses > 0
+        assert counters["engine.batch.misses"] == misses
         assert counters["requests.measured"] == \
             result.overall.measured_requests
 

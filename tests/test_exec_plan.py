@@ -125,20 +125,20 @@ class TestBuildCache:
 
     def test_timing_structures_shared_across_sweep_points(self):
         # Running several sweep points that share a broadcast structure
-        # must build the timing structures (fixed gaps, non-empty
-        # index) once on the shared schedule, not once per point.
+        # must build the schedule, and with it the timing structures
+        # (the cached fixed-gap entries), once, not once per point.
         cache = BuildCache()
         configs = [small_config(noise=noise) for noise in (0.0, 0.15, 0.45)]
         for config in configs:
             execute_plan(plan_for(config), builds=cache)
-        stats = cache.timing_stats()
-        assert stats["schedules"] == 1
-        assert stats["fixed_gap_entries"] > 0
+        assert cache.misses == 1 and len(cache) == 1
         _layout, schedule = cache.layout_and_schedule(configs[0])
-        before = schedule.timing_stats()
+        entries = dict(schedule._fixed_gaps)
+        assert entries
         execute_plan(plan_for(small_config(noise=0.45)), builds=cache)
-        # The repeated point reused the already-built structures.
-        assert schedule.timing_stats() == before
+        # The repeated point reused the shared schedule and its entries.
+        assert cache.misses == 1
+        assert schedule._fixed_gaps == entries
 
     def test_cached_builds_do_not_change_results(self):
         configs = [small_config(noise=noise) for noise in (0.0, 0.15, 0.45)]

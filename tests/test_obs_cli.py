@@ -182,23 +182,9 @@ class TestManifestSummary:
         assert main(["summary", path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "profile" in out
+        assert "engine.fast.misses" in out
         assert "monitors" in out
         assert "OK" in out
-
-    def test_sweep_manifest_shows_build_cache(self, tmp_path, mini_config,
-                                              capsys):
-        from repro.experiments.runner import sweep_results
-        from repro.obs.profile import Profiler
-
-        path = str(tmp_path / "sweep-manifest.json")
-        sweep_results(
-            [mini_config.with_(delta=d) for d in (0, 1)],
-            manifest=path, profile=Profiler(),
-        )
-        assert main(["summary", path]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "build cache" in out
-        assert "closed_form" in out
 
     @pytest.mark.parametrize("engine", ["fast", "batch"])
     def test_population_manifest_lists_every_segment(

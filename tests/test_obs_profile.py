@@ -1,11 +1,10 @@
 """Hot-path profiling (repro.obs.profile).
 
-Covers the accumulator mechanics (phases, counters, peaks, tiers), the
+Covers the accumulator mechanics (phases, counters, peaks), the
 lifecycle errors, the metrics bridge, and the contracts the
-observatory leans on: tier counts reconcile exactly with
-``BroadcastSchedule.timing_stats`` on a real run, a profiled run is
-byte-identical to an unprofiled one, and the profiler's engine counters
-agree with the run's own trace records.
+observatory leans on: a profiled run is byte-identical to an
+unprofiled one, and the profiler's engine counters agree with the
+run's own trace records.
 """
 
 from __future__ import annotations
@@ -18,12 +17,7 @@ from repro.errors import ConfigurationError
 from repro.exec import execute_plan, plan_for
 from repro.experiments.runner import run_experiment, sweep_results
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import (
-    PROFILE_SCHEMA,
-    TIER_NAMES,
-    Profiler,
-    record_profile_metrics,
-)
+from repro.obs.profile import PROFILE_SCHEMA, Profiler, record_profile_metrics
 from repro.obs.trace import MemorySink, Tracer
 
 
@@ -78,35 +72,24 @@ class TestCountersAndPeaks:
         profile.peak("heap", 9)
         assert profile.peaks["heap"] == 9
 
-    def test_tier_counts_fold_and_total(self):
-        profile = Profiler()
-        profile.add_tier_counts({"closed_form": 10, "bisect": 2})
-        profile.add_tier_counts({"closed_form": 5, "bisect": 1})
-        assert profile.tiers == {"closed_form": 15, "bisect": 3}
-        assert profile.tier_total == 18
-
     def test_snapshot_shape(self):
         profile = Profiler()
         profile.add_phase("run", 0.25)
         profile.count("plans", 2)
         profile.peak("heap", 4)
-        profile.add_tier_counts({"bisect": 7})
         snapshot = profile.snapshot()
         assert snapshot["schema"] == PROFILE_SCHEMA
         assert snapshot["phase_seconds"] == {"run": 0.25}
         assert snapshot["counters"] == {"plans": 2}
         assert snapshot["peaks"] == {"heap": 4}
-        assert snapshot["tiers"]["bisect"] == 7
 
     def test_report_mentions_every_block(self):
         profile = Profiler()
         profile.add_phase("run", 1.0)
         profile.count("plans", 2)
         profile.peak("heap", 4)
-        profile.add_tier_counts({"closed_form": 3})
         report = profile.report()
-        for needle in ("phases", "timing tiers", "engine counters",
-                       "peaks", "closed_form"):
+        for needle in ("phases", "engine counters", "peaks"):
             assert needle in report
         assert "(nothing recorded)" in Profiler().report()
 
@@ -115,13 +98,10 @@ class TestMetricsBridge:
     def test_record_profile_metrics_lands_under_profile_prefix(self):
         profile = Profiler()
         profile.count("plans", 4)
-        profile.add_tier_counts({"closed_form": 9, "bisect": 1})
         metrics = MetricsRegistry()
         record_profile_metrics(metrics, profile)
         counters = metrics.snapshot()
         assert counters["profile.plans"] == 4
-        assert counters["profile.tier.closed_form"] == 9
-        assert counters["profile.tier.bisect"] == 1
 
 
 class TestRunIntegration:
@@ -131,16 +111,13 @@ class TestRunIntegration:
         measured_misses = round(
             (1.0 - result.hit_rate) * result.measured_requests
         )
-        # Every miss resolves through exactly one next_arrival tier; the
-        # counter also covers warm-up misses, so it dominates the
-        # measured-window estimate.
-        assert profile.tier_total == profile.counters["engine.fast.misses"]
+        # The miss counter also covers warm-up misses, so it dominates
+        # the measured-window estimate.
         assert profile.counters["engine.fast.misses"] >= measured_misses
         assert profile.counters["plans"] == 1
         assert profile.counters["requests.measured"] == (
             result.measured_requests
         )
-        assert set(profile.tiers) == set(TIER_NAMES)
         assert {"build", "run"} <= set(profile.phase_seconds)
 
     def test_profiled_run_is_byte_identical(self, mini_config):
@@ -155,7 +132,7 @@ class TestRunIntegration:
         run_experiment(mini_config, profile=profile)
         assert profile.phase_seconds == {}
         assert profile.counters == {}
-        assert profile.tier_total == 0
+        assert profile.peaks == {}
 
     def test_sweep_accumulates_across_plans(self, mini_config):
         configs = [mini_config.with_(delta=d) for d in (0, 1)]
@@ -165,7 +142,7 @@ class TestRunIntegration:
         assert profile.counters["requests.measured"] == sum(
             r.measured_requests for r in results
         )
-        assert profile.tier_total == profile.counters["engine.fast.misses"]
+        assert profile.counters["engine.fast.misses"] > 0
         # The sweep wraps its fold in the aggregate phase even when
         # nothing is folded, so the phase list is stable.
         assert {"build", "run", "aggregate"} <= set(profile.phase_seconds)
@@ -181,9 +158,7 @@ class TestRunIntegration:
             [mini_config], profile=profile, manifest=str(manifest_path)
         )
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["build_cache"]["queries"] == profile.snapshot()[
-            "tiers"
-        ]
+        assert manifest["profile"]["counters"] == profile.counters
         assert manifest["profile"]["counters"]["plans"] == 1
         assert "aggregate" in profile.phase_seconds
 
@@ -191,18 +166,15 @@ class TestRunIntegration:
 class TestOneLoop:
     """Observing a fast-engine run never changes the loop it runs."""
 
-    #: Engine -> (its counter prefix, the tier every miss is booked to).
-    ENGINES = {
-        "fast": ("fast", "closed_form"),
-        "fast-reference": ("reference", "bisect"),
-    }
+    #: Engine -> its counter prefix.
+    ENGINES = {"fast": "fast", "fast-reference": "reference"}
 
     @pytest.mark.parametrize("channels", [1, 4])
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_profiled_run_matches_bare_and_traced(
         self, mini_config, engine, channels
     ):
-        name, tier = self.ENGINES[engine]
+        name = self.ENGINES[engine]
         plan = plan_for(
             mini_config.with_(channels=channels), engine=engine,
             collect_responses=True,
@@ -230,7 +202,3 @@ class TestOneLoop:
         )
         if channels > 1:
             assert kinds["client.retune"] > 0
-        # Every miss is booked to exactly one tier: the closed form for
-        # fast, bisection for fast-reference.
-        assert profile.tier_total == counters[f"engine.{name}.misses"]
-        assert profile.tiers[tier] == profile.tier_total
