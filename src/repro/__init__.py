@@ -57,7 +57,6 @@ from repro.experiments import (
     sweep,
     sweep_results,
 )
-from repro.experiments.engines import EngineSpec, engine_names, register_engine
 from repro.experiments.simengine import run_clients
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import MonitorSuite
@@ -71,7 +70,7 @@ from repro.population import (
 )
 from repro.workload import LogicalPhysicalMapping, ZipfRegionDistribution
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "BroadcastProgram",
@@ -79,7 +78,6 @@ __all__ = [
     "ConfigurationError",
     "DISK_PRESETS",
     "DiskLayout",
-    "EngineSpec",
     "ExperimentConfig",
     "ExperimentResult",
     "LogicalPhysicalMapping",
@@ -99,9 +97,7 @@ __all__ = [
     "ZipfRegionDistribution",
     "__version__",
     "available_policies",
-    "engine_names",
     "make_policy",
-    "register_engine",
     "run_clients",
     "run_experiment",
     "run_population",

@@ -521,5 +521,5 @@ def build_columnar_engine(
         access_range=access_range,
         channel_of=channel_of,
         num_channels=num_channels,
-        retune_cost=float(getattr(config, "retune_cost", 1.0)),
+        retune_cost=float(config.retune_cost),
     )

@@ -20,8 +20,8 @@ policies still fall back to the scalar per-client path through
 
 Every batched group — a homogeneous segment or a sub-segment bucket —
 runs the exact columnar engine: each client's trace is drawn from its
-own :func:`~repro.batch.rng.client_generator` stream (identical to the
-per-client ``RandomStreams`` draws), and the engine arithmetic is
+own ``RandomStreams(derive_seed(spec.seed, index))`` streams (those of
+its per-client run), and the engine arithmetic is
 byte-identical to ``fast``.  The per-client results then fold through
 the same :func:`~repro.population.run.finish_population` tail as
 ``run_population``, so a fleet's rollup *is* the per-client fold,
@@ -38,10 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.batch.engine import batchable_policy_name, build_columnar_engine
-from repro.batch.rng import client_generators
 from repro.errors import ConfigurationError
 from repro.exec.build import BuildCache
-from repro.exec.plan import RunPlan
+from repro.exec.plan import RunPlan, derive_seed
 from repro.exec.run import (
     _warmup_trace_allowance,
     execute_plan,
@@ -61,6 +60,7 @@ from repro.population.spec import (
     client_config,
     client_overrides,
 )
+from repro.sim.rng import RandomStreams
 from repro.workload.mapping import LogicalPhysicalMapping
 
 __all__ = ["run_fleet"]
@@ -159,6 +159,11 @@ def _sub_segments(
 # The exact columnar group path
 # ---------------------------------------------------------------------------
 
+def _client_stream(spec, index: int, name: str):
+    """Client ``index``'s named stream, as its per-client run draws it."""
+    return RandomStreams(derive_seed(spec.seed, index)).stream(name)
+
+
 def _group_traces(spec, indices, config, total: int) -> np.ndarray:
     """Per-client trace columns, drawn from the per-client streams.
 
@@ -169,8 +174,8 @@ def _group_traces(spec, indices, config, total: int) -> np.ndarray:
     pages = np.empty((total, len(indices)), dtype=np.int64)
     distribution = config.build_distribution()
     drift = config.build_drift(total) if config.drift_rotations else None
-    generators = client_generators(spec.seed, indices, "requests")
-    for column, generator in enumerate(generators):
+    for column, index in enumerate(indices):
+        generator = _client_stream(spec, index, "requests")
         if drift is not None:
             pages[:, column] = drift.generate_trace(total, generator).pages
         else:
@@ -184,13 +189,12 @@ def _group_physical(spec, indices, config, layout) -> np.ndarray:
         return config.build_mapping(layout).physical_array()[None, :]
     scope = None if config.noise_over_full_database else config.access_range
     physical = np.empty((len(indices), layout.total_pages), dtype=np.int64)
-    generators = client_generators(spec.seed, indices, "noise")
-    for column, generator in enumerate(generators):
+    for column, index in enumerate(indices):
         mapping = LogicalPhysicalMapping(
             layout=layout,
             offset=config.offset,
             noise=config.noise,
-            rng=generator,
+            rng=_client_stream(spec, index, "noise"),
             noise_scope=scope,
         )
         physical[column] = mapping.physical_array()

@@ -22,13 +22,11 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from repro.errors import ConfigurationError  # noqa: F401 - re-exported
+from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engines import get_plan_engine, plan_engine_names
 
-#: Engines an executor knows how to drive (registry view; see
-#: :mod:`repro.experiments.engines` for the authoritative table).
-ENGINES: Tuple[str, ...] = plan_engine_names()
+#: The engines :func:`repro.exec.run.execute_plan` can run a plan on.
+ENGINES: Tuple[str, ...] = ("batch", "fast", "fast-reference", "process")
 
 #: Seed-derivation stride — the same constant
 #: :meth:`repro.sim.rng.RandomStreams.fork` uses, so plan seeds and
@@ -46,6 +44,14 @@ def derive_seed(sweep_seed: int, index: int) -> int:
     return int(sweep_seed) * _SEED_STRIDE + int(index)
 
 
+def check_engine(engine: str) -> None:
+    """Reject an engine name outside :data:`ENGINES`, listing the valid set."""
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; valid engines: {', '.join(ENGINES)}"
+        )
+
+
 @dataclass(frozen=True)
 class RunPlan:
     """One fully-specified, executor-agnostic unit of experiment work."""
@@ -57,7 +63,7 @@ class RunPlan:
     index: int = 0
 
     def __post_init__(self):
-        get_plan_engine(self.engine)  # rejects unknown/non-plan engines
+        check_engine(self.engine)
 
     @property
     def seed(self) -> int:

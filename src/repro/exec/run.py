@@ -23,7 +23,8 @@ from repro.errors import ConfigurationError
 from repro.exec.build import BuildCache
 from repro.exec.plan import RunPlan
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engines import get_plan_engine
+from repro.experiments.engine import EngineOutcome, FastEngine
+from repro.experiments.simengine import run_single_client
 from repro.obs.clock import perf_counter
 from repro.obs.monitor import MonitorContext
 from repro.obs.trace import Tracer
@@ -123,6 +124,60 @@ def require_measured(config: ExperimentConfig, measured: bool) -> None:
         )
 
 
+def _run_scalar(
+    plan: RunPlan, schedule, mapping, layout, cache, trace, *, tracer, profile
+) -> EngineOutcome:
+    """Run one plan's scalar cache on the process engine or a fast loop.
+
+    ``fast-reference`` is the fast engine's loop with every miss timed
+    by ``next_arrival_bisect`` instead of the §2.1 closed form; it is
+    the baseline arm of ``benchmarks/bench_engine.py``.
+    """
+    config = plan.config
+    if plan.engine == "process":
+        report = run_single_client(
+            schedule=schedule,
+            layout=layout,
+            mapping=mapping,
+            cache=cache,
+            trace=trace,
+            think_time=config.think_time,
+            warmup_requests=config.warmup_requests,
+            collect_responses=plan.collect_responses,
+            extra_warmup=config.extra_warmup,
+            tracer=tracer,
+            profile=profile,
+            retune_cost=config.retune_cost,
+        )
+        return EngineOutcome(
+            response=report.response,
+            counters=report.counters,
+            measured_requests=report.response.count,
+            warmup_requests=report.warmup_requests,
+            final_time=report.final_time,
+            samples=report.samples,
+            retunes=report.retunes,
+        )
+    engine = FastEngine(
+        schedule=schedule,
+        mapping=mapping,
+        layout=layout,
+        cache=cache,
+        think_time=config.think_time,
+        tracer=tracer,
+        profile=profile,
+        retune_cost=config.retune_cost,
+    )
+    run = (engine.run_trace_reference if plan.engine == "fast-reference"
+           else engine.run_trace)
+    return run(
+        trace,
+        warmup_requests=config.warmup_requests,
+        collect_responses=plan.collect_responses,
+        extra_warmup=config.extra_warmup,
+    )
+
+
 def execute_plan(
     plan: RunPlan,
     *,
@@ -133,9 +188,15 @@ def execute_plan(
 ) -> ExperimentResult:
     """Run one plan and return its measurements.
 
+    The plan's engine name picks the loop: ``batch`` a one-client
+    :class:`~repro.batch.engine.ColumnarEngine` (a fast loop for
+    policies without a columnar form), ``fast`` and ``fast-reference``
+    a :class:`~repro.experiments.engine.FastEngine`, ``process``
+    :func:`~repro.experiments.simengine.run_single_client`.
+
     ``tracer`` attaches a :class:`repro.obs.trace.Tracer` to the engine
-    (and, for the process engine, the kernel and channel) and wraps the
-    cache in a :class:`~repro.cache.base.TracedCache`.  ``builds``
+    (and, for the process engine, the kernel and channel) and wraps a
+    scalar cache in a :class:`~repro.cache.base.TracedCache`.  ``builds``
     supplies a :class:`~repro.exec.build.BuildCache` so plans sharing a
     broadcast structure reuse the constructed layout and schedule.
 
@@ -160,16 +221,19 @@ def execute_plan(
     streams = config.build_streams()
     mapping = config.build_mapping(layout, streams)
     distribution = config.build_distribution()
-    # Imported lazily: ``repro.batch`` itself imports this module.
-    from repro.batch.engine import batchable_policy_name
+    columnar = None
+    if plan.engine == "batch":
+        # Imported lazily: ``repro.batch`` itself imports this module.
+        from repro.batch.engine import build_columnar_engine
 
-    if plan.engine == "batch" and batchable_policy_name(config.policy):
-        # The columnar engine carries its own array-state policy; a
-        # scalar cache built here would never see a request.  Pass
-        # ``None`` and let ``_run_plan_batch`` rebuild one only if it
-        # actually falls back to the scalar path.
-        cache = None
-    else:
+        # A one-client columnar run carries its own array-state policy
+        # and is byte-identical to ``fast``.  Policies without a
+        # columnar form (LRU-K, 2Q) get ``None`` and run the scalar
+        # cache on the fast loop, which changes only the strategy.
+        columnar = build_columnar_engine(
+            config, schedule, layout, mapping.physical_array()[None, :], 1
+        )
+    if columnar is None:
         cache = config.build_policy(schedule, mapping, distribution, layout)
 
     allowance = _warmup_trace_allowance(config)
@@ -192,21 +256,22 @@ def execute_plan(
 
     with monitored_run(config, schedule, tracer=tracer,
                        monitors=monitors) as run_tracer:
-        if cache is not None and run_tracer is not None and run_tracer.enabled:
-            cache = TracedCache(cache, run_tracer)
-        outcome = get_plan_engine(plan.engine).run_plan(
-            plan,
-            config=config,
-            schedule=schedule,
-            mapping=mapping,
-            layout=layout,
-            cache=cache,
-            trace=trace,
-            tracer=run_tracer,
-            profile=profile,
-            channels=getattr(config, "channels", 1),
-            retune_cost=getattr(config, "retune_cost", 1.0),
-        )
+        if columnar is not None:
+            outcome = columnar.run(
+                trace.pages[:, None],
+                warmup_requests=config.warmup_requests,
+                extra_warmup=config.extra_warmup,
+                collect_responses=plan.collect_responses,
+                tracer=run_tracer,
+                profile=profile,
+            ).to_engine_outcome(0)
+        else:
+            if run_tracer is not None and run_tracer.enabled:
+                cache = TracedCache(cache, run_tracer)
+            outcome = _run_scalar(
+                plan, schedule, mapping, layout, cache, trace,
+                tracer=run_tracer, profile=profile,
+            )
         if profiling:
             profile.stop_phase("run")
             profile.count("plans", 1)

@@ -10,9 +10,9 @@ Three subcommands:
   zero — the §2.1 fixed-inter-arrival property, the Bus Stop Paradox
   check), a **responses** hit/miss/wait breakdown with a wait-time
   histogram, and **cache** admission/eviction/residency totals.  Given
-  a run or sweep *manifest* (a JSON document, not JSONL) instead, it
-  pretty-prints the manifest's headline, profile, monitor, and
-  build-cache blocks.
+  a run, sweep or fleet *manifest* (a JSON document, not JSONL)
+  instead, it pretty-prints the manifest's headline (one row per
+  segment for a fleet), profile, and monitor blocks.
 * ``analyze`` runs the deeper :mod:`repro.obs.analyze` attribution over
   a trace: response time by disk, broadcast slot utilization, cache
   residency, and per-client latency with Jain fairness.

@@ -63,9 +63,9 @@ def build_manifest(result, *, metrics=None, tracer=None, profile=None,
     snapshot / emission totals when provided; ``profile`` (a
     :class:`repro.obs.profile.Profiler`) and ``monitors`` (a
     :class:`repro.obs.monitor.MonitorSuite`) embed their schema-tagged
-    snapshots — so a manifest carries the run's phase timings,
-    timing-tier attribution, and any invariant violations alongside the
-    measurements they describe.
+    snapshots — so a manifest carries the run's phase timings, engine
+    counters, and any invariant violations alongside the measurements
+    they describe.
     """
     config = result.config
     stats = result.response_stats

@@ -30,9 +30,8 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.exec.plan import RunPlan, derive_seed
+from repro.exec.plan import RunPlan, check_engine, derive_seed
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engines import get_plan_engine
 from repro.sim.rng import RandomStreams
 
 #: The client-side knobs a segment may distribute, in the (fixed,
@@ -259,7 +258,7 @@ class PopulationSpec:
                 f"population {self.name!r} has duplicate segment names: "
                 f"{', '.join(sorted(set(n for n in names if names.count(n) > 1)))}"
             )
-        get_plan_engine(self.engine)  # rejects unknown/non-plan engines
+        check_engine(self.engine)
 
     @property
     def num_clients(self) -> int:

@@ -23,7 +23,6 @@ class RandomStreams:
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self._root = np.random.SeedSequence(self.seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> np.random.Generator:

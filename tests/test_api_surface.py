@@ -8,7 +8,7 @@ Three protections for the 1.1 consolidation:
   here before it reaches a caller;
 * the end of the one-release positional shim (removed in 1.4): a
   positional option is a ``TypeError``, and keyword calls never warn;
-* the engine registry: every rejection names the valid engines.
+* the engine names: every rejection lists the four plan engines.
 """
 
 import inspect
@@ -18,15 +18,8 @@ import pytest
 
 import repro
 from repro.errors import ConfigurationError
+from repro.exec.plan import ENGINES, RunPlan
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engines import (
-    EngineSpec,
-    engine_names,
-    get_engine,
-    get_plan_engine,
-    plan_engine_names,
-    register_engine,
-)
 from repro.experiments.runner import run_experiment, sweep, sweep_results
 from repro.population import run_population
 
@@ -36,7 +29,6 @@ EXPECTED_ALL = [
     "ConfigurationError",
     "DISK_PRESETS",
     "DiskLayout",
-    "EngineSpec",
     "ExperimentConfig",
     "ExperimentResult",
     "LogicalPhysicalMapping",
@@ -56,9 +48,7 @@ EXPECTED_ALL = [
     "ZipfRegionDistribution",
     "__version__",
     "available_policies",
-    "engine_names",
     "make_policy",
-    "register_engine",
     "run_clients",
     "run_experiment",
     "run_population",
@@ -94,7 +84,7 @@ class TestExportSnapshot:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.4.0"
+        assert repro.__version__ == "1.5.0"
 
 
 class TestKeywordOnlyContract:
@@ -225,15 +215,6 @@ class TestChannelOptionsSurface:
         assert config.channels == 1
         assert config.retune_cost == 1.0
 
-    def test_plan_engines_accept_channel_kwargs(self):
-        for name in plan_engine_names():
-            run_plan = get_plan_engine(name).run_plan
-            parameters = inspect.signature(run_plan).parameters
-            for option in ("channels", "retune_cost"):
-                assert option in parameters, (name, option)
-                assert parameters[option].kind is \
-                    inspect.Parameter.KEYWORD_ONLY, (name, option)
-
     def test_config_hash_omits_channel_defaults(self):
         from repro.obs.manifest import _config_dict, config_hash
 
@@ -247,45 +228,36 @@ class TestChannelOptionsSurface:
         assert config_hash(multi) != config_hash(implicit)
 
 
+VALID_ENGINES = "valid engines: batch, fast, fast-reference, process"
+
+
 class TestEngineRegistry:
+    """The four plan engines, named once in ``repro.exec.plan.ENGINES``."""
+
     def test_names_include_builtins(self):
-        assert set(engine_names()) >= {
-            "batch", "fast", "fast-reference", "process", "hybrid", "query",
-        }
-        assert plan_engine_names() == (
-            "batch", "fast", "fast-reference", "process"
-        )
+        from repro.experiments.cli import build_parser
+
+        assert ENGINES == ("batch", "fast", "fast-reference", "process")
+        parser = build_parser()
+        for command in (["run"], ["figures", "fig5"], ["population"]):
+            for name in ENGINES:
+                args = parser.parse_args([*command, "--engine", name])
+                assert args.engine == name
+            with pytest.raises(SystemExit):
+                parser.parse_args([*command, "--engine", "hybrid"])
 
     def test_unknown_engine_lists_valid_names(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            get_engine("quantum")
-        message = str(excinfo.value)
-        for name in engine_names():
-            assert name in message
+            RunPlan(small_config(), engine="quantum")
+        assert str(excinfo.value) == f"unknown engine 'quantum'; {VALID_ENGINES}"
 
     def test_study_engine_rejected_for_plans(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            get_plan_engine("hybrid")
-        message = str(excinfo.value)
-        assert "does not execute RunPlans" in message
-        assert "fast" in message and "process" in message
+        # The studies run through the CLI's ARTIFACTS, not as engines.
+        for name in ("hybrid", "query", "multichannel"):
+            with pytest.raises(ConfigurationError) as excinfo:
+                run_experiment(small_config(), engine=name)
+            assert str(excinfo.value).endswith(VALID_ENGINES), name
 
     def test_run_experiment_rejects_unknown_engine(self):
         with pytest.raises(ConfigurationError, match="valid engines"):
             run_experiment(small_config(), engine="quantum")
-
-    def test_reregistering_different_spec_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_engine(EngineSpec(
-                name="fast",
-                summary="an impostor",
-                executes_plans=False,
-                study="repro.experiments.figures:query_study",
-            ))
-
-    def test_reregistering_identical_spec_is_idempotent(self):
-        spec = get_engine("hybrid")
-        assert register_engine(spec) is spec
-
-    def test_study_engine_resolves_callable(self):
-        assert callable(get_engine("query").resolve_study())

@@ -6,7 +6,7 @@ traced record stream, and the folded fleet rollup — and a fleet folds
 the same whether or not a tracer, profiler or monitor watches it
 (``src/repro/batch/fleet.py`` docstring).
 
-Plus the rails around the engine: registry fallback for unbatchable
+Plus the rails around the engine: the plan fallback for unbatchable
 policies, fleet fallback for heterogeneous segments, the page-range
 check on trace matrices, monitor keying on interleaved per-client
 records, and the process-pool clamp that stops small fleets from paying
@@ -103,16 +103,19 @@ class TestSingleClientExactness:
         assert batch.measured_requests == fast.measured_requests
 
     def test_traced_record_streams_identical(self):
-        streams = {}
-        for engine in ("fast", "batch"):
-            sink = MemorySink()
-            run_experiment(config(num_requests=150), engine=engine,
-                           tracer=Tracer(sink))
-            streams[engine] = [
-                (r.time, r.kind, r.fields) for r in sink.records
-            ]
-        assert streams["batch"] == streams["fast"]
-        assert len(streams["batch"]) > 0
+        # LIX runs columnar; LRU-K has no columnar form, so its batch
+        # plan runs the scalar cache wrapped in a TracedCache.
+        for policy in ("LIX", "LRU-K"):
+            streams = {}
+            for engine in ("fast", "batch"):
+                sink = MemorySink()
+                run_experiment(config(num_requests=150, policy=policy),
+                               engine=engine, tracer=Tracer(sink))
+                streams[engine] = [
+                    (r.time, r.kind, r.fields) for r in sink.records
+                ]
+            assert streams["batch"] == streams["fast"], policy
+            assert len(streams["batch"]) > 0, policy
 
     def test_unbatchable_policy_falls_back_to_fast(self):
         # LRU-K has no columnar formulation; the batch plan engine must

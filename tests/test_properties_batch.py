@@ -21,6 +21,8 @@ Decision equality on every step subsumes evict-score agreement: a
 diverging score would pick a diverging victim somewhere in the stream.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -392,7 +394,9 @@ class TestSubSegmentationIdentity:
             ),
         )
         fleet = run_fleet(spec)
-        population = run_population(spec)
+        # A ``batch`` spec would send run_population back to run_fleet;
+        # ``fast`` folds the clients one plan at a time.
+        population = run_population(dataclasses.replace(spec, engine="fast"))
 
         def strip(document):
             document.pop("total_wall_seconds")
