@@ -1,17 +1,25 @@
 """CI smoke run for the plan/executor stack.
 
-Runs a reduced Figure-5 grid (D5, Δ=0..3, plus a noisy variant) twice —
-once with ``SerialExecutor`` and once with ``ParallelExecutor(jobs=2)``
-— and fails unless the two runs are byte-identical:
+Runs a reduced Figure-5 grid (D5, Δ=0..3 at two noise levels) three
+times — with ``SerialExecutor``, with ``ParallelExecutor(jobs=2)``, and
+with every plan run alone through ``execute_plan(plan)`` with no
+``BuildCache`` — and fails unless the runs are byte-identical:
 
 * per-point mean response times and collected samples;
 * per-run metrics snapshots folded into the registry;
 * the aggregated sweep manifests, compared as canonical JSON after
   ``strip_wall_clock`` removes the only fields allowed to differ.
 
+The serial sweep shares one build cache across the grid: one schedule
+per Δ, and the last mapping and trace whenever the next point's key
+matches (every Δ of one noise level shares a mapping, the whole grid
+one trace).  The isolated arm builds everything fresh, so it checks
+that the sharing changes nothing; the script prints the reuse counts
+and fails if the grid exercised no mapping or trace reuse.
+
 Also replays the serial run from its checkpoint journal and verifies
 the resumed sweep reproduces the original exactly without re-executing
-anything.  Leaves both manifests in the artifact directory.
+anything.  Leaves the manifests in the artifact directory.
 
 Usage::
 
@@ -29,7 +37,13 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.exec import SerialExecutor, SweepCheckpoint, plan_sweep
+from repro.exec import (
+    BuildCache,
+    SerialExecutor,
+    SweepCheckpoint,
+    execute_plan,
+    plan_sweep,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import sweep_results
 from repro.obs.manifest import strip_wall_clock
@@ -39,7 +53,7 @@ JOBS = 2
 
 
 def smoke_grid():
-    """A reduced Figure 5 slice plus one noisy point (shared layouts)."""
+    """A reduced Figure 5 slice: Δ=0..3 at two noise levels."""
     base = dict(
         disk_sizes=(50, 200, 250),
         cache_size=50,
@@ -49,14 +63,21 @@ def smoke_grid():
         num_requests=600,
         seed=7,
     )
-    configs = [
-        ExperimentConfig(delta=delta, label=f"smoke Δ={delta}", **base)
+    return [
+        ExperimentConfig(
+            delta=delta, noise=noise,
+            label=f"smoke Δ={delta} noise={noise:.0%}", **base,
+        )
+        for noise in (0.0, 0.45)
         for delta in range(4)
     ]
-    configs.append(
-        ExperimentConfig(delta=3, noise=0.45, label="smoke Δ=3 noisy", **base)
-    )
-    return configs
+
+
+class IsolatedExecutor:
+    """Runs every plan alone: ``execute_plan(plan)``, no build cache."""
+
+    def run(self, plans, **_hooks):
+        return [execute_plan(plan) for plan in plans]
 
 
 def canonical(path: Path) -> str:
@@ -81,6 +102,7 @@ def main(argv=None) -> int:
     configs = smoke_grid()
     serial_manifest = out / "serial-manifest.json"
     parallel_manifest = out / "parallel-manifest.json"
+    isolated_manifest = out / "isolated-manifest.json"
 
     print(f"== serial sweep ({len(configs)} points) ==")
     serial_metrics = MetricsRegistry()
@@ -101,17 +123,48 @@ def main(argv=None) -> int:
         collect_responses=True,
     )
 
+    print("== isolated plans (no build cache) ==")
+    isolated_metrics = MetricsRegistry()
+    isolated = sweep_results(
+        configs,
+        executor=IsolatedExecutor(),
+        metrics=isolated_metrics,
+        manifest=str(isolated_manifest),
+        collect_responses=True,
+    )
+
     failures = []
-    if [r.mean_response_time for r in serial] != [
-        r.mean_response_time for r in parallel
-    ]:
-        failures.append("mean response times diverged")
-    if [r.samples for r in serial] != [r.samples for r in parallel]:
-        failures.append("collected samples diverged")
-    if serial_metrics.snapshot() != parallel_metrics.snapshot():
-        failures.append("metrics snapshots diverged")
-    if canonical(serial_manifest) != canonical(parallel_manifest):
-        failures.append("sweep manifests diverged (beyond wall-clock fields)")
+    for arm, results, metrics, manifest in (
+        ("parallel", parallel, parallel_metrics, parallel_manifest),
+        ("isolated", isolated, isolated_metrics, isolated_manifest),
+    ):
+        if [r.mean_response_time for r in serial] != [
+            r.mean_response_time for r in results
+        ]:
+            failures.append(f"{arm}: mean response times diverged")
+        if [r.samples for r in serial] != [r.samples for r in results]:
+            failures.append(f"{arm}: collected samples diverged")
+        if serial_metrics.snapshot() != metrics.snapshot():
+            failures.append(f"{arm}: metrics snapshots diverged")
+        if canonical(serial_manifest) != canonical(manifest):
+            failures.append(
+                f"{arm}: sweep manifests diverged (beyond wall-clock fields)"
+            )
+
+    # The serial executor's cache is private to its run, so count the
+    # reuse on a replay of the grid through one shared cache.
+    builds = BuildCache()
+    for plan in plan_sweep(configs, collect_responses=True):
+        execute_plan(plan, builds=builds)
+    print(
+        f"shared build cache over {len(configs)} points: "
+        f"{builds.misses} schedules built, "
+        f"mapping reused {builds.mapping_hits}x "
+        f"({builds.mapping_misses} built), "
+        f"trace reused {builds.trace_hits}x ({builds.trace_misses} built)"
+    )
+    if not builds.mapping_hits or not builds.trace_hits:
+        failures.append("the grid exercised no mapping or trace reuse")
 
     print("== checkpoint replay ==")
     journal = out / "smoke-checkpoint.jsonl"
@@ -133,7 +186,7 @@ def main(argv=None) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
 
-    print(f"serial == parallel (jobs={args.jobs}) across "
+    print(f"serial == parallel (jobs={args.jobs}) == isolated across "
           f"{len(configs)} points: means, samples, metrics, manifests")
     print(f"checkpoint replay reproduced the sweep from {journal.name}")
     print("artifacts in", out)

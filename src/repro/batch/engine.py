@@ -67,10 +67,18 @@ def batchable_policy_name(policy: str) -> Optional[str]:
 
 
 def frequency_array(schedule: BroadcastSchedule) -> np.ndarray:
-    """Broadcast frequency per physical page (0.0 for absent pages)."""
-    size = max(schedule.pages, default=0) + 1
-    frequency = np.zeros(size, dtype=np.float64)
-    for page in schedule.pages:
+    """Broadcast frequency per physical page (0.0 for absent pages).
+
+    A fixed-gap page airs ``period / gap`` times per period, so its
+    frequency ``count / period`` and ``1 / gap`` are correctly rounded
+    quotients of the same rational: the same float.  Only irregular
+    pages (gap 0) ask the schedule one by one.
+    """
+    _residue, gap = schedule.regular_timing()
+    frequency = np.zeros(len(gap), dtype=np.float64)
+    np.divide(1.0, gap, out=frequency, where=gap > 0)
+    pages = np.asarray(schedule.pages, dtype=np.int64)
+    for page in pages[gap[pages] == 0].tolist():
         frequency[page] = schedule.frequency(page)
     return frequency
 

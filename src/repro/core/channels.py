@@ -52,6 +52,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.chunks import EMPTY_SLOT, ChunkPlan, lcm_many
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastProgram, BroadcastSchedule
@@ -336,10 +338,11 @@ def channel_schedule(
         freq for freq, count in zip(layout.rel_freqs, counts) if count
     ]
     sub_layout = DiskLayout(sub_sizes, sub_freqs)
-    slots = ChunkPlan.for_layout(sub_layout).interleave()
-    translated = [
-        EMPTY_SLOT if slot == EMPTY_SLOT else pages[slot] for slot in slots
-    ]
+    slots = np.asarray(ChunkPlan.for_layout(sub_layout).interleave())
+    physical = np.asarray(pages, dtype=np.int64)
+    translated = np.where(
+        slots == EMPTY_SLOT, EMPTY_SLOT, physical[np.maximum(slots, 0)]
+    )
     return BroadcastSchedule(translated, label=label)
 
 

@@ -6,13 +6,18 @@ for padding).  Slot ``s`` of cycle ``k`` occupies real time
 ``[k*period + s, k*period + s + 1)`` in broadcast units, and its page is
 usable by a client at the *completion* instant ``k*period + s + 1``.
 
-The class pre-computes each page's occurrence list so the two timing
+The constructor builds every per-page table in one vectorised pass:
+a stable argsort of the slot array groups each page's occurrences into
+one read-only array, and dense tables indexed by page id hold each
+page's broadcast count, its first occurrence and, for pages with a
+fixed inter-arrival gap, the ``(residue, gap)`` pair of the closed
+form.  Every per-page query is then an O(1) read, and the two timing
 queries the simulators need are cheap:
 
 * :meth:`next_arrival` — the first completion of a page after a given
   time.  Pages with a fixed inter-arrival gap (every page of a §2.2
   multidisk program — the property the paper proves in §2.1) answer
-  with O(1) modular arithmetic from a cached ``(residue, gap)`` pair;
+  with O(1) modular arithmetic from their ``(residue, gap)`` pair;
   irregular pages answer by :meth:`next_arrival_bisect`, an
   O(log occurrences) bisection that is also the reference
   implementation for the property tests and the perf gate.
@@ -35,82 +40,149 @@ import numpy as np
 from repro.core.chunks import EMPTY_SLOT
 from repro.errors import ScheduleError
 
+#: The largest page id a schedule accepts.  Every per-page table is
+#: indexed by page id, so a schedule allocates about 32 bytes for each
+#: id up to its largest; this bound caps that at about 128 MiB.
+MAX_PAGE_ID = 2**22 - 1
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
 
 class BroadcastSchedule:
     """An immutable periodic broadcast program."""
 
     def __init__(self, slots: Sequence[int], label: str = ""):
-        slots = [int(s) for s in slots]
-        if not slots:
+        try:
+            array = np.array(slots, dtype=np.int64)
+        except OverflowError:
+            raise ScheduleError(
+                f"a page id exceeds the largest allowed page id {MAX_PAGE_ID}"
+            ) from None
+        if array.ndim != 1:
+            raise ScheduleError("slots must be a flat sequence of page ids")
+        if not array.size:
             raise ScheduleError("a broadcast schedule needs at least one slot")
-        if any(s < 0 and s != EMPTY_SLOT for s in slots):
+        if int(array.min()) < EMPTY_SLOT:
             raise ScheduleError("slots must hold page ids >= 0 or EMPTY_SLOT")
-        self._slots: Tuple[int, ...] = tuple(slots)
-        self.label = label
-        # Collect occurrence lists as plain python lists, then freeze
-        # each page's list to an immutable sorted int64 array.
-        collected: Dict[int, List[int]] = {}
-        for index, page in enumerate(self._slots):
-            if page != EMPTY_SLOT:
-                collected.setdefault(page, []).append(index)
-        if not collected:
+        top = int(array.max())
+        if top == EMPTY_SLOT:
             raise ScheduleError("schedule contains only empty slots")
-        self._occurrences: Dict[int, np.ndarray] = {
-            page: np.asarray(indices, dtype=np.int64)
-            for page, indices in collected.items()
-        }
-        # Lazily-built timing structures (see docs/PERFORMANCE.md):
-        # per-page (residue, gap) pairs for fixed-gap pages (None marks
-        # irregular ones), plus the sorted index of non-empty slot
-        # offsets the channel scans with.
-        self._fixed_gaps: Dict[int, Optional[Tuple[int, int]]] = {}
+        if top > MAX_PAGE_ID:
+            raise ScheduleError(
+                f"page id {top} exceeds the largest allowed page id "
+                f"{MAX_PAGE_ID}: per-page tables are indexed by page id"
+            )
+        self.label = label
+        period = len(array)
+        self._slot_array = _frozen(array)
+        self._slots: Optional[Tuple[int, ...]] = None
         self._nonempty_slots: Optional[np.ndarray] = None
-        self._regular_timing: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+        # Shifting EMPTY_SLOT (-1) to 0 lets one bincount give the
+        # padding count and every page's broadcast count.
+        counts = np.bincount(array + 1)
+        self._empty = int(counts[0])
+        counts = counts[1:]
+        # The stable sort lists each page's slot indices in ascending
+        # order, pages in ascending order, after the padding slots.
+        order = np.argsort(array, kind="stable")[self._empty:]
+        starts = np.cumsum(counts) - counts
+        present = counts > 0
+        self._num_pages = int(np.count_nonzero(present))
+
+        # A page has a fixed gap iff its count divides the period and
+        # every step between its successive occurrences equals
+        # period // count (the wrap step is then that gap as well).
+        gap = np.where(present, period // np.maximum(counts, 1), 0)
+        regular = present & (gap * counts == period)
+        paged = array[order]
+        steps = np.diff(order)
+        uneven = (paged[1:] == paged[:-1]) & (steps != gap[paged[:-1]])
+        regular[paged[:-1][uneven]] = False
+        gap[~regular] = 0
+        first = order[np.minimum(starts, len(order) - 1)]
+        residue = np.where(regular, (first + 1) % np.maximum(gap, 1), 0)
+
+        self._order = _frozen(order)
+        self._counts = _frozen(counts)
+        self._residue = _frozen(residue)
+        self._gap = _frozen(gap)
+        # Scalar queries read the tables through memoryviews, which
+        # return Python ints without boxing a NumPy scalar.
+        self._period = period
+        self._count_of = memoryview(self._counts)
+        self._start_of = memoryview(_frozen(starts))
+        self._residue_of = memoryview(self._residue)
+        self._gap_of = memoryview(self._gap)
 
     # -- structure ---------------------------------------------------------
     @property
     def slots(self) -> Tuple[int, ...]:
-        """The page id (or EMPTY_SLOT) broadcast in each slot of one period."""
-        return self._slots
+        """The page id (or EMPTY_SLOT) broadcast in each slot of one period.
+
+        Built from the slot array on first use and cached.
+        """
+        slots = self._slots
+        if slots is None:
+            slots = self._slots = tuple(self._slot_array.tolist())
+        return slots
 
     @property
     def period(self) -> int:
         """Length of the major cycle, in broadcast units."""
-        return len(self._slots)
+        return self._period
 
     @property
     def pages(self) -> List[int]:
         """Sorted list of distinct pages carried by the broadcast."""
-        return sorted(self._occurrences)
+        return np.flatnonzero(self._counts).tolist()
 
     @property
     def num_pages(self) -> int:
         """Number of distinct pages carried by the broadcast."""
-        return len(self._occurrences)
+        return self._num_pages
 
     @property
     def empty_slots(self) -> int:
         """Number of padding slots per period."""
-        return self.period - sum(len(o) for o in self._occurrences.values())
+        return self._empty
+
+    def _count(self, page: int) -> int:
+        """Broadcasts of ``page`` per period; raises if it never airs."""
+        try:
+            count = self._count_of[page] if page >= 0 else 0
+        except IndexError:
+            count = 0
+        if count:
+            return count
+        raise ScheduleError(
+            f"page {page} never appears on broadcast {self.label!r}"
+        )
 
     def __contains__(self, page: int) -> bool:
-        return page in self._occurrences
+        try:
+            return page >= 0 and self._count_of[page] > 0
+        except IndexError:
+            return False
 
     def __len__(self) -> int:
         return self.period
 
     def occurrences(self, page: int) -> np.ndarray:
-        """Sorted slot indices (within one period) where ``page`` appears."""
-        try:
-            return self._occurrences[page]
-        except KeyError:
-            raise ScheduleError(
-                f"page {page} never appears on broadcast {self.label!r}"
-            ) from None
+        """Sorted slot indices (within one period) where ``page`` appears.
+
+        A read-only slice of the schedule's occurrence array.
+        """
+        count = self._count(page)
+        start = self._start_of[page]
+        return self._order[start:start + count]
 
     def broadcasts_per_period(self, page: int) -> int:
         """How many times ``page`` is transmitted each major cycle."""
-        return len(self.occurrences(page))
+        return self._count(page)
 
     def frequency(self, page: int) -> float:
         """Broadcast frequency of ``page`` in transmissions per broadcast unit.
@@ -118,7 +190,7 @@ class BroadcastSchedule:
         This is the paper's *X*: the fraction of broadcast slots carrying
         the page.
         """
-        return self.broadcasts_per_period(page) / self.period
+        return self._count(page) / self._period
 
     # -- timing --------------------------------------------------------------
     def next_arrival(self, page: int, time: float) -> float:
@@ -142,14 +214,14 @@ class BroadcastSchedule:
         Both return the exact same instant (asserted by the hypothesis
         property tests).
         """
-        entry = self._fixed_gaps.get(page)
-        if entry is None and page not in self._fixed_gaps:
-            entry = self.fixed_gap(page)
-        if entry is None:
+        try:
+            gap = self._gap_of[page] if page >= 0 else 0
+        except IndexError:
+            gap = 0
+        if not gap:
             return self.next_arrival_bisect(page, time)
-        residue, gap = entry
         base = math.floor(time) + 1
-        return float(base + (residue - base) % gap)
+        return float(base + (self._residue_of[page] - base) % gap)
 
     def fixed_gap(self, page: int) -> Optional[Tuple[int, int]]:
         """``(residue, gap)`` when ``page`` has a fixed inter-arrival gap.
@@ -161,25 +233,11 @@ class BroadcastSchedule:
         next one after any instant ``t`` is
         ``base + (residue - base) % g`` with ``base = floor(t) + 1``.
         Returns ``None`` for pages with irregular spacing (those use
-        the bisection).  Cached after the first call.
+        the bisection).  A read of the table built with the schedule.
         """
-        entry = self._fixed_gaps.get(page)
-        if entry is None and page not in self._fixed_gaps:
-            occ = self.occurrences(page)
-            count = len(occ)
-            entry = None
-            if self.period % count == 0:
-                gap = self.period // count
-                first = int(occ[0])
-                # Equally spaced iff occ is the arithmetic progression
-                # first + j*gap (the wrap gap is then gap as well,
-                # because count * gap == period).
-                if count == 1 or np.array_equal(
-                    occ, first + gap * np.arange(count, dtype=np.int64)
-                ):
-                    entry = ((first + 1) % gap, gap)
-            self._fixed_gaps[page] = entry
-        return entry
+        self._count(page)
+        gap = self._gap_of[page]
+        return (self._residue_of[page], gap) if gap else None
 
     def next_arrival_bisect(self, page: int, time: float) -> float:
         """Reference :meth:`next_arrival`: bisection into the occurrences.
@@ -211,27 +269,15 @@ class BroadcastSchedule:
     def regular_timing(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-page ``(residue, gap)`` arrays for vectorized timing.
 
-        Index ``p`` of the two immutable int64 arrays holds the
-        :meth:`fixed_gap` pair of physical page ``p``; a gap of ``0``
-        marks pages that are irregular (or absent from the broadcast)
-        and must take a scalar tier instead.  Built once over every
-        carried page and cached — the batch engine's columnar clock
-        arithmetic indexes these directly.
+        Index ``p`` of the two immutable int64 arrays, one entry per
+        page id up to the largest carried, holds the :meth:`fixed_gap`
+        pair of physical page ``p``; a gap of ``0`` marks pages that are
+        irregular (or absent from the broadcast) and must take a scalar
+        tier instead.  These are the tables the constructor built — the
+        batch engine's columnar clock arithmetic and the fast engine's
+        per-run page lists index them directly.
         """
-        cached = self._regular_timing
-        if cached is None:
-            size = max(self._occurrences) + 1
-            residue = np.zeros(size, dtype=np.int64)
-            gap = np.zeros(size, dtype=np.int64)
-            for page in self._occurrences:
-                entry = self.fixed_gap(page)
-                if entry is not None:
-                    residue[page], gap[page] = entry
-            residue.flags.writeable = False
-            gap.flags.writeable = False
-            cached = (residue, gap)
-            self._regular_timing = cached
-        return cached
+        return self._residue, self._gap
 
     def next_arrival_batch(
         self, pages: np.ndarray, times: np.ndarray
@@ -358,18 +404,15 @@ class BroadcastSchedule:
     def nonempty_slots(self) -> np.ndarray:
         """Sorted slot offsets (one period) that carry a page.
 
-        Built lazily on first use and cached; the channel uses it to
-        jump straight to the next interesting completion instead of
-        scanning the period slot by slot.
+        Built on first use and cached; the channel uses it to jump
+        straight to the next interesting completion instead of scanning
+        the period slot by slot.
         """
         index = self._nonempty_slots
         if index is None:
-            index = np.asarray(
-                [s for s, page in enumerate(self._slots) if page != EMPTY_SLOT],
-                dtype=np.int64,
+            index = self._nonempty_slots = _frozen(
+                np.flatnonzero(self._slot_array != EMPTY_SLOT)
             )
-            index.flags.writeable = False
-            self._nonempty_slots = index
         return index
 
     def next_nonempty_completion(self, time: float) -> float:
@@ -395,7 +438,7 @@ class BroadcastSchedule:
         Returns ``None`` for padding slots.
         """
         slot = int(math.floor(slot_time)) % self.period
-        page = self._slots[slot]
+        page = self._slot_array.item(slot)
         return None if page == EMPTY_SLOT else page
 
     def completions_in(self, start: float, stop: float):
@@ -407,13 +450,19 @@ class BroadcastSchedule:
         """
         first = int(math.floor(start))  # slot whose completion is first+1
         last = int(math.ceil(stop)) - 1
+        page_of = self._slot_array.item
+        period = self.period
         for slot in range(first, last + 1):
             completion = slot + 1.0
             if completion <= start or completion > stop:
                 continue
-            page = self._slots[slot % self.period]
+            page = page_of(slot % period)
             if page != EMPTY_SLOT:
                 yield completion, page
+
+    def __reduce__(self):
+        # Memoryviews do not pickle: rebuild the tables from the slots.
+        return BroadcastSchedule, (self._slot_array, self.label)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -434,7 +483,9 @@ class BroadcastProgram:
     configurable number of slots (see ``client/client.py``).
 
     The rows must *partition* the pages: every page appears on exactly
-    one channel.  Timing queries delegate to the owning row, so a
+    one channel.  The constructor merges the rows' per-page tables into
+    dense program-wide ones (owning channel, ``(residue, gap)``), and
+    the other per-page queries delegate to the owning row, so a
     program duck-types the read-only surface of a single schedule
     (``next_arrival``, ``fixed_gap``, ``frequency``, ``__contains__``,
     ...) and slots into the engines and monitors unchanged.  A one-row
@@ -453,20 +504,35 @@ class BroadcastProgram:
                     f"channel {index} is {type(row).__name__}, "
                     "expected BroadcastSchedule"
                 )
-        channel_of: Dict[int, int] = {}
+        # Merge the rows' per-page tables into dense program-wide ones:
+        # the owning channel (-1 where no row carries the page) and the
+        # owning row's (residue, gap) pair.
+        size = max(len(row._counts) for row in rows)
+        channel = np.full(size, -1, dtype=np.int64)
+        residue = np.zeros(size, dtype=np.int64)
+        gap = np.zeros(size, dtype=np.int64)
         for index, row in enumerate(rows):
-            for page in row.pages:
-                if page in channel_of:
-                    raise ScheduleError(
-                        f"page {page} appears on channels "
-                        f"{channel_of[page]} and {index}; channel rows "
-                        "must partition the pages"
-                    )
-                channel_of[page] = index
+            pages = np.flatnonzero(row._counts)
+            taken = pages[channel[pages] >= 0]
+            if len(taken):
+                page = int(taken[0])
+                raise ScheduleError(
+                    f"page {page} appears on channels "
+                    f"{channel[page]} and {index}; channel rows "
+                    "must partition the pages"
+                )
+            channel[pages] = index
+            residue[pages] = row._residue[pages]
+            gap[pages] = row._gap[pages]
         self._channels = rows
-        self._channel_of = channel_of
-        self._channel_array: Optional[np.ndarray] = None
-        self._regular_timing: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._channel = _frozen(channel)
+        self._channel_array = _frozen(np.maximum(channel, 0))
+        self._residue = _frozen(residue)
+        self._gap = _frozen(gap)
+        self._channel_of = memoryview(self._channel)
+        self._residue_of = memoryview(self._residue)
+        self._gap_of = memoryview(self._gap)
+        self._num_pages = sum(row.num_pages for row in rows)
         self.label = label or f"program[{'x'.join(r.label or '?' for r in rows)}]"
 
     # -- structure -----------------------------------------------------------
@@ -482,11 +548,11 @@ class BroadcastProgram:
     @property
     def pages(self) -> Tuple[int, ...]:
         """All pages carried by the program, across every channel."""
-        return tuple(sorted(self._channel_of))
+        return tuple(np.flatnonzero(self._channel >= 0).tolist())
 
     @property
     def num_pages(self) -> int:
-        return len(self._channel_of)
+        return self._num_pages
 
     @property
     def period(self) -> int:
@@ -527,15 +593,19 @@ class BroadcastProgram:
     def channel_of(self, page: int) -> int:
         """Index of the channel carrying ``page``."""
         try:
-            return self._channel_of[page]
-        except KeyError:
-            raise ScheduleError(
-                f"page {page} never appears on program {self.label!r}"
-            ) from None
+            channel = self._channel_of[page] if page >= 0 else -1
+        except IndexError:
+            channel = -1
+        if channel >= 0:
+            return channel
+        raise ScheduleError(
+            f"page {page} never appears on program {self.label!r}"
+        )
 
     def channel_map(self) -> Dict[int, int]:
         """A fresh ``page -> channel`` dict (for tuner hot loops)."""
-        return dict(self._channel_of)
+        pages = np.flatnonzero(self._channel >= 0)
+        return dict(zip(pages.tolist(), self._channel[pages].tolist()))
 
     def channel_array(self) -> np.ndarray:
         """Dense ``page -> channel`` int64 lookup for vectorized tuners.
@@ -543,21 +613,16 @@ class BroadcastProgram:
         Index ``p`` holds the channel carrying physical page ``p``;
         pages absent from the program map to channel 0 (the scalar
         tuner raises on them, but a columnar engine only ever queries
-        carried pages, so the filler is never observed).  Built once and
-        cached read-only.
+        carried pages, so the filler is never observed).  Built with the
+        program, read-only.
         """
-        cached = self._channel_array
-        if cached is None:
-            size = max(self._channel_of) + 1
-            cached = np.zeros(size, dtype=np.int64)
-            for page, channel in self._channel_of.items():
-                cached[page] = channel
-            cached.flags.writeable = False
-            self._channel_array = cached
-        return cached
+        return self._channel_array
 
     def __contains__(self, page: int) -> bool:
-        return page in self._channel_of
+        try:
+            return page >= 0 and self._channel_of[page] >= 0
+        except IndexError:
+            return False
 
     def __len__(self) -> int:
         return self.period
@@ -589,7 +654,11 @@ class BroadcastProgram:
         return self.schedule_of(page).next_arrival_bisect(page, time)
 
     def fixed_gap(self, page: int) -> Optional[Tuple[int, int]]:
-        return self.schedule_of(page).fixed_gap(page)
+        """The owning row's :meth:`BroadcastSchedule.fixed_gap` pair,
+        read from the merged table."""
+        self.channel_of(page)
+        gap = self._gap_of[page]
+        return (self._residue_of[page], gap) if gap else None
 
     def wait_time(self, page: int, time: float) -> float:
         return self.next_arrival(page, time) - time
@@ -608,27 +677,18 @@ class BroadcastProgram:
         row's :meth:`fixed_gap` pair; a gap of ``0`` marks irregular
         (or absent) pages that must take a scalar tier.  Residues are
         defined modulo their own gap, so the closed form needs no
-        common period across rows.
+        common period across rows.  Merged when the program is built.
         """
-        cached = self._regular_timing
-        if cached is None:
-            size = max(self._channel_of) + 1
-            residue = np.zeros(size, dtype=np.int64)
-            gap = np.zeros(size, dtype=np.int64)
-            for page, channel in self._channel_of.items():
-                entry = self._channels[channel].fixed_gap(page)
-                if entry is not None:
-                    residue[page], gap[page] = entry
-            residue.flags.writeable = False
-            gap.flags.writeable = False
-            cached = (residue, gap)
-            self._regular_timing = cached
-        return cached
+        return self._residue, self._gap
 
     #: One body for both classes: ``self.regular_timing()`` is the
     #: merged C-row grid here, and irregular pages fall back to scalar
     #: :meth:`next_arrival` on their owning row.
     next_arrival_batch = BroadcastSchedule.next_arrival_batch
+
+    def __reduce__(self):
+        # Memoryviews do not pickle: rebuild the tables from the rows.
+        return BroadcastProgram, (self._channels, self.label)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,7 +12,8 @@ the layout/schedule/mapping at every design point.  This package splits
   executors whose results are byte-identical regardless of worker
   count or completion order (results are reassembled in plan order);
 * :class:`~repro.exec.build.BuildCache` — layout/schedule reuse across
-  plans sharing a broadcast structure;
+  plans sharing a broadcast structure, and reuse of the last mapping
+  and trace when consecutive plans share them;
 * :class:`~repro.exec.checkpoint.SweepCheckpoint` — JSONL journal that
   lets an interrupted sweep resume without re-running finished plans.
 

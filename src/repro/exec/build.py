@@ -1,34 +1,48 @@
-"""Structural build caching: reuse layouts and schedules across plans.
+"""Structural build caching: reuse layouts, schedules, mappings and traces.
 
 Constructing the broadcast program is the most expensive *deterministic*
 part of a design point: the multi-disk chunking of 5,000 pages plus the
-schedule's per-page occurrence index.  Yet entire sweep families (every
-noise level of Figures 6-9, every policy of Figures 13-15) share one
+schedule's per-page tables.  Yet entire sweep families (every noise
+level of Figures 6-9, every policy of Figures 13-15) share one
 layout/schedule and differ only in workload or cache parameters.
 
 :class:`BuildCache` memoises ``(layout, schedule)`` keyed on the
 config's *structural key* — exactly the fields that determine the
 broadcast program (disk sizes, Δ, explicit relative frequencies) and
 nothing else.  Both objects are immutable after construction (the
-schedule's occurrence arrays are built once in ``__init__``), so
-sharing them across runs cannot perturb results; the equivalence is
-asserted by ``tests/test_exec_plan.py``.
+schedule builds every timing table in ``__init__``), so sharing them
+across runs cannot perturb results; the equivalence is asserted by
+``tests/test_exec_plan.py``.
 
-Because the schedule object itself is shared, its lazily-built timing
-structures — the fixed-gap entries and the non-empty-slot index of
-``docs/PERFORMANCE.md`` — are built once per broadcast
-structure and reused by every sweep point that shares it.
+The cache also keeps the *last* logical→physical mapping and the *last*
+request trace it built, and hands either back when the next plan asks
+for the same one:
+
+* a mapping depends on the disk sizes, the offset, the noise, the
+  noise scope and the seed (:func:`_mapping_key`) — not on Δ, so the
+  points of one Δ sweep share it;
+* a trace depends on the access range, the region size, θ, the number
+  of requests drawn, the seed and the drift (:func:`_trace_key`) — not
+  on the broadcast or the policy.
+
+Each is drawn from its own named stream of the seed, so reusing one
+never shifts the other's draws.  One entry of each is kept: a fleet
+whose clients all have different seeds holds one extra mapping and
+trace, never one per client.  Both shared objects are read-only (the
+mapping's arrays and the trace's page array reject writes).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastSchedule
 from repro.experiments.config import ExperimentConfig
+from repro.workload.mapping import LogicalPhysicalMapping
+from repro.workload.trace import RequestTrace, generate_trace
 
 
 def structural_key(config: ExperimentConfig) -> Tuple:
@@ -52,6 +66,40 @@ def structural_key(config: ExperimentConfig) -> Tuple:
     return key
 
 
+def _mapping_key(config: ExperimentConfig) -> Tuple:
+    """The config fields that determine the logical→physical mapping."""
+    scope = None if config.noise_over_full_database else config.access_range
+    return (config.disk_sizes, config.offset, config.noise, scope, config.seed)
+
+
+def _trace_key(config: ExperimentConfig, num_requests: int) -> Tuple:
+    """The fields that determine a ``num_requests``-request trace."""
+    return (
+        config.access_range,
+        config.region_size,
+        config.theta,
+        num_requests,
+        config.seed,
+        config.drift_rotations,
+    )
+
+
+def _draw_trace(config: ExperimentConfig, num_requests: int) -> RequestTrace:
+    """The client's first ``num_requests`` requests, from the seed's
+    ``requests`` stream.
+
+    A drifting workload rotates its hotspot over the run while the
+    policy oracle keeps the frozen t=0 snapshot (§3's stale-profile
+    scenario, as in ``figures.drift_study``).
+    """
+    rng = config.build_streams().stream("requests")
+    if config.drift_rotations:
+        return config.build_drift(num_requests).generate_trace(
+            num_requests, rng
+        )
+    return generate_trace(config.build_distribution(), num_requests, rng)
+
+
 def structural_hash(config: ExperimentConfig) -> str:
     """SHA-256 of the structural key — a stable cross-run identity.
 
@@ -63,7 +111,8 @@ def structural_hash(config: ExperimentConfig) -> str:
 
 
 class BuildCache:
-    """Memoised layout/schedule construction for one execution context.
+    """Memoised layout/schedule construction for one execution context,
+    plus the last mapping and trace built.
 
     Each executor (and each worker process) owns its own cache; entries
     are never shipped across process boundaries — workers rebuild on
@@ -72,9 +121,16 @@ class BuildCache:
 
     def __init__(self):
         self._built: Dict[Tuple, Tuple[DiskLayout, BroadcastSchedule]] = {}
+        #: The last mapping and trace built, as ``(key, object)``.
+        self._mapping: Optional[Tuple[Tuple, LogicalPhysicalMapping]] = None
+        self._trace: Optional[Tuple[Tuple, RequestTrace]] = None
         #: Cache statistics, for the curious and for tests.
         self.hits = 0
         self.misses = 0
+        self.mapping_hits = 0
+        self.mapping_misses = 0
+        self.trace_hits = 0
+        self.trace_misses = 0
 
     def layout_and_schedule(
         self, config: ExperimentConfig
@@ -91,11 +147,49 @@ class BuildCache:
             self.hits += 1
         return entry
 
+    def mapping(
+        self, config: ExperimentConfig, layout: DiskLayout
+    ) -> LogicalPhysicalMapping:
+        """The mapping for ``config``: the last one if its key matches.
+
+        ``layout`` must be ``config``'s layout; the mapping reads only
+        its disk sizes, which are part of the key.
+        """
+        key = _mapping_key(config)
+        if self._mapping is not None and self._mapping[0] == key:
+            self.mapping_hits += 1
+            return self._mapping[1]
+        mapping = config.build_mapping(layout, config.build_streams())
+        self._mapping = (key, mapping)
+        self.mapping_misses += 1
+        return mapping
+
+    def trace(self, config: ExperimentConfig, num_requests: int) -> RequestTrace:
+        """``config``'s first ``num_requests`` requests: the last trace
+        if its key matches."""
+        key = _trace_key(config, num_requests)
+        if self._trace is not None and self._trace[0] == key:
+            self.trace_hits += 1
+            return self._trace[1]
+        trace = _draw_trace(config, num_requests)
+        self._trace = (key, trace)
+        self.trace_misses += 1
+        return trace
+
+    def held(self) -> Dict[str, int]:
+        """How many schedules, mappings and traces the cache holds now."""
+        return {
+            "schedules": len(self._built),
+            "mappings": int(self._mapping is not None),
+            "traces": int(self._trace is not None),
+        }
+
     def __len__(self) -> int:
         return len(self._built)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<BuildCache entries={len(self._built)} "
-            f"hits={self.hits} misses={self.misses}>"
+            f"hits={self.hits} misses={self.misses} "
+            f"mapping_hits={self.mapping_hits} trace_hits={self.trace_hits}>"
         )

@@ -25,7 +25,8 @@ How :class:`ParallelExecutor` keeps the contract:
 Both executors thread a :class:`~repro.exec.build.BuildCache` through
 their runs — the serial executor one per ``run()`` call, the parallel
 executor one per worker process — so sweep points sharing a broadcast
-structure skip schedule construction.
+structure skip schedule construction, and consecutive points sharing a
+mapping or trace skip drawing it.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ result depends only on the plan, never on who ran it or alongside what.
 
 Determinism contract (asserted by ``tests/test_exec_parallel.py``):
 ``execute_plan(plan)`` is a pure function of the plan up to the
-``wall_seconds`` field.  Layout/schedule reuse through a
-:class:`~repro.exec.build.BuildCache` changes construction cost only;
-random streams are derived inside the call from the plan's config.
+``wall_seconds`` field.  Layout, schedule, mapping and trace reuse
+through a :class:`~repro.exec.build.BuildCache` changes construction
+cost only: every random stream is derived from the plan's config, and
+a reused object is the one the same key would build.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.obs.clock import perf_counter
 from repro.obs.monitor import MonitorContext
 from repro.obs.trace import Tracer
 from repro.sim.stats import RunningStats
-from repro.workload.trace import generate_trace
 
 #: Extra requests drawn beyond the measured count so the warm-up phase
 #: (cache fill) never exhausts the trace.  The cache needs at least
@@ -198,7 +198,8 @@ def execute_plan(
     (and, for the process engine, the kernel and channel) and wraps a
     scalar cache in a :class:`~repro.cache.base.TracedCache`.  ``builds``
     supplies a :class:`~repro.exec.build.BuildCache` so plans sharing a
-    broadcast structure reuse the constructed layout and schedule.
+    broadcast structure reuse the constructed layout and schedule, and
+    consecutive plans sharing a mapping or trace reuse that too.
 
     ``profile`` attaches a :class:`repro.obs.profile.Profiler` that
     times the build and run phases and counts plans and requests.
@@ -214,12 +215,9 @@ def execute_plan(
     if profiling:
         profile.start_phase("build")
     if builds is None:
-        layout = config.build_layout()
-        schedule = config.build_schedule(layout)
-    else:
-        layout, schedule = builds.layout_and_schedule(config)
-    streams = config.build_streams()
-    mapping = config.build_mapping(layout, streams)
+        builds = BuildCache()
+    layout, schedule = builds.layout_and_schedule(config)
+    mapping = builds.mapping(config, layout)
     distribution = config.build_distribution()
     columnar = None
     if plan.engine == "batch":
@@ -236,20 +234,9 @@ def execute_plan(
     if columnar is None:
         cache = config.build_policy(schedule, mapping, distribution, layout)
 
-    allowance = _warmup_trace_allowance(config)
-    total_requests = config.num_requests + allowance
-    if config.drift_rotations:
-        # Drifting workload: the trace rotates its hotspot over the run
-        # while the policy oracle keeps the frozen t=0 snapshot (§3's
-        # stale-profile scenario, as in ``figures.drift_study``).
-        drift = config.build_drift(total_requests)
-        trace = drift.generate_trace(
-            total_requests, streams.stream("requests")
-        )
-    else:
-        trace = generate_trace(
-            distribution, total_requests, streams.stream("requests")
-        )
+    trace = builds.trace(
+        config, config.num_requests + _warmup_trace_allowance(config)
+    )
     if profiling:
         profile.stop_phase("build")
         profile.start_phase("run")

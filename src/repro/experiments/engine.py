@@ -16,13 +16,17 @@ profiled or not — and is written to be allocation-free (see
 
 * the trace is materialised once as a plain python list, so the loop
   never boxes ``np.int64`` scalars;
-* every attribute lookup (cache protocol methods, stats accumulators,
-  the schedule's tables) is hoisted to a local before the loop;
-* a page's first miss stores its per-run facts — physical page, the
-  §2.1 ``(residue, gap)`` pair from
-  :meth:`~repro.core.schedule.BroadcastSchedule.fixed_gap`, channel and
-  disk — so every later miss costs one dict probe and two integer ops;
-  irregular pages (gap 0) are timed by bisection;
+* every attribute lookup (cache protocol methods, stats accumulators)
+  is hoisted to a local before the loop;
+* the per-run facts of every logical page the trace can request —
+  physical page, the §2.1 ``(residue, gap)`` pair, channel and disk —
+  are gathered in NumPy before the loop from the mapping, the
+  schedule's :meth:`~repro.core.schedule.BroadcastSchedule.regular_timing`
+  table and the layout, into one list indexed by logical page, so a
+  miss costs one list read and two integer ops; irregular pages
+  (gap 0) are timed by bisection;
+* the §5 fill test reads a local flag refreshed only after an admit,
+  because a cache lookup never changes occupancy;
 * tracing is a guarded ``if tracing:`` emit, and profiling is
   bookkeeping after the loop, so observing a run never changes which
   code runs.
@@ -46,7 +50,9 @@ beginning our measurements only after the cache was full"), after which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.cache.base import CacheCounters, CachePolicy
 from repro.core.disks import DiskLayout
@@ -162,6 +168,44 @@ class FastEngine:
             bisect=True,
         )
 
+    def _page_facts(
+        self, limit: int, *, bisect: bool
+    ) -> List[Tuple[int, int, int, int, int]]:
+        """``(physical, residue, gap, channel, disk)`` of every logical
+        page below ``limit``, gathered in NumPy.
+
+        A gap of 0 sends the page's misses to bisection: irregular
+        pages, every page under ``bisect``, and pages the broadcast does
+        not carry, whose bisection raises the schedule's
+        :class:`~repro.errors.ScheduleError`.  Logical pages the mapping
+        does not cover get no entry, so requesting one raises an
+        ``IndexError`` as a mapping lookup would.
+        """
+        schedule = self.schedule
+        physical = self.mapping.physical_array()[:limit]
+        ends = np.cumsum(self.layout.sizes)
+        outside = physical >= ends[-1]
+        if outside.any():
+            raise ConfigurationError(
+                f"page {int(physical[outside][0])} outside database "
+                f"[0, {int(ends[-1])})"
+            )
+        disk = np.searchsorted(ends, physical, side="right")
+        residue, gap = schedule.regular_timing()
+        carried = physical < len(gap)
+        index = np.where(carried, physical, 0)
+        gaps = (np.zeros_like(physical) if bisect
+                else np.where(carried, gap[index], 0))
+        channel = (
+            schedule.channel_array()[index]
+            if isinstance(schedule, BroadcastProgram)
+            else np.zeros_like(physical)
+        )
+        return list(zip(
+            physical.tolist(), residue[index].tolist(), gaps.tolist(),
+            channel.tolist(), disk.tolist(),
+        ))
+
     def _run(
         self,
         trace: RequestTrace,
@@ -189,14 +233,8 @@ class FastEngine:
         # Hoist every per-request attribute lookup out of the loop.
         cache_lookup = cache.lookup
         cache_admit = cache.admit
-        to_physical = self.mapping.to_physical
-        disk_of_physical = self.layout.disk_of_page
-        fixed_gap = schedule.fixed_gap
         next_arrival_bisect = schedule.next_arrival_bisect
-        channel_of = (
-            schedule.channel_map()
-            if isinstance(schedule, BroadcastProgram) else None
-        )
+        tuned = isinstance(schedule, BroadcastProgram)
 
         response = RunningStats()
         counters = CacheCounters()
@@ -205,15 +243,10 @@ class FastEngine:
         record_miss = counters.record_miss
         samples: Optional[List[float]] = [] if collect_responses else None
 
-        # Per-run facts of each requested (logical) page, stored on its
-        # first miss: (physical, residue, gap, channel, disk).  A gap of
-        # 0 sends the page's misses to bisection.
-        facts: Dict[int, Tuple[int, int, int, int, int]] = {}
-        facts_get = facts.get
-
         # Measurement starts after ``warmup_requests`` requests when
         # given, else once the cache is full plus ``extra_warmup`` more.
         fill_rule = warmup_requests is None
+        full = fill_rule and cache.is_full
         extra_left = extra_warmup
         warming = True
         warmup_seen = 0
@@ -226,11 +259,12 @@ class FastEngine:
         # One plain-python materialisation of the trace: list iteration
         # yields cached ints instead of boxing an np.int64 per request.
         pages = trace.pages.tolist()
+        facts = self._page_facts(int(trace.pages.max()) + 1, bisect=bisect)
         for page in pages:
             now += think
             if warming:
                 if fill_rule:
-                    if cache.is_full:
+                    if full:
                         if extra_left <= 0:
                             warming = False
                         else:
@@ -253,18 +287,7 @@ class FastEngine:
                         samples.append(0.0)
                 continue
 
-            fact = facts_get(page)
-            if fact is None:
-                physical = to_physical(page)
-                entry = None if bisect else fixed_gap(physical)
-                residue, gap = (0, 0) if entry is None else entry
-                fact = (
-                    physical, residue, gap,
-                    0 if channel_of is None else channel_of[physical],
-                    disk_of_physical(physical),
-                )
-                facts[page] = fact
-            physical, residue, gap, channel, disk = fact
+            physical, residue, gap, channel, disk = facts[page]
             if tracing:
                 emit("client.miss", now, page=page, physical=physical)
             listen = now
@@ -290,6 +313,8 @@ class FastEngine:
             cache_admit(page, now)
             if warming:
                 warmup_misses += 1
+                if fill_rule and not full:
+                    full = cache.is_full
             else:
                 response_add(wait)
                 record_miss(disk)
@@ -303,7 +328,7 @@ class FastEngine:
             profile.count(f"engine.{name}.loop_iterations", len(pages))
             profile.count(f"engine.{name}.hits", len(pages) - misses)
             profile.count(f"engine.{name}.misses", misses)
-            if channel_of is not None:
+            if tuned:
                 profile.count(f"engine.{name}.retunes", retunes)
 
         self.now = now

@@ -96,6 +96,8 @@ class LogicalPhysicalMapping:
                 inverse[victim_physical] = logical_page
                 inverse[own_physical] = other_logical
 
+        physical.flags.writeable = False
+        inverse.flags.writeable = False
         self._to_physical = physical
         self._to_logical = inverse
 
@@ -115,9 +117,7 @@ class LogicalPhysicalMapping:
 
     def physical_array(self) -> np.ndarray:
         """The whole logical→physical mapping as an array (read-only view)."""
-        view = self._to_physical.view()
-        view.flags.writeable = False
-        return view
+        return self._to_physical.view()
 
     def disk_of_logical(self, logical: int) -> int:
         """0-based disk index on which logical page ``logical`` travels."""

@@ -39,6 +39,9 @@ class RequestTrace:
             raise ConfigurationError("a trace needs at least one request")
         if np.any(pages < 0):
             raise ConfigurationError("page ids must be non-negative")
+        # A read-only view: a trace may be shared by many runs.
+        pages = pages.view()
+        pages.flags.writeable = False
         object.__setattr__(self, "pages", pages)
 
     def __len__(self) -> int:

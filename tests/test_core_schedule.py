@@ -1,10 +1,17 @@
 """Unit tests for BroadcastSchedule (repro.core.schedule)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.chunks import EMPTY_SLOT
-from repro.core.schedule import BroadcastSchedule
+from repro.core.schedule import (
+    MAX_PAGE_ID,
+    BroadcastProgram,
+    BroadcastSchedule,
+)
 from repro.errors import ScheduleError
 
 
@@ -44,6 +51,52 @@ class TestConstruction:
         schedule = BroadcastSchedule([0, 1])
         with pytest.raises(ScheduleError):
             schedule.occurrences(9)
+
+
+class TestPickling:
+    def test_schedule_and_program_round_trip(self):
+        # The tables are rebuilt from the slots; timing is unchanged.
+        schedule = BroadcastSchedule([0, 1, 0, EMPTY_SLOT], label="s")
+        program = BroadcastProgram(
+            [schedule, BroadcastSchedule([2, 3])], label="p"
+        )
+        for original in (schedule, program, copy.deepcopy(program)):
+            clone = pickle.loads(pickle.dumps(original))
+            assert clone.label == original.label
+            assert clone.pages == original.pages
+            assert clone.regular_timing()[1].tolist() == (
+                original.regular_timing()[1].tolist()
+            )
+            assert clone.next_arrival(0, 2.5) == original.next_arrival(0, 2.5)
+        assert pickle.loads(pickle.dumps(schedule)).slots == schedule.slots
+
+
+class TestPageIdBound:
+    """Per-page tables are indexed by page id, so a sparse id is refused
+    at construction instead of failing later with a MemoryError."""
+
+    @pytest.mark.parametrize("page", [MAX_PAGE_ID + 1, 10**12, 10**20])
+    def test_page_id_above_bound_rejected_at_construction(self, page):
+        with pytest.raises(
+            ScheduleError,
+            match=f"largest allowed page id {MAX_PAGE_ID}",
+        ):
+            BroadcastSchedule([page, 0])
+
+    def test_sparse_page_below_bound_times_scalar_and_batch(self):
+        page = 100_000
+        schedule = BroadcastSchedule([page, 0, EMPTY_SLOT])
+        residue, gap = schedule.regular_timing()
+        assert len(gap) == page + 1
+        assert gap[page] == 3 and gap[1] == 0
+        times = np.array([0.0, 1.5, 7.0])
+        batch = schedule.next_arrival_batch(np.full(3, page), times)
+        assert batch.tolist() == [
+            schedule.next_arrival_bisect(page, t) for t in times
+        ]
+        assert 5 not in schedule and page in schedule
+        with pytest.raises(ScheduleError):
+            schedule.frequency(5)
 
 
 class TestFrequency:

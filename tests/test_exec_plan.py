@@ -17,6 +17,7 @@ from repro.exec import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.population import PopulationSpec, SegmentSpec, expand, run_population
 
 
 def small_config(**overrides):
@@ -124,35 +125,109 @@ class TestBuildCache:
         assert cache.misses == 2 and len(cache) == 2
 
     def test_timing_structures_shared_across_sweep_points(self):
-        # Running several sweep points that share a broadcast structure
-        # must build the schedule, and with it the timing structures
-        # (the cached fixed-gap entries), once, not once per point.
+        # Sweep points sharing a broadcast structure build the schedule,
+        # and with it the timing table, once: every point reads the same
+        # read-only regular_timing() arrays.
         cache = BuildCache()
         configs = [small_config(noise=noise) for noise in (0.0, 0.15, 0.45)]
         for config in configs:
             execute_plan(plan_for(config), builds=cache)
-        assert cache.misses == 1 and len(cache) == 1
-        _layout, schedule = cache.layout_and_schedule(configs[0])
-        entries = dict(schedule._fixed_gaps)
-        assert entries
-        execute_plan(plan_for(small_config(noise=0.45)), builds=cache)
-        # The repeated point reused the shared schedule and its entries.
-        assert cache.misses == 1
-        assert schedule._fixed_gaps == entries
-
-    def test_cached_builds_do_not_change_results(self):
-        configs = [small_config(noise=noise) for noise in (0.0, 0.15, 0.45)]
-        fresh = [execute_plan(plan_for(config)) for config in configs]
-        shared = BuildCache()
-        cached = [
-            execute_plan(plan_for(config), builds=shared)
+        assert cache.misses == 1 and cache.hits == 2 and len(cache) == 1
+        assert cache.held()["schedules"] == 1
+        tables = [
+            cache.layout_and_schedule(config)[1].regular_timing()
             for config in configs
         ]
-        assert shared.hits == 2
-        assert [r.mean_response_time for r in fresh] == [
-            r.mean_response_time for r in cached
+        residue, gap = tables[0]
+        assert all(r is residue and g is gap for r, g in tables)
+        assert gap.any()
+        assert not residue.flags.writeable and not gap.flags.writeable
+        execute_plan(plan_for(small_config(noise=0.45)), builds=cache)
+        # The repeated point reused the shared schedule and its table.
+        assert cache.misses == 1
+        _layout, schedule = cache.layout_and_schedule(configs[0])
+        assert schedule.regular_timing()[1] is gap
+
+    def test_cached_builds_do_not_change_results(self):
+        # Consecutive points share a mapping when only Δ, the cache or
+        # the policy changes, and a trace when only the broadcast, the
+        # noise or the policy changes; both must read exactly as fresh
+        # builds.
+        configs = [
+            small_config(noise=0.0),
+            small_config(noise=0.0, delta=4),
+            small_config(noise=0.15),
+            small_config(noise=0.15, cache_size=20),
+            small_config(noise=0.15, cache_size=20, policy="PIX"),
+            small_config(noise=0.15, offset=50, cache_size=20),
+            small_config(noise=0.45, offset=50, cache_size=20,
+                         noise_over_full_database=True),
+            small_config(noise=0.45, offset=50, cache_size=20),
+            small_config(noise=0.45, offset=50, cache_size=20, seed=12),
+            small_config(noise=0.45, offset=50, cache_size=20, seed=12,
+                         delta=2),
+            small_config(drift_rotations=1.0),
+            small_config(drift_rotations=1.0, delta=2),
+            small_config(drift_rotations=2.0, delta=2),
+            small_config(warmup_requests=100),
+            small_config(warmup_requests=100, noise=0.3),
+            small_config(warmup_requests=200, noise=0.3),
         ]
-        assert [r.hit_rate for r in fresh] == [r.hit_rate for r in cached]
+        fresh = [
+            execute_plan(plan_for(config, collect_responses=True))
+            for config in configs
+        ]
+        shared = BuildCache()
+        cached = [
+            execute_plan(plan_for(config, collect_responses=True),
+                         builds=shared)
+            for config in configs
+        ]
+        assert shared.hits == 13
+        assert shared.mapping_hits == 8 and shared.trace_hits == 10
+        assert shared.mapping_hits + shared.mapping_misses == len(configs)
+        assert shared.trace_hits + shared.trace_misses == len(configs)
+        for a, b in zip(fresh, cached):
+            assert a.mean_response_time == b.mean_response_time
+            assert a.samples == b.samples
+            assert a.hit_rate == b.hit_rate
+            assert a.access_locations == b.access_locations
+            assert a.warmup_requests == b.warmup_requests
+            assert a.measured_requests == b.measured_requests
+        held = shared.held()
+        assert held["mappings"] == 1 and held["traces"] == 1
+
+        # A fast-engine population derives a seed per client, so no
+        # client reuses another's mapping or trace; the cache still
+        # holds only the last one of each, and results match fresh
+        # per-client builds.
+        class SharedCacheExecutor:
+            def __init__(self):
+                self.builds = BuildCache()
+
+            def run(self, plans, **_hooks):
+                return [execute_plan(plan, builds=self.builds)
+                        for plan in plans]
+
+        spec = PopulationSpec(
+            name="distinct",
+            base=small_config(noise=0.3, num_requests=100),
+            seed=3,
+            segments=(SegmentSpec("all", 6),),
+            engine="fast",
+        )
+        executor = SharedCacheExecutor()
+        population = run_population(spec, executor=executor,
+                                    keep_results=True)
+        fresh = [execute_plan(plan) for plan in expand(spec)]
+        assert len({plan.seed for plan in expand(spec)}) == 6
+        assert [r.mean_response_time for r in population.results] == [
+            r.mean_response_time for r in fresh
+        ]
+        builds = executor.builds
+        assert builds.mapping_hits == 0 and builds.trace_hits == 0
+        held = builds.held()
+        assert held["mappings"] <= 1 and held["traces"] <= 1
 
 
 class TestExecutePlan:

@@ -9,19 +9,24 @@ layouts, not just the paper's presets:
 * expected delay equals half the inter-arrival gap, and the analytic
   layout-level delay matches the schedule-level computation;
 * next_arrival is consistent: strictly in the future, lands on a real
-  completion of the right page, and no earlier completion exists.
+  completion of the right page, and no earlier completion exists;
+* the per-page tables a schedule builds with NumPy read exactly what a
+  per-page scan of the slots gives, and reject writes.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batch.engine import frequency_array
 from repro.core.analysis import multidisk_expected_delay
 from repro.core.chunks import EMPTY_SLOT, ChunkPlan
 from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program as multidisk_program
-from repro.core.schedule import BroadcastSchedule
+from repro.core.schedule import BroadcastProgram, BroadcastSchedule
+from repro.errors import ScheduleError
 
 
 @st.composite
@@ -40,6 +45,51 @@ def raw_slot_lists(draw):
     if all(slot == EMPTY_SLOT for slot in slots):
         slots = slots + [0]
     return slots
+
+
+@st.composite
+def table_slot_lists(draw):
+    """Slot lists for the table checks: padding, irregular and repeated
+    pages, single slots, and page ids with gaps between them."""
+    slots = draw(
+        st.lists(
+            st.one_of(
+                st.just(EMPTY_SLOT),
+                st.integers(min_value=0, max_value=8),
+                st.integers(min_value=0, max_value=300),
+            ),
+            min_size=1,
+            max_size=48,
+        )
+    )
+    if all(slot == EMPTY_SLOT for slot in slots):
+        slots = slots + [draw(st.integers(min_value=0, max_value=300))]
+    return slots
+
+
+def naive_tables(slots):
+    """Each page's occurrence list and ``fixed_gap`` entry, by a plain
+    scan of the slots (the definitions the tables replace)."""
+    occurrences = {}
+    for index, page in enumerate(slots):
+        if page != EMPTY_SLOT:
+            occurrences.setdefault(page, []).append(index)
+    period = len(slots)
+    fixed = {}
+    for page, occ in occurrences.items():
+        count = len(occ)
+        entry = None
+        if period % count == 0:
+            gap = period // count
+            if occ == [occ[0] + gap * step for step in range(count)]:
+                entry = ((occ[0] + 1) % gap, gap)
+        fixed[page] = entry
+    return occurrences, fixed
+
+
+def assert_read_only(array):
+    with pytest.raises(ValueError):
+        array[0] = 0
 
 
 #: Query instants: fractional, exactly integral, and boundary-adjacent.
@@ -282,3 +332,95 @@ class TestScheduleConstructionProperties:
                 2.0 * program.broadcasts_per_period(page)
             )
             assert program.expected_delay(page) >= floor - 1e-9
+
+
+class TestScheduleTables:
+    """The tables built with the schedule equal a naive per-page scan."""
+
+    @given(table_slot_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_match_naive_scan(self, slots):
+        schedule = BroadcastSchedule(slots)
+        occurrences, fixed = naive_tables(slots)
+        period = len(slots)
+        assert schedule.pages == sorted(occurrences)
+        assert schedule.num_pages == len(occurrences)
+        assert schedule.empty_slots == slots.count(EMPTY_SLOT)
+        assert schedule.slots == tuple(slots)
+        for page, occ in occurrences.items():
+            assert page in schedule
+            assert schedule.occurrences(page).tolist() == occ
+            assert_read_only(schedule.occurrences(page))
+            assert schedule.broadcasts_per_period(page) == len(occ)
+            assert schedule.frequency(page) == len(occ) / period
+            assert schedule.fixed_gap(page) == fixed[page]
+        top = max(occurrences)
+        for page in {-1, top + 1} | set(range(top)) - set(occurrences):
+            assert page not in schedule
+            for query in (schedule.occurrences, schedule.frequency,
+                          schedule.fixed_gap):
+                with pytest.raises(ScheduleError):
+                    query(page)
+        residue, gap = schedule.regular_timing()
+        assert len(residue) == len(gap) == top + 1
+        for page in range(top + 1):
+            entry = fixed.get(page) or (0, 0)
+            assert (int(residue[page]), int(gap[page])) == entry
+        assert schedule.nonempty_slots.tolist() == [
+            index for index, page in enumerate(slots) if page != EMPTY_SLOT
+        ]
+        for array in (residue, gap, schedule.nonempty_slots):
+            assert_read_only(array)
+
+    @given(table_slot_lists(), table_slot_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_program_tables_match_rows(self, first, second):
+        # Two rows with disjoint pages: even ids on channel 0, odd on 1.
+        rows = (
+            BroadcastSchedule([p if p < 0 else 2 * p for p in first]),
+            BroadcastSchedule([p if p < 0 else 2 * p + 1 for p in second]),
+        )
+        program = BroadcastProgram(rows)
+        owner = {page: channel for channel, row in enumerate(rows)
+                 for page in row.pages}
+        assert program.pages == tuple(sorted(owner))
+        assert program.num_pages == len(owner)
+        assert program.channel_map() == owner
+        channels = program.channel_array()
+        residue, gap = program.regular_timing()
+        assert len(channels) == len(gap) == max(owner) + 1
+        for page in range(len(gap)):
+            if page in owner:
+                row = rows[owner[page]]
+                assert program.channel_of(page) == owner[page]
+                assert channels[page] == owner[page]
+                entry = row.fixed_gap(page) or (0, 0)
+                assert (int(residue[page]), int(gap[page])) == entry
+                assert program.fixed_gap(page) == row.fixed_gap(page)
+                assert program.frequency(page) == row.frequency(page)
+            else:
+                assert page not in program
+                assert channels[page] == 0 and gap[page] == 0
+        assert frequency_array(program).tolist() == [
+            rows[owner[page]].frequency(page) if page in owner else 0.0
+            for page in range(len(gap))
+        ]
+        for array in (channels, residue, gap):
+            assert_read_only(array)
+
+    @given(table_slot_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_frequency_array_matches_scalar_frequency(self, slots):
+        schedule = BroadcastSchedule(slots)
+        expected = [0.0] * (max(schedule.pages) + 1)
+        for page in schedule.pages:
+            expected[page] = schedule.frequency(page)
+        assert frequency_array(schedule).tolist() == expected
+
+    def test_overlapping_rows_name_the_first_shared_page(self):
+        rows = (BroadcastSchedule([0, 3, 5]), BroadcastSchedule([5, 1, 3]))
+        with pytest.raises(ScheduleError, match=(
+            "page 3 appears on channels 0 and 1; channel rows must "
+            "partition the pages"
+        )):
+            BroadcastProgram(rows)
