@@ -1,6 +1,6 @@
 """CI smoke run for the columnar batch engine.
 
-Five gates, one per contract the engine makes
+Six gates, one per contract the engine and its per-client set-up make
 (``src/repro/batch/fleet.py``):
 
 * **Exactness** — a single-client ``--engine batch`` plan must be
@@ -23,6 +23,13 @@ Five gates, one per contract the engine makes
   segments draw from finite-support distributions (Choice/UniformInt)
   must bucket into homogeneous columnar sub-segments and fold
   byte-identically to the per-client plan path.
+* **Set-up oracle** — at paper scale (D1–D5 × Noise 15/30/45/75% × 50
+  client streams), every noise mapping decoded from raw generator words
+  must equal the scalar swap loop, generator state included, and every
+  client's request trace must equal ``searchsorted`` over the CDF.  The
+  decode copies NumPy's bounded-integer algorithm, so this gate catches
+  a NumPy release that changes it.  Prints how many mappings fell back
+  to the loop (paper-size disks reject about 1 draw in 10**6).
 
 Leaves the batch fleet manifest in the artifact directory.
 
@@ -34,14 +41,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
+
+import numpy as np
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.batch.fleet import run_fleet
+from repro.exec.plan import derive_seed
 from repro.experiments.config import DISK_PRESETS, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.obs.clock import perf_counter
@@ -56,10 +67,18 @@ from repro.population import (
     UniformInt,
     run_population,
 )
+from repro.workload.mapping import (
+    LogicalPhysicalMapping,
+    _decoded_swaps,
+    _scalar_swaps,
+)
 
 FLEET_CLIENTS = 1000
 CACHED_CLIENTS = 100
 CACHED_SIZE = 200
+SETUP_STREAMS = 50
+SETUP_NOISES = (0.15, 0.30, 0.45, 0.75)
+SETUP_REQUESTS = 6000
 
 
 def single_config(**overrides):
@@ -254,6 +273,78 @@ def gate_subsegmentation(failures: list) -> None:
           failures)
 
 
+def setup_config(preset: str, noise: float, index: int) -> ExperimentConfig:
+    """A paper-scale noisy client (Figures 8-10: CacheSize = Offset = 500)."""
+    return ExperimentConfig(
+        disk_sizes=DISK_PRESETS[preset], delta=3, cache_size=500,
+        offset=500, noise=noise, seed=derive_seed(7, index),
+    )
+
+
+def offset_swaps(config, layout):
+    """The offset-only arrays, the noise coin's picks and their stream."""
+    rng = config.build_streams().stream("noise")
+    total = layout.total_pages
+    physical = (np.arange(total, dtype=np.int64) - config.offset) % total
+    inverse = np.empty(total, dtype=np.int64)
+    inverse[physical] = np.arange(total, dtype=np.int64)
+    selected = np.flatnonzero(rng.random(config.access_range) < config.noise)
+    return physical, inverse, selected, rng
+
+
+def mapping_matches_loop(config, layout) -> bool:
+    """The built mapping, and its generator state, equal the scalar loop's."""
+    rng = config.build_streams().stream("noise")
+    mapping = LogicalPhysicalMapping(
+        layout, config.offset, config.noise, rng, config.access_range
+    )
+    physical, inverse, selected, expected_rng = offset_swaps(config, layout)
+    _scalar_swaps(physical, inverse, selected, layout, expected_rng)
+    return (
+        np.array_equal(mapping.physical_array(), physical)
+        and np.array_equal(mapping._to_logical, inverse)
+        and rng.bit_generator.state == expected_rng.bit_generator.state
+    )
+
+
+def trace_matches_searchsorted(config) -> bool:
+    distribution = config.build_distribution()
+    pages = distribution.sample(
+        config.build_streams().stream("requests"), SETUP_REQUESTS
+    )
+    draws = config.build_streams().stream("requests").random(SETUP_REQUESTS)
+    return np.array_equal(
+        pages, np.searchsorted(distribution._cdf(), draws, side="right")
+    )
+
+
+def gate_setup_oracle(failures: list) -> None:
+    grid = itertools.product(DISK_PRESETS, SETUP_NOISES,
+                             range(SETUP_STREAMS))
+    configs = [
+        setup_config(preset, noise, index)
+        for index, (preset, noise, _) in enumerate(grid)
+    ]
+    print(f"per-client set-up oracle over {len(configs)} paper-scale "
+          "clients (decoded swaps vs the scalar loop, guide table vs "
+          "searchsorted):")
+    mappings = traces = fallbacks = 0
+    for config in configs:
+        layout = config.build_layout()
+        mappings += mapping_matches_loop(config, layout)
+        physical, inverse, selected, rng = offset_swaps(config, layout)
+        fallbacks += not _decoded_swaps(physical, inverse, config.offset,
+                                        selected, layout, rng)
+        traces += trace_matches_searchsorted(config)
+    check(mappings == len(configs),
+          f"{mappings} of {len(configs)} mappings equal the scalar loop",
+          failures)
+    check(traces == len(configs),
+          f"{traces} of {len(configs)} traces equal searchsorted", failures)
+    print(f"  {fallbacks} of {len(configs)} mappings took the scalar "
+          "fallback")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="batch-artifacts",
@@ -268,6 +359,7 @@ def main() -> int:
     gate_cached_fleet(failures)
     gate_invariants(failures)
     gate_subsegmentation(failures)
+    gate_setup_oracle(failures)
 
     if failures:
         print(f"batch smoke: {len(failures)} gate(s) failed",

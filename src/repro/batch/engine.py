@@ -188,6 +188,11 @@ class ColumnarEngine:
                 f"physical has {physical.shape[0]} rows for "
                 f"{policy.num_clients} clients"
             )
+        if physical.shape[1] < access_range:
+            raise ConfigurationError(
+                f"physical has {physical.shape[1]} columns, narrower than "
+                f"access_range {access_range}"
+            )
         self.schedule = schedule
         self.policy = policy
         self.physical = physical
@@ -486,7 +491,8 @@ def build_columnar_engine(
     """Assemble a columnar engine for ``num_clients`` copies of ``config``.
 
     ``physical`` is the logical→physical page matrix — one shared row
-    for noise-free groups, one row per client otherwise.  Returns
+    for noise-free groups, one row per client otherwise — holding at
+    least the ``access_range`` columns a trace can request.  Returns
     ``None`` when ``config.policy`` has no columnar formulation.  A
     multi-channel :class:`~repro.core.schedule.BroadcastProgram`
     (detected by its ``channel_array`` surface) arms the vectorized

@@ -184,11 +184,17 @@ def _group_traces(spec, indices, config, total: int) -> np.ndarray:
 
 
 def _group_physical(spec, indices, config, layout) -> np.ndarray:
-    """Logical→physical rows: shared when noise-free, per-client else."""
+    """Logical→physical rows: shared when noise-free, per-client else.
+
+    Only the ``access_range`` columns a trace can request are kept.
+    """
+    access_range = config.access_range
     if config.noise <= 0.0:
-        return config.build_mapping(layout).physical_array()[None, :]
-    scope = None if config.noise_over_full_database else config.access_range
-    physical = np.empty((len(indices), layout.total_pages), dtype=np.int64)
+        return config.build_mapping(layout).physical_array()[
+            None, :access_range
+        ]
+    scope = None if config.noise_over_full_database else access_range
+    physical = np.empty((len(indices), access_range), dtype=np.int64)
     for column, index in enumerate(indices):
         mapping = LogicalPhysicalMapping(
             layout=layout,
@@ -197,7 +203,7 @@ def _group_physical(spec, indices, config, layout) -> np.ndarray:
             rng=_client_stream(spec, index, "noise"),
             noise_scope=scope,
         )
-        physical[column] = mapping.physical_array()
+        physical[column] = mapping.physical_array()[:access_range]
     return physical
 
 

@@ -296,7 +296,7 @@ class BroadcastSchedule:
         times = np.asarray(times, dtype=np.float64)
         residue, gap = self.regular_timing()
         size = len(gap)
-        clipped = np.clip(pages, 0, size - 1)
+        clipped = np.minimum(np.maximum(pages, 0), size - 1)
         gaps = gap.take(clipped)
         regular = (pages == clipped) & (pages >= 0) & (gaps > 0)
         base = np.floor(times).astype(np.int64) + 1

@@ -69,6 +69,7 @@ _PER_POINT_LISTS = frozenset({"trajectory", "points", "runs"})
 _VOLATILE_FIELDS = frozenset({
     "wall_seconds", "total_wall_seconds", "speedup", "host",
     "shared_build_seconds", "effective_jobs", "trajectory", "scaling",
+    "clients_per_second",
 })
 
 

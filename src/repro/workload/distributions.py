@@ -6,6 +6,15 @@ zero (§4.1: "All pages outside of this range have a zero probability of
 access at the client").  Distributions expose both vectorised sampling
 (for the fast engine) and the dense probability array (for the idealised
 P/PIX policies, which the paper grants perfect knowledge).
+
+Sampling is an inverse transform over the cumulative distribution: a
+uniform draw ``u`` requests page ``searchsorted(cdf, u, side="right")``.
+A guide table over :data:`_GUIDE_BINS` equal bins of ``[0, 1)`` starts
+each search at the number of CDF entries at or below the left edge of
+``u``'s bin, and the draw then steps up past the few entries left in
+that bin.  The bin count is a power of two, so ``u * _GUIDE_BINS`` and
+``cdf * _GUIDE_BINS`` are exact and the result equals ``searchsorted``
+for every ``u``.
 """
 
 from __future__ import annotations
@@ -16,6 +25,9 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+#: Equal bins of ``[0, 1)`` in the sampling guide table (a power of two).
+_GUIDE_BINS = 4096
 
 
 class AccessDistribution(ABC):
@@ -49,12 +61,19 @@ class AccessDistribution(ABC):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. logical page requests.
 
-        Implemented by inverse-transform over the cached cumulative
-        distribution, so repeated calls are O(size log access_range).
+        Exactly ``searchsorted(cdf, rng.random(size), side="right")``,
+        found from the cached guide table: each draw takes as many steps
+        as CDF entries share its bin, so the cost is O(size) plus
+        O(access_range) once per distribution.
         """
-        cdf = self._cdf()
+        cdf, guide = self._cdf(), self._guide()
         draws = rng.random(size)
-        return np.searchsorted(cdf, draws, side="right").astype(np.int64)
+        pages = guide[(draws * _GUIDE_BINS).astype(np.intp)]
+        pending = np.flatnonzero(cdf[pages] <= draws)
+        while len(pending):
+            pages[pending] += 1
+            pending = pending[cdf[pages[pending]] <= draws[pending]]
+        return pages
 
     def sample_one(self, rng: np.random.Generator) -> int:
         """Draw a single logical page request."""
@@ -63,10 +82,23 @@ class AccessDistribution(ABC):
     def _cdf(self) -> np.ndarray:
         cached = getattr(self, "_cdf_cache", None)
         if cached is None:
-            cached = np.cumsum(self.probabilities())
-            # Guard against floating drift: force the final mass to 1.
-            cached[-1] = 1.0
+            probabilities = self.probabilities()
+            cached = np.cumsum(probabilities)
+            # Guard against floating drift: the mass is complete at the
+            # last page that has any, so no draw can land past it.
+            cached[np.flatnonzero(probabilities)[-1]:] = 1.0
             self._cdf_cache = cached
+        return cached
+
+    def _guide(self) -> np.ndarray:
+        """Entry ``j``: CDF entries at or below ``j / _GUIDE_BINS``."""
+        cached = getattr(self, "_guide_cache", None)
+        if cached is None:
+            # cdf <= j / _GUIDE_BINS exactly when
+            # ceil(cdf * _GUIDE_BINS) <= j, both products being exact.
+            edges = np.ceil(self._cdf() * _GUIDE_BINS).astype(np.intp)
+            cached = np.cumsum(np.bincount(edges, minlength=_GUIDE_BINS))
+            self._guide_cache = cached
         return cached
 
 

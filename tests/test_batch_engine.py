@@ -292,6 +292,18 @@ class TestPageRange:
         with pytest.raises(ConfigurationError, match=r"\[0, 100\)"):
             engine.run(pages, warmup_requests=0)
 
+    def test_matrix_narrower_than_access_range_rejected(self):
+        from repro.batch.engine import build_columnar_engine
+        from repro.errors import ConfigurationError
+        from repro.exec.build import BuildCache
+
+        base = config()  # access_range=100
+        layout, schedule = BuildCache().layout_and_schedule(base)
+        physical = base.build_mapping(layout).physical_array()[None, :99]
+        with pytest.raises(ConfigurationError,
+                           match="99 columns.*access_range 100"):
+            build_columnar_engine(base, schedule, layout, physical, 2)
+
 
 class TestKernelStatistical:
     """Cache-less fleets at the phase-table kernel's old test scale.

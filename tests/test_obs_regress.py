@@ -62,6 +62,12 @@ class TestExtractEntry:
         fast = extract_entry(bench_document(wall=2.0, host="ci"))
         assert slow["config_hash"] == fast["config_hash"]
 
+    def test_config_hash_ignores_throughput(self):
+        slow, fast = bench_document(), bench_document()
+        slow["clients_per_second"], fast["clients_per_second"] = 100.0, 400.0
+        assert (extract_entry(slow)["config_hash"]
+                == extract_entry(fast)["config_hash"])
+
     def test_config_hash_tracks_parameters(self):
         small = extract_entry(bench_document(requests=600))
         large = extract_entry(bench_document(requests=6000))

@@ -4,8 +4,23 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workload.distributions import ExplicitDistribution, UniformDistribution
+from repro.workload.distributions import (
+    _GUIDE_BINS,
+    ExplicitDistribution,
+    UniformDistribution,
+)
 from repro.workload.zipf import ZipfRegionDistribution
+
+
+class StubGenerator:
+    """Serves fixed uniform draws to :meth:`AccessDistribution.sample`."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws
 
 
 class TestUniform:
@@ -62,6 +77,12 @@ class TestExplicit:
         distribution = ExplicitDistribution([0.7, 0.3])
         samples = distribution.sample(rng, 40_000)
         assert np.mean(samples == 0) == pytest.approx(0.7, abs=0.02)
+
+    def test_zero_probability_tail_never_sampled(self):
+        # cumsum leaves cdf[9] at 1 - 2**-53, a value random() can return.
+        distribution = ExplicitDistribution([0.1] * 10 + [0.0])
+        top = 1.0 - 2.0**-53
+        assert distribution.sample(StubGenerator([top]), 1).tolist() == [9]
 
 
 class TestZipfRegions:
@@ -135,3 +156,64 @@ class TestZipfRegions:
         assert empirical_region0 == pytest.approx(
             distribution.region_probability(0), abs=0.02
         )
+
+
+SAMPLED = {
+    **{f"zipf-theta{theta}-region{region}":
+       ZipfRegionDistribution(1000, region, theta)
+       for theta in (0.0, 0.95, 1.5) for region in (1, 50, 1000)},
+    "uniform-7": UniformDistribution(7),
+    "uniform-5000": UniformDistribution(5000),
+    "explicit-zero-runs": ExplicitDistribution(
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0]
+    ),
+    "explicit-zero-tail": ExplicitDistribution([0.1] * 10 + [0.0] * 5),
+    "explicit-tiny-masses": ExplicitDistribution(
+        [0.0] * 3 + [1e-9, 1.0, 0.0, 1e-9] + [0.0] * 4
+    ),
+}
+
+
+def adversarial_draws(cdf):
+    """Every CDF value and bin edge, with their neighbours, inside [0, 1)."""
+    edges = np.arange(_GUIDE_BINS) / _GUIDE_BINS
+    draws = np.concatenate([
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+        edges, np.nextafter(edges, -1.0), [0.0, 1.0 - 2.0**-53],
+    ])
+    return draws[(draws >= 0.0) & (draws < 1.0)]
+
+
+class TestGuideTableSampling:
+    """``sample`` is exactly ``searchsorted(cdf, u, side="right")``."""
+
+    @pytest.mark.parametrize("distribution", list(SAMPLED.values()),
+                             ids=list(SAMPLED))
+    def test_equals_searchsorted_on_random_draws(self, distribution):
+        draws = np.random.default_rng(8).random(50_000)
+        pages = distribution.sample(StubGenerator(draws), len(draws))
+        expected = np.searchsorted(distribution._cdf(), draws, side="right")
+        assert pages.dtype == np.int64
+        assert np.array_equal(pages, expected)
+
+    @pytest.mark.parametrize("distribution", list(SAMPLED.values()),
+                             ids=list(SAMPLED))
+    def test_equals_searchsorted_on_adversarial_draws(self, distribution):
+        cdf = distribution._cdf()
+        draws = adversarial_draws(cdf)
+        pages = distribution.sample(StubGenerator(draws), len(draws))
+        assert np.array_equal(
+            pages, np.searchsorted(cdf, draws, side="right")
+        )
+        probabilities = distribution.probabilities()
+        assert (probabilities[pages] > 0.0).all()
+
+    def test_same_generator_state_as_searchsorted(self, rng):
+        distribution = ZipfRegionDistribution(1000, 50, 0.95)
+        twin = np.random.default_rng(1234)
+        pages = distribution.sample(rng, 6000)
+        expected = np.searchsorted(
+            distribution._cdf(), twin.random(6000), side="right"
+        )
+        assert np.array_equal(pages, expected)
+        assert rng.bit_generator.state == twin.bit_generator.state

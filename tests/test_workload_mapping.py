@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program as multidisk_program
 from repro.errors import ConfigurationError
-from repro.workload.mapping import LogicalPhysicalMapping
+from repro.exec.plan import derive_seed
+from repro.experiments.config import DISK_PRESETS
+from repro.sim.rng import RandomStreams
+from repro.workload.mapping import LogicalPhysicalMapping, _scalar_swaps
 
 
 @pytest.fixture
@@ -170,3 +175,113 @@ class TestFrequencyMap:
         frequencies = mapping.frequency_map(schedule, access_range=2)
         # The two hottest logical pages now ride the slowest disk.
         assert frequencies[0] == pytest.approx(1 / schedule.period)
+
+
+# ---------------------------------------------------------------------------
+# Decoded swaps: equal to the scalar loop, draw for draw
+# ---------------------------------------------------------------------------
+
+def reference(layout, offset, noise, rng, noise_scope=None):
+    """The mapping as the scalar swap loop builds it: ``(physical, inverse)``."""
+    total = layout.total_pages
+    physical = (np.arange(total, dtype=np.int64) - offset) % total
+    inverse = np.empty(total, dtype=np.int64)
+    inverse[physical] = np.arange(total, dtype=np.int64)
+    if noise > 0.0:
+        scope = noise_scope if noise_scope is not None else total
+        selected = np.flatnonzero(rng.random(scope) < noise)
+        _scalar_swaps(physical, inverse, selected, layout, rng)
+    return physical, inverse
+
+
+def assert_matches_reference(layout, offset, noise, make_rng,
+                             noise_scope=None):
+    """The mapping, and the generator state it leaves, equal the loop's."""
+    rng = make_rng()
+    mapping = LogicalPhysicalMapping(layout, offset, noise, rng, noise_scope)
+    expected_rng = make_rng()
+    physical, inverse = reference(layout, offset, noise, expected_rng,
+                                  noise_scope)
+    assert np.array_equal(mapping.physical_array(), physical)
+    assert np.array_equal(mapping._to_logical, inverse)
+    np.testing.assert_equal(rng.bit_generator.state,
+                            expected_rng.bit_generator.state)
+
+
+@st.composite
+def noisy_mappings(draw):
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    layout = DiskLayout(sizes, sorted(
+        draw(st.lists(st.integers(1, 5), min_size=len(sizes),
+                      max_size=len(sizes))),
+        reverse=True,
+    ))
+    total = layout.total_pages
+    offset = draw(st.integers(0, total))
+    noise = draw(st.floats(0.0, 1.0))
+    scope = draw(st.one_of(st.none(), st.integers(1, total)))
+    return layout, offset, noise, scope
+
+
+class TestDecodedSwaps:
+    @settings(max_examples=200, deadline=None)
+    @given(case=noisy_mappings(), seed=st.integers(0, 2**63 - 1))
+    def test_equals_scalar_loop(self, case, seed):
+        layout, offset, noise, scope = case
+        assert_matches_reference(
+            layout, offset, noise, lambda: np.random.default_rng(seed), scope
+        )
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937,
+                                               np.random.Philox])
+    def test_other_bit_generators_take_the_loop(self, bit_generator):
+        layout = DiskLayout((30, 60, 90), (3, 2, 1))
+        assert_matches_reference(
+            layout, 7, 0.5,
+            lambda: np.random.Generator(bit_generator(11)),
+        )
+
+    def test_buffered_word_takes_the_loop(self):
+        def buffered():
+            rng = np.random.default_rng(17)
+            rng.integers(2)  # leaves the high half of a word buffered
+            assert rng.bit_generator.state["has_uint32"] == 1
+            return rng
+
+        layout = DiskLayout((30, 60, 90), (3, 2, 1))
+        assert_matches_reference(layout, 7, 0.5, buffered)
+
+    @pytest.mark.parametrize("sizes", [(40,), (1, 40), (40, 1, 3)])
+    def test_draws_without_a_word_take_the_loop(self, sizes):
+        # NumPy draws nothing for integers(1) or integers(s, s + 1).
+        layout = DiskLayout(sizes, sorted(range(1, len(sizes) + 1),
+                                          reverse=True))
+        assert_matches_reference(
+            layout, 3, 0.8, lambda: np.random.default_rng(5)
+        )
+
+    def test_lemire_rejection_takes_the_loop(self):
+        # 2**32 % 3_999_039 = 3_998_449: about 1 victim draw in 1,074
+        # on the big disk is rejected and redrawn.
+        layout = DiskLayout((2, 3_999_039), (2, 1))
+        seed, scope = 5, 40
+        rng = np.random.default_rng(seed)
+        selected = np.flatnonzero(rng.random(scope) < 1.0)
+        words = rng.bit_generator.random_raw(len(selected))
+        big_disk = (words & 0xFFFFFFFF) * 2 >> 32 == 1
+        leftover = (words >> 32) * 3_999_039 & 0xFFFFFFFF
+        assert (big_disk & (leftover < 3_998_449)).any()
+        assert_matches_reference(
+            layout, 0, 1.0, lambda: np.random.default_rng(seed), scope
+        )
+
+    @pytest.mark.parametrize("preset", ["D1", "D2", "D3", "D4", "D5"])
+    @pytest.mark.parametrize("noise", [0.15, 0.30, 0.45, 0.75])
+    def test_paper_scale(self, preset, noise):
+        layout = DiskLayout.from_delta(DISK_PRESETS[preset], 3)
+        for index in range(10):
+            seed = derive_seed(42, index)
+            assert_matches_reference(
+                layout, 500, noise,
+                lambda: RandomStreams(seed).stream("noise"), 1000,
+            )
