@@ -9,6 +9,10 @@ artifacts CI uploads:
   (``fig5-smoke-manifest.json``), and the profile snapshot
   (``fig5-smoke-profile.json``) — and asserting that the profiler's
   ``engine.fast.misses`` equals the trace's ``client.miss`` records;
+* ``repro.obs summary`` and ``repro.obs analyze`` over that trace, which
+  holds four runs whose clocks each restart at zero: both must exit 0
+  and the cache occupancy peak must stay within the cache size of 50
+  (``fig5-analyze.json``);
 * the same grid re-run under the ``fast-reference`` engine with strict
   monitors and a profiler, so both arithmetics of the engine's one loop
   are checked against the paper's invariants on every CI run, and the
@@ -47,7 +51,6 @@ from repro.experiments.simengine import ClientSpec, ProcessEngine
 from repro.obs.analyze import analyze
 from repro.obs.cli import main as obs_main
 from repro.obs.cli import summarise
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import MonitorSuite
 from repro.obs.profile import Profiler
 from repro.obs.trace import JsonlSink, Tracer, read_jsonl
@@ -62,7 +65,7 @@ def _fig5_configs():
         ExperimentConfig(
             disk_sizes=(50, 200, 250),
             delta=delta,
-            cache_size=50,
+            cache_size=FIG5_CACHE,
             policy="LIX",
             access_range=100,
             region_size=10,
@@ -74,6 +77,10 @@ def _fig5_configs():
     ]
 
 
+#: The cache size of every fig5 smoke point.
+FIG5_CACHE = 50
+
+
 def traced_fig5_sweep(out: Path) -> int:
     """The reduced fig5 sweep: traced, profiled, strictly monitored.
 
@@ -83,14 +90,12 @@ def traced_fig5_sweep(out: Path) -> int:
     trace_path = out / "fig5-smoke.jsonl"
     manifest_path = out / "fig5-smoke-manifest.json"
     profile_path = out / "fig5-smoke-profile.json"
-    metrics = MetricsRegistry()
     profile = Profiler()
     monitors = MonitorSuite(mode="strict")
     with Tracer(JsonlSink(str(trace_path))) as tracer:
         results = sweep_results(
             configs,
             tracer=tracer,
-            metrics=metrics,
             manifest=str(manifest_path),
             profile=profile,
             monitors=monitors,
@@ -113,12 +118,41 @@ def traced_fig5_sweep(out: Path) -> int:
         json.dumps(profile.snapshot(), indent=2, sort_keys=True) + "\n"
     )
     print(f"  trace    : {trace_path} ({sum(kinds.values())} records)")
-    print(f"  manifest : {manifest_path} "
-          f"({metrics.snapshot()['runs']} runs aggregated)")
+    runs = json.loads(manifest_path.read_text())["summary"]["runs"]
+    print(f"  manifest : {manifest_path} ({runs} runs aggregated)")
     print(f"  profile  : {profile_path} "
           f"(engine.fast.misses {misses} == client.miss records)")
     print(f"  monitors : strict, {monitors.runs} runs, 0 violations")
     return misses
+
+
+def analyze_fig5_trace(out: Path) -> int:
+    """``summary`` and ``analyze`` over the four-run fig5 trace.
+
+    Each plan restarts its clock, so the trace's cache records go back
+    in time at every run boundary; both commands must walk the runs
+    apart.  Returns the exit status.
+    """
+    trace_path = str(out / "fig5-smoke.jsonl")
+    for command in ("summary", "analyze"):
+        code = obs_main([command, trace_path])
+        if code != 0:
+            print(f"{command} CLI exited {code} on {trace_path}",
+                  file=sys.stderr)
+            return 1
+    analysis = analyze(
+        list(read_jsonl(trace_path)), disk_sizes=(50, 200, 250)
+    )
+    peak = analysis["cache_residency"]["occupancy_max"]
+    if peak > FIG5_CACHE:
+        print(f"FAIL: cache occupancy peak {peak} exceeds the cache size "
+              f"{FIG5_CACHE}", file=sys.stderr)
+        return 1
+    (out / "fig5-analyze.json").write_text(
+        json.dumps(analysis, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"  analyze  : occupancy peak {peak:.0f} <= {FIG5_CACHE}")
+    return 0
 
 
 def strict_reference_grid(fast_misses: int) -> None:
@@ -183,6 +217,10 @@ def main(argv=None) -> int:
 
     print("== traced + profiled + monitored fig5 smoke sweep ==")
     fast_misses = traced_fig5_sweep(out)
+
+    print("== repro.obs summary + analyze over the four-run fig5 trace ==")
+    if analyze_fig5_trace(out) != 0:
+        return 1
 
     print("== strict monitors + profiler on the fast-reference engine ==")
     strict_reference_grid(fast_misses)

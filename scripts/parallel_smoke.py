@@ -6,7 +6,6 @@ with every plan run alone through ``execute_plan(plan)`` with no
 ``BuildCache`` — and fails unless the runs are byte-identical:
 
 * per-point mean response times and collected samples;
-* per-run metrics snapshots folded into the registry;
 * the aggregated sweep manifests, compared as canonical JSON after
   ``strip_wall_clock`` removes the only fields allowed to differ.
 
@@ -47,7 +46,6 @@ from repro.exec import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import sweep_results
 from repro.obs.manifest import strip_wall_clock
-from repro.obs.metrics import MetricsRegistry
 
 JOBS = 2
 
@@ -105,38 +103,32 @@ def main(argv=None) -> int:
     isolated_manifest = out / "isolated-manifest.json"
 
     print(f"== serial sweep ({len(configs)} points) ==")
-    serial_metrics = MetricsRegistry()
     serial = sweep_results(
         configs,
-        metrics=serial_metrics,
         manifest=str(serial_manifest),
         collect_responses=True,
     )
 
     print(f"== parallel sweep (jobs={args.jobs}) ==")
-    parallel_metrics = MetricsRegistry()
     parallel = sweep_results(
         configs,
         jobs=args.jobs,
-        metrics=parallel_metrics,
         manifest=str(parallel_manifest),
         collect_responses=True,
     )
 
     print("== isolated plans (no build cache) ==")
-    isolated_metrics = MetricsRegistry()
     isolated = sweep_results(
         configs,
         executor=IsolatedExecutor(),
-        metrics=isolated_metrics,
         manifest=str(isolated_manifest),
         collect_responses=True,
     )
 
     failures = []
-    for arm, results, metrics, manifest in (
-        ("parallel", parallel, parallel_metrics, parallel_manifest),
-        ("isolated", isolated, isolated_metrics, isolated_manifest),
+    for arm, results, manifest in (
+        ("parallel", parallel, parallel_manifest),
+        ("isolated", isolated, isolated_manifest),
     ):
         if [r.mean_response_time for r in serial] != [
             r.mean_response_time for r in results
@@ -144,8 +136,6 @@ def main(argv=None) -> int:
             failures.append(f"{arm}: mean response times diverged")
         if [r.samples for r in serial] != [r.samples for r in results]:
             failures.append(f"{arm}: collected samples diverged")
-        if serial_metrics.snapshot() != metrics.snapshot():
-            failures.append(f"{arm}: metrics snapshots diverged")
         if canonical(serial_manifest) != canonical(manifest):
             failures.append(
                 f"{arm}: sweep manifests diverged (beyond wall-clock fields)"
@@ -187,7 +177,7 @@ def main(argv=None) -> int:
         return 1
 
     print(f"serial == parallel (jobs={args.jobs}) == isolated across "
-          f"{len(configs)} points: means, samples, metrics, manifests")
+          f"{len(configs)} points: means, samples, manifests")
     print(f"checkpoint replay reproduced the sweep from {journal.name}")
     print("artifacts in", out)
     return 0

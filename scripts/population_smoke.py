@@ -4,7 +4,6 @@ Simulates a 200-client heterogeneous fleet twice — serially and with
 ``jobs=4`` — and fails unless the two runs are byte-identical:
 
 * the overall and per-segment aggregate snapshots;
-* the population metrics snapshots;
 * the population manifests, compared as canonical JSON after
   ``strip_wall_clock`` removes the only fields allowed to differ.
 
@@ -32,7 +31,6 @@ if _SRC not in sys.path:
 from repro.exec import SerialExecutor, SweepCheckpoint
 from repro.experiments.config import ExperimentConfig
 from repro.obs.manifest import strip_wall_clock
-from repro.obs.metrics import MetricsRegistry
 from repro.population import (
     Choice,
     PopulationSpec,
@@ -114,29 +112,17 @@ def main(argv=None) -> int:
     parallel_manifest = out / "population-parallel.json"
 
     print(f"== serial fleet ({spec.num_clients} clients) ==")
-    serial_metrics = MetricsRegistry()
-    serial = run_population(
-        spec,
-        jobs=1,
-        metrics=serial_metrics,
-        manifest=str(serial_manifest),
-    )
+    serial = run_population(spec, jobs=1, manifest=str(serial_manifest))
     print(serial.summary())
 
     print(f"== parallel fleet (jobs={args.jobs}) ==")
-    parallel_metrics = MetricsRegistry()
     parallel = run_population(
-        spec,
-        jobs=args.jobs,
-        metrics=parallel_metrics,
-        manifest=str(parallel_manifest),
+        spec, jobs=args.jobs, manifest=str(parallel_manifest),
     )
 
     failures = []
     if snapshots(serial) != snapshots(parallel):
         failures.append("aggregate snapshots diverged")
-    if serial_metrics.snapshot() != parallel_metrics.snapshot():
-        failures.append("metrics snapshots diverged")
     if canonical(serial_manifest) != canonical(parallel_manifest):
         failures.append(
             "population manifests diverged (beyond wall-clock fields)"
@@ -163,7 +149,7 @@ def main(argv=None) -> int:
         return 1
 
     print(f"serial == parallel (jobs={args.jobs}) across "
-          f"{spec.num_clients} clients: aggregates, metrics, manifests")
+          f"{spec.num_clients} clients: aggregates, manifests")
     print(f"checkpoint resume reproduced the fleet from {journal.name} "
           f"({resume.resumed} clients journalled)")
     print("artifacts in", out)

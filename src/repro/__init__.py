@@ -58,7 +58,6 @@ from repro.experiments import (
     sweep_results,
 )
 from repro.experiments.simengine import run_clients
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import MonitorSuite
 from repro.obs.profile import Profiler
 from repro.obs.trace import Tracer
@@ -70,7 +69,7 @@ from repro.population import (
 )
 from repro.workload import LogicalPhysicalMapping, ZipfRegionDistribution
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "BroadcastProgram",
@@ -81,7 +80,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "LogicalPhysicalMapping",
-    "MetricsRegistry",
     "MonitorError",
     "MonitorSuite",
     "PolicyError",

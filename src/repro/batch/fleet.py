@@ -273,7 +273,6 @@ def run_fleet(
     *,
     gamma: float = DEFAULT_GAMMA,
     tracer=None,
-    metrics=None,
     manifest: Optional[str] = None,
     profile=None,
     monitors=None,
@@ -342,6 +341,5 @@ def run_fleet(
 
     return finish_population(
         spec, client_stats, started=started, gamma=gamma, tracer=tracer,
-        metrics=metrics, manifest=manifest, profile=profile,
-        monitors=monitors,
+        manifest=manifest, profile=profile, monitors=monitors,
     )

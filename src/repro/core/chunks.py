@@ -24,6 +24,11 @@ from repro.errors import ConfigurationError
 #: Sentinel page id marking an unused (padding) broadcast slot.
 EMPTY_SLOT = -1
 
+#: The largest period, in slots, a layout may ask for (the scale of
+#: ``MAX_PAGE_ID``): a schedule holds its whole major cycle in memory,
+#: and 22 one-page disks at Δ=1 would ask for 5,121,436,320 slots.
+MAX_PERIOD = 2**22
+
 
 def lcm_many(values: Sequence[int]) -> int:
     """Least common multiple of a non-empty sequence of positive integers."""
@@ -65,7 +70,7 @@ class ChunkPlan:
 
     @classmethod
     def for_layout(cls, layout: DiskLayout) -> "ChunkPlan":
-        """Compute the chunking plan for ``layout``."""
+        """Compute the chunking plan for ``layout`` (period <= MAX_PERIOD)."""
         max_chunks = lcm_many(layout.rel_freqs)
         num_chunks = tuple(max_chunks // f for f in layout.rel_freqs)
         chunk_sizes = tuple(
@@ -74,6 +79,11 @@ class ChunkPlan:
         )
         minor = sum(chunk_sizes)
         period = max_chunks * minor
+        if period > MAX_PERIOD:
+            raise ConfigurationError(
+                f"layout {layout.describe()} has a period of {period:,} "
+                f"slots, above the cap of {MAX_PERIOD:,}"
+            )
         # Each disk occupies chunk_size slots in every minor cycle, i.e.
         # chunk_size * max_chunks slots per period, of which
         # size * rel_freq carry real pages; the rest is padding.

@@ -7,12 +7,11 @@ hashed (grid de-duplication), pickled (sent to a worker process), and
 fingerprinted (matched against a checkpoint journal).  Executors consume
 plans; nothing about a plan depends on *how* it will be executed.
 
-Seeds: by default a plan runs with its config's own seed, which keeps
-every existing figure reproduction bit-for-bit identical.  When a sweep
-wants per-point seed independence, :func:`plan_sweep` accepts a
-``sweep_seed`` and derives each plan's seed deterministically from it
-and the plan index (:func:`derive_seed`), so regenerating the same grid
-always re-derives the same seeds no matter which executor runs it.
+Seeds: a plan runs with its config's own seed, which keeps every
+figure reproduction bit-for-bit identical.  Populations give each
+client its own seed with :func:`derive_seed`, pure arithmetic on the
+fleet seed and the client index, so regenerating the same fleet always
+re-derives the same seeds no matter which executor runs it.
 """
 
 from __future__ import annotations
@@ -34,14 +33,13 @@ ENGINES: Tuple[str, ...] = ("batch", "fast", "fast-reference", "process")
 _SEED_STRIDE = 1_000_003
 
 
-def derive_seed(sweep_seed: int, index: int) -> int:
-    """The per-plan seed for position ``index`` of a seeded sweep.
+def derive_seed(seed: int, index: int) -> int:
+    """The seed of position ``index`` (a fleet's client) under ``seed``.
 
-    Pure arithmetic on ints: the same ``(sweep_seed, index)`` pair
-    always yields the same seed, on every platform and in every
-    process.
+    Pure arithmetic on ints: the same ``(seed, index)`` pair always
+    yields the same seed, on every platform and in every process.
     """
-    return int(sweep_seed) * _SEED_STRIDE + int(index)
+    return int(seed) * _SEED_STRIDE + int(index)
 
 
 def check_engine(engine: str) -> None:
@@ -116,25 +114,18 @@ def plan_sweep(
     *,
     engine: str = "fast",
     collect_responses: bool = False,
-    sweep_seed: int = None,
 ) -> List[RunPlan]:
     """Plans for a whole grid, indexed in iteration order.
 
-    With ``sweep_seed`` given, each config's seed is replaced by
-    :func:`derive_seed(sweep_seed, index) <derive_seed>`; left ``None``
-    (the default) every config keeps its own seed, which is what the
-    paper reproductions want (one shared seed across the grid).
+    Every config keeps its own seed, which is what the paper
+    reproductions want (one shared seed across the grid).
     """
-    plans: List[RunPlan] = []
-    for index, config in enumerate(configs):
-        if sweep_seed is not None:
-            config = config.with_(seed=derive_seed(sweep_seed, index))
-        plans.append(
-            RunPlan(
-                config=config,
-                engine=engine,
-                collect_responses=collect_responses,
-                index=index,
-            )
+    return [
+        RunPlan(
+            config=config,
+            engine=engine,
+            collect_responses=collect_responses,
+            index=index,
         )
-    return plans
+        for index, config in enumerate(configs)
+    ]

@@ -9,15 +9,14 @@ pure wall-clock optimisation: results are byte-identical regardless of
 worker count (see ``docs/ARCHITECTURE.md`` for the contract).
 
 Observability (see :mod:`repro.obs` and ``docs/OBSERVABILITY.md``):
-``run_experiment`` accepts a ``tracer`` (structured event records), a
-``metrics`` registry (named counters/gauges snapshotted per run), and a
-``manifest`` path (a JSON document pinning config hash, seed, schedule
-and metric snapshot).  ``sweep``/``sweep_results`` add an optional
-progress callback and sweep-manifest aggregation so bench scripts can
-emit machine-readable trajectories.  Under parallel execution the
-progress callback still fires in plan order and metrics are folded into
-the registry in plan order (after execution), so snapshots match the
-serial run exactly.  All of it is pay-for-use: with everything left at
+``run_experiment`` accepts a ``tracer`` (structured event records) and
+a ``manifest`` path (a JSON document pinning config hash, seed,
+schedule and the run's measurements).  ``sweep``/``sweep_results`` add
+an optional progress callback and sweep-manifest aggregation so bench
+scripts can emit machine-readable trajectories.  Under parallel
+execution the progress callback still fires in plan order and the
+sweep manifest lists the runs in plan order, so it matches the serial
+run exactly.  All of it is pay-for-use: with everything left at
 ``None`` the run is byte-identical to an unobserved one.
 """
 
@@ -34,8 +33,11 @@ from repro.exec.run import (  # noqa: F401 - re-exported for compatibility
     execute_plan,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.obs.manifest import build_manifest, write_manifest, write_sweep_manifest
-from repro.obs.profile import record_profile_metrics
+from repro.obs.manifest import (
+    build_manifest,
+    build_sweep_manifest,
+    write_manifest,
+)
 
 
 def run_experiment(
@@ -44,7 +46,6 @@ def run_experiment(
     engine: str = "fast",
     collect_responses: bool = False,
     tracer=None,
-    metrics=None,
     manifest: Optional[str] = None,
     profile=None,
     monitors=None,
@@ -54,12 +55,10 @@ def run_experiment(
     All options are keyword-only.  ``tracer`` attaches a
     :class:`repro.obs.trace.Tracer` to the engine (and, for the process
     engine, the kernel and channel) and wraps the cache in a
-    :class:`~repro.cache.base.TracedCache`.  ``metrics`` fills a
-    :class:`repro.obs.metrics.MetricsRegistry` with the run's headline
-    counters and gauges.  ``manifest`` names a JSON file to write the
-    run manifest to (also attached to the result).  ``profile`` attaches
-    a :class:`repro.obs.profile.Profiler` (phase timings and engine
-    counters); ``monitors`` a
+    :class:`~repro.cache.base.TracedCache`.  ``manifest`` names a JSON
+    file to write the run manifest to (also attached to the result).
+    ``profile`` attaches a :class:`repro.obs.profile.Profiler` (phase
+    timings and engine counters); ``monitors`` a
     :class:`repro.obs.monitor.MonitorSuite` checking the paper's
     invariants against the run's trace stream (strict mode raises
     :class:`~repro.errors.MonitorError`).  All default to off and leave
@@ -71,39 +70,13 @@ def run_experiment(
     profiling = profile is not None and profile.enabled
     if profiling:
         profile.start_phase("aggregate")
-    if metrics is not None:
-        _record_metrics(metrics, result)
-        if profiling:
-            record_profile_metrics(metrics, profile)
     if manifest is not None:
-        result.manifest = build_manifest(result, metrics=metrics,
-                                         tracer=tracer, profile=profile,
-                                         monitors=monitors)
+        result.manifest = build_manifest(result, tracer=tracer,
+                                         profile=profile, monitors=monitors)
         write_manifest(result.manifest, manifest)
     if profiling:
         profile.stop_phase("aggregate")
     return result
-
-
-def _record_metrics(metrics, result: ExperimentResult) -> None:
-    """Fold one run's headline measurements into a metrics registry."""
-    counters = result.response_stats
-    metrics.counter("requests.measured").inc(result.measured_requests)
-    metrics.counter("requests.warmup").inc(result.warmup_requests)
-    hits = round(result.hit_rate * result.measured_requests)
-    metrics.counter("cache.hits").inc(hits)
-    metrics.counter("cache.misses").inc(result.measured_requests - hits)
-    metrics.gauge("response.mean").set(counters.mean)
-    metrics.gauge("response.max").set(
-        counters.maximum if counters.count else 0.0
-    )
-    metrics.gauge("schedule.period").set(float(result.schedule_period))
-    metrics.gauge("schedule.utilisation").set(result.schedule_utilisation)
-    if result.channel_utilisation is not None:
-        metrics.counter("client.retunes").inc(result.retunes)
-        for index, value in enumerate(result.channel_utilisation):
-            metrics.gauge(f"schedule.utilisation.channel.{index}").set(value)
-    metrics.counter("runs").inc()
 
 
 #: Signature of the ``sweep`` progress callback:
@@ -142,7 +115,6 @@ def sweep_results(
     progress: Optional[ProgressCallback] = None,
     manifest: Optional[str] = None,
     tracer=None,
-    metrics=None,
     jobs: int = 1,
     collect_responses: bool = False,
     executor: Optional[Executor] = None,
@@ -156,16 +128,12 @@ def sweep_results(
     plan order even under parallel execution; ``manifest`` names a JSON
     file that receives the aggregated sweep manifest (one per-run
     record per configuration — the ``BENCH_*.json``-style trajectory).
-    ``tracer``/``metrics`` observe every run; an *enabled* tracer forces
+    ``tracer`` observes every run; an *enabled* tracer forces
     in-process serial execution so trace records stay in simulation
     order.  ``jobs`` selects the worker count (``executor`` overrides it
     with an explicit strategy), and ``checkpoint`` attaches a
     :class:`~repro.exec.checkpoint.SweepCheckpoint` journal so an
     interrupted sweep resumes without re-running finished points.
-
-    Metrics are folded into the registry in plan order after execution —
-    counters commute and gauges keep last-plan-wins semantics, so the
-    final snapshot matches a serial in-run recording exactly.
 
     ``profile`` attaches a :class:`repro.obs.profile.Profiler` and
     ``monitors`` a :class:`repro.obs.monitor.MonitorSuite`; either being
@@ -184,15 +152,11 @@ def sweep_results(
     profiling = profile is not None and profile.enabled
     if profiling:
         profile.start_phase("aggregate")
-    if metrics is not None:
-        for result in results:
-            _record_metrics(metrics, result)
-        if profiling:
-            record_profile_metrics(metrics, profile)
     if manifest is not None:
-        write_sweep_manifest(
-            results, manifest, metrics=metrics, tracer=tracer,
-            profile=profile, monitors=monitors,
+        write_manifest(
+            build_sweep_manifest(results, tracer=tracer, profile=profile,
+                                 monitors=monitors),
+            manifest,
         )
     if profiling:
         profile.stop_phase("aggregate")

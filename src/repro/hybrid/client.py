@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from repro.cache.base import CacheCounters, CachePolicy
+from repro.core.disks import DiskLayout
 from repro.errors import ConfigurationError
 from repro.hybrid.channel import HybridChannel
 from repro.sim.kernel import Simulator
@@ -51,6 +52,7 @@ class HybridClient:
         sim: Simulator,
         channel: HybridChannel,
         mapping: LogicalPhysicalMapping,
+        layout: DiskLayout,
         cache: CachePolicy,
         trace: RequestTrace,
         upstream: Resource,
@@ -71,6 +73,7 @@ class HybridClient:
         self.sim = sim
         self.channel = channel
         self.mapping = mapping
+        self.layout = layout
         self.cache = cache
         self.trace = trace
         self.upstream = upstream
@@ -120,7 +123,7 @@ class HybridClient:
                 cache.admit(page, sim.now)
             if measuring:
                 report.response.add(wait)
-                report.counters.record_miss(0)
+                report.counters.record_miss(self.layout.disk_of_page(physical))
                 if pulled:
                     report.pulls_won += 1
 

@@ -70,6 +70,7 @@ def run_hybrid_population(
                 sim=sim,
                 channel=channel,
                 mapping=mapping,
+                layout=layout,
                 cache=make_policy("LIX", cache_size, context),
                 trace=generate_trace(
                     distribution,

@@ -1,6 +1,6 @@
 """repro.obs — deterministic observability for the simulation stack.
 
-The observatory is six cooperating pieces, all zero-overhead when
+The observatory is five cooperating pieces, all zero-overhead when
 disabled:
 
 * :mod:`repro.obs.trace` — a structured trace bus.  Components hold an
@@ -11,11 +11,9 @@ disabled:
   (lookup / admit / evict).  Failing sinks are quarantined — detached
   after their first error with a single warning — so observation can
   never abort a simulation.
-* :mod:`repro.obs.metrics` — a registry of named counters, gauges, and
-  time-weighted stats, snapshotted per run.
 * :mod:`repro.obs.manifest` — machine-readable run manifests (config
-  hash, seeds, schedule period, metric snapshot) for single runs and
-  sweeps.
+  hash, seeds, schedule period, response statistics, access locations)
+  for single runs and sweeps: the one machine-readable record of a run.
 * :mod:`repro.obs.monitor` — declarative invariant monitors driven by
   the trace bus: fixed inter-arrival periodicity (§2.1), cache
   occupancy bounds, clock monotonicity, hit/miss conservation, and
@@ -39,16 +37,14 @@ tables), and ``regress`` (the CI benchmark gate).
 
 from repro.obs.analyze import analyze, render_analysis
 from repro.obs.clock import perf_counter
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, TimeWeightedGauge
 from repro.obs.manifest import (
     build_manifest,
     build_sweep_manifest,
     config_hash,
     write_manifest,
-    write_sweep_manifest,
 )
 from repro.obs.monitor import MonitorContext, MonitorSuite, Violation
-from repro.obs.profile import Profiler, record_profile_metrics
+from repro.obs.profile import Profiler
 from repro.obs.regress import (
     append_history,
     compare,
@@ -66,15 +62,11 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "JsonlSink",
     "MemorySink",
-    "MetricsRegistry",
     "MonitorContext",
     "MonitorSuite",
     "Profiler",
-    "TimeWeightedGauge",
     "TraceRecord",
     "Tracer",
     "Violation",
@@ -88,10 +80,8 @@ __all__ = [
     "perf_counter",
     "read_history",
     "read_jsonl",
-    "record_profile_metrics",
     "render_analysis",
     "run_gate",
     "trace_schedule",
     "write_manifest",
-    "write_sweep_manifest",
 ]

@@ -12,7 +12,7 @@ Where ``python -m repro.obs summary`` answers "is this trace healthy?",
   and the pages dominating the observed bandwidth;
 * :func:`residency_timeline` — cache occupancy over time (time-weighted
   mean and peak) plus the longest-resident pages, from the ``cache.*``
-  records;
+  records (walked by :func:`cache_residency`, which ``summary`` shares);
 * :func:`client_latency` — per-client latency attribution with Jain's
   fairness index over per-client mean waits, reusing the mergeable
   :class:`~repro.population.aggregate.FairnessAccumulator` the
@@ -26,9 +26,9 @@ document (the ``python -m repro.obs analyze`` payload).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.stats import RunningStats, TimeWeightedStat
+from repro.sim.stats import RunningStats
 
 #: Schema tag of the analyze document.
 ANALYZE_SCHEMA = "repro.obs.analyze/1"
@@ -131,56 +131,121 @@ def slot_utilization(records: List[dict], top: int = 5) -> Optional[Dict]:
     }
 
 
-def residency_timeline(records: List[dict], top: int = 5) -> Optional[Dict]:
-    """Cache occupancy over time from the ``cache.*`` records."""
-    relevant = [
-        r for r in records
-        if r["kind"] in ("cache.admit", "cache.evict", "cache.discard")
-    ]
-    if not relevant:
-        return None
-    start = relevant[0]["t"]
-    occupancy = TimeWeightedStat(start_time=start)
-    resident: Dict[int, float] = {}
-    resident_for: Dict[int, float] = {}
-    last_time = start
+#: The ``cache.*`` record kinds that change residency.
+_RESIDENCY_KINDS = ("cache.admit", "cache.evict", "cache.discard")
 
-    def leave(page: int, now: float) -> None:
-        entered = resident.pop(page, None)
+
+class _CacheStream:
+    """One client's cache as its records replay it: resident page ->
+    entry time, the latest record time (``seen``), and the occupancy
+    held since the latest change (``changed``)."""
+
+    __slots__ = ("resident", "seen", "changed", "occupancy")
+
+    def __init__(self, now: float):
+        self.resident: Dict[int, float] = {}
+        self.seen = self.changed = now
+        self.occupancy = 0.0
+
+
+def cache_residency(records: List[dict], top: int = 5) -> Optional[Dict]:
+    """The one walk over the ``cache.*`` records behind every residency view.
+
+    Residency is keyed by the record's ``client`` label and the page:
+    each client owns a private cache, and a columnar fleet interleaves
+    its clients' records.  Within one client's stream a timestamp
+    earlier than its previous cache record starts a new run (a sweep's
+    plans restart their clocks); every page still resident leaves at
+    the previous record's time, and the next run starts empty.  An
+    admission's named victim leaves at the admission instant, so the
+    occupancy peak never transiently reads capacity + 1.
+
+    Returns the record counts, the time-weighted occupancy (total area
+    over the total span of every run, and the peak over every run) and
+    the ``top`` longest residencies, whose rows name the client for
+    labelled records; ``None`` without cache records.
+    """
+    counts = {"events": 0, "admissions": 0, "evictions": 0,
+              "rejections": 0, "discards": 0}
+    streams: Dict[str, _CacheStream] = {}
+    resident_for: Dict[Tuple[str, int], float] = {}
+    area = span = peak = 0.0
+    stream = None
+
+    def leave(client: str, cache: _CacheStream, page: int,
+              now: float) -> None:
+        entered = cache.resident.pop(page, None)
         if entered is not None:
-            resident_for[page] = (
-                resident_for.get(page, 0.0) + (now - entered)
-            )
+            key = (client, page)
+            resident_for[key] = resident_for.get(key, 0.0) + (now - entered)
 
-    for record in relevant:
+    def close(client: str, cache: _CacheStream) -> None:
+        """End the stream's run at its last record: area and residency."""
+        nonlocal area, span
+        area += cache.occupancy * (cache.seen - cache.changed)
+        span += cache.seen - cache.changed
+        for page in list(cache.resident):
+            leave(client, cache, page, cache.seen)
+
+    for record in records:
         kind = record["kind"]
+        if kind not in _RESIDENCY_KINDS:
+            continue
+        counts["events"] += 1
         now = record["t"]
-        last_time = max(last_time, now)
+        client = str(record.get("client", ""))
+        stream = streams.get(client)
+        if stream is None:
+            stream = streams[client] = _CacheStream(now)
+        elif now < stream.seen:
+            close(client, stream)
+            stream = streams[client] = _CacheStream(now)
+        stream.seen = now
+        page = int(record["page"])
         if kind == "cache.admit":
+            counts["admissions"] += 1
             victim = record.get("victim")
             if victim == record["page"]:
+                counts["rejections"] += 1
                 continue  # rejected, never resident
             if victim is not None:
-                # The victim leaves as part of the admission; the paired
-                # ``cache.evict`` record then finds it already gone.
-                leave(int(victim), now)
-            resident[int(record["page"])] = now
+                # The paired ``cache.evict`` record then finds it gone.
+                leave(client, stream, int(victim), now)
+            stream.resident[page] = now
         else:
-            leave(int(record["page"]), now)
-        occupancy.record(now, float(len(resident)))
-    for page in list(resident):
-        leave(page, last_time)
+            counts["evictions" if kind == "cache.evict" else "discards"] += 1
+            leave(client, stream, page, now)
+        area += stream.occupancy * (now - stream.changed)
+        span += now - stream.changed
+        stream.changed = now
+        stream.occupancy = float(len(stream.resident))
+        peak = max(peak, stream.occupancy)
+    if stream is None:
+        return None
+    for client, cache in streams.items():
+        close(client, cache)
     longest = sorted(
         resident_for.items(), key=lambda item: (-item[1], item[0])
     )[:top]
     return {
-        "events": len(relevant),
-        "occupancy_mean": occupancy.mean(last_time),
-        "occupancy_max": occupancy.maximum,
+        **counts,
+        # Zero elapsed time: the occupancy the last record left.
+        "occupancy_mean": area / span if span > 0 else stream.occupancy,
+        "occupancy_max": peak,
         "longest_resident": [
-            {"page": page, "resident_time": span}
-            for page, span in longest
+            {"page": page, "resident_time": resident_time,
+             **({"client": client} if client else {})}
+            for (client, page), resident_time in longest
         ],
+    }
+
+
+def residency_timeline(records: List[dict], top: int = 5) -> Optional[Dict]:
+    """Cache occupancy over time from the ``cache.*`` records."""
+    walk = cache_residency(records, top)
+    return None if walk is None else {
+        key: walk[key] for key in
+        ("events", "occupancy_mean", "occupancy_max", "longest_resident")
     }
 
 
@@ -293,8 +358,9 @@ def render_analysis(document: Dict) -> str:
             f"({residency['events']} cache events)"
         )
         for row in residency["longest_resident"]:
+            owner = f"{row['client']} " if "client" in row else ""
             lines.append(
-                f"    page {row['page']:<6} resident "
+                f"    {owner}page {row['page']:<6} resident "
                 f"{row['resident_time']:.1f} bu"
             )
     latency = document.get("client_latency")

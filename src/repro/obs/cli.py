@@ -33,7 +33,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.analyze import analyze, render_analysis
+from repro.obs.analyze import analyze, cache_residency, render_analysis
 from repro.obs.manifest import read_manifest
 from repro.obs.regress import (
     DEFAULT_HISTORY,
@@ -44,9 +44,6 @@ from repro.obs.regress import (
     run_gate,
 )
 from repro.obs.trace import (
-    CACHE_ADMIT,
-    CACHE_DISCARD,
-    CACHE_EVICT,
     CHANNEL_DELIVER,
     CLIENT_HIT,
     CLIENT_MISS,
@@ -157,50 +154,10 @@ def response_summary(records: List[dict], bins: int = 8) -> Optional[Dict]:
 
 def cache_summary(records: List[dict], top: int = 5) -> Optional[Dict]:
     """Admission/eviction totals and residency timeline from ``cache.*``."""
-    admits = evictions = rejections = discards = 0
-    entered: Dict[int, float] = {}
-    resident_for: Dict[int, float] = {}
-    last_time = 0.0
-
-    def leave(page: int, now: float) -> None:
-        start = entered.pop(page, None)
-        if start is not None:
-            resident_for[page] = resident_for.get(page, 0.0) + (now - start)
-
-    for record in records:
-        kind = record["kind"]
-        if kind not in (CACHE_ADMIT, CACHE_EVICT, CACHE_DISCARD):
-            continue
-        now = record["t"]
-        last_time = max(last_time, now)
-        if kind == CACHE_ADMIT:
-            admits += 1
-            if record.get("victim") == record["page"]:
-                rejections += 1
-            else:
-                entered[record["page"]] = now
-        elif kind == CACHE_EVICT:
-            evictions += 1
-            leave(record["page"], now)
-        else:
-            discards += 1
-            leave(record["page"], now)
-    if not (admits or evictions or discards):
-        return None
-    # Pages still resident at the end of the trace count up to its close.
-    for page in list(entered):
-        leave(page, last_time)
-    longest = sorted(
-        resident_for.items(), key=lambda item: (-item[1], item[0])
-    )[:top]
-    return {
-        "admissions": admits,
-        "evictions": evictions,
-        "rejections": rejections,
-        "discards": discards,
-        "longest_resident": [
-            {"page": page, "resident_time": span} for page, span in longest
-        ],
+    walk = cache_residency(records, top)
+    return None if walk is None else {
+        key: walk[key] for key in ("admissions", "evictions", "rejections",
+                                   "discards", "longest_resident")
     }
 
 
@@ -270,7 +227,8 @@ def _print_summary(summary: Dict) -> None:
         if cache["longest_resident"]:
             print("  longest residency:")
             for row in cache["longest_resident"]:
-                print(f"    page {row['page']:<6} "
+                owner = f"{row['client']} " if "client" in row else ""
+                print(f"    {owner}page {row['page']:<6} "
                       f"{row['resident_time']:.1f} bu")
 
 

@@ -21,16 +21,3 @@ def perf_counter() -> float:
     """
     return _time.perf_counter()
 
-
-class Stopwatch:
-    """Measure a wall-time span: ``elapsed`` seconds since construction."""
-
-    __slots__ = ("_started",)
-
-    def __init__(self) -> None:
-        self._started = perf_counter()
-
-    @property
-    def elapsed(self) -> float:
-        """Wall seconds since the stopwatch was created."""
-        return perf_counter() - self._started

@@ -3,7 +3,7 @@
 A manifest answers "what exactly produced this number?": the full
 configuration and its hash, the seed, the schedule's structural
 properties, the warm-up/measurement split, the headline metrics, wall
-time, and (optionally) a metrics-registry snapshot and trace totals.
+time, and (optionally) trace totals, a profile and a monitor verdict.
 
 Manifests are deliberately plain dicts — JSON-ready, diffable,
 schema-tagged — rather than classes; the sweep aggregate embeds one
@@ -54,18 +54,36 @@ def config_hash(config) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def build_manifest(result, *, metrics=None, tracer=None, profile=None,
+def observer_blocks(tracer, profile, monitors) -> Dict:
+    """The optional ``trace``/``profile``/``monitors`` manifest blocks.
+
+    A ``tracer`` (a :class:`repro.obs.trace.Tracer`) contributes its
+    emission totals; ``profile`` (a :class:`repro.obs.profile.Profiler`)
+    and ``monitors`` (a :class:`repro.obs.monitor.MonitorSuite`) embed
+    their schema-tagged snapshots — so a run, sweep or population
+    manifest carries the phase timings, engine counters, and any
+    invariant violations alongside the measurements they describe.
+    Each block is left out when its observer is ``None``.
+    """
+    blocks: Dict = {}
+    if tracer is not None:
+        blocks["trace"] = {
+            "enabled": tracer.enabled,
+            "records_emitted": tracer.emitted,
+        }
+    if profile is not None:
+        blocks["profile"] = profile.snapshot()
+    if monitors is not None:
+        blocks["monitors"] = monitors.snapshot()
+    return blocks
+
+
+def build_manifest(result, *, tracer=None, profile=None,
                    monitors=None) -> Dict:
     """The manifest dict for one :class:`ExperimentResult`-shaped object.
 
-    ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) and
-    ``tracer`` (a :class:`repro.obs.trace.Tracer`) contribute their
-    snapshot / emission totals when provided; ``profile`` (a
-    :class:`repro.obs.profile.Profiler`) and ``monitors`` (a
-    :class:`repro.obs.monitor.MonitorSuite`) embed their schema-tagged
-    snapshots — so a manifest carries the run's phase timings, engine
-    counters, and any invariant violations alongside the measurements
-    they describe.
+    ``tracer``, ``profile`` and ``monitors`` add their blocks (see
+    :func:`observer_blocks`) when provided.
     """
     config = result.config
     stats = result.response_stats
@@ -97,17 +115,7 @@ def build_manifest(result, *, metrics=None, tracer=None, profile=None,
     if channel_utilisation is not None:
         manifest["retunes"] = result.retunes
         manifest["channel_utilisation"] = list(channel_utilisation)
-    if metrics is not None:
-        manifest["metrics"] = metrics.snapshot()
-    if tracer is not None:
-        manifest["trace"] = {
-            "enabled": tracer.enabled,
-            "records_emitted": tracer.emitted,
-        }
-    if profile is not None:
-        manifest["profile"] = profile.snapshot()
-    if monitors is not None:
-        manifest["monitors"] = monitors.snapshot()
+    manifest.update(observer_blocks(tracer, profile, monitors))
     return manifest
 
 
@@ -118,15 +126,15 @@ def write_manifest(manifest: Dict, path: str) -> None:
         handle.write("\n")
 
 
-def build_sweep_manifest(results: Iterable, *, metrics=None,
-                         tracer=None, name: str = "sweep",
-                         profile=None, monitors=None) -> Dict:
+def build_sweep_manifest(results: Iterable, *, tracer=None,
+                         name: str = "sweep", profile=None,
+                         monitors=None) -> Dict:
     """Aggregate per-run manifests into one sweep document.
 
     The summary block carries the cross-run totals a bench trajectory
     wants in one glance (total wall time, request volume, response-time
     extremes); ``runs`` holds the full per-configuration manifests.
-    ``profile``/``monitors`` embed their snapshots like
+    ``tracer``/``profile``/``monitors`` add their blocks like
     :func:`build_manifest`.
     """
     runs: List[Dict] = [build_manifest(result) for result in results]
@@ -146,31 +154,7 @@ def build_sweep_manifest(results: Iterable, *, metrics=None,
         "summary": summary,
         "runs": runs,
     }
-    if metrics is not None:
-        sweep["metrics"] = metrics.snapshot()
-    if tracer is not None:
-        sweep["trace"] = {
-            "enabled": tracer.enabled,
-            "records_emitted": tracer.emitted,
-        }
-    if profile is not None:
-        sweep["profile"] = profile.snapshot()
-    if monitors is not None:
-        sweep["monitors"] = monitors.snapshot()
-    return sweep
-
-
-def write_sweep_manifest(results: Iterable, path: str,
-                         *, name: str = "sweep",
-                         metrics=None, tracer=None,
-                         profile=None, monitors=None) -> Dict:
-    """Build and write a sweep manifest; returns the written dict."""
-    sweep = build_sweep_manifest(results, metrics=metrics, tracer=tracer,
-                                 name=name, profile=profile,
-                                 monitors=monitors)
-    with open(path, "w") as handle:
-        json.dump(sweep, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    sweep.update(observer_blocks(tracer, profile, monitors))
     return sweep
 
 

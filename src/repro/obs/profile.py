@@ -122,13 +122,3 @@ class Profiler:
             f"counters={len(self.counters)}>"
         )
 
-
-def record_profile_metrics(metrics, profile: Profiler) -> None:
-    """Fold a profiler's counters into a metrics registry.
-
-    Counters land under ``profile.<name>`` — so sweep manifests with
-    both a ``metrics`` registry and a profiler attached carry the totals
-    in both blocks, consistently.
-    """
-    for name, value in sorted(profile.counters.items()):
-        metrics.counter(f"profile.{name}").inc(value)

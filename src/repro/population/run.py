@@ -31,7 +31,7 @@ from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.executor import Executor, resolve_executor, usable_cores
 from repro.exec.run import ExperimentResult
 from repro.obs.clock import perf_counter
-from repro.obs.manifest import write_manifest
+from repro.obs.manifest import observer_blocks, write_manifest
 from repro.population.aggregate import (
     DEFAULT_GAMMA,
     PopulationAggregate,
@@ -77,14 +77,13 @@ class PopulationResult:
 
 
 def build_population_manifest(
-    result: PopulationResult, *, metrics=None, tracer=None,
-    profile=None, monitors=None,
+    result: PopulationResult, *, tracer=None, profile=None, monitors=None,
 ) -> Dict:
     """The manifest dict for one :class:`PopulationResult`.
 
     Embeds the full serialised spec and its hash (the fleet analogue of
     ``config_hash``), the overall and per-segment rollup snapshots, and
-    optional metrics/trace/profile/monitor blocks — same conventions as
+    optional trace/profile/monitor blocks — same conventions as
     :func:`repro.obs.manifest.build_manifest`.
     """
     spec_payload = spec_to_dict(result.spec)
@@ -104,39 +103,8 @@ def build_population_manifest(
         },
         "total_wall_seconds": result.wall_seconds,
     }
-    if metrics is not None:
-        manifest["metrics"] = metrics.snapshot()
-    if tracer is not None:
-        manifest["trace"] = {
-            "enabled": tracer.enabled,
-            "records_emitted": tracer.emitted,
-        }
-    if profile is not None:
-        manifest["profile"] = profile.snapshot()
-    if monitors is not None:
-        manifest["monitors"] = monitors.snapshot()
+    manifest.update(observer_blocks(tracer, profile, monitors))
     return manifest
-
-
-def _record_population_metrics(metrics, result: PopulationResult) -> None:
-    """Fold the fleet rollup into a metrics registry."""
-    overall = result.overall
-    metrics.counter("population.clients").inc(overall.clients)
-    metrics.counter("population.requests.measured").inc(
-        overall.measured_requests
-    )
-    metrics.counter("population.requests.warmup").inc(
-        overall.warmup_requests
-    )
-    metrics.gauge("population.response.mean").set(
-        overall.response_means.mean
-    )
-    metrics.gauge("population.response.p99").set(
-        overall.percentiles.quantile(0.99)
-    )
-    metrics.gauge("population.fairness").set(overall.fairness.jain)
-    metrics.gauge("population.hit_rate").set(overall.hit_rate)
-    metrics.counter("population.runs").inc()
 
 
 def finish_population(
@@ -146,7 +114,6 @@ def finish_population(
     started: float,
     gamma: float = DEFAULT_GAMMA,
     tracer=None,
-    metrics=None,
     manifest: Optional[str] = None,
     profile=None,
     monitors=None,
@@ -157,8 +124,8 @@ def finish_population(
     The one tail of :func:`run_population` and
     :func:`~repro.batch.fleet.run_fleet`: ``results`` holds one
     per-client result in plan order, folded by
-    :func:`~repro.population.aggregate.fold_results`; ``metrics`` and
-    ``manifest`` then record the rollup.  Wall time counts from
+    :func:`~repro.population.aggregate.fold_results`; ``manifest``
+    then records the rollup.  Wall time counts from
     ``started``, a :func:`~repro.obs.clock.perf_counter` reading; an
     enabled ``profile`` times the fold as its ``aggregate`` phase.
     """
@@ -175,12 +142,9 @@ def finish_population(
         wall_seconds=perf_counter() - started,
         results=list(results) if keep_results else None,
     )
-    if metrics is not None:
-        _record_population_metrics(metrics, population)
     if manifest is not None:
         population.manifest = build_population_manifest(
-            population, metrics=metrics, tracer=tracer,
-            profile=profile, monitors=monitors,
+            population, tracer=tracer, profile=profile, monitors=monitors,
         )
         write_manifest(population.manifest, manifest)
     if profiling:
@@ -220,7 +184,6 @@ def run_population(
     progress=None,
     checkpoint: Optional[SweepCheckpoint] = None,
     tracer=None,
-    metrics=None,
     manifest: Optional[str] = None,
     keep_results: bool = False,
     gamma: float = DEFAULT_GAMMA,
@@ -234,10 +197,10 @@ def run_population(
     byte-identical at any count.  ``progress(completed, total, result)``
     fires per client in plan order; ``checkpoint`` attaches a
     :class:`~repro.exec.checkpoint.SweepCheckpoint` journal so an
-    interrupted fleet resumes client-by-client.  ``tracer`` and
-    ``metrics`` observe the run (an *enabled* tracer forces serial
-    execution, as everywhere else); ``manifest`` names a JSON file that
-    receives the population manifest.  ``keep_results=True`` retains the
+    interrupted fleet resumes client-by-client.  ``tracer`` observes
+    the run (an *enabled* tracer forces serial execution, as everywhere
+    else); ``manifest`` names a JSON file that receives the population
+    manifest.  ``keep_results=True`` retains the
     per-client result list on the returned object; ``gamma`` tunes the
     percentile sketch's relative accuracy.  ``profile`` attaches a
     :class:`repro.obs.profile.Profiler` and ``monitors`` a
@@ -255,8 +218,8 @@ def run_population(
         from repro.batch.fleet import run_fleet
 
         return run_fleet(
-            spec, gamma=gamma, tracer=tracer, metrics=metrics,
-            manifest=manifest, profile=profile, monitors=monitors,
+            spec, gamma=gamma, tracer=tracer, manifest=manifest,
+            profile=profile, monitors=monitors,
         )
     started = perf_counter()
     plans = expand(spec)
@@ -268,6 +231,6 @@ def run_population(
     )
     return finish_population(
         spec, results, started=started, gamma=gamma, tracer=tracer,
-        metrics=metrics, manifest=manifest, profile=profile,
-        monitors=monitors, keep_results=keep_results,
+        manifest=manifest, profile=profile, monitors=monitors,
+        keep_results=keep_results,
     )

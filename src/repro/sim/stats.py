@@ -182,11 +182,6 @@ class TimeWeightedStat:
         """The signal's present value."""
         return self._last_value
 
-    @property
-    def last_time(self) -> float:
-        """Instant of the most recent change (or the start time)."""
-        return self._last_time
-
 
 class Histogram:
     """Fixed-width histogram over ``[low, high)`` with overflow bins."""

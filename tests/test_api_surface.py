@@ -32,7 +32,6 @@ EXPECTED_ALL = [
     "ExperimentConfig",
     "ExperimentResult",
     "LogicalPhysicalMapping",
-    "MetricsRegistry",
     "MonitorError",
     "MonitorSuite",
     "PolicyError",
@@ -84,7 +83,7 @@ class TestExportSnapshot:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.5.0"
+        assert repro.__version__ == "1.6.0"
 
 
 class TestKeywordOnlyContract:
@@ -123,8 +122,7 @@ class TestKeywordOnlyContract:
         ]
         assert options == [
             "jobs", "executor", "progress", "checkpoint", "tracer",
-            "metrics", "manifest", "keep_results", "gamma", "profile",
-            "monitors",
+            "manifest", "keep_results", "gamma", "profile", "monitors",
         ]
 
 

@@ -1,10 +1,14 @@
 """Unit tests for the LCM chunking arithmetic (repro.core.chunks)."""
 
+import time
+
 import pytest
 
-from repro.core.chunks import EMPTY_SLOT, ChunkPlan, lcm_many
+from repro.core.chunks import EMPTY_SLOT, MAX_PERIOD, ChunkPlan, lcm_many
 from repro.core.disks import DiskLayout
 from repro.errors import ConfigurationError
+from repro.experiments.config import DISK_PRESETS, ExperimentConfig
+from repro.experiments.runner import run_experiment
 
 
 class TestLcmMany:
@@ -127,3 +131,43 @@ class TestChunkContents:
         # 500/4=125, 2000/7=285.71->286, 2500/28=89.28->90
         assert plan.chunk_sizes == (125, 286, 90)
         assert plan.period == 28 * (125 + 286 + 90)
+
+
+class TestPeriodCap:
+    """A period above ``MAX_PERIOD`` fails before any slot is built."""
+
+    @pytest.mark.parametrize("disks, period", [
+        (22, 5_121_436_320),
+        (16, 11_531_520),
+    ])
+    def test_one_page_disks_rejected_fast(self, disks, period):
+        config = ExperimentConfig(
+            disk_sizes=(1,) * disks, delta=1, access_range=disks,
+            region_size=1,
+        )
+        started = time.perf_counter()
+        with pytest.raises(ConfigurationError) as error:
+            run_experiment(config)
+        assert time.perf_counter() - started < 0.5
+        message = str(error.value)
+        assert f"{period:,} slots" in message
+        assert f"cap of {MAX_PERIOD:,}" in message
+        assert config.build_layout().describe() in message
+
+    def test_cap_itself_is_accepted(self):
+        plan = ChunkPlan.for_layout(DiskLayout.flat(MAX_PERIOD))
+        assert plan.period == MAX_PERIOD
+        with pytest.raises(ConfigurationError, match="4,194,305 slots"):
+            ChunkPlan.for_layout(DiskLayout.flat(MAX_PERIOD + 1))
+
+    @pytest.mark.parametrize("preset", sorted(DISK_PRESETS))
+    def test_paper_programs_build(self, preset):
+        # Every preset x delta 0-7 x 1-4 channels stays far below the
+        # cap (the largest period is 26,160 slots).
+        for delta in range(8):
+            for channels in range(1, 5):
+                config = ExperimentConfig(
+                    disk_sizes=DISK_PRESETS[preset], delta=delta,
+                    channels=channels,
+                )
+                assert config.build_schedule().period <= 26_160

@@ -26,7 +26,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import sweep_results
 from repro.obs.manifest import build_sweep_manifest, strip_wall_clock
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, Tracer
 
 
@@ -96,14 +95,6 @@ class TestExecutorEquivalence:
         assert [r.mean_response_time for r in serial] == [
             r.mean_response_time for r in parallel
         ]
-
-    def test_metrics_fold_identically(self):
-        configs = small_grid()
-        serial_metrics = MetricsRegistry()
-        parallel_metrics = MetricsRegistry()
-        sweep_results(configs, metrics=serial_metrics)
-        sweep_results(configs, metrics=parallel_metrics, jobs=3)
-        assert serial_metrics.snapshot() == parallel_metrics.snapshot()
 
     def test_progress_fires_in_plan_order(self):
         configs = small_grid()

@@ -85,16 +85,6 @@ class TestSeedDerivation:
         assert [plan.seed for plan in plans] == [7, 9]
         assert [plan.index for plan in plans] == [0, 1]
 
-    def test_plan_sweep_with_sweep_seed_derives_per_plan(self):
-        configs = [small_config(), small_config(delta=4)]
-        plans = plan_sweep(configs, sweep_seed=42)
-        assert [plan.seed for plan in plans] == [
-            derive_seed(42, 0), derive_seed(42, 1),
-        ]
-        # Re-planning the same grid re-derives the same seeds.
-        again = plan_sweep(configs, sweep_seed=42)
-        assert [plan.seed for plan in again] == [plan.seed for plan in plans]
-
 
 class TestBuildCache:
     def test_structural_key_ignores_client_parameters(self):

@@ -1,5 +1,6 @@
 """Tests for the hybrid push/pull extension (repro.hybrid)."""
 
+import collections
 import math
 
 import pytest
@@ -123,6 +124,7 @@ class TestHybridClient:
             sim=sim,
             channel=channel,
             mapping=LogicalPhysicalMapping(layout),
+            layout=layout,
             cache=LRUPolicy(2, PolicyContext()),
             trace=RequestTrace.from_pages(trace),
             upstream=upstream,
@@ -153,6 +155,43 @@ class TestHybridClient:
     def test_cache_hits_cost_nothing(self):
         report = self.build(math.inf, [3, 3, 3])
         assert report.counters.hits == 2
+
+    @pytest.mark.parametrize("pull_threshold", [math.inf, 0.0])
+    def test_misses_book_the_page_disk(self, pull_threshold):
+        # A one-page cache and no repeated page: every request misses,
+        # and each miss is booked on the disk its physical page airs on.
+        layout = DiskLayout((2, 4, 8), (4, 2, 1))
+        pages = [0, 2, 3, 6, 7, 8, 13]
+        sim = Simulator()
+        channel = HybridChannel(sim, multidisk_program(layout),
+                                pull_spacing=4)
+        HybridServer(sim, channel)
+        client = HybridClient(
+            sim=sim,
+            channel=channel,
+            mapping=LogicalPhysicalMapping(layout),
+            layout=layout,
+            cache=LRUPolicy(1, PolicyContext()),
+            trace=RequestTrace.from_pages(pages),
+            upstream=Resource(sim, capacity=1),
+            think_time=1.0,
+            pull_threshold=pull_threshold,
+        )
+        sim.run_until_event(client.process)
+        counters = client.report.counters
+        assert counters.misses == len(pages)
+        assert counters.per_disk_misses == dict(collections.Counter(
+            layout.disk_of_page(page) for page in pages
+        )) == {0: 1, 1: 2, 2: 4}
+
+    def test_population_misses_span_the_access_range_disks(self):
+        # The 100-page access range of <50,200,250> airs on disks 0 and 1.
+        for report in run_hybrid_population(
+            2, pull_threshold=math.inf, requests_per_client=300
+        ):
+            per_disk = report.counters.per_disk_misses
+            assert set(per_disk) == {0, 1}
+            assert sum(per_disk.values()) == report.counters.misses
 
 
 class TestTimelineProperties:

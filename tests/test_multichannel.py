@@ -16,6 +16,7 @@ The contract under test, end to end:
 """
 
 import collections
+import json
 
 import pytest
 
@@ -36,7 +37,6 @@ from repro.exec.run import result_from_state, result_state
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import FastEngine
 from repro.experiments.runner import run_experiment
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import MonitorSuite
 from repro.population import PopulationSpec, SegmentSpec, run_population
 
@@ -221,15 +221,18 @@ class TestObservability:
             assert monitors.ok
             assert result.retunes > 0
 
-    def test_per_channel_metrics_recorded(self):
-        metrics = MetricsRegistry()
+    def test_per_channel_metrics_recorded(self, tmp_path):
+        path = tmp_path / "run.json"
         result = run_experiment(
-            config(channels=2), engine="fast", metrics=metrics
+            config(channels=2), engine="fast", manifest=str(path)
         )
-        snapshot = metrics.snapshot()
-        assert snapshot["client.retunes"] == result.retunes
-        for index, value in enumerate(result.channel_utilisation):
-            assert snapshot[f"schedule.utilisation.channel.{index}"] == value
+        manifest = json.loads(path.read_text())
+        assert "metrics" not in manifest
+        assert manifest["retunes"] == result.retunes > 0
+        assert manifest["channel_utilisation"] == list(
+            result.channel_utilisation
+        )
+        assert len(manifest["channel_utilisation"]) == 2
 
     def test_result_state_round_trip(self):
         cfg = config(channels=2)

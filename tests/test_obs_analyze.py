@@ -10,17 +10,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import run_experiment
+import json
+
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment, sweep_results
 from repro.obs.analyze import (
     ANALYZE_SCHEMA,
     analyze,
+    cache_residency,
     client_latency,
     render_analysis,
     residency_timeline,
     response_by_disk,
     slot_utilization,
 )
-from repro.obs.trace import MemorySink, Tracer
+from repro.obs.cli import EXIT_OK, cache_summary, main
+from repro.obs.trace import JsonlSink, MemorySink, Tracer, read_jsonl
+from repro.population import PopulationSpec, SegmentSpec, run_population
 
 
 def wait(t, physical, amount, client=None):
@@ -124,6 +130,138 @@ class TestResidencyTimeline:
 
     def test_no_cache_records_no_section(self):
         assert residency_timeline([{"kind": "sim.event", "t": 0.0}]) is None
+
+    def test_clock_restart_starts_a_new_run(self):
+        # Two runs in one stream: the second restarts the clock, so
+        # page 1 leaves at the first run's last record (t=4) and the
+        # gap between the runs counts toward neither.
+        records = [
+            {"kind": "cache.admit", "t": 2.0, "page": 1, "victim": None},
+            {"kind": "cache.admit", "t": 4.0, "page": 2, "victim": None},
+            {"kind": "cache.admit", "t": 1.0, "page": 1, "victim": None},
+            {"kind": "cache.discard", "t": 3.0, "page": 1},
+        ]
+        walk = cache_residency(records)
+        assert residencies(records) == {("", 1): 4.0, ("", 2): 0.0}
+        # Occupancy 1 over [2, 4) and over [1, 3): area 4 over span 4.
+        assert walk["occupancy_mean"] == 1.0
+        assert walk["occupancy_max"] == 2.0
+        assert (walk["admissions"], walk["discards"]) == (3, 1)
+
+    def test_clients_keep_separate_caches(self):
+        # Interleaved clients with unsynchronised clocks: neither
+        # client's records restart the other's run, and the same page
+        # in two caches is two residencies.
+        records = [
+            {"kind": "cache.admit", "t": 5.0, "page": 7, "victim": None,
+             "client": "a"},
+            {"kind": "cache.admit", "t": 1.0, "page": 7, "victim": None,
+             "client": "b"},
+            {"kind": "cache.discard", "t": 9.0, "page": 7, "client": "a"},
+            {"kind": "cache.discard", "t": 2.0, "page": 7, "client": "b"},
+        ]
+        assert residencies(records) == {("a", 7): 4.0, ("b", 7): 1.0}
+        assert cache_residency(records)["occupancy_max"] == 1.0
+        rows = residency_timeline(records)["longest_resident"]
+        assert rows == [
+            {"page": 7, "resident_time": 4.0, "client": "a"},
+            {"page": 7, "resident_time": 1.0, "client": "b"},
+        ]
+
+
+def residencies(records):
+    """Every residency of the walk, keyed by ``(client, page)``."""
+    rows = cache_residency(records, top=10**9)["longest_resident"]
+    return {(row.get("client", ""), row["page"]): row["resident_time"]
+            for row in rows}
+
+
+def _small_config(**overrides):
+    fields = dict(disk_sizes=(50, 200, 250), delta=3, cache_size=10,
+                  policy="LIX", access_range=100, region_size=10,
+                  num_requests=300, seed=7)
+    fields.update(overrides)
+    return ExperimentConfig(**fields)
+
+
+class TestMultiRunTraces:
+    """Traces holding several runs or clients: one walk, per-run clocks."""
+
+    @pytest.fixture
+    def sweep_trace(self, tmp_path):
+        """A traced two-point sweep (Δ 1 and 3), plus each run alone."""
+        path = str(tmp_path / "sweep.jsonl")
+        configs = [_small_config(delta=delta) for delta in (1, 3)]
+        with Tracer(JsonlSink(path)) as tracer:
+            sweep_results(configs, tracer=tracer)
+        alone = []
+        for config in configs:
+            sink = MemorySink(capacity=None)
+            with Tracer(sink) as tracer:
+                run_experiment(config, tracer=tracer)
+            alone.append([record.to_dict() for record in sink.records])
+        return path, alone
+
+    @pytest.fixture
+    def fleet_trace(self, tmp_path):
+        """A traced 3-client fleet on the columnar batch engine."""
+        path = str(tmp_path / "fleet.jsonl")
+        spec = PopulationSpec(
+            name="trio", base=_small_config(), seed=5, engine="batch",
+            segments=(SegmentSpec("all", 3),),
+        )
+        with Tracer(JsonlSink(path)) as tracer:
+            run_population(spec, tracer=tracer)
+        return path
+
+    def test_sweep_trace_analyzes(self, sweep_trace, capsys):
+        path, alone = sweep_trace
+        assert main(["analyze", path, "--json"]) == EXIT_OK
+        section = json.loads(capsys.readouterr().out)["cache_residency"]
+        assert 0.0 < section["occupancy_mean"] <= section["occupancy_max"]
+        assert section["occupancy_max"] <= 10
+        # The sweep's walk is the two runs' walks added up.
+        records = list(read_jsonl(path))
+        walk = cache_residency(records)
+        walks = [cache_residency(run) for run in alone]
+        assert walk["events"] == sum(w["events"] for w in walks)
+        assert walk["occupancy_max"] == max(
+            w["occupancy_max"] for w in walks
+        )
+        per_run = [residencies(run) for run in alone]
+        combined = residencies(records)
+        assert set(combined) == set(per_run[0]) | set(per_run[1])
+        for key, resident_time in combined.items():
+            assert resident_time == pytest.approx(
+                sum(run.get(key, 0.0) for run in per_run)
+            )
+
+    def test_fleet_trace_analyzes(self, fleet_trace, capsys):
+        assert main(["analyze", fleet_trace, "--json"]) == EXIT_OK
+        section = json.loads(capsys.readouterr().out)["cache_residency"]
+        assert section["occupancy_max"] <= 10
+        assert all("client" in row for row in section["longest_resident"])
+        # Each client's residency is what its own records alone give.
+        records = list(read_jsonl(fleet_trace))
+        combined = residencies(records)
+        clients = {client for client, _page in combined}
+        assert clients == {f"trio/all/client{i}" for i in range(3)}
+        for client in clients:
+            own = residencies(
+                [r for r in records if r.get("client") == client]
+            )
+            assert own == {key: resident_time
+                           for key, resident_time in combined.items()
+                           if key[0] == client}
+
+    def test_summary_shares_the_walk(self, fleet_trace, sweep_trace):
+        for path in (fleet_trace, sweep_trace[0]):
+            assert main(["summary", path]) == EXIT_OK
+            records = list(read_jsonl(path))
+            summary = cache_summary(records)
+            assert summary["longest_resident"] == (
+                residency_timeline(records)["longest_resident"]
+            )
 
 
 class TestClientLatency:

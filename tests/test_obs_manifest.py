@@ -17,8 +17,9 @@ from repro.obs.manifest import (
     config_hash,
     read_manifest,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, Tracer
+from repro.population import PopulationSpec, SegmentSpec, run_population
+from repro.population.run import build_population_manifest
 
 
 class TestConfigHash:
@@ -74,19 +75,27 @@ class TestRunManifest:
             read_manifest(path)
 
     def test_metrics_and_trace_sections_are_optional(self, mini_config):
-        registry = MetricsRegistry()
         tracer = Tracer(MemorySink())
-        result = run_experiment(
-            mini_config, tracer=tracer, metrics=registry
-        )
-        manifest = build_manifest(result, metrics=registry, tracer=tracer)
-        assert manifest["metrics"]["runs"] == 1
+        result = run_experiment(mini_config, tracer=tracer)
+        manifest = build_manifest(result, tracer=tracer)
         assert manifest["trace"] == {
             "enabled": True,
             "records_emitted": tracer.emitted,
         }
         bare = build_manifest(result)
-        assert "metrics" not in bare and "trace" not in bare
+        assert "trace" not in bare
+        # No run, sweep or population manifest has a metrics block.
+        fleet = run_population(PopulationSpec(
+            name="pair", base=mini_config, seed=3,
+            segments=(SegmentSpec("all", 2),),
+        ))
+        for document in (
+            manifest,
+            bare,
+            build_sweep_manifest([result], tracer=tracer),
+            build_population_manifest(fleet, tracer=tracer),
+        ):
+            assert "metrics" not in document
 
     def test_no_manifest_requested_leaves_result_bare(self, mini_config):
         assert run_experiment(mini_config).manifest is None

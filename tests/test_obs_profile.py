@@ -16,8 +16,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.exec import execute_plan, plan_for
 from repro.experiments.runner import run_experiment, sweep_results
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import PROFILE_SCHEMA, Profiler, record_profile_metrics
+from repro.obs.profile import PROFILE_SCHEMA, Profiler
 from repro.obs.trace import MemorySink, Tracer
 
 
@@ -92,16 +91,6 @@ class TestCountersAndPeaks:
         for needle in ("phases", "engine counters", "peaks"):
             assert needle in report
         assert "(nothing recorded)" in Profiler().report()
-
-
-class TestMetricsBridge:
-    def test_record_profile_metrics_lands_under_profile_prefix(self):
-        profile = Profiler()
-        profile.count("plans", 4)
-        metrics = MetricsRegistry()
-        record_profile_metrics(metrics, profile)
-        counters = metrics.snapshot()
-        assert counters["profile.plans"] == 4
 
 
 class TestRunIntegration:

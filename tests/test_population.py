@@ -17,7 +17,6 @@ from repro.exec import SerialExecutor, SweepCheckpoint
 from repro.exec.plan import derive_seed
 from repro.experiments.config import ExperimentConfig
 from repro.obs.manifest import strip_wall_clock
-from repro.obs.metrics import MetricsRegistry
 from repro.population import (
     Choice,
     Constant,
@@ -378,21 +377,11 @@ class TestRunPopulation:
 
     def test_parallel_is_byte_identical(self, tmp_path):
         spec = small_spec()
-        serial_metrics, parallel_metrics = (
-            MetricsRegistry(), MetricsRegistry()
-        )
         serial_path = tmp_path / "serial.json"
         parallel_path = tmp_path / "parallel.json"
-        serial = run_population(
-            spec, jobs=1, metrics=serial_metrics,
-            manifest=str(serial_path),
-        )
-        parallel = run_population(
-            spec, jobs=2, metrics=parallel_metrics,
-            manifest=str(parallel_path),
-        )
+        serial = run_population(spec, jobs=1, manifest=str(serial_path))
+        parallel = run_population(spec, jobs=2, manifest=str(parallel_path))
         assert fleet_snapshot(serial) == fleet_snapshot(parallel)
-        assert serial_metrics.snapshot() == parallel_metrics.snapshot()
         assert (strip_wall_clock(json.loads(serial_path.read_text()))
                 == strip_wall_clock(json.loads(parallel_path.read_text())))
 
@@ -430,16 +419,6 @@ class TestRunPopulation:
         assert set(document["segments"]) == {"varied", "drifty"}
         assert document["summary"]["clients"] == 10
         assert 0.0 < document["summary"]["fairness"] <= 1.0
-
-    def test_metrics_rollup(self):
-        metrics = MetricsRegistry()
-        result = run_population(small_spec(), metrics=metrics)
-        snapshot = metrics.snapshot()
-        assert snapshot["population.clients"] == 10
-        assert snapshot["population.runs"] == 1
-        assert (snapshot["population.response.mean"]
-                == result.overall.response_means.mean)
-        assert snapshot["population.fairness"] == result.overall.fairness.jain
 
     def test_homogeneous_fleet_mean_matches_singles(self):
         # A homogeneous fleet is the single-client harness run n times
