@@ -88,9 +88,10 @@ def _draw_trace(config: ExperimentConfig, num_requests: int) -> RequestTrace:
     """The client's first ``num_requests`` requests, from the seed's
     ``requests`` stream.
 
-    A drifting workload rotates its hotspot over the run while the
-    policy oracle keeps the frozen t=0 snapshot (§3's stale-profile
-    scenario, as in ``figures.drift_study``).
+    A drifting workload rotates its hotspot over the ``num_requests``
+    drawn (warm-up included) while the policy oracle keeps the frozen
+    t=0 snapshot: §3's stale-profile scenario, which
+    ``figures.drift_study`` sweeps over ``drift_rotations``.
     """
     rng = config.build_streams().stream("requests")
     if config.drift_rotations:

@@ -70,11 +70,12 @@ class ExperimentConfig:
     policy: str = "LRU"
     lix_alpha: float = 0.25
     #: Workload drift (§3): how many full hotspot rotations the client's
-    #: access distribution completes over the run.  0.0 (the default)
-    #: keeps the paper's static Zipf profile.  When drifting, the trace
-    #: follows the rotated distribution while the policy's probability
-    #: oracle keeps the frozen t=0 snapshot — the stale-profile scenario
-    #: of ``figures.drift_study``.
+    #: access distribution completes over the run (warm-up included).
+    #: 0.0 (the default) keeps the paper's static Zipf profile.  When
+    #: drifting, the trace follows the rotated distribution while the
+    #: policy's probability oracle keeps the frozen t=0 snapshot — §3's
+    #: stale-profile scenario, which this field alone runs
+    #: (``figures.drift_study`` sweeps it).
     drift_rotations: float = 0.0
 
     # -- measurement protocol (Table 4 / §5 preamble) -------------------------

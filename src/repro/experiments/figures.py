@@ -16,7 +16,7 @@ lives in :mod:`repro.hybrid.study` (it needs the process engine).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.analysis import (
     flat_expected_delay,
@@ -26,21 +26,22 @@ from repro.core.analysis import (
 )
 from repro.core.disks import DiskLayout
 from repro.core.optimizer import compare_presets, optimize_layout
+from repro.exec.build import BuildCache
 from repro.experiments.config import (
     DELTA_RANGE,
     DISK_PRESETS,
     NOISE_LEVELS,
     ExperimentConfig,
 )
-from repro.experiments.runner import run_experiment, sweep_results
+from repro.experiments.runner import ExperimentResult, sweep_results
 
 #: Number of measured requests in the paper's protocol.
 PAPER_REQUESTS = 15_000
 
 #: Paper figures accept ``jobs`` (worker processes; results are
 #: byte-identical to serial at any count) and ``engine`` ("fast" or
-#: "process"); each builds its full config grid in the original loop
-#: order and slices the sweep results back into per-curve series.
+#: "process"); each runs its whole design grid as one sweep, curve by
+#: curve, through :func:`_sweep_rows`.
 
 
 @dataclass
@@ -70,8 +71,36 @@ class FigureData:
             yield x, {name: ys[index] for name, ys in self.series.items()}
 
 
-def _preset_layout(name: str) -> Tuple[int, ...]:
-    return DISK_PRESETS[name]
+def _design_point(
+    preset: str, num_requests: int, seed: int, **fields
+) -> ExperimentConfig:
+    """One Table 4 design point on the paper's disk ``preset``.
+
+    ``fields`` set what the figure varies (Δ, cache size, offset,
+    policy, noise, label, ...); everything else keeps its default.
+    """
+    return ExperimentConfig(disk_sizes=DISK_PRESETS[preset],
+                            num_requests=num_requests, seed=seed, **fields)
+
+
+def _sweep_rows(
+    grid: Sequence[Sequence[ExperimentConfig]], **run
+) -> List[List[ExperimentResult]]:
+    """Run a grid of design points, one list per curve, as one sweep.
+
+    The configs run curve by curve in one ``sweep_results`` call, which
+    takes ``run`` (``jobs``, ``engine``, ``profile``, ``monitors``), so
+    they share one build cache and the workers.  The results come back
+    in the grid's shape, one row per curve.
+    """
+    results = iter(sweep_results(
+        [config for row in grid for config in row], **run
+    ))
+    return [[next(results) for _config in row] for row in grid]
+
+
+def _means(row: Sequence[ExperimentResult]) -> List[float]:
+    return [result.mean_response_time for result in row]
 
 
 # ---------------------------------------------------------------------------
@@ -126,31 +155,14 @@ def figure5(
         x_values=list(deltas),
         notes=f"flat-disk reference: {flat_expected_delay(5000):.0f} bu",
     )
-    configs = [
-        ExperimentConfig(
-            disk_sizes=_preset_layout(preset),
-            delta=delta,
-            cache_size=1,
-            noise=0.0,
-            offset=0,
-            num_requests=num_requests,
-            seed=seed,
-            label=f"F5 {preset} Δ={delta}",
-        )
+    rows = _sweep_rows([
+        [_design_point(preset, num_requests, seed, delta=delta,
+                       label=f"F5 {preset} Δ={delta}") for delta in deltas]
         for preset in presets
-        for delta in deltas
-    ]
-    means = [
-        result.mean_response_time
-        for result in sweep_results(configs, engine=engine, jobs=jobs,
-                                profile=profile, monitors=monitors)
-    ]
-    for position, preset in enumerate(presets):
-        sizes = ",".join(str(s) for s in _preset_layout(preset))
-        start = position * len(deltas)
-        data.add_series(
-            f"{preset}<{sizes}>", means[start:start + len(deltas)]
-        )
+    ], jobs=jobs, engine=engine, profile=profile, monitors=monitors)
+    for preset, row in zip(presets, rows):
+        sizes = ",".join(str(s) for s in DISK_PRESETS[preset])
+        data.add_series(f"{preset}<{sizes}>", _means(row))
     return data
 
 
@@ -159,21 +171,11 @@ def figure5(
 # ---------------------------------------------------------------------------
 
 def _noise_sensitivity(
-    figure: str,
-    preset: str,
-    cache_size: int,
-    policy: str,
-    offset: int,
-    num_requests: int,
-    seed: int,
-    deltas: Sequence[int],
-    noises: Sequence[float],
-    jobs: int = 1,
-    engine: str = "fast",
-    profile=None,
-    monitors=None,
+    figure: str, preset: str, cache_size: int, policy: str, offset: int,
+    num_requests: int, seed: int, deltas: Sequence[int],
+    noises: Sequence[float], **run,
 ) -> FigureData:
-    sizes = ",".join(str(s) for s in _preset_layout(preset))
+    sizes = ",".join(str(s) for s in DISK_PRESETS[preset])
     data = FigureData(
         figure=figure,
         title=(
@@ -184,31 +186,16 @@ def _noise_sensitivity(
         x_label="delta",
         x_values=list(deltas),
     )
-    configs = [
-        ExperimentConfig(
-            disk_sizes=_preset_layout(preset),
-            delta=delta,
-            cache_size=cache_size,
-            policy=policy,
-            noise=noise,
-            offset=offset,
-            num_requests=num_requests,
-            seed=seed,
-            label=f"{figure} {preset} Δ={delta} noise={noise:.0%}",
-        )
+    rows = _sweep_rows([
+        [_design_point(preset, num_requests, seed, delta=delta,
+                       cache_size=cache_size, policy=policy, noise=noise,
+                       offset=offset,
+                       label=f"{figure} {preset} Δ={delta} noise={noise:.0%}")
+         for delta in deltas]
         for noise in noises
-        for delta in deltas
-    ]
-    means = [
-        result.mean_response_time
-        for result in sweep_results(configs, engine=engine, jobs=jobs,
-                                profile=profile, monitors=monitors)
-    ]
-    for position, noise in enumerate(noises):
-        start = position * len(deltas)
-        data.add_series(
-            f"Noise {noise:.0%}", means[start:start + len(deltas)]
-        )
+    ], **run)
+    for noise, row in zip(noises, rows):
+        data.add_series(f"Noise {noise:.0%}", _means(row))
     return data
 
 
@@ -322,60 +309,65 @@ def figure10(
     """
     data = FigureData(
         figure="Figure 10",
-        title="P vs PIX with varying noise — Disk D5, CacheSize=500",
+        title=f"P vs PIX with varying noise — Disk D5, CacheSize={cache_size}",
         x_label="noise",
         x_values=[f"{n:.0%}" for n in noises],
     )
-    curves = [
-        (policy, delta) for policy in ("P", "PIX") for delta in deltas
-    ]
-    configs = [
-        ExperimentConfig(
-            disk_sizes=_preset_layout("D5"),
-            delta=delta,
-            cache_size=cache_size,
-            policy=policy,
-            noise=noise,
-            offset=cache_size,
-            num_requests=num_requests,
-            seed=seed,
-            label=f"F10 {policy} Δ={delta} noise={noise:.0%}",
-        )
+    curves = [(policy, delta) for policy in ("P", "PIX") for delta in deltas]
+    grid = [
+        [_design_point("D5", num_requests, seed, delta=delta,
+                       cache_size=cache_size, policy=policy, noise=noise,
+                       offset=cache_size,
+                       label=f"F10 {policy} Δ={delta} noise={noise:.0%}")
+         for noise in noises]
         for policy, delta in curves
-        for noise in noises
     ]
-    # Flat-disk baseline (Δ=0): frequency is uniform, so P and PIX
-    # coincide (paper footnote 6); noise has no effect on a flat disk.
-    configs.append(
-        ExperimentConfig(
-            disk_sizes=_preset_layout("D5"),
-            delta=0,
-            cache_size=cache_size,
-            policy="P",
-            noise=0.0,
-            offset=cache_size,
-            num_requests=num_requests,
-            seed=seed,
-            label="F10 flat",
-        )
-    )
-    means = [
-        result.mean_response_time
-        for result in sweep_results(configs, engine=engine, jobs=jobs,
-                                profile=profile, monitors=monitors)
-    ]
-    for position, (policy, delta) in enumerate(curves):
-        start = position * len(noises)
-        data.add_series(
-            f"{policy} Δ={delta}", means[start:start + len(noises)]
-        )
-    data.add_series("Flat Δ=0", [means[-1]] * len(noises))
+    # Flat-disk baseline (Δ=0), one run after the curves: frequency is
+    # uniform, so P and PIX coincide (paper footnote 6); noise has no
+    # effect on a flat disk.
+    grid.append([_design_point("D5", num_requests, seed, delta=0,
+                               cache_size=cache_size, policy="P",
+                               offset=cache_size, label="F10 flat")])
+    *rows, (flat,) = _sweep_rows(grid, jobs=jobs, engine=engine,
+                                 profile=profile, monitors=monitors)
+    for (policy, delta), row in zip(curves, rows):
+        data.add_series(f"{policy} Δ={delta}", _means(row))
+    data.add_series("Flat Δ=0", [flat.mean_response_time] * len(noises))
     return data
 
 
 # ---------------------------------------------------------------------------
-# Figure 11: where P and PIX get their pages from
+# Figures 11 and 14: where each policy gets its pages from
 # ---------------------------------------------------------------------------
+
+def _access_locations(
+    figure: str, title: str, tag: str, policies: Sequence[str],
+    num_requests: int, seed: int, cache_size: int, noise: float, delta: int,
+    **run,
+) -> FigureData:
+    """Share of requests served by the cache and by each disk, per policy
+    (D5, CacheSize=Offset=``cache_size``)."""
+    locations = ["cache", "disk1", "disk2", "disk3"]
+    data = FigureData(
+        figure=figure,
+        title=f"{title} — D5, CacheSize={cache_size}, "
+        f"Noise={noise:.0%}, Δ={delta}",
+        x_label="location",
+        x_values=locations,
+    )
+    rows = _sweep_rows([
+        [_design_point("D5", num_requests, seed, delta=delta,
+                       cache_size=cache_size, policy=policy, noise=noise,
+                       offset=cache_size, label=f"{tag} {policy}")]
+        for policy in policies
+    ], **run)
+    for policy, (result,) in zip(policies, rows):
+        data.add_series(
+            policy,
+            [result.access_locations.get(place, 0.0) for place in locations],
+        )
+    return data
+
 
 def figure11(
     *, num_requests: int = PAPER_REQUESTS,
@@ -394,37 +386,11 @@ def figure11(
     cache hit rate, but PIX takes fewer pages from the slowest disk —
     the trade that wins it the response-time comparison.
     """
-    locations = ["cache", "disk1", "disk2", "disk3"]
-    data = FigureData(
-        figure="Figure 11",
-        title="Access locations for P vs PIX — D5, CacheSize=500, "
-        f"Noise={noise:.0%}, Δ={delta}",
-        x_label="location",
-        x_values=locations,
+    return _access_locations(
+        "Figure 11", "Access locations for P vs PIX", "F11", ("P", "PIX"),
+        num_requests, seed, cache_size, noise, delta,
+        jobs=jobs, engine=engine, profile=profile, monitors=monitors,
     )
-    policies = ("P", "PIX")
-    configs = [
-        ExperimentConfig(
-            disk_sizes=_preset_layout("D5"),
-            delta=delta,
-            cache_size=cache_size,
-            policy=policy,
-            noise=noise,
-            offset=cache_size,
-            num_requests=num_requests,
-            seed=seed,
-            label=f"F11 {policy}",
-        )
-        for policy in policies
-    ]
-    results = sweep_results(configs, engine=engine, jobs=jobs,
-                                profile=profile, monitors=monitors)
-    for policy, result in zip(policies, results):
-        data.add_series(
-            policy,
-            [result.access_locations.get(place, 0.0) for place in locations],
-        )
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -455,29 +421,15 @@ def figure13(
         x_label="delta",
         x_values=list(deltas),
     )
-    configs = [
-        ExperimentConfig(
-            disk_sizes=_preset_layout("D5"),
-            delta=delta,
-            cache_size=cache_size,
-            policy=policy,
-            noise=noise,
-            offset=cache_size,
-            num_requests=num_requests,
-            seed=seed,
-            label=f"F13 {policy} Δ={delta}",
-        )
+    rows = _sweep_rows([
+        [_design_point("D5", num_requests, seed, delta=delta,
+                       cache_size=cache_size, policy=policy, noise=noise,
+                       offset=cache_size, label=f"F13 {policy} Δ={delta}")
+         for delta in deltas]
         for policy in policies
-        for delta in deltas
-    ]
-    means = [
-        result.mean_response_time
-        for result in sweep_results(configs, engine=engine, jobs=jobs,
-                                profile=profile, monitors=monitors)
-    ]
-    for position, policy in enumerate(policies):
-        start = position * len(deltas)
-        data.add_series(policy, means[start:start + len(deltas)])
+    ], jobs=jobs, engine=engine, profile=profile, monitors=monitors)
+    for policy, row in zip(policies, rows):
+        data.add_series(policy, _means(row))
     return data
 
 
@@ -498,36 +450,11 @@ def figure14(
     Expected shape: similar cache hit rates, but LIX obtains a much
     smaller share of its pages from the slowest disk.
     """
-    locations = ["cache", "disk1", "disk2", "disk3"]
-    data = FigureData(
-        figure="Figure 14",
-        title="Page access locations — D5, CacheSize=500, "
-        f"Noise={noise:.0%}, Δ={delta}",
-        x_label="location",
-        x_values=locations,
+    return _access_locations(
+        "Figure 14", "Page access locations", "F14", policies,
+        num_requests, seed, cache_size, noise, delta,
+        jobs=jobs, engine=engine, profile=profile, monitors=monitors,
     )
-    configs = [
-        ExperimentConfig(
-            disk_sizes=_preset_layout("D5"),
-            delta=delta,
-            cache_size=cache_size,
-            policy=policy,
-            noise=noise,
-            offset=cache_size,
-            num_requests=num_requests,
-            seed=seed,
-            label=f"F14 {policy}",
-        )
-        for policy in policies
-    ]
-    results = sweep_results(configs, engine=engine, jobs=jobs,
-                                profile=profile, monitors=monitors)
-    for policy, result in zip(policies, results):
-        data.add_series(
-            policy,
-            [result.access_locations.get(place, 0.0) for place in locations],
-        )
-    return data
 
 
 def figure15(
@@ -553,29 +480,16 @@ def figure15(
         x_label="noise",
         x_values=[f"{n:.0%}" for n in noises],
     )
-    configs = [
-        ExperimentConfig(
-            disk_sizes=_preset_layout("D5"),
-            delta=delta,
-            cache_size=cache_size,
-            policy=policy,
-            noise=noise,
-            offset=cache_size,
-            num_requests=num_requests,
-            seed=seed,
-            label=f"F15 {policy} noise={noise:.0%}",
-        )
+    rows = _sweep_rows([
+        [_design_point("D5", num_requests, seed, delta=delta,
+                       cache_size=cache_size, policy=policy, noise=noise,
+                       offset=cache_size,
+                       label=f"F15 {policy} noise={noise:.0%}")
+         for noise in noises]
         for policy in policies
-        for noise in noises
-    ]
-    means = [
-        result.mean_response_time
-        for result in sweep_results(configs, engine=engine, jobs=jobs,
-                                profile=profile, monitors=monitors)
-    ]
-    for position, policy in enumerate(policies):
-        start = position * len(noises)
-        data.add_series(policy, means[start:start + len(noises)])
+    ], jobs=jobs, engine=engine, profile=profile, monitors=monitors)
+    for policy, row in zip(policies, rows):
+        data.add_series(policy, _means(row))
     return data
 
 
@@ -644,10 +558,9 @@ def shaping_ablation(
 
     names = [*analytic, "optimised"]
     analytic_values = [*analytic.values(), shaped.expected_delay]
-    simulated_values = []
-    for name in names:
-        layout = presets.get(name) or shaped.layout
-        config = ExperimentConfig(
+    layouts = [presets.get(name) or shaped.layout for name in names]
+    simulated = sweep_results([
+        ExperimentConfig(
             disk_sizes=layout.sizes,
             rel_freqs=layout.rel_freqs,
             cache_size=1,
@@ -655,7 +568,8 @@ def shaping_ablation(
             seed=seed,
             label=f"shaping {name}",
         )
-        simulated_values.append(run_experiment(config).mean_response_time)
+        for name, layout in zip(names, layouts)
+    ])
     data = FigureData(
         figure="Extension: Broadcast shaping",
         title="Analytic vs simulated expected delay per layout (Δ=3 presets)",
@@ -668,7 +582,7 @@ def shaping_ablation(
         ),
     )
     data.add_series("analytic", analytic_values)
-    data.add_series("simulated", simulated_values)
+    data.add_series("simulated", _means(simulated))
     return data
 
 
@@ -685,7 +599,6 @@ def prefetch_comparison(
     upgraded for free as pages go by, so response time drops further.
     """
     from repro.client.prefetch import PrefetchEngine
-    from repro.workload.trace import generate_trace
 
     data = FigureData(
         figure="Extension: Prefetching",
@@ -694,47 +607,33 @@ def prefetch_comparison(
         x_label="delta",
         x_values=list(deltas),
     )
-    for policy in ("LIX", "PIX"):
-        responses = []
-        for delta in deltas:
-            config = ExperimentConfig(
-                disk_sizes=_preset_layout("D5"),
-                delta=delta,
-                cache_size=cache_size,
-                policy=policy,
-                noise=noise,
-                offset=cache_size,
-                num_requests=num_requests,
-                seed=seed,
-                label=f"prefetch-cmp {policy} Δ={delta}",
-            )
-            responses.append(run_experiment(config).mean_response_time)
-        data.add_series(f"demand {policy}", responses)
+    demand = ("LIX", "PIX")
+    rows = _sweep_rows([
+        [_design_point("D5", num_requests, seed, delta=delta,
+                       cache_size=cache_size, policy=policy, noise=noise,
+                       offset=cache_size,
+                       label=f"prefetch-cmp {policy} Δ={delta}")
+         for delta in deltas]
+        for policy in demand
+    ])
+    for policy, row in zip(demand, rows):
+        data.add_series(f"demand {policy}", _means(row))
 
+    builds = BuildCache()
     responses = []
     for delta in deltas:
-        config = ExperimentConfig(
-            disk_sizes=_preset_layout("D5"),
-            delta=delta,
-            cache_size=cache_size,
-            noise=noise,
-            offset=cache_size,
-            num_requests=num_requests,
-            seed=seed,
-        )
-        layout = config.build_layout()
-        schedule = config.build_schedule(layout)
-        streams = config.build_streams()
-        mapping = config.build_mapping(layout, streams)
-        distribution = config.build_distribution()
-        probabilities = distribution.probabilities()
+        config = _design_point("D5", num_requests, seed, delta=delta,
+                               cache_size=cache_size, noise=noise,
+                               offset=cache_size)
+        layout, schedule = builds.layout_and_schedule(config)
+        probabilities = config.build_distribution().probabilities()
 
         def probability(page: int, _probs=probabilities) -> float:
             return float(_probs[page]) if 0 <= page < len(_probs) else 0.0
 
         engine = PrefetchEngine(
             schedule=schedule,
-            mapping=mapping,
+            mapping=builds.mapping(config, layout),
             layout=layout,
             probability=probability,
             cache_capacity=cache_size,
@@ -742,10 +641,10 @@ def prefetch_comparison(
         )
         # Same steady-state protocol as the demand policies: warm up for
         # as long as we measure.
-        trace = generate_trace(
-            distribution, 2 * num_requests, streams.stream("requests")
+        outcome = engine.run_trace(
+            builds.trace(config, 2 * num_requests),
+            warmup_requests=num_requests,
         )
-        outcome = engine.run_trace(trace, warmup_requests=num_requests)
         responses.append(outcome.response.mean)
     data.add_series("PT prefetch", responses)
     return data
@@ -771,25 +670,14 @@ def policy_zoo(
         x_label="policy",
         x_values=list(policies),
     )
-    responses = []
-    hit_rates = []
-    for policy in policies:
-        config = ExperimentConfig(
-            disk_sizes=_preset_layout("D5"),
-            delta=delta,
-            cache_size=cache_size,
-            policy=policy,
-            noise=noise,
-            offset=cache_size,
-            num_requests=num_requests,
-            seed=seed,
-            label=f"zoo {policy}",
-        )
-        result = run_experiment(config)
-        responses.append(result.mean_response_time)
-        hit_rates.append(result.hit_rate)
-    data.add_series("response time", responses)
-    data.add_series("hit rate", hit_rates)
+    results = sweep_results([
+        _design_point("D5", num_requests, seed, delta=delta,
+                      cache_size=cache_size, policy=policy, noise=noise,
+                      offset=cache_size, label=f"zoo {policy}")
+        for policy in policies
+    ])
+    data.add_series("response time", _means(results))
+    data.add_series("hit rate", [result.hit_rate for result in results])
     return data
 
 
@@ -870,48 +758,35 @@ def volatility_study(
     staleness to the report window at the cost of re-fetching
     invalidated pages.
     """
-    import numpy as np
-
     from repro.updates.engine import VolatileEngine
     from repro.updates.process import PeriodicUpdateModel
-    from repro.workload.trace import generate_trace
 
-    base = ExperimentConfig(
-        disk_sizes=_preset_layout("D5"),
-        delta=delta,
-        cache_size=cache_size,
-        policy="LIX",
-        offset=cache_size,
-        num_requests=num_requests,
-        seed=seed,
-    )
-    layout = base.build_layout()
-    schedule = base.build_schedule(layout)
+    base = _design_point("D5", num_requests, seed, delta=delta,
+                         cache_size=cache_size, policy="LIX",
+                         offset=cache_size)
+    builds = BuildCache()
+    layout, schedule = builds.layout_and_schedule(base)
+    mapping = builds.mapping(base, layout)
+    trace = builds.trace(base, 2 * num_requests)
+    distribution = base.build_distribution()
 
     stale_without, stale_with = [], []
     response_without, response_with = [], []
     for interval in update_intervals:
         for with_reports in (False, True):
-            streams = base.build_streams()
-            mapping = base.build_mapping(layout, streams)
-            distribution = base.build_distribution()
-            cache = base.build_policy(schedule, mapping, distribution, layout)
-            updates = PeriodicUpdateModel.uniform(
-                interval,
-                layout.total_pages,
-                rng=streams.stream("updates"),
-            )
             engine = VolatileEngine(
                 schedule=schedule,
                 mapping=mapping,
                 layout=layout,
-                cache=cache,
-                updates=updates,
+                cache=base.build_policy(schedule, mapping, distribution,
+                                        layout),
+                updates=PeriodicUpdateModel.uniform(
+                    interval,
+                    layout.total_pages,
+                    rng=base.build_streams().stream("updates"),
+                ),
                 think_time=base.think_time,
                 report_interval=report_interval if with_reports else None,
-            )
-            trace = generate_trace(
-                distribution, 2 * num_requests, streams.stream("requests")
             )
             outcome = engine.run_trace(trace, warmup_requests=num_requests)
             if with_reports:
@@ -1009,25 +884,11 @@ def drift_study(
     (cost) signal never does — so P falls furthest, PIX's cost half
     keeps it afloat, and LIX's online estimator tracks PIX far more
     closely than it does at zero drift.
+
+    Each point warms up for ``2 * num_requests`` requests, so the drawn
+    trace spans the ``3 * num_requests`` requests the hotspot rotates
+    over (``ExperimentConfig.drift_rotations``).
     """
-    from repro.cache.base import PolicyContext
-    from repro.cache.registry import make_policy
-    from repro.experiments.engine import FastEngine
-    from repro.workload.drift import DriftingZipfDistribution
-
-    base = ExperimentConfig(
-        disk_sizes=_preset_layout("D5"),
-        delta=delta,
-        cache_size=cache_size,
-        offset=cache_size,
-        noise=noise,
-        num_requests=num_requests,
-        seed=seed,
-    )
-    layout = base.build_layout()
-    schedule = base.build_schedule(layout)
-    horizon = 3 * num_requests  # warm-up + measurement span
-
     data = FigureData(
         figure="Extension: Workload drift",
         title=(
@@ -1037,45 +898,16 @@ def drift_study(
         x_label="rotations per run",
         x_values=list(rotations_values),
     )
-    for policy_name in policies:
-        responses = []
-        for rotations in rotations_values:
-            streams = base.build_streams()
-            mapping = base.build_mapping(layout, streams)
-            drifting = DriftingZipfDistribution(
-                access_range=base.access_range,
-                region_size=base.region_size,
-                theta=base.theta,
-                horizon=horizon,
-                rotations=rotations,
-            )
-            snapshot = drifting.initial_snapshot()
-            context = PolicyContext(
-                probability=lambda page, _snap=snapshot: (
-                    float(_snap[page]) if page < len(_snap) else 0.0
-                ),
-                frequency=lambda page: schedule.frequency(
-                    mapping.to_physical(page)
-                ),
-                disk_of=lambda page: layout.disk_of_page(
-                    mapping.to_physical(page)
-                ),
-                num_disks=layout.num_disks,
-            )
-            cache = make_policy(policy_name, cache_size, context)
-            engine = FastEngine(
-                schedule=schedule,
-                mapping=mapping,
-                layout=layout,
-                cache=cache,
-                think_time=base.think_time,
-            )
-            trace = drifting.generate_trace(horizon, streams.stream("requests"))
-            outcome = engine.run_trace(
-                trace, warmup_requests=2 * num_requests
-            )
-            responses.append(outcome.response.mean)
-        data.add_series(policy_name, responses)
+    rows = _sweep_rows([
+        [_design_point("D5", num_requests, seed, delta=delta,
+                       cache_size=cache_size, policy=policy, noise=noise,
+                       offset=cache_size, drift_rotations=rotations,
+                       warmup_requests=2 * num_requests)
+         for rotations in rotations_values]
+        for policy in policies
+    ])
+    for policy, row in zip(policies, rows):
+        data.add_series(policy, _means(row))
     return data
 
 
@@ -1159,7 +991,7 @@ def multichannel_study(
         figure="Extension: Multi-channel broadcast",
         title=(
             f"Multi-channel performance — Disk {preset}"
-            f"<{','.join(str(s) for s in _preset_layout(preset))}>, "
+            f"<{','.join(str(s) for s in DISK_PRESETS[preset])}>, "
             f"CacheSize=1, retune cost {retune_cost:g}"
         ),
         x_label="delta",
@@ -1169,36 +1001,20 @@ def multichannel_study(
             "retune rate = measured retunes / measured requests."
         ),
     )
-    configs = [
-        ExperimentConfig(
-            disk_sizes=_preset_layout(preset),
-            delta=delta,
-            cache_size=1,
-            noise=0.0,
-            offset=0,
-            num_requests=num_requests,
-            seed=seed,
-            channels=channels,
-            retune_cost=retune_cost,
-            label=f"MC {preset} Δ={delta} C={channels}",
-        )
+    rows = _sweep_rows([
+        [_design_point(preset, num_requests, seed, delta=delta,
+                       channels=channels, retune_cost=retune_cost,
+                       label=f"MC {preset} Δ={delta} C={channels}")
+         for delta in deltas]
         for channels in channel_counts
-        for delta in deltas
-    ]
-    results = sweep_results(configs, engine=engine, jobs=jobs,
-                            profile=profile, monitors=monitors)
-    for position, channels in enumerate(channel_counts):
-        start = position * len(deltas)
-        block = results[start:start + len(deltas)]
-        data.add_series(
-            f"C={channels}", [r.mean_response_time for r in block]
-        )
+    ], jobs=jobs, engine=engine, profile=profile, monitors=monitors)
+    for channels, row in zip(channel_counts, rows):
+        data.add_series(f"C={channels}", _means(row))
         data.add_series(
             f"C={channels} retunes/req",
-            [r.retunes / r.measured_requests for r in block],
+            [r.retunes / r.measured_requests for r in row],
         )
         data.add_series(
-            f"C={channels} miss rate",
-            [1.0 - r.hit_rate for r in block],
+            f"C={channels} miss rate", [1.0 - r.hit_rate for r in row]
         )
     return data

@@ -23,7 +23,7 @@ saturates while push performance is population-independent — the
 scalability argument at the heart of the broadcast-disk idea.
 """
 
-from repro.hybrid.channel import HybridChannel, HybridServer
+from repro.hybrid.channel import HybridChannel
 from repro.hybrid.client import HybridClient, HybridReport
 from repro.hybrid.study import hybrid_population_study
 
@@ -31,6 +31,5 @@ __all__ = [
     "HybridChannel",
     "HybridClient",
     "HybridReport",
-    "HybridServer",
     "hybrid_population_study",
 ]

@@ -29,7 +29,11 @@ from repro.sim.stats import TimeWeightedStat
 
 
 class HybridChannel:
-    """Push program + pull queue sharing one broadcast channel."""
+    """Push program + pull queue sharing one broadcast channel.
+
+    Its server-facing methods are a plain channel's, so a
+    :class:`~repro.server.server.BroadcastServer` drives it.
+    """
 
     def __init__(
         self,
@@ -173,32 +177,3 @@ class HybridChannel:
     def _signal_demand(self) -> None:
         if self._demand_event is not None and not self._demand_event.triggered:
             self._demand_event.succeed()
-
-
-class HybridServer:
-    """Drives a :class:`HybridChannel`, sleeping through idle stretches."""
-
-    def __init__(self, sim: Simulator, channel: HybridChannel):
-        self.sim = sim
-        self.channel = channel
-        self.process = sim.process(self._run())
-
-    def _run(self):
-        from repro.sim.process import AnyOf
-
-        sim = self.sim
-        channel = self.channel
-        while True:
-            if not channel.has_demand():
-                yield channel.demand_event()
-                continue
-            target = channel.next_interesting_time(sim.now)
-            if target is None:  # pragma: no cover - demand implies a target
-                continue
-            if target > sim.now:
-                timer = sim.timeout(target - sim.now)
-                changed = channel.demand_event()
-                yield AnyOf(sim, [timer, changed])
-                if sim.now < target:
-                    continue
-            channel.deliver_at(sim.now)

@@ -15,8 +15,9 @@ from repro.cache.registry import make_policy
 from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program
 from repro.errors import ConfigurationError
-from repro.hybrid.channel import HybridChannel, HybridServer
+from repro.hybrid.channel import HybridChannel
 from repro.hybrid.client import HybridClient, HybridReport
+from repro.server.server import BroadcastServer
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
@@ -48,7 +49,7 @@ def run_hybrid_population(
     schedule = _multidisk_program(layout)
     sim = Simulator()
     channel = HybridChannel(sim, schedule, pull_spacing=pull_spacing)
-    HybridServer(sim, channel)
+    BroadcastServer(sim, schedule, channel)
     upstream = Resource(sim, capacity=upstream_capacity)
     streams = RandomStreams(seed)
     distribution = ZipfRegionDistribution(access_range, region_size, theta)

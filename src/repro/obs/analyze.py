@@ -9,7 +9,8 @@ Where ``python -m repro.obs summary`` answers "is this trace healthy?",
   from a trace alone;
 * :func:`slot_utilization` — broadcast accounting from the
   ``channel.deliver`` records: delivered slots versus elapsed slots,
-  and the pages dominating the observed bandwidth;
+  and the pages dominating the observed bandwidth (runs split by
+  :func:`delivery_runs`, which ``summary``'s fixed-gap check shares);
 * :func:`residency_timeline` — cache occupancy over time (time-weighted
   mean and peak) plus the longest-resident pages, from the ``cache.*``
   records (walked by :func:`cache_residency`, which ``summary`` shares);
@@ -97,19 +98,45 @@ def response_by_disk(
     }
 
 
+def delivery_runs(records: List[dict]) -> List[List[dict]]:
+    """The ``channel.deliver`` records split into runs, in start order.
+
+    Deliveries are keyed by the record's ``channel`` field (a
+    multi-channel program's rows deliver in parallel).  Within one
+    channel's stream a timestamp earlier than its previous delivery
+    starts a new run: the runs of a traced sweep each restart their
+    clock at zero.  Within a run the timestamps never decrease.
+    """
+    current: Dict[Optional[int], List[dict]] = {}
+    runs: List[List[dict]] = []
+    for record in records:
+        if record["kind"] != "channel.deliver":
+            continue
+        channel = record.get("channel")
+        run = current.get(channel)
+        if run is None or record["t"] < run[-1]["t"]:
+            run = current[channel] = []
+            runs.append(run)
+        run.append(record)
+    return runs
+
+
 def slot_utilization(records: List[dict], top: int = 5) -> Optional[Dict]:
     """Broadcast slot accounting from the ``channel.deliver`` records.
 
-    Each delivery occupies one broadcast unit, so over the observed span
-    ``utilization = delivered / span`` — 1.0 when every slot carried an
-    observed page (``observe_every_slot`` traces of an unpadded
-    program), lower when slots were padding or simply not demanded.
+    Each delivery occupies one broadcast unit, so over the observed
+    spans ``utilization = delivered / span`` — 1.0 when every slot
+    carried an observed page (``observe_every_slot`` traces of an
+    unpadded program), lower when slots were padding or simply not
+    demanded.  The span sums each run's span (:func:`delivery_runs`),
+    so a trace of several runs reads like one of them.
     """
-    deliveries = [r for r in records if r["kind"] == "channel.deliver"]
-    if not deliveries:
+    runs = delivery_runs(records)
+    if not runs:
         return None
-    times = [r["t"] for r in deliveries]
-    span = max(times) - min(times) + 1.0  # slots, inclusive of the first
+    deliveries = [r for r in records if r["kind"] == "channel.deliver"]
+    # Slots, inclusive of each run's first.
+    span = sum(run[-1]["t"] - run[0]["t"] + 1.0 for run in runs)
     per_page: Dict[int, int] = {}
     for record in deliveries:
         page = int(record["page"])

@@ -33,7 +33,12 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.analyze import analyze, cache_residency, render_analysis
+from repro.obs.analyze import (
+    analyze,
+    cache_residency,
+    delivery_runs,
+    render_analysis,
+)
 from repro.obs.manifest import read_manifest
 from repro.obs.regress import (
     DEFAULT_HISTORY,
@@ -44,7 +49,6 @@ from repro.obs.regress import (
     run_gate,
 )
 from repro.obs.trace import (
-    CHANNEL_DELIVER,
     CLIENT_HIT,
     CLIENT_MISS,
     CLIENT_WAIT,
@@ -80,18 +84,24 @@ def overview(records: List[dict]) -> Dict:
 
 
 def interarrival_summary(records: List[dict], top: int = 5) -> Optional[Dict]:
-    """Per-page inter-arrival stats from ``channel.deliver`` records."""
-    arrivals: Dict[int, List[float]] = {}
-    for record in records:
-        if record["kind"] == CHANNEL_DELIVER:
-            arrivals.setdefault(record["page"], []).append(record["t"])
+    """Per-page inter-arrival stats from ``channel.deliver`` records.
+
+    Gaps are taken within a run (:func:`~repro.obs.analyze.delivery_runs`):
+    the gap across a restarted clock is no gap of the program.
+    """
+    arrivals: Dict[int, int] = {}
     gaps: Dict[int, RunningStats] = {}
-    for page, times in arrivals.items():
-        if len(times) < 2:
-            continue
-        stats = RunningStats()
-        stats.extend(b - a for a, b in zip(times, times[1:]))
-        gaps[page] = stats
+    for run in delivery_runs(records):
+        last: Dict[int, float] = {}
+        for record in run:
+            page, now = record["page"], record["t"]
+            arrivals[page] = arrivals.get(page, 0) + 1
+            if page in last:
+                stats = gaps.get(page)
+                if stats is None:
+                    stats = gaps[page] = RunningStats()
+                stats.add(now - last[page])
+            last[page] = now
     if not arrivals:
         return None
     max_variance = max(
@@ -108,7 +118,7 @@ def interarrival_summary(records: List[dict], top: int = 5) -> Optional[Dict]:
         "pages": [
             {
                 "page": page,
-                "arrivals": stats.count + 1,
+                "arrivals": arrivals[page],
                 "mean_gap": stats.mean,
                 "gap_variance": stats.variance,
             }

@@ -7,11 +7,13 @@ shape but rotates which region is hottest as the request index advances,
 completing ``rotations`` full laps of the access range over ``horizon``
 requests.
 
-The interesting consequence is measured in
-:func:`repro.experiments.figures.drift_study`: the idealised P/PIX
-policies consult a *frozen* probability snapshot (what the client once
-told the server), so drift silently invalidates their oracle, while
-LRU/LIX estimate probabilities from recent behaviour and adapt.
+The interesting consequence: the idealised P/PIX policies consult a
+*frozen* probability snapshot (what the client once told the server),
+so drift silently invalidates their oracle, while LRU/LIX estimate
+probabilities from recent behaviour and adapt.  Any run sets it up
+with :attr:`ExperimentConfig.drift_rotations
+<repro.experiments.config.ExperimentConfig.drift_rotations>`, and
+:func:`repro.experiments.figures.drift_study` sweeps it.
 """
 
 from __future__ import annotations

@@ -103,6 +103,16 @@ class TestFigureSmoke:
         )
         assert len(data.series["LIX"]) == 2
 
+    @pytest.mark.parametrize("builder, kwargs", [
+        (figures.figure10, dict(noises=(0.30,), deltas=(3,))),
+        (figures.figure11, {}),
+        (figures.figure14, dict(policies=("LIX",))),
+    ], ids=["figure10", "figure11", "figure14"])
+    def test_title_names_the_cache_size(self, builder, kwargs):
+        data = builder(cache_size=100, **kwargs, **QUICK)
+        assert "CacheSize=100" in data.title
+        assert "CacheSize=500" not in data.title
+
     def test_bus_stop_paradox(self):
         data = figures.bus_stop_paradox(seed=5, random_trials=4)
         delays = dict(zip(data.x_values, data.series["expected delay"]))

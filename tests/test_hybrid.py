@@ -10,9 +10,10 @@ from repro.cache.lru import LRUPolicy
 from repro.core.programs import _flat_program as flat_program, _multidisk_program as multidisk_program
 from repro.core.disks import DiskLayout
 from repro.errors import ConfigurationError
-from repro.hybrid.channel import HybridChannel, HybridServer
+from repro.hybrid.channel import HybridChannel
 from repro.hybrid.client import HybridClient
 from repro.hybrid.study import hybrid_population_study, run_hybrid_population
+from repro.server.server import BroadcastServer
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 from repro.workload.mapping import LogicalPhysicalMapping
@@ -23,7 +24,7 @@ def make_channel(slots=8, pull_spacing=4):
     sim = Simulator()
     schedule = flat_program(slots)
     channel = HybridChannel(sim, schedule, pull_spacing=pull_spacing)
-    HybridServer(sim, channel)
+    BroadcastServer(sim, schedule, channel)
     return sim, schedule, channel
 
 
@@ -118,7 +119,7 @@ class TestHybridClient:
         layout = DiskLayout.flat(slots)
         schedule = flat_program(slots)
         channel = HybridChannel(sim, schedule, pull_spacing=pull_spacing)
-        HybridServer(sim, channel)
+        BroadcastServer(sim, schedule, channel)
         upstream = Resource(sim, capacity=1)
         client = HybridClient(
             sim=sim,
@@ -165,7 +166,7 @@ class TestHybridClient:
         sim = Simulator()
         channel = HybridChannel(sim, multidisk_program(layout),
                                 pull_spacing=4)
-        HybridServer(sim, channel)
+        BroadcastServer(sim, channel.schedule, channel)
         client = HybridClient(
             sim=sim,
             channel=channel,

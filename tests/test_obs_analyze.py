@@ -12,21 +12,30 @@ import pytest
 
 import json
 
+from repro.cache.base import PolicyContext
+from repro.cache.registry import make_policy
+from repro.core.programs import ProgramSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment, sweep_results
+from repro.experiments.simengine import ClientSpec, ProcessEngine
 from repro.obs.analyze import (
     ANALYZE_SCHEMA,
     analyze,
     cache_residency,
     client_latency,
+    delivery_runs,
     render_analysis,
     residency_timeline,
     response_by_disk,
     slot_utilization,
 )
-from repro.obs.cli import EXIT_OK, cache_summary, main
+from repro.obs.cli import EXIT_OK, cache_summary, interarrival_summary, main
 from repro.obs.trace import JsonlSink, MemorySink, Tracer, read_jsonl
 from repro.population import PopulationSpec, SegmentSpec, run_population
+from repro.sim.rng import RandomStreams
+from repro.workload.mapping import LogicalPhysicalMapping
+from repro.workload.trace import generate_trace
+from repro.workload.zipf import ZipfRegionDistribution
 
 
 def wait(t, physical, amount, client=None):
@@ -98,6 +107,23 @@ class TestSlotUtilization:
         assert section["top_pages"][0]["bandwidth_share"] == pytest.approx(
             3 / 7
         )
+
+    def test_channels_and_clock_restarts_split_runs(self):
+        # Two channels deliver in parallel; then channel 0 restarts its
+        # clock.  Each run's span counts once: 2 + 2 + 1 slots.
+        records = [
+            {"kind": "channel.deliver", "t": t, "page": page,
+             "channel": channel}
+            for t, page, channel in ((1.0, 0, 0), (1.0, 5, 1), (2.0, 1, 0),
+                                     (2.0, 6, 1), (1.0, 0, 0))
+        ]
+        runs = delivery_runs(records)
+        assert [[r["page"] for r in run] for run in runs] == [
+            [0, 1], [5, 6], [0]
+        ]
+        section = slot_utilization(records)
+        assert section["observed_span"] == 5.0
+        assert section["utilization"] == 1.0
 
 
 class TestResidencyTimeline:
@@ -174,6 +200,27 @@ def residencies(records):
     rows = cache_residency(records, top=10**9)["longest_resident"]
     return {(row.get("client", ""), row["page"]): row["resident_time"]
             for row in rows}
+
+
+def _broadcast_records(runs):
+    """``runs`` process-engine runs of the ⟨2,4,8⟩@⟨4,2,1⟩ program,
+    every broadcast slot observed, traced into one tracer."""
+    layout, schedule = ProgramSpec(sizes=(2, 4, 8), rel_freqs=(4, 2, 1)).build()
+    distribution = ZipfRegionDistribution(14, 2, 0.95)
+    sink = MemorySink(capacity=None)
+    with Tracer(sink) as tracer:
+        for _run in range(runs):
+            engine = ProcessEngine(schedule, layout, tracer=tracer)
+            engine.channel.observe_every_slot()
+            engine.add_client(ClientSpec(
+                mapping=LogicalPhysicalMapping(layout),
+                cache=make_policy("LRU", 4, PolicyContext(num_disks=3)),
+                trace=generate_trace(
+                    distribution, 400, RandomStreams(3).stream("requests")
+                ),
+            ))
+            engine.run()
+    return [record.to_dict() for record in sink.records]
 
 
 def _small_config(**overrides):
@@ -253,6 +300,19 @@ class TestMultiRunTraces:
             assert own == {key: resident_time
                            for key, resident_time in combined.items()
                            if key[0] == client}
+
+    def test_broadcast_runs_read_like_one_run(self):
+        # The second run restarts the clock at zero: neither the slot
+        # span nor the per-page gaps may bridge the restart.
+        one, two = _broadcast_records(1), _broadcast_records(2)
+        assert len(delivery_runs(two)) == 2
+        used_one, used_two = slot_utilization(one), slot_utilization(two)
+        assert used_two["delivered_slots"] == 2 * used_one["delivered_slots"]
+        assert used_two["utilization"] == used_one["utilization"] == 1.0
+        gaps_one, gaps_two = interarrival_summary(one), interarrival_summary(two)
+        assert gaps_one["fixed_interarrival"] is True
+        assert gaps_two["fixed_interarrival"] is True
+        assert gaps_two["max_gap_variance"] == gaps_one["max_gap_variance"]
 
     def test_summary_shares_the_walk(self, fleet_trace, sweep_trace):
         for path in (fleet_trace, sweep_trace[0]):

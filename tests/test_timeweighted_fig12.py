@@ -4,8 +4,9 @@ import pytest
 
 from repro.cache.base import PolicyContext
 from repro.cache.lix import LIXPolicy
-from repro.hybrid.channel import HybridChannel, HybridServer
+from repro.hybrid.channel import HybridChannel
 from repro.core.programs import _flat_program as flat_program
+from repro.server.server import BroadcastServer
 from repro.sim.kernel import Simulator
 from repro.sim.stats import TimeWeightedStat
 
@@ -87,7 +88,7 @@ class TestHybridQueueMonitoring:
     def test_queue_stat_reflects_load(self):
         sim = Simulator()
         channel = HybridChannel(sim, flat_program(8), pull_spacing=4)
-        HybridServer(sim, channel)
+        BroadcastServer(sim, channel.schedule, channel)
         for page in (1, 2, 3):
             channel.request_pull(page)
         sim.run(until=12.0)  # pulls served at t=4, 8, 12

@@ -116,3 +116,66 @@ class TestDriftInversion:
         lix = data.series["LIX"]
         assert pix[0] < lix[0]   # static world: the ideal wins
         assert lix[1] < pix[1]   # drifting world: adaptation wins
+
+
+def _frozen_oracle_reference(policy, rotations, *, num_requests, seed,
+                             cache_size, delta, noise):
+    """One point of §3's frozen-oracle scenario, wired by hand.
+
+    A fast engine over a ``3 * num_requests``-request drifting trace
+    drawn from the seed's ``requests`` stream; the policy's probability
+    oracle is the t=0 snapshot; the first ``2 * num_requests`` requests
+    warm up.
+    """
+    from repro.cache.base import PolicyContext
+    from repro.cache.registry import make_policy
+    from repro.experiments.config import DISK_PRESETS, ExperimentConfig
+    from repro.experiments.engine import FastEngine
+
+    base = ExperimentConfig(
+        disk_sizes=DISK_PRESETS["D5"], delta=delta, cache_size=cache_size,
+        offset=cache_size, noise=noise, num_requests=num_requests, seed=seed,
+    )
+    layout = base.build_layout()
+    schedule = base.build_schedule(layout)
+    streams = base.build_streams()
+    mapping = base.build_mapping(layout, streams)
+    horizon = 3 * num_requests
+    drifting = DriftingZipfDistribution(
+        access_range=base.access_range, region_size=base.region_size,
+        theta=base.theta, horizon=horizon, rotations=rotations,
+    )
+    snapshot = drifting.initial_snapshot()
+    context = PolicyContext(
+        probability=lambda page: (
+            float(snapshot[page]) if page < len(snapshot) else 0.0
+        ),
+        frequency=lambda page: schedule.frequency(mapping.to_physical(page)),
+        disk_of=lambda page: layout.disk_of_page(mapping.to_physical(page)),
+        num_disks=layout.num_disks,
+    )
+    engine = FastEngine(
+        schedule=schedule, mapping=mapping, layout=layout,
+        cache=make_policy(policy, cache_size, context),
+        think_time=base.think_time,
+    )
+    trace = drifting.generate_trace(horizon, streams.stream("requests"))
+    outcome = engine.run_trace(trace, warmup_requests=2 * num_requests)
+    return outcome.response.mean
+
+
+class TestDriftStudyIsTheFrozenOracleScenario:
+    def test_series_equal_the_hand_wired_runs(self):
+        """``drift_rotations`` with a 2N warm-up is §3's scenario, exactly."""
+        from repro.experiments.figures import drift_study
+
+        small = dict(num_requests=400, seed=11, cache_size=100, delta=2,
+                     noise=0.30)
+        rotations = (0.0, 1.5)
+        data = drift_study(rotations_values=rotations,
+                           policies=("P", "LIX"), **small)
+        for policy in ("P", "LIX"):
+            assert data.series[policy] == [
+                _frozen_oracle_reference(policy, r, **small)
+                for r in rotations
+            ]
