@@ -25,7 +25,12 @@ artifacts CI uploads:
   over it — the run fails unless every page's inter-arrival variance
   is exactly zero — and the ``repro.obs analyze`` attribution document
   (``broadcast-analyze.json``), whose slot utilization must not exceed
-  1.0.
+  1.0;
+* a cached LIX run on a two-channel program, traced
+  (``multichannel-smoke.jsonl``): ``repro.obs summary`` and ``analyze``
+  must exit 0 on it, and the per-client ``retunes`` of the analyze
+  document (``multichannel-analyze.json``) must add up to the trace's
+  ``client.retune`` records.
 
 Usage::
 
@@ -48,7 +53,7 @@ from repro.cache.base import PolicyContext
 from repro.cache.registry import make_policy
 from repro.core.programs import ProgramSpec
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import sweep_results
+from repro.experiments.runner import run_experiment, sweep_results
 from repro.experiments.simengine import ClientSpec, ProcessEngine
 from repro.obs.analyze import analyze
 from repro.obs.cli import main as obs_main
@@ -214,6 +219,44 @@ def traced_broadcast(out: Path) -> Path:
     return trace_path
 
 
+def traced_multichannel(out: Path) -> int:
+    """A cached C=2 run, traced; ``summary`` and ``analyze`` over it.
+
+    The client switches channels, so the trace carries
+    ``client.retune`` records, which the analyze document must count.
+    Returns the exit status.
+    """
+    config = ExperimentConfig(
+        disk_sizes=(50, 200, 250), delta=3, cache_size=10, policy="LIX",
+        num_requests=200, seed=7, channels=2, access_range=500,
+    )
+    trace_path = str(out / "multichannel-smoke.jsonl")
+    with Tracer(JsonlSink(trace_path)) as tracer:
+        run_experiment(config, tracer=tracer)
+    for command in ("summary", "analyze"):
+        code = obs_main([command, trace_path])
+        if code != 0:
+            print(f"{command} CLI exited {code} on {trace_path}",
+                  file=sys.stderr)
+            return 1
+    records = list(read_jsonl(trace_path))
+    retunes = sum(record["kind"] == "client.retune" for record in records)
+    analysis = analyze(records, disk_sizes=config.disk_sizes)
+    counted = sum(
+        row["retunes"] for row in analysis["client_latency"]["slowest"]
+    )
+    if retunes == 0 or counted != retunes:
+        print(f"FAIL: analyze counts {counted} retunes, the trace holds "
+              f"{retunes} client.retune records", file=sys.stderr)
+        return 1
+    (out / "multichannel-analyze.json").write_text(
+        json.dumps(analysis, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"  trace    : {trace_path} ({retunes} client.retune records, "
+          "all counted by analyze)")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -276,7 +319,12 @@ def main(argv=None) -> int:
     (out / "broadcast-analyze.json").write_text(
         json.dumps(analysis, indent=2, sort_keys=True) + "\n"
     )
-    print("fixed inter-arrival gaps confirmed; artifacts in", out)
+    print("fixed inter-arrival gaps confirmed")
+
+    print("== repro.obs summary + analyze over a traced C=2 run ==")
+    if traced_multichannel(out) != 0:
+        return 1
+    print("artifacts in", out)
     return 0
 
 

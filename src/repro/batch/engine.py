@@ -45,8 +45,8 @@ from repro.cache.batched import (
     BatchedPolicy,
     make_batched_policy,
 )
-from repro.core.disks import DiskLayout
-from repro.core.schedule import BroadcastSchedule
+from repro.core.disks import DiskLayout, disk_index_array
+from repro.core.schedule import BroadcastSchedule, frequency_array
 from repro.errors import ConfigurationError
 from repro.sim.stats import RunningStats
 
@@ -64,29 +64,6 @@ def batchable_policy_name(policy: str) -> Optional[str]:
     """Normalised policy name if it has a columnar form, else ``None``."""
     name = policy.strip().lower()
     return name if name in BATCHABLE_POLICIES else None
-
-
-def frequency_array(schedule: BroadcastSchedule) -> np.ndarray:
-    """Broadcast frequency per physical page (0.0 for absent pages).
-
-    A fixed-gap page airs ``period / gap`` times per period, so its
-    frequency ``count / period`` and ``1 / gap`` are correctly rounded
-    quotients of the same rational: the same float.  Only irregular
-    pages (gap 0) ask the schedule one by one.
-    """
-    _residue, gap = schedule.regular_timing()
-    frequency = np.zeros(len(gap), dtype=np.float64)
-    np.divide(1.0, gap, out=frequency, where=gap > 0)
-    pages = np.asarray(schedule.pages, dtype=np.int64)
-    for page in pages[gap[pages] == 0].tolist():
-        frequency[page] = schedule.frequency(page)
-    return frequency
-
-
-def disk_index_array(layout: DiskLayout) -> np.ndarray:
-    """0-based disk of each physical page, as a dense lookup array."""
-    sizes = [stop - start for start, stop in layout.disk_ranges()]
-    return np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
 
 
 @dataclass

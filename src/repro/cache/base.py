@@ -17,14 +17,19 @@ when there was still room.
 A :class:`PolicyContext` carries the knowledge the paper grants each
 policy: exact access probabilities (idealised P/PIX only), exact
 broadcast frequencies (PIX and LIX — "the frequency for the page...is
-known exactly"), and the page→disk map LIX needs for its chains.
+known exactly"), and the page→disk map LIX needs for its chains.  A
+policy names the oracles it reads in :attr:`CachePolicy.oracles`;
+``ExperimentConfig.build_policy`` answers exactly those from per-run
+tables indexed by logical page, gathered once in NumPy, so an oracle
+call on the request path is a list read, not a walk through the
+mapping, the schedule and the layout.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError, PolicyError
 
@@ -71,6 +76,11 @@ class CachePolicy(ABC):
 
     #: Registry name; subclasses override.
     name = "abstract"
+
+    #: The :class:`PolicyContext` oracles the policy reads, in the order
+    #: its constructor requires them.  ``ExperimentConfig.build_policy``
+    #: gathers a per-run table for these and no others.
+    oracles: Tuple[str, ...] = ()
 
     def __init__(self, capacity: int):
         if capacity < 1:

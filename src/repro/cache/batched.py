@@ -401,7 +401,8 @@ class BatchedLIX(BatchedPolicy):
         self._prev = np.arange(links)
 
     def _evaluate(self, estimates, last_access, now):
-        """The scalar ``_evaluate`` formula, elementwise."""
+        """The scalar LIX estimate ``alpha / max(now - t, _MIN_GAP)
+        + (1 - alpha) * p``, elementwise."""
         gap = np.maximum(now - last_access, _MIN_GAP)
         return self._alpha / gap + (1.0 - self._alpha) * estimates
 
@@ -458,7 +459,8 @@ class BatchedLIX(BatchedPolicy):
         self._prev[sentinel] = node
 
     def _lix_values(self, rows, node, now) -> np.ndarray:
-        """The scalar ``_lix_value`` of each ``(rows, D)`` node."""
+        """The scalar LIX victim score (aged estimate over frequency)
+        of each ``(rows, D)`` node."""
         value = self._evaluate(
             self._estimates[node], self._last_access[node], now
         )

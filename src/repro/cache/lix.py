@@ -30,6 +30,7 @@ implementable analogue of P, as LIX is of PIX.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
@@ -42,7 +43,7 @@ from repro.errors import ConfigurationError
 _MIN_GAP = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class _PageState:
     """Per-page bookkeeping: running estimate and last access time."""
 
@@ -54,16 +55,13 @@ class LIXPolicy(CachePolicy):
     """Per-disk LRU chains with probability-estimate/frequency eviction."""
 
     name = "LIX"
-
-    #: Whether the lix value divides by broadcast frequency.  The L
-    #: subclass switches this off.
-    use_frequency = True
+    #: The L subclass drops ``frequency``: its lix value is the bare
+    #: estimate.
+    oracles = ("disk_of", "frequency")
 
     def __init__(self, capacity: int, context: PolicyContext):
         super().__init__(capacity)
-        context.require("disk_of")
-        if self.use_frequency:
-            context.require("frequency")
+        context.require(*self.oracles)
         if not 0.0 < context.lix_alpha <= 1.0:
             raise ConfigurationError(
                 f"lix_alpha must be in (0, 1], got {context.lix_alpha}"
@@ -74,7 +72,9 @@ class LIXPolicy(CachePolicy):
             )
         self._alpha = context.lix_alpha
         self._disk_of = context.disk_of
-        self._frequency = context.frequency
+        self._frequency = (
+            context.frequency if "frequency" in self.oracles else None
+        )
         self._chains: tuple[OrderedDict[int, _PageState], ...] = tuple(
             OrderedDict() for _ in range(context.num_disks)
         )
@@ -96,23 +96,48 @@ class LIXPolicy(CachePolicy):
             return False
         chain = self._chains[chain_index]
         state = chain[page]
-        state.estimate = self._evaluate(state, now)
+        alpha = self._alpha
+        state.estimate = (
+            alpha / max(now - state.last_access, _MIN_GAP)
+            + (1.0 - alpha) * state.estimate
+        )
         state.last_access = now
         chain.move_to_end(page)
         return True
 
     def admit(self, page: int, now: float) -> Optional[int]:
-        self._check_not_resident(page)
+        chain_of = self._chain_of
+        if page in chain_of:
+            self._check_not_resident(page)
+        chains = self._chains
         victim = None
-        if self.is_full:
-            victim = self._choose_victim(now)
-            chain_index = self._chain_of.pop(victim)
-            del self._chains[chain_index][victim]
+        if len(chain_of) >= self.capacity:
+            # Score each chain's bottom (least recently used) page with
+            # its estimate aged to ``now``, uncommitted; evict the
+            # smallest.  A never-broadcast page scores infinity.
+            alpha = self._alpha
+            frequency = self._frequency
+            best_value = math.inf
+            for chain in chains:
+                if not chain:
+                    continue
+                candidate = next(iter(chain))
+                state = chain[candidate]
+                value = (
+                    alpha / max(now - state.last_access, _MIN_GAP)
+                    + (1.0 - alpha) * state.estimate
+                )
+                if frequency is not None:
+                    rate = float(frequency(candidate))
+                    value = math.inf if rate <= 0.0 else value / rate
+                if value < best_value:
+                    best_value = value
+                    victim = candidate
+            assert victim is not None, "eviction from a non-empty cache"
+            del chains[chain_of.pop(victim)][victim]
         destination = self._disk_of(page)
-        self._chains[destination][page] = _PageState(
-            estimate=0.0, last_access=now
-        )
-        self._chain_of[page] = destination
+        chains[destination][page] = _PageState(0.0, now)
+        chain_of[page] = destination
         return victim
 
     def discard(self, page: int) -> bool:
@@ -121,41 +146,6 @@ class LIXPolicy(CachePolicy):
             return False
         del self._chains[chain_index][page]
         return True
-
-    # -- internals ------------------------------------------------------------
-    def _evaluate(self, state: _PageState, now: float) -> float:
-        """The paper's estimator, applied at ``now`` without committing.
-
-        ``alpha / (now - t) + (1 - alpha) * p`` — used both to update the
-        estimate on a hit and to age the chain-bottom candidates at
-        eviction time ("evaluated for the least recently used pages of
-        each chain to estimate their *current* probability of access").
-        """
-        gap = max(now - state.last_access, _MIN_GAP)
-        return self._alpha / gap + (1.0 - self._alpha) * state.estimate
-
-    def _lix_value(self, page: int, state: _PageState, now: float) -> float:
-        value = self._evaluate(state, now)
-        if self.use_frequency:
-            frequency = float(self._frequency(page))
-            if frequency <= 0.0:
-                return float("inf")
-            value /= frequency
-        return value
-
-    def _choose_victim(self, now: float) -> int:
-        best_page = None
-        best_value = float("inf")
-        for chain in self._chains:
-            if not chain:
-                continue
-            page = next(iter(chain))  # bottom: least recently used
-            value = self._lix_value(page, chain[page], now)
-            if value < best_value:
-                best_value = value
-                best_page = page
-        assert best_page is not None, "eviction from a non-empty cache"
-        return best_page
 
     # -- introspection (used by tests and the worked Figure 12 example) -----
     def chain_pages(self, disk: int) -> list[int]:
@@ -172,4 +162,4 @@ class LPolicy(LIXPolicy):
     """LIX without the frequency term: the implementable analogue of P."""
 
     name = "L"
-    use_frequency = False
+    oracles = ("disk_of",)

@@ -39,11 +39,13 @@ class LRUPolicy(CachePolicy):
         return True
 
     def admit(self, page: int, now: float) -> Optional[int]:
-        self._check_not_resident(page)
+        chain = self._chain
+        if page in chain:
+            self._check_not_resident(page)
         victim = None
-        if self.is_full:
-            victim, _ = self._chain.popitem(last=False)
-        self._chain[page] = None
+        if len(chain) >= self.capacity:
+            victim, _ = chain.popitem(last=False)
+        chain[page] = None
         return victim
 
     def discard(self, page: int) -> bool:

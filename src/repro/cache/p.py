@@ -29,10 +29,11 @@ class PPolicy(CachePolicy):
     """Evict (or refuse) the page with the lowest access probability."""
 
     name = "P"
+    oracles = ("probability",)
 
     def __init__(self, capacity: int, context: PolicyContext):
         super().__init__(capacity)
-        context.require("probability")
+        context.require(*self.oracles)
         self._probability = context.probability
         self._resident: Dict[int, float] = {}
         self._heap: list[tuple[float, int, int]] = []
@@ -53,17 +54,29 @@ class PPolicy(CachePolicy):
         return page in self._resident
 
     def admit(self, page: int, now: float) -> Optional[int]:
-        self._check_not_resident(page)
+        resident = self._resident
+        if page in resident:
+            self._check_not_resident(page)
         value = self._value(page)
-        if not self.is_full:
-            self._insert(page, value)
+        heap = self._heap
+        if len(resident) < self.capacity:
+            resident[page] = value
+            heapq.heappush(heap, (value, next(self._stamp), page))
             return None
-        victim = self._peek_min()
-        if self._resident[victim] >= value:
+        # The heap's least entry that is still current (stale entries,
+        # left by discard, are popped on the way).
+        while True:
+            least, _stamp, victim = heap[0]
+            if resident.get(victim) == least:
+                break
+            heapq.heappop(heap)
+        if least >= value:
             # Nothing resident is less valuable: decline the new page.
             return page
-        self._remove_min(victim)
-        self._insert(page, value)
+        heapq.heappop(heap)
+        del resident[victim]
+        resident[page] = value
+        heapq.heappush(heap, (value, next(self._stamp), page))
         return victim
 
     def discard(self, page: int) -> bool:
@@ -73,18 +86,3 @@ class PPolicy(CachePolicy):
     # -- internals ------------------------------------------------------------
     def _value(self, page: int) -> float:
         return float(self._probability(page))
-
-    def _insert(self, page: int, value: float) -> None:
-        self._resident[page] = value
-        heapq.heappush(self._heap, (value, next(self._stamp), page))
-
-    def _peek_min(self) -> int:
-        while True:
-            value, _stamp, page = self._heap[0]
-            if self._resident.get(page) == value:
-                return page
-            heapq.heappop(self._heap)  # stale entry
-
-    def _remove_min(self, page: int) -> None:
-        heapq.heappop(self._heap)
-        del self._resident[page]

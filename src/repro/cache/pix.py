@@ -26,9 +26,9 @@ class PIXPolicy(PPolicy):
     """Evict (or refuse) the page with the lowest probability/frequency."""
 
     name = "PIX"
+    oracles = ("probability", "frequency")
 
     def __init__(self, capacity: int, context: PolicyContext):
-        context.require("probability", "frequency")
         super().__init__(capacity, context)
         self._frequency = context.frequency
 

@@ -7,7 +7,8 @@ The experiment layer names policies by the strings the paper uses
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from functools import partial
+from typing import Callable, Dict, List, Tuple
 
 from repro.cache.base import CachePolicy, PolicyContext
 from repro.cache.lix import LPolicy, LIXPolicy
@@ -26,7 +27,7 @@ _FACTORIES: Dict[str, Callable[[int, PolicyContext], CachePolicy]] = {
     "lix": LIXPolicy,
     "lru-k": LRUKPolicy,
     "lruk": LRUKPolicy,
-    "lru2": lambda capacity, context: LRUKPolicy(capacity, context, k=2),
+    "lru2": partial(LRUKPolicy, k=2),
     "2q": TwoQPolicy,
 }
 
@@ -39,15 +40,26 @@ def available_policies() -> List[str]:
     return list(CANONICAL_NAMES)
 
 
+def _factory(name: str) -> Callable[[int, PolicyContext], CachePolicy]:
+    factory = _FACTORIES.get(name.strip().lower())
+    if factory is None:
+        raise ConfigurationError(
+            f"unknown cache policy {name!r}; known: {', '.join(CANONICAL_NAMES)}"
+        )
+    return factory
+
+
 def make_policy(
     name: str,
     capacity: int,
     context: PolicyContext,
 ) -> CachePolicy:
     """Construct the policy called ``name`` with ``capacity`` page slots."""
-    factory = _FACTORIES.get(name.strip().lower())
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown cache policy {name!r}; known: {', '.join(CANONICAL_NAMES)}"
-        )
-    return factory(capacity, context)
+    return _factory(name)(capacity, context)
+
+
+def policy_oracles(name: str) -> Tuple[str, ...]:
+    """The :class:`PolicyContext` oracles the policy called ``name``
+    reads (its class's :attr:`~repro.cache.base.CachePolicy.oracles`)."""
+    factory = _factory(name)
+    return getattr(factory, "func", factory).oracles

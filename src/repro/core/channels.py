@@ -147,7 +147,7 @@ def _greedy_split(layout: DiskLayout, num_channels: int) -> List[List[int]]:
     loads = [0] * num_channels
     channels: List[List[int]] = [[] for _ in range(num_channels)]
     for page in range(layout.total_pages):
-        target = min(range(num_channels), key=lambda c: (loads[c], c))
+        target = loads.index(min(loads))
         channels[target].append(page)
         loads[target] += freqs[page]
     return channels

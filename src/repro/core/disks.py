@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 
@@ -150,3 +152,8 @@ class DiskLayout:
         """Human-readable one-liner, e.g. ``<500@7, 2000@4, 2500@1>``."""
         parts = [f"{s}@{f}" for s, f in self]
         return "<" + ", ".join(parts) + ">"
+
+
+def disk_index_array(layout: DiskLayout) -> np.ndarray:
+    """0-based disk of each physical page, as a dense lookup array."""
+    return np.repeat(np.arange(layout.num_disks, dtype=np.int64), layout.sizes)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -695,3 +695,27 @@ class BroadcastProgram:
             f"<BroadcastProgram {self.label!r} channels={self.num_channels} "
             f"period={self.period} pages={self.num_pages}>"
         )
+
+
+def frequency_array(
+    schedule: Union[BroadcastSchedule, BroadcastProgram],
+) -> np.ndarray:
+    """Broadcast frequency per physical page (0.0 for absent pages).
+
+    :meth:`BroadcastSchedule.frequency` is ``count / period`` of the row
+    carrying the page; this is that quotient for every page at once,
+    indexed like :meth:`~BroadcastSchedule.regular_timing`.  Counts and
+    periods are exact in float64, so each entry is the same correctly
+    rounded float the scalar query returns (for a fixed-gap page also
+    ``1 / gap``).
+    """
+    rows = (
+        schedule.channels if isinstance(schedule, BroadcastProgram)
+        else (schedule,)
+    )
+    frequency = np.zeros(len(schedule.regular_timing()[1]), dtype=np.float64)
+    for row in rows:
+        counts = row._counts
+        np.divide(counts, row._period, out=frequency[:len(counts)],
+                  where=counts > 0)
+    return frequency

@@ -16,11 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.cache.base import PolicyContext
-from repro.cache.registry import make_policy
-from repro.core.disks import DiskLayout
+from repro.cache.registry import make_policy, policy_oracles
+from repro.core.disks import DiskLayout, disk_index_array
 from repro.core.programs import _flat_program, _multidisk_program
-from repro.core.schedule import BroadcastProgram, BroadcastSchedule
+from repro.core.schedule import (
+    BroadcastProgram,
+    BroadcastSchedule,
+    frequency_array,
+)
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStreams
 from repro.workload.mapping import LogicalPhysicalMapping
@@ -286,29 +292,69 @@ class ExperimentConfig:
         distribution: ZipfRegionDistribution,
         layout: Optional[DiskLayout] = None,
     ):
-        """The client's cache policy wired to its oracles."""
+        """The client's cache policy wired to its oracles.
+
+        Each oracle the policy reads (:func:`~repro.cache.registry.
+        policy_oracles`; LRU reads none) answers from a per-run table
+        over the access range — the pages a trace can request — indexed
+        by logical page and gathered once in NumPy through the mapping
+        from the distribution, the schedule's
+        :func:`~repro.core.schedule.frequency_array` and the layout's
+        :func:`~repro.core.disks.disk_index_array`.  The answers are
+        the scalar queries' own: ``probability`` is 0.0 outside
+        ``[0, access_range)``, and any other page, or one the broadcast
+        never carries (table 0.0) or the layout does not hold (table
+        -1), is handed to the scalar query, which raises for those.
+        """
         layout = layout or self.build_layout()
-        probabilities = distribution.probabilities()
+        oracles = policy_oracles(self.policy)
         access_range = self.access_range
-
-        def probability(page: int) -> float:
-            return float(probabilities[page]) if 0 <= page < access_range else 0.0
-
-        def frequency(page: int) -> float:
-            return schedule.frequency(mapping.to_physical(page))
-
-        def disk_of(page: int) -> int:
-            return layout.disk_of_page(mapping.to_physical(page))
-
+        physical = mapping.physical_array()[:access_range]
         context = PolicyContext(
-            probability=probability,
-            frequency=frequency,
-            disk_of=disk_of,
-            num_disks=layout.num_disks,
-            lix_alpha=self.lix_alpha,
+            num_disks=layout.num_disks, lix_alpha=self.lix_alpha
         )
+        if "probability" in oracles:
+            probabilities = (
+                distribution.probabilities()[:access_range].tolist()
+            )
+
+            def probability(page: int) -> float:
+                return probabilities[page] if 0 <= page < access_range else 0.0
+
+            context.probability = probability
+        if "frequency" in oracles:
+            frequencies = _gather(frequency_array(schedule), physical, 0.0)
+
+            def frequency(page: int) -> float:
+                if 0 <= page < access_range:
+                    value = frequencies[page]
+                    if value:
+                        return value
+                return schedule.frequency(mapping.to_physical(page))
+
+            context.frequency = frequency
+        if "disk_of" in oracles:
+            disks = _gather(disk_index_array(layout), physical, -1)
+
+            def disk_of(page: int) -> int:
+                if 0 <= page < access_range:
+                    disk = disks[page]
+                    if disk >= 0:
+                        return disk
+                return layout.disk_of_page(mapping.to_physical(page))
+
+            context.disk_of = disk_of
         return make_policy(self.policy, self.cache_size, context)
 
     def with_(self, **overrides) -> "ExperimentConfig":
         """A modified copy (dataclasses.replace with a shorter name)."""
         return replace(self, **overrides)
+
+
+def _gather(table: np.ndarray, physical: np.ndarray, missing) -> list:
+    """``table[physical]`` as a list, ``missing`` where a physical page
+    lies past the table's end."""
+    inside = physical < len(table)
+    return np.where(
+        inside, table[np.where(inside, physical, 0)], missing
+    ).tolist()

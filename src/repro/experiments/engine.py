@@ -16,15 +16,19 @@ profiled or not — and is written to be allocation-free (see
 
 * the trace is materialised once as a plain python list, so the loop
   never boxes ``np.int64`` scalars;
-* every attribute lookup (cache protocol methods, stats accumulators)
-  is hoisted to a local before the loop;
+* the cache protocol methods are hoisted to locals before the loop;
+* the measured phase folds into locals — Welford's count, mean, M2
+  and extrema in :meth:`~repro.sim.stats.RunningStats.add`'s operation
+  order, the hit count and a per-disk miss list — written into the
+  outcome's :class:`~repro.sim.stats.RunningStats` and
+  :class:`~repro.cache.base.CacheCounters` after the loop;
 * the per-run facts of every logical page the trace can request —
   physical page, the §2.1 ``(residue, gap)`` pair, channel and disk —
   are gathered in NumPy before the loop from the mapping, the
   schedule's :meth:`~repro.core.schedule.BroadcastSchedule.regular_timing`
-  table and the layout, into one list indexed by logical page, so a
-  miss costs one list read and two integer ops; irregular pages
-  (gap 0) are timed by bisection;
+  table and the layout's :func:`~repro.core.disks.disk_index_array`,
+  into one list indexed by logical page, so a miss costs one list read
+  and two integer ops; irregular pages (gap 0) are timed by bisection;
 * the §5 fill test reads a local flag refreshed only after an admit,
   because a cache lookup never changes occupancy;
 * tracing is a guarded ``if tracing:`` emit, and profiling is
@@ -49,13 +53,14 @@ beginning our measurements only after the cache was full"), after which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.base import CacheCounters, CachePolicy
-from repro.core.disks import DiskLayout
+from repro.core.disks import DiskLayout, disk_index_array
 from repro.core.schedule import BroadcastProgram, BroadcastSchedule
 from repro.errors import ConfigurationError
 from repro.sim.stats import RunningStats
@@ -183,14 +188,14 @@ class FastEngine:
         """
         schedule = self.schedule
         physical = self.mapping.physical_array()[:limit]
-        ends = np.cumsum(self.layout.sizes)
-        outside = physical >= ends[-1]
+        disks = disk_index_array(self.layout)
+        outside = physical >= len(disks)
         if outside.any():
             raise ConfigurationError(
                 f"page {int(physical[outside][0])} outside database "
-                f"[0, {int(ends[-1])})"
+                f"[0, {len(disks)})"
             )
-        disk = np.searchsorted(ends, physical, side="right")
+        disk = disks[physical]
         residue, gap = schedule.regular_timing()
         carried = physical < len(gap)
         index = np.where(carried, physical, 0)
@@ -236,11 +241,16 @@ class FastEngine:
         next_arrival_bisect = schedule.next_arrival_bisect
         tuned = isinstance(schedule, BroadcastProgram)
 
-        response = RunningStats()
-        counters = CacheCounters()
-        response_add = response.add
-        record_hit = counters.record_hit
-        record_miss = counters.record_miss
+        # The measured phase folds into locals: Welford's count, mean,
+        # M2 and extrema in RunningStats.add's operation order, hits,
+        # and misses per disk.
+        count = 0
+        mean = 0.0
+        m2 = 0.0
+        minimum = math.inf
+        maximum = -math.inf
+        hits = 0
+        disk_misses = [0] * self.layout.num_disks
         samples: Optional[List[float]] = [] if collect_responses else None
 
         # Measurement starts after ``warmup_requests`` requests when
@@ -281,8 +291,15 @@ class FastEngine:
                 if tracing:
                     emit("client.hit", now, page=page)
                 if not warming:
-                    response_add(0.0)
-                    record_hit()
+                    hits += 1
+                    count += 1
+                    delta = 0.0 - mean
+                    mean += delta / count
+                    m2 += delta * (0.0 - mean)
+                    if 0.0 < minimum:
+                        minimum = 0.0
+                    if 0.0 > maximum:
+                        maximum = 0.0
                     if samples is not None:
                         samples.append(0.0)
                 continue
@@ -316,10 +333,32 @@ class FastEngine:
                 if fill_rule and not full:
                     full = cache.is_full
             else:
-                response_add(wait)
-                record_miss(disk)
+                count += 1
+                delta = wait - mean
+                mean += delta / count
+                m2 += delta * (wait - mean)
+                if wait < minimum:
+                    minimum = wait
+                if wait > maximum:
+                    maximum = wait
+                disk_misses[disk] += 1
                 if samples is not None:
                     samples.append(wait)
+
+        response = RunningStats()
+        response.count = count
+        response._mean = mean
+        response._m2 = m2
+        response.minimum = minimum
+        response.maximum = maximum
+        counters = CacheCounters(
+            hits=hits,
+            misses=count - hits,
+            per_disk_misses={
+                disk: misses
+                for disk, misses in enumerate(disk_misses) if misses
+            },
+        )
 
         profile = self.profile
         if profile is not None and profile.enabled:
@@ -335,7 +374,7 @@ class FastEngine:
         return EngineOutcome(
             response=response,
             counters=counters,
-            measured_requests=response.count,
+            measured_requests=count,
             warmup_requests=warmup_seen,
             final_time=now,
             samples=samples,

@@ -282,7 +282,9 @@ def client_latency(records: List[dict], top: int = 5) -> Optional[Dict]:
     Records from the fast engine carry no ``client`` field (it runs one
     implicit client); process-engine clients are named.  Fairness is
     Jain's index over per-client mean waits — 1.0 when every client
-    waits the same on average.
+    waits the same on average.  ``retunes`` counts a client's
+    ``client.retune`` records: its channel switches on a multi-channel
+    program, 0 on one channel.
     """
     # Imported here, not at module top: repro.population imports the
     # execution layer, which imports repro.obs — a cycle at load time.
@@ -298,7 +300,7 @@ def client_latency(records: List[dict], top: int = 5) -> Optional[Dict]:
         tally = counts.get(client)
         if tally is None:
             tally = counts[client] = {"request": 0, "hit": 0, "miss": 0,
-                                      "wait": 0}
+                                      "wait": 0, "retune": 0}
         tally[kind.split(".", 1)[1]] += 1
         if kind == "client.wait":
             stats = waits.get(client)
@@ -319,6 +321,7 @@ def client_latency(records: List[dict], top: int = 5) -> Optional[Dict]:
             "requests": tally["request"],
             "hits": tally["hit"],
             "misses": tally["miss"],
+            "retunes": tally["retune"],
             "hit_rate": tally["hit"] / lookups if lookups else 0.0,
             "wait": _stats_block(stats),
             "total_wait": stats.mean * stats.count,

@@ -16,6 +16,7 @@ from repro.core.chunks import EMPTY_SLOT
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastSchedule
 from repro.exec import execute_plan, plan_for
+from repro.exec.run import result_state
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import FastEngine
 from repro.experiments.runner import _warmup_trace_allowance, run_experiment
@@ -90,6 +91,33 @@ class TestEngineEquivalence:
         assert_engines_agree(
             small_config(disk_sizes=(90, 410), delta=4, offset=50)
         )
+
+
+def assert_exact_states_agree(config):
+    """Every field of ``result_state`` but the wall time — Welford count,
+    mean, M2 and extrema, access locations, retunes — equal across all
+    four engines."""
+    states = {}
+    for engine in ("fast", "fast-reference", "process", "batch"):
+        state = result_state(run_experiment(config, engine=engine))
+        del state["wall_seconds"]
+        states[engine] = state
+    for engine, state in states.items():
+        assert state == states["fast"], engine
+
+
+class TestExactResultState:
+    @pytest.mark.parametrize("variant", [
+        {},
+        {"noise": 0.3, "offset": 20},
+        {"channels": 2},
+    ], ids=["plain", "noise-offset", "two-channels"])
+    @pytest.mark.parametrize("policy", ["LRU", "L", "LIX", "P", "PIX"])
+    def test_policies(self, policy, variant):
+        assert_exact_states_agree(small_config(policy=policy, **variant))
+
+    def test_no_cache(self):
+        assert_exact_states_agree(small_config(cache_size=1, policy="LRU"))
 
 
 # Irregular spacing for every page (no count divides the period

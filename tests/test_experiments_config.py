@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.cache.registry import make_policy
+from repro.core.schedule import BroadcastSchedule
+from repro.errors import ConfigurationError, ScheduleError
+from repro.experiments import config as config_module
 from repro.experiments.config import (
     DELTA_RANGE,
     DISK_PRESETS,
@@ -166,3 +169,99 @@ class TestBuilders:
         modified = config.with_(delta=5)
         assert modified.delta == 5
         assert config.delta == 1
+
+
+class TestPolicyOracleTables:
+    """``build_policy``'s per-run tables answer as the scalar queries do."""
+
+    #: The oracles each policy reads; build_policy gathers no others.
+    ORACLES = {
+        "P": {"probability"},
+        "PIX": {"probability", "frequency"},
+        "LIX": {"disk_of", "frequency"},
+        "L": {"disk_of"},
+        "LRU": set(),
+    }
+
+    @staticmethod
+    def context_of(monkeypatch, config, schedule=None):
+        """The PolicyContext build_policy hands to make_policy."""
+        captured = []
+
+        def capture(name, capacity, context):
+            captured.append(context)
+            return make_policy(name, capacity, context)
+
+        monkeypatch.setattr(config_module, "make_policy", capture)
+        layout = config.build_layout()
+        schedule = schedule or config.build_schedule(layout)
+        mapping = config.build_mapping(layout)
+        distribution = config.build_distribution()
+        config.build_policy(schedule, mapping, distribution, layout)
+        (context,) = captured
+        return context, layout, schedule, mapping, distribution
+
+    @staticmethod
+    def config(policy, **overrides):
+        return ExperimentConfig(
+            disk_sizes=(50, 200, 250), delta=3, cache_size=10,
+            policy=policy, noise=0.3, offset=20, access_range=100,
+            region_size=10, seed=5, **overrides,
+        )
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("policy", sorted(ORACLES))
+    def test_tables_equal_scalar_oracles(self, monkeypatch, policy,
+                                         channels):
+        config = self.config(policy, channels=channels)
+        context, layout, schedule, mapping, distribution = self.context_of(
+            monkeypatch, config
+        )
+        gathered = {
+            name for name in ("probability", "frequency", "disk_of")
+            if getattr(context, name) is not None
+        }
+        assert gathered == self.ORACLES[policy]
+        probabilities = distribution.probabilities()
+        # Two pages either side of the access range take the scalar
+        # queries themselves (negative pages wrap in the mapping).
+        for page in range(-2, config.access_range + 2):
+            physical = mapping.to_physical(page)
+            if context.probability is not None:
+                inside = 0 <= page < config.access_range
+                assert context.probability(page) == (
+                    float(probabilities[page]) if inside else 0.0
+                )
+            if context.frequency is not None:
+                assert context.frequency(page) == schedule.frequency(physical)
+            if context.disk_of is not None:
+                assert context.disk_of(page) == layout.disk_of_page(physical)
+
+    # The schedule omits the physical page of logical page 3, as a hole
+    # in its frequency table or by ending the table before it.
+    @pytest.mark.parametrize("shape", ["hole", "short"])
+    def test_unbroadcast_page_raises_schedule_error(self, monkeypatch,
+                                                    shape):
+        config = self.config("PIX")
+        missing = config.build_mapping().to_physical(3)
+        assert missing > 0
+        schedule = BroadcastSchedule(
+            list(range(missing)) if shape == "short" else [
+                page for page in range(config.server_db_size)
+                if page != missing
+            ]
+        )
+        context, _layout, _schedule, mapping, _distribution = (
+            self.context_of(monkeypatch, config, schedule)
+        )
+        raised = 0
+        for page in range(config.access_range):
+            physical = mapping.to_physical(page)
+            if physical in schedule:
+                assert context.frequency(page) == schedule.frequency(physical)
+                continue
+            with pytest.raises(ScheduleError,
+                               match=f"page {physical} never"):
+                context.frequency(page)
+            raised += 1
+        assert raised >= 1

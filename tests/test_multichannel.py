@@ -24,6 +24,8 @@ import repro
 from repro.core.channels import (
     ASSIGNMENT_STRATEGIES,
     ChannelAssignment,
+    _greedy_split,
+    _page_freqs,
     assign_channels,
     build_program,
     channel_schedule,
@@ -34,7 +36,11 @@ from repro.core.schedule import BroadcastProgram
 from repro.errors import ConfigurationError
 from repro.exec.build import structural_key
 from repro.exec.run import result_from_state, result_state
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import (
+    DELTA_RANGE,
+    DISK_PRESETS,
+    ExperimentConfig,
+)
 from repro.experiments.engine import FastEngine
 from repro.experiments.runner import run_experiment
 from repro.obs.monitor import MonitorSuite
@@ -87,6 +93,24 @@ class TestAssignment:
         first = assign_channels(LAYOUT, 3)
         second = assign_channels(LAYOUT, 3)
         assert first.channels == second.channels
+
+    @pytest.mark.parametrize("preset", sorted(DISK_PRESETS))
+    def test_greedy_split_picks_the_lowest_least_loaded_channel(self, preset):
+        # The split's rule, written as a keyed min over (load, index),
+        # over every Δ of the preset and C = 2..4.
+        for delta in DELTA_RANGE:
+            layout = DiskLayout.from_delta(DISK_PRESETS[preset], delta)
+            freqs = _page_freqs(layout)
+            for num_channels in (2, 3, 4):
+                loads = [0] * num_channels
+                expected = [[] for _ in range(num_channels)]
+                for page in range(layout.total_pages):
+                    target = min(
+                        range(num_channels), key=lambda c: (loads[c], c)
+                    )
+                    expected[target].append(page)
+                    loads[target] += freqs[page]
+                assert _greedy_split(layout, num_channels) == expected
 
     def test_assignment_channel_map(self):
         assignment = assign_channels(LAYOUT, 2)

@@ -361,6 +361,44 @@ class TestClientLatency:
         assert client_latency([{"kind": "sim.event", "t": 0.0}]) is None
 
 
+class TestMultiChannelTrace:
+    """A C=2 run's ``client.retune`` records tally per client."""
+
+    @pytest.mark.parametrize("engine", ["fast", "process"])
+    def test_retunes_per_client(self, engine, tmp_path, capsys):
+        config = ExperimentConfig(
+            disk_sizes=(50, 200, 250), delta=3, cache_size=10,
+            policy="LIX", num_requests=200, seed=7, channels=2,
+            access_range=500,
+        )
+        path = str(tmp_path / "c2.jsonl")
+        with Tracer(JsonlSink(path)) as tracer:
+            run_experiment(config, engine=engine, tracer=tracer)
+        records = list(read_jsonl(path))
+        retunes = {}
+        for record in records:
+            if record["kind"] == "client.retune":
+                client = str(record.get("client", "client"))
+                retunes[client] = retunes.get(client, 0) + 1
+        assert sum(retunes.values()) > 0
+        rows = analyze(records)["client_latency"]["slowest"]
+        assert {row["client"]: row["retunes"] for row in rows} == retunes
+        assert main(["analyze", path, "--json"]) == EXIT_OK
+        document = json.loads(capsys.readouterr().out)
+        assert sum(
+            row["retunes"] for row in document["client_latency"]["slowest"]
+        ) == sum(retunes.values())
+
+    def test_single_channel_rows_read_zero(self):
+        records = [
+            {"kind": "client.request", "t": 1.0},
+            {"kind": "client.miss", "t": 1.0, "page": 0},
+            wait(2.0, 0, 1.0),
+        ]
+        (row,) = client_latency(records)["slowest"]
+        assert row["retunes"] == 0
+
+
 class TestAnalyzeDocument:
     def test_only_applicable_sections_appear(self):
         document = analyze([wait(1.0, 0, 2.0)])
