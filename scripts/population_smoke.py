@@ -12,6 +12,12 @@ then resumes from the checkpoint under ``jobs=4`` and verifies the
 resumed rollup matches the uninterrupted one exactly.  Leaves both
 manifests in the artifact directory.
 
+Then runs the fleet on the batch engine, which buckets clients with
+equal draws into columnar runs: the rollup must equal the per-client
+fold, and a run whose ``progress`` callback raises after client 100
+must resume from its journal to the same rollup, simulating only the
+clients the journal lacks.
+
 Usage::
 
     PYTHONPATH=src python scripts/population_smoke.py --out population-artifacts
@@ -22,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -43,6 +50,12 @@ from repro.population import (
 
 JOBS = 4
 CLIENTS = 200
+#: Clients the batch arm's interrupted run reports before it raises.
+INTERRUPT_AFTER = 100
+
+
+class Interrupted(Exception):
+    """Raised by the batch arm's progress callback."""
 
 
 def smoke_spec() -> PopulationSpec:
@@ -78,6 +91,59 @@ def smoke_spec() -> PopulationSpec:
             ),
         ),
     )
+
+
+def batch_spec() -> PopulationSpec:
+    """The smoke fleet on the batch engine.
+
+    ``mixed-caches`` keeps the base cache size and draws only the
+    policy, so its clients fill 3 columnar buckets; its ``UniformInt``
+    cache sizes would make nearly every client a bucket of its own.
+    The two ``Uniform`` segments run per client.
+    """
+    spec = smoke_spec()
+    mixed = SegmentSpec("mixed-caches", 100,
+                        policy=Choice(("LRU", "LIX", "PIX")))
+    return replace(spec, engine="batch",
+                   segments=(mixed,) + spec.segments[1:])
+
+
+def batch_failures(out: Path) -> list:
+    """The batch arm: fold equality and resume from an interrupted run."""
+    failures = []
+    spec = batch_spec()
+    print(f"== batch fleet ({spec.num_clients} clients) ==")
+    fold = snapshots(run_population(replace(spec, engine="fast")))
+    if snapshots(run_population(spec)) != fold:
+        failures.append("batch fleet diverged from the per-client fold")
+
+    journal = out / "population-batch-checkpoint.jsonl"
+    journal.unlink(missing_ok=True)
+
+    def interrupt(completed, _total, _result):
+        if completed == INTERRUPT_AFTER:
+            raise Interrupted(completed)
+
+    try:
+        run_population(spec, progress=interrupt,
+                       checkpoint=SweepCheckpoint(str(journal)))
+        failures.append("the batch run's progress never reached "
+                        f"client {INTERRUPT_AFTER}")
+    except Interrupted:
+        pass
+    resume = SweepCheckpoint(str(journal))
+    resumed = run_population(spec, checkpoint=resume)
+    if snapshots(resumed) != fold:
+        failures.append("batch checkpoint resume diverged from the fold")
+    # The fleet journals every client it simulates, so one line per
+    # client means no journalled client ran again.
+    lines = len(journal.read_text().splitlines())
+    if lines != spec.num_clients:
+        failures.append(f"batch journal holds {lines} entries for "
+                        f"{spec.num_clients} clients")
+    print(f"batch fleet: resumed past {resume.resumed} journalled "
+          f"clients; journal now holds {lines} entries")
+    return failures
 
 
 def canonical(path: Path) -> str:
@@ -142,6 +208,8 @@ def main(argv=None) -> int:
     resumed = run_population(spec, jobs=args.jobs, checkpoint=resume)
     if snapshots(resumed) != snapshots(serial):
         failures.append("checkpoint resume diverged from the live fleet")
+
+    failures += batch_failures(out)
 
     if failures:
         for failure in failures:

@@ -1,64 +1,56 @@
-"""Fleet execution: expand homogeneous segments straight into batch runs.
+"""Fleet execution: every ``engine="batch"`` population runs here.
 
 :func:`run_fleet` is the batch engine's counterpart of
-:func:`repro.population.run.run_population`: same spec in, same
-:class:`~repro.population.run.PopulationResult` out, but homogeneous
-segments (every distributed field a :class:`Constant`) with a batchable
-policy skip plan expansion entirely — the whole segment becomes one
-columnar engine run over a ``(steps, clients)`` trace matrix.
-Multi-channel programs batch natively (the engine carries the
-vectorized tuner).  Heterogeneous segments whose distributed fields all
-have *finite support* (:class:`Constant` / :class:`Choice` /
-:class:`UniformInt`) are **sub-segmented**: each client's parameter
-draws are replayed through
-:func:`~repro.population.spec.client_overrides` (preserving the
-``derive_seed`` per-client identity exactly), clients with equal draws
-bucket into one homogeneous sub-batch, and each bucket runs columnar.
-Only continuous draws (:class:`Uniform`) or unbatchable sampled
-policies still fall back to the scalar per-client path through
-:func:`~repro.exec.run.execute_plan`.
+:func:`repro.population.run.run_population`, which sends it every
+batch spec: same spec in, same
+:class:`~repro.population.run.PopulationResult` out.  Each segment's
+clients are bucketed by :func:`~repro.population.spec.client_groups`
+(a segment of constants is one bucket; finite-support draws bucket by
+equal draws).  A bucket whose policy has a columnar form runs as one
+columnar engine run over a ``(steps, clients)`` trace matrix,
+multi-channel programs included.  Every other client (a segment with
+a :class:`Uniform` field, an unbatchable policy such as LRU-K) runs as
+a per-client ``fast`` plan through :func:`~repro.exec.run.execute_plan`.
 
-Every batched group — a homogeneous segment or a sub-segment bucket —
-runs the exact columnar engine: each client's trace is drawn from its
-own ``RandomStreams(derive_seed(spec.seed, index))`` streams (those of
-its per-client run), and the engine arithmetic is
-byte-identical to ``fast``.  The per-client results then fold through
-the same :func:`~repro.population.run.finish_population` tail as
-``run_population``, so a fleet's rollup *is* the per-client fold,
-modulo wall-clock fields.  A tracer, profiler or monitor observes the
-same path a bare run takes; every miss dispatches through
-:meth:`~repro.core.schedule.BroadcastSchedule.next_arrival_batch`.
+A columnar bucket draws each client's trace from its own
+``RandomStreams(derive_seed(spec.seed, index))`` streams, those of its
+per-client run, and the engine arithmetic is byte-identical to
+``fast``.  So a column's result does not depend on which clients share
+its bucket, and the fleet's rollup, folded by the same
+:func:`~repro.population.run.finish_population` tail, *is* the
+per-client fold modulo wall-clock fields.  Observers see the same path
+a bare run takes, and every traced record carries its ``client``
+label.  ``progress``, ``checkpoint`` and ``keep_results`` keep the
+executors' contract; whole per-client results are built only for them.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.batch.engine import batchable_policy_name, build_columnar_engine
-from repro.errors import ConfigurationError
 from repro.exec.build import BuildCache
+from repro.exec.checkpoint import SweepCheckpoint
+from repro.exec.executor import ProgressCallback
 from repro.exec.plan import RunPlan, derive_seed
 from repro.exec.run import (
     _warmup_trace_allowance,
     execute_plan,
+    experiment_result,
     monitored_run,
     require_measured,
 )
 from repro.obs.clock import perf_counter
+from repro.obs.trace import Tracer
 from repro.population.aggregate import DEFAULT_GAMMA
 from repro.population.run import PopulationResult, finish_population
 from repro.population.spec import (
-    _INT_FIELDS,
-    Choice,
-    Constant,
     PopulationSpec,
-    SegmentSpec,
-    UniformInt,
     client_config,
-    client_overrides,
+    client_groups,
 )
 from repro.sim.rng import RandomStreams
 from repro.workload.mapping import LogicalPhysicalMapping
@@ -74,85 +66,30 @@ class _FleetClientStats:
         "hit_rate", "wall_seconds",
     )
 
-    def __init__(self, mean_response_time, measured_requests,
-                 warmup_requests, hit_rate):
-        self.mean_response_time = mean_response_time
-        self.measured_requests = measured_requests
-        self.warmup_requests = warmup_requests
-        self.hit_rate = hit_rate
+    def __init__(self, outcome, column: int):
+        self.mean_response_time = float(outcome.mean[column])
+        self.measured_requests = int(outcome.count[column])
+        self.warmup_requests = int(outcome.warmup_seen[column])
+        self.hit_rate = outcome.hit_rate(column)
         self.wall_seconds = 0.0
 
 
-def _group_config(spec: PopulationSpec, segment: SegmentSpec):
-    """The shared config of a homogeneous segment, or None.
+class _ClientLabel:
+    """Sink forwarding each record to ``tracer`` with a ``client`` label:
+    a per-client plan emits unlabelled records, which a fleet trace
+    interleaves with its columnar buckets' labelled ones."""
 
-    A segment is homogeneous when every distributed field is a
-    :class:`Constant`; the values are coerced exactly as
-    :func:`~repro.population.spec.client_config` coerces sampled ones.
-    """
-    overrides: Dict[str, object] = {}
-    for field_name, distribution in segment.distributions().items():
-        if not isinstance(distribution, Constant):
-            return None
-        value = distribution.value
-        if field_name in _INT_FIELDS:
-            value = int(value)
-        elif field_name != "policy":
-            value = float(value)
-        overrides[field_name] = value
-    return spec.base.with_(
-        label=f"{spec.name}/{segment.name}", **overrides
-    )
+    __slots__ = ("tracer", "label")
 
+    def __init__(self, tracer: Tracer, label: str):
+        self.tracer, self.label = tracer, label
 
-#: Distributions with finite support: a heterogeneous segment drawing
-#: only from these has a bounded set of distinct client identities and
-#: can be sub-segmented into homogeneous buckets.
-_FINITE_DISTRIBUTIONS = (Constant, Choice, UniformInt)
+    def write(self, record) -> None:
+        self.tracer.emit(record.kind, record.time, **record.fields,
+                         client=self.label)
 
-
-def _sub_segments(
-    spec: PopulationSpec, segment: SegmentSpec, indices: range
-) -> Optional[List[Tuple[object, List[int]]]]:
-    """Deterministic sub-segmentation of a finite-support segment.
-
-    Replays every client's parameter draws through
-    :func:`~repro.population.spec.client_overrides` — the exact
-    ``derive_seed``-rooted streams the per-client path consumes, so
-    each client keeps its fleet-size-independent identity — and buckets
-    clients with equal draws into ``(shared config, client indices)``
-    groups, ordered by first appearance.  Returns ``None`` when any
-    distributed field has continuous support (:class:`Uniform` draws
-    are almost surely all distinct, so bucketing buys nothing).
-
-    Bucket configs share the segment-level label (per-client labels and
-    seeds are reattached by the columnar path's own per-client streams)
-    and bucket clients need not be contiguous — the columnar group
-    runner indexes clients individually.
-    """
-    distributions = segment.distributions().values()
-    if not all(isinstance(d, _FINITE_DISTRIBUTIONS) for d in distributions):
-        return None
-    members: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-    sampled: Dict[Tuple, Dict[str, object]] = {}
-    for client in indices:
-        overrides = client_overrides(spec, segment, client)
-        key = tuple(sorted(overrides.items()))
-        bucket = members.get(key)
-        if bucket is None:
-            members[key] = [client]
-            sampled[key] = overrides
-        else:
-            bucket.append(client)
-    return [
-        (
-            spec.base.with_(
-                label=f"{spec.name}/{segment.name}", **sampled[key]
-            ),
-            clients,
-        )
-        for key, clients in members.items()
-    ]
+    def close(self) -> None:
+        """The caller closes the tracer forwarded to."""
 
 
 # ---------------------------------------------------------------------------
@@ -208,31 +145,27 @@ def _group_physical(spec, indices, config, layout) -> np.ndarray:
 
 
 def _run_group_columnar(
-    spec, segment, indices, config, schedule, layout, *,
-    tracer=None, profile=None, monitors=None,
-) -> List[_FleetClientStats]:
-    """Run one homogeneous group through the exact columnar engine."""
-    clients = len(indices)
+    spec, indices, config, builds, *, tracer=None, profile=None,
+    monitors=None,
+):
+    """Run one bucket through the exact columnar engine: its outcome,
+    and the schedule and layout it ran on."""
+    profiling = profile is not None and profile.enabled
+    if profiling:
+        profile.start_phase("build")
+    layout, schedule = builds.layout_and_schedule(config)
     engine = build_columnar_engine(
         config, schedule, layout,
-        _group_physical(spec, indices, config, layout), clients,
+        _group_physical(spec, indices, config, layout), len(indices),
     )
-    if engine is None:  # pragma: no cover - callers pre-check the policy
-        raise ConfigurationError(
-            f"policy {config.policy!r} has no columnar formulation"
-        )
     total = config.num_requests + _warmup_trace_allowance(config)
     pages = _group_traces(spec, indices, config, total)
 
-    profiling = profile is not None and profile.enabled
     with monitored_run(config, schedule, tracer=tracer,
                        monitors=monitors) as run_tracer:
-        labels: Optional[Sequence[str]] = None
-        if run_tracer is not None and run_tracer.enabled and clients > 1:
-            labels = [
-                f"{spec.name}/{segment.name}/client{client}"
-                for client in indices
-            ]
+        labels = None
+        if run_tracer is not None and run_tracer.enabled:
+            labels = [f"{config.label}/client{client}" for client in indices]
         if profiling:
             profile.stop_phase("build")
             profile.start_phase("run")
@@ -248,20 +181,11 @@ def _run_group_columnar(
         finally:
             if profiling:
                 profile.stop_phase("run")
-                profile.start_phase("build")
         if profiling:
             profile.count("requests.measured", int(outcome.count.sum()))
             profile.count("requests.warmup", int(outcome.warmup_seen.sum()))
     require_measured(config, bool(outcome.count.all()))
-    return [
-        _FleetClientStats(
-            mean_response_time=float(outcome.mean[column]),
-            measured_requests=int(outcome.count[column]),
-            warmup_requests=int(outcome.warmup_seen[column]),
-            hit_rate=outcome.hit_rate(column),
-        )
-        for column in range(clients)
-    ]
+    return outcome, schedule, layout
 
 
 # ---------------------------------------------------------------------------
@@ -276,70 +200,92 @@ def run_fleet(
     manifest: Optional[str] = None,
     profile=None,
     monitors=None,
+    progress: Optional[ProgressCallback] = None,
+    checkpoint: Optional[SweepCheckpoint] = None,
+    keep_results: bool = False,
 ) -> PopulationResult:
     """Simulate ``spec`` through the batch engine and return its rollup.
 
-    Homogeneous segments with a batchable policy run as columnar
-    groups (multi-channel programs included — the engine carries the
-    vectorized tuner); heterogeneous segments with finite-support
-    draws are sub-segmented into homogeneous buckets that run columnar
-    too; everything else falls back to per-client ``fast`` plans.  The
-    results are identical either way, so mixed fleets stay consistent
-    and the rollup equals :func:`~repro.population.run.run_population`'s.
+    ``progress(completed, total, result)`` fires once per client, in
+    client order.  ``checkpoint`` is consulted per client before its
+    bucket runs (a journalled client leaves the bucket) and records each
+    client after; its keys are the fingerprints of the
+    :func:`~repro.population.spec.expand` plans, so a journal an
+    executor wrote resumes here.  ``keep_results=True`` keeps the
+    per-client results, in client order.
     """
     started = perf_counter()
-    profiling = profile is not None and profile.enabled
-    # Layouts and schedules, shared by every group and plan fallback of
-    # this run that broadcasts the same program.
+    tracing = tracer is not None and tracer.enabled
+    # Whole per-client results only when an option hands them out.
+    whole = progress is not None or checkpoint is not None or keep_results
+    # Layouts and schedules, shared by every bucket and per-client plan
+    # of this run that broadcasts the same program.
     builds = BuildCache()
-    client_stats: List[object] = [None] * spec.num_clients
+    results: List[object] = [None] * spec.num_clients
+    reported = 0
 
-    def run_group(segment, clients, config):
-        """One homogeneous group (or bucket) through the columnar engine;
-        results land in ``client_stats``."""
-        if profiling:
-            profile.start_phase("build")
-        layout, schedule = builds.layout_and_schedule(config)
-        stats = _run_group_columnar(
-            spec, segment, clients, config, schedule, layout,
-            tracer=tracer, profile=profile, monitors=monitors,
-        )
-        for client, per_client in zip(clients, stats):
-            client_stats[client] = per_client
-        if profiling:
-            profile.stop_phase("build")
-
-    def run_scalar(segment, clients):
-        """The scalar per-client path.  ``fast`` rather than
-        ``spec.engine`` — a single-client batch run is byte-identical
-        to fast, only slower."""
-        for client in clients:
-            plan = RunPlan(
-                config=client_config(spec, segment, client),
-                engine="fast",
-                collect_responses=False,
-                index=client,
-            )
-            client_stats[client] = execute_plan(
-                plan, tracer=tracer, builds=builds,
-                profile=profile, monitors=monitors,
-            )
+    def report(client: int, result, plan: Optional[RunPlan] = None):
+        """Book one client's result, journal it under ``plan`` when it
+        has just run, and report the completed prefix."""
+        nonlocal reported
+        results[client] = result
+        if checkpoint is not None and plan is not None:
+            checkpoint.record(plan, result)
+        while (progress is not None and reported < len(results)
+               and results[reported] is not None):
+            progress(reported + 1, len(results), results[reported])
+            reported += 1
 
     for segment, indices in spec.segment_ranges():
-        config = _group_config(spec, segment)
-        groups = ([(config, indices)] if config is not None
-                  else _sub_segments(spec, segment, indices))
-        if groups is None:
-            # Continuous draws: the scalar per-client path.
-            run_scalar(segment, indices)
-            continue
-        for group_config, clients in groups:
-            if batchable_policy_name(group_config.policy):
-                run_group(segment, clients, group_config)
-            else:
-                run_scalar(segment, clients)
+        buckets = client_groups(spec, segment, indices)
+        for config, clients in buckets or [(None, indices)]:
+            batched = (config is not None
+                       and batchable_policy_name(config.policy))
+            # Each client's expand() plan: its config and its journal key.
+            plans: Dict[int, RunPlan] = {}
+            if whole or not batched:
+                plans = {
+                    client: RunPlan(client_config(spec, segment, client),
+                                    engine=spec.engine, index=client)
+                    for client in clients
+                }
+            if checkpoint is not None:
+                pending = []
+                for client in clients:
+                    journalled = checkpoint.lookup(plans[client])
+                    if journalled is None:
+                        pending.append(client)
+                    else:
+                        report(client, journalled)
+                clients = pending
+            if not batched:
+                for client in clients:
+                    plan = plans[client]
+                    report(client, execute_plan(
+                        replace(plan, engine="fast"), builds=builds,
+                        tracer=(Tracer(_ClientLabel(tracer, plan.config.label))
+                                if tracing else tracer),
+                        profile=profile, monitors=monitors,
+                    ), plan)
+                continue
+            if not clients:
+                continue
+            outcome, schedule, layout = _run_group_columnar(
+                spec, clients, config, builds,
+                tracer=tracer, profile=profile, monitors=monitors,
+            )
+            for column, client in enumerate(clients):
+                if not whole:
+                    results[client] = _FleetClientStats(outcome, column)
+                    continue
+                plan = plans[client]
+                report(client, experiment_result(
+                    plan.config, outcome.to_engine_outcome(column),
+                    schedule, layout, wall_seconds=0.0,
+                ), plan)
 
     return finish_population(
-        spec, client_stats, started=started, gamma=gamma, tracer=tracer,
+        spec, results, started=started, gamma=gamma, tracer=tracer,
         manifest=manifest, profile=profile, monitors=monitors,
+        keep_results=keep_results,
     )

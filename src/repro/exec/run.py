@@ -264,6 +264,15 @@ def execute_plan(
             profile.count("plans", 1)
             profile.count("requests.measured", outcome.measured_requests)
             profile.count("requests.warmup", outcome.warmup_requests)
+    return experiment_result(config, outcome, schedule, layout,
+                             wall_seconds=perf_counter() - started)
+
+
+def experiment_result(config: ExperimentConfig, outcome: EngineOutcome,
+                      schedule, layout, *,
+                      wall_seconds: float) -> ExperimentResult:
+    """The result of one run's ``outcome``: the tail of
+    :func:`execute_plan` and of a fleet's whole per-client results."""
     require_measured(config, outcome.measured_requests > 0)
 
     # A multi-channel program reports its aggregate utilisation over
@@ -286,7 +295,7 @@ def execute_plan(
         warmup_requests=outcome.warmup_requests,
         schedule_period=schedule.period,
         schedule_utilisation=utilisation,
-        wall_seconds=perf_counter() - started,
+        wall_seconds=wall_seconds,
         samples=outcome.samples,
         retunes=outcome.retunes,
         channel_utilisation=channel_utilisation,

@@ -17,7 +17,8 @@ exactly what ``scripts/population_smoke.py`` gates in CI.  Checkpoint
 resume also rides the existing machinery: per-client plans carry
 distinct labels, so their fingerprints key a
 :class:`~repro.exec.checkpoint.SweepCheckpoint` journal one client at
-a time.
+a time.  A ``batch`` spec skips the plans:
+:func:`repro.batch.fleet.run_fleet` runs it in-process, same contract.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.errors import ConfigurationError
 from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.executor import Executor, resolve_executor, usable_cores
 from repro.exec.run import ExperimentResult
@@ -194,7 +196,11 @@ def run_population(
 
     All options are keyword-only.  ``jobs`` selects the worker count
     (``executor`` overrides it with an explicit strategy); results are
-    byte-identical at any count.  ``progress(completed, total, result)``
+    byte-identical at any count.  A ``batch`` spec runs in-process on
+    :func:`~repro.batch.fleet.run_fleet`, which serves every other
+    option: ``jobs`` has no effect on it and ``executor=`` raises
+    :class:`~repro.errors.ConfigurationError`.
+    ``progress(completed, total, result)``
     fires per client in plan order; ``checkpoint`` attaches a
     :class:`~repro.exec.checkpoint.SweepCheckpoint` journal so an
     interrupted fleet resumes client-by-client.  ``tracer`` observes
@@ -207,19 +213,20 @@ def run_population(
     :class:`repro.obs.monitor.MonitorSuite`; either being *enabled*
     forces serial execution, like an enabled tracer.
     """
-    if (spec.engine == "batch" and executor is None and progress is None
-            and checkpoint is None and not keep_results):
-        # The batch engine executes whole homogeneous segments as
-        # columnar groups — there are no per-client plans to schedule,
-        # so the fleet path replaces the executor entirely.  Callers
-        # needing plan-level machinery (progress, checkpoints, kept
-        # per-client results, a custom executor) fall through to it:
-        # single-client batch plans produce identical results.
+    if spec.engine == "batch":
+        if executor is not None:
+            raise ConfigurationError(
+                "executor= does not apply to engine='batch': its columnar "
+                "groups run in-process; engine='fast' runs per-client "
+                "plans on an executor with identical results"
+            )
+        # Imported lazily: repro.batch.fleet imports this module.
         from repro.batch.fleet import run_fleet
 
         return run_fleet(
             spec, gamma=gamma, tracer=tracer, manifest=manifest,
-            profile=profile, monitors=monitors,
+            profile=profile, monitors=monitors, progress=progress,
+            checkpoint=checkpoint, keep_results=keep_results,
         )
     started = perf_counter()
     plans = expand(spec)

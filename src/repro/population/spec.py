@@ -27,7 +27,7 @@ and be handed to ``python -m repro population --spec``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.exec.plan import RunPlan, check_engine, derive_seed
@@ -283,20 +283,22 @@ def client_overrides(
 ) -> Dict[str, object]:
     """The sampled field overrides of global client ``index``.
 
-    The draw protocol behind :func:`client_config`, exposed on its own
-    so the batch fleet can bucket clients by their sampled identity
-    (sub-segmentation) without constructing a config per client: draws
-    come from the ``"population"`` stream rooted at the client's
-    :func:`~repro.exec.plan.derive_seed` seed, consumed in
-    :data:`SEGMENT_FIELDS` order (skipping undistributed fields), and
-    coerced exactly as the config would coerce them.
+    The draw protocol behind :func:`client_config` and
+    :func:`client_groups`: draws come from the ``"population"`` stream
+    rooted at the client's :func:`~repro.exec.plan.derive_seed` seed,
+    consumed in :data:`SEGMENT_FIELDS` order (skipping undistributed
+    fields), and coerced exactly as the config would coerce them.  A
+    :class:`Constant` consumes no draw, so the stream is opened only at
+    the first field that is not one.
     """
-    rng = RandomStreams(derive_seed(spec.seed, index)).stream("population")
+    seed, rng = derive_seed(spec.seed, index), None
     overrides: Dict[str, object] = {}
     for field_name in SEGMENT_FIELDS:
         distribution = getattr(segment, field_name)
         if distribution is None:
             continue
+        if rng is None and not isinstance(distribution, Constant):
+            rng = RandomStreams(seed).stream("population")
         value = distribution.sample(rng)
         if field_name in _INT_FIELDS:
             value = int(value)
@@ -322,6 +324,35 @@ def client_config(
         label=f"{spec.name}/{segment.name}/client{index}",
         **client_overrides(spec, segment, index),
     )
+
+
+def client_groups(
+    spec: PopulationSpec, segment: SegmentSpec, indices: Sequence[int]
+) -> Optional[List[Tuple[ExperimentConfig, Sequence[int]]]]:
+    """``(shared config, client indices)`` buckets of equal draws, or None.
+
+    A segment of constants is one bucket.  Finite-support draws bucket
+    by :func:`client_overrides`, in order of first appearance.  A
+    :class:`Uniform` field gives ``None``: its draws are almost surely
+    all distinct.  Bucket configs carry the segment-level label.
+    """
+    distributions = segment.distributions().values()
+    if any(isinstance(d, Uniform) for d in distributions):
+        return None
+    if all(isinstance(d, Constant) for d in distributions):
+        buckets = [(client_overrides(spec, segment, indices[0]), indices)]
+    else:
+        members: Dict[Tuple, Tuple[Dict[str, object], List[int]]] = {}
+        for client in indices:
+            overrides = client_overrides(spec, segment, client)
+            key = tuple(overrides.items())
+            members.setdefault(key, (overrides, []))[1].append(client)
+        buckets = list(members.values())
+    label = f"{spec.name}/{segment.name}"
+    return [
+        (spec.base.with_(label=label, **overrides), clients)
+        for overrides, clients in buckets
+    ]
 
 
 def expand(spec: PopulationSpec) -> List[RunPlan]:

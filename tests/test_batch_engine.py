@@ -7,14 +7,20 @@ the same whether or not a tracer, profiler or monitor watches it
 (``src/repro/batch/fleet.py`` docstring).
 
 Plus the rails around the engine: the plan fallback for unbatchable
-policies, fleet fallback for heterogeneous segments, the page-range
+policies, fleet fallback for heterogeneous segments, progress,
+checkpoints and kept results on the fleet path itself, the page-range
 check on trace matrices, monitor keying on interleaved per-client
 records, and the process-pool clamp that stops small fleets from paying
 for workers they cannot feed.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.exec import SerialExecutor, SweepCheckpoint
+from repro.exec.run import execute_plan, result_state
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.obs.monitor import MonitorSuite
@@ -27,6 +33,7 @@ from repro.population import (
     SegmentSpec,
     Uniform,
     UniformInt,
+    expand,
     run_population,
 )
 from repro.population.run import _MIN_CLIENTS_PER_WORKER, _effective_jobs
@@ -66,6 +73,76 @@ def snapshot(result):
     for document in documents:
         document.pop("total_wall_seconds")
     return documents
+
+
+@pytest.fixture
+def fleet_calls(monkeypatch):
+    """What a fleet ran: columnar engine runs, the clients of each
+    columnar bucket, and the index of every per-client plan."""
+    from repro.batch import fleet as fleet_module
+    from repro.batch.engine import ColumnarEngine
+    from repro.exec import executor as executor_module
+
+    calls = {"runs": 0, "columns": [], "plans": []}
+    engine_run = ColumnarEngine.run
+    run_group = fleet_module._run_group_columnar
+
+    def counting_run(self, *args, **kwargs):
+        calls["runs"] += 1
+        return engine_run(self, *args, **kwargs)
+
+    def recording_group(spec, indices, *args, **kwargs):
+        calls["columns"].extend(indices)
+        return run_group(spec, indices, *args, **kwargs)
+
+    def recording(module):
+        original = module.execute_plan
+
+        def execute(plan, **kwargs):
+            calls["plans"].append(plan.index)
+            return original(plan, **kwargs)
+        monkeypatch.setattr(module, "execute_plan", execute)
+
+    monkeypatch.setattr(ColumnarEngine, "run", counting_run)
+    monkeypatch.setattr(fleet_module, "_run_group_columnar", recording_group)
+    recording(fleet_module)
+    recording(executor_module)
+    return calls
+
+
+def mixed_batch_spec():
+    """13 clients: a constant segment, a finite-support one, a Uniform
+    one (per-client plans) and an unbatchable LRU-K client."""
+    return PopulationSpec(
+        name="mixed-batch",
+        base=ExperimentConfig(disk_sizes=(50, 200, 250), delta=3,
+                              cache_size=10, policy="LIX",
+                              num_requests=150, access_range=500),
+        seed=3,
+        engine="batch",
+        segments=(
+            SegmentSpec("constant", 4),
+            SegmentSpec("varied", 6, cache_size=UniformInt(5, 12),
+                        policy=Choice(("LIX", "PIX"))),
+            SegmentSpec("noisy", 2, noise=Uniform(0.0, 0.3)),
+            SegmentSpec("lone", 1, policy="LRU-K"),
+        ),
+    )
+
+
+def per_client_fold(spec):
+    """The rollup of one ``fast`` plan per client, on an executor."""
+    return snapshot(run_population(dataclasses.replace(spec, engine="fast")))
+
+
+def result_states(results):
+    """Each result's exact state, wall clock removed."""
+    states = []
+    for result in results:
+        state = result_state(result)
+        state.pop("wall_seconds")
+        states.append((result.config, state))
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +240,12 @@ class TestFleetExactness:
         )
         assert snapshot(via_population) == snapshot(scalar)
 
-    def test_plan_machinery_falls_back_to_plans(self):
-        # keep_results needs per-client ExperimentResults, which the
-        # fleet path never materialises — run_population must take the
-        # plan path and still agree.
+    def test_plan_machinery_falls_back_to_plans(self, fleet_calls):
+        # The name predates the one fleet path: keep_results no longer
+        # leaves it.  One columnar run returns all 4 kept results.
         spec = homogeneous_spec(4, num_requests=200, engine="batch")
         kept = run_population(spec, keep_results=True)
+        assert fleet_calls["runs"] == 1 and fleet_calls["plans"] == []
         assert kept.results is not None and len(kept.results) == 4
         assert snapshot(kept) == snapshot(run_population(spec))
 
@@ -262,6 +339,67 @@ class TestFleetExactness:
         )
         fleet = run_fleet(spec)
         assert snapshot(fleet) == snapshot(run_population(spec))
+
+
+class TestFleetOptions:
+    """progress, checkpoint and keep_results ride the one fleet path."""
+
+    @pytest.mark.parametrize("option", ["progress", "checkpoint",
+                                        "keep_results"])
+    def test_options_stay_on_columnar_path(self, option, fleet_calls,
+                                           tmp_path):
+        mixed = mixed_batch_spec()
+        spec = dataclasses.replace(mixed, segments=mixed.segments[:2])
+        options = {
+            "progress": dict(progress=lambda *_: None),
+            "checkpoint": dict(checkpoint=SweepCheckpoint(
+                str(tmp_path / "fleet.jsonl")
+            )),
+            "keep_results": dict(keep_results=True),
+        }[option]
+        result = run_population(spec, **options)
+        varied = {(plan.config.cache_size, plan.config.policy)
+                  for plan in expand(spec)[4:]}
+        assert fleet_calls["plans"] == []
+        assert fleet_calls["runs"] == 1 + len(varied)  # one per bucket
+        assert snapshot(result) == per_client_fold(spec)
+
+    def test_resume_from_an_executor_journal(self, fleet_calls, tmp_path):
+        spec = mixed_batch_spec()
+        path = str(tmp_path / "fleet.jsonl")
+        # The first 6 clients journalled as an executor journals them.
+        SerialExecutor().run(expand(spec)[:6],
+                             checkpoint=SweepCheckpoint(path))
+        fleet_calls["plans"].clear()
+        resumed = run_population(spec, checkpoint=SweepCheckpoint(path))
+        assert sorted(fleet_calls["columns"]) == [6, 7, 8, 9]
+        assert fleet_calls["plans"] == [10, 11, 12]
+        assert len(SweepCheckpoint(path)) == 13
+        assert snapshot(resumed) == per_client_fold(spec)
+
+    def test_progress_fires_in_client_order(self):
+        spec = mixed_batch_spec()
+        calls = []
+        result = run_population(
+            spec,
+            progress=lambda done, total, client: calls.append(
+                (done, total, client.config.label)
+            ),
+        )
+        assert calls == [(i + 1, 13, plan.config.label)
+                         for i, plan in enumerate(expand(spec))]
+        assert snapshot(result) == per_client_fold(spec)
+
+    def test_kept_results_equal_fast_plans(self):
+        spec = mixed_batch_spec()
+        kept = run_population(spec, keep_results=True).results
+        fast = [execute_plan(dataclasses.replace(plan, engine="fast"))
+                for plan in expand(spec)]
+        assert result_states(kept) == result_states(fast)
+
+    def test_executor_rejected(self):
+        with pytest.raises(ConfigurationError, match="engine='fast'"):
+            run_population(mixed_batch_spec(), executor=SerialExecutor())
 
 
 class TestPageRange:

@@ -31,7 +31,12 @@ from repro.obs.analyze import (
 )
 from repro.obs.cli import EXIT_OK, cache_summary, interarrival_summary, main
 from repro.obs.trace import JsonlSink, MemorySink, Tracer, read_jsonl
-from repro.population import PopulationSpec, SegmentSpec, run_population
+from repro.population import (
+    PopulationSpec,
+    SegmentSpec,
+    Uniform,
+    run_population,
+)
 from repro.sim.rng import RandomStreams
 from repro.workload.mapping import LogicalPhysicalMapping
 from repro.workload.trace import generate_trace
@@ -300,6 +305,35 @@ class TestMultiRunTraces:
             assert own == {key: resident_time
                            for key, resident_time in combined.items()
                            if key[0] == client}
+
+    def test_mixed_fleet_labels_every_client(self):
+        # A columnar bucket, per-client plans for Uniform noise and an
+        # LRU-K client: each client's row, and its residencies, are what
+        # its own records alone give.
+        spec = PopulationSpec(
+            name="mixed", seed=3, engine="batch",
+            base=_small_config(access_range=500, region_size=50,
+                               num_requests=150),
+            segments=(
+                SegmentSpec("steady", 3),
+                SegmentSpec("noisy", 3, noise=Uniform(0.0, 0.3)),
+                SegmentSpec("lone", 1, policy="LRU-K"),
+            ),
+        )
+        sink = MemorySink(capacity=None)
+        with Tracer(sink) as tracer:
+            run_population(spec, tracer=tracer)
+        records = [record.to_dict() for record in sink.records]
+        latency = analyze(records, top=10)["client_latency"]
+        assert latency["clients"] == 7
+        combined = residencies(records)
+        for row in latency["slowest"]:
+            own = [r for r in records if r.get("client") == row["client"]]
+            assert client_latency(own, top=10)["slowest"] == [row]
+            assert residencies(own) == {
+                key: resident_time for key, resident_time in combined.items()
+                if key[0] == row["client"]
+            }
 
     def test_broadcast_runs_read_like_one_run(self):
         # The second run restarts the clock at zero: neither the slot

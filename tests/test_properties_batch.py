@@ -404,3 +404,112 @@ class TestSubSegmentationIdentity:
 
         assert strip(fleet.overall.snapshot()) == \
             strip(population.overall.snapshot())
+
+
+# ---------------------------------------------------------------------------
+# Client identity: the lazy draw protocol == the eager one, and buckets
+# hold exactly the clients whose configs they share
+# ---------------------------------------------------------------------------
+
+from repro.exec.plan import derive_seed
+from repro.population import Constant, Uniform, client_config
+from repro.population.spec import SEGMENT_FIELDS
+from repro.sim.rng import RandomStreams
+
+#: One distribution of each kind per field a segment may distribute.
+_FIELD_DISTRIBUTIONS = {
+    "cache_size": (Constant(6), Choice((4, 9)), UniformInt(3, 12),
+                   Uniform(3.0, 12.0)),
+    "drift_rotations": (Constant(0.5), Choice((0.0, 1.0)),
+                        UniformInt(0, 2), Uniform(0.0, 2.0)),
+    "noise": (Constant(0.1), Choice((0.0, 0.3)), UniformInt(0, 1),
+              Uniform(0.0, 0.3)),
+    "offset": (Constant(5), Choice((0, 10)), UniformInt(0, 20),
+               Uniform(0.0, 20.0)),
+    "policy": (Constant("LIX"), Choice(("LRU", "PIX")),
+               Choice(("L", "P"), weights=(0.3, 0.7))),
+    "think_time": (Constant(1.0), Choice((0.5, 2.0)), UniformInt(1, 3),
+                   Uniform(0.5, 4.0)),
+}
+
+
+def _eager_overrides(spec, segment, index):
+    """The draw loop before the stream opened lazily: kept as reference."""
+    rng = RandomStreams(derive_seed(spec.seed, index)).stream("population")
+    overrides = {}
+    for field_name in SEGMENT_FIELDS:
+        distribution = getattr(segment, field_name)
+        if distribution is None:
+            continue
+        value = distribution.sample(rng)
+        if field_name in ("cache_size", "offset"):
+            value = int(value)
+        elif field_name != "policy":
+            value = float(value)
+        overrides[field_name] = value
+    return overrides
+
+
+@st.composite
+def _segments(draw):
+    """A segment drawing any mix of Constant, Choice, UniformInt and
+    Uniform fields, in every order the fixed field order allows."""
+    fields = {}
+    for field_name in SEGMENT_FIELDS:
+        options = _FIELD_DISTRIBUTIONS[field_name]
+        choice = draw(st.integers(min_value=-1, max_value=len(options) - 1))
+        if choice >= 0:
+            fields[field_name] = options[choice]
+    clients = draw(st.integers(min_value=1, max_value=12))
+    return SegmentSpec("drawn", clients, **fields)
+
+
+def _identity_spec(segment, seed, before):
+    """``segment`` behind an optional ``before``-client head segment."""
+    head = (SegmentSpec("head", before),) if before else ()
+    return PopulationSpec(
+        name="identity", seed=seed, segments=head + (segment,),
+        base=ExperimentConfig(disk_sizes=(50, 200, 250), cache_size=10,
+                              access_range=100, region_size=10),
+    )
+
+
+class TestClientIdentity:
+    @given(_segments(), st.integers(min_value=0, max_value=2 ** 20),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_client_config_matches_eager_draws(self, segment, seed, before):
+        spec = _identity_spec(segment, seed, before)
+        segment, indices = spec.segment_ranges()[-1]
+        for index in indices:
+            assert client_config(spec, segment, index) == spec.base.with_(
+                seed=derive_seed(seed, index),
+                label=f"identity/drawn/client{index}",
+                **_eager_overrides(spec, segment, index),
+            )
+
+    @given(_segments(), st.integers(min_value=0, max_value=2 ** 20),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_buckets_hold_the_clients_of_their_config(self, segment, seed,
+                                                      before):
+        from repro.population.spec import client_groups
+
+        spec = _identity_spec(segment, seed, before)
+        segment, indices = spec.segment_ranges()[-1]
+        groups = client_groups(spec, segment, indices)
+        if any(isinstance(d, Uniform)
+               for d in segment.distributions().values()):
+            assert groups is None
+            return
+        assert sorted(c for _config, clients in groups for c in clients) == \
+            list(indices)
+        configs = set()
+        for config, clients in groups:
+            configs.add(config)
+            for index in clients:
+                assert config.with_(
+                    seed=derive_seed(seed, index),
+                    label=f"identity/drawn/client{index}",
+                ) == client_config(spec, segment, index)
+        assert len(configs) == len(groups)  # equal draws share one bucket
