@@ -5,7 +5,8 @@
   broadcast, repeat.
 * :mod:`~repro.client.prefetch` — the opportunistic prefetching
   extension sketched in the paper's §7 ("use the broadcast as a way to
-  opportunistically increase the temperature of its cache").
+  opportunistically increase the temperature of its cache"): a PT cache
+  policy that :class:`~repro.experiments.engine.FastEngine` drives.
 """
 
 from repro.client.client import Client, ClientReport

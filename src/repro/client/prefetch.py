@@ -21,23 +21,24 @@ Two variants are provided:
   (the exact PT rule); O(cache) per slot, intended for small scenarios.
 
 Unlike the demand-driven policies, a PT cache changes on *every* slot,
-not only on misses, so the engine steps slot-by-slot through each
-interval the client is thinking or waiting.
+not only on misses.  :class:`PrefetchEngine` is a cache policy that
+:class:`~repro.experiments.engine.FastEngine` drives: each ``lookup``
+and ``admit`` first applies the swap rule to every completion since the
+previous call (:meth:`~repro.core.schedule.BroadcastSchedule.completions_in`),
+so the cache sees each interval the client spends thinking or waiting.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, Optional
 
-from repro.cache.base import CacheCounters
+from repro.cache.base import CachePolicy
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastSchedule
 from repro.errors import ConfigurationError
-from repro.experiments.engine import EngineOutcome
-from repro.sim.stats import RunningStats
+from repro.experiments.engine import EngineOutcome, FastEngine
 from repro.workload.mapping import LogicalPhysicalMapping
 from repro.workload.trace import RequestTrace
 
@@ -52,8 +53,10 @@ def pt_value(
     return probability * (schedule.next_arrival(physical_page, now) - now)
 
 
-class PrefetchEngine:
-    """Slot-stepping simulation of a PT-prefetching client."""
+class PrefetchEngine(CachePolicy):
+    """A PT-prefetching client cache that snoops the broadcast."""
+
+    name = "PT"
 
     def __init__(
         self,
@@ -69,15 +72,11 @@ class PrefetchEngine:
             raise ConfigurationError(
                 f"variant must be 'steady' or 'dynamic', got {variant!r}"
             )
-        if cache_capacity < 1:
-            raise ConfigurationError(
-                f"cache capacity must be >= 1, got {cache_capacity}"
-            )
+        super().__init__(cache_capacity)
         self.schedule = schedule
         self.mapping = mapping
         self.layout = layout
         self.probability = probability
-        self.capacity = cache_capacity
         self.think_time = think_time
         self.variant = variant
 
@@ -88,6 +87,8 @@ class PrefetchEngine:
         self._resident: Dict[int, float] = {}
         self._heap: list[tuple[float, int, int]] = []
         self._stamp = itertools.count()
+        # Every completion up to this instant has been through the swap rule.
+        self._snooped = 0.0
 
     # -- cache mechanics --------------------------------------------------
     def _steady(self, logical: int) -> float:
@@ -149,74 +150,57 @@ class PrefetchEngine:
         heapq.heappop(self._heap)
         del self._resident[page]
 
-    # -- simulation loop ----------------------------------------------------
+    # -- cache protocol -----------------------------------------------------
+    def __contains__(self, page: int) -> bool:
+        return page in self._resident
+
+    def __len__(self) -> int:
+        return len(self._resident)
+
+    def pages(self) -> Iterable[int]:
+        return self._resident.keys()
+
+    def lookup(self, page: int, now: float) -> bool:
+        self._snoop(now)
+        return page in self._resident
+
+    def admit(self, page: int, now: float) -> Optional[int]:
+        # The wanted page's own arrival is the last completion snooped,
+        # and is itself subject to the swap rule.
+        self._snoop(now)
+        return None if page in self._resident else page
+
+    def discard(self, page: int) -> bool:
+        return self._resident.pop(page, None) is not None
+
+    def _snoop(self, now: float) -> None:
+        """Apply the swap rule to every completion since the last snoop."""
+        to_logical = self.mapping.to_logical
+        consider = self._consider
+        for completion, physical in self.schedule.completions_in(
+            self._snooped, now
+        ):
+            consider(to_logical(physical), completion)
+        self._snooped = now
+
     def run_trace(
         self,
         trace: RequestTrace,
         warmup_requests: int = 0,
         collect_responses: bool = False,
     ) -> EngineOutcome:
-        """Run the trace with continuous snooping between requests."""
-        schedule = self.schedule
-        mapping = self.mapping
-        response = RunningStats()
-        counters = CacheCounters()
-        samples: Optional[list] = [] if collect_responses else None
+        """Run the trace with continuous snooping between requests.
 
-        now = 0.0
-        for index in range(len(trace)):
-            # Think, snooping every completion that goes by.
-            now = self._snoop_until(now, now + self.think_time)
-            measuring = index >= warmup_requests
-            page = trace[index]
-
-            if page in self._resident:
-                if measuring:
-                    response.add(0.0)
-                    counters.record_hit()
-                    if samples is not None:
-                        samples.append(0.0)
-                continue
-
-            physical = mapping.to_physical(page)
-            arrival = schedule.next_arrival(physical, now)
-            # Snoop everything broadcast while waiting (the wanted page's
-            # own arrival is the last completion in the interval and is
-            # itself subject to the swap rule).
-            self._snoop_until(now, arrival)
-            wait = arrival - now
-            now = arrival
-            if measuring:
-                response.add(wait)
-                counters.record_miss(self.layout.disk_of_page(physical))
-                if samples is not None:
-                    samples.append(wait)
-
-        return EngineOutcome(
-            response=response,
-            counters=counters,
-            measured_requests=response.count,
-            warmup_requests=min(warmup_requests, len(trace)),
-            final_time=now,
-            samples=samples,
+        Every run's clock starts at 0; the cache carries over.
+        """
+        self._snooped = 0.0
+        return FastEngine(
+            self.schedule, self.mapping, self.layout, self, self.think_time
+        ).run_trace(
+            trace,
+            warmup_requests=warmup_requests,
+            collect_responses=collect_responses,
         )
-
-    def _snoop_until(self, start: float, stop: float) -> float:
-        """Process every completion in ``(start, stop]``; returns ``stop``."""
-        to_logical = self.mapping.to_logical
-        first_slot = int(math.floor(start))
-        last_slot = int(math.ceil(stop)) - 1
-        period = self.schedule.period
-        slots = self.schedule.slots
-        for slot in range(first_slot, last_slot + 1):
-            completion = slot + 1.0
-            if completion <= start or completion > stop:
-                continue
-            physical = slots[slot % period]
-            if physical < 0:  # padding
-                continue
-            self._consider(to_logical(physical), completion)
-        return stop
 
     # -- reporting ------------------------------------------------------------
     @property

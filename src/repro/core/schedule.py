@@ -444,19 +444,19 @@ class BroadcastSchedule:
     def completions_in(self, start: float, stop: float):
         """Yield ``(time, page)`` completions in ``(start, stop]``, in order.
 
-        Used by the process-oriented engine and the prefetching client,
-        which observe every page going by rather than only the ones they
+        Used by the PT prefetching cache (:mod:`repro.client.prefetch`),
+        which observes every page going by rather than only the ones it
         asked for.
         """
         first = int(math.floor(start))  # slot whose completion is first+1
         last = int(math.ceil(stop)) - 1
-        page_of = self._slot_array.item
+        slots = self.slots
         period = self.period
         for slot in range(first, last + 1):
             completion = slot + 1.0
             if completion <= start or completion > stop:
                 continue
-            page = page_of(slot % period)
+            page = slots[slot % period]
             if page != EMPTY_SLOT:
                 yield completion, page
 

@@ -10,11 +10,8 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-from repro.cache.base import PolicyContext
-from repro.cache.registry import make_policy
-from repro.core.disks import DiskLayout
-from repro.core.programs import _multidisk_program
 from repro.errors import ConfigurationError
+from repro.experiments.config import ExperimentConfig
 from repro.hybrid.channel import HybridChannel
 from repro.hybrid.client import HybridClient, HybridReport
 from repro.server.server import BroadcastServer
@@ -23,7 +20,6 @@ from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
 from repro.workload.mapping import LogicalPhysicalMapping
 from repro.workload.trace import generate_trace
-from repro.workload.zipf import ZipfRegionDistribution
 
 
 def run_hybrid_population(
@@ -45,34 +41,33 @@ def run_hybrid_population(
     """Run ``num_clients`` identical hybrid clients on one channel."""
     if num_clients < 1:
         raise ConfigurationError(f"num_clients must be >= 1, got {num_clients}")
-    layout = DiskLayout.from_delta(tuple(disk_sizes), delta)
-    schedule = _multidisk_program(layout)
+    warmup = max(cache_size, requests_per_client // 10)
+    config = ExperimentConfig(
+        disk_sizes=tuple(disk_sizes), delta=delta, access_range=access_range,
+        region_size=region_size, theta=theta, cache_size=cache_size,
+        policy="LIX", think_time=think_time, warmup_requests=warmup,
+    )
+    layout = config.build_layout()
+    schedule = config.build_schedule(layout)
     sim = Simulator()
     channel = HybridChannel(sim, schedule, pull_spacing=pull_spacing)
     BroadcastServer(sim, schedule, channel)
     upstream = Resource(sim, capacity=upstream_capacity)
     streams = RandomStreams(seed)
-    distribution = ZipfRegionDistribution(access_range, region_size, theta)
-    probabilities = distribution.probabilities()
+    distribution = config.build_distribution()
     mapping = LogicalPhysicalMapping(layout)
 
     clients = []
     for index in range(num_clients):
-        context = PolicyContext(
-            probability=lambda page: (
-                float(probabilities[page]) if page < access_range else 0.0
-            ),
-            frequency=lambda page: schedule.frequency(mapping.to_physical(page)),
-            disk_of=lambda page: layout.disk_of_page(mapping.to_physical(page)),
-            num_disks=layout.num_disks,
-        )
         clients.append(
             HybridClient(
                 sim=sim,
                 channel=channel,
                 mapping=mapping,
                 layout=layout,
-                cache=make_policy("LIX", cache_size, context),
+                cache=config.build_policy(
+                    schedule, mapping, distribution, layout
+                ),
                 trace=generate_trace(
                     distribution,
                     requests_per_client,
@@ -82,7 +77,7 @@ def run_hybrid_population(
                 think_time=think_time,
                 pull_threshold=pull_threshold,
                 upstream_latency=upstream_latency,
-                warmup_requests=max(cache_size, requests_per_client // 10),
+                warmup_requests=warmup,
                 name=f"hybrid-{index}",
             )
         )

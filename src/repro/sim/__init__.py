@@ -7,10 +7,10 @@ commercial C-based simulation library the paper used.  It provides:
 * :class:`~repro.sim.kernel.Event` / :class:`~repro.sim.kernel.Timeout` —
   one-shot occurrences that processes can wait on.
 * :class:`~repro.sim.process.Process` — generator-coroutine processes
-  (``yield`` an event to suspend until it fires), with interrupt support.
-* :class:`~repro.sim.resources.Resource` and
-  :class:`~repro.sim.resources.Store` — contention primitives used by the
-  multi-client extension.
+  (``yield`` an event to suspend until it fires), and
+  :class:`~repro.sim.process.AnyOf` to wait for the first of several.
+* :class:`~repro.sim.resources.Resource` — the counted FIFO resource the
+  hybrid push/pull extension models its upstream channel with.
 * :mod:`~repro.sim.rng` — named, seeded random streams so every experiment
   is reproducible bit-for-bit.
 * :mod:`~repro.sim.stats` — online statistics accumulators with warm-up
@@ -22,23 +22,20 @@ paper's simulator does.
 """
 
 from repro.sim.kernel import Event, Simulator, Timeout
-from repro.sim.process import AllOf, AnyOf, Interrupt, Process
-from repro.sim.resources import Resource, Store
+from repro.sim.process import AnyOf, Process
+from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import Histogram, RunningStats, TimeWeightedStat, WindowedSeries
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "Histogram",
-    "Interrupt",
     "Process",
     "RandomStreams",
     "Resource",
     "RunningStats",
     "Simulator",
-    "Store",
     "Timeout",
     "WindowedSeries",
 ]

@@ -14,17 +14,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
 #: Default priority for scheduled events.  Lower values fire first among
 #: events scheduled at the same instant.
 NORMAL_PRIORITY = 1
-
-#: Priority used for urgent bookkeeping (e.g. interrupts) that must run
-#: before ordinary events at the same timestamp.
-URGENT_PRIORITY = 0
 
 
 class Event:
@@ -210,17 +206,7 @@ class Simulator:
         if len(self._heap) > self.heap_peak:
             self.heap_peak = len(self._heap)
 
-    def _enqueue_urgent(self, event: Event) -> None:
-        """Queue an already-triggered event to fire now, before peers."""
-        heapq.heappush(self._heap, (self._now, URGENT_PRIORITY, next(self._counter), event))
-        if len(self._heap) > self.heap_peak:
-            self.heap_peak = len(self._heap)
-
     # -- execution ---------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next event, or ``float('inf')`` if none pending."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
         if not self._heap:
@@ -287,14 +273,5 @@ class Simulator:
             raise event.value
         return event.value
 
-    def drain(self) -> None:
-        """Discard all pending events (used when tearing down a scenario)."""
-        self._heap.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.3f} pending={len(self._heap)}>"
-
-
-def all_processed(events: Iterable[Event]) -> bool:
-    """True if every event in ``events`` has been processed."""
-    return all(event.processed for event in events)

@@ -12,28 +12,16 @@ for another simply by yielding it.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable
+from typing import Generator, Iterable
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Event, Simulator
 
 
-class Interrupt(Exception):
-    """Thrown inside a process when another process interrupts it.
-
-    The ``cause`` attribute carries whatever object the interrupter
-    supplied (e.g. "cache invalidated").
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running generator, resumed each time its awaited event fires."""
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -42,7 +30,6 @@ class Process(Event):
             )
         super().__init__(sim)
         self._generator = generator
-        self._waiting_on: Event | None = None
         self.name = name or getattr(generator, "__name__", "process")
         # Bootstrap: resume the generator for the first time "immediately".
         bootstrap = Event(sim)
@@ -55,34 +42,8 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return not self.triggered
 
-    # -- control -----------------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The event the process was waiting on is abandoned (its callback is
-        disarmed); the process decides in its ``except Interrupt`` handler
-        how to continue.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        wakeup = Event(self.sim)
-        wakeup._value = Interrupt(cause)
-        wakeup._ok = False
-        wakeup._triggered = True
-        wakeup._failure_consumed = True
-        wakeup.add_callback(self._resume)
-        self.sim._enqueue_urgent(wakeup)
-
     # -- engine ------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
             if event.ok:
                 target = self._generator.send(event.value)
@@ -91,10 +52,6 @@ class Process(Event):
                 target = self._generator.throw(event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt as interrupt:
-            # Process chose not to handle its interrupt: treat as failure.
-            self.fail(interrupt)
             return
         if not isinstance(target, Event):
             raise SimulationError(
@@ -105,7 +62,6 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded an event from another simulator"
             )
-        self._waiting_on = target
         target.add_callback(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -139,33 +95,3 @@ class AnyOf(Event):
             self.fail(child.value)
             return
         self.succeed({ev: ev.value for ev in self._events if ev.processed})
-
-
-class AllOf(Event):
-    """Fires when every one of several events has fired.
-
-    The value is a dict mapping each event to its value.
-    """
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, sim: Simulator, events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if self._remaining == 0:
-            self.succeed({})
-            return
-        for event in self._events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            child._failure_consumed = True
-            self.fail(child.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({ev: ev.value for ev in self._events})

@@ -1,17 +1,15 @@
-"""Contention primitives: :class:`Resource` and :class:`Store`.
+"""The contention primitive: :class:`Resource`.
 
 The core broadcast-disk experiments need no contention — the broadcast
 channel is shared without interference, which is the whole point of the
-architecture.  These primitives exist for the *extensions*: the
-multi-client scenario uses a :class:`Store` as the per-client mailbox of
-broadcast arrivals, and upstream-link experiments (paper §6 future work)
-can model a low-bandwidth back channel as a :class:`Resource`.
+architecture.  The hybrid push/pull extension (paper §6 future work)
+models its low-bandwidth back channel as a :class:`Resource`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Deque
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Event, Simulator
@@ -79,36 +77,3 @@ class Resource:
             return True
         except ValueError:
             return False
-
-
-class Store:
-    """An unbounded FIFO buffer of items with blocking ``get``.
-
-    ``put(item)`` never blocks (the broadcast channel never waits for
-    clients); ``get()`` returns an event that fires with the next item.
-    """
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``, waking the oldest blocked getter if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that fires with the next available item."""
-        event = self.sim.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event

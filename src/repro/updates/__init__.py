@@ -13,11 +13,12 @@ This subpackage builds that machinery:
 * :mod:`~repro.updates.process` — server-side update models: pages
   carry versions that advance over time (deterministic-period or
   Poisson), queryable at any instant.
-* :mod:`~repro.updates.engine` — :class:`VolatileEngine`, a fast-engine
-  variant where cached copies carry the version they were fetched at.
-  Clients optionally listen to periodic invalidation reports (one
-  broadcast slot each) naming the pages updated in the last window and
-  discard stale cache entries.
+* :mod:`~repro.updates.engine` — :class:`VolatileEngine`, a cache
+  wrapper that :class:`~repro.experiments.engine.FastEngine` drives,
+  where cached copies carry the version they were fetched at.  Clients
+  optionally listen to periodic invalidation reports (one broadcast
+  slot each) naming the pages updated in the last window and discard
+  stale cache entries.
 * Metrics: on top of response time and hit rate, the **stale-read
   fraction** (hits served from an outdated copy) and the number of
   invalidations applied.

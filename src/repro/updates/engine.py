@@ -1,6 +1,8 @@
 """The volatile-data engine: versioned caching with invalidation reports.
 
-A fast-engine variant where:
+:class:`VolatileEngine` is a cache wrapper that
+:class:`~repro.experiments.engine.FastEngine` drives, standing around
+the client's cache the way :class:`~repro.cache.base.TracedCache` does:
 
 * the server transmits the page content current at each slot's
   completion — a fetched copy carries that instant's version;
@@ -13,6 +15,10 @@ A fast-engine variant where:
   report (accounted in the ``reports_heard`` counter); the response-time
   cost is indirect — invalidated pages must be re-fetched.
 
+Reports are caught up at each lookup, after the think time: the engine
+calls :meth:`VolatileEngine.lookup` at the request instant, and every
+report aired at or before it is applied first.
+
 With reports on, a stale read can still occur within one report window
 (the copy aged between the update and the next report) — the same
 consistency granularity Datacycle's per-cycle semantics give, which is
@@ -22,12 +28,13 @@ the paper's §7 "manageable" change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.cache.base import CacheCounters, CachePolicy
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastSchedule
 from repro.errors import ConfigurationError
+from repro.experiments.engine import FastEngine
 from repro.sim.stats import RunningStats
 from repro.updates.process import UpdateModel
 from repro.workload.mapping import LogicalPhysicalMapping
@@ -58,8 +65,10 @@ class VolatileOutcome:
         return self.stale_reads / self.measured_requests
 
 
-class VolatileEngine:
-    """Request-stepping simulation over versioned broadcast data."""
+class VolatileEngine(CachePolicy):
+    """Versioned broadcast data around a client cache, run on FastEngine."""
+
+    name = "volatile"
 
     def __init__(
         self,
@@ -77,6 +86,7 @@ class VolatileEngine:
             raise ConfigurationError(
                 f"report_interval must be positive, got {report_interval}"
             )
+        super().__init__(cache.capacity)
         self.schedule = schedule
         self.mapping = mapping
         self.layout = layout
@@ -84,6 +94,17 @@ class VolatileEngine:
         self.updates = updates
         self.think_time = think_time
         self.report_interval = report_interval
+        self._reset(0)
+
+    def _reset(self, warmup_requests: int) -> None:
+        # Version each cached logical page was fetched at.
+        self._fetched: Dict[int, int] = {}
+        self._unmeasured = warmup_requests
+        self._stale_reads = 0
+        self._invalidations = 0
+        self._reports_heard = 0
+        self._last_report = 0.0
+        self._next_report = self.report_interval
 
     def run_trace(
         self,
@@ -91,77 +112,68 @@ class VolatileEngine:
         warmup_requests: int = 0,
     ) -> VolatileOutcome:
         """Run the trace; the first ``warmup_requests`` are unmeasured."""
-        schedule = self.schedule
-        mapping = self.mapping
-        cache = self.cache
-        updates = self.updates
-        think = self.think_time
-        report_interval = self.report_interval
-        disk_of_physical = self.layout.disk_of_page
-
-        # Version each cached logical page was fetched at.
-        fetched_version: Dict[int, int] = {}
-
-        response = RunningStats()
-        counters = CacheCounters()
-        stale_reads = 0
-        invalidations = 0
-        reports_heard = 0
-        next_report = report_interval if report_interval is not None else None
-        last_report_time = 0.0
-
-        now = 0.0
-        for index in range(len(trace)):
-            page = trace[index]
-            now += think
-
-            # Catch up on invalidation reports that aired while thinking
-            # or waiting.  Each report covers updates since the previous
-            # report (window granularity = the report interval).
-            if next_report is not None:
-                while next_report <= now:
-                    reports_heard += 1
-                    for cached_page in list(cache.pages()):
-                        physical = mapping.to_physical(cached_page)
-                        if updates.updated_in(
-                            physical, last_report_time, next_report
-                        ):
-                            cache.discard(cached_page)
-                            fetched_version.pop(cached_page, None)
-                            invalidations += 1
-                    last_report_time = next_report
-                    next_report += report_interval
-
-            measuring = index >= warmup_requests
-            physical = mapping.to_physical(page)
-
-            if cache.lookup(page, now):
-                if measuring:
-                    response.add(0.0)
-                    counters.record_hit()
-                    if updates.version_at(physical, now) > fetched_version.get(
-                        page, 0
-                    ):
-                        stale_reads += 1
-                continue
-
-            arrival = schedule.next_arrival(physical, now)
-            wait = arrival - now
-            now = arrival
-            outside = cache.admit(page, now)
-            if outside != page:
-                fetched_version[page] = updates.version_at(physical, now)
-            if outside is not None and outside != page:
-                fetched_version.pop(outside, None)
-            if measuring:
-                response.add(wait)
-                counters.record_miss(disk_of_physical(physical))
-
+        self._reset(warmup_requests)
+        outcome = FastEngine(
+            self.schedule, self.mapping, self.layout, self, self.think_time
+        ).run_trace(trace, warmup_requests=warmup_requests)
         return VolatileOutcome(
-            response=response,
-            counters=counters,
-            measured_requests=response.count,
-            stale_reads=stale_reads,
-            invalidations_applied=invalidations,
-            reports_heard=reports_heard,
+            response=outcome.response,
+            counters=outcome.counters,
+            measured_requests=outcome.measured_requests,
+            stale_reads=self._stale_reads,
+            invalidations_applied=self._invalidations,
+            reports_heard=self._reports_heard,
         )
+
+    # -- cache protocol ----------------------------------------------------
+    def __contains__(self, page: int) -> bool:
+        return page in self.cache
+
+    def __len__(self) -> int:
+        return len(self.cache)
+
+    def pages(self) -> Iterable[int]:
+        return self.cache.pages()
+
+    def lookup(self, page: int, now: float) -> bool:
+        next_report = self._next_report
+        if next_report is not None and next_report <= now:
+            self._hear_reports(now)
+        hit = self.cache.lookup(page, now)
+        if self._unmeasured > 0:
+            self._unmeasured -= 1
+        elif hit and self.updates.version_at(
+            self.mapping.to_physical(page), now
+        ) > self._fetched.get(page, 0):
+            self._stale_reads += 1
+        return hit
+
+    def admit(self, page: int, now: float) -> Optional[int]:
+        outside = self.cache.admit(page, now)
+        if outside != page:
+            self._fetched[page] = self.updates.version_at(
+                self.mapping.to_physical(page), now
+            )
+            if outside is not None:
+                self._fetched.pop(outside, None)
+        return outside
+
+    def discard(self, page: int) -> bool:
+        self._fetched.pop(page, None)
+        return self.cache.discard(page)
+
+    def _hear_reports(self, now: float) -> None:
+        """Apply every report aired at or before ``now``; each covers the
+        updates since the previous report."""
+        to_physical = self.mapping.to_physical
+        updated_in = self.updates.updated_in
+        while self._next_report <= now:
+            self._reports_heard += 1
+            for page in list(self.cache.pages()):
+                if updated_in(
+                    to_physical(page), self._last_report, self._next_report
+                ):
+                    self.discard(page)
+                    self._invalidations += 1
+            self._last_report = self._next_report
+            self._next_report += self.report_interval

@@ -11,7 +11,7 @@ from repro.index.integrate import index_schedule
 from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program as multidisk_program
 from repro.server.channel import BroadcastChannel
-from repro.sim.kernel import Simulator, all_processed
+from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 
 
@@ -33,17 +33,6 @@ class TestResourceCancel:
         granted = resource.request()
         assert resource.cancel(granted) is False
         resource.release()  # caller still owns the unit
-
-
-class TestAllProcessed:
-    def test_true_only_after_every_event_fires(self):
-        sim = Simulator()
-        events = [sim.timeout(1.0), sim.timeout(2.0)]
-        assert not all_processed(events)
-        sim.run(until=1.5)
-        assert not all_processed(events)
-        sim.run()
-        assert all_processed(events)
 
 
 class TestExtraWarmupProperty:

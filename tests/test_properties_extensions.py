@@ -1,6 +1,7 @@
 """Property tests (hypothesis) for the extension engines' invariants."""
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.client.prefetch import PrefetchEngine
@@ -8,7 +9,7 @@ from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program as multidisk_program
 from repro.query.engine import fetch_opportunistic, fetch_sequential
 from repro.updates.engine import VolatileEngine
-from repro.updates.process import PeriodicUpdateModel
+from repro.updates.process import PeriodicUpdateModel, PoissonUpdateModel
 from repro.cache.base import PolicyContext
 from repro.cache.lru import LRUPolicy
 from repro.workload.mapping import LogicalPhysicalMapping
@@ -90,8 +91,6 @@ class TestVolatileProperties:
         layout, requests = world
         schedule = multidisk_program(layout)
         mapping = LogicalPhysicalMapping(layout)
-        import numpy as np
-
         engine = VolatileEngine(
             schedule=schedule,
             mapping=mapping,
@@ -106,32 +105,72 @@ class TestVolatileProperties:
         assert outcome.stale_reads <= outcome.counters.hits
         assert 0.0 <= outcome.stale_fraction <= 1.0
 
-    @given(small_worlds())
-    @settings(max_examples=40, deadline=None)
-    def test_reports_never_increase_staleness(self, world):
-        import numpy as np
-
+    @given(
+        small_worlds(),
+        st.sampled_from([3.0, 7.5, 10.0, 25.0]),
+        st.booleans(),
+    )
+    @example(
+        world=(DiskLayout(sizes=(7,), rel_freqs=(1,)),
+               [0, 1, 2, 4, 0, 1, 1, 4, 4]),
+        report_interval=10.0,
+        poisson=False,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stale_reads_fall_within_one_report_window(
+        self, world, report_interval, poisson
+    ):
+        # What reports guarantee: a report at k*R drops every cached page
+        # updated in ((k-1)*R, k*R], and is heard before any lookup after
+        # k*R.  So a copy read stale at instant t is of a page updated
+        # after the last report at or before t, i.e. in (t - R, t].
+        # They do not bound stale reads by the count without reports: in
+        # the pinned world the report at t=40 drops page 1, its re-fetch
+        # moves the clock from 46 to 51, and both reads of page 4 land
+        # after its update in (50, 53] -- 2 stale reads against 0.
         layout, requests = world
         schedule = multidisk_program(layout)
         mapping = LogicalPhysicalMapping(layout)
-        outcomes = []
-        for report_interval in (None, 10.0):
-            engine = VolatileEngine(
-                schedule=schedule,
-                mapping=mapping,
-                layout=layout,
-                cache=LRUPolicy(3, PolicyContext()),
-                updates=PeriodicUpdateModel.uniform(
-                    40.0, layout.total_pages, rng=np.random.default_rng(1)
-                ),
-                think_time=2.0,
-                report_interval=report_interval,
+        total = layout.total_pages
+        if poisson:
+            updates = PoissonUpdateModel(
+                lambda page: 1 / 40, total, rng=np.random.default_rng(1),
+                horizon=1e5,
             )
-            outcomes.append(
-                engine.run_trace(RequestTrace.from_pages(requests))
+        else:
+            updates = PeriodicUpdateModel.uniform(
+                40.0, total, rng=np.random.default_rng(1)
             )
-        without, with_reports = outcomes
-        assert with_reports.stale_reads <= without.stale_reads + 1
+        engine = RecordingVolatileEngine(
+            schedule=schedule,
+            mapping=mapping,
+            layout=layout,
+            cache=LRUPolicy(3, PolicyContext()),
+            updates=updates,
+            think_time=2.0,
+            report_interval=report_interval,
+        )
+        outcome = engine.run_trace(RequestTrace.from_pages(requests))
+        assert len(engine.stale_hits) == outcome.stale_reads
+        for page, instant in engine.stale_hits:
+            assert updates.updated_in(
+                mapping.to_physical(page), instant - report_interval, instant
+            )
+
+
+class RecordingVolatileEngine(VolatileEngine):
+    """Records the ``(page, instant)`` of every measured stale read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stale_hits = []
+
+    def lookup(self, page, now):
+        before = self._stale_reads
+        hit = super().lookup(page, now)
+        if self._stale_reads > before:
+            self.stale_hits.append((page, now))
+        return hit
 
 
 class TestQueryProperties:

@@ -22,9 +22,6 @@ class TestSimulatorClock:
         sim.run(until=50.0)
         assert sim.now == 50.0
 
-    def test_peek_empty_queue_is_infinite(self):
-        assert Simulator().peek() == float("inf")
-
     def test_step_on_empty_queue_raises(self):
         with pytest.raises(SimulationError):
             Simulator().step()
@@ -170,14 +167,6 @@ class TestRunControl:
         sim.schedule(4.0, lambda: calls.append(sim.now))
         sim.run()
         assert calls == [4.0]
-
-    def test_drain_discards_pending_events(self):
-        sim = Simulator()
-        fired = []
-        sim.timeout(1.0).add_callback(lambda ev: fired.append(1))
-        sim.drain()
-        sim.run()
-        assert fired == []
 
     def test_events_processed_counter(self):
         sim = Simulator()

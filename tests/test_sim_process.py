@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
-from repro.sim.process import AllOf, AnyOf, Interrupt, Process
+from repro.sim.process import AnyOf, Process
 
 
 class TestProcessBasics:
@@ -135,64 +135,6 @@ class TestProcessComposition:
         assert log == [("early", 0.0)]
 
 
-class TestInterrupts:
-    def test_interrupt_wakes_process_with_cause(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((interrupt.cause, sim.now))
-
-        process = sim.process(sleeper())
-        sim.timeout(5.0).add_callback(lambda ev: process.interrupt("wake up"))
-        sim.run()
-        assert log == [("wake up", 5.0)]
-
-    def test_unhandled_interrupt_fails_the_process(self):
-        sim = Simulator()
-
-        def sleeper():
-            yield sim.timeout(100.0)
-
-        process = sim.process(sleeper())
-        sim.timeout(1.0).add_callback(lambda ev: process.interrupt())
-        sim.run()
-        assert process.processed
-        assert not process.ok
-        assert isinstance(process.value, Interrupt)
-
-    def test_interrupting_finished_process_raises(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1.0)
-
-        process = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_process_continues_after_handling_interrupt(self):
-        sim = Simulator()
-        log = []
-
-        def resilient():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                pass
-            yield sim.timeout(2.0)
-            log.append(sim.now)
-
-        process = sim.process(resilient())
-        sim.timeout(5.0).add_callback(lambda ev: process.interrupt())
-        sim.run()
-        assert log == [7.0]
-
-
 class TestAnyOfAllOf:
     def test_anyof_fires_on_first_event(self):
         sim = Simulator()
@@ -206,27 +148,9 @@ class TestAnyOfAllOf:
         sim.run()
         assert log == [(["a"], 3.0)]
 
-    def test_allof_waits_for_every_event(self):
-        sim = Simulator()
-        log = []
-
-        def waiter():
-            result = yield AllOf(sim, [sim.timeout(3.0, "a"), sim.timeout(7.0, "b")])
-            log.append((sorted(result.values()), sim.now))
-
-        sim.process(waiter())
-        sim.run()
-        assert log == [(["a", "b"], 7.0)]
-
     def test_anyof_with_no_events_fires_immediately(self):
         sim = Simulator()
         any_of = AnyOf(sim, [])
         sim.run()
         assert any_of.processed
         assert any_of.value == {}
-
-    def test_allof_with_no_events_fires_immediately(self):
-        sim = Simulator()
-        all_of = AllOf(sim, [])
-        sim.run()
-        assert all_of.processed

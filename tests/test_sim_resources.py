@@ -1,10 +1,10 @@
-"""Unit tests for Resource and Store (repro.sim.resources)."""
+"""Unit tests for Resource (repro.sim.resources)."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 class TestResource:
@@ -74,52 +74,3 @@ class TestResource:
             ("a", "in", 0.0), ("a", "out", 5.0),
             ("b", "in", 5.0), ("b", "out", 7.0),
         ]
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("item")
-        got = store.get()
-        sim.run()
-        assert got.value == "item"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = store.get()
-        sim.run()
-        assert not got.processed
-        store.put("late")
-        sim.run()
-        assert got.value == "late"
-
-    def test_fifo_ordering_of_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        first = store.get()
-        second = store.get()
-        sim.run()
-        assert (first.value, second.value) == (1, 2)
-
-    def test_fifo_ordering_of_getters(self):
-        sim = Simulator()
-        store = Store(sim)
-        first = store.get()
-        second = store.get()
-        store.put("x")
-        store.put("y")
-        sim.run()
-        assert (first.value, second.value) == ("x", "y")
-
-    def test_len_reflects_buffered_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert len(store) == 0
-        store.put("a")
-        assert len(store) == 1
-        store.get()
-        assert len(store) == 0

@@ -1,4 +1,4 @@
-"""Tests for program validation, persistence, and convergence control."""
+"""Tests for program validation and convergence control."""
 
 import pytest
 
@@ -13,15 +13,6 @@ from repro.core.validate import validate_program
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.convergence import run_until_converged
-from repro.experiments.figures import FigureData
-from repro.experiments.persistence import (
-    config_from_dict,
-    figure_from_dict,
-    figure_to_dict,
-    load_figure,
-    result_to_dict,
-    save,
-)
 from repro.experiments.runner import run_experiment
 
 
@@ -63,46 +54,6 @@ class TestValidateProgram:
         # Sanity: the cleaner layout gives full utilisation.
         clean = validate_program(multidisk_program(layout))
         assert clean.utilisation > report.utilisation - 1e-9
-
-
-class TestPersistence:
-    @pytest.fixture
-    def figure(self):
-        data = FigureData("Fig T", "round trip", "x", [1, 2, 3])
-        data.add_series("a", [1.0, 2.0, 3.0])
-        data.add_series("b", [9.0, 8.0, 7.0])
-        data.notes = "hello"
-        return data
-
-    def test_figure_round_trip_in_memory(self, figure):
-        rebuilt = figure_from_dict(figure_to_dict(figure))
-        assert rebuilt.figure == figure.figure
-        assert rebuilt.series == figure.series
-        assert rebuilt.notes == "hello"
-
-    def test_figure_round_trip_on_disk(self, figure, tmp_path):
-        path = tmp_path / "figure.json"
-        save(figure, str(path))
-        rebuilt = load_figure(str(path))
-        assert rebuilt.series == figure.series
-
-    def test_wrong_schema_rejected(self):
-        with pytest.raises(ConfigurationError):
-            figure_from_dict({"schema": "bogus"})
-
-    def test_result_round_trip(self, mini_config, tmp_path):
-        result = run_experiment(mini_config)
-        payload = result_to_dict(result)
-        assert payload["mean_response_time"] == result.mean_response_time
-        config = config_from_dict(payload["config"])
-        assert config == mini_config
-        path = tmp_path / "result.json"
-        save(result, str(path))
-        assert path.exists()
-
-    def test_unknown_payload_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            save({"not": "supported"}, str(tmp_path / "x.json"))
 
 
 class TestConvergence:
