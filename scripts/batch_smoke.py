@@ -1,6 +1,6 @@
 """CI smoke run for the columnar batch engine.
 
-Six gates, one per contract the engine and its per-client set-up make
+Seven gates, one per contract the engine and its per-client set-up make
 (``src/repro/batch/fleet.py``):
 
 * **Exactness** — a single-client ``--engine batch`` plan must be
@@ -14,6 +14,13 @@ Six gates, one per contract the engine and its per-client set-up make
   scale (Figure 13/14 shape: D5, CacheSize = Offset = 200, Noise 30%)
   must fold to the per-client rollup the same way.  The batch/per-client
   speedup is printed, not gated.
+* **Column exactness** — a rollup can hide a wrong per-disk count or
+  clock, so the ``fleet`` benchmark's bucket pair at CI scale (LIX/PIX,
+  D5, CacheSize = Offset = 100, Noise 30%) must give, column by column,
+  each client's ``FastEngine`` outcome: Welford internals, hits,
+  misses, per-disk misses, warm-up count, final clock and retunes.  A
+  column on Figure 2's skewed program ``A A B C``, which has no closed
+  form, must do the same through ``next_arrival_batch``.
 * **Invariants** — a strict :class:`~repro.obs.monitor.MonitorSuite`
   over a traced multi-client columnar run must observe interleaved
   per-client records and finish with zero violations, and the
@@ -51,8 +58,17 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.batch.fleet import run_fleet
+from repro.batch.engine import ColumnarEngine
+from repro.batch.fleet import _run_group_columnar, run_fleet
+from repro.cache.base import PolicyContext
+from repro.cache.batched import BatchedOracles, make_batched_policy
+from repro.cache.registry import make_policy
+from repro.core.disks import DiskLayout
+from repro.core.schedule import BroadcastSchedule
+from repro.exec.build import BuildCache
 from repro.exec.plan import derive_seed
+from repro.exec.run import _warmup_trace_allowance
+from repro.experiments.engine import FastEngine
 from repro.experiments.config import DISK_PRESETS, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.obs.clock import perf_counter
@@ -65,17 +81,23 @@ from repro.population import (
     PopulationSpec,
     SegmentSpec,
     UniformInt,
+    client_config,
     run_population,
 )
+from repro.population.spec import client_groups
+from repro.sim.rng import RandomStreams
 from repro.workload.mapping import (
     LogicalPhysicalMapping,
     _decoded_swaps,
     _scalar_swaps,
 )
+from repro.workload.trace import RequestTrace
 
 FLEET_CLIENTS = 1000
 CACHED_CLIENTS = 100
 CACHED_SIZE = 200
+COLUMN_CLIENTS = 60
+COLUMN_SIZE = 100
 SETUP_STREAMS = 50
 SETUP_NOISES = (0.15, 0.30, 0.45, 0.75)
 SETUP_REQUESTS = 6000
@@ -212,6 +234,95 @@ def gate_cached_fleet(failures: list) -> None:
     print(f"  per-client {per_client_seconds:.2f}s, batch "
           f"{batch_seconds:.2f}s -> "
           f"{per_client_seconds / batch_seconds:.2f}x (not gated)")
+
+
+def outcome_fields(outcome) -> tuple:
+    """Every measured field of a scalar-engine outcome, exactly."""
+    response, counters = outcome.response, outcome.counters
+    return (
+        response.count, response._mean, response._m2, response.minimum,
+        response.maximum, counters.hits, counters.misses,
+        counters.per_disk_misses, outcome.warmup_requests,
+        outcome.final_time, outcome.retunes,
+    )
+
+
+def fast_outcome(config, builds: BuildCache):
+    """One client's run on the scalar fast engine, as its plan draws it."""
+    layout, schedule = builds.layout_and_schedule(config)
+    mapping = builds.mapping(config, layout)
+    cache = config.build_policy(schedule, mapping,
+                                config.build_distribution(), layout)
+    trace = builds.trace(
+        config, config.num_requests + _warmup_trace_allowance(config)
+    )
+    return FastEngine(
+        schedule, mapping, layout, cache, config.think_time,
+        retune_cost=config.retune_cost,
+    ).run_trace(trace, warmup_requests=config.warmup_requests,
+                extra_warmup=config.extra_warmup)
+
+
+def column_spec() -> PopulationSpec:
+    base = ExperimentConfig(
+        disk_sizes=DISK_PRESETS["D5"], delta=3, cache_size=COLUMN_SIZE,
+        offset=COLUMN_SIZE, noise=0.30, num_requests=300,
+    )
+    return PopulationSpec(
+        name="batch-smoke-columns", base=base, seed=47, engine="batch",
+        segments=(SegmentSpec("clients", COLUMN_CLIENTS,
+                              policy=Choice(("LIX", "PIX"))),),
+    )
+
+
+def irregular_columns_match() -> bool:
+    """Three LRU columns on Figure 2's skewed ``A A B C`` program (page
+    A's gaps alternate 1 and 3) equal their fast runs."""
+    schedule = BroadcastSchedule([0, 0, 1, 2], label="skewed(AABC)")
+    if schedule.regular_timing()[1].all():
+        return False  # a closed form would hold: no fallback to test
+    layout = DiskLayout((1, 2), (2, 1))
+    mapping = LogicalPhysicalMapping(layout)
+    pages = RandomStreams(5).stream("requests").integers(0, 3, (200, 3))
+    engine = ColumnarEngine(
+        schedule, make_batched_policy("lru", 3, 2, BatchedOracles()),
+        mapping.physical_array()[None, :], np.array([0, 1, 1]),
+        layout.num_disks, 2.0, access_range=3,
+    )
+    outcome = engine.run(pages, warmup_requests=20)
+    return all(
+        outcome_fields(outcome.to_engine_outcome(client)) == outcome_fields(
+            FastEngine(
+                schedule, mapping, layout,
+                make_policy("LRU", 2, PolicyContext(num_disks=2)), 2.0,
+            ).run_trace(RequestTrace(pages[:, client]), warmup_requests=20)
+        )
+        for client in range(3)
+    )
+
+
+def gate_columns(failures: list) -> None:
+    print(f"{COLUMN_CLIENTS}-client LIX/PIX bucket pair at CacheSize "
+          f"{COLUMN_SIZE}, column by column (batch vs fast):")
+    spec = column_spec()
+    builds = BuildCache()
+    for segment, indices in spec.segment_ranges():
+        for config, clients in client_groups(spec, segment, indices):
+            outcome, _, _ = _run_group_columnar(spec, clients, config,
+                                                builds)
+            equal = sum(
+                outcome_fields(outcome.to_engine_outcome(column))
+                == outcome_fields(fast_outcome(
+                    client_config(spec, segment, client), builds
+                ))
+                for column, client in enumerate(clients)
+            )
+            check(equal == len(clients),
+                  f"{config.policy}: {equal} of {len(clients)} columns "
+                  "equal their fast runs", failures)
+    check(irregular_columns_match(),
+          "skewed-program columns equal their fast runs "
+          "(next_arrival_batch fallback)", failures)
 
 
 def gate_invariants(failures: list) -> None:
@@ -357,6 +468,7 @@ def main() -> int:
     gate_exactness(failures)
     gate_fleet_exactness(failures, out)
     gate_cached_fleet(failures)
+    gate_columns(failures)
     gate_invariants(failures)
     gate_subsegmentation(failures)
     gate_setup_oracle(failures)

@@ -1,22 +1,31 @@
 """The general columnar engine: N clients advanced per request step.
 
 Every per-client scalar of the fast engine's loop becomes a length-N
-array here — clock, warm-up state, Welford accumulators, hit/miss
-counters — and every cache decision goes through the columnar policies
-in :mod:`repro.cache.batched`.  The per-step arithmetic replicates
-:meth:`repro.experiments.engine.FastEngine.run_trace` operation for
-operation (same Welford update order, same closed-form clock
-arithmetic via :meth:`~repro.core.schedule.BroadcastSchedule.
-next_arrival_batch`), which is what makes a single-client batch run
-**byte-identical** to the ``fast`` engine — the correctness gate
-``scripts/batch_smoke.py`` and ``tests/test_batch_engine.py`` enforce.
+array here — clock, warm-up state, Welford accumulators, per-disk miss
+counts — and every cache decision goes through the columnar policies in
+:mod:`repro.cache.batched`.  The per-step arithmetic replicates
+:meth:`repro.experiments.engine.FastEngine.run_trace` element for
+element, which makes every column **byte-identical** to its client's
+``fast`` run (``tests/test_properties_batch.py`` and
+``scripts/batch_smoke.py`` compare them column by column).
+
+A step costs a fixed handful of NumPy calls, whatever the fleet width:
+
+* **Miss timing** is the schedule's closed form by physical page,
+  :meth:`~repro.core.schedule.BroadcastSchedule.regular_arrivals`.
+  One check per run (every page of the program has a fixed gap) stands
+  in for per-call validity masks; a program with an irregular page
+  takes :meth:`~repro.core.schedule.BroadcastSchedule.
+  next_arrival_batch`, which answers irregular pages one by one.
+* **The fold** is one full-width Welford update masked to the measuring
+  clients.  Measured misses scatter into a flat ``(disks, clients)``
+  count matrix; hits and misses are derived from it after the loop.
 
 Multi-channel programs run natively: the engine carries a per-client
 tuned-channel column and applies the single-frequency tuner as array
 ops — on each miss the target channel is looked up in the program's
-dense ``channel_array``, retune costs are added where the target
-differs, and retune counters accumulate per client — replicating the
-scalar tuner of ``FastEngine.run_trace`` per client, including the
+dense ``channel_array`` and retune costs are added where the target
+differs — replicating the scalar tuner per client, including the
 ``client.retune`` trace record between miss and wait.
 
 Tracing: with one client the emitted record stream is identical to the
@@ -187,11 +196,6 @@ class ColumnarEngine:
         #: Logical page ids a trace may request: ``[0, access_range)``.
         self.access_range = int(access_range)
 
-    def _physical_of(self, rows: np.ndarray, pages: np.ndarray) -> np.ndarray:
-        if self.physical.shape[0] == 1:
-            return self.physical[0, pages]
-        return self.physical[rows, pages]
-
     def run(
         self,
         pages: np.ndarray,
@@ -224,7 +228,7 @@ class ColumnarEngine:
                 f"trace has {clients} columns for {policy.num_clients} clients"
             )
         # Page -1 is the empty-slot marker and larger ids would wrap
-        # through the mapping or the page→slot index, so reject both.
+        # through the mapping or the page index, so reject both.
         if pages.size:
             low, high = int(pages.min()), int(pages.max())
             if low < 0 or high >= self.access_range:
@@ -236,6 +240,7 @@ class ColumnarEngine:
         schedule = self.schedule
         think = self.think_time
         emit = tracer is not None and tracer.enabled
+        profiling = profile is not None and profile.enabled
         if client_labels is not None and len(client_labels) != clients:
             raise ConfigurationError(
                 f"{len(client_labels)} labels for {clients} clients"
@@ -243,6 +248,8 @@ class ColumnarEngine:
 
         now = np.zeros(clients, dtype=np.float64)
         warming = np.ones(clients, dtype=bool)
+        measuring = np.zeros(clients, dtype=bool)
+        any_warming = True
         warmup_seen = np.zeros(clients, dtype=np.int64)
         extra_left = np.full(clients, int(extra_warmup), dtype=np.int64)
 
@@ -251,18 +258,30 @@ class ColumnarEngine:
         m2 = np.zeros(clients, dtype=np.float64)
         minimum = np.full(clients, np.inf, dtype=np.float64)
         maximum = np.full(clients, -np.inf, dtype=np.float64)
-        hits_measured = np.zeros(clients, dtype=np.int64)
-        misses_measured = np.zeros(clients, dtype=np.int64)
         per_disk = np.zeros((self.num_disks, clients), dtype=np.int64)
-        total_hits = 0
+        # Flat position ``disk * clients + client``: one scatter a step.
+        per_disk_flat = per_disk.reshape(-1)
         total_misses = 0
         samples: Optional[List[float]] = (
             [] if collect_responses and clients == 1 else None
         )
 
         value = np.zeros(clients, dtype=np.float64)
+        delta = np.empty(clients, dtype=np.float64)
+        scratch = np.empty(clients, dtype=np.float64)
         physical_step = np.zeros(clients, dtype=np.int64)
-        disk_step = np.zeros(clients, dtype=np.int64)
+        # A physical page's flat per-disk position, less the client.
+        disk_row = self.disk_of * clients
+        table = self.physical
+        shared_row = table[0] if table.shape[0] == 1 else None
+        # The closed form holds when every physical page the mapping
+        # holds is in the timing tables and every page of the program
+        # has a fixed gap; otherwise next_arrival_batch times each miss.
+        gap = schedule.regular_timing()[1]
+        closed_form = (
+            int(table.min()) >= 0 and int(table.max()) < len(gap)
+            and bool(gap.all())
+        )
 
         # Single-frequency tuner state (C-row programs only): every
         # client starts tuned to channel 0, exactly like the scalar
@@ -282,9 +301,10 @@ class ColumnarEngine:
             page = pages[step]
             now += think
 
-            # Warm-up bookkeeping, exactly the scalar loop's order: resolved per client *before* the lookup, against
-            # the cache state left by the previous request.
-            if warming.any():
+            # Warm-up, in the scalar loop's order: resolved per client
+            # before the lookup, against the cache state left by the
+            # previous request.  Once no client warms, none will again.
+            if any_warming:
                 if warmup_requests is not None:
                     np.logical_and(
                         warming, warmup_seen < warmup_requests, out=warming
@@ -295,71 +315,76 @@ class ColumnarEngine:
                         graceful = ready & (extra_left > 0)
                         extra_left[graceful] -= 1
                         warming[ready & ~graceful] = False
-            measuring = ~warming
-            warmup_seen[warming] += 1
+                warmup_seen += warming
+                np.logical_not(warming, out=measuring)
+                any_warming = bool(warming.any())
 
             request_time = now.copy() if emit else None
 
             hit = policy.lookup(page, now)
             miss = ~hit
-            total_hits += int(hit.sum())
             victims = None
-            value[:] = 0.0
-            rows = np.nonzero(miss)[0]
-            if tuned:
-                retune_step[:] = False
+            value.fill(0.0)
+            rows = miss.nonzero()[0]
+            if emit and tuned:
+                retune_step.fill(False)
             if len(rows):
                 total_misses += len(rows)
-                physical = self._physical_of(rows, page[rows])
+                physical = (
+                    shared_row[page[rows]] if shared_row is not None
+                    else table[rows, page[rows]]
+                )
+                at = now[rows]
+                listen = at
                 if tuned:
-                    # The vectorized tuner: a miss whose page lives on
-                    # another channel switches first, so the earliest
-                    # usable completion moves from ``now`` to ``now +
-                    # retune_cost`` — the scalar loop's arithmetic,
-                    # element for element (the wait below still counts
-                    # from the request instant).
+                    # A miss on another channel's page retunes first: the
+                    # earliest usable completion moves to ``now +
+                    # retune_cost``; the wait still counts from ``now``.
                     target = channel_of[physical]
-                    switch = target != current[rows]
-                    retune_step[rows] = switch
-                    retune_from[rows] = current[rows]
-                    listen = now[rows] + retune_cost * switch
-                    total_retunes += int(switch.sum())
-                    per_channel_misses += np.bincount(
-                        target, minlength=self.num_channels
-                    )
+                    was = current[rows]
+                    switch = target != was
+                    listen = at + retune_cost * switch
                     current[rows] = target
-                    arrivals = schedule.next_arrival_batch(physical, listen)
+                    if emit:
+                        retune_step[rows] = switch
+                        retune_from[rows] = was
+                    if profiling:
+                        total_retunes += int(switch.sum())
+                        per_channel_misses += np.bincount(
+                            target, minlength=self.num_channels
+                        )
+                if closed_form:
+                    arrivals = schedule.regular_arrivals(physical, listen)
                 else:
-                    arrivals = schedule.next_arrival_batch(
-                        physical, now[rows]
-                    )
-                value[rows] = arrivals - now[rows]
+                    arrivals = schedule.next_arrival_batch(physical, listen)
+                value[rows] = arrivals - at
                 now[rows] = arrivals
                 victims = policy.admit(page, now, miss)
-                physical_step[rows] = physical
-                disk_step[rows] = self.disk_of[physical]
-
-            measured = np.nonzero(measuring)[0]
-            if len(measured):
-                sample = value[measured]
-                count[measured] += 1
-                delta = sample - mean[measured]
-                mean[measured] += delta / count[measured]
-                m2[measured] += delta * (sample - mean[measured])
-                minimum[measured] = np.minimum(minimum[measured], sample)
-                maximum[measured] = np.maximum(maximum[measured], sample)
-                measured_hit = hit[measured]
-                hits_measured[measured] += measured_hit
-                misses_measured[measured] += ~measured_hit
-                measured_miss = measured[~measured_hit]
-                if len(measured_miss):
-                    np.add.at(
-                        per_disk, (disk_step[measured_miss], measured_miss), 1
-                    )
+                if emit:
+                    physical_step[rows] = physical
+                position = disk_row[physical] + rows
+                if any_warming:
+                    kept = measuring[rows]
+                    position = position[kept]
+                    if tuned:
+                        switch = switch & kept
+                per_disk_flat[position] += 1
                 if tuned:
-                    retunes_measured[measured] += retune_step[measured]
-                if samples is not None and measuring[0]:
-                    samples.append(float(value[0]))
+                    retunes_measured[rows[switch]] += 1
+
+            # Welford's update, masked to the measuring clients: per
+            # element RunningStats.add's operations (a hit adds 0.0).
+            count += measuring
+            np.subtract(value, mean, out=delta)
+            np.divide(delta, count, out=scratch, where=measuring)
+            np.add(mean, scratch, out=mean, where=measuring)
+            np.subtract(value, mean, out=scratch)
+            np.multiply(delta, scratch, out=scratch)
+            np.add(m2, scratch, out=m2, where=measuring)
+            np.minimum(minimum, value, out=minimum, where=measuring)
+            np.maximum(maximum, value, out=maximum, where=measuring)
+            if samples is not None and measuring[0]:
+                samples.append(float(value[0]))
 
             if emit:
                 self._emit_step(
@@ -370,10 +395,10 @@ class ColumnarEngine:
                     retune_to=current if tuned else None,
                 )
 
-        if profile is not None and profile.enabled:
+        if profiling:
             profile.count("engine.batch.loop_iterations", steps * clients)
             profile.count("engine.batch.clients", clients)
-            profile.count("engine.batch.hits", total_hits)
+            profile.count("engine.batch.hits", steps * clients - total_misses)
             profile.count("engine.batch.misses", total_misses)
             if tuned:
                 profile.count("engine.batch.retunes", total_retunes)
@@ -383,14 +408,15 @@ class ColumnarEngine:
                         int(per_channel_misses[channel]),
                     )
 
+        misses = per_disk.sum(axis=0)
         return BatchOutcome(
             count=count,
             mean=mean,
             m2=m2,
             minimum=minimum,
             maximum=maximum,
-            hits=hits_measured,
-            misses=misses_measured,
+            hits=count - misses,
+            misses=misses,
             per_disk_misses=per_disk,
             warmup_seen=warmup_seen,
             final_time=now,
@@ -488,7 +514,8 @@ def build_columnar_engine(
     oracles = BatchedOracles(
         probability=config.build_distribution().probabilities(),
         frequency=frequency_physical[logical],
-        disk=disk_of[logical],
+        # Disk ids in the narrowest dtype: one byte per (client, page).
+        disk=disk_of.astype(np.min_scalar_type(-layout.num_disks))[logical],
         num_disks=layout.num_disks,
         lix_alpha=config.lix_alpha,
     )

@@ -7,26 +7,27 @@ scalar policy from this package *decision-for-decision* — the same
 victims in the same tie-break order — which the hypothesis property
 tests in ``tests/test_properties_batch.py`` assert against random
 request interleavings.  Batched policies never ``discard``, so a
-client's first free slot is always its ``count``, and every structure
-below only ever sees inserts, hits and evictions.
+client's first free slot is always its ``count``, a full client stays
+full, and every structure below only ever sees inserts, hits and
+evictions.
 
 P, PIX, LIX and L keep the structures their scalar twins use, so that a
 step costs a few operations per client rather than a scan of its
 ``C`` slots:
 
-* **A page→slot index** (the scalar dict): an ``(N, AccessRange)``
-  matrix in the narrowest signed dtype that holds ``capacity`` (int16
-  at CacheSize 500), :data:`EMPTY` where the page is not resident.  A
-  lookup is one gather; an admit writes the new page's slot and clears
-  the victim's.
+* **A page index** (the scalar dict): an ``(N, AccessRange)`` matrix,
+  :data:`EMPTY` where the page is not resident.  A lookup is one
+  gather; an admit writes the new page's entry and clears the victim's.
 * :class:`BatchedLIX` / :class:`BatchedL` — **per-disk chains as linked
   lists** (the scalar ``OrderedDict`` chains): each chain is a circular
   doubly-linked list over flat ``next``/``prev`` columns, closed by one
   sentinel node per (client, disk), so its bottom (least recently used
   end) is ``next[sentinel]`` and an empty chain links its sentinel to
-  itself.  A hit's move-to-top and an eviction's unlink are a fixed
-  handful of gathers and scatters.  Victim search gathers the D chain
-  bottoms into an ``(n, D)`` lix-value matrix whose first argmin is the
+  itself.  The index holds node ids, and the estimate, last-access and
+  broadcast-rate columns span the sentinels too (a sentinel's rate is
+  0).  So victim search gathers the D chain bottoms straight into an
+  ``(n, D)`` lix-value matrix, where a zero rate — an empty chain or a
+  never-broadcast page — scores ``+inf``, and its first argmin is the
   scalar walk's strict ``<`` in ascending disk order: the earliest
   chain wins ties.
 * :class:`BatchedP` / :class:`BatchedPIX` — **the resident ``(value,
@@ -34,10 +35,13 @@ step costs a few operations per client rather than a scan of its
   min-heap), with each slot's pair packed into one int64 key (the
   value's dense rank above the stamp) so that a minimum is one argmin.
   A free-slot insert carries the newest stamp, so it displaces the
-  minimum only with a strictly smaller key; the minimum is rescanned
-  only in the rows that evict.  A new page less valuable than
-  everything resident is declined (``admit`` returns the page itself)
-  against the stored minimum, touching nothing.
+  minimum only with a strict ``<``; the minimum is rescanned only in
+  the rows that evict.  A new page less valuable than everything
+  resident is declined (``admit`` returns the page itself) against the
+  stored minimum, touching nothing.
+
+Once every admitting client is full — most steps of a run — an admit
+takes a steady path that skips the free-slot bookkeeping.
 
 :class:`BatchedLRU` keeps the plain ``(N, C)`` scan and a recency-stamp
 argmin.  It is the policy of cache-less fleets (capacity 1), where an
@@ -67,8 +71,8 @@ NO_ADMIT = -2
 #: policies return ``None`` here).
 FREE = -1
 
-#: Slot content marking an empty cache slot, and the page→slot index
-#: entry of a page that is not resident (page ids and slots are >= 0).
+#: Slot content marking an empty cache slot, and the page index entry
+#: of a page that is not resident (page ids, slots and nodes are >= 0).
 EMPTY = -1
 
 #: Largest int64: the "nothing resident" P/PIX minimum key.
@@ -92,20 +96,6 @@ def _gather(table: np.ndarray, rows: np.ndarray, pages: np.ndarray):
     return table[rows, pages]
 
 
-def _index_dtype(capacity: int):
-    """The narrowest signed dtype holding every slot number and EMPTY."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if capacity <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
-
-
-def _next_stamp(sequence: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Consume one per-client sequence number (the scalar counter)."""
-    sequence[rows] += 1
-    return sequence[rows]
-
-
 @dataclass
 class BatchedOracles:
     """The :class:`~repro.cache.base.PolicyContext` oracles, as arrays.
@@ -113,7 +103,7 @@ class BatchedOracles:
     ``probability`` is indexed by logical page; ``frequency`` and
     ``disk`` are ``(clients, pages)`` matrices (or ``(1, pages)`` when
     every client shares one mapping — noise-free groups).  Their page
-    axis is the client's AccessRange, which sizes the page→slot index.
+    axis is the client's AccessRange, which sizes the page index.
     """
 
     probability: Optional[np.ndarray] = None
@@ -124,15 +114,18 @@ class BatchedOracles:
 
 
 class BatchedPolicy:
-    """Base: the ``(N, C)`` slot matrix, the page→slot index, the protocol.
+    """Base: the ``(N, C)`` slot matrix, the page index, the protocol.
 
     Slot ``s`` of client ``i`` is *node* ``i * C + s``: the flat
     position of that slot in every ``(N, C)`` column.  ``num_pages``
-    (the AccessRange) sizes the page→slot index; a policy built without
-    it (LRU) answers lookups by scanning its slots instead.
+    (the AccessRange) sizes the page index; a policy built without it
+    (LRU) answers lookups by scanning its slots instead.
     """
 
     name = "batched"
+    #: dtype of the page index; ``None`` picks the narrowest signed
+    #: dtype that holds a slot number.
+    index_dtype = None
 
     def __init__(self, num_clients: int, capacity: int,
                  num_pages: Optional[int] = None):
@@ -151,9 +144,11 @@ class BatchedPolicy:
         self._rows = np.arange(num_clients)
         self._slots = self.slots.reshape(-1)
         self._slot_base = self._rows * capacity
+        self._no_admit = np.full(num_clients, NO_ADMIT, dtype=np.int64)
         if num_pages is not None:
             self.index = np.full(
-                (num_clients, num_pages), EMPTY, dtype=_index_dtype(capacity)
+                (num_clients, num_pages), EMPTY,
+                dtype=self.index_dtype or np.min_scalar_type(-capacity),
             )
             self._index = self.index.reshape(-1)
             self._page_base = self._rows * num_pages
@@ -165,7 +160,7 @@ class BatchedPolicy:
 
     def lookup(self, pages: np.ndarray, now: np.ndarray) -> np.ndarray:
         """Hit column; recency state updated where applicable."""
-        return self._slot_of(pages) >= 0
+        return self._index[self._page_base + pages] >= 0
 
     def admit(
         self, pages: np.ndarray, now: np.ndarray, mask: np.ndarray
@@ -173,20 +168,11 @@ class BatchedPolicy:
         """Offer each masked client's page; return the victim column."""
         raise NotImplementedError
 
-    # -- the page→slot index ----------------------------------------------
-    def _slot_of(self, pages: np.ndarray) -> np.ndarray:
-        """Each client's slot holding its page, or EMPTY: one gather."""
-        return self._index[self._page_base + pages]
-
-    def _index_pages(self, rows, pages, slots) -> None:
-        """Record ``pages`` at ``slots`` (EMPTY: no longer resident)."""
-        self._index[self._page_base[rows] + pages] = slots
-
 
 class BatchedLRU(BatchedPolicy):
     """Columnar :class:`~repro.cache.lru.LRUPolicy`: min-stamp eviction.
 
-    Without a page→slot index: lookups compare the slot matrix, and the
+    Without a page index: lookups compare the slot matrix, and the
     victim is the minimum recency stamp (the scalar ``OrderedDict``'s
     bottom entry).
     """
@@ -205,24 +191,24 @@ class BatchedLRU(BatchedPolicy):
 
     def lookup(self, pages: np.ndarray, now: np.ndarray) -> np.ndarray:
         hit, position = self._match(pages)
-        rows = np.nonzero(hit)[0]
+        rows = hit.nonzero()[0]
         if len(rows):
-            self.stamps[rows, position[rows]] = _next_stamp(self._seq, rows)
+            self._seq[rows] += 1
+            self.stamps[rows, position[rows]] = self._seq[rows]
         return hit
 
     def admit(self, pages, now, mask) -> np.ndarray:
-        victims = np.full(self.num_clients, NO_ADMIT, dtype=np.int64)
-        rows = np.nonzero(mask)[0]
+        victims = self._no_admit.copy()
+        rows = mask.nonzero()[0]
         if not len(rows):
             return victims
+        self._seq[rows] += 1
         full = self.count[rows] >= self.capacity
         free_rows = rows[~full]
         if len(free_rows):
             position = self.count[free_rows]
             self.slots[free_rows, position] = pages[free_rows]
-            self.stamps[free_rows, position] = _next_stamp(
-                self._seq, free_rows
-            )
+            self.stamps[free_rows, position] = self._seq[free_rows]
             self.count[free_rows] += 1
             victims[free_rows] = FREE
         full_rows = rows[full]
@@ -230,9 +216,7 @@ class BatchedLRU(BatchedPolicy):
             position = self.stamps[full_rows].argmin(axis=1)
             victims[full_rows] = self.slots[full_rows, position]
             self.slots[full_rows, position] = pages[full_rows]
-            self.stamps[full_rows, position] = _next_stamp(
-                self._seq, full_rows
-            )
+            self.stamps[full_rows, position] = self._seq[full_rows]
         return victims
 
 
@@ -278,17 +262,20 @@ class BatchedP(BatchedPolicy):
         return oracles.probability[None, :]
 
     def admit(self, pages, now, mask) -> np.ndarray:
-        victims = np.full(self.num_clients, NO_ADMIT, dtype=np.int64)
-        rows = np.nonzero(mask)[0]
+        victims = self._no_admit.copy()
+        rows = mask.nonzero()[0]
         if not len(rows):
             return victims
         page = pages[rows]
         rank = _gather(self._rank, rows, page)
         full = self.count[rows] >= self.capacity
+        steady = full.all()
         # Decline when nothing resident is less valuable (scalar:
         # ``self._resident[victim] >= value`` — no stamp consumed): the
         # minimum's rank is at least the new page's.
-        declined = full & (self._min_key[rows] >= rank)
+        declined = self._min_key[rows] >= rank
+        if not steady:
+            declined &= full
         if declined.any():
             victims[rows[declined]] = page[declined]
             enter = ~declined
@@ -297,34 +284,40 @@ class BatchedP(BatchedPolicy):
             )
             if not len(rows):
                 return victims
-        victims[rows] = FREE
         # Stamps count a client's inserts, bounded by its trace length
         # and so far below 2 ** _STAMP_BITS.
-        key = rank + _next_stamp(self._seq, rows)
-        slot = np.where(full, self._min_slot[rows], self.count[rows])
-        node = self._slot_base[rows] + slot
-        evict_rows = rows[full]
-        if len(evict_rows):
-            gone = self._slots[node[full]]
-            victims[evict_rows] = gone
-            self._index_pages(evict_rows, gone, EMPTY)
-        self._slots[node] = page
-        self._keys[node] = key
-        self._index_pages(rows, page, slot)
-        free = ~full
-        if free.any():
+        stamp = self._seq[rows] + 1
+        self._seq[rows] = stamp
+        key = rank + stamp
+        if steady:
+            # Every admitting client is full and evicts its minimum: no
+            # free-slot bookkeeping.
+            slot = self._min_slot[rows]
+            evicting = rows
+        else:
+            victims[rows] = FREE
+            slot = np.where(full, self._min_slot[rows], self.count[rows])
+            evicting = rows[full]
+            free = ~full
             free_rows = rows[free]
             self.count[free_rows] += 1
             better = key[free] < self._min_key[free_rows]
             self._min_key[free_rows[better]] = key[free][better]
             self._min_slot[free_rows[better]] = slot[free][better]
-        if len(evict_rows):
-            resident = self.keys[evict_rows]
-            lowest = resident.argmin(axis=1)
-            self._min_key[evict_rows] = resident[
-                np.arange(len(evict_rows)), lowest
+        node = self._slot_base[rows] + slot
+        if len(evicting):
+            gone = self._slots[node if steady else node[full]]
+            victims[evicting] = gone
+            self._index[self._page_base[evicting] + gone] = EMPTY
+        self._slots[node] = page
+        self._keys[node] = key
+        self._index[self._page_base[rows] + page] = slot
+        if len(evicting):
+            lowest = self.keys[evicting].argmin(axis=1)
+            self._min_key[evicting] = self._keys[
+                self._slot_base[evicting] + lowest
             ]
-            self._min_slot[evict_rows] = lowest
+            self._min_slot[evicting] = lowest
         return victims
 
 
@@ -356,12 +349,17 @@ class BatchedLIX(BatchedPolicy):
     ``i·C + s`` is client ``i``'s slot ``s``, node ``N·C + i·D + d`` is
     the sentinel of client ``i``'s chain for disk ``d``.  Following
     ``next`` from a sentinel walks its chain from the bottom (least
-    recently used) to the top and back to the sentinel, so a node past
-    ``N·C`` reached from a sentinel marks an empty chain.
+    recently used) to the top and back to the sentinel.  The page index
+    holds node ids, and the estimate, last-access and rate columns span
+    every node: a sentinel's rate is 0, so the bottom of an empty chain
+    (its sentinel) scores ``+inf`` like a never-broadcast page.
     """
 
     name = "LIX"
     use_frequency = True
+    #: The index holds node ids in ``intp``: NumPy converts a non-intp
+    #: index array on every gather.
+    index_dtype = np.intp
 
     def __init__(self, num_clients: int, capacity: int,
                  oracles: BatchedOracles):
@@ -382,123 +380,118 @@ class BatchedLIX(BatchedPolicy):
                 f"num_disks must be >= 1, got {oracles.num_disks}"
             )
         super().__init__(num_clients, capacity, oracles.disk.shape[1])
-        self._oracles = oracles
+        # The oracle tables an admit reads: each page's rate (LIX only)
+        # and its disk.
+        self._frequency = oracles.frequency if self.use_frequency else None
+        self._disk = oracles.disk
         self._alpha = float(oracles.lix_alpha)
-        self.estimates = np.zeros((num_clients, capacity), dtype=np.float64)
-        self.last_access = np.zeros((num_clients, capacity), dtype=np.float64)
-        self._estimates = self.estimates.reshape(-1)
-        self._last_access = self.last_access.reshape(-1)
+        self._beta = 1.0 - self._alpha
         nodes = num_clients * capacity
+        links = nodes + num_clients * oracles.num_disks
+        self._estimates = np.zeros(links, dtype=np.float64)
+        self._last_access = np.zeros(links, dtype=np.float64)
+        #: Each node's broadcast rate, stored when its page is placed:
+        #: 1.0 for every L slot (so L's division is exact), 0.0 for the
+        #: sentinels.
+        self._rate = np.ones(links, dtype=np.float64)
+        self._rate[nodes:] = 0.0
         #: Sentinel of each slot's chain (its page's disk).
-        self._home = np.zeros(nodes, dtype=np.int64)
-        self._nodes = nodes
+        self._home = np.zeros(nodes, dtype=np.intp)
         self._disks = np.arange(oracles.num_disks)
         self._sentinel_base = nodes + self._rows * oracles.num_disks
         # Every node starts linked to itself: the sentinels as empty
         # chains, the slots until they are first placed.
-        links = nodes + num_clients * oracles.num_disks
         self._next = np.arange(links)
         self._prev = np.arange(links)
 
-    def _evaluate(self, estimates, last_access, now):
-        """The scalar LIX estimate ``alpha / max(now - t, _MIN_GAP)
-        + (1 - alpha) * p``, elementwise."""
-        gap = np.maximum(now - last_access, _MIN_GAP)
-        return self._alpha / gap + (1.0 - self._alpha) * estimates
-
     def lookup(self, pages: np.ndarray, now: np.ndarray) -> np.ndarray:
-        slot = self._slot_of(pages)
-        hit = slot >= 0
-        rows = np.nonzero(hit)[0]
+        node = self._index[self._page_base + pages]
+        hit = node >= 0
+        rows = hit.nonzero()[0]
         if len(rows):
-            node = self._slot_base[rows] + slot[rows]
+            node = node[rows]
             at = now[rows]
-            self._estimates[node] = self._evaluate(
-                self._estimates[node], self._last_access[node], at
+            # The scalar estimate ``alpha / max(now - t, _MIN_GAP) +
+            # (1 - alpha) * p``, then move-to-top: unlink, append.
+            self._estimates[node] = (
+                self._alpha / np.maximum(at - self._last_access[node],
+                                         _MIN_GAP)
+                + self._beta * self._estimates[node]
             )
             self._last_access[node] = at
-            self._unlink(node)
-            self._append(node)
+            self._relink(node, self._home[node])
         return hit
 
     def admit(self, pages, now, mask) -> np.ndarray:
-        victims = np.full(self.num_clients, NO_ADMIT, dtype=np.int64)
-        rows = np.nonzero(mask)[0]
+        victims = self._no_admit.copy()
+        rows = mask.nonzero()[0]
         if not len(rows):
             return victims
-        victims[rows] = FREE
+        page = pages[rows]
+        at = now[rows]
+        base = self._page_base[rows]
         slot = self.count[rows]
         full = slot >= self.capacity
-        node = self._slot_base[rows] + slot
-        if full.any():
-            full_rows = rows[full]
-            evicted = self._choose_victims(full_rows, now[full_rows])
+        if full.all():
+            # Every admitting client is full: each one evicts, and the
+            # free-slot bookkeeping is skipped.
+            node = evicted = self._victims(rows, at)
+            evicting, evict_base = rows, base
+        else:
+            victims[rows] = FREE
+            node = self._slot_base[rows] + slot
+            evicting, evict_base = rows[full], base[full]
+            if len(evicting):
+                evicted = node[full] = self._victims(evicting, at[full])
+            self.count[rows] += ~full
+        if len(evicting):
             gone = self._slots[evicted]
-            victims[full_rows] = gone
-            self._index_pages(full_rows, gone, EMPTY)
-            self._unlink(evicted)
-            node[full] = evicted
-        self.count[rows] += ~full
-        self._place(rows, node, pages[rows], now[rows])
+            victims[evicting] = gone
+            self._index[evict_base + gone] = EMPTY
+        # Enter each page with fresh state at the top of its disk's
+        # chain, with its rate for later victim searches.
+        self._slots[node] = page
+        self._index[base + page] = node
+        self._estimates[node] = 0.0
+        self._last_access[node] = at
+        if self.use_frequency:
+            self._rate[node] = _gather(self._frequency, rows, page)
+        sentinel = self._sentinel_base[rows] + _gather(self._disk, rows, page)
+        self._home[node] = sentinel
+        self._relink(node, sentinel)
         return victims
 
-    # -- internals ---------------------------------------------------------
-    def _unlink(self, node: np.ndarray) -> None:
-        before = self._prev[node]
-        after = self._next[node]
-        self._next[before] = after
-        self._prev[after] = before
+    def _relink(self, node: np.ndarray, sentinel: np.ndarray) -> None:
+        """Move each node to the top (most recent end) of its
+        sentinel's chain.  A slot never placed is linked to itself, so
+        unlinking it changes nothing."""
+        nxt, prev = self._next, self._prev
+        before = prev[node]
+        after = nxt[node]
+        nxt[before] = after
+        prev[after] = before
+        top = prev[sentinel]
+        nxt[top] = node
+        prev[node] = top
+        nxt[node] = sentinel
+        prev[sentinel] = node
 
-    def _append(self, node: np.ndarray) -> None:
-        """Link ``node`` at the top (most recent end) of its chain."""
-        sentinel = self._home[node]
-        top = self._prev[sentinel]
-        self._next[top] = node
-        self._prev[node] = top
-        self._next[node] = sentinel
-        self._prev[sentinel] = node
-
-    def _lix_values(self, rows, node, now) -> np.ndarray:
-        """The scalar LIX victim score (aged estimate over frequency)
-        of each ``(rows, D)`` node."""
-        value = self._evaluate(
-            self._estimates[node], self._last_access[node], now
-        )
-        if self.use_frequency:
-            frequency = _gather(
-                self._oracles.frequency, rows, self._slots[node]
-            )
-            value = np.divide(
-                value, frequency, out=np.full_like(value, np.inf),
-                where=frequency > 0.0,
-            )
-        return value
-
-    def _choose_victims(self, rows: np.ndarray, now: np.ndarray) -> np.ndarray:
-        """The evicted node of each listed (full) client."""
-        column = rows[:, None]
-        bottom = self._next[self._sentinel_base[column] + self._disks]
-        empty = bottom >= self._nodes
-        # An empty chain is scored at the client's first slot (the
-        # client is full), then ruled out.
-        node = np.where(empty, self._slot_base[column], bottom)
-        value = self._lix_values(column, node, now[:, None])
-        value[empty] = np.inf
+    def _victims(self, rows: np.ndarray, now: np.ndarray) -> np.ndarray:
+        """The evicted node of each listed (full) client: the chain
+        bottom of least lix value ``(alpha / max(now - t, _MIN_GAP) +
+        (1 - alpha) * p) / rate``, the scalar walk's arithmetic.  A zero
+        rate scores ``+inf``, as the scalar walk scores a never-broadcast
+        page and skips an empty chain."""
+        bottom = self._next[self._sentinel_base[rows, None] + self._disks]
+        value = self._alpha / np.maximum(
+            now[:, None] - self._last_access[bottom], _MIN_GAP
+        ) + self._beta * self._estimates[bottom]
+        rate = self._rate[bottom]
+        value = np.divide(value, rate, out=np.full_like(value, np.inf),
+                          where=rate > 0.0)
         # The first argmin is the scalar walk's strict <: the earliest
         # chain keeps a tie.
-        choice = value.argmin(axis=1)
-        return bottom[np.arange(len(rows)), choice]
-
-    def _place(self, rows, node, pages, now) -> None:
-        """Enter ``pages`` with fresh state at the top of its disk's chain."""
-        self._slots[node] = pages
-        self._index_pages(rows, pages, node - self._slot_base[rows])
-        self._estimates[node] = 0.0
-        self._last_access[node] = now
-        self._home[node] = self._sentinel_base[rows] + _gather(
-            self._oracles.disk, rows, pages
-        )
-        self._append(node)
+        return bottom[self._rows[:len(rows)], value.argmin(axis=1)]
 
 
 class BatchedL(BatchedLIX):

@@ -279,6 +279,23 @@ class BroadcastSchedule:
         """
         return self._residue, self._gap
 
+    def regular_arrivals(
+        self, pages: np.ndarray, times: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`next_arrival` of fixed-gap pages, unchecked.
+
+        ``pages[i]`` is queried at ``times[i]`` in the closed form
+        ``base + (residue - base) % gap`` with ``base = floor(time) +
+        1``, read from the :meth:`regular_timing` tables.  Every page
+        must index those tables with a nonzero gap: callers check that
+        once (:meth:`next_arrival_batch` per call, the batch engine per
+        run) rather than on every query.
+        """
+        base = np.floor(times).astype(np.int64) + 1
+        return (
+            base + (self._residue[pages] - base) % self._gap[pages]
+        ).astype(np.float64)
+
     def next_arrival_batch(
         self, pages: np.ndarray, times: np.ndarray
     ) -> np.ndarray:
@@ -287,28 +304,25 @@ class BroadcastSchedule:
         ``pages[i]`` is queried at ``times[i]``; the result array holds
         the same completion instants scalar queries would return.
         Fixed-gap pages (every page of a §2.2 multidisk program) are
-        answered in one closed-form array expression; irregular pages
-        fall back to scalar :meth:`next_arrival` element by element, so
-        they take the bisection.  :class:`BroadcastProgram` binds this
-        same body over its merged C-row arrays.
+        answered by :meth:`regular_arrivals` in one array expression;
+        irregular pages fall back to scalar :meth:`next_arrival` element
+        by element, so they take the bisection.
+        :class:`BroadcastProgram` binds this same body over its merged
+        C-row arrays.
         """
         pages = np.asarray(pages, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
-        residue, gap = self.regular_timing()
-        size = len(gap)
-        clipped = np.minimum(np.maximum(pages, 0), size - 1)
-        gaps = gap.take(clipped)
-        regular = (pages == clipped) & (pages >= 0) & (gaps > 0)
-        base = np.floor(times).astype(np.int64) + 1
-        safe_gaps = np.where(regular, gaps, 1)
-        arrivals = (
-            base + (residue.take(clipped) - base) % safe_gaps
-        ).astype(np.float64)
-        if not regular.all():
-            for index in np.nonzero(~regular)[0]:
-                arrivals[index] = self.next_arrival(
-                    int(pages[index]), float(times[index])
-                )
+        gap = self._gap
+        clipped = np.minimum(np.maximum(pages, 0), len(gap) - 1)
+        regular = (pages == clipped) & (gap[clipped] > 0)
+        arrivals = np.empty(pages.shape, dtype=np.float64)
+        arrivals[regular] = self.regular_arrivals(
+            pages[regular], times[regular]
+        )
+        for index in np.nonzero(~regular)[0]:
+            arrivals[index] = self.next_arrival(
+                int(pages[index]), float(times[index])
+            )
         return arrivals
 
     def gaps(self, page: int) -> np.ndarray:
@@ -681,9 +695,10 @@ class BroadcastProgram:
         """
         return self._residue, self._gap
 
-    #: One body for both classes: ``self.regular_timing()`` is the
+    #: One body for both classes: the ``(residue, gap)`` tables are the
     #: merged C-row grid here, and irregular pages fall back to scalar
     #: :meth:`next_arrival` on their owning row.
+    regular_arrivals = BroadcastSchedule.regular_arrivals
     next_arrival_batch = BroadcastSchedule.next_arrival_batch
 
     def __reduce__(self):

@@ -7,7 +7,7 @@ naming the hook that emitted it.  The stack's hook points are:
 kind                emitted by / fields
 ==================  =========================================================
 ``sim.event``       :meth:`repro.sim.kernel.Simulator.step` — one record per
-                    dispatched event (``seq``, ``priority``)
+                    dispatched event (``seq``)
 ``channel.deliver``  :meth:`repro.server.channel.BroadcastChannel.deliver_at`
                     — one record per transmitted page (``page`` is physical)
 ``client.request``  a client drew the next request (``page`` logical,

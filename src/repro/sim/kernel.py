@@ -1,10 +1,11 @@
 """Event heap and virtual clock for the simulation kernel.
 
 The kernel follows the classic event-list design: a binary heap of
-``(time, priority, sequence, event)`` entries, popped in order, with each
-popped event running its callbacks.  Processes (see
-:mod:`repro.sim.process`) are implemented *on top of* events: a process is
-just a callback chain that resumes a generator.
+``(time, sequence, event)`` entries, popped in order, with each popped
+event running its callbacks.  The sequence number breaks ties: events
+scheduled for the same instant fire in the order they were scheduled.
+Processes (see :mod:`repro.sim.process`) are implemented *on top of*
+events: a process is just a callback chain that resumes a generator.
 
 The paper measured everything in *broadcast units*; the kernel itself is
 unit-agnostic and simply advances a floating-point clock.
@@ -17,10 +18,6 @@ import itertools
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-
-#: Default priority for scheduled events.  Lower values fire first among
-#: events scheduled at the same instant.
-NORMAL_PRIORITY = 1
 
 
 class Event:
@@ -85,7 +82,7 @@ class Event:
         self._triggered = True
         self._value = value
         self._ok = True
-        self.sim._enqueue(self, delay, NORMAL_PRIORITY)
+        self.sim._enqueue(self, delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -97,7 +94,7 @@ class Event:
         self._triggered = True
         self._value = exception
         self._ok = False
-        self.sim._enqueue(self, delay, NORMAL_PRIORITY)
+        self.sim._enqueue(self, delay)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -133,7 +130,7 @@ class Timeout(Event):
         self.delay = delay
         self._triggered = True
         self._value = value
-        sim._enqueue(self, delay, NORMAL_PRIORITY)
+        sim._enqueue(self, delay)
 
 
 class Simulator:
@@ -151,7 +148,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         #: Total number of events processed; useful for progress reporting.
         self.events_processed = 0
@@ -195,13 +192,13 @@ class Simulator:
         return event
 
     # -- internals ---------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
+    def _enqueue(self, event: Event, delay: float) -> None:
         if delay < 0:
             raise SimulationError(
                 f"cannot schedule an event {abs(delay)} units in the past"
             )
         heapq.heappush(
-            self._heap, (self._now + delay, priority, next(self._counter), event)
+            self._heap, (self._now + delay, next(self._counter), event)
         )
         if len(self._heap) > self.heap_peak:
             self.heap_peak = len(self._heap)
@@ -211,14 +208,14 @@ class Simulator:
         """Process exactly one event (advancing the clock to it)."""
         if not self._heap:
             raise SimulationError("step() called on an empty event queue")
-        when, priority, seq, event = heapq.heappop(self._heap)
+        when, seq, event = heapq.heappop(self._heap)
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
         self.events_processed += 1
         trace = self.trace
         if trace is not None and trace.enabled:
-            trace.emit("sim.event", when, seq=seq, priority=priority)
+            trace.emit("sim.event", when, seq=seq)
         for callback in callbacks or ():
             callback(event)
         if not event._ok and not getattr(event, "_failure_consumed", True):

@@ -70,6 +70,17 @@ class TestSimulatorTraceHook:
         times = [record.time for record in records]
         assert times == sorted(times)
 
+    def test_sim_event_records_carry_only_seq(self):
+        sink = MemorySink()
+        sim = Simulator()
+        sim.trace = Tracer(sink)
+        for delay in (1.0, 1.0, 2.0):
+            sim.timeout(delay)
+        sim.run()
+        fields = [record.fields for record in sink.records]
+        assert [set(field) for field in fields] == [{"seq"}] * 3
+        assert [field["seq"] for field in fields] == [0, 1, 2]
+
     def test_no_tracer_is_default_and_harmless(self):
         sim = Simulator()
         assert sim.trace is None

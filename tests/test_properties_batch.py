@@ -12,6 +12,8 @@ random request strings:
   tie-break paths: P/PIX must evict the *oldest* minimum-value entry,
   LIX/L must prefer the earliest disk chain — exactly like the scalar
   min-heap and chain walk;
+* never-broadcast pages (rate 0) must score ``+inf`` in LIX and PIX,
+  as their scalar twins score them;
 * broadcast-disk-shaped oracles at realistic scale (150 pages, five
   disks, caches up to 48 pages, hundreds of skewed requests) reach the
   long linked chains, the emptied chains and the moving minimum of the
@@ -41,12 +43,15 @@ NUM_DISKS = 3
 POLICIES = ("lru", "p", "pix", "lix", "l")
 
 
-def oracle_arrays(*, tie_breaking=False):
+def oracle_arrays(*, tie_breaking=False, never_broadcast=0):
     """Matching scalar/batched oracle pairs over PAGE_COUNT pages.
 
     ``tie_breaking=True`` collapses every score to a constant and every
     page onto one disk, so victim selection is decided purely by the
-    tie-break rules under test.
+    tie-break rules under test.  ``never_broadcast=k`` gives the last
+    ``k`` pages rate 0 and the last disk to themselves, so a cache of
+    more than ``k`` pages always holds a chain whose bottom is
+    broadcast (the scalar LIX walk needs one finite candidate).
     """
     pages = np.arange(PAGE_COUNT)
     if tie_breaking:
@@ -57,6 +62,10 @@ def oracle_arrays(*, tie_breaking=False):
         probability = (PAGE_COUNT - pages) / 300.0
         frequency = 0.05 + 0.01 * (pages % 5)
         disk = pages % NUM_DISKS
+    if never_broadcast:
+        silent = pages >= PAGE_COUNT - never_broadcast
+        frequency[silent] = 0.0
+        disk = np.where(silent, NUM_DISKS - 1, pages % (NUM_DISKS - 1))
     scalar = PolicyContext(
         probability=lambda page: float(probability[page]),
         frequency=lambda page: float(frequency[page]),
@@ -72,16 +81,15 @@ def oracle_arrays(*, tie_breaking=False):
     return scalar, batched
 
 
-def drive_both(name, capacity, request_matrix, *, tie_breaking=False):
+def drive_both(name, capacity, request_matrix, **oracle_options):
     """Advance a batched fleet and per-client scalar twins in lockstep.
 
     ``request_matrix`` is ``(steps, clients)``; every client shares the
-    :func:`oracle_arrays` oracles and requests arrive 2.0 apart.
+    :func:`oracle_arrays` oracles (built with ``oracle_options``) and
+    requests arrive 2.0 apart.
     """
     steps, clients = request_matrix.shape
-    scalar_context, batched_oracles = oracle_arrays(
-        tie_breaking=tie_breaking
-    )
+    scalar_context, batched_oracles = oracle_arrays(**oracle_options)
     drive_pair(name, capacity, request_matrix, [scalar_context] * clients,
                batched_oracles, 2.0 * np.arange(1, steps + 1))
 
@@ -171,6 +179,19 @@ class TestBatchedEqualsScalar:
         # One disk, constant frequency: every candidate sits in chain 0
         # and LIX's inter-access estimator alone picks the victim.
         drive_both(name, capacity, matrix, tie_breaking=True)
+
+    @given(
+        st.sampled_from(("lix", "pix")),
+        st.integers(min_value=4, max_value=8),
+        request_matrices,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_never_broadcast_pages_score_infinity(self, name, capacity,
+                                                  matrix):
+        # Three pages of rate 0: the scalar LIX walk scores such a chain
+        # bottom math.inf and PIX values the page inf, so neither may
+        # ever evict one while a broadcast page is resident.
+        drive_both(name, capacity, matrix, never_broadcast=3)
 
 
 # ---------------------------------------------------------------------------
@@ -513,3 +534,143 @@ class TestClientIdentity:
                     label=f"identity/drawn/client{index}",
                 ) == client_config(spec, segment, index)
         assert len(configs) == len(groups)  # equal draws share one bucket
+
+
+# ---------------------------------------------------------------------------
+# Column exactness: every column of a ColumnarEngine run == its client's
+# FastEngine run, field by field
+# ---------------------------------------------------------------------------
+
+from repro.batch.engine import ColumnarEngine, build_columnar_engine
+from repro.core.disks import DiskLayout
+from repro.core.schedule import BroadcastSchedule
+from repro.exec.build import BuildCache
+from repro.experiments.engine import FastEngine
+from repro.workload.mapping import LogicalPhysicalMapping
+from repro.workload.trace import RequestTrace
+
+
+def assert_columns_equal_fast(outcome, fast_outcomes):
+    """Column ``c`` of ``outcome`` holds exactly ``fast_outcomes[c]``:
+    Welford internals, counters, warm-up count, clock and retunes."""
+    for client, fast in enumerate(fast_outcomes):
+        column = outcome.to_engine_outcome(client)
+        got, want = column.response, fast.response
+        assert (got.count, got._mean, got._m2, got.minimum, got.maximum) \
+            == (want.count, want._mean, want._m2, want.minimum,
+                want.maximum), f"client {client}: response statistics"
+        assert column.counters.hits == fast.counters.hits
+        assert column.counters.misses == fast.counters.misses
+        assert column.counters.per_disk_misses == \
+            fast.counters.per_disk_misses, f"client {client}: per disk"
+        assert column.warmup_requests == fast.warmup_requests
+        assert column.final_time == fast.final_time
+        assert column.retunes == fast.retunes
+
+
+class _CountingSchedule(BroadcastSchedule):
+    """A schedule that counts the engine's ``next_arrival_batch`` calls."""
+
+    batch_calls = 0
+
+    def next_arrival_batch(self, pages, times):
+        self.batch_calls += 1
+        return super().next_arrival_batch(pages, times)
+
+
+#: Requests per column: enough for every client to fill its cache and
+#: measure, short enough for the fill rule's extra warm-up to matter.
+COLUMN_STEPS = 240
+
+
+class TestColumnsEqualFastEngine:
+    @given(
+        st.sampled_from(("LRU", "P", "PIX", "LIX", "L")),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=12),
+        st.booleans(),
+        st.sampled_from(("fill", "fill+extra", "fixed")),
+        st.sampled_from((1, 2, 4)),
+        st.sampled_from((0.0, 1.0, 2.5)),
+        st.sampled_from((0.0, 1.0, 2.0, 5 ** 0.5)),
+        st.sampled_from((0.25, 1.0)),
+        st.integers(min_value=0, max_value=2 ** 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_column_equals_its_fast_run(
+        self, policy, capacity, clients, per_client, warmup, channels,
+        retune_cost, think_time, lix_alpha, seed,
+    ):
+        config = ExperimentConfig(
+            disk_sizes=(20, 60, 80), delta=2, cache_size=capacity,
+            policy=policy, access_range=60, region_size=6,
+            num_requests=COLUMN_STEPS, think_time=think_time, seed=seed,
+            offset=7, noise=0.3, lix_alpha=lix_alpha, channels=channels,
+            retune_cost=retune_cost,
+        )
+        warmup_requests = 30 if warmup == "fixed" else None
+        extra_warmup = 25 if warmup == "fill+extra" else 0
+        layout, schedule = BuildCache().layout_and_schedule(config)
+        distribution = config.build_distribution()
+        rng = np.random.default_rng(seed)
+        mappings = [
+            LogicalPhysicalMapping(layout, config.offset, config.noise,
+                                   rng, config.access_range)
+            for _ in range(clients if per_client else 1)
+        ]
+        physical = np.stack([
+            mapping.physical_array()[:config.access_range]
+            for mapping in mappings
+        ])
+        pages = np.stack([
+            distribution.sample(rng, COLUMN_STEPS) for _ in range(clients)
+        ], axis=1)
+        engine = build_columnar_engine(config, schedule, layout, physical,
+                                       clients)
+        outcome = engine.run(pages, warmup_requests=warmup_requests,
+                             extra_warmup=extra_warmup)
+        fast_outcomes = []
+        for client in range(clients):
+            mapping = mappings[client if per_client else 0]
+            fast = FastEngine(
+                schedule, mapping, layout,
+                config.build_policy(schedule, mapping, distribution,
+                                    layout),
+                think_time, retune_cost=retune_cost,
+            )
+            fast_outcomes.append(fast.run_trace(
+                RequestTrace(pages[:, client]),
+                warmup_requests=warmup_requests, extra_warmup=extra_warmup,
+            ))
+        assert_columns_equal_fast(outcome, fast_outcomes)
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2 ** 16))
+    @settings(max_examples=15, deadline=None)
+    def test_irregular_program_takes_the_batch_fallback(self, clients, seed):
+        # Figure 2(b)'s skewed program A A B C: page A's gaps alternate
+        # 1 and 3, so no closed form holds and every miss is timed by
+        # next_arrival_batch.
+        schedule = _CountingSchedule([0, 0, 1, 2], label="skewed(AABC)")
+        assert not schedule.regular_timing()[1].all()
+        layout = DiskLayout((1, 2), (2, 1))
+        rng = np.random.default_rng(seed)
+        pages = rng.integers(0, 3, size=(80, clients))
+        mapping = LogicalPhysicalMapping(layout)
+        disk_of = np.array([layout.disk_of_page(page) for page in range(3)])
+        engine = ColumnarEngine(
+            schedule,
+            make_batched_policy("lru", clients, 2, BatchedOracles()),
+            mapping.physical_array()[None, :], disk_of, layout.num_disks,
+            5 ** 0.5, access_range=3,
+        )
+        outcome = engine.run(pages, warmup_requests=10)
+        assert schedule.batch_calls > 0
+        fast_outcomes = [
+            FastEngine(
+                schedule, mapping, layout,
+                make_policy("LRU", 2, PolicyContext(num_disks=2)), 5 ** 0.5,
+            ).run_trace(RequestTrace(pages[:, client]), warmup_requests=10)
+            for client in range(clients)
+        ]
+        assert_columns_equal_fast(outcome, fast_outcomes)
