@@ -1,6 +1,6 @@
 """CI smoke run for multi-channel broadcast programs.
 
-Four gates, one per contract the channel layer makes
+Five gates, one per contract the channel layer makes
 (``src/repro/core/channels.py``):
 
 * **C=1 byte-identity** — a one-channel program must reduce exactly to
@@ -15,6 +15,11 @@ Four gates, one per contract the channel layer makes
   delivery records and finish with zero violations.
 * **Bandwidth split pays** — in the Figure-5-style study, the C=2 and
   C=4 curves must sit strictly below C=1 at every Δ.
+* **Assignments pinned** — every preset case (D1–D5 × Δ 0–7 × C 2–4 ×
+  retune cost 0/1/2.5 × the server's Zipf estimate or the uniform
+  default: 720 cases) must get the channels the frozen reference climb
+  in ``tests/test_channel_reference.py`` gives it.  Both build times
+  are printed, not gated.
 
 The study's deterministic speedups are written to
 ``BENCH_multichannel.json`` and checked against the committed
@@ -36,18 +41,23 @@ import sys
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
-_SRC = str(_ROOT / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _path in (str(_ROOT / "src"), str(_ROOT)):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
-from repro.core.channels import build_program
+from repro.core.channels import assign_channels, build_program
 from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import DELTA_RANGE, DISK_PRESETS, ExperimentConfig
 from repro.experiments.figures import multichannel_study
 from repro.experiments.runner import run_experiment
+from repro.obs.clock import perf_counter
 from repro.obs.monitor import MonitorSuite
 from repro.obs.regress import render_text, run_gate
+from tests.test_channel_reference import (
+    reference_assign_channels,
+    server_estimate,
+)
 
 #: Bench parameters: fixed, so the document is deterministic and CI
 #: reproduces the committed BENCH_multichannel.json byte-for-byte.
@@ -138,6 +148,40 @@ def gate_invariants(failures: list) -> None:
               f"records ({result.retunes} retunes)", failures)
 
 
+def gate_reference(failures: list) -> None:
+    print("preset assignments vs the frozen reference climb:")
+    cases = mismatches = 0
+    reference_s = tables_s = 0.0
+    for preset in sorted(DISK_PRESETS):
+        for delta in DELTA_RANGE:
+            layout = DiskLayout.from_delta(DISK_PRESETS[preset], delta)
+            for estimate in (server_estimate(layout), None):
+                for channels in (2, 3, 4):
+                    for retune_cost in (0.0, 1.0, 2.5):
+                        start = perf_counter()
+                        expected = reference_assign_channels(
+                            layout, channels, estimate, retune_cost
+                        )
+                        middle = perf_counter()
+                        assigned = assign_channels(
+                            layout, channels, probabilities=estimate,
+                            retune_cost=retune_cost,
+                        )
+                        reference_s += middle - start
+                        tables_s += perf_counter() - middle
+                        cases += 1
+                        if assigned.channels != expected:
+                            mismatches += 1
+                            print(f"    differs: {preset} Δ={delta} "
+                                  f"C={channels} retune={retune_cost} "
+                                  f"{'zipf' if estimate else 'uniform'}")
+    check(mismatches == 0,
+          f"{cases - mismatches} of {cases} preset assignments equal "
+          "the reference", failures)
+    print(f"    build seconds (not gated): reference {reference_s:.2f}, "
+          f"period tables {tables_s:.2f}")
+
+
 def gate_study(failures: list, out: Path) -> dict:
     print("Figure-5-style study (C=1 vs C=2 vs C=4):")
     data = multichannel_study(
@@ -221,6 +265,7 @@ def main() -> int:
     gate_identity(failures)
     gate_engine_agreement(failures)
     gate_invariants(failures)
+    gate_reference(failures)
     document = gate_study(failures, out)
     gate_bench(document, failures, arguments.record)
 

@@ -17,13 +17,14 @@ Two-stage optimiser, both stages deterministic:
 :func:`assign_channels`
     **Greedy bandwidth-proportional split** — walk the pages
     hottest-to-coldest and put each on the currently least-loaded
-    channel, where a page's load is its disk's relative frequency
-    (its slot share in the §2.2 interleave).  This balances per-channel
-    broadcast bandwidth, the multi-channel analogue of the paper's
-    equal-slot-share disks.
+    channel (ties to the lowest index), where a page's load is its
+    disk's relative frequency (its slot share in the §2.2 interleave).
+    This balances per-channel broadcast bandwidth, the multi-channel
+    analogue of the paper's equal-slot-share disks.  The pages of one
+    disk share a load, so the walk is computed as one merge per disk.
 
     **Conflict-aware refinement** — hill-climb single-page moves over
-    the hottest pages, minimising the analytic objective
+    the hottest pages, minimising the analytic :func:`objective`
 
     ``sum_c period_c * S_c  +  retune_cost * (1 - sum_c (q_c / Q)^2)``
 
@@ -32,8 +33,23 @@ Two-stage optimiser, both stages deterministic:
     fixed-gap wait is ``period_c / (2 * rel_freq)``), ``q_c`` is the
     probability mass on channel ``c`` and the second term is the
     steady-state chance two consecutive misses land on different
-    channels — the expected retune surcharge.  Candidate moves are
-    evaluated incrementally in O(num_disks).
+    channels — the expected retune surcharge.
+
+    Each round scores every move of a candidate page to another
+    channel, in (candidate, target) order, and commits the first move
+    with the lowest gain if that gain is below ``-1e-9``.  A channel's
+    period after a move depends only on (channel, disk, one page more
+    or less), so each round starts from a table of those periods and a
+    move costs one table read and a few float operations.
+
+    Rounding and ties: scoring a move has always applied it to the
+    running ``S`` and ``q`` and undone it again, so afterwards the two
+    channels hold ``(x - w) + w`` and ``(x + w) - w`` rather than ``x``,
+    and the next move is scored from those values.  Pages of one Zipf
+    region share a probability, so their moves tie in real arithmetic
+    and this rounding picks the winner.  The climb keeps it: without
+    it, 17 of the 720 preset cases (C=4, server Zipf estimate) commit
+    a different move.
 
 :func:`build_program`
     Assignment plus per-channel §2.2 schedule construction: each
@@ -55,7 +71,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.chunks import EMPTY_SLOT, ChunkPlan, lcm_many
-from repro.core.disks import DiskLayout
+from repro.core.disks import DiskLayout, disk_index_array
 from repro.core.schedule import BroadcastProgram, BroadcastSchedule
 from repro.errors import ConfigurationError
 
@@ -95,24 +111,38 @@ class ChannelAssignment:
         return mapping
 
 
-def _page_freqs(layout: DiskLayout) -> List[int]:
+def _page_freqs(layout: DiskLayout) -> np.ndarray:
     """Per-page relative frequency, indexed by physical page id."""
-    freqs: List[int] = []
-    for size, freq in layout:
-        freqs.extend([freq] * size)
-    return freqs
+    return np.repeat(np.asarray(layout.rel_freqs, dtype=np.int64), layout.sizes)
 
 
-def _counts_per_disk(layout: DiskLayout, pages: Sequence[int]) -> List[int]:
-    """How many of ``pages`` live on each of the layout's disks."""
-    counts = [0] * layout.num_disks
-    bounds = [stop for _, stop in layout.disk_ranges()]
-    disk = 0
-    for page in sorted(pages):
-        while page >= bounds[disk]:
-            disk += 1
-        counts[disk] += 1
-    return counts
+def _page_probabilities(
+    layout: DiskLayout, probabilities: Optional[Mapping[int, float]]
+) -> np.ndarray:
+    """Per-page access probability, uniform when ``probabilities`` is None.
+
+    A key that is not a page of the layout, or a value that is not a
+    finite number in [0, 1], raises :class:`ConfigurationError`: the
+    climb would otherwise drop the page, stop at the greedy split (NaN
+    gains never improve) or chase a meaningless objective.
+    """
+    total = layout.total_pages
+    if probabilities is None:
+        return np.full(total, 1.0 / total)
+    prob = np.zeros(total)
+    for page, value in probabilities.items():
+        if not (isinstance(page, (int, np.integer)) and 0 <= page < total):
+            raise ConfigurationError(
+                f"access probability {value!r} given for page {page!r}, "
+                f"outside the layout's pages [0, {total})"
+            )
+        if not 0.0 <= value <= 1.0:
+            raise ConfigurationError(
+                f"access probability of page {page} is {value!r}; "
+                "it must be a finite number in [0, 1]"
+            )
+        prob[page] = value
+    return prob
 
 
 def _period_of_counts(layout: DiskLayout, counts: Sequence[int]) -> int:
@@ -136,136 +166,200 @@ def _period_of_counts(layout: DiskLayout, counts: Sequence[int]) -> int:
     return max_chunks * minor
 
 
+def _period_table(
+    layout: DiskLayout, counts: Sequence[int]
+) -> Tuple[int, List[int], List[int]]:
+    """A channel's period, and its period with one page more or less.
+
+    ``plus[d]`` is the period after adding a page of disk ``d``;
+    ``minus[d]`` after removing one (0 where the channel holds none).
+    """
+    plus: List[int] = []
+    minus: List[int] = []
+    for disk in range(len(counts)):
+        grown = list(counts)
+        grown[disk] += 1
+        plus.append(_period_of_counts(layout, grown))
+        shrunk = list(counts)
+        shrunk[disk] -= 1
+        minus.append(_period_of_counts(layout, shrunk) if counts[disk] else 0)
+    return _period_of_counts(layout, counts), plus, minus
+
+
 def _greedy_split(layout: DiskLayout, num_channels: int) -> List[List[int]]:
     """Bandwidth-proportional greedy: hottest-first, least-loaded channel.
 
     A page's bandwidth demand is its disk's relative frequency (its slot
     share per minor cycle), so channel loads track broadcast bandwidth.
     Ties break to the lowest channel index — fully deterministic.
+
+    Every page of a disk adds the same load ``freq``, so the disk's
+    picks are the first ``size`` terms of the sequences
+    ``load_c + m * freq``, merged by (value, channel).  A term is
+    ``level * freq + residue`` with ``residue = load_c % freq``, so the
+    merge sorts by (level, residue, channel) every term up to the
+    lowest level ``top`` that holds ``size`` of them: fewer than
+    ``size + num_channels`` terms.
     """
-    freqs = _page_freqs(layout)
-    loads = [0] * num_channels
-    channels: List[List[int]] = [[] for _ in range(num_channels)]
-    for page in range(layout.total_pages):
-        target = loads.index(min(loads))
-        channels[target].append(page)
-        loads[target] += freqs[page]
-    return channels
+    channel = np.arange(num_channels)
+    loads = np.zeros(num_channels, dtype=np.int64)
+    picks = []
+    for size, freq in layout:
+        level, residue = np.divmod(loads, freq)
+        # Over the j lowest levels, the terms up to level k number
+        # j * (k + 1) - (their level sum); ``top`` is the least k at
+        # which any j reaches ``size``.
+        lowest = np.sort(level)
+        top = ((size - 1 + np.cumsum(lowest)) // (channel + 1)).min()
+        count = np.maximum(top - level + 1, 0)
+        owner = np.repeat(channel, count)
+        first = np.cumsum(count) - count
+        term = level[owner] + np.arange(owner.size) - first[owner]
+        chosen = owner[np.lexsort((owner, residue[owner], term))[:size]]
+        picks.append(chosen)
+        loads += np.bincount(chosen, minlength=num_channels) * freq
+    channel_of = np.concatenate(picks)
+    return [np.flatnonzero(channel_of == c).tolist() for c in range(num_channels)]
 
 
-class _RefineState:
-    """Incremental bookkeeping for the conflict-aware hill climb.
+def _channel_sums(
+    layout: DiskLayout, rows: Sequence[np.ndarray], prob: np.ndarray
+) -> Tuple[List[List[int]], List[float], List[float], float]:
+    """Per channel: disk counts, delay factor ``S`` and mass ``q``; total mass.
 
-    Per channel: the per-disk page counts (enough to recompute the
-    channel period in O(num_disks)), the delay factor
-    ``S = sum prob / (2 * rel_freq)`` and the probability mass ``q``.
+    The sums run in each row's page order through the builtin ``sum``,
+    as the climb has always added them: from Python 3.12 ``sum`` of
+    floats is compensated, so ``np.cumsum`` would round differently.
     """
+    disk_of = disk_index_array(layout)
+    weight = prob / (2.0 * _page_freqs(layout))
+    counts = [
+        np.bincount(disk_of[row], minlength=layout.num_disks).tolist()
+        for row in rows
+    ]
+    factor = [sum(weight[row].tolist()) for row in rows]
+    mass = [sum(prob[row].tolist()) for row in rows]
+    return counts, factor, mass, sum(prob.tolist())
 
-    def __init__(
-        self,
-        layout: DiskLayout,
-        channels: Sequence[Sequence[int]],
-        probabilities: Mapping[int, float],
-        retune_cost: float,
-    ):
-        self.layout = layout
-        self.retune_cost = retune_cost
-        self.freqs = _page_freqs(layout)
-        self.prob = [probabilities.get(page, 0.0) for page in range(layout.total_pages)]
-        self.total_mass = sum(self.prob)
-        self.channel_of = {}
-        self.counts: List[List[int]] = []
-        self.sizes: List[int] = []
-        self.delay_factor: List[float] = []
-        self.mass: List[float] = []
-        for index, pages in enumerate(channels):
-            self.counts.append(_counts_per_disk(layout, pages))
-            self.sizes.append(len(pages))
-            self.delay_factor.append(
-                sum(self.prob[p] / (2.0 * self.freqs[p]) for p in pages)
-            )
-            self.mass.append(sum(self.prob[p] for p in pages))
-            for page in pages:
-                self.channel_of[page] = index
 
-    def _delay_term(self, channel: int) -> float:
-        period = _period_of_counts(self.layout, self.counts[channel])
-        return period * self.delay_factor[channel]
+def objective(
+    layout: DiskLayout,
+    channels: Sequence[Sequence[int]],
+    *,
+    probabilities: Optional[Mapping[int, float]] = None,
+    retune_cost: float = 1.0,
+) -> float:
+    """The refinement's objective for one partition of the pages.
 
-    def _retune_term(self) -> float:
-        if self.total_mass <= 0.0 or self.retune_cost == 0.0:
-            return 0.0
-        stay = sum((q / self.total_mass) ** 2 for q in self.mass)
-        return self.retune_cost * (1.0 - stay)
-
-    def objective(self) -> float:
-        return (
-            sum(self._delay_term(c) for c in range(len(self.counts)))
-            + self._retune_term()
-        )
-
-    def move_gain(self, page: int, target: int) -> float:
-        """Objective delta of moving ``page`` to ``target`` (negative = better)."""
-        source = self.channel_of[page]
-        before = self._delay_term(source) + self._delay_term(target)
-        before_retune = self._retune_term()
-        self._apply(page, source, target)
-        after = self._delay_term(source) + self._delay_term(target)
-        after_retune = self._retune_term()
-        self._apply(page, target, source)
-        return (after - before) + (after_retune - before_retune)
-
-    def _apply(self, page: int, source: int, target: int) -> None:
-        disk = self.layout.disk_of_page(page)
-        weight = self.prob[page] / (2.0 * self.freqs[page])
-        self.counts[source][disk] -= 1
-        self.counts[target][disk] += 1
-        self.sizes[source] -= 1
-        self.sizes[target] += 1
-        self.delay_factor[source] -= weight
-        self.delay_factor[target] += weight
-        self.mass[source] -= self.prob[page]
-        self.mass[target] += self.prob[page]
-        self.channel_of[page] = target
-
-    def commit(self, page: int, target: int) -> None:
-        self._apply(page, self.channel_of[page], target)
+    ``sum_c period_c * S_c + retune_cost * (1 - sum_c (q_c / Q)^2)``
+    (see the module docstring), with ``probabilities`` read as
+    :func:`assign_channels` reads them (uniform when omitted).
+    """
+    prob = _page_probabilities(layout, probabilities)
+    rows = [np.asarray(pages, dtype=np.int64) for pages in channels]
+    counts, factor, mass, total = _channel_sums(layout, rows, prob)
+    delay = sum(
+        _period_of_counts(layout, row) * s for row, s in zip(counts, factor)
+    )
+    if total <= 0.0 or retune_cost == 0.0:
+        return delay
+    stay = sum((q / total) ** 2 for q in mass)
+    return delay + retune_cost * (1.0 - stay)
 
 
 def _refine_split(
     layout: DiskLayout,
     channels: List[List[int]],
-    probabilities: Mapping[int, float],
+    prob: np.ndarray,
     retune_cost: float,
 ) -> List[List[int]]:
-    """Conflict-aware hill climb over single-page moves (deterministic)."""
+    """Conflict-aware hill climb over single-page moves (deterministic).
+
+    ``prob`` is the per-page probability array; the rounds, tables and
+    tie rule are described in the module docstring.
+    """
     num_channels = len(channels)
-    state = _RefineState(layout, channels, probabilities, retune_cost)
-    candidates = sorted(
-        range(layout.total_pages),
-        key=lambda p: (-state.prob[p], p),
-    )[:_REFINE_CANDIDATES]
+    rows = [np.asarray(pages, dtype=np.int64) for pages in channels]
+    counts, factor, mass, total = _channel_sums(layout, rows, prob)
+    sizes = [len(row) for row in rows]
+    channel_of = np.empty(layout.total_pages, dtype=np.int64)
+    for index, row in enumerate(rows):
+        channel_of[row] = index
+    pool = np.argsort(-prob, kind="stable")[:_REFINE_CANDIDATES]
+    weight = prob[pool] / (2.0 * _page_freqs(layout)[pool])
+    candidates = list(zip(
+        pool.tolist(),
+        disk_index_array(layout)[pool].tolist(),
+        weight.tolist(),
+        prob[pool].tolist(),
+    ))
+    owner = channel_of[pool].tolist()
+    retune = total > 0.0 and retune_cost != 0.0
+    # (q_c / Q) ** 2 per channel, kept in step with ``mass``.
+    shares = [(q / total) ** 2 for q in mass] if retune else []
+    tables = [_period_table(layout, row) for row in counts]
     for _ in range(_REFINE_ROUNDS):
         best_gain = -1e-9  # require a strict improvement
         best_move: Optional[Tuple[int, int]] = None
-        for page in candidates:
-            source = state.channel_of[page]
-            if state.sizes[source] <= 1:
+        for index, (_page, disk, w, p) in enumerate(candidates):
+            source = owner[index]
+            if sizes[source] <= 1:
                 continue  # never empty a channel
+            period_s, _, minus_s = tables[source]
+            shrunk = minus_s[disk]
             for target in range(num_channels):
                 if target == source:
                     continue
-                gain = state.move_gain(page, target)
+                period_t, plus_t, _ = tables[target]
+                fs = factor[source]
+                ft = factor[target]
+                fs_moved = fs - w
+                ft_moved = ft + w
+                # Scoring has always applied the move and undone it,
+                # leaving (x - w) + w and (x + w) - w behind; the next
+                # scores read those values, and they decide exact ties
+                # between equal-probability pages.
+                factor[source] = fs_moved + w
+                factor[target] = ft_moved - w
+                gain = (shrunk * fs_moved + plus_t[disk] * ft_moved) - (
+                    period_s * fs + period_t * ft
+                )
+                if retune:
+                    before = retune_cost * (1.0 - sum(shares))
+                    ms = mass[source] - p
+                    mt = mass[target] + p
+                    shares[source] = (ms / total) ** 2
+                    shares[target] = (mt / total) ** 2
+                    after = retune_cost * (1.0 - sum(shares))
+                    mass[source] = ms = ms + p
+                    mass[target] = mt = mt - p
+                    shares[source] = (ms / total) ** 2
+                    shares[target] = (mt / total) ** 2
+                    gain += after - before
                 if gain < best_gain:
                     best_gain = gain
-                    best_move = (page, target)
+                    best_move = (index, target)
         if best_move is None:
             break
-        state.commit(*best_move)
-    refined: List[List[int]] = [[] for _ in range(num_channels)]
-    for page in range(layout.total_pages):
-        refined[state.channel_of[page]].append(page)
-    return refined
+        index, target = best_move
+        page, disk, w, p = candidates[index]
+        source = owner[index]
+        counts[source][disk] -= 1
+        counts[target][disk] += 1
+        sizes[source] -= 1
+        sizes[target] += 1
+        factor[source] -= w
+        factor[target] += w
+        mass[source] -= p
+        mass[target] += p
+        if retune:
+            shares[source] = (mass[source] / total) ** 2
+            shares[target] = (mass[target] / total) ** 2
+        owner[index] = target
+        channel_of[page] = target
+        tables[source] = _period_table(layout, counts[source])
+        tables[target] = _period_table(layout, counts[target])
+    return [np.flatnonzero(channel_of == c).tolist() for c in range(num_channels)]
 
 
 def assign_channels(
@@ -282,7 +376,9 @@ def assign_channels(
     greedy bandwidth-proportional split; ``"conflict"`` (the default)
     additionally runs the conflict-aware refinement pass, guided by
     ``probabilities`` (page -> access probability; uniform when omitted)
-    and the tuner's ``retune_cost``.
+    and the tuner's ``retune_cost``.  A ``probabilities`` key outside
+    ``[0, total_pages)`` or a value that is not a finite number in
+    [0, 1] raises :class:`ConfigurationError`.
     """
     num_channels = int(num_channels)
     if num_channels < 1:
@@ -303,17 +399,12 @@ def assign_channels(
         raise ConfigurationError(
             f"retune cost must be >= 0, got {retune_cost}"
         )
+    prob = _page_probabilities(layout, probabilities)
     channels = _greedy_split(layout, num_channels)
     if assignment == "conflict" and num_channels > 1:
-        if probabilities is None:
-            uniform = 1.0 / layout.total_pages
-            probabilities = {
-                page: uniform for page in range(layout.total_pages)
-            }
-        channels = _refine_split(layout, channels, probabilities, retune_cost)
+        channels = _refine_split(layout, channels, prob, retune_cost)
     return ChannelAssignment(
-        layout=layout,
-        channels=tuple(tuple(sorted(pages)) for pages in channels),
+        layout=layout, channels=tuple(tuple(pages) for pages in channels)
     )
 
 
@@ -329,17 +420,23 @@ def channel_schedule(
     are then mapped back to physical ids in ascending order, preserving
     hottest-to-coldest within the channel.
     """
-    pages = sorted(int(page) for page in pages)
-    if not pages:
+    physical = np.sort(np.asarray(pages, dtype=np.int64))
+    if not physical.size:
         raise ConfigurationError("a channel must carry at least one page")
-    counts = _counts_per_disk(layout, pages)
+    if physical[0] < 0 or physical[-1] >= layout.total_pages:
+        raise ConfigurationError(
+            f"channel pages must lie in [0, {layout.total_pages}), got "
+            f"{int(physical[0])}..{int(physical[-1])}"
+        )
+    counts = np.bincount(
+        disk_index_array(layout)[physical], minlength=layout.num_disks
+    ).tolist()
     sub_sizes = [count for count in counts if count]
     sub_freqs = [
         freq for freq, count in zip(layout.rel_freqs, counts) if count
     ]
     sub_layout = DiskLayout(sub_sizes, sub_freqs)
     slots = np.asarray(ChunkPlan.for_layout(sub_layout).interleave())
-    physical = np.asarray(pages, dtype=np.int64)
     translated = np.where(
         slots == EMPTY_SLOT, EMPTY_SLOT, physical[np.maximum(slots, 0)]
     )

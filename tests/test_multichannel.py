@@ -10,9 +10,9 @@ The contract under test, end to end:
 * the fast engine, the process (SimPy-style) engine, the reference
   engine and the batch entry point agree sample-for-sample (and
   retune-for-retune) on multi-channel runs;
-* the observability layer carries the channel dimension: per-channel
-  utilisation gauges, retune counters, monitor-clean strict runs, and
-  journal round-trips.
+* the observability layer carries the channel dimension: the
+  manifest's per-channel ``channel_utilisation`` and retune count,
+  monitor-clean strict runs, and journal round-trips.
 """
 
 import collections
@@ -29,9 +29,10 @@ from repro.core.channels import (
     assign_channels,
     build_program,
     channel_schedule,
+    objective,
 )
 from repro.core.disks import DiskLayout
-from repro.core.programs import _multidisk_program
+from repro.core.programs import ProgramSpec, _multidisk_program
 from repro.core.schedule import BroadcastProgram
 from repro.errors import ConfigurationError
 from repro.exec.build import structural_key
@@ -112,6 +113,70 @@ class TestAssignment:
                     loads[target] += freqs[page]
                 assert _greedy_split(layout, num_channels) == expected
 
+    @pytest.mark.parametrize("preset", sorted(DISK_PRESETS))
+    def test_refinement_never_worse_than_greedy_split(self, preset):
+        # The climb commits only moves that lower its objective, so the
+        # refined split scores at most what the greedy split scores,
+        # and below it on some of the preset's cases.
+        strictly_better = 0
+        for delta in DELTA_RANGE:
+            layout = DiskLayout.from_delta(DISK_PRESETS[preset], delta)
+            estimate = ExperimentConfig(
+                disk_sizes=DISK_PRESETS[preset], delta=delta
+            )._server_probabilities(layout)
+            for num_channels in (2, 3, 4):
+                for retune_cost in (0.0, 1.0, 2.5):
+                    scores = [
+                        objective(
+                            layout,
+                            assign_channels(
+                                layout, num_channels,
+                                probabilities=estimate,
+                                assignment=strategy,
+                                retune_cost=retune_cost,
+                            ).channels,
+                            probabilities=estimate,
+                            retune_cost=retune_cost,
+                        )
+                        for strategy in ("bandwidth", "conflict")
+                    ]
+                    assert scores[1] <= scores[0]
+                    strictly_better += scores[1] < scores[0]
+        assert strictly_better > 0
+
+    def test_objective_prices_delay_and_retunes(self):
+        # Two one-page channels of a flat layout: each page waits half
+        # its channel's one-slot period, and a miss retunes with
+        # probability 1 - (0.25^2 + 0.75^2) = 0.375.
+        layout = DiskLayout((2,), (1,))
+        estimate = {0: 0.25, 1: 0.75}
+        channels = ((0,), (1,))
+        assert objective(layout, channels, probabilities=estimate,
+                         retune_cost=0.0) == 0.5
+        assert objective(layout, channels, probabilities=estimate,
+                         retune_cost=2.0) == 0.5 + 2.0 * 0.375
+
+    @pytest.mark.parametrize("estimate,message", [
+        ({0: float("nan")}, r"page 0 is nan.*\[0, 1\]"),
+        ({3: float("inf")}, r"page 3 is inf.*\[0, 1\]"),
+        ({5: -0.1}, r"page 5 is -0.1.*\[0, 1\]"),
+        ({5: 1.5}, r"page 5 is 1.5.*\[0, 1\]"),
+        ({14: 0.1}, r"0.1 given for page 14.*\[0, 14\)"),
+        ({-1: 0.1}, r"0.1 given for page -1.*\[0, 14\)"),
+        ({2.5: 0.1}, r"0.1 given for page 2.5.*\[0, 14\)"),
+    ])
+    def test_rejects_bad_probability_estimates(self, estimate, message):
+        # Unchecked, NaN or inf would return the greedy split, a negative
+        # value would steer the climb, and stray keys would be dropped.
+        with pytest.raises(ConfigurationError, match=message):
+            assign_channels(LAYOUT, 2, probabilities=estimate)
+        with pytest.raises(ConfigurationError, match=message):
+            ProgramSpec(sizes=LAYOUT.sizes, rel_freqs=LAYOUT.rel_freqs,
+                        channels=2, probabilities=estimate).build()
+        with pytest.raises(ConfigurationError, match=message):
+            objective(LAYOUT, assign_channels(LAYOUT, 2).channels,
+                      probabilities=estimate)
+
     def test_assignment_channel_map(self):
         assignment = assign_channels(LAYOUT, 2)
         mapping = assignment.channel_map()
@@ -174,6 +239,11 @@ class TestProgramConstruction:
         row = channel_schedule(LAYOUT, pages)
         broadcast = {slot for slot in row.slots if slot >= 0}
         assert broadcast == set(pages)
+
+    @pytest.mark.parametrize("pages", [(-1, 2), (3, 14)])
+    def test_channel_schedule_rejects_pages_outside_the_layout(self, pages):
+        with pytest.raises(ConfigurationError, match=r"\[0, 14\)"):
+            channel_schedule(LAYOUT, pages)
 
     def test_next_arrival_delegates_to_owning_row(self):
         program = build_program(LAYOUT, 2)

@@ -9,18 +9,21 @@ Two guarantees, over arbitrary layouts rather than the paper's presets:
   is a permutation-free partition of the single-channel page multiset:
   every page appears on exactly one row, with exactly its Δ-rule
   per-cycle broadcast count, and no row ever carries a page twice in
-  one gap window (fixed inter-arrival survives the split).
+  one gap window (fixed inter-arrival survives the split);
+* **refinement pays** — the conflict-aware climb never scores worse
+  than the greedy split under its own objective.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.channels import assign_channels, build_program
+from repro.core.channels import assign_channels, build_program, objective
 from repro.core.chunks import EMPTY_SLOT
 from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.workload.zipf import ZipfRegionDistribution
 
 
 @st.composite
@@ -145,3 +148,39 @@ class TestPartitionProperty:
                 if slot == EMPTY_SLOT:
                     continue
                 assert program.channel_of(slot) == index
+
+
+class TestRefinementObjective:
+    @given(
+        delta_layouts(),
+        st.integers(min_value=2, max_value=4),
+        st.sampled_from((0.0, 1.0, 2.5)),
+        st.sampled_from((None, 1, 2, 5)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_refined_never_scores_worse_than_greedy(
+        self, layout, num_channels, retune_cost, region_size
+    ):
+        # None: the uniform default; otherwise Zipf over regions of
+        # ``region_size`` pages, covering as many whole regions as fit.
+        if num_channels > layout.total_pages:
+            num_channels = layout.total_pages
+        probabilities = None
+        if region_size is not None and layout.total_pages >= region_size:
+            access = layout.total_pages - layout.total_pages % region_size
+            probabilities = dict(enumerate(ZipfRegionDistribution(
+                access, region_size, 0.95
+            ).probabilities().tolist()))
+        scores = [
+            objective(
+                layout,
+                assign_channels(
+                    layout, num_channels, probabilities=probabilities,
+                    assignment=strategy, retune_cost=retune_cost,
+                ).channels,
+                probabilities=probabilities,
+                retune_cost=retune_cost,
+            )
+            for strategy in ("bandwidth", "conflict")
+        ]
+        assert scores[1] <= scores[0]
