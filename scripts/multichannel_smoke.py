@@ -45,7 +45,7 @@ for _path in (str(_ROOT / "src"), str(_ROOT)):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from repro.core.channels import assign_channels, build_program
+from repro.core.channels import add_in_order, assign_channels, build_program
 from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program
 from repro.experiments.config import DELTA_RANGE, DISK_PRESETS, ExperimentConfig
@@ -209,7 +209,8 @@ def gate_study(failures: list, out: Path) -> dict:
     summary = {
         f"c{channels}": {
             "speedup": (
-                sum(baseline) / sum(data.series[f"C={channels}"])
+                add_in_order(baseline)
+                / add_in_order(data.series[f"C={channels}"])
             ),
         }
         for channels in BENCH_CHANNELS[1:]

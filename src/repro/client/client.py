@@ -76,6 +76,10 @@ class ChannelTuner:
 class Client:
     """A cache-equipped client running on the simulation kernel."""
 
+    #: The report the request loop fills; a subclass that books more
+    #: per miss names a :class:`ClientReport` subclass here.
+    report_type = ClientReport
+
     def __init__(
         self,
         sim: Simulator,
@@ -109,7 +113,7 @@ class Client:
         #: ``client.request`` / ``client.hit`` / ``client.miss`` /
         #: ``client.wait`` records; ``None`` costs one branch per request.
         self.tracer = tracer
-        self.report = ClientReport(
+        self.report = self.report_type(
             samples=[] if collect_responses else None
         )
         self.process: Process = sim.process(self._run())
@@ -163,28 +167,7 @@ class Client:
             if tracer is not None:
                 tracer.emit("client.miss", issued, page=int(page),
                             physical=int(physical), client=self.name)
-            tuner = self.tuner
-            if tuner is None:
-                yield self.channel.wait_for(physical)
-            else:
-                target = tuner.channel_of[physical]
-                if target != tuner.current:
-                    tuner.retunes += 1
-                    if measuring:
-                        report.retunes += 1
-                    if tracer is not None:
-                        tracer.emit(
-                            "client.retune", issued, page=int(page),
-                            physical=int(physical),
-                            from_channel=tuner.current, to_channel=target,
-                            client=self.name,
-                        )
-                    tuner.current = target
-                    yield tuner.channels[target].wait_for(
-                        physical, not_before=issued + tuner.retune_cost
-                    )
-                else:
-                    yield tuner.channels[target].wait_for(physical)
+            yield from self._fetch(page, physical, measuring, tracer)
             wait = sim.now - issued
             cache.admit(page, sim.now)
             if tracer is not None:
@@ -199,3 +182,36 @@ class Client:
 
         report.final_time = sim.now
         return report
+
+    def _fetch(self, page, physical: int, measuring: bool, tracer):
+        """The miss step: wait until ``physical`` is delivered.
+
+        The request loop delegates to it (``yield from``) right after
+        the miss is issued and reads the delivery instant from the
+        clock when it returns.  Only the wait lives here, so a client
+        that fetches differently (the hybrid push/pull client) overrides
+        this step and keeps the loop, the warm-up rule and the fold.
+        """
+        tuner = self.tuner
+        if tuner is None:
+            yield self.channel.wait_for(physical)
+            return
+        issued = self.sim.now
+        target = tuner.channel_of[physical]
+        if target != tuner.current:
+            tuner.retunes += 1
+            if measuring:
+                self.report.retunes += 1
+            if tracer is not None:
+                tracer.emit(
+                    "client.retune", issued, page=int(page),
+                    physical=int(physical),
+                    from_channel=tuner.current, to_channel=target,
+                    client=self.name,
+                )
+            tuner.current = target
+            yield tuner.channels[target].wait_for(
+                physical, not_before=issued + tuner.retune_cost
+            )
+        else:
+            yield tuner.channels[target].wait_for(physical)

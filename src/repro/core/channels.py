@@ -49,7 +49,9 @@ Two-stage optimiser, both stages deterministic:
     region share a probability, so their moves tie in real arithmetic
     and this rounding picks the winner.  The climb keeps it: without
     it, 17 of the 720 preset cases (C=4, server Zipf estimate) commit
-    a different move.
+    a different move.  For the same reason every float sum adds left
+    to right (:func:`add_in_order`): the builtin ``sum`` compensates
+    float rounding from Python 3.12, which changes 30 of those cases.
 
 :func:`build_program`
     Assignment plus per-channel §2.2 schedule construction: each
@@ -222,14 +224,28 @@ def _greedy_split(layout: DiskLayout, num_channels: int) -> List[List[int]]:
     return [np.flatnonzero(channel_of == c).tolist() for c in range(num_channels)]
 
 
+def add_in_order(values: Sequence[float]) -> float:
+    """``values`` added left to right, as ``sum`` adds floats up to 3.11.
+
+    Python 3.12's ``sum`` compensates the rounding of each addition,
+    and 3.11's does not; adding in order gives every version the
+    programs the climb has always committed (see the module docstring).
+    Any fold whose floats reach a committed artifact (the hybrid
+    study's population means, the multi-channel smoke's speedups) adds
+    through here for the same reason.  ``np.cumsum`` adds in order,
+    since every prefix is one of its outputs; ``np.sum`` adds pairwise
+    and would round differently.
+    """
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def _channel_sums(
     layout: DiskLayout, rows: Sequence[np.ndarray], prob: np.ndarray
 ) -> Tuple[List[List[int]], List[float], List[float], float]:
     """Per channel: disk counts, delay factor ``S`` and mass ``q``; total mass.
 
-    The sums run in each row's page order through the builtin ``sum``,
-    as the climb has always added them: from Python 3.12 ``sum`` of
-    floats is compensated, so ``np.cumsum`` would round differently.
+    The sums run in each row's page order through :func:`add_in_order`,
+    as the climb has always added them.
     """
     disk_of = disk_index_array(layout)
     weight = prob / (2.0 * _page_freqs(layout))
@@ -237,9 +253,9 @@ def _channel_sums(
         np.bincount(disk_of[row], minlength=layout.num_disks).tolist()
         for row in rows
     ]
-    factor = [sum(weight[row].tolist()) for row in rows]
-    mass = [sum(prob[row].tolist()) for row in rows]
-    return counts, factor, mass, sum(prob.tolist())
+    factor = [add_in_order(weight[row]) for row in rows]
+    mass = [add_in_order(prob[row]) for row in rows]
+    return counts, factor, mass, add_in_order(prob)
 
 
 def objective(
@@ -258,12 +274,12 @@ def objective(
     prob = _page_probabilities(layout, probabilities)
     rows = [np.asarray(pages, dtype=np.int64) for pages in channels]
     counts, factor, mass, total = _channel_sums(layout, rows, prob)
-    delay = sum(
+    delay = add_in_order([
         _period_of_counts(layout, row) * s for row, s in zip(counts, factor)
-    )
+    ])
     if total <= 0.0 or retune_cost == 0.0:
         return delay
-    stay = sum((q / total) ** 2 for q in mass)
+    stay = add_in_order([(q / total) ** 2 for q in mass])
     return delay + retune_cost * (1.0 - stay)
 
 
@@ -325,12 +341,20 @@ def _refine_split(
                     period_s * fs + period_t * ft
                 )
                 if retune:
-                    before = retune_cost * (1.0 - sum(shares))
+                    # The shares add in order, as in add_in_order; a
+                    # loop over C floats is cheaper than a call here.
+                    stay = 0.0
+                    for share in shares:
+                        stay += share
+                    before = retune_cost * (1.0 - stay)
                     ms = mass[source] - p
                     mt = mass[target] + p
                     shares[source] = (ms / total) ** 2
                     shares[target] = (mt / total) ** 2
-                    after = retune_cost * (1.0 - sum(shares))
+                    stay = 0.0
+                    for share in shares:
+                        stay += share
+                    after = retune_cost * (1.0 - stay)
                     mass[source] = ms = ms + p
                     mass[target] = mt = mt - p
                     shares[source] = (ms / total) ** 2

@@ -20,18 +20,22 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.core.schedule import BroadcastSchedule
 from repro.errors import ConfigurationError
+from repro.server.channel import BroadcastChannel
 from repro.sim.kernel import Event, Simulator
 from repro.sim.stats import TimeWeightedStat
 
 
-class HybridChannel:
+class HybridChannel(BroadcastChannel):
     """Push program + pull queue sharing one broadcast channel.
 
-    Its server-facing methods are a plain channel's, so a
+    A :class:`~repro.server.channel.BroadcastChannel` whose push
+    program airs on the stretched timeline: push waiters
+    (:meth:`~repro.server.channel.BroadcastChannel.wait_for`) and the
+    server's demand event are the plain channel's, so a
     :class:`~repro.server.server.BroadcastServer` drives it.
     """
 
@@ -46,17 +50,11 @@ class HybridChannel:
                 f"pull_spacing must be >= 2 (k-th slot reserved), "
                 f"got {pull_spacing}"
             )
-        self.sim = sim
-        self.schedule = schedule
+        super().__init__(sim, schedule)
         self.pull_spacing = pull_spacing
         # Pull queue: (physical_page, waiter event).
         self._pull_queue: Deque[Tuple[int, Event]] = deque()
-        # Push waiters: (due_time, page) -> events (same shape as the
-        # plain BroadcastChannel).
-        self._push_waiters: Dict[Tuple[float, int], List[Event]] = {}
-        self._demand_event: Optional[Event] = None
         self.pull_slots_used = 0
-        self.pull_slots_wasted = 0
         #: Time-weighted pull-queue length (a load/utilisation measure).
         self.queue_stat = TimeWeightedStat(start_time=sim.now)
 
@@ -66,11 +64,11 @@ class HybridChannel:
         k = self.pull_spacing
         return push_slot + push_slot // (k - 1)
 
-    def next_push_arrival(self, physical_page: int, time: float) -> float:
+    def next_arrival(self, physical_page: int, time: float) -> float:
         """Completion instant of the page's next *push* transmission.
 
         Analogue of :meth:`BroadcastSchedule.next_arrival` on the
-        stretched timeline.
+        stretched timeline; the due time of every push waiter.
         """
         schedule = self.schedule
         occurrences = schedule.occurrences(physical_page)
@@ -111,14 +109,6 @@ class HybridChannel:
         return float(first + queue_position * k)
 
     # -- client-facing API ---------------------------------------------------
-    def wait_for_push(self, physical_page: int) -> Event:
-        """Event firing at the page's next push completion."""
-        due = self.next_push_arrival(physical_page, self.sim.now)
-        event = self.sim.event()
-        self._push_waiters.setdefault((due, physical_page), []).append(event)
-        self._signal_demand()
-        return event
-
     def request_pull(self, physical_page: int) -> Event:
         """Queue a pull; the event fires when the server airs the page."""
         event = self.sim.event()
@@ -126,6 +116,10 @@ class HybridChannel:
         self.queue_stat.record(self.sim.now, len(self._pull_queue))
         self._signal_demand()
         return event
+
+    def snoop(self, callback) -> None:
+        """Refused: deliveries here reach only waiters and the pull queue."""
+        raise ConfigurationError("a hybrid channel does not serve snoopers")
 
     @property
     def pull_queue_length(self) -> int:
@@ -135,16 +129,15 @@ class HybridChannel:
     # -- server-facing API -----------------------------------------------------
     def has_demand(self) -> bool:
         """True while any waiter or queued pull needs service."""
-        return bool(self._push_waiters) or bool(self._pull_queue)
+        return super().has_demand() or bool(self._pull_queue)
 
     def next_interesting_time(self, now: float) -> Optional[float]:
         """Earliest instant at which a delivery matters."""
-        candidates = []
-        if self._push_waiters:
-            candidates.append(min(due for due, _page in self._push_waiters))
-        if self._pull_queue:
-            candidates.append(self.next_pull_slot_completion(now, 0))
-        return min(candidates) if candidates else None
+        push = super().next_interesting_time(now)
+        if not self._pull_queue:
+            return push
+        pull = self.next_pull_slot_completion(now, 0)
+        return pull if push is None else min(push, pull)
 
     def deliver_at(self, now: float) -> None:
         """Fire whatever completes at instant ``now``."""
@@ -158,22 +151,13 @@ class HybridChannel:
             # A pulled page is on the air: opportunistically satisfy any
             # push waiters for the same page (they would only have
             # waited longer).
-            for (due, waited_page) in list(self._push_waiters):
-                if waited_page == page:
-                    for waiter in self._push_waiters.pop((due, waited_page)):
-                        waiter.succeed(now)
-        # Push deliveries at this instant.
-        for key in [key for key in self._push_waiters if key[0] == now]:
-            _due, _page = key
-            for waiter in self._push_waiters.pop(key):
-                waiter.succeed(now)
-
-    def demand_event(self) -> Event:
-        """Event the server parks on while idle."""
-        if self._demand_event is None or self._demand_event.triggered:
-            self._demand_event = self.sim.event()
-        return self._demand_event
-
-    def _signal_demand(self) -> None:
-        if self._demand_event is not None and not self._demand_event.triggered:
-            self._demand_event.succeed()
+            for key in [key for key in self._waiters if key[1] == page]:
+                for waiter in self._waiters.pop(key):
+                    waiter.succeed(now)
+        # Push deliveries at this instant: real slot r = now - 1 carries
+        # push slot r - (r + 1) // k (see the module docstring); no push
+        # waiter is due at a pull slot's completion.
+        real = int(now) - 1
+        page = self.schedule.page_at(real - (real + 1) // k)
+        for waiter in self._waiters.pop((now, page), ()):
+            waiter.succeed(now)

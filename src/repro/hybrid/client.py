@@ -15,37 +15,36 @@ bounded by the upstream and pull-slot capacity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from repro.cache.base import CacheCounters, CachePolicy
+from dataclasses import dataclass
+
+from repro.cache.base import CachePolicy
+from repro.client.client import Client, ClientReport
 from repro.core.disks import DiskLayout
 from repro.errors import ConfigurationError
 from repro.hybrid.channel import HybridChannel
 from repro.sim.kernel import Simulator
-from repro.sim.process import AnyOf, Process
+from repro.sim.process import AnyOf
 from repro.sim.resources import Resource
-from repro.sim.stats import RunningStats
 from repro.workload.mapping import LogicalPhysicalMapping
 from repro.workload.trace import RequestTrace
 
 
 @dataclass
-class HybridReport:
+class HybridReport(ClientReport):
     """Measurements from one hybrid client."""
 
-    response: RunningStats = field(default_factory=RunningStats)
-    counters: CacheCounters = field(default_factory=CacheCounters)
     pulls_sent: int = 0
-    pulls_won: int = 0  # miss resolved by the pulled copy, not the push
-    warmup_requests: int = 0
-
-    @property
-    def mean_response_time(self) -> float:
-        """Mean measured response time in broadcast units."""
-        return self.response.mean
+    pulls_won: int = 0  # measured miss delivered by the client's own pull
 
 
-class HybridClient:
-    """A cache-equipped client with an optional upstream pull path."""
+class HybridClient(Client):
+    """A cache-equipped client with an optional upstream pull path.
+
+    The process engine's :class:`~repro.client.client.Client` request
+    loop with its miss step replaced by the push-wait-or-pull race.
+    """
+
+    report_type = HybridReport
 
     def __init__(
         self,
@@ -70,74 +69,39 @@ class HybridClient:
             raise ConfigurationError(
                 f"upstream_latency must be >= 0, got {upstream_latency}"
             )
-        self.sim = sim
-        self.channel = channel
-        self.mapping = mapping
-        self.layout = layout
-        self.cache = cache
-        self.trace = trace
         self.upstream = upstream
-        self.think_time = think_time
         self.pull_threshold = pull_threshold
         self.upstream_latency = upstream_latency
-        self.warmup_requests = warmup_requests
-        self.name = name
-        self.report = HybridReport()
-        self.process: Process = sim.process(self._run())
+        super().__init__(
+            sim, channel, mapping, layout, cache, trace, think_time,
+            warmup_requests=warmup_requests, name=name,
+        )
 
-    def _run(self):
+    def _fetch(self, page, physical: int, measuring: bool, tracer):
+        """Wait for the push, or race a pull when the wait is too long."""
         sim = self.sim
-        channel = self.channel
-        cache = self.cache
-        report = self.report
-
-        for index in range(len(self.trace)):
-            page = self.trace[index]
-            yield sim.timeout(self.think_time)
-            measuring = index >= self.warmup_requests
-            if not measuring:
-                report.warmup_requests += 1
-
-            if cache.lookup(page, sim.now):
-                if measuring:
-                    report.response.add(0.0)
-                    report.counters.record_hit()
-                continue
-
-            physical = self.mapping.to_physical(page)
-            issued = sim.now
-            push_wait = channel.next_push_arrival(physical, sim.now) - sim.now
-
-            if push_wait > self.pull_threshold and not math.isinf(
-                self.pull_threshold
-            ):
-                delivery = yield from self._pull_race(physical)
-                pulled = True
-            else:
-                yield channel.wait_for_push(physical)
-                delivery = sim.now
-                pulled = False
-
-            wait = delivery - issued
-            if page not in cache:
-                cache.admit(page, sim.now)
-            if measuring:
-                report.response.add(wait)
-                report.counters.record_miss(self.layout.disk_of_page(physical))
-                if pulled:
-                    report.pulls_won += 1
-
-        return report
+        threshold = self.pull_threshold
+        push_wait = self.channel.next_arrival(physical, sim.now) - sim.now
+        if push_wait > threshold and not math.isinf(threshold):
+            pulled = yield from self._pull_race(physical)
+            if pulled and measuring:
+                self.report.pulls_won += 1
+        else:
+            yield self.channel.wait_for(physical)
 
     def _pull_race(self, physical: int):
-        """Send a pull upstream; resolve at the first delivery of the page."""
+        """Send a pull upstream; resolve at the first delivery of the page.
+
+        Returns True when the client's own pull delivered the page: a
+        push completion, or another client's pull of the same page,
+        may come first.
+        """
         sim = self.sim
         channel = self.channel
-        report = self.report
 
         # The push path is armed immediately (the broadcast keeps going
         # while we fight for the upstream link).
-        push_event = channel.wait_for_push(physical)
+        push_event = channel.wait_for(physical)
 
         # Acquire the low-bandwidth upstream and spend the send latency.
         grant = self.upstream.request()
@@ -146,11 +110,11 @@ class HybridClient:
             # The push beat even our upstream access; abandon the pull.
             if grant.processed or not self.upstream.cancel(grant):
                 self.upstream.release()
-            return sim.now
+            return False
         yield sim.timeout(self.upstream_latency)
         self.upstream.release()
-        report.pulls_sent += 1
+        self.report.pulls_sent += 1
         pull_event = channel.request_pull(physical)
 
         yield AnyOf(sim, [push_event, pull_event])
-        return sim.now
+        return pull_event.triggered

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
+from repro.core.channels import add_in_order
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.hybrid.channel import HybridChannel
@@ -114,19 +115,22 @@ def hybrid_population_study(
             **{k: v for k, v in scenario.items() if k != "pull_spacing"},
         )
         dedicated_push.append(
-            sum(report.mean_response_time for report in pure) / population
+            add_in_order([report.mean_response_time for report in pure])
+            / population
         )
         mute = run_hybrid_population(
             population, pull_threshold=math.inf, seed=seed, **scenario
         )
         push_only.append(
-            sum(report.mean_response_time for report in mute) / population
+            add_in_order([report.mean_response_time for report in mute])
+            / population
         )
         talk = run_hybrid_population(
             population, pull_threshold=pull_threshold, seed=seed, **scenario
         )
         hybrid.append(
-            sum(report.mean_response_time for report in talk) / population
+            add_in_order([report.mean_response_time for report in talk])
+            / population
         )
         pulls_per_client.append(
             sum(report.pulls_sent for report in talk) / population

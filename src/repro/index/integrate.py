@@ -21,12 +21,11 @@ lower access latency than the indexed flat broadcast at the same
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.core.schedule import BroadcastSchedule
 from repro.errors import ConfigurationError
-from repro.index.onem import DATA, INDEX, Bucket, IndexedBroadcast
-from repro.index.tree import DispatchTree, TreeNode
+from repro.index.onem import IndexedBroadcast, interleave_index
 
 
 def index_schedule(
@@ -45,93 +44,4 @@ def index_schedule(
             f"cannot interleave {m} index copies with {len(data_slots)} "
             "data slots"
         )
-    keys = sorted(set(data_slots))
-    tree = DispatchTree(keys, fanout)
-    nodes = tree.nodes_in_broadcast_order()
-    node_number = {id(node): index for index, node in enumerate(nodes)}
-    index_size = len(nodes)
-
-    # ------------------------------------------------------------------
-    # Pass 1: layout.  Split the data sequence into m nearly-even runs,
-    # each preceded by a full index copy.
-    # ------------------------------------------------------------------
-    run_length = -(-len(data_slots) // m)
-    layout: List[Tuple[str, object]] = []
-    node_positions_per_segment: List[dict] = []
-    root_positions: List[int] = []
-    for segment in range(m):
-        root_positions.append(len(layout))
-        positions = {}
-        for node_index, _node in enumerate(nodes):
-            positions[node_index] = len(layout)
-            layout.append((INDEX, node_index))
-        node_positions_per_segment.append(positions)
-        for page in data_slots[segment * run_length : (segment + 1) * run_length]:
-            layout.append((DATA, page))
-    cycle = len(layout)
-
-    # Occurrence positions of each key in the combined cycle (sorted).
-    occurrences: dict = {key: [] for key in keys}
-    for position, (kind, payload) in enumerate(layout):
-        if kind == DATA:
-            occurrences[payload].append(position)
-
-    def next_occurrence_offset(source: int, key: int) -> int:
-        """Forward distance from ``source`` to the key's next data bucket."""
-        slots = occurrences[key]
-        for position in slots:
-            if position > source:
-                return position - source
-        return slots[0] + cycle - source  # wrap
-
-    # ------------------------------------------------------------------
-    # Pass 2: resolve pointers.
-    # ------------------------------------------------------------------
-    buckets: List[Bucket] = []
-    segment = -1
-    for position, (kind, payload) in enumerate(layout):
-        if position in root_positions:
-            segment += 1
-        next_root = min(
-            root for root in root_positions + [root_positions[0] + cycle]
-            if root > position
-        )
-        next_index_offset = next_root - position
-        if kind == DATA:
-            buckets.append(
-                Bucket(
-                    kind=DATA,
-                    key=payload,  # type: ignore[arg-type]
-                    next_index_offset=next_index_offset,
-                )
-            )
-            continue
-        node: TreeNode = nodes[payload]  # type: ignore[index]
-        entries = []
-        for child_position, (low, high) in enumerate(zip(node.lows, node.highs)):
-            child = node.children[child_position]
-            if isinstance(child, TreeNode):
-                target = node_positions_per_segment[segment][
-                    node_number[id(child)]
-                ]
-                offset = (target - position) % cycle
-            else:
-                key = tree.keys[child]
-                offset = next_occurrence_offset(position, key)
-            entries.append((low, high, offset))
-        buckets.append(
-            Bucket(
-                kind=INDEX,
-                next_index_offset=next_index_offset,
-                entries=entries,
-            )
-        )
-
-    return IndexedBroadcast(
-        buckets=buckets,
-        keys=keys,
-        m=m,
-        fanout=fanout,
-        index_size=index_size,
-        tree_depth=tree.depth,
-    )
+    return interleave_index(data_slots, sorted(set(data_slots)), m, fanout)

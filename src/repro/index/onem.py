@@ -14,6 +14,7 @@ cycle, when the data segment already passed).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -125,73 +126,94 @@ def build_one_m_broadcast(
         raise ConfigurationError(
             f"cannot split {len(keys)} data buckets into {m} segments"
         )
+    return interleave_index(keys, keys, m, fanout)
+
+
+def interleave_index(
+    data: Sequence[int],
+    keys: Sequence[int],
+    m: int,
+    fanout: int,
+) -> IndexedBroadcast:
+    """Interleave ``m`` full index copies with the data-slot sequence ``data``.
+
+    ``data`` is the cycle's data in broadcast order, where a key may
+    recur; ``keys`` are its distinct keys, strictly increasing, which
+    the dispatch tree indexes.  Bottom-level entries point at the key's
+    *next occurrence* after the index bucket: when every key airs once
+    (:func:`build_one_m_broadcast`) that is its one data bucket, and on
+    a multidisk program (:func:`repro.index.integrate.index_schedule`)
+    a hot key's pointers shrink with its spacing.  Callers validate
+    ``m`` against ``len(data)``.
+    """
     tree = DispatchTree(keys, fanout)
     nodes = tree.nodes_in_broadcast_order()
+    node_number = {id(node): index for index, node in enumerate(nodes)}
     index_size = len(nodes)
 
     # ------------------------------------------------------------------
-    # Pass 1: lay out bucket kinds and remember positions.
+    # Pass 1: layout.  Split the data sequence into m nearly-even runs,
+    # each preceded by a full index copy.
     # ------------------------------------------------------------------
-    segment_size = -(-len(keys) // m)  # ceil division
-    layout: List[Tuple[str, object]] = []  # (kind, node | key)
-    node_positions_per_segment: List[Dict[int, int]] = []
-    data_positions: Dict[int, int] = {}
+    run_length = -(-len(data) // m)  # ceil division
+    layout: List[Tuple[str, int]] = []  # (kind, node index | key)
     root_positions: List[int] = []
+    # Occurrence positions of each key in the combined cycle (sorted).
+    occurrences: Dict[int, List[int]] = {key: [] for key in keys}
     for segment in range(m):
         root_positions.append(len(layout))
-        positions: Dict[int, int] = {}
-        for node_index, node in enumerate(nodes):
-            positions[node_index] = len(layout)
-            layout.append((INDEX, node))
-        node_positions_per_segment.append(positions)
-        for key in keys[segment * segment_size : (segment + 1) * segment_size]:
-            data_positions[key] = len(layout)
+        layout.extend((INDEX, node_index) for node_index in range(index_size))
+        for key in data[segment * run_length : (segment + 1) * run_length]:
+            occurrences[key].append(len(layout))
             layout.append((DATA, key))
     cycle = len(layout)
 
+    def next_occurrence_offset(source: int, key: int) -> int:
+        """Forward distance from ``source`` to the key's next data bucket."""
+        slots = occurrences[key]
+        later = bisect_right(slots, source)
+        if later < len(slots):
+            return slots[later] - source
+        return slots[0] + cycle - source  # wrap
+
     # ------------------------------------------------------------------
-    # Pass 2: resolve offsets.
+    # Pass 2: resolve pointers, segment by segment: a segment's index
+    # copy starts at its root, and every bucket up to the next root
+    # points there.
     # ------------------------------------------------------------------
-    node_number = {id(node): index for index, node in enumerate(nodes)}
     buckets: List[Bucket] = []
-    segment = -1
-    for position, (kind, payload) in enumerate(layout):
-        if position in root_positions:
-            segment += 1
-        next_root = min(
-            (root for root in root_positions + [root_positions[0] + cycle]
-             if root > position),
-        )
-        next_index_offset = next_root - position
-        if kind == DATA:
+    for root, next_root in zip(root_positions, root_positions[1:] + [cycle]):
+        for position in range(root, next_root):
+            kind, payload = layout[position]
+            next_index_offset = next_root - position
+            if kind == DATA:
+                buckets.append(
+                    Bucket(
+                        kind=DATA,
+                        key=payload,
+                        next_index_offset=next_index_offset,
+                    )
+                )
+                continue
+            node: TreeNode = nodes[payload]
+            entries: List[Tuple[int, int, int]] = []
+            for child_position, (low, high) in enumerate(
+                zip(node.lows, node.highs)
+            ):
+                child = node.children[child_position]
+                if isinstance(child, TreeNode):
+                    target = root + node_number[id(child)]
+                    offset = _forward_distance(position, target, cycle)
+                else:
+                    offset = next_occurrence_offset(position, tree.keys[child])
+                entries.append((low, high, offset))
             buckets.append(
                 Bucket(
-                    kind=DATA,
-                    key=payload,  # type: ignore[arg-type]
+                    kind=INDEX,
                     next_index_offset=next_index_offset,
+                    entries=entries,
                 )
             )
-            continue
-        node: TreeNode = payload  # type: ignore[assignment]
-        entries: List[Tuple[int, int, int]] = []
-        for child_position, (low, high) in enumerate(zip(node.lows, node.highs)):
-            child = node.children[child_position]
-            if isinstance(child, TreeNode):
-                target = node_positions_per_segment[segment][
-                    node_number[id(child)]
-                ]
-            else:
-                target = data_positions[tree.keys[child]]
-            entries.append(
-                (low, high, _forward_distance(position, target, cycle))
-            )
-        buckets.append(
-            Bucket(
-                kind=INDEX,
-                next_index_offset=next_index_offset,
-                entries=entries,
-            )
-        )
 
     return IndexedBroadcast(
         buckets=buckets,

@@ -67,7 +67,7 @@ class BroadcastChannel:
         cannot hear this channel until its tuner has settled.
         """
         start = self.sim.now if not_before is None else not_before
-        due = self.schedule.next_arrival(physical_page, start)
+        due = self.next_arrival(physical_page, start)
         event = self.sim.event()
         key = (due, physical_page)
         pending = self._waiters.get(key)
@@ -78,6 +78,15 @@ class BroadcastChannel:
             pending.append(event)
         self._signal_demand()
         return event
+
+    def next_arrival(self, physical_page: int, time: float) -> float:
+        """Completion instant of the page's next transmission after ``time``.
+
+        The due-time arithmetic behind :meth:`wait_for`: the schedule's
+        own.  A channel that airs the program on another timeline (the
+        hybrid push/pull channel) overrides it.
+        """
+        return self.schedule.next_arrival(physical_page, time)
 
     def snoop(self, callback: Callable[[float, int], None]) -> None:
         """Invoke ``callback(time, physical_page)`` for every completion."""

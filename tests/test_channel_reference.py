@@ -11,9 +11,13 @@ channels.  ``scripts/multichannel_smoke.py`` holds every preset case to
 :func:`reference_assign_channels` as well.
 """
 
+import builtins
 import math
+import operator
+from functools import reduce
 from typing import List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,15 @@ from repro.workload.zipf import ZipfRegionDistribution
 
 _REFINE_CANDIDATES = 128
 _REFINE_ROUNDS = 64
+
+
+def add_in_order(values) -> float:
+    """Left-to-right float addition: the builtin ``sum`` up to Python 3.11.
+
+    The climb has always added its sums this way; 3.12's compensated
+    ``sum`` rounds differently and would move the ties.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 def _page_freqs(layout: DiskLayout) -> List[int]:
@@ -92,7 +105,7 @@ class _RefineState:
         self.retune_cost = retune_cost
         self.freqs = _page_freqs(layout)
         self.prob = [probabilities.get(page, 0.0) for page in range(layout.total_pages)]
-        self.total_mass = sum(self.prob)
+        self.total_mass = add_in_order(self.prob)
         self.channel_of = {}
         self.counts: List[List[int]] = []
         self.sizes: List[int] = []
@@ -101,10 +114,10 @@ class _RefineState:
         for index, pages in enumerate(channels):
             self.counts.append(_counts_per_disk(layout, pages))
             self.sizes.append(len(pages))
-            self.delay_factor.append(
-                sum(self.prob[p] / (2.0 * self.freqs[p]) for p in pages)
-            )
-            self.mass.append(sum(self.prob[p] for p in pages))
+            self.delay_factor.append(add_in_order(
+                self.prob[p] / (2.0 * self.freqs[p]) for p in pages
+            ))
+            self.mass.append(add_in_order(self.prob[p] for p in pages))
             for page in pages:
                 self.channel_of[page] = index
 
@@ -115,12 +128,12 @@ class _RefineState:
     def _retune_term(self) -> float:
         if self.total_mass <= 0.0 or self.retune_cost == 0.0:
             return 0.0
-        stay = sum((q / self.total_mass) ** 2 for q in self.mass)
+        stay = add_in_order((q / self.total_mass) ** 2 for q in self.mass)
         return self.retune_cost * (1.0 - stay)
 
     def objective(self) -> float:
         return (
-            sum(self._delay_term(c) for c in range(len(self.counts)))
+            add_in_order(self._delay_term(c) for c in range(len(self.counts)))
             + self._retune_term()
         )
 
@@ -237,6 +250,95 @@ def test_tie_cases_match_the_reference(preset, delta, retune_cost):
         layout, 4, probabilities=estimate, retune_cost=retune_cost
     )
     assert assigned.channels == expected
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` of Python 3.12, for running it on any version.
+
+    As in CPython 3.12: ints add exactly while every item is an ``int``;
+    from the first ``float`` on, ``float`` items add Neumaier-compensated
+    and ints that fit a C long add plainly; the first item of any other
+    type (a NumPy scalar, say) folds the compensation in, and everything
+    from it on adds plainly.  It never calls the builtin ``sum``, so a
+    test can install it as ``builtins.sum``.
+    """
+    items = iter(values)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(item) not in (int, bool):
+                break
+    if type(total) is float:
+        compensation = 0.0
+        for item in items:
+            if isinstance(item, int) and -2**63 <= item < 2**63:
+                total = total + item
+                continue
+            if type(item) is float:
+                added = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - added) + item
+                else:
+                    compensation += (item - added) + total
+                total = added
+                continue
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            compensation = 0.0
+            total = total + item
+            break
+        if compensation and math.isfinite(compensation):
+            total += compensation
+    for item in items:
+        total = total + item
+    return total
+
+
+def test_compensated_sum_rounds_differently():
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert add_in_order([0.1] * 10) == 0.9999999999999999
+    assert compensated_sum([3, 4], 5) == 12
+    # A NumPy scalar leaves the compensated loop, as in CPython 3.12.
+    assert compensated_sum([np.float64(0.1)] * 10) == 0.9999999999999999
+    assert compensated_sum([[1], [2]], []) == [1, 2]
+
+
+#: The tie cases at C=4, and the D5 programs at C=2 and C=4 that the
+#: multi-channel study and the cache-less fleet benchmark run.
+SUM_CASES = [
+    (preset, delta, 4, retune_cost)
+    for preset, delta, retune_cost in TIE_CASES
+] + [
+    ("D5", delta, channels, 1.0)
+    for channels in (2, 4)
+    for delta in range(8)
+    if ("D5", delta, 1.0) not in TIE_CASES or channels == 2
+]
+
+
+@pytest.mark.parametrize("preset,delta,channels,retune_cost", SUM_CASES)
+def test_assignments_do_not_depend_on_the_builtin_sum(
+    preset, delta, channels, retune_cost, monkeypatch
+):
+    """Python 3.12's compensated ``sum`` as the builtin changes nothing."""
+    layout = DiskLayout.from_delta(DISK_PRESETS[preset], delta)
+    estimate = server_estimate(layout)
+
+    def assignments():
+        return (
+            assign_channels(
+                layout, channels,
+                probabilities=estimate, retune_cost=retune_cost,
+            ).channels,
+            reference_assign_channels(
+                layout, channels, estimate, retune_cost
+            ),
+        )
+
+    today = assignments()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert assignments() == today
 
 
 @st.composite

@@ -47,14 +47,14 @@ class TestTimeArithmetic:
         # Push program ABCD; pull slots at real 3, 7, ...
         # Page 0 airs at push slot 0 -> real 0 (completion 1), next cycle
         # push slot 4 -> real 5 (completion 6).
-        assert channel.next_push_arrival(0, 0.0) == 1.0
-        assert channel.next_push_arrival(0, 1.0) == 6.0
+        assert channel.next_arrival(0, 0.0) == 1.0
+        assert channel.next_arrival(0, 1.0) == 6.0
 
     def test_next_push_arrival_strictly_after(self):
         _sim, _schedule, channel = make_channel(slots=4, pull_spacing=4)
-        arrival = channel.next_push_arrival(2, 0.0)
+        arrival = channel.next_arrival(2, 0.0)
         assert arrival > 0.0
-        later = channel.next_push_arrival(2, arrival)
+        later = channel.next_arrival(2, arrival)
         assert later > arrival
 
     def test_next_push_arrival_fractional_time(self):
@@ -63,9 +63,9 @@ class TestTimeArithmetic:
         # as BroadcastSchedule.next_arrival: a request mid-transmission
         # (t=1.5) still catches the completion at 2.0; a request exactly
         # at the completion has missed it.
-        assert channel.next_push_arrival(1, 0.5) == 2.0
-        assert channel.next_push_arrival(1, 1.5) == 2.0
-        assert channel.next_push_arrival(1, 2.0) > 2.0
+        assert channel.next_arrival(1, 0.5) == 2.0
+        assert channel.next_arrival(1, 1.5) == 2.0
+        assert channel.next_arrival(1, 2.0) > 2.0
 
     def test_next_pull_slot_completion(self):
         _sim, _schedule, channel = make_channel(pull_spacing=4)
@@ -97,7 +97,7 @@ class TestPullDelivery:
 
     def test_pull_satisfies_push_waiters_of_same_page(self):
         sim, _schedule, channel = make_channel(slots=8, pull_spacing=4)
-        push_wait = channel.wait_for_push(6)
+        push_wait = channel.wait_for(6)
         pull = channel.request_pull(6)
         sim.run(until=6.0)
         # Page 6's push completion would be later; the pulled copy at
@@ -106,15 +106,23 @@ class TestPullDelivery:
         assert push_wait.processed
         assert push_wait.value == 4.0
 
+    def test_snoopers_are_refused(self):
+        _sim, _schedule, channel = make_channel()
+        with pytest.raises(ConfigurationError):
+            channel.snoop(lambda _time, _page: None)
+        with pytest.raises(ConfigurationError):
+            channel.observe_every_slot()
+
     def test_push_waiter_on_hybrid_channel(self):
         sim, _schedule, channel = make_channel(slots=8, pull_spacing=4)
-        event = channel.wait_for_push(0)
+        event = channel.wait_for(0)
         sim.run_until_event(event)
         assert sim.now == 1.0
 
 
 class TestHybridClient:
-    def build(self, pull_threshold, trace, slots=16, pull_spacing=4):
+    def build(self, pull_threshold, trace, slots=16, pull_spacing=4,
+              upstream_latency=1.0):
         sim = Simulator()
         layout = DiskLayout.flat(slots)
         schedule = flat_program(slots)
@@ -131,7 +139,7 @@ class TestHybridClient:
             upstream=upstream,
             think_time=1.0,
             pull_threshold=pull_threshold,
-            upstream_latency=1.0,
+            upstream_latency=upstream_latency,
         )
         sim.run_until_event(client.process)
         return client.report
@@ -152,6 +160,53 @@ class TestHybridClient:
     def test_threshold_validation(self):
         with pytest.raises(ConfigurationError):
             self.build(-1.0, [1])
+
+    def test_push_completion_wins_the_race(self):
+        # At t=1 page 1's push completes at 2.0; the pull, queued at
+        # once, would air in the pull slot completing at 4.0.
+        report = self.build(0.0, [1], upstream_latency=0.0)
+        assert report.pulls_sent == 1
+        assert report.pulls_won == 0
+        assert report.mean_response_time == 1.0
+
+    def test_own_pull_wins_the_race(self):
+        # Page 15 is pushed in real slot 20 (completing at 21.0); the
+        # pull airs in the first pull slot, completing at 4.0.
+        report = self.build(0.0, [15], upstream_latency=0.0)
+        assert report.pulls_sent == 1
+        assert report.pulls_won == 1
+        assert report.mean_response_time == 3.0
+
+    def test_another_clients_pull_is_not_a_win(self):
+        # Both clients pull page 15 at t=1.  The first pull airs at 4.0
+        # and serves the second client's push wait too, before that
+        # client's own pull (still queued for 8.0) is on the air.
+        sim = Simulator()
+        layout = DiskLayout.flat(16)
+        channel = HybridChannel(sim, flat_program(16), pull_spacing=4)
+        BroadcastServer(sim, channel.schedule, channel)
+        upstream = Resource(sim, capacity=1)
+        clients = [
+            HybridClient(
+                sim=sim,
+                channel=channel,
+                mapping=LogicalPhysicalMapping(layout),
+                layout=layout,
+                cache=LRUPolicy(2, PolicyContext()),
+                trace=RequestTrace.from_pages([15]),
+                upstream=upstream,
+                think_time=1.0,
+                pull_threshold=0.0,
+                upstream_latency=0.0,
+            )
+            for _ in range(2)
+        ]
+        for client in clients:
+            sim.run_until_event(client.process)
+        first, second = (client.report for client in clients)
+        assert (first.pulls_sent, second.pulls_sent) == (1, 1)
+        assert (first.pulls_won, second.pulls_won) == (1, 0)
+        assert first.mean_response_time == second.mean_response_time == 3.0
 
     def test_cache_hits_cost_nothing(self):
         report = self.build(math.inf, [3, 3, 3])
@@ -212,7 +267,7 @@ class TestTimelineProperties:
         schedule = flat_program(pages)
         channel = HybridChannel(sim, schedule, pull_spacing=spacing)
         page = pages - 1
-        arrival = channel.next_push_arrival(page, time)
+        arrival = channel.next_arrival(page, time)
         assert arrival > time
         # The completing real slot must be a push slot carrying the page.
         real_slot = int(arrival) - 1
