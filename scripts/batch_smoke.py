@@ -1,7 +1,7 @@
 """CI smoke run for the columnar batch engine.
 
 Seven gates, one per contract the engine and its per-client set-up make
-(``src/repro/batch/fleet.py``):
+(``src/repro/exec/run.py::run_columnar``):
 
 * **Exactness** — a single-client ``--engine batch`` plan must be
   byte-identical to ``fast`` across channel counts C ∈ {1, 2, 4}:
@@ -16,9 +16,12 @@ Seven gates, one per contract the engine and its per-client set-up make
   speedup is printed, not gated.
 * **Column exactness** — a rollup can hide a wrong per-disk count or
   clock, so the ``fleet`` benchmark's bucket pair at CI scale (LIX/PIX,
-  D5, CacheSize = Offset = 100, Noise 30%) must give, column by column,
+  D5, CacheSize = Offset = 100, Noise 30%), run through
+  :func:`~repro.exec.run.run_columnar`, must give, column by column,
   each client's ``FastEngine`` outcome: Welford internals, hits,
-  misses, per-disk misses, warm-up count, final clock and retunes.  A
+  misses, per-disk misses, warm-up count, final clock and retunes.
+  Each client's one-client ``batch`` plan, which takes the same
+  columnar entry, must equal its ``fast`` plan's exact result state.  A
   column on Figure 2's skewed program ``A A B C``, which has no closed
   form, must do the same through ``next_arrival_batch``.
 * **Invariants** — a strict :class:`~repro.obs.monitor.MonitorSuite`
@@ -59,15 +62,20 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.batch.engine import ColumnarEngine
-from repro.batch.fleet import _run_group_columnar, run_fleet
+from repro.batch.fleet import run_fleet
 from repro.cache.base import PolicyContext
 from repro.cache.batched import BatchedOracles, make_batched_policy
 from repro.cache.registry import make_policy
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastSchedule
 from repro.exec.build import BuildCache
-from repro.exec.plan import derive_seed
-from repro.exec.run import _warmup_trace_allowance
+from repro.exec.plan import RunPlan, derive_seed
+from repro.exec.run import (
+    _warmup_trace_allowance,
+    execute_plan,
+    result_state,
+    run_columnar,
+)
 from repro.experiments.engine import FastEngine
 from repro.experiments.config import DISK_PRESETS, ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -301,6 +309,14 @@ def irregular_columns_match() -> bool:
     )
 
 
+def plan_state(config, engine: str) -> dict:
+    """The exact result of ``config``'s one-client plan on ``engine``,
+    wall clock removed."""
+    state = result_state(execute_plan(RunPlan(config, engine=engine)))
+    state.pop("wall_seconds")
+    return state
+
+
 def gate_columns(failures: list) -> None:
     print(f"{COLUMN_CLIENTS}-client LIX/PIX bucket pair at CacheSize "
           f"{COLUMN_SIZE}, column by column (batch vs fast):")
@@ -308,18 +324,29 @@ def gate_columns(failures: list) -> None:
     builds = BuildCache()
     for segment, indices in spec.segment_ranges():
         for config, clients in client_groups(spec, segment, indices):
-            outcome, _, _ = _run_group_columnar(spec, clients, config,
-                                                builds)
+            # The fleet's bucket and a one-client batch plan run through
+            # the same columnar entry.
+            outcome, _, _ = run_columnar(
+                config, [derive_seed(spec.seed, client) for client in clients],
+                builds,
+            )
+            configs = [client_config(spec, segment, client)
+                       for client in clients]
             equal = sum(
                 outcome_fields(outcome.to_engine_outcome(column))
-                == outcome_fields(fast_outcome(
-                    client_config(spec, segment, client), builds
-                ))
-                for column, client in enumerate(clients)
+                == outcome_fields(fast_outcome(client, builds))
+                for column, client in enumerate(configs)
             )
             check(equal == len(clients),
                   f"{config.policy}: {equal} of {len(clients)} columns "
                   "equal their fast runs", failures)
+            plans = sum(
+                plan_state(client, "batch") == plan_state(client, "fast")
+                for client in configs
+            )
+            check(plans == len(clients),
+                  f"{config.policy}: {plans} of {len(clients)} one-client "
+                  "batch plans equal their fast plans", failures)
     check(irregular_columns_match(),
           "skewed-program columns equal their fast runs "
           "(next_arrival_batch fallback)", failures)

@@ -10,16 +10,17 @@ Two layers:
 
 * :mod:`repro.batch.engine` — the general columnar engine.  For a
   single client it is *byte-identical* to the ``fast`` engine (same
-  Welford fold, same closed-form clock arithmetic, same trace records);
-  :func:`~repro.exec.run.execute_plan` runs it for ``batch`` plans, so
-  ``--engine batch`` works from every CLI.
+  Welford fold, same closed-form clock arithmetic, same trace records).
+  :func:`~repro.exec.run.run_columnar` is its one entry: a ``batch``
+  plan is a one-seed call, so ``--engine batch`` works from every CLI.
 * :mod:`repro.batch.fleet` — :func:`~repro.batch.fleet.run_fleet`:
   expands homogeneous population segments (and finite-support
-  sub-segment buckets) directly into columnar groups; continuous or
-  unbatchable segments fall back per-client.  Each client draws from
-  the :class:`~repro.sim.rng.RandomStreams` of its per-client run, and
-  every path is exact, so a batch fleet folds byte-identically to
-  ``run_population``, observed or not (see ``docs/PERFORMANCE.md``).
+  sub-segment buckets) into one ``run_columnar`` call per bucket, with
+  one seed per client; continuous or unbatchable segments fall back
+  per-client.  Each column draws its mapping and trace as its client's
+  plan does, and every path is exact, so a batch fleet folds
+  byte-identically to ``run_population``, observed or not (see
+  ``docs/PERFORMANCE.md``).
 """
 
 from repro.batch.fleet import run_fleet

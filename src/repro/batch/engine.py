@@ -48,10 +48,10 @@ import numpy as np
 
 from repro.cache.base import CacheCounters
 from repro.cache.batched import (
-    BATCHABLE_POLICIES,
     FREE,
     BatchedOracles,
     BatchedPolicy,
+    batchable_policy_name,
     make_batched_policy,
 )
 from repro.core.disks import DiskLayout, disk_index_array
@@ -67,12 +67,6 @@ __all__ = [
     "disk_index_array",
     "frequency_array",
 ]
-
-
-def batchable_policy_name(policy: str) -> Optional[str]:
-    """Normalised policy name if it has a columnar form, else ``None``."""
-    name = policy.strip().lower()
-    return name if name in BATCHABLE_POLICIES else None
 
 
 @dataclass
@@ -522,8 +516,6 @@ def build_columnar_engine(
     policy = make_batched_policy(
         name, num_clients, config.cache_size, oracles
     )
-    if policy is None:
-        return None
     channel_of = None
     num_channels = 1
     if hasattr(schedule, "channel_array") and schedule.num_channels > 1:

@@ -12,37 +12,31 @@ multi-channel programs included.  Every other client (a segment with
 a :class:`Uniform` field, an unbatchable policy such as LRU-K) runs as
 a per-client ``fast`` plan through :func:`~repro.exec.run.execute_plan`.
 
-A columnar bucket draws each client's trace from its own
-``RandomStreams(derive_seed(spec.seed, index))`` streams, those of its
-per-client run, and the engine arithmetic is byte-identical to
-``fast``.  So a column's result does not depend on which clients share
-its bucket, and the fleet's rollup, folded by the same
-:func:`~repro.population.run.finish_population` tail, *is* the
+A columnar bucket is one :func:`~repro.exec.run.run_columnar` call
+with each client's ``derive_seed(spec.seed, index)`` seed, the entry a
+one-client ``batch`` plan takes, and the engine arithmetic is
+byte-identical to ``fast``.  So a column's result does not depend on
+which clients share its bucket, and the fleet's rollup, folded by the
+same :func:`~repro.population.run.finish_population` tail, *is* the
 per-client fold modulo wall-clock fields.  Observers see the same path
 a bare run takes, and every traced record carries its ``client``
 label.  ``progress``, ``checkpoint`` and ``keep_results`` keep the
-executors' contract; whole per-client results are built only for them.
+executors' contract through their own
+:class:`~repro.exec.executor.InOrderResults`; whole per-client results
+are built only for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-import numpy as np
-
-from repro.batch.engine import batchable_policy_name, build_columnar_engine
+from repro.cache.batched import batchable_policy_name
 from repro.exec.build import BuildCache
 from repro.exec.checkpoint import SweepCheckpoint
-from repro.exec.executor import ProgressCallback
+from repro.exec.executor import InOrderResults, ProgressCallback
 from repro.exec.plan import RunPlan, derive_seed
-from repro.exec.run import (
-    _warmup_trace_allowance,
-    execute_plan,
-    experiment_result,
-    monitored_run,
-    require_measured,
-)
+from repro.exec.run import execute_plan, experiment_result, run_columnar
 from repro.obs.clock import perf_counter
 from repro.obs.trace import Tracer
 from repro.population.aggregate import DEFAULT_GAMMA
@@ -52,8 +46,6 @@ from repro.population.spec import (
     client_config,
     client_groups,
 )
-from repro.sim.rng import RandomStreams
-from repro.workload.mapping import LogicalPhysicalMapping
 
 __all__ = ["run_fleet"]
 
@@ -93,102 +85,6 @@ class _ClientLabel:
 
 
 # ---------------------------------------------------------------------------
-# The exact columnar group path
-# ---------------------------------------------------------------------------
-
-def _client_stream(spec, index: int, name: str):
-    """Client ``index``'s named stream, as its per-client run draws it."""
-    return RandomStreams(derive_seed(spec.seed, index)).stream(name)
-
-
-def _group_traces(spec, indices, config, total: int) -> np.ndarray:
-    """Per-client trace columns, drawn from the per-client streams.
-
-    Column ``c`` is byte-identical to the trace ``execute_plan`` would
-    draw for client ``indices[c]``'s config — that is what makes the
-    columnar path's results match ``run_population`` exactly.
-    """
-    pages = np.empty((total, len(indices)), dtype=np.int64)
-    distribution = config.build_distribution()
-    drift = config.build_drift(total) if config.drift_rotations else None
-    for column, index in enumerate(indices):
-        generator = _client_stream(spec, index, "requests")
-        if drift is not None:
-            pages[:, column] = drift.generate_trace(total, generator).pages
-        else:
-            pages[:, column] = distribution.sample(generator, total)
-    return pages
-
-
-def _group_physical(spec, indices, config, layout) -> np.ndarray:
-    """Logical→physical rows: shared when noise-free, per-client else.
-
-    Only the ``access_range`` columns a trace can request are kept.
-    """
-    access_range = config.access_range
-    if config.noise <= 0.0:
-        return config.build_mapping(layout).physical_array()[
-            None, :access_range
-        ]
-    scope = None if config.noise_over_full_database else access_range
-    physical = np.empty((len(indices), access_range), dtype=np.int64)
-    for column, index in enumerate(indices):
-        mapping = LogicalPhysicalMapping(
-            layout=layout,
-            offset=config.offset,
-            noise=config.noise,
-            rng=_client_stream(spec, index, "noise"),
-            noise_scope=scope,
-        )
-        physical[column] = mapping.physical_array()[:access_range]
-    return physical
-
-
-def _run_group_columnar(
-    spec, indices, config, builds, *, tracer=None, profile=None,
-    monitors=None,
-):
-    """Run one bucket through the exact columnar engine: its outcome,
-    and the schedule and layout it ran on."""
-    profiling = profile is not None and profile.enabled
-    if profiling:
-        profile.start_phase("build")
-    layout, schedule = builds.layout_and_schedule(config)
-    engine = build_columnar_engine(
-        config, schedule, layout,
-        _group_physical(spec, indices, config, layout), len(indices),
-    )
-    total = config.num_requests + _warmup_trace_allowance(config)
-    pages = _group_traces(spec, indices, config, total)
-
-    with monitored_run(config, schedule, tracer=tracer,
-                       monitors=monitors) as run_tracer:
-        labels = None
-        if run_tracer is not None and run_tracer.enabled:
-            labels = [f"{config.label}/client{client}" for client in indices]
-        if profiling:
-            profile.stop_phase("build")
-            profile.start_phase("run")
-        try:
-            outcome = engine.run(
-                pages,
-                warmup_requests=config.warmup_requests,
-                extra_warmup=config.extra_warmup,
-                tracer=run_tracer,
-                profile=profile,
-                client_labels=labels,
-            )
-        finally:
-            if profiling:
-                profile.stop_phase("run")
-        if profiling:
-            profile.count("requests.measured", int(outcome.count.sum()))
-            profile.count("requests.warmup", int(outcome.warmup_seen.sum()))
-    require_measured(config, bool(outcome.count.all()))
-    return outcome, schedule, layout
-
-
-# ---------------------------------------------------------------------------
 # The fleet entry point
 # ---------------------------------------------------------------------------
 
@@ -221,20 +117,7 @@ def run_fleet(
     # Layouts and schedules, shared by every bucket and per-client plan
     # of this run that broadcasts the same program.
     builds = BuildCache()
-    results: List[object] = [None] * spec.num_clients
-    reported = 0
-
-    def report(client: int, result, plan: Optional[RunPlan] = None):
-        """Book one client's result, journal it under ``plan`` when it
-        has just run, and report the completed prefix."""
-        nonlocal reported
-        results[client] = result
-        if checkpoint is not None and plan is not None:
-            checkpoint.record(plan, result)
-        while (progress is not None and reported < len(results)
-               and results[reported] is not None):
-            progress(reported + 1, len(results), results[reported])
-            reported += 1
+    book = InOrderResults(spec.num_clients, progress, checkpoint)
 
     for segment, indices in spec.segment_ranges():
         buckets = client_groups(spec, segment, indices)
@@ -250,18 +133,12 @@ def run_fleet(
                     for client in clients
                 }
             if checkpoint is not None:
-                pending = []
-                for client in clients:
-                    journalled = checkpoint.lookup(plans[client])
-                    if journalled is None:
-                        pending.append(client)
-                    else:
-                        report(client, journalled)
-                clients = pending
+                clients = [client for client in clients
+                           if not book.resume(client, plans[client])]
             if not batched:
                 for client in clients:
                     plan = plans[client]
-                    report(client, execute_plan(
+                    book.complete(client, execute_plan(
                         replace(plan, engine="fast"), builds=builds,
                         tracer=(Tracer(_ClientLabel(tracer, plan.config.label))
                                 if tracing else tracer),
@@ -270,22 +147,24 @@ def run_fleet(
                 continue
             if not clients:
                 continue
-            outcome, schedule, layout = _run_group_columnar(
-                spec, clients, config, builds,
+            outcome, schedule, layout = run_columnar(
+                config, [derive_seed(spec.seed, client) for client in clients],
+                builds,
+                labels=[f"{config.label}/client{client}" for client in clients],
                 tracer=tracer, profile=profile, monitors=monitors,
             )
             for column, client in enumerate(clients):
                 if not whole:
-                    results[client] = _FleetClientStats(outcome, column)
+                    book.complete(client, _FleetClientStats(outcome, column))
                     continue
                 plan = plans[client]
-                report(client, experiment_result(
+                book.complete(client, experiment_result(
                     plan.config, outcome.to_engine_outcome(column),
                     schedule, layout, wall_seconds=0.0,
                 ), plan)
 
     return finish_population(
-        spec, results, started=started, gamma=gamma, tracer=tracer,
+        spec, book.results, started=started, gamma=gamma, tracer=tracer,
         manifest=manifest, profile=profile, monitors=monitors,
         keep_results=keep_results,
     )

@@ -85,10 +85,6 @@ _STAMP_BITS = 32
 #: module's ``_MIN_GAP``).
 _MIN_GAP = 1e-9
 
-#: Policy names (registry-normalised) with a columnar formulation.
-BATCHABLE_POLICIES = frozenset({"lru", "p", "pix", "lix", "l"})
-
-
 def _gather(table: np.ndarray, rows: np.ndarray, pages: np.ndarray):
     """Index a per-client (N, R) or shared (1, R) oracle table."""
     if table.shape[0] == 1:
@@ -510,6 +506,12 @@ _BATCHED_FACTORIES = {
 }
 
 
+def batchable_policy_name(policy: str) -> Optional[str]:
+    """Normalised policy name if it has a columnar form, else ``None``."""
+    name = policy.strip().lower()
+    return name if name in _BATCHED_FACTORIES else None
+
+
 def make_batched_policy(
     name: str,
     num_clients: int,
@@ -518,9 +520,10 @@ def make_batched_policy(
 ) -> Optional[BatchedPolicy]:
     """A columnar policy for ``name``, or None when no batched form exists.
 
-    Callers treat ``None`` as "fall back to the scalar per-client path"
-    (LRU-K and 2Q keep history beyond residency, which has no columnar
-    formulation here).  Name normalisation matches the scalar registry.
+    Callers ask :func:`batchable_policy_name` first and run the scalar
+    per-client path for ``None`` (LRU-K and 2Q keep history beyond
+    residency, which has no columnar formulation here).  Name
+    normalisation matches the scalar registry.
     """
     factory = _BATCHED_FACTORIES.get(name.strip().lower())
     if factory is None:

@@ -38,11 +38,14 @@ import hashlib
 import json
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastSchedule
 from repro.experiments.config import ExperimentConfig
+from repro.sim.rng import RandomStreams
 from repro.workload.mapping import LogicalPhysicalMapping
-from repro.workload.trace import RequestTrace, generate_trace
+from repro.workload.trace import RequestTrace
 
 
 def structural_key(config: ExperimentConfig) -> Tuple:
@@ -84,21 +87,31 @@ def _trace_key(config: ExperimentConfig, num_requests: int) -> Tuple:
     )
 
 
-def _draw_trace(config: ExperimentConfig, num_requests: int) -> RequestTrace:
-    """The client's first ``num_requests`` requests, from the seed's
-    ``requests`` stream.
+def trace_source(config: ExperimentConfig, num_requests: int):
+    """What ``config``'s ``num_requests``-request traces sample: the
+    drift over those requests, or the static distribution."""
+    if config.drift_rotations:
+        return config.build_drift(num_requests)
+    return config.build_distribution()
 
-    A drifting workload rotates its hotspot over the ``num_requests``
-    drawn (warm-up included) while the policy oracle keeps the frozen
-    t=0 snapshot: §3's stale-profile scenario, which
+
+def draw_trace(config: ExperimentConfig, seed: int, num_requests: int,
+               source=None) -> np.ndarray:
+    """The pages of client ``seed``'s first ``num_requests`` requests
+    under ``config``'s workload, from the seed's ``requests`` stream.
+
+    ``source`` is :func:`trace_source`'s, built once by a caller that
+    draws many seeds.  A drifting workload rotates its hotspot over the
+    ``num_requests`` drawn (warm-up included) while the policy oracle
+    keeps the frozen t=0 snapshot: §3's stale-profile scenario, which
     ``figures.drift_study`` sweeps over ``drift_rotations``.
     """
-    rng = config.build_streams().stream("requests")
+    if source is None:
+        source = trace_source(config, num_requests)
+    rng = RandomStreams(seed).stream("requests")
     if config.drift_rotations:
-        return config.build_drift(num_requests).generate_trace(
-            num_requests, rng
-        )
-    return generate_trace(config.build_distribution(), num_requests, rng)
+        return source.generate_trace(num_requests, rng).pages
+    return source.sample(rng, num_requests)
 
 
 def structural_hash(config: ExperimentConfig) -> str:
@@ -172,7 +185,7 @@ class BuildCache:
         if self._trace is not None and self._trace[0] == key:
             self.trace_hits += 1
             return self._trace[1]
-        trace = _draw_trace(config, num_requests)
+        trace = RequestTrace(draw_trace(config, config.seed, num_requests))
         self._trace = (key, trace)
         self.trace_misses += 1
         return trace

@@ -15,7 +15,8 @@ How :class:`ParallelExecutor` keeps the contract:
 * results are reassembled by plan position, not completion order;
 * the ``progress`` callback fires in plan order — a position is
   reported only once every earlier position has completed — so
-  observers see exactly the serial sequence;
+  observers see exactly the serial sequence (:class:`InOrderResults`
+  keeps both rules and the journal, for every executor and fleet);
 * when an *enabled* tracer is attached, the pool is bypassed and plans
   run serially in-process: trace records must land in one sink in
   simulation order, which cannot be preserved across process
@@ -79,6 +80,44 @@ class Executor(Protocol):
         ...  # pragma: no cover - protocol signature
 
 
+class InOrderResults:
+    """Results of ``total`` plan positions, kept by position: ``progress``
+    fires once per position in order, and each plan that runs is
+    journalled once (a position resumed from the journal is not)."""
+
+    def __init__(self, total: int,
+                 progress: Optional[ProgressCallback] = None,
+                 checkpoint: Optional[SweepCheckpoint] = None):
+        self.results: List[Optional[ExperimentResult]] = [None] * total
+        self._progress = progress
+        self._checkpoint = checkpoint
+        self._reported = 0
+
+    def resume(self, position: int, plan: RunPlan) -> bool:
+        """Complete ``position`` from the journal if it holds ``plan``."""
+        if self._checkpoint is None:
+            return False
+        result = self._checkpoint.lookup(plan)
+        if result is None:
+            return False
+        self.complete(position, result)
+        return True
+
+    def complete(self, position: int, result,
+                 plan: Optional[RunPlan] = None) -> None:
+        """Book ``position``'s result, journalled under ``plan`` when it
+        has just run; report the completed prefix."""
+        results = self.results
+        results[position] = result
+        if plan is not None and self._checkpoint is not None:
+            self._checkpoint.record(plan, result)
+        while (self._progress is not None and self._reported < len(results)
+               and results[self._reported] is not None):
+            self._progress(self._reported + 1, len(results),
+                           results[self._reported])
+            self._reported += 1
+
+
 def _run_in_order(
     plans: Sequence[RunPlan],
     tracer,
@@ -86,24 +125,17 @@ def _run_in_order(
     checkpoint: Optional[SweepCheckpoint],
     profile=None,
     monitors=None,
-    builds: Optional[BuildCache] = None,
 ) -> List[ExperimentResult]:
     """The reference execution: one plan after another, in order."""
-    plans = list(plans)
-    if builds is None:
-        builds = BuildCache()
-    results: List[ExperimentResult] = []
+    builds = BuildCache()
+    book = InOrderResults(len(plans), progress, checkpoint)
     for position, plan in enumerate(plans):
-        result = None if checkpoint is None else checkpoint.lookup(plan)
-        if result is None:
-            result = execute_plan(plan, tracer=tracer, builds=builds,
-                                  profile=profile, monitors=monitors)
-            if checkpoint is not None:
-                checkpoint.record(plan, result)
-        results.append(result)
-        if progress is not None:
-            progress(position + 1, len(plans), result)
-    return results
+        if not book.resume(position, plan):
+            book.complete(position, execute_plan(
+                plan, tracer=tracer, builds=builds, profile=profile,
+                monitors=monitors,
+            ), plan)
+    return book.results
 
 
 class SerialExecutor:
@@ -119,8 +151,8 @@ class SerialExecutor:
         profile=None,
         monitors=None,
     ) -> List[ExperimentResult]:
-        return _run_in_order(plans, tracer, progress, checkpoint,
-                             profile, monitors, BuildCache())
+        return _run_in_order(list(plans), tracer, progress, checkpoint,
+                             profile, monitors)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"
@@ -181,31 +213,13 @@ class ParallelExecutor:
             # or single-core runs gain nothing from a pool — on a 1-core
             # host the pool *costs* wall clock.
             return _run_in_order(plans, tracer, progress, checkpoint,
-                                 profile, monitors, BuildCache())
+                                 profile, monitors)
 
-        results: List[Optional[ExperimentResult]] = [None] * len(plans)
-        pending: List[int] = []
-        for position, plan in enumerate(plans):
-            cached = None if checkpoint is None else checkpoint.lookup(plan)
-            if cached is None:
-                pending.append(position)
-            else:
-                results[position] = cached
-
-        reported = 0
-
-        def flush_progress() -> int:
-            """Fire ``progress`` for the completed prefix, in plan order."""
-            nonlocal reported
-            while reported < len(plans) and results[reported] is not None:
-                if progress is not None:
-                    progress(reported + 1, len(plans), results[reported])
-                reported += 1
-            return reported
-
+        book = InOrderResults(len(plans), progress, checkpoint)
+        pending = [position for position, plan in enumerate(plans)
+                   if not book.resume(position, plan)]
         if not pending:
-            flush_progress()
-            return list(results)  # type: ignore[arg-type]
+            return book.results
 
         workers = min(jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -221,13 +235,8 @@ class ParallelExecutor:
                 for future in done:
                     position = futures[future]
                     result = future.result()  # re-raises worker errors
-                    results[position] = result
-                    if checkpoint is not None:
-                        checkpoint.record(plans[position], result)
-                flush_progress()
-
-        flush_progress()
-        return list(results)  # type: ignore[arg-type]
+                    book.complete(position, result, plans[position])
+        return book.results
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelExecutor(jobs={self.jobs})"

@@ -17,11 +17,14 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro.cache.base import TracedCache
+from repro.cache.batched import batchable_policy_name
 from repro.errors import ConfigurationError
-from repro.exec.build import BuildCache
+from repro.exec.build import BuildCache, draw_trace, trace_source
 from repro.exec.plan import RunPlan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import EngineOutcome, FastEngine
@@ -29,6 +32,7 @@ from repro.experiments.simengine import run_single_client
 from repro.obs.clock import perf_counter
 from repro.obs.monitor import MonitorContext
 from repro.obs.trace import Tracer
+from repro.sim.rng import RandomStreams
 from repro.sim.stats import RunningStats
 
 #: Extra requests drawn beyond the measured count so the warm-up phase
@@ -178,6 +182,80 @@ def _run_scalar(
     )
 
 
+def run_columnar(
+    config: ExperimentConfig,
+    seeds: Sequence[int],
+    builds: BuildCache,
+    *,
+    labels: Optional[Sequence[str]] = None,
+    collect_responses: bool = False,
+    tracer=None,
+    profile=None,
+    monitors=None,
+):
+    """Run ``config`` once per seed as the columns of one columnar run.
+
+    Column ``c`` draws its mapping and trace from ``seeds[c]``'s
+    streams, as a plan of ``config`` with that seed does, so its result
+    does not depend on the seeds beside it.  A ``batch`` plan is a
+    one-seed call, and a fleet makes one call per bucket.  Observers see
+    a bare run's path; a traced run labels column ``c`` ``labels[c]``.
+    Returns the :class:`~repro.batch.engine.BatchOutcome`, and the
+    schedule and layout it ran on.
+    """
+    # Imported lazily: ``repro.batch`` itself imports this module.
+    from repro.batch.engine import build_columnar_engine
+
+    profiling = profile is not None and profile.enabled
+    if profiling:
+        profile.start_phase("build")
+    layout, schedule = builds.layout_and_schedule(config)
+    # Logical→physical rows over the access range: one shared row when
+    # noise-free, else each seed's own mapping.
+    access_range = config.access_range
+    if config.noise <= 0.0:
+        physical = config.build_mapping(layout).physical_array()[
+            None, :access_range
+        ]
+    else:
+        physical = np.empty((len(seeds), access_range), dtype=np.int64)
+        for row, seed in enumerate(seeds):
+            mapping = config.build_mapping(layout, RandomStreams(seed))
+            physical[row] = mapping.physical_array()[:access_range]
+    engine = build_columnar_engine(config, schedule, layout, physical,
+                                   len(seeds))
+    total = config.num_requests + _warmup_trace_allowance(config)
+    source = trace_source(config, total)
+    pages = np.empty((total, len(seeds)), dtype=np.int64)
+    for column, seed in enumerate(seeds):
+        pages[:, column] = draw_trace(config, seed, total, source)
+
+    with monitored_run(config, schedule, tracer=tracer,
+                       monitors=monitors) as run_tracer:
+        traced = run_tracer is not None and run_tracer.enabled
+        if profiling:
+            profile.stop_phase("build")
+            profile.start_phase("run")
+        try:
+            outcome = engine.run(
+                pages,
+                warmup_requests=config.warmup_requests,
+                extra_warmup=config.extra_warmup,
+                collect_responses=collect_responses,
+                tracer=run_tracer,
+                profile=profile,
+                client_labels=labels if traced else None,
+            )
+        finally:
+            if profiling:
+                profile.stop_phase("run")
+        if profiling:
+            profile.count("requests.measured", int(outcome.count.sum()))
+            profile.count("requests.warmup", int(outcome.warmup_seen.sum()))
+    require_measured(config, bool(outcome.count.all()))
+    return outcome, schedule, layout
+
+
 def execute_plan(
     plan: RunPlan,
     *,
@@ -188,10 +266,10 @@ def execute_plan(
 ) -> ExperimentResult:
     """Run one plan and return its measurements.
 
-    The plan's engine name picks the loop: ``batch`` a one-client
-    :class:`~repro.batch.engine.ColumnarEngine` (a fast loop for
-    policies without a columnar form), ``fast`` and ``fast-reference``
-    a :class:`~repro.experiments.engine.FastEngine`, ``process``
+    The plan's engine name picks the loop: ``batch`` a one-seed
+    :func:`run_columnar` (a fast loop for policies without a columnar
+    form), ``fast`` and ``fast-reference`` a
+    :class:`~repro.experiments.engine.FastEngine`, ``process``
     :func:`~repro.experiments.simengine.run_single_client`.
 
     ``tracer`` attaches a :class:`repro.obs.trace.Tracer` to the engine
@@ -199,7 +277,7 @@ def execute_plan(
     scalar cache in a :class:`~repro.cache.base.TracedCache`.  ``builds``
     supplies a :class:`~repro.exec.build.BuildCache` so plans sharing a
     broadcast structure reuse the constructed layout and schedule, and
-    consecutive plans sharing a mapping or trace reuse that too.
+    consecutive scalar plans sharing a mapping or trace reuse that too.
 
     ``profile`` attaches a :class:`repro.obs.profile.Profiler` that
     times the build and run phases and counts plans and requests.
@@ -212,58 +290,47 @@ def execute_plan(
     config = plan.config
     started = perf_counter()
     profiling = profile is not None and profile.enabled
-    if profiling:
-        profile.start_phase("build")
     if builds is None:
         builds = BuildCache()
-    layout, schedule = builds.layout_and_schedule(config)
-    mapping = builds.mapping(config, layout)
-    distribution = config.build_distribution()
-    columnar = None
-    if plan.engine == "batch":
-        # Imported lazily: ``repro.batch`` itself imports this module.
-        from repro.batch.engine import build_columnar_engine
-
+    if plan.engine == "batch" and batchable_policy_name(config.policy):
         # A one-client columnar run carries its own array-state policy
         # and is byte-identical to ``fast``.  Policies without a
-        # columnar form (LRU-K, 2Q) get ``None`` and run the scalar
-        # cache on the fast loop, which changes only the strategy.
-        columnar = build_columnar_engine(
-            config, schedule, layout, mapping.physical_array()[None, :], 1
+        # columnar form (LRU-K, 2Q) run the scalar cache on the fast
+        # loop below, which changes only the strategy.
+        columns, schedule, layout = run_columnar(
+            config, [config.seed], builds,
+            collect_responses=plan.collect_responses,
+            tracer=tracer, profile=profile, monitors=monitors,
         )
-    if columnar is None:
-        cache = config.build_policy(schedule, mapping, distribution, layout)
+        outcome = columns.to_engine_outcome(0)
+    else:
+        if profiling:
+            profile.start_phase("build")
+        layout, schedule = builds.layout_and_schedule(config)
+        mapping = builds.mapping(config, layout)
+        cache = config.build_policy(schedule, mapping,
+                                    config.build_distribution(), layout)
+        trace = builds.trace(
+            config, config.num_requests + _warmup_trace_allowance(config)
+        )
+        if profiling:
+            profile.stop_phase("build")
+            profile.start_phase("run")
 
-    trace = builds.trace(
-        config, config.num_requests + _warmup_trace_allowance(config)
-    )
-    if profiling:
-        profile.stop_phase("build")
-        profile.start_phase("run")
-
-    with monitored_run(config, schedule, tracer=tracer,
-                       monitors=monitors) as run_tracer:
-        if columnar is not None:
-            outcome = columnar.run(
-                trace.pages[:, None],
-                warmup_requests=config.warmup_requests,
-                extra_warmup=config.extra_warmup,
-                collect_responses=plan.collect_responses,
-                tracer=run_tracer,
-                profile=profile,
-            ).to_engine_outcome(0)
-        else:
+        with monitored_run(config, schedule, tracer=tracer,
+                           monitors=monitors) as run_tracer:
             if run_tracer is not None and run_tracer.enabled:
                 cache = TracedCache(cache, run_tracer)
             outcome = _run_scalar(
                 plan, schedule, mapping, layout, cache, trace,
                 tracer=run_tracer, profile=profile,
             )
-        if profiling:
-            profile.stop_phase("run")
-            profile.count("plans", 1)
-            profile.count("requests.measured", outcome.measured_requests)
-            profile.count("requests.warmup", outcome.warmup_requests)
+            if profiling:
+                profile.stop_phase("run")
+                profile.count("requests.measured", outcome.measured_requests)
+                profile.count("requests.warmup", outcome.warmup_requests)
+    if profiling:
+        profile.count("plans", 1)
     return experiment_result(config, outcome, schedule, layout,
                              wall_seconds=perf_counter() - started)
 

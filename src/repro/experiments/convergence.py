@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.exec.run import _warmup_trace_allowance
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import FastEngine
 from repro.sim.stats import WindowedSeries
@@ -82,14 +83,15 @@ def run_until_converged(
     )
     request_stream = streams.stream("requests")
 
-    # Warm-up: the engine's own rule (cache fill + shake-out) on a
-    # throwaway trace, so the measured chunks start at steady state.
-    if config.cache_size > 1:
-        warm_allowance = max(2_000, 6 * config.cache_size) + config.extra_warmup
-        warm_trace = generate_trace(distribution, warm_allowance, request_stream)
+    # Warm-up: a plan's own rule and trace allowance on a throwaway
+    # trace, so the measured chunks start at steady state.
+    warm_allowance = _warmup_trace_allowance(config)
+    if config.cache_size > 1 and warm_allowance > 0:
+        warm_trace = generate_trace(distribution, warm_allowance,
+                                    request_stream)
         engine.run_trace(
             warm_trace,
-            warmup_requests=None,
+            warmup_requests=config.warmup_requests,
             extra_warmup=config.extra_warmup,
         )
 

@@ -111,8 +111,12 @@ class HybridClient(Client):
             if grant.processed or not self.upstream.cancel(grant):
                 self.upstream.release()
             return False
-        yield sim.timeout(self.upstream_latency)
+        sent = sim.timeout(self.upstream_latency)
+        winner = yield AnyOf(sim, [push_event, sent])
         self.upstream.release()
+        if push_event in winner and push_event.processed:
+            # The push completed during the send: no pull is queued.
+            return False
         self.report.pulls_sent += 1
         pull_event = channel.request_pull(physical)
 

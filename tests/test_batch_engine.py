@@ -20,6 +20,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import SerialExecutor, SweepCheckpoint
+from repro.exec.plan import derive_seed
 from repro.exec.run import execute_plan, result_state
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -77,23 +78,25 @@ def snapshot(result):
 
 @pytest.fixture
 def fleet_calls(monkeypatch):
-    """What a fleet ran: columnar engine runs, the clients of each
-    columnar bucket, and the index of every per-client plan."""
+    """What a fleet ran: columnar engine runs, the client seed of every
+    column (fleet buckets and ``batch`` plans share one entry), and the
+    index of every per-client plan."""
     from repro.batch import fleet as fleet_module
     from repro.batch.engine import ColumnarEngine
     from repro.exec import executor as executor_module
+    from repro.exec import run as run_module
 
     calls = {"runs": 0, "columns": [], "plans": []}
     engine_run = ColumnarEngine.run
-    run_group = fleet_module._run_group_columnar
+    run_columnar = run_module.run_columnar
 
     def counting_run(self, *args, **kwargs):
         calls["runs"] += 1
         return engine_run(self, *args, **kwargs)
 
-    def recording_group(spec, indices, *args, **kwargs):
-        calls["columns"].extend(indices)
-        return run_group(spec, indices, *args, **kwargs)
+    def recording_columns(config, seeds, *args, **kwargs):
+        calls["columns"].extend(seeds)
+        return run_columnar(config, seeds, *args, **kwargs)
 
     def recording(module):
         original = module.execute_plan
@@ -104,7 +107,8 @@ def fleet_calls(monkeypatch):
         monkeypatch.setattr(module, "execute_plan", execute)
 
     monkeypatch.setattr(ColumnarEngine, "run", counting_run)
-    monkeypatch.setattr(fleet_module, "_run_group_columnar", recording_group)
+    for module in (fleet_module, run_module):
+        monkeypatch.setattr(module, "run_columnar", recording_columns)
     recording(fleet_module)
     recording(executor_module)
     return calls
@@ -371,8 +375,11 @@ class TestFleetOptions:
         SerialExecutor().run(expand(spec)[:6],
                              checkpoint=SweepCheckpoint(path))
         fleet_calls["plans"].clear()
+        fleet_calls["columns"].clear()
         resumed = run_population(spec, checkpoint=SweepCheckpoint(path))
-        assert sorted(fleet_calls["columns"]) == [6, 7, 8, 9]
+        assert sorted(fleet_calls["columns"]) == [
+            derive_seed(spec.seed, client) for client in (6, 7, 8, 9)
+        ]
         assert fleet_calls["plans"] == [10, 11, 12]
         assert len(SweepCheckpoint(path)) == 13
         assert snapshot(resumed) == per_client_fold(spec)

@@ -22,6 +22,7 @@ from repro.exec import (
     usable_cores,
 )
 from repro.exec import executor as executor_module
+from repro.exec.executor import InOrderResults
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import sweep_results
@@ -289,3 +290,63 @@ class TestCheckpointResume:
         assert replayed is not None
         assert replayed.samples == original.samples
         assert replayed.mean_response_time == original.mean_response_time
+
+
+class TestInOrderResults:
+    """The one helper behind the executors' and the fleet's contract."""
+
+    class Journal:
+        """A checkpoint stand-in: results journalled by plan index, and
+        every record call in order."""
+
+        def __init__(self, journalled=()):
+            self.journalled = dict(journalled)
+            self.records = []
+
+        def lookup(self, plan):
+            return self.journalled.get(plan.index)
+
+        def record(self, plan, result):
+            self.records.append((plan.index, result))
+
+    def test_out_of_order_completions_report_in_order_once(self):
+        plans = plan_sweep(small_grid())
+        calls = []
+        book = InOrderResults(
+            len(plans),
+            progress=lambda done, total, result: calls.append(
+                (done, total, result)
+            ),
+        )
+        for position in (2, 0, 3, 1):
+            book.complete(position, f"result{position}", plans[position])
+        assert calls == [(i + 1, 4, f"result{i}") for i in range(4)]
+        assert book.results == [f"result{i}" for i in range(4)]
+
+    def test_journalled_positions_are_not_journalled_again(self):
+        plans = plan_sweep(small_grid())
+        journal = self.Journal({1: "kept1", 3: "kept3"})
+        calls = []
+        book = InOrderResults(len(plans), lambda *call: calls.append(call),
+                              journal)
+        resumed = [position for position, plan in enumerate(plans)
+                   if book.resume(position, plan)]
+        assert resumed == [1, 3]
+        for position in (2, 0):
+            book.complete(position, f"ran{position}", plans[position])
+        assert journal.records == [(2, "ran2"), (0, "ran0")]
+        assert book.results == ["ran0", "kept1", "ran2", "kept3"]
+        assert [call[0] for call in calls] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("executor", [
+        SerialExecutor(), ParallelExecutor(jobs=2),
+    ], ids=["serial", "parallel"])
+    def test_every_executed_plan_is_journalled_once(self, executor):
+        plans = plan_sweep(small_grid())
+        kept = SerialExecutor().run(plans[:1])[0]
+        journal = self.Journal({0: kept})
+        results = executor.run(plans, checkpoint=journal)
+        assert results[0] is kept
+        records = sorted(journal.records, key=lambda record: record[0])
+        assert [index for index, _ in records] == [1, 2, 3]
+        assert all(result is results[index] for index, result in records)

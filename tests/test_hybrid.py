@@ -121,8 +121,12 @@ class TestPullDelivery:
 
 
 class TestHybridClient:
-    def build(self, pull_threshold, trace, slots=16, pull_spacing=4,
-              upstream_latency=1.0):
+    def build(self, *args, **kwargs):
+        return self.run_client(*args, **kwargs)[0]
+
+    def run_client(self, pull_threshold, trace, slots=16, pull_spacing=4,
+                   upstream_latency=1.0):
+        """One client's report, and the channel it ran on."""
         sim = Simulator()
         layout = DiskLayout.flat(slots)
         schedule = flat_program(slots)
@@ -142,7 +146,7 @@ class TestHybridClient:
             upstream_latency=upstream_latency,
         )
         sim.run_until_event(client.process)
-        return client.report
+        return client.report, channel
 
     def test_mute_client_never_pulls(self):
         report = self.build(math.inf, [5, 9, 13])
@@ -176,6 +180,24 @@ class TestHybridClient:
         assert report.pulls_sent == 1
         assert report.pulls_won == 1
         assert report.mean_response_time == 3.0
+
+    def test_push_during_the_send_cancels_the_pull(self):
+        # At t=1 page 1's push completes at 2.0, inside the pull's
+        # 5-unit send latency: the client takes the push, and no pull
+        # is sent, queued or aired.
+        report, channel = self.run_client(0.0, [1], upstream_latency=5.0)
+        assert report.mean_response_time == 1.0
+        assert (report.pulls_sent, report.pulls_won) == (0, 0)
+        assert channel.pull_queue_length == 0
+        assert channel.pull_slots_used == 0
+
+    def test_own_pull_wins_after_the_send(self):
+        # Page 15 is pushed at 21.0.  The pull, sent at t=2 after a
+        # 1-unit latency, airs in the pull slot completing at 4.0.
+        report, channel = self.run_client(0.0, [15], upstream_latency=1.0)
+        assert (report.pulls_sent, report.pulls_won) == (1, 1)
+        assert report.mean_response_time == 3.0
+        assert channel.pull_slots_used == 1
 
     def test_another_clients_pull_is_not_a_win(self):
         # Both clients pull page 15 at t=1.  The first pull airs at 4.0

@@ -308,8 +308,12 @@ class ReferenceHybridClient:
             if grant.processed or not self.upstream.cancel(grant):
                 self.upstream.release()
             return sim.now
-        yield sim.timeout(self.upstream_latency)
+        sent = sim.timeout(self.upstream_latency)
+        winner = yield AnyOf(sim, [push_event, sent])
         self.upstream.release()
+        if push_event in winner and push_event.processed:
+            # The push completed while the pull was being sent.
+            return sim.now
         report.pulls_sent += 1
         pull_event = channel.request_pull(physical)
 

@@ -101,6 +101,28 @@ class TestConvergence:
             fixed.mean_response_time, rel=0.25
         )
 
+    @pytest.mark.parametrize("warmup", [120, 0])
+    def test_warms_with_the_configs_warmup_count(self, warmup,
+                                                 monkeypatch):
+        # A fixed warm-up count sets both the warm-up trace's length and
+        # the warm-up rule, as it does for a plan; 0 warms nothing.
+        from repro.experiments.engine import FastEngine
+
+        calls = []
+        run_trace = FastEngine.run_trace
+
+        def recording(engine, trace, **kwargs):
+            calls.append((len(trace), kwargs.get("warmup_requests")))
+            return run_trace(engine, trace, **kwargs)
+
+        monkeypatch.setattr(FastEngine, "run_trace", recording)
+        run_until_converged(
+            self.small_config(warmup_requests=warmup), chunk=200,
+            window_chunks=2, rtol=1.0, max_requests=400,
+        )
+        expected = [(200, 0)] if warmup == 0 else [(warmup, warmup), (200, 0)]
+        assert calls[:len(expected)] == expected
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             run_until_converged(self.small_config(), chunk=0)
