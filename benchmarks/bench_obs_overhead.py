@@ -1,8 +1,9 @@
 """Zero-overhead-when-disabled check for the repro.obs observatory.
 
 Runs the same reduced Figure-5-style sweep three ways — no observers at
-all; a *disabled* tracer, profiler, AND monitor suite all attached
-(exercising every guarded hook's branch across the whole observatory);
+all; a *disabled* tracer holding a monitor suite, and a disabled
+profiler, all attached (exercising every guarded hook's branch across
+the whole observatory);
 and an *enabled* tracer writing to an in-memory sink — and verifies:
 
 * all three produce byte-identical mean response times (observability
@@ -75,24 +76,24 @@ def _configs():
 
 
 def _observers(arm):
-    """The (tracer, profile, monitors) one arm attaches."""
+    """The (tracer, profile) one arm attaches."""
     if arm == "disabled":
         # The FULL observatory, switched off: every guard branch in the
         # hot paths gets exercised.
-        return (Tracer(MemorySink(capacity=1), enabled=False),
-                Profiler(enabled=False), MonitorSuite(enabled=False))
+        return (Tracer(MemorySink(capacity=1), MonitorSuite(),
+                       enabled=False),
+                Profiler(enabled=False))
     if arm == "enabled":
-        return Tracer(MemorySink(capacity=1024)), None, None
-    return None, None, None
+        return Tracer(MemorySink(capacity=1024)), None
+    return None, None
 
 
 def _sweep(arm_observers):
     """One sweep under the given observers; returns (wall_seconds, mean
     response times)."""
-    tracer, profile, monitors = arm_observers
+    tracer, profile = arm_observers
     started = perf_counter()
-    results = sweep_results(_configs(), tracer=tracer, profile=profile,
-                            monitors=monitors)
+    results = sweep_results(_configs(), tracer=tracer, profile=profile)
     return perf_counter() - started, [
         result.mean_response_time for result in results
     ]

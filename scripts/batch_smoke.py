@@ -364,8 +364,7 @@ def gate_invariants(failures: list) -> None:
         engine="batch",
         segments=(SegmentSpec("uniform", 8),),
     )
-    result = run_fleet(spec, tracer=Tracer(sink), monitors=monitors,
-                       profile=profile)
+    result = run_fleet(spec, tracer=Tracer(sink, monitors), profile=profile)
     check(monitors.ok and monitors.runs == 1,
           f"strict invariants clean over {monitors.observed} records",
           failures)
@@ -398,7 +397,7 @@ def gate_subsegmentation(failures: list) -> None:
             SegmentSpec("uniform", 4),
         ),
     )
-    fleet = run_fleet(spec, monitors=monitors)
+    fleet = run_fleet(spec, tracer=Tracer(monitors))
     scalar = run_population(spec)
     fleet_doc = fleet.overall.snapshot()
     scalar_doc = scalar.overall.snapshot()

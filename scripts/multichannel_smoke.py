@@ -54,6 +54,7 @@ from repro.experiments.runner import run_experiment
 from repro.obs.clock import perf_counter
 from repro.obs.monitor import MonitorSuite
 from repro.obs.regress import render_text, run_gate
+from repro.obs.trace import Tracer
 from tests.test_channel_reference import (
     reference_assign_channels,
     server_estimate,
@@ -141,7 +142,7 @@ def gate_invariants(failures: list) -> None:
         monitors = MonitorSuite(mode="strict")
         result = run_experiment(
             config(channels=4, num_requests=300), engine=engine,
-            monitors=monitors,
+            tracer=Tracer(monitors),
         )
         check(monitors.ok and monitors.runs == 1,
               f"{engine}: invariants clean over {monitors.observed} "

@@ -103,13 +103,12 @@ def traced_fig5_sweep(out: Path) -> int:
     profile_path = out / "fig5-smoke-profile.json"
     profile = Profiler()
     monitors = MonitorSuite(mode="strict")
-    with Tracer(JsonlSink(str(trace_path))) as tracer:
+    with Tracer(JsonlSink(str(trace_path)), monitors) as tracer:
         results = sweep_results(
             configs,
             tracer=tracer,
             manifest=str(manifest_path),
             profile=profile,
-            monitors=monitors,
             progress=lambda done, total, result: print(
                 f"  [{done}/{total}] {result.summary()}"
             ),
@@ -129,8 +128,13 @@ def traced_fig5_sweep(out: Path) -> int:
         json.dumps(profile.snapshot(), indent=2, sort_keys=True) + "\n"
     )
     print(f"  trace    : {trace_path} ({sum(kinds.values())} records)")
-    runs = json.loads(manifest_path.read_text())["summary"]["runs"]
-    print(f"  manifest : {manifest_path} ({runs} runs aggregated)")
+    manifest = json.loads(manifest_path.read_text())
+    runs = manifest["summary"]["runs"]
+    # The tracer's suite writes the manifest's monitors block.
+    block = manifest["monitors"]
+    assert block["runs"] == len(configs) and not block["violations"], block
+    print(f"  manifest : {manifest_path} ({runs} runs aggregated, "
+          f"monitors block {block['runs']} runs, 0 violations)")
     print(f"  profile  : {profile_path} "
           f"(engine.fast.misses {misses} == client.miss records)")
     print(f"  monitors : strict, {monitors.runs} runs, 0 violations")
@@ -175,7 +179,7 @@ def strict_reference_grid(fast_misses: int) -> None:
     monitors = MonitorSuite(mode="strict")
     profile = Profiler()
     results = sweep_results(
-        _fig5_configs(), engine="fast-reference", monitors=monitors,
+        _fig5_configs(), engine="fast-reference", tracer=Tracer(monitors),
         profile=profile,
     )
     assert len(results) == 4

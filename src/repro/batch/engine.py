@@ -51,7 +51,6 @@ from repro.cache.batched import (
     FREE,
     BatchedOracles,
     BatchedPolicy,
-    batchable_policy_name,
     make_batched_policy,
 )
 from repro.core.disks import DiskLayout, disk_index_array
@@ -62,7 +61,6 @@ from repro.sim.stats import RunningStats
 __all__ = [
     "BatchOutcome",
     "ColumnarEngine",
-    "batchable_policy_name",
     "build_columnar_engine",
     "disk_index_array",
     "frequency_array",
@@ -484,22 +482,20 @@ def build_columnar_engine(
     layout: DiskLayout,
     physical: np.ndarray,
     num_clients: int,
-) -> Optional[ColumnarEngine]:
+) -> ColumnarEngine:
     """Assemble a columnar engine for ``num_clients`` copies of ``config``.
 
     ``physical`` is the logical→physical page matrix — one shared row
     for noise-free groups, one row per client otherwise — holding at
-    least the ``access_range`` columns a trace can request.  Returns
-    ``None`` when ``config.policy`` has no columnar formulation.  A
-    multi-channel :class:`~repro.core.schedule.BroadcastProgram`
-    (detected by its ``channel_array`` surface) arms the vectorized
-    single-frequency tuner: per-client tuned-channel state, retune-cost
-    arithmetic, and retune counters, byte-identical per client to the
-    fast engine's scalar tuner.
+    least the ``access_range`` columns a trace can request.  A policy
+    without a columnar formulation raises
+    :class:`~repro.errors.ConfigurationError`.  A multi-channel
+    :class:`~repro.core.schedule.BroadcastProgram` (detected by its
+    ``channel_array`` surface) arms the vectorized single-frequency
+    tuner: per-client tuned-channel state, retune-cost arithmetic, and
+    retune counters, byte-identical per client to the fast engine's
+    scalar tuner.
     """
-    name = batchable_policy_name(config.policy)
-    if name is None:
-        return None
     physical = np.asarray(physical, dtype=np.int64)
     access_range = config.access_range
     frequency_physical = frequency_array(schedule)
@@ -514,7 +510,7 @@ def build_columnar_engine(
         lix_alpha=config.lix_alpha,
     )
     policy = make_batched_policy(
-        name, num_clients, config.cache_size, oracles
+        config.policy, num_clients, config.cache_size, oracles
     )
     channel_of = None
     num_channels = 1

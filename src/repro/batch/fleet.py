@@ -67,9 +67,10 @@ class _FleetClientStats:
 
 
 class _ClientLabel:
-    """Sink forwarding each record to ``tracer`` with a ``client`` label:
-    a per-client plan emits unlabelled records, which a fleet trace
-    interleaves with its columnar buckets' labelled ones."""
+    """Sink forwarding each record to ``tracer`` with a ``client`` label,
+    and each run bracket as it is: a per-client plan emits unlabelled
+    records, which a fleet trace interleaves with its columnar buckets'
+    labelled ones, and its run is checked by the tracer's suites."""
 
     __slots__ = ("tracer", "label")
 
@@ -79,6 +80,12 @@ class _ClientLabel:
     def write(self, record) -> None:
         self.tracer.emit(record.kind, record.time, **record.fields,
                          client=self.label)
+
+    def begin_run(self, context) -> None:
+        self.tracer.begin_run(context)
+
+    def end_run(self) -> None:
+        self.tracer.end_run()
 
     def close(self) -> None:
         """The caller closes the tracer forwarded to."""
@@ -95,7 +102,6 @@ def run_fleet(
     tracer=None,
     manifest: Optional[str] = None,
     profile=None,
-    monitors=None,
     progress: Optional[ProgressCallback] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
     keep_results: bool = False,
@@ -142,7 +148,7 @@ def run_fleet(
                         replace(plan, engine="fast"), builds=builds,
                         tracer=(Tracer(_ClientLabel(tracer, plan.config.label))
                                 if tracing else tracer),
-                        profile=profile, monitors=monitors,
+                        profile=profile,
                     ), plan)
                 continue
             if not clients:
@@ -151,7 +157,7 @@ def run_fleet(
                 config, [derive_seed(spec.seed, client) for client in clients],
                 builds,
                 labels=[f"{config.label}/client{client}" for client in clients],
-                tracer=tracer, profile=profile, monitors=monitors,
+                tracer=tracer, profile=profile,
             )
             for column, client in enumerate(clients):
                 if not whole:
@@ -165,6 +171,5 @@ def run_fleet(
 
     return finish_population(
         spec, book.results, started=started, gamma=gamma, tracer=tracer,
-        manifest=manifest, profile=profile, monitors=monitors,
-        keep_results=keep_results,
+        manifest=manifest, profile=profile, keep_results=keep_results,
     )

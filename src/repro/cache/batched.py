@@ -517,15 +517,19 @@ def make_batched_policy(
     num_clients: int,
     capacity: int,
     oracles: BatchedOracles,
-) -> Optional[BatchedPolicy]:
-    """A columnar policy for ``name``, or None when no batched form exists.
+) -> BatchedPolicy:
+    """A columnar policy for ``name``.
 
     Callers ask :func:`batchable_policy_name` first and run the scalar
     per-client path for ``None`` (LRU-K and 2Q keep history beyond
-    residency, which has no columnar formulation here).  Name
+    residency, which has no columnar formulation here); such a name
+    raises :class:`~repro.errors.ConfigurationError`.  Name
     normalisation matches the scalar registry.
     """
     factory = _BATCHED_FACTORIES.get(name.strip().lower())
     if factory is None:
-        return None
+        raise ConfigurationError(
+            f"policy {name!r} has no columnar form; columnar policies: "
+            + ", ".join(sorted(key.upper() for key in _BATCHED_FACTORIES))
+        )
     return factory(num_clients, capacity, oracles)

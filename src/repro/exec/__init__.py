@@ -30,7 +30,7 @@ from repro.exec.executor import (
     resolve_executor,
     usable_cores,
 )
-from repro.exec.plan import RunPlan, derive_seed, plan_for, plan_sweep
+from repro.exec.plan import RunPlan, derive_seed, plan_sweep
 from repro.exec.run import execute_plan
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "SweepCheckpoint",
     "derive_seed",
     "execute_plan",
-    "plan_for",
     "plan_sweep",
     "resolve_executor",
     "structural_hash",

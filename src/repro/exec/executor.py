@@ -75,7 +75,6 @@ class Executor(Protocol):
         progress: Optional[ProgressCallback] = None,
         checkpoint: Optional[SweepCheckpoint] = None,
         profile=None,
-        monitors=None,
     ) -> List[ExperimentResult]:
         ...  # pragma: no cover - protocol signature
 
@@ -124,7 +123,6 @@ def _run_in_order(
     progress: Optional[ProgressCallback],
     checkpoint: Optional[SweepCheckpoint],
     profile=None,
-    monitors=None,
 ) -> List[ExperimentResult]:
     """The reference execution: one plan after another, in order."""
     builds = BuildCache()
@@ -133,7 +131,6 @@ def _run_in_order(
         if not book.resume(position, plan):
             book.complete(position, execute_plan(
                 plan, tracer=tracer, builds=builds, profile=profile,
-                monitors=monitors,
             ), plan)
     return book.results
 
@@ -149,10 +146,9 @@ class SerialExecutor:
         progress: Optional[ProgressCallback] = None,
         checkpoint: Optional[SweepCheckpoint] = None,
         profile=None,
-        monitors=None,
     ) -> List[ExperimentResult]:
         return _run_in_order(list(plans), tracer, progress, checkpoint,
-                             profile, monitors)
+                             profile)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"
@@ -199,21 +195,19 @@ class ParallelExecutor:
         progress: Optional[ProgressCallback] = None,
         checkpoint: Optional[SweepCheckpoint] = None,
         profile=None,
-        monitors=None,
     ) -> List[ExperimentResult]:
         plans = list(plans)
         tracing = tracer is not None and tracer.enabled
         profiling = profile is not None and profile.enabled
-        monitoring = monitors is not None and monitors.enabled
         jobs = self.effective_jobs()
-        if tracing or profiling or monitoring or jobs == 1 or len(plans) <= 1:
+        if tracing or profiling or jobs == 1 or len(plans) <= 1:
             # Enabled tracing needs one sink in simulation order, and an
-            # enabled profiler/monitor suite accumulates in-process
-            # state a worker could not ship back; tiny, single-worker,
-            # or single-core runs gain nothing from a pool — on a 1-core
-            # host the pool *costs* wall clock.
+            # enabled profiler (or a tracer's monitor suite) accumulates
+            # in-process state a worker could not ship back; tiny,
+            # single-worker, or single-core runs gain nothing from a
+            # pool — on a 1-core host the pool *costs* wall clock.
             return _run_in_order(plans, tracer, progress, checkpoint,
-                                 profile, monitors)
+                                 profile)
 
         book = InOrderResults(len(plans), progress, checkpoint)
         pending = [position for position, plan in enumerate(plans)

@@ -57,7 +57,10 @@ class RunPlan:
     config: ExperimentConfig
     engine: str = "fast"
     collect_responses: bool = False
-    #: Position in the sweep grid; results are reassembled in this order.
+    #: Position in the sweep grid or fleet.  Results are put back in
+    #: order by list position
+    #: (:class:`~repro.exec.executor.InOrderResults`), not by this
+    #: field, and :meth:`fingerprint` leaves it out.
     index: int = 0
 
     def __post_init__(self):
@@ -67,10 +70,6 @@ class RunPlan:
     def seed(self) -> int:
         """The seed this plan runs with (the config's seed)."""
         return self.config.seed
-
-    def describe(self) -> str:
-        """Short human-readable identifier for progress lines."""
-        return f"[{self.index}] {self.config.describe()} ({self.engine})"
 
     def fingerprint(self) -> str:
         """Stable identity of the *work*, independent of grid position.
@@ -91,22 +90,6 @@ class RunPlan:
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def plan_for(
-    config: ExperimentConfig,
-    *,
-    engine: str = "fast",
-    collect_responses: bool = False,
-    index: int = 0,
-) -> RunPlan:
-    """The plan that reproduces one ``run_experiment`` call."""
-    return RunPlan(
-        config=config,
-        engine=engine,
-        collect_responses=collect_responses,
-        index=index,
-    )
 
 
 def plan_sweep(

@@ -31,7 +31,6 @@ from repro.experiments.engine import EngineOutcome, FastEngine
 from repro.experiments.simengine import run_single_client
 from repro.obs.clock import perf_counter
 from repro.obs.monitor import MonitorContext
-from repro.obs.trace import Tracer
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import RunningStats
 
@@ -87,36 +86,26 @@ def _warmup_trace_allowance(config: ExperimentConfig) -> int:
 
 
 @contextmanager
-def monitored_run(
-    config: ExperimentConfig, schedule, *, tracer, monitors
-) -> Iterator[Optional[Tracer]]:
-    """The tracer one run emits to, with ``monitors`` fed from it.
+def monitored_run(config: ExperimentConfig, schedule,
+                  tracer) -> Iterator[None]:
+    """Bracket one run of ``config`` on an enabled ``tracer``.
 
-    An enabled :class:`repro.obs.monitor.MonitorSuite` begins a run on
-    entry and listens through the caller's enabled tracer when there is
-    one, otherwise through a private internal tracer (so monitoring
-    needs no sink plumbing).  The suite is detached from the caller's
-    tracer even when the run raises; after a clean run it ends the run,
-    which raises :class:`~repro.errors.MonitorError` in strict mode.
-    Without an enabled suite the caller's tracer passes through.
+    The tracer begins a run on entry and ends it after a clean exit, on
+    each sink that takes runs: a :class:`repro.obs.monitor.MonitorSuite`
+    among them checks the run's records and raises
+    :class:`~repro.errors.MonitorError` at the end in strict mode.
+    Without an enabled tracer there is nothing to bracket.
     """
-    if monitors is None or not monitors.enabled:
-        yield tracer
+    if tracer is None or not tracer.enabled:
+        yield
         return
-    monitors.begin_run(MonitorContext(
+    tracer.begin_run(MonitorContext(
         label=config.describe(),
         schedule=schedule,
         cache_capacity=config.cache_size if config.has_cache else None,
     ))
-    if tracer is not None and tracer.enabled:
-        tracer.add_sink(monitors)
-        try:
-            yield tracer
-        finally:
-            tracer.remove_sink(monitors)
-    else:
-        yield Tracer(monitors)
-    monitors.end_run()  # raises MonitorError in strict mode
+    yield
+    tracer.end_run()  # a strict suite raises MonitorError here
 
 
 def require_measured(config: ExperimentConfig, measured: bool) -> None:
@@ -191,7 +180,6 @@ def run_columnar(
     collect_responses: bool = False,
     tracer=None,
     profile=None,
-    monitors=None,
 ):
     """Run ``config`` once per seed as the columns of one columnar run.
 
@@ -230,9 +218,7 @@ def run_columnar(
     for column, seed in enumerate(seeds):
         pages[:, column] = draw_trace(config, seed, total, source)
 
-    with monitored_run(config, schedule, tracer=tracer,
-                       monitors=monitors) as run_tracer:
-        traced = run_tracer is not None and run_tracer.enabled
+    with monitored_run(config, schedule, tracer):
         if profiling:
             profile.stop_phase("build")
             profile.start_phase("run")
@@ -242,9 +228,9 @@ def run_columnar(
                 warmup_requests=config.warmup_requests,
                 extra_warmup=config.extra_warmup,
                 collect_responses=collect_responses,
-                tracer=run_tracer,
+                tracer=tracer,
                 profile=profile,
-                client_labels=labels if traced else None,
+                client_labels=labels,
             )
         finally:
             if profiling:
@@ -262,7 +248,6 @@ def execute_plan(
     tracer=None,
     builds: Optional[BuildCache] = None,
     profile=None,
-    monitors=None,
 ) -> ExperimentResult:
     """Run one plan and return its measurements.
 
@@ -273,19 +258,19 @@ def execute_plan(
     :func:`~repro.experiments.simengine.run_single_client`.
 
     ``tracer`` attaches a :class:`repro.obs.trace.Tracer` to the engine
-    (and, for the process engine, the kernel and channel) and wraps a
-    scalar cache in a :class:`~repro.cache.base.TracedCache`.  ``builds``
+    (and, for the process engine, the kernel and channel), wraps a
+    scalar cache in a :class:`~repro.cache.base.TracedCache`, and
+    brackets the run with :func:`monitored_run` for the
+    :class:`repro.obs.monitor.MonitorSuite` among its sinks.  ``builds``
     supplies a :class:`~repro.exec.build.BuildCache` so plans sharing a
     broadcast structure reuse the constructed layout and schedule, and
     consecutive scalar plans sharing a mapping or trace reuse that too.
 
     ``profile`` attaches a :class:`repro.obs.profile.Profiler` that
     times the build and run phases and counts plans and requests.
-    ``monitors`` attaches a :class:`repro.obs.monitor.MonitorSuite`
-    through :func:`monitored_run`.  Neither hook changes which loop
-    runs or what it measures: the fast engine runs its one loop either
-    way, with guarded trace emits and profiler bookkeeping after the
-    loop.
+    Neither hook changes which loop runs or what it measures: the fast
+    engine runs its one loop either way, with guarded trace emits and
+    profiler bookkeeping after the loop.
     """
     config = plan.config
     started = perf_counter()
@@ -300,7 +285,7 @@ def execute_plan(
         columns, schedule, layout = run_columnar(
             config, [config.seed], builds,
             collect_responses=plan.collect_responses,
-            tracer=tracer, profile=profile, monitors=monitors,
+            tracer=tracer, profile=profile,
         )
         outcome = columns.to_engine_outcome(0)
     else:
@@ -317,13 +302,12 @@ def execute_plan(
             profile.stop_phase("build")
             profile.start_phase("run")
 
-        with monitored_run(config, schedule, tracer=tracer,
-                           monitors=monitors) as run_tracer:
-            if run_tracer is not None and run_tracer.enabled:
-                cache = TracedCache(cache, run_tracer)
+        with monitored_run(config, schedule, tracer):
+            if tracer is not None and tracer.enabled:
+                cache = TracedCache(cache, tracer)
             outcome = _run_scalar(
                 plan, schedule, mapping, layout, cache, trace,
-                tracer=run_tracer, profile=profile,
+                tracer=tracer, profile=profile,
             )
             if profiling:
                 profile.stop_phase("run")

@@ -39,9 +39,10 @@ from repro.experiments.runner import ExperimentResult, sweep_results
 PAPER_REQUESTS = 15_000
 
 #: Paper figures accept ``jobs`` (worker processes; results are
-#: byte-identical to serial at any count) and ``engine`` ("fast" or
-#: "process"); each runs its whole design grid as one sweep, curve by
-#: curve, through :func:`_sweep_rows`.
+#: byte-identical to serial at any count) and ``engine`` (any of
+#: :data:`repro.exec.plan.ENGINES`: "batch", "fast", "fast-reference"
+#: or "process"); each runs its whole design grid as one sweep, curve
+#: by curve, through :func:`_sweep_rows`.
 
 
 @dataclass
@@ -89,9 +90,9 @@ def _sweep_rows(
     """Run a grid of design points, one list per curve, as one sweep.
 
     The configs run curve by curve in one ``sweep_results`` call, which
-    takes ``run`` (``jobs``, ``engine``, ``profile``, ``monitors``), so
-    they share one build cache and the workers.  The results come back
-    in the grid's shape, one row per curve.
+    takes ``run`` (``jobs``, ``engine``, ``profile``), so they share one
+    build cache and the workers.  The results come back in the grid's
+    shape, one row per curve.
     """
     results = iter(sweep_results(
         [config for row in grid for config in row], **run
@@ -139,7 +140,6 @@ def figure5(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """Client response time vs Δ for the five disk configurations.
 
@@ -159,7 +159,7 @@ def figure5(
         [_design_point(preset, num_requests, seed, delta=delta,
                        label=f"F5 {preset} Δ={delta}") for delta in deltas]
         for preset in presets
-    ], jobs=jobs, engine=engine, profile=profile, monitors=monitors)
+    ], jobs=jobs, engine=engine, profile=profile)
     for preset, row in zip(presets, rows):
         sizes = ",".join(str(s) for s in DISK_PRESETS[preset])
         data.add_series(f"{preset}<{sizes}>", _means(row))
@@ -207,7 +207,6 @@ def figure6(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """Noise sensitivity of D3⟨2500,2500⟩ with no cache.
 
@@ -216,7 +215,7 @@ def figure6(
     """
     return _noise_sensitivity(
         "Figure 6", "D3", 1, "LRU", 0, num_requests, seed, deltas, noises,
-        jobs=jobs, engine=engine, profile=profile, monitors=monitors,
+        jobs=jobs, engine=engine, profile=profile,
     )
 
 
@@ -228,12 +227,11 @@ def figure7(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """Noise sensitivity of D5⟨500,2000,2500⟩ with no cache."""
     return _noise_sensitivity(
         "Figure 7", "D5", 1, "LRU", 0, num_requests, seed, deltas, noises,
-        jobs=jobs, engine=engine, profile=profile, monitors=monitors,
+        jobs=jobs, engine=engine, profile=profile,
     )
 
 
@@ -251,7 +249,6 @@ def figure8(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """P policy, D5, CacheSize=Offset=500, noise sweep.
 
@@ -261,7 +258,7 @@ def figure8(
     """
     return _noise_sensitivity(
         "Figure 8", "D5", cache_size, "P", cache_size,
-        num_requests, seed, deltas, noises, jobs=jobs, engine=engine, profile=profile, monitors=monitors,
+        num_requests, seed, deltas, noises, jobs=jobs, engine=engine, profile=profile,
     )
 
 
@@ -274,7 +271,6 @@ def figure9(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """PIX policy, same setting as Figure 8.
 
@@ -283,7 +279,7 @@ def figure9(
     """
     return _noise_sensitivity(
         "Figure 9", "D5", cache_size, "PIX", cache_size,
-        num_requests, seed, deltas, noises, jobs=jobs, engine=engine, profile=profile, monitors=monitors,
+        num_requests, seed, deltas, noises, jobs=jobs, engine=engine, profile=profile,
     )
 
 
@@ -300,7 +296,6 @@ def figure10(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """P vs PIX with varying noise (D5, CacheSize=500, Offset=500).
 
@@ -329,7 +324,7 @@ def figure10(
                                cache_size=cache_size, policy="P",
                                offset=cache_size, label="F10 flat")])
     *rows, (flat,) = _sweep_rows(grid, jobs=jobs, engine=engine,
-                                 profile=profile, monitors=monitors)
+                                 profile=profile)
     for (policy, delta), row in zip(curves, rows):
         data.add_series(f"{policy} Δ={delta}", _means(row))
     data.add_series("Flat Δ=0", [flat.mean_response_time] * len(noises))
@@ -378,7 +373,6 @@ def figure11(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """Access locations (cache, disk 1..3) for P vs PIX.
 
@@ -389,7 +383,7 @@ def figure11(
     return _access_locations(
         "Figure 11", "Access locations for P vs PIX", "F11", ("P", "PIX"),
         num_requests, seed, cache_size, noise, delta,
-        jobs=jobs, engine=engine, profile=profile, monitors=monitors,
+        jobs=jobs, engine=engine, profile=profile,
     )
 
 
@@ -407,7 +401,6 @@ def figure13(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """LRU vs L vs LIX (vs the PIX ideal) across Δ.
 
@@ -427,7 +420,7 @@ def figure13(
                        offset=cache_size, label=f"F13 {policy} Δ={delta}")
          for delta in deltas]
         for policy in policies
-    ], jobs=jobs, engine=engine, profile=profile, monitors=monitors)
+    ], jobs=jobs, engine=engine, profile=profile)
     for policy, row in zip(policies, rows):
         data.add_series(policy, _means(row))
     return data
@@ -443,7 +436,6 @@ def figure14(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """Access locations for the implementable policies (Δ=3, Noise=30%).
 
@@ -453,7 +445,7 @@ def figure14(
     return _access_locations(
         "Figure 14", "Page access locations", "F14", policies,
         num_requests, seed, cache_size, noise, delta,
-        jobs=jobs, engine=engine, profile=profile, monitors=monitors,
+        jobs=jobs, engine=engine, profile=profile,
     )
 
 
@@ -467,7 +459,6 @@ def figure15(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """LRU vs L vs LIX with varying noise at Δ=3.
 
@@ -487,7 +478,7 @@ def figure15(
                        label=f"F15 {policy} noise={noise:.0%}")
          for noise in noises]
         for policy in policies
-    ], jobs=jobs, engine=engine, profile=profile, monitors=monitors)
+    ], jobs=jobs, engine=engine, profile=profile)
     for policy, row in zip(policies, rows):
         data.add_series(policy, _means(row))
     return data
@@ -975,7 +966,6 @@ def multichannel_study(
     jobs: int = 1,
     engine: str = "fast",
     profile=None,
-    monitors=None,
 ) -> FigureData:
     """Response time and retune rate vs Δ for C parallel channels.
 
@@ -1007,7 +997,7 @@ def multichannel_study(
                        label=f"MC {preset} Δ={delta} C={channels}")
          for delta in deltas]
         for channels in channel_counts
-    ], jobs=jobs, engine=engine, profile=profile, monitors=monitors)
+    ], jobs=jobs, engine=engine, profile=profile)
     for channels, row in zip(channel_counts, rows):
         data.add_series(f"C={channels}", _means(row))
         data.add_series(

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.executor import Executor, resolve_executor
-from repro.exec.plan import plan_for, plan_sweep
+from repro.exec.plan import RunPlan, plan_sweep
 from repro.exec.run import (  # noqa: F401 - re-exported for compatibility
     ExperimentResult,
     _warmup_trace_allowance,
@@ -48,31 +48,30 @@ def run_experiment(
     tracer=None,
     manifest: Optional[str] = None,
     profile=None,
-    monitors=None,
 ) -> ExperimentResult:
     """Run one fully-specified experiment and return its measurements.
 
     All options are keyword-only.  ``tracer`` attaches a
     :class:`repro.obs.trace.Tracer` to the engine (and, for the process
     engine, the kernel and channel) and wraps the cache in a
-    :class:`~repro.cache.base.TracedCache`.  ``manifest`` names a JSON
-    file to write the run manifest to (also attached to the result).
-    ``profile`` attaches a :class:`repro.obs.profile.Profiler` (phase
-    timings and engine counters); ``monitors`` a
-    :class:`repro.obs.monitor.MonitorSuite` checking the paper's
-    invariants against the run's trace stream (strict mode raises
-    :class:`~repro.errors.MonitorError`).  All default to off and leave
+    :class:`~repro.cache.base.TracedCache`; a
+    :class:`repro.obs.monitor.MonitorSuite` among its sinks checks the
+    paper's invariants against the run's trace stream (strict mode
+    raises :class:`~repro.errors.MonitorError`).  ``manifest`` names a
+    JSON file to write the run manifest to (also attached to the
+    result).  ``profile`` attaches a :class:`repro.obs.profile.Profiler`
+    (phase timings and engine counters).  All default to off and leave
     the measured behaviour untouched.
     """
-    plan = plan_for(config, engine=engine, collect_responses=collect_responses)
-    result = execute_plan(plan, tracer=tracer, profile=profile,
-                          monitors=monitors)
+    plan = RunPlan(config, engine=engine,
+                   collect_responses=collect_responses)
+    result = execute_plan(plan, tracer=tracer, profile=profile)
     profiling = profile is not None and profile.enabled
     if profiling:
         profile.start_phase("aggregate")
     if manifest is not None:
         result.manifest = build_manifest(result, tracer=tracer,
-                                         profile=profile, monitors=monitors)
+                                         profile=profile)
         write_manifest(result.manifest, manifest)
     if profiling:
         profile.stop_phase("aggregate")
@@ -120,7 +119,6 @@ def sweep_results(
     executor: Optional[Executor] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
     profile=None,
-    monitors=None,
 ) -> List[ExperimentResult]:
     """Run every configuration; return the full results, in order.
 
@@ -128,17 +126,18 @@ def sweep_results(
     plan order even under parallel execution; ``manifest`` names a JSON
     file that receives the aggregated sweep manifest (one per-run
     record per configuration — the ``BENCH_*.json``-style trajectory).
-    ``tracer`` observes every run; an *enabled* tracer forces
-    in-process serial execution so trace records stay in simulation
-    order.  ``jobs`` selects the worker count (``executor`` overrides it
-    with an explicit strategy), and ``checkpoint`` attaches a
+    ``tracer`` observes every run, and a
+    :class:`repro.obs.monitor.MonitorSuite` among its sinks checks each
+    one; an *enabled* tracer forces in-process serial execution so
+    trace records stay in simulation order.  ``jobs`` selects the
+    worker count (``executor`` overrides it with an explicit strategy),
+    and ``checkpoint`` attaches a
     :class:`~repro.exec.checkpoint.SweepCheckpoint` journal so an
     interrupted sweep resumes without re-running finished points.
 
-    ``profile`` attaches a :class:`repro.obs.profile.Profiler` and
-    ``monitors`` a :class:`repro.obs.monitor.MonitorSuite`; either being
-    *enabled* forces in-process serial execution (like an enabled
-    tracer), because both accumulate state a worker process could not
+    ``profile`` attaches a :class:`repro.obs.profile.Profiler`; an
+    *enabled* one forces in-process serial execution (like an enabled
+    tracer), because it accumulates state a worker process could not
     ship back.
     """
     plans = plan_sweep(
@@ -147,15 +146,14 @@ def sweep_results(
     runner = executor if executor is not None else resolve_executor(jobs)
     results = runner.run(
         plans, tracer=tracer, progress=progress, checkpoint=checkpoint,
-        profile=profile, monitors=monitors,
+        profile=profile,
     )
     profiling = profile is not None and profile.enabled
     if profiling:
         profile.start_phase("aggregate")
     if manifest is not None:
         write_manifest(
-            build_sweep_manifest(results, tracer=tracer, profile=profile,
-                                 monitors=monitors),
+            build_sweep_manifest(results, tracer=tracer, profile=profile),
             manifest,
         )
     if profiling:

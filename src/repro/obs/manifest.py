@@ -23,6 +23,7 @@ from dataclasses import asdict, is_dataclass
 from typing import Dict, Iterable, List
 
 from repro.errors import ConfigurationError
+from repro.obs.monitor import MonitorSuite
 
 MANIFEST_SCHEMA = "repro.obs.manifest/1"
 SWEEP_SCHEMA = "repro.obs.sweep/1"
@@ -54,16 +55,16 @@ def config_hash(config) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def observer_blocks(tracer, profile, monitors) -> Dict:
+def observer_blocks(tracer, profile) -> Dict:
     """The optional ``trace``/``profile``/``monitors`` manifest blocks.
 
     A ``tracer`` (a :class:`repro.obs.trace.Tracer`) contributes its
     emission totals; ``profile`` (a :class:`repro.obs.profile.Profiler`)
-    and ``monitors`` (a :class:`repro.obs.monitor.MonitorSuite`) embed
-    their schema-tagged snapshots — so a run, sweep or population
-    manifest carries the phase timings, engine counters, and any
-    invariant violations alongside the measurements they describe.
-    Each block is left out when its observer is ``None``.
+    and a :class:`repro.obs.monitor.MonitorSuite` among the tracer's
+    sinks embed their schema-tagged snapshots — so a run, sweep or
+    population manifest carries the phase timings, engine counters, and
+    any invariant violations alongside the measurements they describe.
+    Each block is left out when its observer is absent.
     """
     blocks: Dict = {}
     if tracer is not None:
@@ -71,18 +72,18 @@ def observer_blocks(tracer, profile, monitors) -> Dict:
             "enabled": tracer.enabled,
             "records_emitted": tracer.emitted,
         }
+        for sink in tracer.sinks:
+            if isinstance(sink, MonitorSuite):
+                blocks["monitors"] = sink.snapshot()
     if profile is not None:
         blocks["profile"] = profile.snapshot()
-    if monitors is not None:
-        blocks["monitors"] = monitors.snapshot()
     return blocks
 
 
-def build_manifest(result, *, tracer=None, profile=None,
-                   monitors=None) -> Dict:
+def build_manifest(result, *, tracer=None, profile=None) -> Dict:
     """The manifest dict for one :class:`ExperimentResult`-shaped object.
 
-    ``tracer``, ``profile`` and ``monitors`` add their blocks (see
+    ``tracer`` and ``profile`` add their blocks (see
     :func:`observer_blocks`) when provided.
     """
     config = result.config
@@ -115,7 +116,7 @@ def build_manifest(result, *, tracer=None, profile=None,
     if channel_utilisation is not None:
         manifest["retunes"] = result.retunes
         manifest["channel_utilisation"] = list(channel_utilisation)
-    manifest.update(observer_blocks(tracer, profile, monitors))
+    manifest.update(observer_blocks(tracer, profile))
     return manifest
 
 
@@ -127,15 +128,13 @@ def write_manifest(manifest: Dict, path: str) -> None:
 
 
 def build_sweep_manifest(results: Iterable, *, tracer=None,
-                         name: str = "sweep", profile=None,
-                         monitors=None) -> Dict:
+                         name: str = "sweep", profile=None) -> Dict:
     """Aggregate per-run manifests into one sweep document.
 
     The summary block carries the cross-run totals a bench trajectory
     wants in one glance (total wall time, request volume, response-time
     extremes); ``runs`` holds the full per-configuration manifests.
-    ``tracer``/``profile``/``monitors`` add their blocks like
-    :func:`build_manifest`.
+    ``tracer``/``profile`` add their blocks like :func:`build_manifest`.
     """
     runs: List[Dict] = [build_manifest(result) for result in results]
     means = [run["mean_response_time"] for run in runs]
@@ -154,7 +153,7 @@ def build_sweep_manifest(results: Iterable, *, tracer=None,
         "summary": summary,
         "runs": runs,
     }
-    sweep.update(observer_blocks(tracer, profile, monitors))
+    sweep.update(observer_blocks(tracer, profile))
     return sweep
 
 

@@ -1,10 +1,10 @@
 """Declarative invariant monitors driven by the trace bus.
 
 A :class:`MonitorSuite` is a trace *sink*: attach it to a
-:class:`~repro.obs.trace.Tracer` (the execution layer does this
-automatically when ``monitors=`` is passed) and every record flows
-through a set of per-run :class:`Monitor` instances, each checking one
-simulation invariant:
+:class:`~repro.obs.trace.Tracer` (``Tracer(MonitorSuite())``, or beside
+a JSONL or memory sink) and every record of each run the execution
+layer brackets on that tracer flows through a set of per-run
+:class:`Monitor` instances, each checking one simulation invariant:
 
 ==============================  ============================================
 monitor                         invariant
@@ -33,7 +33,7 @@ into run/sweep manifests); ``strict`` additionally raises
 Violations are raised from ``end_run()`` — never from ``write()`` — so
 the tracer's sink-quarantine logic cannot swallow them.
 
-Like every obs component, a suite with ``enabled=False`` (or none at
+Like every obs component, a suite in a disabled tracer (or none at
 all) costs the execution layer one guard branch and nothing else.
 """
 
@@ -366,10 +366,10 @@ class MonitorSuite:
     """A trace sink that runs invariant monitors over every record.
 
     The execution layer calls :meth:`begin_run` / :meth:`end_run` around
-    each plan; between them the suite behaves as an ordinary sink
-    (``write`` / ``close``), so it composes with JSONL and memory sinks
-    on one tracer.  Violations accumulate on :attr:`violations` across
-    runs, each tagged with its run label.
+    each plan through the run's enabled tracer; between them the suite
+    behaves as an ordinary sink (``write`` / ``close``), so it composes
+    with JSONL and memory sinks on one tracer.  Violations accumulate
+    on :attr:`violations` across runs, each tagged with its run label.
     """
 
     def __init__(
@@ -377,7 +377,6 @@ class MonitorSuite:
         factories: Sequence = DEFAULT_MONITORS,
         *,
         mode: str = "record",
-        enabled: bool = True,
     ):
         if mode not in ("record", "strict"):
             raise ConfigurationError(
@@ -385,7 +384,6 @@ class MonitorSuite:
             )
         self.factories = tuple(factories)
         self.mode = mode
-        self.enabled = enabled
         #: Violations from every completed run, in run order.
         self.violations: List[Violation] = []
         #: Completed monitored runs.

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import warnings
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -152,13 +152,23 @@ class Tracer:
         #: Sinks detached after raising from ``write`` or ``close``.
         self.quarantined = 0
 
-    def add_sink(self, sink) -> None:
-        """Attach another sink; it sees records from now on."""
-        self._sinks.append(sink)
+    @property
+    def sinks(self) -> Tuple:
+        """The attached sinks, in order (quarantined ones are gone)."""
+        return tuple(self._sinks)
 
-    def remove_sink(self, sink) -> None:
-        """Detach ``sink`` (by identity); absent sinks are ignored."""
-        self._sinks = [s for s in self._sinks if s is not sink]
+    def begin_run(self, context) -> None:
+        """Begin a run on each sink that takes runs (a monitor suite)."""
+        for sink in self._sinks:
+            if hasattr(sink, "begin_run"):
+                sink.begin_run(context)
+
+    def end_run(self) -> None:
+        """End the run on each sink that takes runs; a strict
+        :class:`~repro.obs.monitor.MonitorSuite` raises here."""
+        for sink in self._sinks:
+            if hasattr(sink, "end_run"):
+                sink.end_run()
 
     def _quarantine(self, sink, operation: str, error: BaseException) -> None:
         self._sinks = [s for s in self._sinks if s is not sink]

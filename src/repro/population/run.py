@@ -79,7 +79,7 @@ class PopulationResult:
 
 
 def build_population_manifest(
-    result: PopulationResult, *, tracer=None, profile=None, monitors=None,
+    result: PopulationResult, *, tracer=None, profile=None,
 ) -> Dict:
     """The manifest dict for one :class:`PopulationResult`.
 
@@ -105,7 +105,7 @@ def build_population_manifest(
         },
         "total_wall_seconds": result.wall_seconds,
     }
-    manifest.update(observer_blocks(tracer, profile, monitors))
+    manifest.update(observer_blocks(tracer, profile))
     return manifest
 
 
@@ -118,7 +118,6 @@ def finish_population(
     tracer=None,
     manifest: Optional[str] = None,
     profile=None,
-    monitors=None,
     keep_results: bool = False,
 ) -> PopulationResult:
     """Fold per-client results into a :class:`PopulationResult`.
@@ -146,7 +145,7 @@ def finish_population(
     )
     if manifest is not None:
         population.manifest = build_population_manifest(
-            population, tracer=tracer, profile=profile, monitors=monitors,
+            population, tracer=tracer, profile=profile,
         )
         write_manifest(population.manifest, manifest)
     if profiling:
@@ -190,7 +189,6 @@ def run_population(
     keep_results: bool = False,
     gamma: float = DEFAULT_GAMMA,
     profile=None,
-    monitors=None,
 ) -> PopulationResult:
     """Simulate the fleet ``spec`` describes and return its rollup.
 
@@ -204,14 +202,14 @@ def run_population(
     fires per client in plan order; ``checkpoint`` attaches a
     :class:`~repro.exec.checkpoint.SweepCheckpoint` journal so an
     interrupted fleet resumes client-by-client.  ``tracer`` observes
-    the run (an *enabled* tracer forces serial execution, as everywhere
-    else); ``manifest`` names a JSON file that receives the population
-    manifest.  ``keep_results=True`` retains the
-    per-client result list on the returned object; ``gamma`` tunes the
-    percentile sketch's relative accuracy.  ``profile`` attaches a
-    :class:`repro.obs.profile.Profiler` and ``monitors`` a
-    :class:`repro.obs.monitor.MonitorSuite`; either being *enabled*
-    forces serial execution, like an enabled tracer.
+    the run, and a :class:`repro.obs.monitor.MonitorSuite` among its
+    sinks checks every plan (an *enabled* tracer forces serial
+    execution, as everywhere else); ``manifest`` names a JSON file
+    that receives the population manifest.  ``keep_results=True``
+    retains the per-client result list on the returned object;
+    ``gamma`` tunes the percentile sketch's relative accuracy.  ``profile`` attaches a
+    :class:`repro.obs.profile.Profiler`; an *enabled* one forces serial
+    execution, like an enabled tracer.
     """
     if spec.engine == "batch":
         if executor is not None:
@@ -225,7 +223,7 @@ def run_population(
 
         return run_fleet(
             spec, gamma=gamma, tracer=tracer, manifest=manifest,
-            profile=profile, monitors=monitors, progress=progress,
+            profile=profile, progress=progress,
             checkpoint=checkpoint, keep_results=keep_results,
         )
     started = perf_counter()
@@ -234,10 +232,9 @@ def run_population(
               else resolve_executor(_effective_jobs(jobs, len(plans))))
     results = runner.run(
         plans, tracer=tracer, progress=progress, checkpoint=checkpoint,
-        profile=profile, monitors=monitors,
+        profile=profile,
     )
     return finish_population(
         spec, results, started=started, gamma=gamma, tracer=tracer,
-        manifest=manifest, profile=profile, monitors=monitors,
-        keep_results=keep_results,
+        manifest=manifest, profile=profile, keep_results=keep_results,
     )

@@ -409,6 +409,25 @@ class TestFleetOptions:
             run_population(mixed_batch_spec(), executor=SerialExecutor())
 
 
+class TestColumnarBuilders:
+    """A policy without a columnar form is refused by name, not built."""
+
+    @pytest.mark.parametrize("policy", ["LRU-K", "2Q"])
+    def test_policy_without_columnar_form_rejected(self, policy):
+        from repro.batch.engine import build_columnar_engine
+        from repro.cache.batched import BatchedOracles, make_batched_policy
+        from repro.exec.build import BuildCache
+
+        base = config(policy=policy)
+        layout, schedule = BuildCache().layout_and_schedule(base)
+        physical = base.build_mapping(layout).physical_array()[None, :]
+        message = f"{policy}.*columnar.*L, LIX, LRU, P, PIX"
+        with pytest.raises(ConfigurationError, match=message):
+            build_columnar_engine(base, schedule, layout, physical, 2)
+        with pytest.raises(ConfigurationError, match=message):
+            make_batched_policy(policy, 2, 20, BatchedOracles())
+
+
 class TestPageRange:
     """Trace page ids outside ``[0, AccessRange)`` fail fast.
 
@@ -501,7 +520,7 @@ class TestBatchObservability:
                                        profile=Profiler(enabled=True)),
             "traced": run_population(spec, tracer=Tracer(MemorySink())),
             "monitored": run_population(
-                spec, monitors=MonitorSuite(mode="strict")
+                spec, tracer=Tracer(MonitorSuite(mode="strict"))
             ),
         }
         per_client = run_population(homogeneous_spec(
@@ -515,7 +534,7 @@ class TestBatchObservability:
 
         monitors = MonitorSuite(mode="strict")
         result = run_fleet(homogeneous_spec(5, num_requests=200),
-                           monitors=monitors)
+                           tracer=Tracer(monitors))
         assert result.num_clients == 5
         assert monitors.ok
         assert monitors.runs == 1
@@ -527,12 +546,35 @@ class TestBatchObservability:
         sink = MemorySink(capacity=50_000)
         monitors = MonitorSuite(mode="strict")
         run_fleet(homogeneous_spec(3, num_requests=150),
-                  tracer=Tracer(sink), monitors=monitors)
+                  tracer=Tracer(sink, monitors))
         assert monitors.ok
         labels = {
             record.fields.get("client") for record in sink.records
         }
         assert len(labels) == 3  # every record carries its client
+
+    def test_strict_monitors_check_per_client_fallback_plans(self):
+        # A ``Uniform`` field sends its segment's clients to per-client
+        # ``fast`` plans, whose run bracket reaches the fleet tracer's
+        # suite through the client-label sink: one columnar run plus
+        # one run per fallback client.
+        spec = PopulationSpec(
+            name="monitored-fallback",
+            base=config(num_requests=200),
+            seed=29,
+            engine="batch",
+            segments=(
+                SegmentSpec("steady", 3),
+                SegmentSpec("noisy", 2, noise=Uniform(0.0, 0.3)),
+            ),
+        )
+        sink = MemorySink()
+        monitors = MonitorSuite(mode="strict")
+        monitored = run_population(spec, tracer=Tracer(sink, monitors))
+        assert monitors.ok
+        assert monitors.runs == 1 + 2
+        assert monitors.observed == len(sink) > 0
+        assert snapshot(monitored) == snapshot(run_population(spec))
 
     def test_profiled_misses_match_traced_miss_records(self):
         from repro.batch.fleet import run_fleet

@@ -15,7 +15,7 @@ from repro.cache.lru import LRUPolicy
 from repro.core.chunks import EMPTY_SLOT
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastSchedule
-from repro.exec import execute_plan, plan_for
+from repro.exec import RunPlan, execute_plan
 from repro.exec.run import result_state
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import FastEngine
@@ -168,9 +168,9 @@ class TestOptimizedPathCrossValidation:
 
     def test_fast_reference_plan_engine_agrees(self):
         config = small_config(num_requests=300)
-        fast = execute_plan(plan_for(config, collect_responses=True))
+        fast = execute_plan(RunPlan(config, collect_responses=True))
         reference = execute_plan(
-            plan_for(config, engine="fast-reference", collect_responses=True)
+            RunPlan(config, engine="fast-reference", collect_responses=True)
         )
         assert fast.samples == reference.samples
         assert fast.mean_response_time == reference.mean_response_time
@@ -232,7 +232,7 @@ class TestFinalTime:
         # both engines; the per-request agreement above makes every
         # derived measurement identical too.
         config = small_config()
-        fast = execute_plan(plan_for(config, engine="fast"))
-        process = execute_plan(plan_for(config, engine="process"))
+        fast = execute_plan(RunPlan(config, engine="fast"))
+        process = execute_plan(RunPlan(config, engine="process"))
         assert fast.mean_response_time == process.mean_response_time
         assert fast.hit_rate == process.hit_rate

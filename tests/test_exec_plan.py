@@ -10,7 +10,6 @@ from repro.exec import (
     RunPlan,
     derive_seed,
     execute_plan,
-    plan_for,
     plan_sweep,
     structural_hash,
     structural_key,
@@ -37,7 +36,7 @@ def small_config(**overrides):
 
 class TestRunPlan:
     def test_frozen_hashable_picklable(self):
-        plan = plan_for(small_config(), engine="fast", index=3)
+        plan = RunPlan(small_config(), engine="fast", index=3)
         assert hash(plan) == hash(
             RunPlan(config=small_config(), engine="fast", index=3)
         )
@@ -49,25 +48,25 @@ class TestRunPlan:
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ConfigurationError):
-            plan_for(small_config(), engine="quantum")
+            RunPlan(small_config(), engine="quantum")
 
     def test_seed_is_config_seed(self):
-        assert plan_for(small_config(seed=99)).seed == 99
+        assert RunPlan(small_config(seed=99)).seed == 99
 
     def test_fingerprint_ignores_index(self):
-        a = plan_for(small_config(), index=0)
-        b = plan_for(small_config(), index=7)
+        a = RunPlan(small_config(), index=0)
+        b = RunPlan(small_config(), index=7)
         assert a.fingerprint() == b.fingerprint()
 
     def test_fingerprint_tracks_work_identity(self):
-        base = plan_for(small_config())
-        assert base.fingerprint() != plan_for(
+        base = RunPlan(small_config())
+        assert base.fingerprint() != RunPlan(
             small_config(seed=12)
         ).fingerprint()
-        assert base.fingerprint() != plan_for(
+        assert base.fingerprint() != RunPlan(
             small_config(), engine="process"
         ).fingerprint()
-        assert base.fingerprint() != plan_for(
+        assert base.fingerprint() != RunPlan(
             small_config(), collect_responses=True
         ).fingerprint()
 
@@ -121,7 +120,7 @@ class TestBuildCache:
         cache = BuildCache()
         configs = [small_config(noise=noise) for noise in (0.0, 0.15, 0.45)]
         for config in configs:
-            execute_plan(plan_for(config), builds=cache)
+            execute_plan(RunPlan(config), builds=cache)
         assert cache.misses == 1 and cache.hits == 2 and len(cache) == 1
         assert cache.held()["schedules"] == 1
         tables = [
@@ -132,7 +131,7 @@ class TestBuildCache:
         assert all(r is residue and g is gap for r, g in tables)
         assert gap.any()
         assert not residue.flags.writeable and not gap.flags.writeable
-        execute_plan(plan_for(small_config(noise=0.45)), builds=cache)
+        execute_plan(RunPlan(small_config(noise=0.45)), builds=cache)
         # The repeated point reused the shared schedule and its table.
         assert cache.misses == 1
         _layout, schedule = cache.layout_and_schedule(configs[0])
@@ -164,12 +163,12 @@ class TestBuildCache:
             small_config(warmup_requests=200, noise=0.3),
         ]
         fresh = [
-            execute_plan(plan_for(config, collect_responses=True))
+            execute_plan(RunPlan(config, collect_responses=True))
             for config in configs
         ]
         shared = BuildCache()
         cached = [
-            execute_plan(plan_for(config, collect_responses=True),
+            execute_plan(RunPlan(config, collect_responses=True),
                          builds=shared)
             for config in configs
         ]
@@ -223,7 +222,7 @@ class TestBuildCache:
 class TestExecutePlan:
     def test_matches_run_experiment(self):
         config = small_config()
-        via_plan = execute_plan(plan_for(config, collect_responses=True))
+        via_plan = execute_plan(RunPlan(config, collect_responses=True))
         via_runner = run_experiment(config, collect_responses=True)
         assert via_plan.mean_response_time == via_runner.mean_response_time
         assert via_plan.samples == via_runner.samples
@@ -231,7 +230,7 @@ class TestExecutePlan:
         assert via_plan.schedule_period == via_runner.schedule_period
 
     def test_result_is_picklable(self):
-        result = execute_plan(plan_for(small_config(), collect_responses=True))
+        result = execute_plan(RunPlan(small_config(), collect_responses=True))
         clone = pickle.loads(pickle.dumps(result))
         assert clone.mean_response_time == result.mean_response_time
         assert clone.samples == result.samples

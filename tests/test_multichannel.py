@@ -45,6 +45,7 @@ from repro.experiments.config import (
 from repro.experiments.engine import FastEngine
 from repro.experiments.runner import run_experiment
 from repro.obs.monitor import MonitorSuite
+from repro.obs.trace import Tracer
 from repro.population import PopulationSpec, SegmentSpec, run_population
 
 LAYOUT = DiskLayout.from_delta((2, 4, 8), 3)
@@ -310,7 +311,7 @@ class TestObservability:
             monitors = MonitorSuite(mode="strict")
             result = run_experiment(
                 config(channels=4, num_requests=300),
-                engine=engine, monitors=monitors,
+                engine=engine, tracer=Tracer(monitors),
             )
             assert monitors.ok
             assert result.retunes > 0

@@ -173,11 +173,12 @@ class TestManifestSummary:
                                          capsys):
         from repro.obs.monitor import MonitorSuite
         from repro.obs.profile import Profiler
+        from repro.obs.trace import Tracer
 
         path = str(tmp_path / "run-manifest.json")
         run_experiment(
             mini_config.with_(num_requests=300), manifest=path,
-            profile=Profiler(), monitors=MonitorSuite(),
+            profile=Profiler(), tracer=Tracer(MonitorSuite()),
         )
         assert main(["summary", path]) == EXIT_OK
         out = capsys.readouterr().out
@@ -193,6 +194,7 @@ class TestManifestSummary:
         # ``batch`` from the fleet path; both share one schema.
         from repro.obs.monitor import MonitorSuite
         from repro.obs.profile import Profiler
+        from repro.obs.trace import Tracer
         from repro.population import (
             Choice,
             PopulationSpec,
@@ -213,7 +215,7 @@ class TestManifestSummary:
         )
         path = str(tmp_path / "population-manifest.json")
         run_population(spec, manifest=path, profile=Profiler(),
-                       monitors=MonitorSuite())
+                       tracer=Tracer(MonitorSuite()))
         assert main(["summary", path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "repro.population/1" in out

@@ -8,7 +8,10 @@ The load-bearing assertions:
   ``end_run()`` (never from ``write()``), record mode only collects;
 * violations round-trip through their manifest serialisation;
 * a strictly-monitored experiment run is byte-identical to an
-  unmonitored one and passes on both fast engines.
+  unmonitored one and passes on both fast engines;
+* a suite is an ordinary sink of the run's tracer: every plan a run or
+  sweep executes on an enabled tracer is checked, and a suite inside a
+  disabled tracer sees nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, MonitorError
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import run_experiment, sweep_results
 from repro.obs.manifest import build_manifest
 from repro.obs.monitor import (
     CacheOccupancyMonitor,
@@ -28,7 +31,7 @@ from repro.obs.monitor import (
     SchedulePeriodicityMonitor,
     Violation,
 )
-from repro.obs.trace import TraceRecord, Tracer
+from repro.obs.trace import MemorySink, TraceRecord, Tracer
 
 
 def record(kind, time, **fields):
@@ -298,7 +301,7 @@ class TestSerialization:
         suite.write(record("sim.event", 1.0))
         suite.end_run()
         result = run_experiment(mini_config.with_(num_requests=200))
-        manifest = build_manifest(result, monitors=suite)
+        manifest = build_manifest(result, tracer=Tracer(suite))
         block = manifest["monitors"]
         assert block["schema"] == "repro.obs.monitor/1"
         assert block["runs"] == 1
@@ -315,35 +318,44 @@ class TestRunnerIntegration:
     ):
         config = mini_config.with_(num_requests=300)
         bare = run_experiment(config, engine=engine)
+        sink = MemorySink()
         monitors = MonitorSuite(mode="strict")
-        watched = run_experiment(config, engine=engine, monitors=monitors)
+        watched = run_experiment(config, engine=engine,
+                                 tracer=Tracer(sink, monitors))
         assert monitors.ok
         assert monitors.runs == 1
-        assert monitors.observed > 0
+        # The suite saw every record the caller's sink received.
+        assert monitors.observed == len(sink) > 0
         assert watched.mean_response_time == bare.mean_response_time
         assert watched.hit_rate == bare.hit_rate
 
     def test_monitors_compose_with_caller_tracer(self, mini_config):
-        from repro.obs.trace import MemorySink
-
         sink = MemorySink(capacity=100_000)
         monitors = MonitorSuite(mode="strict")
-        tracer = Tracer(sink)
-        run_experiment(
-            mini_config.with_(num_requests=200), tracer=tracer,
-            monitors=monitors,
-        )
+        tracer = Tracer(sink, monitors)
+        run_experiment(mini_config.with_(num_requests=200), tracer=tracer)
         assert monitors.ok
         # The suite observed the same stream the caller's sink received,
-        # and detached afterwards: new emissions bypass the monitors.
+        # and its run ended afterwards: new emissions bypass the monitors.
         assert monitors.observed == len(sink)
         observed_before = monitors.observed
         tracer.emit("sim.event", 1.0)
         assert monitors.observed == observed_before
 
+    def test_sweep_tracer_suite_checks_every_plan(self, mini_config):
+        sink = MemorySink()
+        monitors = MonitorSuite(mode="strict")
+        configs = [mini_config.with_(num_requests=200, delta=delta)
+                   for delta in (1, 2, 3)]
+        results = sweep_results(configs, tracer=Tracer(sink, monitors))
+        assert len(results) == 3
+        assert monitors.ok
+        assert monitors.runs == 3
+        assert monitors.observed == len(sink) > 0
+
     def test_disabled_suite_never_runs(self, mini_config):
-        monitors = MonitorSuite(enabled=False)
+        monitors = MonitorSuite()
         run_experiment(mini_config.with_(num_requests=200),
-                       monitors=monitors)
+                       tracer=Tracer(monitors, enabled=False))
         assert monitors.runs == 0
         assert monitors.observed == 0

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec import execute_plan, plan_for
+from repro.exec import RunPlan, execute_plan
 from repro.experiments.runner import run_experiment, sweep_results
 from repro.obs.profile import PROFILE_SCHEMA, Profiler
 from repro.obs.trace import MemorySink, Tracer
@@ -164,7 +164,7 @@ class TestOneLoop:
         self, mini_config, engine, channels
     ):
         name = self.ENGINES[engine]
-        plan = plan_for(
+        plan = RunPlan(
             mini_config.with_(channels=channels), engine=engine,
             collect_responses=True,
         )

@@ -105,7 +105,6 @@ def drive_pair(name, capacity, request_matrix, contexts, oracles, times):
     """
     steps, clients = request_matrix.shape
     batched = make_batched_policy(name, clients, capacity, oracles)
-    assert batched is not None
     twins = [make_policy(name, capacity, context) for context in contexts]
 
     for step in range(steps):
