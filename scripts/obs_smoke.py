@@ -9,10 +9,6 @@ artifacts CI uploads:
   (``fig5-smoke-manifest.json``), and the profile snapshot
   (``fig5-smoke-profile.json``) — and asserting that the profiler's
   ``engine.fast.misses`` equals the trace's ``client.miss`` records;
-* ``repro.obs summary`` and ``repro.obs analyze`` over that trace, which
-  holds four runs whose clocks each restart at zero: both must exit 0
-  and the cache occupancy peak must stay within the cache size of 50
-  (``fig5-analyze.json``);
 * the same grid re-run under the ``fast-reference`` engine with strict
   monitors and a profiler, so both arithmetics of the engine's one loop
   are checked against the paper's invariants on every CI run, and the
@@ -21,16 +17,24 @@ artifacts CI uploads:
 * two process-engine multidisk runs with ``observe_every_slot()``,
   traced into one trace that carries every ``channel.deliver`` slot
   of both (``broadcast-smoke.jsonl``; the second run restarts the
-  clock at zero), then the ``repro.obs summary`` §2.1 fixed-gap check
-  over it — the run fails unless every page's inter-arrival variance
-  is exactly zero — and the ``repro.obs analyze`` attribution document
-  (``broadcast-analyze.json``), whose slot utilization must not exceed
-  1.0;
+  clock at zero);
 * a cached LIX run on a two-channel program, traced
-  (``multichannel-smoke.jsonl``): ``repro.obs summary`` and ``analyze``
-  must exit 0 on it, and the per-client ``retunes`` of the analyze
-  document (``multichannel-analyze.json``) must add up to the trace's
-  ``client.retune`` records.
+  (``multichannel-smoke.jsonl``);
+* one demand-driven process-engine run of the multidisk program
+  (``demand-smoke.jsonl``), whose channel delivers only the broadcasts
+  the client waits for.
+
+``repro.obs summary --json`` then runs once per trace and writes its
+report (``<trace>-report.json``), which must exit 0 and hold:
+
+* fig5: the cache occupancy peak within the cache size of 50 over the
+  four runs, whose clocks each restart at zero;
+* broadcast: ``fixed_interarrival`` true over 2 of 2 checked runs —
+  every page's inter-arrival variance exactly zero, the §2.1 check —
+  and a slot utilization of at most 1.0;
+* multichannel: per-client ``retunes`` adding up to the trace's
+  ``client.retune`` records;
+* demand: ``fixed_interarrival`` null, no run checked.
 
 Usage::
 
@@ -40,9 +44,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -55,9 +61,8 @@ from repro.core.programs import ProgramSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment, sweep_results
 from repro.experiments.simengine import ClientSpec, ProcessEngine
-from repro.obs.analyze import analyze
+from repro.obs.analyze import render_analysis
 from repro.obs.cli import main as obs_main
-from repro.obs.cli import summarise
 from repro.obs.monitor import MonitorSuite
 from repro.obs.profile import Profiler
 from repro.obs.trace import JsonlSink, Tracer, read_jsonl
@@ -70,7 +75,7 @@ from repro.workload.zipf import ZipfRegionDistribution
 def _fig5_configs():
     return [
         ExperimentConfig(
-            disk_sizes=(50, 200, 250),
+            disk_sizes=D5_SIZES,
             delta=delta,
             cache_size=FIG5_CACHE,
             policy="LIX",
@@ -88,8 +93,13 @@ def _fig5_configs():
 FIG5_CACHE = 50
 
 #: Process-engine runs in the full-broadcast trace; each restarts the
-#: clock, so ``summary`` and ``analyze`` must split the trace into runs.
+#: clock, so ``summary`` must split the trace into runs.
 BROADCAST_RUNS = 2
+
+#: The disk sizes of the fig5 and multichannel programs, and of the
+#: multidisk program both broadcast traces air.
+D5_SIZES = (50, 200, 250)
+BROADCAST_SIZES = (2, 4, 8)
 
 
 def traced_fig5_sweep(out: Path) -> int:
@@ -141,32 +151,44 @@ def traced_fig5_sweep(out: Path) -> int:
     return misses
 
 
-def analyze_fig5_trace(out: Path) -> int:
-    """``summary`` and ``analyze`` over the four-run fig5 trace.
+def report(out: Path, name: str, disk_sizes) -> dict | None:
+    """``repro.obs summary --json`` over ``<name>-smoke.jsonl``.
+
+    Writes the report to ``<name>-report.json``, prints its text form
+    and returns it; ``None`` (after saying why) if the command failed.
+    """
+    trace_path = str(out / f"{name}-smoke.jsonl")
+    captured = io.StringIO()
+    with redirect_stdout(captured):
+        code = obs_main([
+            "summary", trace_path, "--json",
+            "--disk-sizes", ",".join(str(size) for size in disk_sizes),
+        ])
+    if code != 0:
+        print(f"summary CLI exited {code} on {trace_path}", file=sys.stderr)
+        return None
+    (out / f"{name}-report.json").write_text(captured.getvalue())
+    document = json.loads(captured.getvalue())
+    print(render_analysis(document))
+    return document
+
+
+def check_fig5_report(out: Path) -> int:
+    """The four-run fig5 trace's report: occupancy within the cache.
 
     Each plan restarts its clock, so the trace's cache records go back
-    in time at every run boundary; both commands must walk the runs
+    in time at every run boundary; the report must walk the runs
     apart.  Returns the exit status.
     """
-    trace_path = str(out / "fig5-smoke.jsonl")
-    for command in ("summary", "analyze"):
-        code = obs_main([command, trace_path])
-        if code != 0:
-            print(f"{command} CLI exited {code} on {trace_path}",
-                  file=sys.stderr)
-            return 1
-    analysis = analyze(
-        list(read_jsonl(trace_path)), disk_sizes=(50, 200, 250)
-    )
-    peak = analysis["cache_residency"]["occupancy_max"]
+    document = report(out, "fig5", D5_SIZES)
+    if document is None:
+        return 1
+    peak = document["cache"]["occupancy_max"]
     if peak > FIG5_CACHE:
         print(f"FAIL: cache occupancy peak {peak} exceeds the cache size "
               f"{FIG5_CACHE}", file=sys.stderr)
         return 1
-    (out / "fig5-analyze.json").write_text(
-        json.dumps(analysis, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"  analyze  : occupancy peak {peak:.0f} <= {FIG5_CACHE}")
+    print(f"  report   : occupancy peak {peak:.0f} <= {FIG5_CACHE}")
     return 0
 
 
@@ -194,20 +216,27 @@ def strict_reference_grid(fast_misses: int) -> None:
           f"{misses} misses, as many as the fast sweep")
 
 
-def traced_broadcast(out: Path) -> Path:
-    """Two process-engine runs observing every broadcast slot, traced
-    into one trace; the second run restarts the clock at zero."""
+def traced_broadcast(out: Path, name: str, runs: int,
+                     every_slot: bool) -> None:
+    """``runs`` process-engine runs of the multidisk program traced into
+    ``<name>-smoke.jsonl``; each run restarts the clock at zero.
+
+    With ``every_slot`` the channel airs every slot
+    (``observe_every_slot``); without it, the channel delivers only the
+    broadcasts the client waits for.
+    """
     layout, schedule = ProgramSpec(
-        sizes=(2, 4, 8), rel_freqs=(4, 2, 1)
+        sizes=BROADCAST_SIZES, rel_freqs=(4, 2, 1)
     ).build()
     distribution = ZipfRegionDistribution(
         access_range=14, region_size=2, theta=0.95
     )
-    trace_path = out / "broadcast-smoke.jsonl"
+    trace_path = out / f"{name}-smoke.jsonl"
     with Tracer(JsonlSink(str(trace_path))) as tracer:
-        for _run in range(BROADCAST_RUNS):
+        for _run in range(runs):
             engine = ProcessEngine(schedule, layout, tracer=tracer)
-            engine.channel.observe_every_slot()
+            if every_slot:
+                engine.channel.observe_every_slot()
             engine.add_client(
                 ClientSpec(
                     mapping=LogicalPhysicalMapping(layout),
@@ -219,45 +248,90 @@ def traced_broadcast(out: Path) -> Path:
                 )
             )
             engine.run()
-    print(f"  trace    : {trace_path} ({BROADCAST_RUNS} runs)")
-    return trace_path
+    print(f"  trace    : {trace_path} ({runs} run(s))")
+
+
+def check_broadcast_report(out: Path) -> int:
+    """The every-slot trace's report: fixed gaps over every run, and
+    no more deliveries than slots.  Returns the exit status."""
+    document = report(out, "broadcast", BROADCAST_SIZES)
+    if document is None:
+        return 1
+    broadcast = document.get("broadcast")
+    if broadcast is None:
+        print("FAIL: full-slot trace produced no broadcast section",
+              file=sys.stderr)
+        return 1
+    if (broadcast["fixed_interarrival"] is not True
+            or broadcast["runs_checked"] != BROADCAST_RUNS
+            or broadcast["runs"] != BROADCAST_RUNS):
+        print("FAIL: multidisk inter-arrival gaps are not fixed over "
+              f"every run (verdict {broadcast['fixed_interarrival']}, "
+              f"{broadcast['runs_checked']} of {broadcast['runs']} runs "
+              f"checked, max variance {broadcast['max_gap_variance']})",
+              file=sys.stderr)
+        return 1
+    if broadcast["utilization"] > 1.0:
+        print("FAIL: slot utilization above 1.0 "
+              f"({broadcast['delivered_slots']} deliveries over "
+              f"{broadcast['observed_span']:.0f} slots)", file=sys.stderr)
+        return 1
+    print(f"fixed inter-arrival gaps confirmed over {BROADCAST_RUNS} of "
+          f"{BROADCAST_RUNS} runs")
+    return 0
+
+
+def check_demand_report(out: Path) -> int:
+    """The demand-driven trace's report: no run checked, verdict null.
+
+    Its channel delivered only the broadcasts the client waited for,
+    whose gaps are multiples of the program's.  Returns the exit status.
+    """
+    document = report(out, "demand", BROADCAST_SIZES)
+    if document is None:
+        return 1
+    broadcast = document["broadcast"]
+    if (broadcast["fixed_interarrival"] is not None
+            or broadcast["runs_checked"] != 0):
+        print("FAIL: a demand-driven trace was checked for fixed gaps "
+              f"(verdict {broadcast['fixed_interarrival']}, "
+              f"{broadcast['runs_checked']} of {broadcast['runs']} runs)",
+              file=sys.stderr)
+        return 1
+    print(f"  report   : fixed gaps not checked (0 of {broadcast['runs']} "
+          "runs aired a slot nobody waited for)")
+    return 0
 
 
 def traced_multichannel(out: Path) -> int:
-    """A cached C=2 run, traced; ``summary`` and ``analyze`` over it.
+    """A cached C=2 run, traced, and its report.
 
     The client switches channels, so the trace carries
-    ``client.retune`` records, which the analyze document must count.
-    Returns the exit status.
+    ``client.retune`` records, which the report must count.  Returns
+    the exit status.
     """
     config = ExperimentConfig(
-        disk_sizes=(50, 200, 250), delta=3, cache_size=10, policy="LIX",
+        disk_sizes=D5_SIZES, delta=3, cache_size=10, policy="LIX",
         num_requests=200, seed=7, channels=2, access_range=500,
     )
     trace_path = str(out / "multichannel-smoke.jsonl")
     with Tracer(JsonlSink(trace_path)) as tracer:
         run_experiment(config, tracer=tracer)
-    for command in ("summary", "analyze"):
-        code = obs_main([command, trace_path])
-        if code != 0:
-            print(f"{command} CLI exited {code} on {trace_path}",
-                  file=sys.stderr)
-            return 1
-    records = list(read_jsonl(trace_path))
-    retunes = sum(record["kind"] == "client.retune" for record in records)
-    analysis = analyze(records, disk_sizes=config.disk_sizes)
+    document = report(out, "multichannel", config.disk_sizes)
+    if document is None:
+        return 1
+    retunes = sum(
+        record["kind"] == "client.retune" for record in read_jsonl(trace_path)
+    )
     counted = sum(
-        row["retunes"] for row in analysis["client_latency"]["slowest"]
+        row["retunes"] for row in document["responses"]["slowest"]
     )
     if retunes == 0 or counted != retunes:
-        print(f"FAIL: analyze counts {counted} retunes, the trace holds "
+        print(f"FAIL: the report counts {counted} retunes, the trace holds "
               f"{retunes} client.retune records", file=sys.stderr)
         return 1
-    (out / "multichannel-analyze.json").write_text(
-        json.dumps(analysis, indent=2, sort_keys=True) + "\n"
-    )
     print(f"  trace    : {trace_path} ({retunes} client.retune records, "
-          "all counted by analyze)")
+          "all counted by the report)")
     return 0
 
 
@@ -274,59 +348,29 @@ def main(argv=None) -> int:
     print("== traced + profiled + monitored fig5 smoke sweep ==")
     fast_misses = traced_fig5_sweep(out)
 
-    print("== repro.obs summary + analyze over the four-run fig5 trace ==")
-    if analyze_fig5_trace(out) != 0:
+    print("== repro.obs summary over the four-run fig5 trace ==")
+    if check_fig5_report(out) != 0:
         return 1
 
     print("== strict monitors + profiler on the fast-reference engine ==")
     strict_reference_grid(fast_misses)
 
     print("== traced broadcast (every slot observed, two runs) ==")
-    broadcast_trace = traced_broadcast(out)
+    traced_broadcast(out, "broadcast", BROADCAST_RUNS, every_slot=True)
 
-    print("== repro.obs summary (§2.1 fixed-gap check) ==")
-    code = obs_main(["summary", str(broadcast_trace)])
-    if code != 0:
-        print(f"summary CLI exited {code}", file=sys.stderr)
+    print("== repro.obs summary (§2.1 fixed-gap check, slot accounting) ==")
+    if check_broadcast_report(out) != 0:
         return 1
-    summary = summarise(list(read_jsonl(str(broadcast_trace))))
-    broadcast = summary.get("broadcast")
-    if broadcast is None or not broadcast["fixed_interarrival"]:
-        print("FAIL: multidisk inter-arrival gaps are not fixed "
-              f"(max variance {broadcast and broadcast['max_gap_variance']})",
-              file=sys.stderr)
-        return 1
-    (out / "broadcast-summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
 
-    print("== repro.obs analyze (attribution tables) ==")
-    code = obs_main([
-        "analyze", str(broadcast_trace), "--disk-sizes", "2,4,8",
-    ])
-    if code != 0:
-        print(f"analyze CLI exited {code}", file=sys.stderr)
-        return 1
-    analysis = analyze(
-        list(read_jsonl(str(broadcast_trace))), disk_sizes=(2, 4, 8)
-    )
-    utilization = analysis.get("slot_utilization")
-    if utilization is None:
-        print("FAIL: full-slot trace produced no slot_utilization section",
-              file=sys.stderr)
-        return 1
-    if utilization["utilization"] > 1.0:
-        print("FAIL: slot utilization above 1.0 "
-              f"({utilization['delivered_slots']} deliveries over "
-              f"{utilization['observed_span']:.0f} slots)", file=sys.stderr)
-        return 1
-    (out / "broadcast-analyze.json").write_text(
-        json.dumps(analysis, indent=2, sort_keys=True) + "\n"
-    )
-    print("fixed inter-arrival gaps confirmed")
-
-    print("== repro.obs summary + analyze over a traced C=2 run ==")
+    print("== repro.obs summary over a traced C=2 run ==")
     if traced_multichannel(out) != 0:
+        return 1
+
+    print("== traced demand-driven broadcast (one run) ==")
+    traced_broadcast(out, "demand", 1, every_slot=False)
+
+    print("== repro.obs summary (demand-driven: fixed gaps not checked) ==")
+    if check_demand_report(out) != 0:
         return 1
     print("artifacts in", out)
     return 0

@@ -69,7 +69,7 @@ from repro.population import (
 )
 from repro.workload import LogicalPhysicalMapping, ZipfRegionDistribution
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "BroadcastProgram",

@@ -39,7 +39,6 @@ from repro.exec.plan import RunPlan, derive_seed
 from repro.exec.run import execute_plan, experiment_result, run_columnar
 from repro.obs.clock import perf_counter
 from repro.obs.trace import Tracer
-from repro.population.aggregate import DEFAULT_GAMMA
 from repro.population.run import PopulationResult, finish_population
 from repro.population.spec import (
     PopulationSpec,
@@ -98,7 +97,6 @@ class _ClientLabel:
 def run_fleet(
     spec: PopulationSpec,
     *,
-    gamma: float = DEFAULT_GAMMA,
     tracer=None,
     manifest: Optional[str] = None,
     profile=None,
@@ -170,6 +168,6 @@ def run_fleet(
                 ), plan)
 
     return finish_population(
-        spec, book.results, started=started, gamma=gamma, tracer=tracer,
+        spec, book.results, started=started, tracer=tracer,
         manifest=manifest, profile=profile, keep_results=keep_results,
     )

@@ -58,7 +58,17 @@ def run_until_converged(
     chunk, and after each chunk the sliding window of the last
     ``window_chunks`` chunk means is tested: its two halves must agree
     within ``rtol``.
+
+    A config with ``drift_rotations > 0`` raises
+    :class:`~repro.errors.ConfigurationError`: a rotating hotspot has no
+    steady state, and chunked draws cannot follow the drift's horizon.
     """
+    if config.drift_rotations > 0:
+        raise ConfigurationError(
+            f"run_until_converged needs drift_rotations == 0, got "
+            f"{config.drift_rotations}: a rotating hotspot has no steady "
+            "state, and chunked draws cannot follow the drift's horizon"
+        )
     if chunk < 1:
         raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
     if window_chunks < 2:
@@ -80,6 +90,7 @@ def run_until_converged(
         layout=layout,
         cache=cache,
         think_time=config.think_time,
+        retune_cost=config.retune_cost,
     )
     request_stream = streams.stream("requests")
 

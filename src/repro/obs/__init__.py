@@ -20,9 +20,10 @@ disabled:
   schedule-period consistency, in ``record`` or ``strict`` mode.
 * :mod:`repro.obs.profile` — a pay-for-use profiler: per-phase wall
   times, engine loop/event counters, and high-water marks.
-* :mod:`repro.obs.analyze` and :mod:`repro.obs.regress` — post-hoc
-  trace analytics (per-disk response attribution, slot utilization,
-  residency, Jain fairness) and the benchmark regression gate over
+* :mod:`repro.obs.analyze` and :mod:`repro.obs.regress` — the post-hoc
+  trace report (slot accounting and the §2.1 fixed-gap check, the
+  response breakdown with per-disk attribution and Jain fairness, cache
+  residency) and the benchmark regression gate over
   ``results/bench_history.jsonl``.
 
 All timestamps inside records are *simulation* time.  The only wall
@@ -31,8 +32,8 @@ RL001 gateway, used solely for wall-time bookkeeping in manifests and
 profiles.
 
 ``python -m repro.obs`` exposes the post-hoc tooling: ``summary``
-(trace health and manifest pretty-printing), ``analyze`` (attribution
-tables), and ``regress`` (the CI benchmark gate).
+(the trace report and manifest pretty-printing) and ``regress`` (the
+CI benchmark gate).
 """
 
 from repro.obs.analyze import analyze, render_analysis

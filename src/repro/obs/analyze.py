@@ -1,46 +1,51 @@
-"""Post-hoc trace analytics: from a JSONL trace to attribution tables.
+"""The trace report: one document from a JSONL trace.
 
-Where ``python -m repro.obs summary`` answers "is this trace healthy?",
-``analyze`` answers "*where* does the response time go?":
+``python -m repro.obs summary TRACE`` prints :func:`analyze`'s document
+(:func:`render_analysis`, or the document itself with ``--json``).
+Each section reads one record family in one pass and appears only when
+its records do:
 
-* :func:`response_by_disk` — per-disk response-time breakdown from the
-  ``client.wait`` records (physical page ids mapped onto disks via the
-  cumulative disk sizes), reproducing the paper's access-location view
-  from a trace alone;
-* :func:`slot_utilization` — broadcast accounting from the
-  ``channel.deliver`` records: delivered slots versus elapsed slots,
-  and the pages dominating the observed bandwidth (runs split by
-  :func:`delivery_runs`, which ``summary``'s fixed-gap check shares);
-* :func:`residency_timeline` — cache occupancy over time (time-weighted
-  mean and peak) plus the longest-resident pages, from the ``cache.*``
-  records (walked by :func:`cache_residency`, which ``summary`` shares);
-* :func:`client_latency` — per-client latency attribution with Jain's
-  fairness index over per-client mean waits, reusing the mergeable
+* **overview** — record totals by kind and the simulated time span;
+* **broadcast** — the ``channel.deliver`` records split into runs by
+  :func:`delivery_runs`: slot accounting (delivered slots versus the
+  runs' spans), the pages dominating the observed bandwidth, and the
+  §2.1 per-page gap check;
+* **responses** — the ``client.*`` records: hit/miss totals, wait
+  statistics and histogram, waits by disk (physical page ids mapped
+  onto disks via the cumulative disk sizes, the paper's
+  access-location view recovered from a trace alone), and per-client
+  latency attribution with Jain's fairness index over per-client mean
+  waits, reusing the mergeable
   :class:`~repro.population.aggregate.FairnessAccumulator` the
-  population rollups use.
+  population rollups use;
+* **cache** — admission/eviction totals, cache occupancy over time
+  (time-weighted mean and peak) and the longest-resident pages, from
+  the ``cache.*`` records (walked by :func:`cache_residency`).
 
-All functions take the plain record dicts of
-:func:`repro.obs.trace.read_jsonl` and return JSON-ready sections;
-:func:`analyze` bundles the applicable ones into one schema-tagged
-document (the ``python -m repro.obs analyze`` payload).
+:func:`analyze` takes the plain record dicts of
+:func:`repro.obs.trace.read_jsonl` and returns one schema-tagged,
+JSON-ready document.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from collections import Counter, defaultdict
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.sim.stats import RunningStats
+from repro.obs.trace import CLIENT_WAIT
+from repro.sim.stats import Histogram, RunningStats
 
-#: Schema tag of the analyze document.
-ANALYZE_SCHEMA = "repro.obs.analyze/1"
+#: Schema tag of the report document.
+ANALYZE_SCHEMA = "repro.obs.analyze/2"
 
+#: Gap variance below this counts as "fixed" (§2.1); trace timestamps
+#: are sums of unit slots, so true fixed gaps come out exactly equal.
+FIXED_GAP_TOLERANCE = 1e-9
 
-def _disk_of(physical: int, boundaries: Sequence[int]) -> int:
-    """Disk index of a physical page id under cumulative boundaries."""
-    for disk, boundary in enumerate(boundaries):
-        if physical < boundary:
-            return disk
-    return len(boundaries)  # beyond the declared layout
+#: Bins of the responses section's wait histogram.
+WAIT_BINS = 8
 
 
 def _stats_block(stats: RunningStats) -> Dict:
@@ -52,49 +57,16 @@ def _stats_block(stats: RunningStats) -> Dict:
     }
 
 
-def response_by_disk(
-    records: List[dict],
-    disk_sizes: Optional[Sequence[int]] = None,
-) -> Optional[Dict]:
-    """Per-disk wait statistics from the ``client.wait`` records.
-
-    ``disk_sizes`` are the layout's page counts per disk; physical page
-    ids below ``sum(disk_sizes[:k+1])`` belong to disk ``k`` (the same
-    cumulative convention as :class:`~repro.core.disks.DiskLayout`).
-    Without sizes every wait lands in one ``all`` bucket.
-    """
-    waits = [r for r in records if r["kind"] == "client.wait"]
-    if not waits:
-        return None
-    boundaries: List[int] = []
-    if disk_sizes:
-        running = 0
-        for size in disk_sizes:
-            running += int(size)
-            boundaries.append(running)
-    per_disk: Dict[str, RunningStats] = {}
-    for record in waits:
-        if boundaries:
-            disk = _disk_of(int(record["physical"]), boundaries)
-            label = (
-                f"disk{disk + 1}" if disk < len(boundaries) else "beyond"
-            )
-        else:
-            label = "all"
-        stats = per_disk.get(label)
-        if stats is None:
-            stats = per_disk[label] = RunningStats()
-        stats.add(float(record["wait"]))
-    total = sum(stats.count for stats in per_disk.values())
+def _overview(records: List[dict]) -> Dict:
+    """Record totals by kind plus the simulated time span."""
+    by_kind: Dict[str, int] = {}
+    for record in records:
+        by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1
+    times = [record["t"] for record in records]
     return {
-        "waits": total,
-        "disks": {
-            label: {
-                **_stats_block(stats),
-                "share": stats.count / total,
-            }
-            for label, stats in sorted(per_disk.items())
-        },
+        "records": len(records),
+        "kinds": by_kind,
+        "time_span": [min(times), max(times)] if times else [0.0, 0.0],
     }
 
 
@@ -121,41 +93,186 @@ def delivery_runs(records: List[dict]) -> List[List[dict]]:
     return runs
 
 
-def slot_utilization(records: List[dict], top: int = 5) -> Optional[Dict]:
-    """Broadcast slot accounting from the ``channel.deliver`` records.
+def _broadcast(runs: List[List[dict]], waited: Set[Tuple[float, int]],
+               top: int) -> Optional[Dict]:
+    """Slot accounting and the §2.1 gap check over the delivery runs.
 
     Each delivery occupies one broadcast unit, so over the observed
     spans ``utilization = delivered / span`` — 1.0 when every slot
     carried an observed page (``observe_every_slot`` traces of an
     unpadded program), lower when slots were padding or simply not
-    demanded.  The span sums each run's span (:func:`delivery_runs`),
-    so a trace of several runs reads like one of them.
+    demanded.  The span sums each run's span, so a trace of several
+    runs reads like one of them.
+
+    Gaps are taken within a run: the gap across a restarted clock is no
+    gap of the program.  They count only in a run holding a delivery
+    whose instant and page match no ``client.wait`` record (``waited``
+    holds their ``(t, physical)`` pairs).  A demand-driven channel
+    delivers only the broadcasts a client waited for, so its observed
+    gaps are multiples of the program's; a run that observes every
+    slot (``observe_every_slot``, ``trace_schedule``) delivers pages
+    nobody waited for.  ``fixed_interarrival`` is ``None`` when no run
+    was checked.
     """
-    runs = delivery_runs(records)
     if not runs:
         return None
-    deliveries = [r for r in records if r["kind"] == "channel.deliver"]
-    # Slots, inclusive of each run's first.
-    span = sum(run[-1]["t"] - run[0]["t"] + 1.0 for run in runs)
-    per_page: Dict[int, int] = {}
-    for record in deliveries:
-        page = int(record["page"])
-        per_page[page] = per_page.get(page, 0) + 1
-    ranked = sorted(per_page.items(), key=lambda item: (-item[1], item[0]))
+    deliveries: Dict[int, int] = {}
+    gaps: Dict[int, RunningStats] = defaultdict(RunningStats)
+    span = 0.0
+    checked = 0
+    for run in runs:
+        # Slots, inclusive of the run's first.
+        span += run[-1]["t"] - run[0]["t"] + 1.0
+        check = any((record["t"], int(record["page"])) not in waited
+                    for record in run)
+        checked += check
+        last: Dict[int, float] = {}
+        for record in run:
+            page, now = int(record["page"]), record["t"]
+            deliveries[page] = deliveries.get(page, 0) + 1
+            if not check:
+                continue
+            if page in last:
+                gaps[page].add(now - last[page])
+            last[page] = now
+    delivered = sum(deliveries.values())
+    busiest = sorted(deliveries.items(), key=lambda item: (-item[1], item[0]))
+    max_variance = max(
+        (stats.variance for stats in gaps.values()), default=0.0
+    )
+    worst = sorted(
+        gaps.items(), key=lambda item: (-item[1].variance, item[0])
+    )[:top]
     return {
-        "delivered_slots": len(deliveries),
+        "runs": len(runs),
+        "runs_checked": checked,
+        "delivered_slots": delivered,
         "observed_span": span,
-        "utilization": len(deliveries) / span if span > 0 else 0.0,
-        "distinct_pages": len(per_page),
+        "utilization": delivered / span if span > 0 else 0.0,
+        "pages_observed": len(deliveries),
         "top_pages": [
             {
                 "page": page,
                 "deliveries": count,
-                "bandwidth_share": count / len(deliveries),
+                "bandwidth_share": count / delivered,
             }
-            for page, count in ranked[:top]
+            for page, count in busiest[:top]
+        ],
+        "pages_with_gaps": len(gaps),
+        "max_gap_variance": max_variance,
+        "fixed_interarrival": (
+            max_variance <= FIXED_GAP_TOLERANCE if checked else None
+        ),
+        "gaps": [
+            {
+                "page": page,
+                "arrivals": deliveries[page],
+                "mean_gap": stats.mean,
+                "gap_variance": stats.variance,
+            }
+            for page, stats in worst
         ],
     }
+
+
+def _responses(
+    records: List[dict],
+    disk_sizes: Optional[Sequence[int]],
+    top: int,
+) -> Tuple[Optional[Dict], Set[Tuple[float, int]]]:
+    """The responses section and the deliveries the clients waited for.
+
+    ``disk_sizes`` are the layout's page counts per disk; physical page
+    ids below ``sum(disk_sizes[:k+1])`` belong to disk ``k`` (the same
+    cumulative convention as :class:`~repro.core.disks.DiskLayout`).
+    Without sizes the section has no ``by_disk`` block.
+
+    Records from the fast engine carry no ``client`` field (it runs one
+    implicit client); process-engine clients are named.  Fairness is
+    Jain's index over per-client mean waits — 1.0 when every client
+    waits the same on average.  ``retunes`` counts a client's
+    ``client.retune`` records: its channel switches on a multi-channel
+    program, 0 on one channel.
+    """
+    # Imported here, not at module top: repro.population imports the
+    # execution layer, which imports repro.obs — a cycle at load time.
+    from repro.population.aggregate import FairnessAccumulator
+
+    boundaries = list(accumulate(int(size) for size in disk_sizes or ()))
+    counts: Dict[str, Counter] = defaultdict(Counter)
+    per_client: Dict[str, RunningStats] = defaultdict(RunningStats)
+    per_disk: Dict[str, RunningStats] = defaultdict(RunningStats)
+    overall = RunningStats()
+    waits: List[float] = []
+    waited: Set[Tuple[float, int]] = set()
+    for record in records:
+        kind = record["kind"]
+        if not kind.startswith("client."):
+            continue
+        client = str(record.get("client", "client"))
+        counts[client][kind.split(".", 1)[1]] += 1
+        if kind != CLIENT_WAIT:
+            continue
+        wait, physical = float(record["wait"]), int(record["physical"])
+        waits.append(wait)
+        overall.add(wait)
+        waited.add((record["t"], physical))
+        per_client[client].add(wait)
+        if boundaries:
+            disk = bisect_right(boundaries, physical)
+            # Past the last boundary: beyond the declared layout.
+            per_disk[f"disk{disk + 1}" if disk < len(boundaries)
+                     else "beyond"].add(wait)
+    if not counts:
+        return None, waited
+
+    fairness = FairnessAccumulator()
+    rows = []
+    for client in sorted(counts):
+        tally = counts[client]
+        stats = per_client.get(client, RunningStats())
+        fairness.add(stats.mean)
+        lookups = tally["hit"] + tally["miss"]
+        rows.append({
+            "client": client,
+            "requests": tally["request"],
+            "hits": tally["hit"],
+            "misses": tally["miss"],
+            "retunes": tally["retune"],
+            "hit_rate": tally["hit"] / lookups if lookups else 0.0,
+            "wait": _stats_block(stats),
+            "total_wait": stats.mean * stats.count,
+        })
+    rows.sort(key=lambda row: (-row["total_wait"], row["client"]))
+    hits = sum(tally["hit"] for tally in counts.values())
+    misses = sum(tally["miss"] for tally in counts.values())
+    section: Dict = {
+        "hits": hits,
+        "misses": misses,
+        "hit_rate": hits / (hits + misses) if (hits + misses) else 0.0,
+        "waits": _stats_block(overall),
+        "clients": len(rows),
+        "fairness": fairness.jain,
+        "slowest": rows[:top],
+    }
+    if overall.count and overall.maximum > 0:
+        histogram = Histogram(0.0, overall.maximum, WAIT_BINS)
+        for wait in waits:
+            histogram.add(wait)
+        section["wait_histogram"] = [
+            {"lo": lo, "hi": hi, "count": count}
+            for lo, hi, count in histogram.nonempty()
+        ] + (
+            [{"lo": histogram.high, "hi": None, "count": histogram.overflow}]
+            if histogram.overflow
+            else []
+        )
+    if boundaries:
+        section["by_disk"] = {
+            label: {**_stats_block(stats), "share": stats.count / overall.count}
+            for label, stats in sorted(per_disk.items())
+        }
+    return section, waited
 
 
 #: The ``cache.*`` record kinds that change residency.
@@ -176,7 +293,7 @@ class _CacheStream:
 
 
 def cache_residency(records: List[dict], top: int = 5) -> Optional[Dict]:
-    """The one walk over the ``cache.*`` records behind every residency view.
+    """The one walk over the ``cache.*`` records: the cache section.
 
     Residency is keyed by the record's ``client`` label and the page:
     each client owns a private cache, and a columnar fleet interleaves
@@ -267,86 +384,26 @@ def cache_residency(records: List[dict], top: int = 5) -> Optional[Dict]:
     }
 
 
-def residency_timeline(records: List[dict], top: int = 5) -> Optional[Dict]:
-    """Cache occupancy over time from the ``cache.*`` records."""
-    walk = cache_residency(records, top)
-    return None if walk is None else {
-        key: walk[key] for key in
-        ("events", "occupancy_mean", "occupancy_max", "longest_resident")
-    }
-
-
-def client_latency(records: List[dict], top: int = 5) -> Optional[Dict]:
-    """Per-client latency attribution plus Jain fairness.
-
-    Records from the fast engine carry no ``client`` field (it runs one
-    implicit client); process-engine clients are named.  Fairness is
-    Jain's index over per-client mean waits — 1.0 when every client
-    waits the same on average.  ``retunes`` counts a client's
-    ``client.retune`` records: its channel switches on a multi-channel
-    program, 0 on one channel.
-    """
-    # Imported here, not at module top: repro.population imports the
-    # execution layer, which imports repro.obs — a cycle at load time.
-    from repro.population.aggregate import FairnessAccumulator
-
-    counts: Dict[str, Dict[str, int]] = {}
-    waits: Dict[str, RunningStats] = {}
-    for record in records:
-        kind = record["kind"]
-        if not kind.startswith("client."):
-            continue
-        client = str(record.get("client", "client"))
-        tally = counts.get(client)
-        if tally is None:
-            tally = counts[client] = {"request": 0, "hit": 0, "miss": 0,
-                                      "wait": 0, "retune": 0}
-        tally[kind.split(".", 1)[1]] += 1
-        if kind == "client.wait":
-            stats = waits.get(client)
-            if stats is None:
-                stats = waits[client] = RunningStats()
-            stats.add(float(record["wait"]))
-    if not counts:
-        return None
-    fairness = FairnessAccumulator()
-    rows = []
-    for client in sorted(counts):
-        tally = counts[client]
-        stats = waits.get(client, RunningStats())
-        fairness.add(stats.mean)
-        lookups = tally["hit"] + tally["miss"]
-        rows.append({
-            "client": client,
-            "requests": tally["request"],
-            "hits": tally["hit"],
-            "misses": tally["miss"],
-            "retunes": tally["retune"],
-            "hit_rate": tally["hit"] / lookups if lookups else 0.0,
-            "wait": _stats_block(stats),
-            "total_wait": stats.mean * stats.count,
-        })
-    rows.sort(key=lambda row: (-row["total_wait"], row["client"]))
-    return {
-        "clients": len(rows),
-        "fairness": fairness.jain,
-        "slowest": rows[:top],
-    }
-
-
 def analyze(
     records: List[dict],
     *,
     disk_sizes: Optional[Sequence[int]] = None,
     top: int = 5,
 ) -> Dict:
-    """The full analytics document for one trace."""
-    document: Dict = {"schema": ANALYZE_SCHEMA}
+    """The report document for one trace.
+
+    One pass per record family: :func:`delivery_runs` once, the
+    ``client.*`` records once (whose waits also tell the broadcast
+    section which deliveries a client waited for) and the ``cache.*``
+    records once.  ``top`` bounds every ranked table.
+    """
+    responses, waited = _responses(records, disk_sizes, top)
+    document: Dict = {"schema": ANALYZE_SCHEMA,
+                      "overview": _overview(records)}
     for name, section in (
-        ("response_by_disk", response_by_disk(records, disk_sizes)),
-        ("slot_utilization", slot_utilization(records, top)),
-        ("cache_residency", residency_timeline(records, top)),
-        ("client_latency", client_latency(records, top)),
+        ("broadcast", _broadcast(delivery_runs(records), waited, top)),
+        ("responses", responses),
+        ("cache", cache_residency(records, top)),
     ):
         if section is not None:
             document[name] = section
@@ -355,58 +412,88 @@ def analyze(
 
 def render_analysis(document: Dict) -> str:
     """Human-readable rendering of an :func:`analyze` document."""
-    lines: List[str] = []
-    by_disk = document.get("response_by_disk")
-    if by_disk:
-        lines.append("response time by disk")
-        for label, block in by_disk["disks"].items():
-            lines.append(
-                f"  {label:<8} waits={block['count']:<6} "
-                f"share={block['share']:.1%}  "
-                f"mean={block['mean']:.2f} bu  max={block['max']:.1f}"
+    return "\n".join(_report_lines(document))
+
+
+def _report_lines(document: Dict) -> Iterator[str]:
+    info = document["overview"]
+    lo, hi = info["time_span"]
+    yield f"records      : {info['records']}"
+    yield f"time span    : [{lo:.1f}, {hi:.1f}] bu"
+    for kind in sorted(info["kinds"]):
+        yield f"  {kind:<16} {info['kinds'][kind]}"
+
+    broadcast = document.get("broadcast")
+    if broadcast:
+        verdict = {
+            True: "yes", False: "NO",
+            None: "not checked (every delivery met a waiting client)",
+        }[broadcast["fixed_interarrival"]]
+        yield "\nbroadcast inter-arrival (§2.1 fixed-gap check)"
+        yield (f"  runs checked     : {broadcast['runs_checked']} of "
+               f"{broadcast['runs']}")
+        yield f"  pages observed   : {broadcast['pages_observed']}"
+        if broadcast["runs_checked"]:
+            yield f"  max gap variance : {broadcast['max_gap_variance']:.3g}"
+        yield f"  fixed gaps       : {verdict}"
+        for row in broadcast["gaps"]:
+            yield (f"    page {row['page']:<6} arrivals={row['arrivals']:<5} "
+                   f"mean gap={row['mean_gap']:.2f} "
+                   f"variance={row['gap_variance']:.3g}")
+        yield "broadcast slot utilization"
+        yield (f"  delivered {broadcast['delivered_slots']} slots over "
+               f"{broadcast['observed_span']:.0f} bu "
+               f"({broadcast['utilization']:.1%} of observed span)")
+        for row in broadcast["top_pages"]:
+            yield (f"    page {row['page']:<6} {row['deliveries']:>5} "
+                   f"deliveries  ({row['bandwidth_share']:.1%} of bandwidth)")
+
+    responses = document.get("responses")
+    if responses:
+        waits = responses["waits"]
+        yield "\nresponse breakdown"
+        yield (f"  hits / misses : {responses['hits']} / "
+               f"{responses['misses']}  (hit rate {responses['hit_rate']:.1%})")
+        yield (f"  waits         : n={waits['count']} mean={waits['mean']:.2f}"
+               f" stddev={waits['stddev']:.2f} max={waits['max']:.2f}")
+        for bucket in responses.get("wait_histogram", []):
+            hi_edge = bucket["hi"]
+            label = (
+                f"[{bucket['lo']:.1f}, {hi_edge:.1f})"
+                if hi_edge is not None
+                else f">= {bucket['lo']:.1f}"
             )
-    utilization = document.get("slot_utilization")
-    if utilization:
-        lines.append("broadcast slot utilization")
-        lines.append(
-            f"  delivered {utilization['delivered_slots']} slots over "
-            f"{utilization['observed_span']:.0f} bu "
-            f"({utilization['utilization']:.1%} of observed span, "
-            f"{utilization['distinct_pages']} distinct pages)"
-        )
-        for row in utilization["top_pages"]:
-            lines.append(
-                f"    page {row['page']:<6} {row['deliveries']:>5} "
-                f"deliveries  ({row['bandwidth_share']:.1%} of bandwidth)"
-            )
-    residency = document.get("cache_residency")
-    if residency:
-        lines.append("cache residency")
-        lines.append(
-            f"  occupancy mean={residency['occupancy_mean']:.1f} "
-            f"max={residency['occupancy_max']:.0f} "
-            f"({residency['events']} cache events)"
-        )
-        for row in residency["longest_resident"]:
+            yield f"    {label:<20} {bucket['count']}"
+        if "by_disk" in responses:
+            yield "response time by disk"
+        for label, block in responses.get("by_disk", {}).items():
+            yield (f"  {label:<8} waits={block['count']:<6} "
+                   f"share={block['share']:.1%}  "
+                   f"mean={block['mean']:.2f} bu  max={block['max']:.1f}")
+        yield "client latency attribution"
+        yield (f"  {responses['clients']} client(s), Jain fairness "
+               f"{responses['fairness']:.3f}")
+        for row in responses["slowest"]:
+            yield (f"    {row['client']:<14} requests={row['requests']:<6} "
+                   f"hit rate={row['hit_rate']:.1%}  "
+                   f"mean wait={row['wait']['mean']:.2f} bu  "
+                   f"total={row['total_wait']:.0f} bu")
+
+    cache = document.get("cache")
+    if cache:
+        yield "\ncache residency"
+        yield (f"  admissions : {cache['admissions']} "
+               f"(rejections {cache['rejections']})")
+        yield (f"  evictions  : {cache['evictions']}  "
+               f"discards : {cache['discards']}")
+        yield (f"  occupancy mean={cache['occupancy_mean']:.1f} "
+               f"max={cache['occupancy_max']:.0f} "
+               f"({cache['events']} cache events)")
+        if cache["longest_resident"]:
+            yield "  longest residency:"
+        for row in cache["longest_resident"]:
             owner = f"{row['client']} " if "client" in row else ""
-            lines.append(
-                f"    {owner}page {row['page']:<6} resident "
-                f"{row['resident_time']:.1f} bu"
-            )
-    latency = document.get("client_latency")
-    if latency:
-        lines.append("client latency attribution")
-        lines.append(
-            f"  {latency['clients']} client(s), Jain fairness "
-            f"{latency['fairness']:.3f}"
-        )
-        for row in latency["slowest"]:
-            lines.append(
-                f"    {row['client']:<14} requests={row['requests']:<6} "
-                f"hit rate={row['hit_rate']:.1%}  "
-                f"mean wait={row['wait']['mean']:.2f} bu  "
-                f"total={row['total_wait']:.0f} bu"
-            )
-    if not lines:
-        lines.append("trace carries no analyzable records")
-    return "\n".join(lines)
+            yield (f"    {owner}page {row['page']:<6} resident "
+                   f"{row['resident_time']:.1f} bu")
+    if not (broadcast or responses or cache):
+        yield "\ntrace carries no analyzable records"

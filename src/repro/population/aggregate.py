@@ -162,9 +162,9 @@ class PopulationAggregate:
                  "measured_requests", "warmup_requests", "_hit_weight",
                  "total_wall_seconds")
 
-    def __init__(self, gamma: float = DEFAULT_GAMMA):
+    def __init__(self):
         self.response_means = RunningStats()
-        self.percentiles = QuantileSketch(gamma)
+        self.percentiles = QuantileSketch()
         self.fairness = FairnessAccumulator()
         self.clients = 0
         self.measured_requests = 0
@@ -237,7 +237,7 @@ class PopulationAggregate:
 
     def merge(self, other: "PopulationAggregate") -> "PopulationAggregate":
         """A new aggregate equal to this one fed with both inputs."""
-        merged = PopulationAggregate(self.percentiles.gamma)
+        merged = PopulationAggregate()
         merged.response_means = self.response_means.merge(other.response_means)
         merged.percentiles = self.percentiles.merge(other.percentiles)
         merged.fairness = self.fairness.merge(other.fairness)
@@ -298,7 +298,6 @@ class PopulationAggregate:
 def fold_results(
     results,
     segment_ranges,
-    gamma: float = DEFAULT_GAMMA,
 ) -> "tuple[PopulationAggregate, Dict[str, PopulationAggregate]]":
     """Fold per-client results into overall and per-segment aggregates.
 
@@ -306,10 +305,10 @@ def fold_results(
     results are consumed positionally (plan order), so the fold is a
     pure function of the result list.
     """
-    overall = PopulationAggregate(gamma)
+    overall = PopulationAggregate()
     per_segment: Dict[str, PopulationAggregate] = {}
     for segment, indices in segment_ranges:
-        aggregate = PopulationAggregate(gamma)
+        aggregate = PopulationAggregate()
         for index in indices:
             aggregate.add_result(results[index])
             overall.add_result(results[index])

@@ -34,11 +34,7 @@ from repro.exec.executor import Executor, resolve_executor, usable_cores
 from repro.exec.run import ExperimentResult
 from repro.obs.clock import perf_counter
 from repro.obs.manifest import observer_blocks, write_manifest
-from repro.population.aggregate import (
-    DEFAULT_GAMMA,
-    PopulationAggregate,
-    fold_results,
-)
+from repro.population.aggregate import PopulationAggregate, fold_results
 from repro.population.spec import PopulationSpec, expand, spec_to_dict
 
 #: Schema tag of the population manifest document.
@@ -114,7 +110,6 @@ def finish_population(
     results,
     *,
     started: float,
-    gamma: float = DEFAULT_GAMMA,
     tracer=None,
     manifest: Optional[str] = None,
     profile=None,
@@ -133,9 +128,7 @@ def finish_population(
     profiling = profile is not None and profile.enabled
     if profiling:
         profile.start_phase("aggregate")
-    overall, per_segment = fold_results(
-        results, spec.segment_ranges(), gamma
-    )
+    overall, per_segment = fold_results(results, spec.segment_ranges())
     population = PopulationResult(
         spec=spec,
         overall=overall,
@@ -187,7 +180,6 @@ def run_population(
     tracer=None,
     manifest: Optional[str] = None,
     keep_results: bool = False,
-    gamma: float = DEFAULT_GAMMA,
     profile=None,
 ) -> PopulationResult:
     """Simulate the fleet ``spec`` describes and return its rollup.
@@ -206,10 +198,9 @@ def run_population(
     sinks checks every plan (an *enabled* tracer forces serial
     execution, as everywhere else); ``manifest`` names a JSON file
     that receives the population manifest.  ``keep_results=True``
-    retains the per-client result list on the returned object;
-    ``gamma`` tunes the percentile sketch's relative accuracy.  ``profile`` attaches a
-    :class:`repro.obs.profile.Profiler`; an *enabled* one forces serial
-    execution, like an enabled tracer.
+    retains the per-client result list on the returned object.
+    ``profile`` attaches a :class:`repro.obs.profile.Profiler`; an
+    *enabled* one forces serial execution, like an enabled tracer.
     """
     if spec.engine == "batch":
         if executor is not None:
@@ -222,7 +213,7 @@ def run_population(
         from repro.batch.fleet import run_fleet
 
         return run_fleet(
-            spec, gamma=gamma, tracer=tracer, manifest=manifest,
+            spec, tracer=tracer, manifest=manifest,
             profile=profile, progress=progress,
             checkpoint=checkpoint, keep_results=keep_results,
         )
@@ -235,6 +226,6 @@ def run_population(
         profile=profile,
     )
     return finish_population(
-        spec, results, started=started, gamma=gamma, tracer=tracer,
+        spec, results, started=started, tracer=tracer,
         manifest=manifest, profile=profile, keep_results=keep_results,
     )

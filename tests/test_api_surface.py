@@ -83,7 +83,7 @@ class TestExportSnapshot:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
 
 
 class TestKeywordOnlyContract:
@@ -122,7 +122,7 @@ class TestKeywordOnlyContract:
         ]
         assert options == [
             "jobs", "executor", "progress", "checkpoint", "tracer",
-            "manifest", "keep_results", "gamma", "profile",
+            "manifest", "keep_results", "profile",
         ]
 
 

@@ -2,7 +2,9 @@
 
 README.md and docs/*.md name modules after ``python -m``; each must
 answer ``--help`` with exit 0, so a documented command whose module
-has no ``__main__`` fails here rather than in a user's shell.
+has no ``__main__`` fails here rather than in a user's shell.  The word
+after the module must answer ``--help`` too, so a doc naming a
+subcommand the CLI no longer has fails the same way.
 """
 
 import os
@@ -27,14 +29,21 @@ def documented_modules():
     return sorted(modules)
 
 
-def test_docs_name_the_package_cli():
-    assert "repro" in documented_modules()
+def documented_subcommands():
+    """Each distinct ``python -m module word`` pair in the docs."""
+    pairs = set()
+    for path in DOCS:
+        text = path.read_text(encoding="utf-8")
+        pairs.update(
+            re.findall(r"python -m ([A-Za-z_][\w.]*) ([a-z][\w-]*)", text)
+        )
+    return sorted(pairs)
 
 
-@pytest.mark.parametrize("module", documented_modules())
-def test_documented_module_answers_help(module):
+def answers_help(*argv):
+    """``python -m ARGV --help`` from the repo root, checked for exit 0."""
     completed = subprocess.run(
-        [sys.executable, "-m", module, "--help"],
+        [sys.executable, "-m", *argv, "--help"],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
@@ -42,3 +51,17 @@ def test_documented_module_answers_help(module):
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def test_docs_name_the_package_cli():
+    assert "repro" in documented_modules()
+
+
+@pytest.mark.parametrize("module", documented_modules())
+def test_documented_module_answers_help(module):
+    answers_help(module)
+
+
+@pytest.mark.parametrize("module,word", documented_subcommands())
+def test_documented_subcommand_answers_help(module, word):
+    answers_help(module, word)

@@ -1,4 +1,4 @@
-"""Trace analytics (repro.obs.analyze).
+"""The trace report (repro.obs.analyze).
 
 Synthetic record streams pin each section's arithmetic exactly; a real
 traced run then checks the sections compose into one document whose
@@ -22,14 +22,10 @@ from repro.obs.analyze import (
     ANALYZE_SCHEMA,
     analyze,
     cache_residency,
-    client_latency,
     delivery_runs,
     render_analysis,
-    residency_timeline,
-    response_by_disk,
-    slot_utilization,
 )
-from repro.obs.cli import EXIT_OK, cache_summary, interarrival_summary, main
+from repro.obs.cli import EXIT_OK, main
 from repro.obs.trace import JsonlSink, MemorySink, Tracer, read_jsonl
 from repro.population import (
     PopulationSpec,
@@ -60,9 +56,9 @@ class TestResponseByDisk:
             wait(4.0, 6, 20.0),  # disk3: pages 6..13
             wait(5.0, 99, 5.0),  # beyond the declared layout
         ]
-        section = response_by_disk(records, disk_sizes=(2, 4, 8))
-        assert section["waits"] == 5
-        disks = section["disks"]
+        section = analyze(records, disk_sizes=(2, 4, 8))["responses"]
+        assert section["waits"]["count"] == 5
+        disks = section["by_disk"]
         assert set(disks) == {"disk1", "disk2", "disk3", "beyond"}
         assert disks["disk1"]["count"] == 2
         assert disks["disk1"]["mean"] == pytest.approx(2.0)
@@ -71,12 +67,14 @@ class TestResponseByDisk:
         assert sum(b["share"] for b in disks.values()) == pytest.approx(1.0)
 
     def test_without_sizes_everything_lands_in_one_bucket(self):
-        section = response_by_disk([wait(1.0, 3, 2.0), wait(2.0, 9, 4.0)])
-        assert set(section["disks"]) == {"all"}
-        assert section["disks"]["all"]["mean"] == pytest.approx(3.0)
+        # The one bucket is the section's own wait statistics.
+        section = analyze([wait(1.0, 3, 2.0), wait(2.0, 9, 4.0)])["responses"]
+        assert "by_disk" not in section
+        assert section["waits"]["count"] == 2
+        assert section["waits"]["mean"] == pytest.approx(3.0)
 
     def test_no_waits_no_section(self):
-        assert response_by_disk([{"kind": "sim.event", "t": 1.0}]) is None
+        assert "responses" not in analyze([{"kind": "sim.event", "t": 1.0}])
 
 
 class TestSlotUtilization:
@@ -85,18 +83,18 @@ class TestSlotUtilization:
             {"kind": "channel.deliver", "t": float(t), "page": t % 3}
             for t in range(1, 7)
         ]
-        section = slot_utilization(records)
+        section = analyze(records)["broadcast"]
         assert section["delivered_slots"] == 6
         assert section["observed_span"] == pytest.approx(6.0)
         assert section["utilization"] == pytest.approx(1.0)
-        assert section["distinct_pages"] == 3
+        assert section["pages_observed"] == 3
 
     def test_sparse_observation_lowers_utilization(self):
         records = [
             {"kind": "channel.deliver", "t": 1.0, "page": 0},
             {"kind": "channel.deliver", "t": 10.0, "page": 0},
         ]
-        section = slot_utilization(records)
+        section = analyze(records)["broadcast"]
         assert section["utilization"] == pytest.approx(0.2)
 
     def test_top_pages_ranked_by_deliveries_then_id(self):
@@ -107,7 +105,7 @@ class TestSlotUtilization:
                for t in range(4, 7)]
             + [{"kind": "channel.deliver", "t": 7.0, "page": 5}]
         )
-        section = slot_utilization(records, top=2)
+        section = analyze(records, top=2)["broadcast"]
         assert [row["page"] for row in section["top_pages"]] == [2, 7]
         assert section["top_pages"][0]["bandwidth_share"] == pytest.approx(
             3 / 7
@@ -126,7 +124,8 @@ class TestSlotUtilization:
         assert [[r["page"] for r in run] for run in runs] == [
             [0, 1], [5, 6], [0]
         ]
-        section = slot_utilization(records)
+        section = analyze(records)["broadcast"]
+        assert section["runs"] == 3
         assert section["observed_span"] == 5.0
         assert section["utilization"] == 1.0
 
@@ -143,7 +142,7 @@ class TestResidencyTimeline:
             {"kind": "cache.admit", "t": 8.0, "page": 3, "victim": 2},
             {"kind": "cache.evict", "t": 8.0, "page": 2},
         ]
-        section = residency_timeline(records)
+        section = analyze(records)["cache"]
         assert section["occupancy_max"] == pytest.approx(1.0)
         assert section["events"] == 5
         longest = {row["page"]: row["resident_time"]
@@ -156,11 +155,12 @@ class TestResidencyTimeline:
             {"kind": "cache.admit", "t": 0.0, "page": 1, "victim": None},
             {"kind": "cache.admit", "t": 1.0, "page": 2, "victim": 2},
         ]
-        section = residency_timeline(records)
+        section = analyze(records)["cache"]
         assert section["occupancy_max"] == pytest.approx(1.0)
+        assert (section["admissions"], section["rejections"]) == (2, 1)
 
     def test_no_cache_records_no_section(self):
-        assert residency_timeline([{"kind": "sim.event", "t": 0.0}]) is None
+        assert "cache" not in analyze([{"kind": "sim.event", "t": 0.0}])
 
     def test_clock_restart_starts_a_new_run(self):
         # Two runs in one stream: the second restarts the clock, so
@@ -193,7 +193,7 @@ class TestResidencyTimeline:
         ]
         assert residencies(records) == {("a", 7): 4.0, ("b", 7): 1.0}
         assert cache_residency(records)["occupancy_max"] == 1.0
-        rows = residency_timeline(records)["longest_resident"]
+        rows = analyze(records)["cache"]["longest_resident"]
         assert rows == [
             {"page": 7, "resident_time": 4.0, "client": "a"},
             {"page": 7, "resident_time": 1.0, "client": "b"},
@@ -268,8 +268,8 @@ class TestMultiRunTraces:
 
     def test_sweep_trace_analyzes(self, sweep_trace, capsys):
         path, alone = sweep_trace
-        assert main(["analyze", path, "--json"]) == EXIT_OK
-        section = json.loads(capsys.readouterr().out)["cache_residency"]
+        assert main(["summary", path, "--json"]) == EXIT_OK
+        section = json.loads(capsys.readouterr().out)["cache"]
         assert 0.0 < section["occupancy_mean"] <= section["occupancy_max"]
         assert section["occupancy_max"] <= 10
         # The sweep's walk is the two runs' walks added up.
@@ -289,8 +289,8 @@ class TestMultiRunTraces:
             )
 
     def test_fleet_trace_analyzes(self, fleet_trace, capsys):
-        assert main(["analyze", fleet_trace, "--json"]) == EXIT_OK
-        section = json.loads(capsys.readouterr().out)["cache_residency"]
+        assert main(["summary", fleet_trace, "--json"]) == EXIT_OK
+        section = json.loads(capsys.readouterr().out)["cache"]
         assert section["occupancy_max"] <= 10
         assert all("client" in row for row in section["longest_resident"])
         # Each client's residency is what its own records alone give.
@@ -324,12 +324,12 @@ class TestMultiRunTraces:
         with Tracer(sink) as tracer:
             run_population(spec, tracer=tracer)
         records = [record.to_dict() for record in sink.records]
-        latency = analyze(records, top=10)["client_latency"]
+        latency = analyze(records, top=10)["responses"]
         assert latency["clients"] == 7
         combined = residencies(records)
         for row in latency["slowest"]:
             own = [r for r in records if r.get("client") == row["client"]]
-            assert client_latency(own, top=10)["slowest"] == [row]
+            assert analyze(own, top=10)["responses"]["slowest"] == [row]
             assert residencies(own) == {
                 key: resident_time for key, resident_time in combined.items()
                 if key[0] == row["client"]
@@ -340,22 +340,23 @@ class TestMultiRunTraces:
         # span nor the per-page gaps may bridge the restart.
         one, two = _broadcast_records(1), _broadcast_records(2)
         assert len(delivery_runs(two)) == 2
-        used_one, used_two = slot_utilization(one), slot_utilization(two)
+        used_one = analyze(one)["broadcast"]
+        used_two = analyze(two)["broadcast"]
         assert used_two["delivered_slots"] == 2 * used_one["delivered_slots"]
         assert used_two["utilization"] == used_one["utilization"] == 1.0
-        gaps_one, gaps_two = interarrival_summary(one), interarrival_summary(two)
-        assert gaps_one["fixed_interarrival"] is True
-        assert gaps_two["fixed_interarrival"] is True
-        assert gaps_two["max_gap_variance"] == gaps_one["max_gap_variance"]
+        # Every slot observed: each run holds deliveries nobody waited
+        # for, so both runs are checked.
+        assert used_two["runs"] == used_two["runs_checked"] == 2
+        assert used_one["fixed_interarrival"] is True
+        assert used_two["fixed_interarrival"] is True
+        assert used_two["max_gap_variance"] == used_one["max_gap_variance"]
 
     def test_summary_shares_the_walk(self, fleet_trace, sweep_trace):
+        # The report's cache section is the residency walk, whole.
         for path in (fleet_trace, sweep_trace[0]):
             assert main(["summary", path]) == EXIT_OK
             records = list(read_jsonl(path))
-            summary = cache_summary(records)
-            assert summary["longest_resident"] == (
-                residency_timeline(records)["longest_resident"]
-            )
+            assert analyze(records)["cache"] == cache_residency(records)
 
 
 class TestClientLatency:
@@ -367,7 +368,7 @@ class TestClientLatency:
             records.append({"kind": "client.miss", "t": 1.0, "page": 0,
                             "client": client})
             records.append(wait(2.0, 0, 4.0, client=client))
-        section = client_latency(records)
+        section = analyze(records)["responses"]
         assert section["clients"] == 2
         assert section["fairness"] == pytest.approx(1.0)
 
@@ -376,7 +377,7 @@ class TestClientLatency:
             wait(1.0, 0, 10.0, client="slow"),
             wait(2.0, 0, 1.0, client="fast"),
         ]
-        section = client_latency(records)
+        section = analyze(records)["responses"]
         assert section["slowest"][0]["client"] == "slow"
         assert section["fairness"] < 1.0
 
@@ -387,12 +388,14 @@ class TestClientLatency:
             {"kind": "client.request", "t": 2.0, "client": "a"},
             {"kind": "client.miss", "t": 2.0, "page": 1, "client": "a"},
         ]
-        (row,) = client_latency(records)["slowest"]
+        section = analyze(records)["responses"]
+        (row,) = section["slowest"]
         assert row["hit_rate"] == pytest.approx(0.5)
         assert row["requests"] == 2
+        assert (section["hits"], section["misses"]) == (1, 1)
 
     def test_no_client_records_no_section(self):
-        assert client_latency([{"kind": "sim.event", "t": 0.0}]) is None
+        assert "responses" not in analyze([{"kind": "sim.event", "t": 0.0}])
 
 
 class TestMultiChannelTrace:
@@ -415,13 +418,18 @@ class TestMultiChannelTrace:
                 client = str(record.get("client", "client"))
                 retunes[client] = retunes.get(client, 0) + 1
         assert sum(retunes.values()) > 0
-        rows = analyze(records)["client_latency"]["slowest"]
+        rows = analyze(records)["responses"]["slowest"]
         assert {row["client"]: row["retunes"] for row in rows} == retunes
-        assert main(["analyze", path, "--json"]) == EXIT_OK
+        assert main(["summary", path, "--json"]) == EXIT_OK
         document = json.loads(capsys.readouterr().out)
         assert sum(
-            row["retunes"] for row in document["client_latency"]["slowest"]
+            row["retunes"] for row in document["responses"]["slowest"]
         ) == sum(retunes.values())
+        if engine == "process":
+            # Both rows' channels deliver only what a client waited for.
+            broadcast = document["broadcast"]
+            assert (broadcast["runs"], broadcast["runs_checked"]) == (2, 0)
+            assert broadcast["fixed_interarrival"] is None
 
     def test_single_channel_rows_read_zero(self):
         records = [
@@ -429,7 +437,7 @@ class TestMultiChannelTrace:
             {"kind": "client.miss", "t": 1.0, "page": 0},
             wait(2.0, 0, 1.0),
         ]
-        (row,) = client_latency(records)["slowest"]
+        (row,) = analyze(records)["responses"]["slowest"]
         assert row["retunes"] == 0
 
 
@@ -437,10 +445,10 @@ class TestAnalyzeDocument:
     def test_only_applicable_sections_appear(self):
         document = analyze([wait(1.0, 0, 2.0)])
         assert document["schema"] == ANALYZE_SCHEMA
-        assert "response_by_disk" in document
-        assert "client_latency" in document
-        assert "slot_utilization" not in document
-        assert "cache_residency" not in document
+        assert document["overview"]["records"] == 1
+        assert "responses" in document
+        assert "broadcast" not in document
+        assert "cache" not in document
 
     def test_real_trace_is_internally_consistent(self, mini_config):
         sink = MemorySink(capacity=None)
@@ -450,15 +458,15 @@ class TestAnalyzeDocument:
         document = analyze(
             records, disk_sizes=mini_config.disk_sizes
         )
-        assert document["cache_residency"]["occupancy_max"] <= (
+        assert document["cache"]["occupancy_max"] <= (
             mini_config.cache_size
         )
         shares = [
             block["share"]
-            for block in document["response_by_disk"]["disks"].values()
+            for block in document["responses"]["by_disk"].values()
         ]
         assert sum(shares) == pytest.approx(1.0)
-        assert document["client_latency"]["fairness"] == pytest.approx(1.0)
+        assert document["responses"]["fairness"] == pytest.approx(1.0)
 
     def test_render_covers_every_section(self, mini_config):
         sink = MemorySink(capacity=None)

@@ -1,4 +1,5 @@
-"""Tests for ``python -m repro.obs summary`` (repro.obs.cli)."""
+"""Tests for ``python -m repro.obs`` (repro.obs.cli): the ``summary``
+report over traces and manifests, and the ``regress`` gate."""
 
 from __future__ import annotations
 
@@ -9,16 +10,9 @@ import pytest
 from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program as multidisk_program
 from repro.experiments.runner import run_experiment
-from repro.obs.cli import (
-    EXIT_OK,
-    EXIT_USAGE,
-    cache_summary,
-    interarrival_summary,
-    main,
-    response_summary,
-    summarise,
-)
-from repro.obs.trace import JsonlSink, Tracer, trace_schedule
+from repro.obs.analyze import analyze
+from repro.obs.cli import EXIT_OK, EXIT_USAGE, main
+from repro.obs.trace import JsonlSink, MemorySink, Tracer, trace_schedule
 
 
 @pytest.fixture
@@ -43,37 +37,56 @@ def experiment_trace(tmp_path, mini_config):
 class TestAnalyses:
     def test_multidisk_interarrival_is_fixed(self, schedule_trace):
         records = [json.loads(line) for line in open(schedule_trace)]
-        section = interarrival_summary(records)
+        section = analyze(records)["broadcast"]
         assert section["pages_observed"] == 14
         assert section["max_gap_variance"] == 0.0
         assert section["fixed_interarrival"] is True
+        assert section["runs"] == section["runs_checked"] == 1
 
     def test_perturbed_gap_fails_the_check(self, schedule_trace):
         records = [json.loads(line) for line in open(schedule_trace)]
         delivers = [r for r in records if r["kind"] == "channel.deliver"]
         delivers[-1]["t"] += 0.5  # break one page's final gap
-        section = interarrival_summary(delivers)
+        section = analyze(delivers)["broadcast"]
         assert section["fixed_interarrival"] is False
         assert section["max_gap_variance"] > 0
 
+    def test_demand_driven_trace_is_not_checked(self, mini_config):
+        # A process-engine channel delivers only the broadcasts a client
+        # waited for, so its gaps are multiples of the program's: no run
+        # is checked.  A run that airs every slot beside it still is.
+        layout = mini_config.build_layout()
+        sink = MemorySink(capacity=None)
+        with Tracer(sink) as tracer:
+            run_experiment(mini_config.with_(num_requests=300),
+                           engine="process", tracer=tracer)
+            demand = [record.to_dict() for record in sink.records]
+            trace_schedule(mini_config.build_schedule(layout), tracer)
+        section = analyze(demand)["broadcast"]
+        assert (section["runs"], section["runs_checked"]) == (1, 0)
+        assert section["fixed_interarrival"] is None
+        assert section["gaps"] == [] and section["pages_with_gaps"] == 0
+        both = analyze([record.to_dict() for record in sink.records])
+        assert (both["broadcast"]["runs"],
+                both["broadcast"]["runs_checked"]) == (2, 1)
+        assert both["broadcast"]["fixed_interarrival"] is True
+
     def test_sections_absent_without_their_records(self, schedule_trace):
         records = [json.loads(line) for line in open(schedule_trace)]
-        summary = summarise(records)
-        assert "broadcast" in summary
-        assert "responses" not in summary and "cache" not in summary
-        assert response_summary(records) is None
-        assert cache_summary(records) is None
+        document = analyze(records)
+        assert "broadcast" in document
+        assert "responses" not in document and "cache" not in document
 
     def test_experiment_trace_has_all_sections(self, experiment_trace):
         records = [json.loads(line) for line in open(experiment_trace)]
-        summary = summarise(records)
-        assert summary["overview"]["records"] == len(records)
-        responses = summary["responses"]
+        document = analyze(records)
+        assert document["overview"]["records"] == len(records)
+        responses = document["responses"]
         assert responses["hits"] + responses["misses"] == (
-            summary["overview"]["kinds"]["client.request"]
+            document["overview"]["kinds"]["client.request"]
         )
         assert responses["waits"]["count"] == responses["misses"]
-        cache = summary["cache"]
+        cache = document["cache"]
         assert cache["admissions"] >= cache["evictions"]
         assert cache["longest_resident"]
 
@@ -85,16 +98,30 @@ class TestCli:
         assert "fixed gaps       : yes" in out
         assert "max gap variance : 0" in out
 
+    def test_text_summary_says_demand_driven_runs_are_not_checked(
+            self, tmp_path, mini_config, capsys):
+        path = str(tmp_path / "process.jsonl")
+        with Tracer(JsonlSink(path)) as tracer:
+            run_experiment(mini_config.with_(num_requests=300),
+                           engine="process", tracer=tracer)
+        assert main(["summary", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "runs checked     : 0 of 1" in out
+        assert "fixed gaps       : not checked" in out
+        assert "max gap variance" not in out
+
     def test_json_summary_is_machine_readable(self, experiment_trace, capsys):
         assert main(["summary", experiment_trace, "--json"]) == EXIT_OK
         document = json.loads(capsys.readouterr().out)
         assert set(document) >= {"overview", "responses", "cache"}
+        assert document["schema"] == "repro.obs.analyze/2"
 
     def test_top_limits_ranked_tables(self, schedule_trace, capsys):
         assert main(["summary", schedule_trace, "--top", "2",
                      "--json"]) == EXIT_OK
         document = json.loads(capsys.readouterr().out)
-        assert len(document["broadcast"]["pages"]) == 2
+        assert len(document["broadcast"]["gaps"]) == 2
+        assert len(document["broadcast"]["top_pages"]) == 2
 
     def test_missing_trace_exits_2(self, tmp_path, capsys):
         code = main(["summary", str(tmp_path / "absent.jsonl")])
@@ -107,16 +134,24 @@ class TestCli:
         assert main(["summary", str(path)]) == EXIT_USAGE
         assert "malformed trace line" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["summary", "analyze"])
+    @pytest.mark.parametrize(
+        "options", [[], ["--disk-sizes", "50,200,250"]],
+        ids=["summary", "summary-disk-sizes"],
+    )
     def test_torn_trace_exits_2_naming_path_and_line(
-            self, experiment_trace, cut_mid_record, command, capsys):
+            self, experiment_trace, cut_mid_record, options, capsys):
         line = cut_mid_record(experiment_trace)
-        assert main([command, experiment_trace]) == EXIT_USAGE
+        assert main(["summary", experiment_trace, *options]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"{experiment_trace}:{line}: malformed trace")
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_analyze_is_an_unknown_command(self, experiment_trace, capsys):
+        # ``summary`` prints the one report; no alias keeps the old name.
+        assert main(["analyze", experiment_trace]) == EXIT_USAGE
+        assert "invalid choice: 'analyze'" in capsys.readouterr().err
 
     def test_module_entry_point(self, schedule_trace):
         import subprocess
@@ -134,8 +169,11 @@ class TestCli:
 
 
 class TestAnalyzeCommand:
+    """The report's attribution through ``summary``: ``--disk-sizes``
+    maps the waits onto disks."""
+
     def test_text_output_attributes_by_disk(self, experiment_trace, capsys):
-        assert main(["analyze", experiment_trace,
+        assert main(["summary", experiment_trace,
                      "--disk-sizes", "50,200,250"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "response time by disk" in out
@@ -143,27 +181,28 @@ class TestAnalyzeCommand:
         assert "cache residency" in out
 
     def test_json_output_is_schema_tagged(self, experiment_trace, capsys):
-        assert main(["analyze", experiment_trace, "--json"]) == EXIT_OK
+        assert main(["summary", experiment_trace, "--json"]) == EXIT_OK
         document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "repro.obs.analyze/1"
-        assert "cache_residency" in document
-        # Without --disk-sizes every wait lands in the "all" bucket.
-        assert set(document["response_by_disk"]["disks"]) == {"all"}
+        assert document["schema"] == "repro.obs.analyze/2"
+        assert "cache" in document
+        # Without --disk-sizes the waits have no per-disk block.
+        assert "by_disk" not in document["responses"]
 
     def test_space_separated_disk_sizes(self, experiment_trace, capsys):
-        assert main(["analyze", experiment_trace,
+        assert main(["summary", experiment_trace,
                      "--disk-sizes", "50 200 250", "--json"]) == EXIT_OK
         document = json.loads(capsys.readouterr().out)
-        assert "disk1" in document["response_by_disk"]["disks"]
+        assert "disk1" in document["responses"]["by_disk"]
 
     @pytest.mark.parametrize("bad", ["x,y", "50,-3", "0", ""])
     def test_bad_disk_sizes_exit_2(self, experiment_trace, bad, capsys):
-        code = main(["analyze", experiment_trace, "--disk-sizes", bad])
+        code = main(["summary", experiment_trace, "--disk-sizes", bad])
         assert code == EXIT_USAGE
         assert "--disk-sizes" in capsys.readouterr().err
 
     def test_missing_trace_exits_2(self, tmp_path, capsys):
-        code = main(["analyze", str(tmp_path / "absent.jsonl")])
+        code = main(["summary", str(tmp_path / "absent.jsonl"),
+                     "--disk-sizes", "50,200,250"])
         assert code == EXIT_USAGE
         assert "cannot read trace" in capsys.readouterr().err
 

@@ -81,6 +81,12 @@ class TestConvergence:
         assert result.converged
         assert result.requests_measured >= 4 * 800
         assert result.mean_response_time > 0
+        # One channel never retunes, so no retune cost reaches this
+        # pinned result.
+        assert (result.mean_response_time, result.requests_measured,
+                result.chunks_run, result.window_mean) == (
+            48.82625000000001, 5600, 7, 45.8696875
+        )
 
     def test_cap_reported_when_not_converged(self):
         result = run_until_converged(
@@ -122,6 +128,23 @@ class TestConvergence:
         )
         expected = [(200, 0)] if warmup == 0 else [(warmup, warmup), (200, 0)]
         assert calls[:len(expected)] == expected
+
+    def test_multichannel_charges_the_configs_retune_cost(self):
+        # On C=2 every channel switch waits ``retune_cost``, as in
+        # ``run_experiment``.
+        config = self.small_config(channels=2, cache_size=1, noise=0.0,
+                                   offset=0)
+        options = dict(chunk=2_000, window_chunks=2, rtol=1.0,
+                       max_requests=2_000)
+        cheap = run_until_converged(config, **options)
+        dear = run_until_converged(config.with_(retune_cost=5.0), **options)
+        assert dear.mean_response_time > cheap.mean_response_time
+        assert run_experiment(config.with_(retune_cost=5.0)).retunes > 0
+
+    def test_drift_rejected(self):
+        # A rotating hotspot has no steady state to converge to.
+        with pytest.raises(ConfigurationError, match="drift_rotations"):
+            run_until_converged(self.small_config(drift_rotations=4.0))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
