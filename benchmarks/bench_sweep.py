@@ -1,9 +1,9 @@
-"""Serial-vs-parallel wall-clock benchmark for the plan/executor stack.
+"""Serial-vs-parallel wall-clock benchmark for the plan runner.
 
 Times the full Figure-5 grid (five disk presets x Δ=0..7, 40 sweep
-points) two ways — ``SerialExecutor`` and ``ParallelExecutor(jobs=N)``
-— verifies the two runs are identical minus wall-clock fields, and
-records the trajectory to ``BENCH_sweep.json``:
+points) two ways — ``run_plans(plans)`` and ``run_plans(plans,
+jobs=N)`` — verifies the two runs are identical minus wall-clock
+fields, and records the trajectory to ``BENCH_sweep.json``:
 
 * per-point records from the sweep-manifest machinery
   (``build_sweep_manifest`` with ``strip_wall_clock`` applied);
@@ -36,7 +36,7 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.exec import ParallelExecutor, SerialExecutor, plan_sweep, usable_cores
+from repro.exec import plan_sweep, run_plans, usable_cores
 from repro.experiments.config import (
     DELTA_RANGE,
     DISK_PRESETS,
@@ -82,11 +82,11 @@ def run_arms(configs, jobs: int):
     plans = plan_sweep(configs)
 
     started = perf_counter()
-    serial = SerialExecutor().run(plans)
+    serial = run_plans(plans)
     serial_seconds = perf_counter() - started
 
     started = perf_counter()
-    parallel = ParallelExecutor(jobs=jobs).run(plans)
+    parallel = run_plans(plans, jobs=jobs)
     parallel_seconds = perf_counter() - started
 
     return serial, serial_seconds, parallel, parallel_seconds
@@ -124,7 +124,7 @@ def build_report(serial, serial_seconds, parallel, parallel_seconds, jobs):
             "serial": {"jobs": 1, "wall_seconds": serial_seconds},
             "parallel": {
                 "jobs": jobs,
-                "effective_jobs": ParallelExecutor(jobs=jobs).effective_jobs(),
+                "effective_jobs": min(jobs, usable_cores()),
                 "wall_seconds": parallel_seconds,
             },
         },

@@ -1,9 +1,9 @@
-"""CI smoke run for the plan/executor stack.
+"""CI smoke run for the plan runner.
 
 Runs a reduced Figure-5 grid (D5, Δ=0..3 at two noise levels) three
-times — with ``SerialExecutor``, with ``ParallelExecutor(jobs=2)``, and
-with every plan run alone through ``execute_plan(plan)`` with no
-``BuildCache`` — and fails unless the runs are byte-identical:
+times — at ``jobs=1`` (in this process), at ``jobs=2`` (on a process
+pool), and with every plan run alone through ``execute_plan(plan)``
+with no ``BuildCache`` — and fails unless the runs are byte-identical:
 
 * per-point mean response times and collected samples;
 * the aggregated sweep manifests, compared as canonical JSON after
@@ -38,14 +38,18 @@ if _SRC not in sys.path:
 
 from repro.exec import (
     BuildCache,
-    SerialExecutor,
     SweepCheckpoint,
     execute_plan,
     plan_sweep,
+    run_plans,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import sweep_results
-from repro.obs.manifest import strip_wall_clock
+from repro.obs.manifest import (
+    build_sweep_manifest,
+    strip_wall_clock,
+    write_manifest,
+)
 
 JOBS = 2
 
@@ -69,13 +73,6 @@ def smoke_grid():
         for noise in (0.0, 0.45)
         for delta in range(4)
     ]
-
-
-class IsolatedExecutor:
-    """Runs every plan alone: ``execute_plan(plan)``, no build cache."""
-
-    def run(self, plans, **_hooks):
-        return [execute_plan(plan) for plan in plans]
 
 
 def canonical(path: Path) -> str:
@@ -102,9 +99,10 @@ def main(argv=None) -> int:
     parallel_manifest = out / "parallel-manifest.json"
     isolated_manifest = out / "isolated-manifest.json"
 
-    print(f"== serial sweep ({len(configs)} points) ==")
+    print(f"== serial sweep (jobs=1, {len(configs)} points) ==")
     serial = sweep_results(
         configs,
+        jobs=1,
         manifest=str(serial_manifest),
         collect_responses=True,
     )
@@ -118,12 +116,9 @@ def main(argv=None) -> int:
     )
 
     print("== isolated plans (no build cache) ==")
-    isolated = sweep_results(
-        configs,
-        executor=IsolatedExecutor(),
-        manifest=str(isolated_manifest),
-        collect_responses=True,
-    )
+    isolated = [execute_plan(plan)
+                for plan in plan_sweep(configs, collect_responses=True)]
+    write_manifest(build_sweep_manifest(isolated), str(isolated_manifest))
 
     failures = []
     for arm, results, manifest in (
@@ -141,8 +136,8 @@ def main(argv=None) -> int:
                 f"{arm}: sweep manifests diverged (beyond wall-clock fields)"
             )
 
-    # The serial executor's cache is private to its run, so count the
-    # reuse on a replay of the grid through one shared cache.
+    # The serial run's cache is private to it, so count the reuse on a
+    # replay of the grid through one shared cache.
     builds = BuildCache()
     for plan in plan_sweep(configs, collect_responses=True):
         execute_plan(plan, builds=builds)
@@ -159,9 +154,9 @@ def main(argv=None) -> int:
     print("== checkpoint replay ==")
     journal = out / "smoke-checkpoint.jsonl"
     plans = plan_sweep(configs, collect_responses=True)
-    SerialExecutor().run(plans, checkpoint=SweepCheckpoint(str(journal)))
+    run_plans(plans, checkpoint=SweepCheckpoint(str(journal)))
     replay = SweepCheckpoint(str(journal))
-    replayed = SerialExecutor().run(plans, checkpoint=replay)
+    replayed = run_plans(plans, checkpoint=replay)
     if replay.resumed != len(configs):
         failures.append(
             f"journal replay resumed {replay.resumed}/{len(configs)} plans"
@@ -176,7 +171,7 @@ def main(argv=None) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
 
-    print(f"serial == parallel (jobs={args.jobs}) == isolated across "
+    print(f"jobs=1 == jobs={args.jobs} == isolated across "
           f"{len(configs)} points: means, samples, manifests")
     print(f"checkpoint replay reproduced the sweep from {journal.name}")
     print("artifacts in", out)

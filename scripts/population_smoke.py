@@ -35,7 +35,7 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.exec import SerialExecutor, SweepCheckpoint
+from repro.exec import SweepCheckpoint, run_plans
 from repro.experiments.config import ExperimentConfig
 from repro.obs.manifest import strip_wall_clock
 from repro.population import (
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
     # A fresh journal: a previous run's would already hold every client.
     journal.unlink(missing_ok=True)
     half = expand(spec)[: spec.num_clients // 2]
-    SerialExecutor().run(half, checkpoint=SweepCheckpoint(str(journal)))
+    run_plans(half, checkpoint=SweepCheckpoint(str(journal)))
     resume = SweepCheckpoint(str(journal))
     if resume.resumed != len(half):
         failures.append(

@@ -54,7 +54,6 @@ from repro.experiments import (
     ExperimentConfig,
     ExperimentResult,
     run_experiment,
-    sweep,
     sweep_results,
 )
 from repro.experiments.simengine import run_clients
@@ -69,7 +68,7 @@ from repro.population import (
 )
 from repro.workload import LogicalPhysicalMapping, ZipfRegionDistribution
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "BroadcastProgram",
@@ -99,6 +98,5 @@ __all__ = [
     "run_clients",
     "run_experiment",
     "run_population",
-    "sweep",
     "sweep_results",
 ]

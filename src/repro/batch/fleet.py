@@ -21,7 +21,7 @@ same :func:`~repro.population.run.finish_population` tail, *is* the
 per-client fold modulo wall-clock fields.  Observers see the same path
 a bare run takes, and every traced record carries its ``client``
 label.  ``progress``, ``checkpoint`` and ``keep_results`` keep the
-executors' contract through their own
+contract of :func:`~repro.exec.executor.run_plans` through its own
 :class:`~repro.exec.executor.InOrderResults`; whole per-client results
 are built only for them.
 """
@@ -110,8 +110,8 @@ def run_fleet(
     client order.  ``checkpoint`` is consulted per client before its
     bucket runs (a journalled client leaves the bucket) and records each
     client after; its keys are the fingerprints of the
-    :func:`~repro.population.spec.expand` plans, so a journal an
-    executor wrote resumes here.  ``keep_results=True`` keeps the
+    :func:`~repro.population.spec.expand` plans, so a journal
+    ``run_plans`` wrote resumes here.  ``keep_results=True`` keeps the
     per-client results, in client order.
     """
     started = perf_counter()
@@ -133,7 +133,7 @@ def run_fleet(
             if whole or not batched:
                 plans = {
                     client: RunPlan(client_config(spec, segment, client),
-                                    engine=spec.engine, index=client)
+                                    engine=spec.engine)
                     for client in clients
                 }
             if checkpoint is not None:

@@ -128,9 +128,9 @@ class BuildCache:
     """Memoised layout/schedule construction for one execution context,
     plus the last mapping and trace built.
 
-    Each executor (and each worker process) owns its own cache; entries
-    are never shipped across process boundaries — workers rebuild on
-    first use and reuse thereafter.
+    Each ``run_plans`` call (and each worker process) owns its own cache;
+    entries are never shipped across process boundaries — workers
+    rebuild on first use and reuse thereafter.
     """
 
     def __init__(self):

@@ -6,10 +6,10 @@ records one finished plan: its :meth:`~repro.exec.plan.RunPlan.fingerprint`
 options, grid position excluded) and the exact result state
 (:func:`repro.exec.run.result_state`, which carries the
 ``RunningStats`` internals so the resumed result is bit-for-bit the
-original).  Executors consult the journal before running a plan and
-append after finishing one, so killing a sweep at any point loses at
-most the in-flight plans; re-running the same command skips everything
-already journalled.
+original).  :func:`~repro.exec.executor.run_plans` consults the journal
+before running a plan and appends after finishing one, so killing a
+sweep at any point loses at most the in-flight plans; re-running the
+same command skips everything already journalled.
 
 Because entries are keyed by fingerprint rather than index, the journal
 survives grid reordering and partial overlap: a resumed sweep with

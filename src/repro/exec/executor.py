@@ -1,40 +1,43 @@
-"""Executors: strategies for running a list of plans.
+"""The plan runner: :func:`run_plans` turns a plan list into a result list.
 
-Both executors honour one contract, asserted by
-``tests/test_exec_parallel.py``: the returned list matches the plan
-list position-for-position, and every per-plan measurement (means,
-samples, counters — everything except ``wall_seconds``) is identical
-no matter which executor ran it, how many workers it used, or in what
-order the workers finished.  Parallelism is therefore a pure wall-clock
-optimisation, never an answer-changing one.
+It honours one contract, asserted by ``tests/test_exec_parallel.py``:
+the returned list matches the plan list position-for-position, and
+every per-plan measurement (means, samples, counters — everything
+except ``wall_seconds``) is identical no matter how many workers ran
+it or in what order the workers finished.  Parallelism is therefore a
+pure wall-clock optimisation, never an answer-changing one.
 
-How :class:`ParallelExecutor` keeps the contract:
+How the process pool keeps the contract:
 
 * each plan is self-contained (frozen config, no live objects), so
   shipping it to a worker process cannot entangle runs;
 * results are reassembled by plan position, not completion order;
 * the ``progress`` callback fires in plan order — a position is
   reported only once every earlier position has completed — so
-  observers see exactly the serial sequence (:class:`InOrderResults`
-  keeps both rules and the journal, for every executor and fleet);
+  observers see exactly the in-process sequence
+  (:class:`InOrderResults` keeps both rules and the journal, for the
+  pool, the in-process loop and fleets);
 * when an *enabled* tracer is attached, the pool is bypassed and plans
   run serially in-process: trace records must land in one sink in
   simulation order, which cannot be preserved across process
   boundaries.  (A disabled tracer costs nothing and parallelises
   fine.)
+* a failing plan or a raising ``progress`` callback cancels every plan
+  still queued in the pool before the error propagates, so a failed
+  grid stops after the calls already handed to workers.
 
-Both executors thread a :class:`~repro.exec.build.BuildCache` through
-their runs — the serial executor one per ``run()`` call, the parallel
-executor one per worker process — so sweep points sharing a broadcast
-structure skip schedule construction, and consecutive points sharing a
-mapping or trace skip drawing it.
+Both branches thread a :class:`~repro.exec.build.BuildCache` through
+their runs — the in-process loop one per call, the pool one per worker
+process — so sweep points sharing a broadcast structure skip schedule
+construction, and consecutive points sharing a mapping or trace skip
+drawing it.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Callable, List, Optional, Protocol, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.exec.build import BuildCache
@@ -53,7 +56,7 @@ def usable_cores() -> int:
     platform exposes them; falls back to :func:`os.cpu_count`.  Worker
     processes beyond this count time-share cores and — as
     ``BENCH_sweep.json`` recorded before the clamp — turn the pool into
-    a pessimization, so :class:`ParallelExecutor` never exceeds it.
+    a pessimization, so :func:`run_plans` never exceeds it.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     if affinity is not None:
@@ -62,21 +65,6 @@ def usable_cores() -> int:
         except OSError:  # pragma: no cover - platform quirk
             pass
     return max(1, os.cpu_count() or 1)
-
-
-class Executor(Protocol):
-    """Anything that can turn a plan list into a result list."""
-
-    def run(
-        self,
-        plans: Sequence[RunPlan],
-        *,
-        tracer=None,
-        progress: Optional[ProgressCallback] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
-        profile=None,
-    ) -> List[ExperimentResult]:
-        ...  # pragma: no cover - protocol signature
 
 
 class InOrderResults:
@@ -117,43 +105,6 @@ class InOrderResults:
             self._reported += 1
 
 
-def _run_in_order(
-    plans: Sequence[RunPlan],
-    tracer,
-    progress: Optional[ProgressCallback],
-    checkpoint: Optional[SweepCheckpoint],
-    profile=None,
-) -> List[ExperimentResult]:
-    """The reference execution: one plan after another, in order."""
-    builds = BuildCache()
-    book = InOrderResults(len(plans), progress, checkpoint)
-    for position, plan in enumerate(plans):
-        if not book.resume(position, plan):
-            book.complete(position, execute_plan(
-                plan, tracer=tracer, builds=builds, profile=profile,
-            ), plan)
-    return book.results
-
-
-class SerialExecutor:
-    """Run plans one at a time, in plan order, in this process."""
-
-    def run(
-        self,
-        plans: Sequence[RunPlan],
-        *,
-        tracer=None,
-        progress: Optional[ProgressCallback] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
-        profile=None,
-    ) -> List[ExperimentResult]:
-        return _run_in_order(list(plans), tracer, progress, checkpoint,
-                             profile)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "SerialExecutor()"
-
-
 # Per-worker build cache, created lazily on the worker's first plan.
 # Module-level so :func:`_execute_in_worker` stays picklable by name.
 _WORKER_BUILDS: Optional[BuildCache] = None
@@ -167,61 +118,62 @@ def _execute_in_worker(plan: RunPlan) -> ExperimentResult:
     return execute_plan(plan, builds=_WORKER_BUILDS)
 
 
-class ParallelExecutor:
-    """Run plans on a :class:`~concurrent.futures.ProcessPoolExecutor`.
+def check_jobs(jobs: int) -> None:
+    """Reject a worker count below 1 (or ``None``), naming the value."""
+    if jobs is None or jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
 
-    ``jobs`` is the *requested* worker-process count; at ``run()`` time
-    it is clamped to :func:`usable_cores` so oversubscription never
-    turns the pool into a pessimization.  ``jobs=1``, a host with a
-    single usable core, and any run with an enabled tracer attached all
-    degrade to the serial in-process path, which is byte-identical
-    anyway and skips the pool overhead.
+
+def run_plans(
+    plans: Sequence[RunPlan],
+    *,
+    jobs: int = 1,
+    tracer=None,
+    progress: Optional[ProgressCallback] = None,
+    checkpoint: Optional[SweepCheckpoint] = None,
+    profile=None,
+) -> List[ExperimentResult]:
+    """Run ``plans`` and return their results, in plan order.
+
+    Positions ``checkpoint`` already holds are resumed from it; the
+    rest run.  ``jobs`` is the *requested* worker-process count: the
+    pool gets ``min(jobs, usable_cores(), pending plans)`` workers, so
+    oversubscription never turns it into a pessimization.  When that is
+    1, or an enabled ``tracer`` or ``profile`` is attached, the pending
+    plans run one after another in this process on one
+    :class:`~repro.exec.build.BuildCache` — the reference execution,
+    byte-identical to the pool and free of its overhead.  ``progress``
+    and ``checkpoint`` see every result through :class:`InOrderResults`.
     """
+    check_jobs(jobs)
+    plans = list(plans)
+    book = InOrderResults(len(plans), progress, checkpoint)
+    pending = [position for position, plan in enumerate(plans)
+               if not book.resume(position, plan)]
+    tracing = tracer is not None and tracer.enabled
+    profiling = profile is not None and profile.enabled
+    workers = min(jobs, usable_cores(), len(pending))
+    if tracing or profiling or workers <= 1:
+        # Enabled tracing needs one sink in simulation order, and an
+        # enabled profiler (or a tracer's monitor suite) accumulates
+        # in-process state a worker could not ship back; tiny,
+        # single-worker, or single-core runs gain nothing from a
+        # pool — on a 1-core host the pool *costs* wall clock.
+        builds = BuildCache()
+        for position in pending:
+            plan = plans[position]
+            book.complete(position, execute_plan(
+                plan, tracer=tracer, builds=builds, profile=profile,
+            ), plan)
+        return book.results
 
-    def __init__(self, jobs: int = 2):
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = int(jobs)
-
-    def effective_jobs(self) -> int:
-        """The worker count a run will actually use: jobs ∧ usable cores."""
-        return min(self.jobs, usable_cores())
-
-    def run(
-        self,
-        plans: Sequence[RunPlan],
-        *,
-        tracer=None,
-        progress: Optional[ProgressCallback] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
-        profile=None,
-    ) -> List[ExperimentResult]:
-        plans = list(plans)
-        tracing = tracer is not None and tracer.enabled
-        profiling = profile is not None and profile.enabled
-        jobs = self.effective_jobs()
-        if tracing or profiling or jobs == 1 or len(plans) <= 1:
-            # Enabled tracing needs one sink in simulation order, and an
-            # enabled profiler (or a tracer's monitor suite) accumulates
-            # in-process state a worker could not ship back; tiny,
-            # single-worker, or single-core runs gain nothing from a
-            # pool — on a 1-core host the pool *costs* wall clock.
-            return _run_in_order(plans, tracer, progress, checkpoint,
-                                 profile)
-
-        book = InOrderResults(len(plans), progress, checkpoint)
-        pending = [position for position, plan in enumerate(plans)
-                   if not book.resume(position, plan)]
-        if not pending:
-            return book.results
-
-        workers = min(jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_execute_in_worker, plans[position]): position
-                for position in pending
-            }
-            outstanding = set(futures)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {
+            pool.submit(_execute_in_worker, plans[position]): position
+            for position in pending
+        }
+        outstanding = set(futures)
+        try:
             while outstanding:
                 done, outstanding = wait(
                     outstanding, return_when=FIRST_COMPLETED
@@ -230,14 +182,8 @@ class ParallelExecutor:
                     position = futures[future]
                     result = future.result()  # re-raises worker errors
                     book.complete(position, result, plans[position])
-        return book.results
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ParallelExecutor(jobs={self.jobs})"
-
-
-def resolve_executor(jobs: int = 1) -> Executor:
-    """The executor a ``jobs`` count asks for: serial at 1, pooled above."""
-    if jobs is None or jobs <= 1:
-        return SerialExecutor()
-    return ParallelExecutor(jobs=jobs)
+        except BaseException:
+            # Leaving the block would wait for every queued plan.
+            pool.shutdown(cancel_futures=True)
+            raise
+    return book.results

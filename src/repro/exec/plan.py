@@ -4,14 +4,15 @@ A :class:`RunPlan` pins down everything one experiment execution needs —
 the :class:`~repro.experiments.config.ExperimentConfig`, the engine, and
 the collection options — with no live objects attached, so a plan can be
 hashed (grid de-duplication), pickled (sent to a worker process), and
-fingerprinted (matched against a checkpoint journal).  Executors consume
-plans; nothing about a plan depends on *how* it will be executed.
+fingerprinted (matched against a checkpoint journal).
+:func:`~repro.exec.executor.run_plans` consumes plans; nothing about a
+plan depends on *how* it will be executed.
 
 Seeds: a plan runs with its config's own seed, which keeps every
 figure reproduction bit-for-bit identical.  Populations give each
 client its own seed with :func:`derive_seed`, pure arithmetic on the
 fleet seed and the client index, so regenerating the same fleet always
-re-derives the same seeds no matter which executor runs it.
+re-derives the same seeds no matter how many workers run it.
 """
 
 from __future__ import annotations
@@ -52,16 +53,12 @@ def check_engine(engine: str) -> None:
 
 @dataclass(frozen=True)
 class RunPlan:
-    """One fully-specified, executor-agnostic unit of experiment work."""
+    """One fully-specified, runner-agnostic unit of experiment work;
+    its place in a grid or fleet is its position in the plan list."""
 
     config: ExperimentConfig
     engine: str = "fast"
     collect_responses: bool = False
-    #: Position in the sweep grid or fleet.  Results are put back in
-    #: order by list position
-    #: (:class:`~repro.exec.executor.InOrderResults`), not by this
-    #: field, and :meth:`fingerprint` leaves it out.
-    index: int = 0
 
     def __post_init__(self):
         check_engine(self.engine)
@@ -76,8 +73,8 @@ class RunPlan:
 
         Two plans fingerprint equal iff they would produce the same
         result: same config (every field), same engine, same collection
-        options.  The index is deliberately excluded so a checkpoint
-        journal survives grid reordering.
+        options.  Nothing else goes in, so a checkpoint journal
+        survives grid reordering.
         """
         from repro.obs.manifest import config_hash
 
@@ -98,7 +95,7 @@ def plan_sweep(
     engine: str = "fast",
     collect_responses: bool = False,
 ) -> List[RunPlan]:
-    """Plans for a whole grid, indexed in iteration order.
+    """Plans for a whole grid, in iteration order.
 
     Every config keeps its own seed, which is what the paper
     reproductions want (one shared seed across the grid).
@@ -108,7 +105,6 @@ def plan_sweep(
             config=config,
             engine=engine,
             collect_responses=collect_responses,
-            index=index,
         )
-        for index, config in enumerate(configs)
+        for config in configs
     ]

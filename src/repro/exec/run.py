@@ -1,7 +1,7 @@
 """Plan execution: from a :class:`~repro.exec.plan.RunPlan` to a result.
 
 This module owns the single code path that turns a plan into an
-:class:`ExperimentResult` — the same path for every executor, so a
+:class:`ExperimentResult` — the same path in and out of workers, so a
 result depends only on the plan, never on who ran it or alongside what.
 
 Determinism contract (asserted by ``tests/test_exec_parallel.py``):

@@ -23,7 +23,6 @@ from repro.experiments.engine import FastEngine
 from repro.experiments.runner import (
     ExperimentResult,
     run_experiment,
-    sweep,
     sweep_results,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "ExperimentResult",
     "FastEngine",
     "run_experiment",
-    "sweep",
     "sweep_results",
 ]

@@ -1,18 +1,18 @@
 """Experiment entry points: thin wrappers over the execution layer.
 
-``run_experiment`` and ``sweep``/``sweep_results`` take their options
+``run_experiment`` and ``sweep_results`` take their options
 keyword-only, and the work flows through :mod:`repro.exec`: each
-configuration becomes a frozen :class:`~repro.exec.plan.RunPlan`, and an
-:class:`~repro.exec.executor.Executor` runs the plans — serially by
-default, or on a process pool when ``jobs > 1``.  Executor choice is a
-pure wall-clock optimisation: results are byte-identical regardless of
-worker count (see ``docs/ARCHITECTURE.md`` for the contract).
+configuration becomes a frozen :class:`~repro.exec.plan.RunPlan`, and
+:func:`~repro.exec.executor.run_plans` runs the plans — in this process
+by default, or on a process pool when ``jobs > 1``.  The worker count
+is a pure wall-clock optimisation: results are byte-identical
+regardless of it (see ``docs/ARCHITECTURE.md`` for the contract).
 
 Observability (see :mod:`repro.obs` and ``docs/OBSERVABILITY.md``):
 ``run_experiment`` accepts a ``tracer`` (structured event records) and
 a ``manifest`` path (a JSON document pinning config hash, seed,
-schedule and the run's measurements).  ``sweep``/``sweep_results`` add
-an optional progress callback and sweep-manifest aggregation so bench
+schedule and the run's measurements).  ``sweep_results`` adds an
+optional progress callback and sweep-manifest aggregation so bench
 scripts can emit machine-readable trajectories.  Under parallel
 execution the progress callback still fires in plan order and the
 sweep manifest lists the runs in plan order, so it matches the serial
@@ -22,10 +22,10 @@ run exactly.  All of it is pay-for-use: with everything left at
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.exec.checkpoint import SweepCheckpoint
-from repro.exec.executor import Executor, resolve_executor
+from repro.exec.executor import ProgressCallback, run_plans
 from repro.exec.plan import RunPlan, plan_sweep
 from repro.exec.run import (  # noqa: F401 - re-exported for compatibility
     ExperimentResult,
@@ -78,35 +78,6 @@ def run_experiment(
     return result
 
 
-#: Signature of the ``sweep`` progress callback:
-#: ``progress(completed, total, result)`` after each configuration.
-ProgressCallback = Callable[[int, int, ExperimentResult], None]
-
-
-def _mean_response_metric(result: ExperimentResult) -> float:
-    """Default ``sweep`` metric: the run's mean response time."""
-    return result.mean_response_time
-
-
-def sweep(
-    configs: Iterable[ExperimentConfig],
-    *,
-    metric: Callable[[ExperimentResult], float] = _mean_response_metric,
-    engine: str = "fast",
-    progress: Optional[ProgressCallback] = None,
-    manifest: Optional[str] = None,
-    jobs: int = 1,
-) -> List[float]:
-    """Run every configuration; return ``metric`` of each, in order."""
-    return [
-        metric(result)
-        for result in sweep_results(
-            configs, engine=engine, progress=progress, manifest=manifest,
-            jobs=jobs,
-        )
-    ]
-
-
 def sweep_results(
     configs: Iterable[ExperimentConfig],
     *,
@@ -116,7 +87,6 @@ def sweep_results(
     tracer=None,
     jobs: int = 1,
     collect_responses: bool = False,
-    executor: Optional[Executor] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
     profile=None,
 ) -> List[ExperimentResult]:
@@ -130,8 +100,7 @@ def sweep_results(
     :class:`repro.obs.monitor.MonitorSuite` among its sinks checks each
     one; an *enabled* tracer forces in-process serial execution so
     trace records stay in simulation order.  ``jobs`` selects the
-    worker count (``executor`` overrides it with an explicit strategy),
-    and ``checkpoint`` attaches a
+    worker count (at least 1), and ``checkpoint`` attaches a
     :class:`~repro.exec.checkpoint.SweepCheckpoint` journal so an
     interrupted sweep resumes without re-running finished points.
 
@@ -143,10 +112,9 @@ def sweep_results(
     plans = plan_sweep(
         list(configs), engine=engine, collect_responses=collect_responses
     )
-    runner = executor if executor is not None else resolve_executor(jobs)
-    results = runner.run(
-        plans, tracer=tracer, progress=progress, checkpoint=checkpoint,
-        profile=profile,
+    results = run_plans(
+        plans, jobs=jobs, tracer=tracer, progress=progress,
+        checkpoint=checkpoint, profile=profile,
     )
     profiling = profile is not None and profile.enabled
     if profiling:

@@ -184,7 +184,7 @@ def strip_wall_clock(document):
     """A deep copy of a manifest with every wall-clock field removed.
 
     Comparing ``strip_wall_clock(serial)`` to ``strip_wall_clock(parallel)``
-    is the determinism check: executors guarantee everything else is
+    is the determinism check: ``run_plans`` guarantees everything else is
     byte-identical (see ``docs/ARCHITECTURE.md``).
     """
     if isinstance(document, dict):

@@ -16,7 +16,7 @@ so shards folded in any grouping give the same answer:
   (it only needs ``n``, ``Σx`` and ``Σx²``).
 
 ``run_population`` folds results in plan order, so the aggregate is
-byte-identical no matter which executor produced the results.
+byte-identical no matter how many workers produced the results.
 """
 
 from __future__ import annotations

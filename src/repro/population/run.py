@@ -3,14 +3,14 @@
 :func:`run_population` is the fleet counterpart of
 :func:`repro.experiments.runner.sweep_results`: it expands a
 :class:`~repro.population.spec.PopulationSpec` into per-client plans,
-hands them to an executor (serial by default, process pool via
-``jobs``), and folds the per-client results into a
-:class:`PopulationResult` — overall and per-segment
+hands them to :func:`~repro.exec.executor.run_plans` (in this process
+by default, process pool via ``jobs``), and folds the per-client
+results into a :class:`PopulationResult` — overall and per-segment
 :class:`~repro.population.aggregate.PopulationAggregate` rollups.
 
 The determinism contract is inherited, not re-implemented: plans are
-frozen, the executor returns results in plan order regardless of worker
-count, and the fold consumes them positionally.  A population manifest
+frozen, ``run_plans`` returns results in plan order regardless of
+worker count, and the fold consumes them positionally.  A population manifest
 (schema ``repro.population/1``) therefore compares byte-identical
 across ``jobs`` settings once wall-clock fields are stripped — that is
 exactly what ``scripts/population_smoke.py`` gates in CI.  Checkpoint
@@ -28,9 +28,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import ConfigurationError
 from repro.exec.checkpoint import SweepCheckpoint
-from repro.exec.executor import Executor, resolve_executor, usable_cores
+from repro.exec.executor import check_jobs, run_plans
 from repro.exec.run import ExperimentResult
 from repro.obs.clock import perf_counter
 from repro.obs.manifest import observer_blocks, write_manifest
@@ -157,24 +156,18 @@ _MIN_CLIENTS_PER_WORKER = 64
 def _effective_jobs(jobs: int, num_plans: int) -> int:
     """Clamp the requested worker count to what the fleet can feed.
 
-    Never exceeds the affinity-visible cores (see
-    :func:`~repro.exec.executor.usable_cores`) nor one worker per
-    ``_MIN_CLIENTS_PER_WORKER`` clients; degrades to serial when the
-    fleet is too small to amortise process start-up.
+    Never exceeds one worker per ``_MIN_CLIENTS_PER_WORKER`` clients;
+    degrades to serial when the fleet is too small to amortise process
+    start-up.  :func:`~repro.exec.executor.run_plans` clamps the rest
+    to the usable cores.
     """
-    if jobs is None or jobs <= 1:
-        return 1
-    return max(
-        1,
-        min(jobs, usable_cores(), num_plans // _MIN_CLIENTS_PER_WORKER),
-    )
+    return max(1, min(jobs, num_plans // _MIN_CLIENTS_PER_WORKER))
 
 
 def run_population(
     spec: PopulationSpec,
     *,
     jobs: int = 1,
-    executor: Optional[Executor] = None,
     progress=None,
     checkpoint: Optional[SweepCheckpoint] = None,
     tracer=None,
@@ -185,11 +178,9 @@ def run_population(
     """Simulate the fleet ``spec`` describes and return its rollup.
 
     All options are keyword-only.  ``jobs`` selects the worker count
-    (``executor`` overrides it with an explicit strategy); results are
-    byte-identical at any count.  A ``batch`` spec runs in-process on
-    :func:`~repro.batch.fleet.run_fleet`, which serves every other
-    option: ``jobs`` has no effect on it and ``executor=`` raises
-    :class:`~repro.errors.ConfigurationError`.
+    (at least 1); results are byte-identical at any count.  A ``batch``
+    spec runs in-process on :func:`~repro.batch.fleet.run_fleet`, which
+    serves every other option: ``jobs`` has no effect on it.
     ``progress(completed, total, result)``
     fires per client in plan order; ``checkpoint`` attaches a
     :class:`~repro.exec.checkpoint.SweepCheckpoint` journal so an
@@ -202,13 +193,8 @@ def run_population(
     ``profile`` attaches a :class:`repro.obs.profile.Profiler`; an
     *enabled* one forces serial execution, like an enabled tracer.
     """
+    check_jobs(jobs)
     if spec.engine == "batch":
-        if executor is not None:
-            raise ConfigurationError(
-                "executor= does not apply to engine='batch': its columnar "
-                "groups run in-process; engine='fast' runs per-client "
-                "plans on an executor with identical results"
-            )
         # Imported lazily: repro.batch.fleet imports this module.
         from repro.batch.fleet import run_fleet
 
@@ -219,11 +205,9 @@ def run_population(
         )
     started = perf_counter()
     plans = expand(spec)
-    runner = (executor if executor is not None
-              else resolve_executor(_effective_jobs(jobs, len(plans))))
-    results = runner.run(
-        plans, tracer=tracer, progress=progress, checkpoint=checkpoint,
-        profile=profile,
+    results = run_plans(
+        plans, jobs=_effective_jobs(jobs, len(plans)), tracer=tracer,
+        progress=progress, checkpoint=checkpoint, profile=profile,
     )
     return finish_population(
         spec, results, started=started, tracer=tracer,

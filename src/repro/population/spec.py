@@ -7,7 +7,7 @@ a fleet declaratively: named :class:`SegmentSpec` groups ("commuters",
 the client-side knobs — cache size, policy, offset, noise, think time,
 workload drift.  The spec expands (:func:`expand`) into one frozen
 :class:`~repro.exec.plan.RunPlan` per client, so a fleet rides the
-existing executor/checkpoint machinery unchanged and inherits its
+existing plan-runner/checkpoint machinery unchanged and inherits its
 determinism contract: the expansion is a pure function of the spec.
 
 Seeding: client ``i`` (global index across segments, in declaration
@@ -17,7 +17,7 @@ sampled from the ``"population"`` stream of a :class:`RandomStreams`
 rooted at that per-client seed, field by field in the fixed
 :data:`SEGMENT_FIELDS` order.  A client's identity therefore depends
 only on ``(spec.seed, i)`` and its segment's distributions — never on
-fleet size, segment order elsewhere in the spec, or executor choice.
+fleet size, segment order elsewhere in the spec, or worker count.
 
 Specs round-trip through plain JSON dicts (:func:`spec_to_dict` /
 :func:`spec_from_dict`) so fleets can live in version-controlled files
@@ -356,7 +356,7 @@ def client_groups(
 
 
 def expand(spec: PopulationSpec) -> List[RunPlan]:
-    """One plan per client, indexed globally in segment declaration order."""
+    """One plan per client, client ``i`` at position ``i``."""
     plans: List[RunPlan] = []
     for segment, indices in spec.segment_ranges():
         for index in indices:
@@ -364,7 +364,6 @@ def expand(spec: PopulationSpec) -> List[RunPlan]:
                 config=client_config(spec, segment, index),
                 engine=spec.engine,
                 collect_responses=False,
-                index=index,
             ))
     return plans
 

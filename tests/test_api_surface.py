@@ -20,7 +20,7 @@ import repro
 from repro.errors import ConfigurationError
 from repro.exec.plan import ENGINES, RunPlan
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment, sweep, sweep_results
+from repro.experiments.runner import run_experiment, sweep_results
 from repro.population import run_population
 
 EXPECTED_ALL = [
@@ -51,7 +51,6 @@ EXPECTED_ALL = [
     "run_clients",
     "run_experiment",
     "run_population",
-    "sweep",
     "sweep_results",
 ]
 
@@ -83,7 +82,28 @@ class TestExportSnapshot:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "1.10.0"
+
+    def test_one_plan_runner(self):
+        # 1.10.0: run_plans replaced the executor classes, and sweep
+        # and the plan's grid index went.
+        import dataclasses
+
+        import repro.exec
+        import repro.experiments
+        from repro.exec import executor
+
+        assert not hasattr(repro, "sweep")
+        assert not hasattr(repro.experiments, "sweep")
+        assert not hasattr(executor, "Executor")
+        assert repro.exec.__all__ == [
+            "BuildCache", "RunPlan", "SweepCheckpoint", "derive_seed",
+            "execute_plan", "plan_sweep", "run_plans", "structural_hash",
+            "structural_key", "usable_cores",
+        ]
+        assert [field.name for field in dataclasses.fields(RunPlan)] == [
+            "config", "engine", "collect_responses",
+        ]
 
 
 class TestKeywordOnlyContract:
@@ -91,7 +111,6 @@ class TestKeywordOnlyContract:
 
     ENTRY_POINTS = {
         "run_experiment": run_experiment,
-        "sweep": sweep,
         "sweep_results": sweep_results,
         "run_population": run_population,
     }
@@ -121,7 +140,7 @@ class TestKeywordOnlyContract:
             if p.kind is inspect.Parameter.KEYWORD_ONLY
         ]
         assert options == [
-            "jobs", "executor", "progress", "checkpoint", "tracer",
+            "jobs", "progress", "checkpoint", "tracer",
             "manifest", "keep_results", "profile",
         ]
 
@@ -133,8 +152,6 @@ class TestDeprecationShim:
         configs = [small_config()]
         with pytest.raises(TypeError):
             run_experiment(small_config(), "fast")
-        with pytest.raises(TypeError):
-            sweep(configs, lambda result: result.hit_rate)
         with pytest.raises(TypeError):
             sweep_results(configs, "fast")
 

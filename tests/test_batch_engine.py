@@ -19,7 +19,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec import SerialExecutor, SweepCheckpoint
+from repro.exec import SweepCheckpoint, run_plans
 from repro.exec.plan import derive_seed
 from repro.exec.run import execute_plan, result_state
 from repro.experiments.config import ExperimentConfig
@@ -102,7 +102,8 @@ def fleet_calls(monkeypatch):
         original = module.execute_plan
 
         def execute(plan, **kwargs):
-            calls["plans"].append(plan.index)
+            client = plan.config.label.rpartition("/client")[2]
+            calls["plans"].append(int(client))
             return original(plan, **kwargs)
         monkeypatch.setattr(module, "execute_plan", execute)
 
@@ -135,7 +136,7 @@ def mixed_batch_spec():
 
 
 def per_client_fold(spec):
-    """The rollup of one ``fast`` plan per client, on an executor."""
+    """The rollup of one ``fast`` plan per client, through run_plans."""
     return snapshot(run_population(dataclasses.replace(spec, engine="fast")))
 
 
@@ -371,9 +372,8 @@ class TestFleetOptions:
     def test_resume_from_an_executor_journal(self, fleet_calls, tmp_path):
         spec = mixed_batch_spec()
         path = str(tmp_path / "fleet.jsonl")
-        # The first 6 clients journalled as an executor journals them.
-        SerialExecutor().run(expand(spec)[:6],
-                             checkpoint=SweepCheckpoint(path))
+        # The first 6 clients journalled as run_plans journals them.
+        run_plans(expand(spec)[:6], checkpoint=SweepCheckpoint(path))
         fleet_calls["plans"].clear()
         fleet_calls["columns"].clear()
         resumed = run_population(spec, checkpoint=SweepCheckpoint(path))
@@ -403,10 +403,6 @@ class TestFleetOptions:
         fast = [execute_plan(dataclasses.replace(plan, engine="fast"))
                 for plan in expand(spec)]
         assert result_states(kept) == result_states(fast)
-
-    def test_executor_rejected(self):
-        with pytest.raises(ConfigurationError, match="engine='fast'"):
-            run_population(mixed_batch_spec(), executor=SerialExecutor())
 
 
 class TestColumnarBuilders:
@@ -613,7 +609,6 @@ class TestEffectiveJobs:
                                8 * _MIN_CLIENTS_PER_WORKER) == wanted
 
     def test_serial_requests_stay_serial(self):
-        assert _effective_jobs(None, 10_000) == 1
         assert _effective_jobs(1, 10_000) == 1
 
     def test_clamp_scales_with_density(self):

@@ -1,26 +1,21 @@
-"""Parallel determinism: executors must be answer-invariant.
+"""Parallel determinism: ``run_plans`` must be answer-invariant.
 
-The contract under test (ISSUE 3, ``docs/ARCHITECTURE.md``): a sweep's
+The contract under test (``docs/ARCHITECTURE.md``): a sweep's
 per-point means, samples, metrics snapshots, and manifests (minus
-wall-clock fields) are byte-identical whichever executor runs it and
-however many workers it uses.
+wall-clock fields) are byte-identical however many workers run it,
+and a failing plan or progress callback stops the pool.
 """
 
 import json
 import os
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import (
-    ParallelExecutor,
-    SerialExecutor,
-    SweepCheckpoint,
-    plan_sweep,
-    resolve_executor,
-    usable_cores,
-)
+from repro.exec import SweepCheckpoint, plan_sweep, run_plans, usable_cores
 from repro.exec import executor as executor_module
 from repro.exec.executor import InOrderResults
 from repro.errors import ConfigurationError
@@ -28,6 +23,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import sweep_results
 from repro.obs.manifest import build_sweep_manifest, strip_wall_clock
 from repro.obs.trace import MemorySink, Tracer
+from repro.population import PopulationSpec, SegmentSpec, run_population
 
 
 def small_config(**overrides):
@@ -62,8 +58,8 @@ class TestExecutorEquivalence:
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_parallel_matches_serial(self, jobs):
         plans = plan_sweep(small_grid(), collect_responses=True)
-        serial = SerialExecutor().run(plans)
-        parallel = ParallelExecutor(jobs=jobs).run(plans)
+        serial = run_plans(plans)
+        parallel = run_plans(plans, jobs=jobs)
         assert [r.mean_response_time for r in serial] == [
             r.mean_response_time for r in parallel
         ]
@@ -79,7 +75,7 @@ class TestExecutorEquivalence:
                                                 monkeypatch):
         # Two usable cores, so jobs=2 really pools even on a one-core
         # host: a pooled sweep keeps no build cache, and the manifest
-        # must not depend on whether the executor kept one.
+        # must not depend on whether the run kept one.
         monkeypatch.setattr(executor_module, "usable_cores", lambda: 2)
         configs = small_grid()
         manifests = []
@@ -113,12 +109,22 @@ class TestExecutorEquivalence:
         ]
         assert seen == expected
 
-    def test_resolve_executor(self):
-        assert isinstance(resolve_executor(1), SerialExecutor)
-        assert isinstance(resolve_executor(4), ParallelExecutor)
-        assert resolve_executor(4).jobs == 4
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(jobs=0)
+    def test_jobs_below_one_rejected(self):
+        # Every entry point names the value instead of running serially,
+        # a batch fleet too, though it never reaches run_plans.
+        plans = plan_sweep(small_grid())
+        batch = PopulationSpec(
+            name="jobs", base=small_config(num_requests=50), seed=1,
+            segments=(SegmentSpec("all", 2),), engine="batch",
+        )
+        for jobs in (0, -3, None):
+            message = rf"^jobs must be >= 1, got {jobs}$"
+            with pytest.raises(ConfigurationError, match=message):
+                run_plans(plans, jobs=jobs)
+            with pytest.raises(ConfigurationError, match=message):
+                sweep_results(small_grid(), jobs=jobs)
+            with pytest.raises(ConfigurationError, match=message):
+                run_population(batch, jobs=jobs)
 
     @settings(max_examples=5, deadline=None)
     @given(
@@ -135,8 +141,8 @@ class TestExecutorEquivalence:
             for delta in deltas
         ]
         plans = plan_sweep(configs, collect_responses=True)
-        serial = SerialExecutor().run(plans)
-        parallel = ParallelExecutor(jobs=jobs).run(plans)
+        serial = run_plans(plans)
+        parallel = run_plans(plans, jobs=jobs)
         assert [r.mean_response_time for r in serial] == [
             r.mean_response_time for r in parallel
         ]
@@ -149,12 +155,6 @@ class TestCoreClamp:
     def test_usable_cores_is_positive(self):
         assert usable_cores() >= 1
 
-    def test_effective_jobs_clamps_to_usable_cores(self, monkeypatch):
-        monkeypatch.setattr(executor_module, "usable_cores", lambda: 2)
-        assert ParallelExecutor(jobs=16).effective_jobs() == 2
-        assert ParallelExecutor(jobs=2).effective_jobs() == 2
-        assert ParallelExecutor(jobs=1).effective_jobs() == 1
-
     def test_single_core_host_never_creates_a_pool(self, monkeypatch):
         monkeypatch.setattr(executor_module, "usable_cores", lambda: 1)
 
@@ -165,8 +165,8 @@ class TestCoreClamp:
             executor_module, "ProcessPoolExecutor", forbidden_pool
         )
         plans = plan_sweep(small_grid(), collect_responses=True)
-        results = ParallelExecutor(jobs=4).run(plans)
-        reference = SerialExecutor().run(plans)
+        results = run_plans(plans, jobs=4)
+        reference = run_plans(plans)
         assert [r.samples for r in results] == [
             r.samples for r in reference
         ]
@@ -183,7 +183,7 @@ class TestCoreClamp:
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", SpyPool)
         plans = plan_sweep(small_grid())
-        ParallelExecutor(jobs=16).run(plans)
+        run_plans(plans, jobs=16)
         assert seen["max_workers"] == 2
 
 
@@ -230,15 +230,15 @@ class TestCheckpointResume:
         configs = small_grid()
         path = os.fspath(tmp_path / "sweep.jsonl")
         first = SweepCheckpoint(path)
-        SerialExecutor().run(plan_sweep(configs[:2]), checkpoint=first)
+        run_plans(plan_sweep(configs[:2]), checkpoint=first)
         assert len(first) == 2
 
         resumed = SweepCheckpoint(path)
         assert resumed.resumed == 2
-        results = ParallelExecutor(jobs=2).run(
-            plan_sweep(configs), checkpoint=resumed
+        results = run_plans(
+            plan_sweep(configs), jobs=2, checkpoint=resumed
         )
-        reference = SerialExecutor().run(plan_sweep(configs))
+        reference = run_plans(plan_sweep(configs))
         assert [r.mean_response_time for r in results] == [
             r.mean_response_time for r in reference
         ]
@@ -251,14 +251,12 @@ class TestCheckpointResume:
         configs = small_grid()
         path = os.fspath(tmp_path / "sweep.jsonl")
         checkpoint = SweepCheckpoint(path)
-        SerialExecutor().run(plan_sweep(configs), checkpoint=checkpoint)
+        run_plans(plan_sweep(configs), checkpoint=checkpoint)
 
         shuffled = list(reversed(configs))
         reopened = SweepCheckpoint(path)
-        results = SerialExecutor().run(
-            plan_sweep(shuffled), checkpoint=reopened
-        )
-        reference = SerialExecutor().run(plan_sweep(shuffled))
+        results = run_plans(plan_sweep(shuffled), checkpoint=reopened)
+        reference = run_plans(plan_sweep(shuffled))
         assert [r.mean_response_time for r in results] == [
             r.mean_response_time for r in reference
         ]
@@ -268,9 +266,7 @@ class TestCheckpointResume:
     def test_torn_journal_line_names_path_and_line(self, tmp_path):
         configs = small_grid()[:2]
         path = os.fspath(tmp_path / "sweep.jsonl")
-        SerialExecutor().run(
-            plan_sweep(configs), checkpoint=SweepCheckpoint(path)
-        )
+        run_plans(plan_sweep(configs), checkpoint=SweepCheckpoint(path))
         with open(path) as handle:
             text = handle.read()
         # Cut the second entry mid-line, as a killed writer would.
@@ -285,7 +281,7 @@ class TestCheckpointResume:
         path = os.fspath(tmp_path / "one.jsonl")
         checkpoint = SweepCheckpoint(path)
         plans = plan_sweep([config], collect_responses=True)
-        original = SerialExecutor().run(plans, checkpoint=checkpoint)[0]
+        original = run_plans(plans, checkpoint=checkpoint)[0]
         replayed = SweepCheckpoint(path).lookup(plans[0])
         assert replayed is not None
         assert replayed.samples == original.samples
@@ -293,21 +289,23 @@ class TestCheckpointResume:
 
 
 class TestInOrderResults:
-    """The one helper behind the executors' and the fleet's contract."""
+    """The one helper behind ``run_plans``' and the fleet's contract."""
 
     class Journal:
-        """A checkpoint stand-in: results journalled by plan index, and
-        every record call in order."""
+        """A checkpoint stand-in: results journalled by grid position,
+        and every record call in order."""
 
-        def __init__(self, journalled=()):
+        def __init__(self, plans, journalled=()):
+            self.positions = {plan: position
+                              for position, plan in enumerate(plans)}
             self.journalled = dict(journalled)
             self.records = []
 
         def lookup(self, plan):
-            return self.journalled.get(plan.index)
+            return self.journalled.get(self.positions[plan])
 
         def record(self, plan, result):
-            self.records.append((plan.index, result))
+            self.records.append((self.positions[plan], result))
 
     def test_out_of_order_completions_report_in_order_once(self):
         plans = plan_sweep(small_grid())
@@ -325,7 +323,7 @@ class TestInOrderResults:
 
     def test_journalled_positions_are_not_journalled_again(self):
         plans = plan_sweep(small_grid())
-        journal = self.Journal({1: "kept1", 3: "kept3"})
+        journal = self.Journal(plans, {1: "kept1", 3: "kept3"})
         calls = []
         book = InOrderResults(len(plans), lambda *call: calls.append(call),
                               journal)
@@ -338,15 +336,53 @@ class TestInOrderResults:
         assert book.results == ["ran0", "kept1", "ran2", "kept3"]
         assert [call[0] for call in calls] == [1, 2, 3, 4]
 
-    @pytest.mark.parametrize("executor", [
-        SerialExecutor(), ParallelExecutor(jobs=2),
-    ], ids=["serial", "parallel"])
-    def test_every_executed_plan_is_journalled_once(self, executor):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "parallel"])
+    def test_every_executed_plan_is_journalled_once(self, jobs):
         plans = plan_sweep(small_grid())
-        kept = SerialExecutor().run(plans[:1])[0]
-        journal = self.Journal({0: kept})
-        results = executor.run(plans, checkpoint=journal)
+        kept = run_plans(plans[:1])[0]
+        journal = self.Journal(plans, {0: kept})
+        results = run_plans(plans, jobs=jobs, checkpoint=journal)
         assert results[0] is kept
         records = sorted(journal.records, key=lambda record: record[0])
         assert [index for index, _ in records] == [1, 2, 3]
         assert all(result is results[index] for index, result in records)
+
+
+def _fail_the_bad_plan(plan):
+    """Worker stand-in: the plan labelled ``bad`` raises and ``quick``
+    returns at once; every other plan, labelled with a marker path,
+    takes a while and leaves that marker file."""
+    if plan.config.label == "bad":
+        raise RuntimeError("worker failed")
+    if plan.config.label != "quick":
+        time.sleep(0.2)
+        Path(plan.config.label).touch()
+    return plan.config.label
+
+
+class TestFailureStopsThePool:
+    """An error surfaces without running the rest of the grid first."""
+
+    @pytest.mark.parametrize("failure", ["worker", "progress"])
+    def test_failure_cancels_the_queued_plans(self, tmp_path, monkeypatch,
+                                              failure):
+        # Workers are forked, so they see the patched entry point.
+        monkeypatch.setattr(executor_module, "_execute_in_worker",
+                            _fail_the_bad_plan)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 2)
+        # The first plan fails in its worker, or its progress report
+        # fails; 20 slow plans queue behind it.
+        first = "bad" if failure == "worker" else "quick"
+        labels = [first] + [str(tmp_path / f"good{i}") for i in range(20)]
+
+        def progress(done, total, result):
+            raise RuntimeError("progress failed")
+
+        with pytest.raises(RuntimeError, match=f"{failure} failed"):
+            run_plans(
+                plan_sweep(small_config(label=label) for label in labels),
+                jobs=2, progress=progress if failure == "progress" else None,
+            )
+        # Only the calls already handed to the two workers (running or
+        # in the pool's call queue) may have run.
+        assert len(list(tmp_path.glob("good*"))) <= 6

@@ -16,7 +16,7 @@ from repro.exec import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.population import PopulationSpec, SegmentSpec, expand, run_population
+from repro.population import PopulationSpec, SegmentSpec, expand
 
 
 def small_config(**overrides):
@@ -36,9 +36,9 @@ def small_config(**overrides):
 
 class TestRunPlan:
     def test_frozen_hashable_picklable(self):
-        plan = RunPlan(small_config(), engine="fast", index=3)
+        plan = RunPlan(small_config(), engine="fast")
         assert hash(plan) == hash(
-            RunPlan(config=small_config(), engine="fast", index=3)
+            RunPlan(config=small_config(), engine="fast")
         )
         with pytest.raises(Exception):
             plan.engine = "process"
@@ -52,11 +52,6 @@ class TestRunPlan:
 
     def test_seed_is_config_seed(self):
         assert RunPlan(small_config(seed=99)).seed == 99
-
-    def test_fingerprint_ignores_index(self):
-        a = RunPlan(small_config(), index=0)
-        b = RunPlan(small_config(), index=7)
-        assert a.fingerprint() == b.fingerprint()
 
     def test_fingerprint_tracks_work_identity(self):
         base = RunPlan(small_config())
@@ -82,7 +77,6 @@ class TestSeedDerivation:
         configs = [small_config(seed=7), small_config(seed=9)]
         plans = plan_sweep(configs)
         assert [plan.seed for plan in plans] == [7, 9]
-        assert [plan.index for plan in plans] == [0, 1]
 
 
 class TestBuildCache:
@@ -190,14 +184,6 @@ class TestBuildCache:
         # client reuses another's mapping or trace; the cache still
         # holds only the last one of each, and results match fresh
         # per-client builds.
-        class SharedCacheExecutor:
-            def __init__(self):
-                self.builds = BuildCache()
-
-            def run(self, plans, **_hooks):
-                return [execute_plan(plan, builds=self.builds)
-                        for plan in plans]
-
         spec = PopulationSpec(
             name="distinct",
             base=small_config(noise=0.3, num_requests=100),
@@ -205,15 +191,13 @@ class TestBuildCache:
             segments=(SegmentSpec("all", 6),),
             engine="fast",
         )
-        executor = SharedCacheExecutor()
-        population = run_population(spec, executor=executor,
-                                    keep_results=True)
+        builds = BuildCache()
+        cached = [execute_plan(plan, builds=builds) for plan in expand(spec)]
         fresh = [execute_plan(plan) for plan in expand(spec)]
         assert len({plan.seed for plan in expand(spec)}) == 6
-        assert [r.mean_response_time for r in population.results] == [
+        assert [r.mean_response_time for r in cached] == [
             r.mean_response_time for r in fresh
         ]
-        builds = executor.builds
         assert builds.mapping_hits == 0 and builds.trace_hits == 0
         held = builds.held()
         assert held["mappings"] <= 1 and held["traces"] <= 1

@@ -9,7 +9,7 @@ from repro.core.programs import _flat_program as flat_program, _multidisk_progra
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import FastEngine
-from repro.experiments.runner import run_experiment, sweep, sweep_results
+from repro.experiments.runner import run_experiment, sweep_results
 from repro.workload.mapping import LogicalPhysicalMapping
 from repro.workload.trace import RequestTrace
 
@@ -139,9 +139,9 @@ class TestRunner:
 
     def test_sweep_returns_metric_per_config(self, mini_config):
         configs = [mini_config.with_(delta=d) for d in (0, 2, 4)]
-        values = sweep(configs)
-        assert len(values) == 3
-        assert all(value > 0 for value in values)
+        results = sweep_results(configs)
+        assert len(results) == 3
+        assert all(result.mean_response_time > 0 for result in results)
 
     def test_sweep_results_full_objects(self, mini_config):
         results = sweep_results([mini_config])

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import run_experiment, sweep, sweep_results
+from repro.experiments.runner import run_experiment, sweep_results
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     SWEEP_SCHEMA,
@@ -126,7 +126,7 @@ class TestSweepManifest:
 
     def test_progress_callback_fires_in_order(self, mini_config):
         seen = []
-        sweep(
+        sweep_results(
             self._configs(mini_config),
             progress=lambda done, total, result: seen.append(
                 (done, total, result.config.delta)

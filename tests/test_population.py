@@ -13,7 +13,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec import SerialExecutor, SweepCheckpoint
+from repro.exec import SweepCheckpoint, run_plans
 from repro.exec.plan import derive_seed
 from repro.experiments.config import ExperimentConfig
 from repro.obs.manifest import strip_wall_clock
@@ -128,14 +128,15 @@ class TestExpansion:
         spec = small_spec()
         plans = expand(spec)
         assert len(plans) == spec.num_clients == 10
-        assert [plan.index for plan in plans] == list(range(10))
+        for index, plan in enumerate(plans):
+            assert plan.config.label.endswith(f"/client{index}")
         assert plans[0].config.label.startswith("test-fleet/varied/")
         assert plans[9].config.label.startswith("test-fleet/drifty/")
 
     def test_per_client_seed_uses_stride_derivation(self):
         spec = small_spec()
-        for plan in expand(spec):
-            assert plan.config.seed == derive_seed(spec.seed, plan.index)
+        for index, plan in enumerate(expand(spec)):
+            assert plan.config.seed == derive_seed(spec.seed, index)
 
     def test_client_identity_is_independent_of_fleet_shape(self):
         # The same (spec.seed, index, segment) always yields the same
@@ -317,7 +318,7 @@ class TestFairness:
 class TestPopulationAggregateMerge:
     def test_merge_matches_sequential_fold(self):
         spec = small_spec()
-        results = SerialExecutor().run(expand(spec))
+        results = run_plans(expand(spec))
         whole = PopulationAggregate()
         left, right = PopulationAggregate(), PopulationAggregate()
         for index, result in enumerate(results):
@@ -390,7 +391,7 @@ class TestRunPopulation:
         reference = run_population(spec)
         journal = tmp_path / "fleet.jsonl"
         half = expand(spec)[:5]
-        SerialExecutor().run(half, checkpoint=SweepCheckpoint(str(journal)))
+        run_plans(half, checkpoint=SweepCheckpoint(str(journal)))
         resume = SweepCheckpoint(str(journal))
         assert resume.resumed == 5
         resumed = run_population(spec, jobs=2, checkpoint=resume)
