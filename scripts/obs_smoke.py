@@ -34,7 +34,10 @@ report (``<trace>-report.json``), which must exit 0 and hold:
   and a slot utilization of at most 1.0;
 * multichannel: per-client ``retunes`` adding up to the trace's
   ``client.retune`` records;
-* demand: ``fixed_interarrival`` null, no run checked.
+* demand: ``fixed_interarrival`` null, no run checked;
+* broadcast and demand: a cache section from the process client's own
+  ``cache.*`` records, with one admission per ``client.miss`` and an
+  occupancy peak within the LRU capacity of 4.
 
 Usage::
 
@@ -95,6 +98,9 @@ FIG5_CACHE = 50
 #: Process-engine runs in the full-broadcast trace; each restarts the
 #: clock, so ``summary`` must split the trace into runs.
 BROADCAST_RUNS = 2
+
+#: The LRU capacity of the client in both broadcast traces.
+BROADCAST_CACHE = 4
 
 #: The disk sizes of the fig5 and multichannel programs, and of the
 #: multidisk program both broadcast traces air.
@@ -240,7 +246,8 @@ def traced_broadcast(out: Path, name: str, runs: int,
             engine.add_client(
                 ClientSpec(
                     mapping=LogicalPhysicalMapping(layout),
-                    cache=make_policy("LRU", 4, PolicyContext(num_disks=3)),
+                    cache=make_policy("LRU", BROADCAST_CACHE,
+                                      PolicyContext(num_disks=3)),
                     trace=generate_trace(
                         distribution, 400,
                         RandomStreams(3).stream("requests"),
@@ -251,11 +258,32 @@ def traced_broadcast(out: Path, name: str, runs: int,
     print(f"  trace    : {trace_path} ({runs} run(s))")
 
 
+def check_client_cache(out: Path, name: str, document: dict) -> int:
+    """A broadcast trace's cache section: the process client's own
+    ``cache.*`` records, one admission per ``client.miss`` and the
+    occupancy within the LRU capacity.  Returns the exit status."""
+    cache = document.get("cache")
+    misses = sum(
+        record["kind"] == "client.miss"
+        for record in read_jsonl(str(out / f"{name}-smoke.jsonl"))
+    )
+    if (cache is None or cache["admissions"] != misses
+            or cache["occupancy_max"] > BROADCAST_CACHE):
+        print(f"FAIL: the {name} trace's cache section {cache} does not "
+              f"hold {misses} admissions within capacity {BROADCAST_CACHE}",
+              file=sys.stderr)
+        return 1
+    print(f"  cache    : {misses} admissions, one per client.miss; "
+          f"occupancy peak {cache['occupancy_max']:.0f} <= {BROADCAST_CACHE}")
+    return 0
+
+
 def check_broadcast_report(out: Path) -> int:
-    """The every-slot trace's report: fixed gaps over every run, and
-    no more deliveries than slots.  Returns the exit status."""
+    """The every-slot trace's report: fixed gaps over every run, no
+    more deliveries than slots, and the client's cache records.
+    Returns the exit status."""
     document = report(out, "broadcast", BROADCAST_SIZES)
-    if document is None:
+    if document is None or check_client_cache(out, "broadcast", document):
         return 1
     broadcast = document.get("broadcast")
     if broadcast is None:
@@ -282,13 +310,14 @@ def check_broadcast_report(out: Path) -> int:
 
 
 def check_demand_report(out: Path) -> int:
-    """The demand-driven trace's report: no run checked, verdict null.
+    """The demand-driven trace's report: no run checked, verdict null,
+    and the client's cache records.
 
     Its channel delivered only the broadcasts the client waited for,
     whose gaps are multiples of the program's.  Returns the exit status.
     """
     document = report(out, "demand", BROADCAST_SIZES)
-    if document is None:
+    if document is None or check_client_cache(out, "demand", document):
         return 1
     broadcast = document["broadcast"]
     if (broadcast["fixed_interarrival"] is not None

@@ -29,8 +29,7 @@ differs — replicating the scalar tuner per client, including the
 ``client.retune`` trace record between miss and wait.
 
 Tracing: with one client the emitted record stream is identical to the
-fast engine's (``client.*`` from the engine, ``cache.*`` in
-:class:`~repro.cache.base.TracedCache`'s vocabulary).  With many
+fast engine's, ``client.*`` and ``cache.*`` records alike.  With many
 clients every record additionally carries a ``client`` label so the
 invariant monitors can key their per-stream state per client.
 
@@ -121,7 +120,6 @@ class BatchOutcome:
         return EngineOutcome(
             response=response,
             counters=counters,
-            measured_requests=response.count,
             warmup_requests=int(self.warmup_seen[client]),
             final_time=float(self.final_time[client]),
             samples=self.samples,
@@ -424,11 +422,10 @@ class ColumnarEngine:
         """Emit one step's records, per client, in the scalar order.
 
         For a single unlabelled client the sequence is byte-identical to
-        the fast engine's traced run (``client.*`` records) wrapped in a
-        :class:`~repro.cache.base.TracedCache` (``cache.*`` records) —
-        including the ``client.retune`` record a multi-channel miss
-        slips between its miss and wait.  Labelled runs add a
-        ``client`` field to every record.
+        the fast engine's traced run, ``client.*`` and ``cache.*``
+        records alike — including the ``client.retune`` record a
+        multi-channel miss slips between its miss and wait.  Labelled
+        runs add a ``client`` field to every record.
         """
         for client in range(len(page)):
             extra = {} if labels is None else {"client": labels[client]}

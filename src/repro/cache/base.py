@@ -144,72 +144,6 @@ class CachePolicy(ABC):
         return f"<{type(self).__name__} {len(self)}/{self.capacity}>"
 
 
-class TracedCache(CachePolicy):
-    """A transparent tracing wrapper around any :class:`CachePolicy`.
-
-    Engines drive policies only through the abstract protocol, so
-    wrapping is invisible to them; every ``lookup``/``admit``/``discard``
-    additionally emits a ``cache.*`` record to the attached tracer
-    (``cache.lookup``, ``cache.admit``, ``cache.evict``,
-    ``cache.discard`` — see :mod:`repro.obs.trace`).  The wrapper holds
-    no cache state of its own and never alters the inner policy's
-    decisions, so traced and untraced runs are request-for-request
-    identical.
-    """
-
-    name = "traced"
-
-    def __init__(self, inner: CachePolicy, tracer):
-        super().__init__(inner.capacity)
-        self.inner = inner
-        self.tracer = tracer
-        # discard() carries no timestamp in the protocol; its records
-        # reuse the last simulation time seen by lookup/admit.
-        self._last_seen = 0.0
-
-    def __contains__(self, page: int) -> bool:
-        return page in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def pages(self) -> Iterable[int]:
-        return self.inner.pages()
-
-    def lookup(self, page: int, now: float) -> bool:
-        hit = self.inner.lookup(page, now)
-        self._last_seen = now
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit("cache.lookup", now, page=int(page), hit=hit)
-        return hit
-
-    def admit(self, page: int, now: float) -> Optional[int]:
-        victim = self.inner.admit(page, now)
-        self._last_seen = now
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
-                "cache.admit", now, page=int(page),
-                victim=None if victim is None else int(victim),
-            )
-            if victim is not None and victim != page:
-                tracer.emit("cache.evict", now, page=int(victim),
-                            admitted=int(page))
-        return victim
-
-    def discard(self, page: int) -> bool:
-        resident = self.inner.discard(page)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit("cache.discard", self._last_seen, page=int(page),
-                        resident=resident)
-        return resident
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TracedCache {self.inner!r}>"
-
-
 @dataclass
 class CacheCounters:
     """Hit/miss bookkeeping shared by the engines."""

@@ -9,7 +9,7 @@
   policy that :class:`~repro.experiments.engine.FastEngine` drives.
 """
 
-from repro.client.client import Client, ClientReport
+from repro.client.client import Client
 from repro.client.prefetch import PrefetchEngine, pt_value
 
-__all__ = ["Client", "ClientReport", "PrefetchEngine", "pt_value"]
+__all__ = ["Client", "PrefetchEngine", "pt_value"]

@@ -13,43 +13,17 @@ runs are comparable request-by-request with the fast engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
-from repro.cache.base import CacheCounters, CachePolicy
+from repro.cache.base import CachePolicy
 from repro.core.disks import DiskLayout
+from repro.experiments.engine import EngineOutcome
 from repro.server.channel import BroadcastChannel
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
-from repro.sim.stats import RunningStats
 from repro.workload.mapping import LogicalPhysicalMapping
 from repro.workload.trace import RequestTrace
-
-
-@dataclass
-class ClientReport:
-    """Measurements accumulated by one client."""
-
-    response: RunningStats = field(default_factory=RunningStats)
-    counters: CacheCounters = field(default_factory=CacheCounters)
-    samples: Optional[List[float]] = None
-    warmup_requests: int = 0
-    #: Simulator clock when the client finished its trace, in broadcast
-    #: units — the process-engine counterpart of the fast engine's
-    #: ``EngineOutcome.final_time``.
-    final_time: float = 0.0
-    #: Channel switches during the measured phase (multi-channel runs
-    #: only; a single-channel client never retunes).
-    retunes: int = 0
-
-    @property
-    def mean_response_time(self) -> float:
-        """Mean measured response time in broadcast units."""
-        return self.response.mean
-
-    def access_locations(self, num_disks: int) -> Dict[str, float]:
-        """Fraction of measured accesses served per location."""
-        return self.counters.access_locations(num_disks)
 
 
 @dataclass
@@ -76,9 +50,9 @@ class ChannelTuner:
 class Client:
     """A cache-equipped client running on the simulation kernel."""
 
-    #: The report the request loop fills; a subclass that books more
-    #: per miss names a :class:`ClientReport` subclass here.
-    report_type = ClientReport
+    #: The outcome the request loop fills; a subclass that books more
+    #: per miss names an ``EngineOutcome`` subclass here.
+    report_type = EngineOutcome
 
     def __init__(
         self,
@@ -109,9 +83,9 @@ class Client:
         self.warmup_requests = warmup_requests
         self.extra_warmup = extra_warmup
         self.name = name
-        #: Optional :class:`repro.obs.trace.Tracer` emitting
-        #: ``client.request`` / ``client.hit`` / ``client.miss`` /
-        #: ``client.wait`` records; ``None`` costs one branch per request.
+        #: Optional :class:`repro.obs.trace.Tracer` emitting the
+        #: ``client.*`` and ``cache.*`` records, each labelled with the
+        #: client's ``name``; ``None`` costs one branch per request.
         self.tracer = tracer
         self.report = self.report_type(
             samples=[] if collect_responses else None
@@ -153,6 +127,8 @@ class Client:
 
             if cache.lookup(page, sim.now):
                 if tracer is not None:
+                    tracer.emit("cache.lookup", sim.now, page=int(page),
+                                hit=True, client=self.name)
                     tracer.emit("client.hit", sim.now, page=int(page),
                                 client=self.name)
                 if measuring:
@@ -165,12 +141,20 @@ class Client:
             physical = self.mapping.to_physical(page)
             issued = sim.now
             if tracer is not None:
+                tracer.emit("cache.lookup", issued, page=int(page),
+                            hit=False, client=self.name)
                 tracer.emit("client.miss", issued, page=int(page),
                             physical=int(physical), client=self.name)
             yield from self._fetch(page, physical, measuring, tracer)
             wait = sim.now - issued
-            cache.admit(page, sim.now)
+            victim = cache.admit(page, sim.now)
             if tracer is not None:
+                tracer.emit("cache.admit", sim.now, page=int(page),
+                            victim=None if victim is None else int(victim),
+                            client=self.name)
+                if victim is not None and victim != page:
+                    tracer.emit("cache.evict", sim.now, page=int(victim),
+                                admitted=int(page), client=self.name)
                 tracer.emit("client.wait", sim.now, page=int(page),
                             physical=int(physical), wait=wait,
                             client=self.name)

@@ -24,7 +24,8 @@ How the process pool keeps the contract:
   fine.)
 * a failing plan or a raising ``progress`` callback cancels every plan
   still queued in the pool before the error propagates, so a failed
-  grid stops after the calls already handed to workers.
+  grid stops after the calls already handed to workers; those that
+  succeed are journalled (not reported), so a resumed grid keeps them.
 
 Both branches thread a :class:`~repro.exec.build.BuildCache` through
 their runs — the in-process loop one per call, the pool one per worker
@@ -183,7 +184,15 @@ def run_plans(
                     result = future.result()  # re-raises worker errors
                     book.complete(position, result, plans[position])
         except BaseException:
-            # Leaving the block would wait for every queued plan.
+            # Leaving the block would wait for every queued plan.  The
+            # plans already handed to workers still run: journal those
+            # that succeeded, so a resumed sweep does not run them again.
             pool.shutdown(cancel_futures=True)
+            if checkpoint is not None:
+                for future, position in futures.items():
+                    if (book.results[position] is None
+                            and not future.cancelled()
+                            and future.exception() is None):
+                        checkpoint.record(plans[position], future.result())
             raise
     return book.results

@@ -21,7 +21,6 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cache.base import TracedCache
 from repro.cache.batched import batchable_policy_name
 from repro.errors import ConfigurationError
 from repro.exec.build import BuildCache, draw_trace, trace_source
@@ -128,7 +127,7 @@ def _run_scalar(
     """
     config = plan.config
     if plan.engine == "process":
-        report = run_single_client(
+        return run_single_client(
             schedule=schedule,
             layout=layout,
             mapping=mapping,
@@ -141,15 +140,6 @@ def _run_scalar(
             tracer=tracer,
             profile=profile,
             retune_cost=config.retune_cost,
-        )
-        return EngineOutcome(
-            response=report.response,
-            counters=report.counters,
-            measured_requests=report.response.count,
-            warmup_requests=report.warmup_requests,
-            final_time=report.final_time,
-            samples=report.samples,
-            retunes=report.retunes,
         )
     engine = FastEngine(
         schedule=schedule,
@@ -258,9 +248,9 @@ def execute_plan(
     :func:`~repro.experiments.simengine.run_single_client`.
 
     ``tracer`` attaches a :class:`repro.obs.trace.Tracer` to the engine
-    (and, for the process engine, the kernel and channel), wraps a
-    scalar cache in a :class:`~repro.cache.base.TracedCache`, and
-    brackets the run with :func:`monitored_run` for the
+    (and, for the process engine, the kernel and channel), whose loop
+    emits the run's ``client.*`` and ``cache.*`` records, and brackets
+    the run with :func:`monitored_run` for the
     :class:`repro.obs.monitor.MonitorSuite` among its sinks.  ``builds``
     supplies a :class:`~repro.exec.build.BuildCache` so plans sharing a
     broadcast structure reuse the constructed layout and schedule, and
@@ -303,8 +293,6 @@ def execute_plan(
             profile.start_phase("run")
 
         with monitored_run(config, schedule, tracer):
-            if tracer is not None and tracer.enabled:
-                cache = TracedCache(cache, tracer)
             outcome = _run_scalar(
                 plan, schedule, mapping, layout, cache, trace,
                 tracer=tracer, profile=profile,

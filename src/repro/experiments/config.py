@@ -13,6 +13,7 @@ D4⟨300,1200,3500⟩, D5⟨500,2000,2500⟩.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple, Union
 
@@ -106,6 +107,15 @@ class ExperimentConfig:
     retune_cost: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
+        for name in ("think_time", "theta", "steady_state_factor",
+                     "drift_rotations", "retune_cost"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if self.warmup_requests is not None and self.warmup_requests < 0:
+            raise ConfigurationError(
+                f"warmup_requests must be >= 0, got {self.warmup_requests}"
+            )
         if self.cache_size < 1:
             raise ConfigurationError(
                 f"cache_size must be >= 1 (1 means no caching), "

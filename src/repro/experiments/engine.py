@@ -31,9 +31,10 @@ profiled or not — and is written to be allocation-free (see
   and two integer ops; irregular pages (gap 0) are timed by bisection;
 * the §5 fill test reads a local flag refreshed only after an admit,
   because a cache lookup never changes occupancy;
-* tracing is a guarded ``if tracing:`` emit, and profiling is
-  bookkeeping after the loop, so observing a run never changes which
-  code runs.
+* tracing is a guarded ``if tracing:`` emit — the loop writes its own
+  ``cache.lookup``, ``cache.admit`` and ``cache.evict`` records beside
+  its ``client.*`` ones — and profiling is bookkeeping after the loop,
+  so observing a run never changes which code runs.
 
 :meth:`FastEngine.run_trace_reference` is the same loop with every miss
 timed by :meth:`~repro.core.schedule.BroadcastSchedule.next_arrival_bisect`
@@ -54,7 +55,7 @@ beginning our measurements only after the cache was full"), after which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -70,19 +71,30 @@ from repro.workload.trace import RequestTrace
 
 @dataclass
 class EngineOutcome:
-    """Raw measurements from one engine run."""
+    """One client's measurements from one run, whichever engine ran it.
 
-    response: RunningStats
-    counters: CacheCounters
-    measured_requests: int
-    warmup_requests: int
-    final_time: float
+    The fast and columnar engines build it after their loops; a
+    process-engine :class:`~repro.client.client.Client` fills its own
+    as it runs, so every field starts empty.
+    """
+
+    response: RunningStats = field(default_factory=RunningStats)
+    counters: CacheCounters = field(default_factory=CacheCounters)
+    warmup_requests: int = 0
+    #: Simulation clock when the client finished its trace, in
+    #: broadcast units.
+    final_time: float = 0.0
     #: Per-request response times of the measured phase; populated only
     #: when the engine ran with ``collect_responses=True``.
     samples: Optional[list] = None
     #: Channel switches during the measured phase (always 0 on a
     #: single-channel schedule — there is nothing to switch to).
     retunes: int = 0
+
+    @property
+    def measured_requests(self) -> int:
+        """Requests measured after warm-up."""
+        return self.response.count
 
     @property
     def mean_response_time(self) -> float:
@@ -123,8 +135,9 @@ class FastEngine:
         self.think_time = think_time
         self.now = 0.0
         #: Optional :class:`repro.obs.trace.Tracer` emitting the same
-        #: ``client.*`` records as the process engine's client; ``None``
-        #: (the default) costs the loop one local branch per emit site.
+        #: ``client.*`` and ``cache.*`` records as the process engine's
+        #: client; ``None`` (the default) costs the loop one local
+        #: branch per emit site.
         self.tracer = tracer
         #: Optional :class:`repro.obs.profile.Profiler`, filled after the
         #: loop from the run's own counts: it never changes which code
@@ -289,6 +302,7 @@ class FastEngine:
 
             if cache_lookup(page, now):
                 if tracing:
+                    emit("cache.lookup", now, page=page, hit=True)
                     emit("client.hit", now, page=page)
                 if not warming:
                     hits += 1
@@ -306,6 +320,7 @@ class FastEngine:
 
             physical, residue, gap, channel, disk = facts[page]
             if tracing:
+                emit("cache.lookup", now, page=page, hit=False)
                 emit("client.miss", now, page=page, physical=physical)
             listen = now
             if channel != current:
@@ -323,11 +338,17 @@ class FastEngine:
             else:
                 arrival = next_arrival_bisect(physical, listen)
             wait = arrival - now
-            if tracing:
-                emit("client.wait", arrival, page=page, physical=physical,
-                     wait=wait)
             now = arrival
-            cache_admit(page, now)
+            if tracing:
+                emit("client.wait", now, page=page, physical=physical,
+                     wait=wait)
+                victim = cache_admit(page, now)
+                emit("cache.admit", now, page=page,
+                     victim=None if victim is None else int(victim))
+                if victim is not None and victim != page:
+                    emit("cache.evict", now, page=int(victim), admitted=page)
+            else:
+                cache_admit(page, now)
             if warming:
                 warmup_misses += 1
                 if fill_rule and not full:
@@ -374,7 +395,6 @@ class FastEngine:
         return EngineOutcome(
             response=response,
             counters=counters,
-            measured_requests=count,
             warmup_requests=warmup_seen,
             final_time=now,
             samples=samples,

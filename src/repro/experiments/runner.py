@@ -53,8 +53,8 @@ def run_experiment(
 
     All options are keyword-only.  ``tracer`` attaches a
     :class:`repro.obs.trace.Tracer` to the engine (and, for the process
-    engine, the kernel and channel) and wraps the cache in a
-    :class:`~repro.cache.base.TracedCache`; a
+    engine, the kernel and channel), whose loop emits the ``client.*``
+    and ``cache.*`` records; a
     :class:`repro.obs.monitor.MonitorSuite` among its sinks checks the
     paper's invariants against the run's trace stream (strict mode
     raises :class:`~repro.errors.MonitorError`).  ``manifest`` names a

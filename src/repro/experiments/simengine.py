@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.cache.base import CachePolicy
-from repro.client.client import ChannelTuner, Client, ClientReport
+from repro.client.client import ChannelTuner, Client
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastProgram, BroadcastSchedule
 from repro.errors import SimulationError
+from repro.experiments.engine import EngineOutcome
 from repro.server.channel import BroadcastChannel
 from repro.server.server import BroadcastServer
 from repro.sim.kernel import Simulator
@@ -110,8 +111,8 @@ class ProcessEngine:
         self.clients.append(client)
         return client
 
-    def run(self, time_limit: Optional[float] = None) -> List[ClientReport]:
-        """Run until every client finishes its trace; return their reports."""
+    def run(self, time_limit: Optional[float] = None) -> List[EngineOutcome]:
+        """Run every client to the end of its trace; return their outcomes."""
         if not self.clients:
             raise SimulationError("no clients attached to the process engine")
         pending = [client.process for client in self.clients]
@@ -140,7 +141,7 @@ def run_single_client(
     tracer=None,
     profile=None,
     retune_cost: float = 1.0,
-) -> ClientReport:
+) -> EngineOutcome:
     """Convenience wrapper: one client, one broadcast, run to completion."""
     engine = ProcessEngine(schedule, layout, tracer=tracer, profile=profile,
                            retune_cost=retune_cost)
@@ -164,8 +165,8 @@ def run_clients(
     specs: Sequence[ClientSpec],
     *, time_limit: Optional[float] = None,
     tracer=None,
-) -> List[ClientReport]:
-    """Run several clients sharing one broadcast; reports in spec order."""
+) -> List[EngineOutcome]:
+    """Run several clients sharing one broadcast; outcomes in spec order."""
     engine = ProcessEngine(schedule, layout, tracer=tracer)
     for spec in specs:
         engine.add_client(spec)

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 
 from repro.cache.base import CachePolicy
-from repro.client.client import Client, ClientReport
+from repro.client.client import Client
 from repro.core.disks import DiskLayout
 from repro.errors import ConfigurationError
+from repro.experiments.engine import EngineOutcome
 from repro.hybrid.channel import HybridChannel
 from repro.sim.kernel import Simulator
 from repro.sim.process import AnyOf
@@ -30,7 +31,7 @@ from repro.workload.trace import RequestTrace
 
 
 @dataclass
-class HybridReport(ClientReport):
+class HybridReport(EngineOutcome):
     """Measurements from one hybrid client."""
 
     pulls_sent: int = 0

@@ -7,10 +7,10 @@ disabled:
   optional tracer and emit typed, simulation-time-keyed records to
   pluggable sinks (ring buffer, JSONL file).  Hook points live in the
   kernel (event dispatch), the broadcast channel (page completions),
-  the clients (request / hit / miss / wait), and a cache wrapper
-  (lookup / admit / evict).  Failing sinks are quarantined — detached
-  after their first error with a single warning — so observation can
-  never abort a simulation.
+  and each engine's request loop (request / hit / miss / retune / wait
+  and the cache's lookup / admit / evict).  Failing sinks are
+  quarantined — detached after their first error with a single
+  warning — so observation can never abort a simulation.
 * :mod:`repro.obs.manifest` — machine-readable run manifests (config
   hash, seeds, schedule period, response statistics, access locations)
   for single runs and sweeps: the one machine-readable record of a run.

@@ -34,7 +34,6 @@ from collections import Counter, defaultdict
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.obs.trace import CLIENT_WAIT
 from repro.sim.stats import Histogram, RunningStats
 
 #: Schema tag of the report document.
@@ -211,7 +210,7 @@ def _responses(
             continue
         client = str(record.get("client", "client"))
         counts[client][kind.split(".", 1)[1]] += 1
-        if kind != CLIENT_WAIT:
+        if kind != "client.wait":
             continue
         wait, physical = float(record["wait"]), int(record["physical"])
         waits.append(wait)

@@ -215,7 +215,7 @@ class CacheOccupancyMonitor(Monitor):
                     f"{len(resident)} resident pages exceed "
                     f"capacity {capacity} after admitting {page}{label}",
                 )
-        elif kind in ("cache.evict", "cache.discard"):
+        elif kind == "cache.evict":
             client = record.fields.get("client", "")
             resident = self._resident.get(client)
             if resident is not None:

@@ -9,23 +9,31 @@ kind                emitted by / fields
 ``sim.event``       :meth:`repro.sim.kernel.Simulator.step` — one record per
                     dispatched event (``seq``)
 ``channel.deliver``  :meth:`repro.server.channel.BroadcastChannel.deliver_at`
-                    — one record per transmitted page (``page`` is physical)
+                    — one record per transmitted page (``page`` is physical;
+                    a multi-channel program's channels add ``channel``)
 ``client.request``  a client drew the next request (``page`` logical,
                     ``phase`` is ``"warmup"`` or ``"measured"``)
 ``client.hit``      the request was served from cache (``page``)
 ``client.miss``     cache miss; the client starts waiting (``page``,
                     ``physical``)
+``client.retune``   a multi-channel miss switched the tuner (``page``,
+                    ``physical``, ``from_channel``, ``to_channel``)
 ``client.wait``     the awaited page arrived (``page``, ``physical``,
                     ``wait`` in broadcast units); record time is the arrival
-``cache.lookup``    :class:`repro.cache.base.TracedCache` probe (``page``,
-                    ``hit``)
+``cache.lookup``    the request's cache probe (``page``, ``hit``)
 ``cache.admit``     a fetched page was offered (``page``, ``victim`` —
                     ``None``, the evicted page, or ``page`` itself when the
                     policy declined to cache it)
 ``cache.evict``     a resident page was displaced (``page`` is the victim,
                     ``admitted`` the incoming page)
-``cache.discard``   an invalidation dropped a page (``page``, ``resident``)
 ==================  =========================================================
+
+The ``client.*`` and ``cache.*`` records come from the request loops of
+the three engines: :class:`repro.experiments.engine.FastEngine`, the
+process engine's :class:`repro.client.client.Client` and
+:class:`repro.batch.engine.ColumnarEngine`.  They carry an optional
+``client`` label: a process-engine client always names itself, and a
+labelled columnar run or a fleet names each of its clients.
 
 Hook sites guard with ``tracer is not None and tracer.enabled`` so a run
 without a tracer pays only a predictable attribute test — disabled
@@ -41,18 +49,6 @@ from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-
-# Record-kind constants, mirrored by the table above.
-SIM_EVENT = "sim.event"
-CHANNEL_DELIVER = "channel.deliver"
-CLIENT_REQUEST = "client.request"
-CLIENT_HIT = "client.hit"
-CLIENT_MISS = "client.miss"
-CLIENT_WAIT = "client.wait"
-CACHE_LOOKUP = "cache.lookup"
-CACHE_ADMIT = "cache.admit"
-CACHE_EVICT = "cache.evict"
-CACHE_DISCARD = "cache.discard"
 
 
 class TraceRecord:
@@ -232,7 +228,7 @@ def trace_schedule(schedule, tracer: Tracer, *, periods: int = 1,
         page = schedule.page_at(begin + 0.5)
         if page is None:
             continue  # padding slot: nothing transmitted
-        tracer.emit(CHANNEL_DELIVER, begin + 1.0, page=int(page))
+        tracer.emit("channel.deliver", begin + 1.0, page=int(page))
         emitted += 1
     return emitted
 

@@ -26,6 +26,7 @@ and be handed to ``python -m repro population --spec``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -83,6 +84,10 @@ class Choice:
                     f"Choice got {len(self.values)} values but "
                     f"{len(self.weights)} weights"
                 )
+            if not all(map(math.isfinite, self.weights)):
+                raise ConfigurationError(
+                    f"Choice weights must be finite, got {self.weights}"
+                )
             if any(w < 0 for w in self.weights) or not sum(self.weights):
                 raise ConfigurationError(
                     "Choice weights must be >= 0 and sum to > 0"
@@ -135,6 +140,13 @@ class Uniform:
     high: float
 
     def __post_init__(self):
+        # A non-finite bound makes the span non-finite too, and so does
+        # a span too wide for a float, which NumPy would refuse to draw.
+        if not math.isfinite(self.high - self.low):
+            raise ConfigurationError(
+                "Uniform needs finite bounds and span, "
+                f"got [{self.low}, {self.high})"
+            )
         if self.high < self.low:
             raise ConfigurationError(
                 f"Uniform needs low <= high, got [{self.low}, {self.high})"

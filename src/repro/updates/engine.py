@@ -2,7 +2,7 @@
 
 :class:`VolatileEngine` is a cache wrapper that
 :class:`~repro.experiments.engine.FastEngine` drives, standing around
-the client's cache the way :class:`~repro.cache.base.TracedCache` does:
+the client's cache:
 
 * the server transmits the page content current at each slot's
   completion — a fetched copy carries that instant's version;
@@ -30,32 +30,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
-from repro.cache.base import CacheCounters, CachePolicy
+from repro.cache.base import CachePolicy
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastSchedule
 from repro.errors import ConfigurationError
-from repro.experiments.engine import FastEngine
-from repro.sim.stats import RunningStats
+from repro.experiments.engine import EngineOutcome, FastEngine
 from repro.updates.process import UpdateModel
 from repro.workload.mapping import LogicalPhysicalMapping
 from repro.workload.trace import RequestTrace
 
 
 @dataclass
-class VolatileOutcome:
-    """Measurements from one volatile-data run."""
+class VolatileOutcome(EngineOutcome):
+    """Measurements from one volatile-data run: the fast engine's
+    outcome and the run's staleness counts."""
 
-    response: RunningStats
-    counters: CacheCounters
-    measured_requests: int
-    stale_reads: int
-    invalidations_applied: int
-    reports_heard: int
-
-    @property
-    def mean_response_time(self) -> float:
-        """Mean response time over the measured phase."""
-        return self.response.mean
+    stale_reads: int = 0
+    invalidations_applied: int = 0
+    reports_heard: int = 0
 
     @property
     def stale_fraction(self) -> float:
@@ -117,9 +109,7 @@ class VolatileEngine(CachePolicy):
             self.schedule, self.mapping, self.layout, self, self.think_time
         ).run_trace(trace, warmup_requests=warmup_requests)
         return VolatileOutcome(
-            response=outcome.response,
-            counters=outcome.counters,
-            measured_requests=outcome.measured_requests,
+            **vars(outcome),
             stale_reads=self._stale_reads,
             invalidations_applied=self._invalidations,
             reports_heard=self._reports_heard,

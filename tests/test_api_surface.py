@@ -82,7 +82,29 @@ class TestExportSnapshot:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "1.11.0"
+
+    def test_engines_report_for_themselves(self):
+        # 1.11.0: every engine's loop emits its own cache.* records and
+        # fills one EngineOutcome; the cache wrapper and the process
+        # client's own report went.
+        import dataclasses
+
+        import repro.cache.base
+        import repro.client
+        from repro.experiments.engine import EngineOutcome
+
+        assert sorted(
+            name for name, value in vars(repro.cache.base).items()
+            if isinstance(value, type)
+            and value.__module__ == "repro.cache.base"
+        ) == ["CacheCounters", "CachePolicy", "PolicyContext"]
+        assert repro.client.__all__ == ["Client", "PrefetchEngine", "pt_value"]
+        assert [field.name for field in dataclasses.fields(EngineOutcome)] == [
+            "response", "counters", "warmup_requests", "final_time",
+            "samples", "retunes",
+        ]
+        assert EngineOutcome().measured_requests == 0
 
     def test_one_plan_runner(self):
         # 1.10.0: run_plans replaced the executor classes, and sweep

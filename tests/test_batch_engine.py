@@ -186,7 +186,7 @@ class TestSingleClientExactness:
 
     def test_traced_record_streams_identical(self):
         # LIX runs columnar; LRU-K has no columnar form, so its batch
-        # plan runs the scalar cache wrapped in a TracedCache.
+        # plan runs the scalar cache on the fast loop.
         for policy in ("LIX", "LRU-K"):
             streams = {}
             for engine in ("fast", "batch"):

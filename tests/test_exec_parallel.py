@@ -386,3 +386,20 @@ class TestFailureStopsThePool:
         # Only the calls already handed to the two workers (running or
         # in the pool's call queue) may have run.
         assert len(list(tmp_path.glob("good*"))) <= 6
+
+    def test_plans_finished_after_a_failure_are_journalled(
+        self, tmp_path, monkeypatch
+    ):
+        # The plans already handed to the workers when the first plan
+        # fails still run; the journal keeps them for a resumed sweep.
+        monkeypatch.setattr(executor_module, "_execute_in_worker",
+                            _fail_the_bad_plan)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 2)
+        labels = ["bad"] + [str(tmp_path / f"good{i}") for i in range(20)]
+        plans = plan_sweep(small_config(label=label) for label in labels)
+        journal = TestInOrderResults.Journal(plans)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            run_plans(plans, jobs=2, checkpoint=journal)
+        ran = {str(path) for path in tmp_path.glob("good*")}
+        assert ran
+        assert {result for _position, result in journal.records} == ran

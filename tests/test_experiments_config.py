@@ -1,5 +1,7 @@
 """Unit tests for ExperimentConfig (repro.experiments.config)."""
 
+import re
+
 import pytest
 
 from repro.cache.registry import make_policy
@@ -12,6 +14,51 @@ from repro.experiments.config import (
     NOISE_LEVELS,
     ExperimentConfig,
 )
+from repro.population import Choice, Uniform
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _bad_inputs():
+    """Non-finite or negative inputs, each with the field its error
+    must name: before they were checked, some ran to a silent result
+    (``think_time=inf`` a mean of nan on ``batch``) and others failed
+    deep inside NumPy."""
+    for value in (NAN, INF):
+        for name in ("think_time", "steady_state_factor", "theta",
+                     "drift_rotations"):
+            yield pytest.param(
+                lambda name=name, value=value: ExperimentConfig(
+                    **{name: value}
+                ),
+                f"{name} must be finite, got {value}",
+                id=f"{name}={value}",
+            )
+        yield pytest.param(
+            lambda value=value: ExperimentConfig(channels=2,
+                                                 retune_cost=value),
+            f"retune_cost must be finite, got {value}",
+            id=f"retune_cost={value}",
+        )
+        yield pytest.param(
+            lambda value=value: Choice(("LRU", "LIX"), weights=(value, 1.0)),
+            f"Choice weights must be finite, got ({value}, 1.0)",
+            id=f"choice-weight={value}",
+        )
+    yield pytest.param(lambda: ExperimentConfig(warmup_requests=-5),
+                       "warmup_requests must be >= 0, got -5",
+                       id="warmup_requests=-5")
+    yield pytest.param(lambda: Uniform(NAN, 1.0),
+                       "Uniform needs finite bounds and span, got [nan, 1.0)",
+                       id="uniform-low=nan")
+    yield pytest.param(lambda: Uniform(0.0, INF),
+                       "Uniform needs finite bounds and span, got [0.0, inf)",
+                       id="uniform-high=inf")
+    yield pytest.param(
+        lambda: Uniform(-1e308, 1e308),
+        "Uniform needs finite bounds and span, got [-1e+308, 1e+308)",
+        id="uniform-span-overflows",
+    )
 
 
 class TestPresets:
@@ -83,6 +130,11 @@ class TestValidation:
         # access_range distinct pages are ever requested.
         with pytest.raises(ConfigurationError, match="cache_size 101 .*100"):
             ExperimentConfig(cache_size=101, access_range=100, region_size=10)
+
+    @pytest.mark.parametrize("build, message", _bad_inputs())
+    def test_non_finite_or_negative_input_rejected(self, build, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            build()
 
     def test_explicit_warmup_allows_oversized_cache(self):
         config = ExperimentConfig(

@@ -94,7 +94,6 @@ def reference_volatile_run(engine, trace, warmup_requests=0):
     return VolatileOutcome(
         response=response,
         counters=counters,
-        measured_requests=response.count,
         stale_reads=stale_reads,
         invalidations_applied=invalidations,
         reports_heard=reports_heard,
@@ -157,7 +156,6 @@ def reference_prefetch_run(
     return EngineOutcome(
         response=response,
         counters=counters,
-        measured_requests=response.count,
         warmup_requests=min(warmup_requests, len(trace)),
         final_time=now,
         samples=samples,

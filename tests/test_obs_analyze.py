@@ -17,7 +17,7 @@ from repro.cache.registry import make_policy
 from repro.core.programs import ProgramSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment, sweep_results
-from repro.experiments.simengine import ClientSpec, ProcessEngine
+from repro.experiments.simengine import ClientSpec, ProcessEngine, run_clients
 from repro.obs.analyze import (
     ANALYZE_SCHEMA,
     analyze,
@@ -334,6 +334,38 @@ class TestMultiRunTraces:
                 key: resident_time for key, resident_time in combined.items()
                 if key[0] == row["client"]
             }
+
+    def test_process_clients_keep_their_own_caches(self):
+        # Three process-engine clients, each with an LRU cache of 4
+        # pages, share one broadcast: their cache records carry the
+        # client's name, so the walk keeps three caches, not one.
+        layout, schedule = ProgramSpec(
+            sizes=(2, 4, 8), rel_freqs=(4, 2, 1)
+        ).build()
+        distribution = ZipfRegionDistribution(14, 2, 0.95)
+        specs = [
+            ClientSpec(
+                mapping=LogicalPhysicalMapping(layout),
+                cache=make_policy("LRU", 4, PolicyContext(num_disks=3)),
+                trace=generate_trace(
+                    distribution, 150, RandomStreams(seed).stream("requests")
+                ),
+                name=f"client{seed}",
+            )
+            for seed in (1, 2, 3)
+        ]
+        sink = MemorySink(capacity=None)
+        with Tracer(sink) as tracer:
+            run_clients(schedule, layout, specs, tracer=tracer)
+        records = [record.to_dict() for record in sink.records]
+        cache = analyze(records)["cache"]
+        assert cache["occupancy_max"] == 4
+        assert cache["admissions"] == sum(
+            record["kind"] == "client.miss" for record in records
+        )
+        assert {client for client, _page in residencies(records)} == {
+            "client1", "client2", "client3",
+        }
 
     def test_broadcast_runs_read_like_one_run(self):
         # The second run restarts the clock at zero: neither the slot

@@ -16,9 +16,12 @@ import re
 
 import pytest
 
-from repro.cache.base import PolicyContext, TracedCache
+from repro.batch.engine import build_columnar_engine
+from repro.cache.base import PolicyContext
 from repro.cache.registry import make_policy
 from repro.errors import ConfigurationError
+from repro.exec.build import BuildCache
+from repro.experiments.engine import FastEngine
 from repro.experiments.runner import run_experiment
 from repro.experiments.simengine import ClientSpec, ProcessEngine
 from repro.obs.trace import (
@@ -219,46 +222,68 @@ class TestChannelAndClientHooks:
         assert traced.counters.misses == untraced.counters.misses
 
 
-class TestTracedCache:
-    def _cache(self, tracer, capacity=2):
-        return TracedCache(
-            make_policy("LRU", capacity, PolicyContext()), tracer
-        )
+class TestEnginesEmitCacheRecords:
+    """Each engine's request loop writes the ``cache.*`` records itself:
+    built directly, the fast, process and columnar engines trace one
+    request string to the same records."""
 
-    def test_delegates_and_records(self):
+    @pytest.fixture
+    def world(self, mini_config):
+        config = mini_config.with_(cache_size=10)
+        builds = BuildCache()
+        layout, schedule = builds.layout_and_schedule(config)
+        mapping = builds.mapping(config, layout)
+        return config, layout, schedule, mapping, builds.trace(config, 300)
+
+    @staticmethod
+    def _run(engine, world, tracer):
+        config, layout, schedule, mapping, trace = world
+        cache = config.build_policy(schedule, mapping,
+                                    config.build_distribution(), layout)
+        if engine == "fast":
+            FastEngine(schedule, mapping, layout, cache, config.think_time,
+                       tracer=tracer).run_trace(trace, warmup_requests=0)
+        elif engine == "process":
+            process = ProcessEngine(schedule, layout, tracer=tracer)
+            process.add_client(ClientSpec(
+                mapping=mapping, cache=cache, trace=trace,
+                think_time=config.think_time, warmup_requests=0,
+            ))
+            process.run()
+        else:
+            build_columnar_engine(
+                config, schedule, layout, mapping.physical_array()[None, :], 1
+            ).run(trace.pages[:, None], warmup_requests=0, tracer=tracer)
+
+    def _cache_records(self, engine, world):
         sink = MemorySink()
-        cache = self._cache(Tracer(sink))
-        assert not cache.lookup(1, 0.0)
-        assert cache.admit(1, 1.0) is None
-        assert cache.lookup(1, 2.0)
-        assert cache.admit(2, 3.0) is None
-        victim = cache.admit(3, 4.0)  # capacity 2: LRU evicts page 1
-        assert victim == 1
-        assert 1 not in cache
-        assert len(cache) == 2
-        assert sorted(cache.pages()) == [2, 3]
-        counts = _counts(sink.records)
-        assert counts == {
-            "cache.lookup": 2, "cache.admit": 3, "cache.evict": 1,
+        self._run(engine, world, Tracer(sink))
+        return [(record.time, record.kind, record.fields)
+                for record in sink.records if record.kind.startswith("cache.")]
+
+    def test_every_engine_emits_the_same_cache_records(self, world):
+        fast = self._cache_records("fast", world)
+        assert {kind for _time, kind, _fields in fast} == {
+            "cache.lookup", "cache.admit", "cache.evict",
         }
-        evict = [r for r in sink.records if r.kind == "cache.evict"][0]
-        assert evict.fields == {"page": 1, "admitted": 3}
+        lookups = [fields for _time, kind, fields in fast
+                   if kind == "cache.lookup"]
+        assert {fields["hit"] for fields in lookups} == {True, False}
+        evicts = [fields for _time, kind, fields in fast
+                  if kind == "cache.evict"]
+        assert all(set(fields) == {"page", "admitted"} for fields in evicts)
+        assert self._cache_records("columnar", world) == fast
+        # The process engine's client labels its records, as it does
+        # its client.* ones.
+        assert self._cache_records("process", world) == [
+            (time, kind, {**fields, "client": "client"})
+            for time, kind, fields in fast
+        ]
 
-    def test_discard_recorded_at_last_seen_time(self):
+    @pytest.mark.parametrize("engine", ["fast", "process", "columnar"])
+    def test_disabled_tracer_records_nothing(self, world, engine):
         sink = MemorySink()
-        cache = self._cache(Tracer(sink))
-        cache.admit(5, 7.5)
-        assert cache.discard(5)
-        assert not cache.discard(5)
-        discards = [r for r in sink.records if r.kind == "cache.discard"]
-        assert [d.fields["resident"] for d in discards] == [True, False]
-        assert discards[0].time == 7.5
-
-    def test_transparent_when_tracer_disabled(self):
-        sink = MemorySink()
-        cache = self._cache(Tracer(sink, enabled=False))
-        cache.admit(1, 0.0)
-        assert cache.is_full is False
+        self._run(engine, world, Tracer(sink, enabled=False))
         assert len(sink) == 0
 
 
