@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Each ``bench_*.py`` module regenerates one table or figure of the paper
-at full scale (ServerDBSize 5000, 15,000 measured requests) and prints
+at full scale (ServerDBSize 5000, ``num_requests`` 15,000) and prints
 the same rows/series the paper plots, so the qualitative comparison —
 who wins, by what factor, where crossovers fall — is readable directly
 from the bench output.

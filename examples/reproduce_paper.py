@@ -38,7 +38,7 @@ def parse_args(argv):
         "--requests",
         type=int,
         default=None,
-        help="measured requests per design point (default: paper's 15000)",
+        help="num_requests per design point (default: paper's 15000)",
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(

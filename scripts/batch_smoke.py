@@ -1,6 +1,6 @@
 """CI smoke run for the columnar batch engine.
 
-Seven gates, one per contract the engine and its per-client set-up make
+Eight gates, one per contract the engine and its per-client set-up make
 (``src/repro/exec/run.py::run_columnar``):
 
 * **Exactness** — a single-client ``--engine batch`` plan must be
@@ -40,6 +40,13 @@ Seven gates, one per contract the engine and its per-client set-up make
   decode copies NumPy's bounded-integer algorithm, so this gate catches
   a NumPy release that changes it.  Prints how many mappings fell back
   to the loop (paper-size disks reject about 1 draw in 10**6).
+* **Bounded memory** — a columnar run draws its traces a block of steps
+  at a time (``src/repro/exec/build.py::TraceBlocks``), so the
+  ``tracemalloc`` peaks of a 1000-client cache-less C=4 fleet at 2,000
+  and at 20,000 measured requests must lie within 2 MB of each other
+  (both are printed; a whole trace matrix set them about 144 MB
+  apart), and one bucket must fold to the same rollup at three block
+  sizes.
 
 Leaves the batch fleet manifest in the artifact directory.
 
@@ -53,6 +60,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +76,10 @@ from repro.cache.batched import BatchedOracles, make_batched_policy
 from repro.cache.registry import make_policy
 from repro.core.disks import DiskLayout
 from repro.core.schedule import BroadcastSchedule
+from repro.exec import build as build_module
 from repro.exec.build import BuildCache
 from repro.exec.plan import RunPlan, derive_seed
 from repro.exec.run import (
-    _warmup_trace_allowance,
     execute_plan,
     result_state,
     run_columnar,
@@ -109,6 +117,9 @@ COLUMN_SIZE = 100
 SETUP_STREAMS = 50
 SETUP_NOISES = (0.15, 0.30, 0.45, 0.75)
 SETUP_REQUESTS = 6000
+MEMORY_REQUESTS = (2_000, 20_000)
+MEMORY_GROWTH_BYTES = 2 * 2 ** 20
+BLOCK_CLIENTS = 100
 
 
 def single_config(**overrides):
@@ -261,9 +272,7 @@ def fast_outcome(config, builds: BuildCache):
     mapping = builds.mapping(config, layout)
     cache = config.build_policy(schedule, mapping,
                                 config.build_distribution(), layout)
-    trace = builds.trace(
-        config, config.num_requests + _warmup_trace_allowance(config)
-    )
+    trace = builds.trace(config, config.requests_drawn)
     return FastEngine(
         schedule, mapping, layout, cache, config.think_time,
         retune_cost=config.retune_cost,
@@ -482,6 +491,61 @@ def gate_setup_oracle(failures: list) -> None:
           "fallback")
 
 
+def memory_spec(num_requests: int) -> PopulationSpec:
+    """The ``fleet_nocache`` benchmark's fleet: 1000 cache-less clients
+    on a 4-channel D5 Δ=3 program."""
+    base = ExperimentConfig(
+        disk_sizes=DISK_PRESETS["D5"], delta=3, cache_size=1, channels=4,
+        num_requests=num_requests,
+    )
+    return PopulationSpec(
+        name="batch-smoke-memory", base=base, seed=42, engine="batch",
+        segments=(SegmentSpec("clients", FLEET_CLIENTS),),
+    )
+
+
+def traced_peak(spec: PopulationSpec) -> int:
+    """The ``tracemalloc`` peak of one batch run of ``spec``, in bytes."""
+    tracemalloc.start()
+    try:
+        run_population(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def block_rollup(block_steps: int, spec: PopulationSpec) -> dict:
+    """``spec``'s rollup with traces drawn ``block_steps`` steps a block."""
+    default = build_module.BLOCK_DRAWS
+    build_module.BLOCK_DRAWS = block_steps * BLOCK_CLIENTS
+    try:
+        return rollups(run_population(spec))
+    finally:
+        build_module.BLOCK_DRAWS = default
+
+
+def gate_bounded_memory(failures: list) -> None:
+    print(f"{FLEET_CLIENTS}-client cache-less C=4 fleet memory at "
+          f"{MEMORY_REQUESTS[0]:,} and {MEMORY_REQUESTS[1]:,} measured "
+          "requests (traced peak):")
+    short, long = (traced_peak(memory_spec(requests))
+                   for requests in MEMORY_REQUESTS)
+    check(abs(long - short) < MEMORY_GROWTH_BYTES,
+          f"peaks {short / 2 ** 20:.1f} MB and {long / 2 ** 20:.1f} MB lie "
+          f"within {MEMORY_GROWTH_BYTES / 2 ** 20:.0f} MB", failures)
+    spec = PopulationSpec(
+        name="batch-smoke-blocks", base=single_config(num_requests=300),
+        seed=43, engine="batch",
+        segments=(SegmentSpec("uniform", BLOCK_CLIENTS),),
+    )
+    steps = spec.base.requests_drawn
+    sizes = (7, 1_000, steps)
+    folds = [block_rollup(size, spec) for size in sizes]
+    check(all(fold == folds[0] for fold in folds),
+          f"{BLOCK_CLIENTS}-client LIX bucket folds to one rollup at "
+          f"blocks of {', '.join(map(str, sizes))} steps", failures)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="batch-artifacts",
@@ -498,6 +562,7 @@ def main() -> int:
     gate_invariants(failures)
     gate_subsegmentation(failures)
     gate_setup_oracle(failures)
+    gate_bounded_memory(failures)
 
     if failures:
         print(f"batch smoke: {len(failures)} gate(s) failed",

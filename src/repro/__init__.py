@@ -68,7 +68,7 @@ from repro.population import (
 )
 from repro.workload import LogicalPhysicalMapping, ZipfRegionDistribution
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "BroadcastProgram",

@@ -41,7 +41,7 @@ loop; ``engine.batch.misses`` equals the run's ``client.miss`` records
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -188,7 +188,7 @@ class ColumnarEngine:
 
     def run(
         self,
-        pages: np.ndarray,
+        pages: Union[np.ndarray, Iterable[np.ndarray]],
         *,
         warmup_requests: Optional[int] = None,
         extra_warmup: int = 0,
@@ -199,34 +199,23 @@ class ColumnarEngine:
     ) -> BatchOutcome:
         """Advance every client through its trace column.
 
-        ``pages`` is a ``(steps, clients)`` matrix of logical page ids —
-        column ``c`` is client ``c``'s request trace.  The warm-up rule
-        is the fast engine's: a fixed ``warmup_requests`` count when
-        given, else each client individually warms until its cache is
-        full plus ``extra_warmup`` further requests.  A page id outside
-        ``[0, access_range)`` raises :class:`ConfigurationError`.
+        ``pages`` holds the clients' logical page ids by step — column
+        ``c`` is client ``c``'s request trace — as one ``(steps,
+        clients)`` matrix, or as an iterable of ``(rows, clients)``
+        blocks of it in step order (a
+        :class:`~repro.exec.build.TraceBlocks`), of which the run holds
+        one at a time.  Each block is checked before its first step: a
+        page id outside ``[0, access_range)`` raises
+        :class:`ConfigurationError`.  The warm-up rule is the fast
+        engine's: a fixed ``warmup_requests`` count when given, else
+        each client individually warms until its cache is full plus
+        ``extra_warmup`` further requests.
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.ndim != 2:
-            raise ConfigurationError(
-                "pages must be a (steps, clients) matrix"
-            )
-        steps, clients = pages.shape
         policy = self.policy
-        if clients != policy.num_clients:
-            raise ConfigurationError(
-                f"trace has {clients} columns for {policy.num_clients} clients"
-            )
-        # Page -1 is the empty-slot marker and larger ids would wrap
-        # through the mapping or the page index, so reject both.
-        if pages.size:
-            low, high = int(pages.min()), int(pages.max())
-            if low < 0 or high >= self.access_range:
-                raise ConfigurationError(
-                    f"trace requests page {low if low < 0 else high}; page "
-                    f"ids must lie in [0, {self.access_range}) (the "
-                    "access range)"
-                )
+        clients = policy.num_clients
+        trace = self._step_pages(
+            [pages] if isinstance(pages, np.ndarray) else pages, clients
+        )
         schedule = self.schedule
         think = self.think_time
         emit = tracer is not None and tracer.enabled
@@ -287,8 +276,8 @@ class ColumnarEngine:
             total_retunes = 0
             retune_cost = self.retune_cost
 
-        for step in range(steps):
-            page = pages[step]
+        steps = 0
+        for steps, page in enumerate(trace, 1):
             now += think
 
             # Warm-up, in the scalar loop's order: resolved per client
@@ -414,6 +403,34 @@ class ColumnarEngine:
             retunes=retunes_measured if tuned else None,
         )
 
+    def _step_pages(self, blocks: Iterable[np.ndarray],
+                    clients: int) -> Iterator[np.ndarray]:
+        """Each step's page column, block by block, each block checked
+        before its first step is taken."""
+        for block in blocks:
+            block = np.asarray(block)
+            if block.ndim != 2:
+                raise ConfigurationError(
+                    "pages must be a (steps, clients) matrix or blocks of one"
+                )
+            if block.shape[1] != clients:
+                raise ConfigurationError(
+                    f"trace has {block.shape[1]} columns for {clients} clients"
+                )
+            # Page -1 is the empty-slot marker and larger ids would wrap
+            # through the mapping or the page index, so reject both.
+            if block.size:
+                low, high = int(block.min()), int(block.max())
+                if low < 0 or high >= self.access_range:
+                    raise ConfigurationError(
+                        f"trace requests page {low if low < 0 else high}; "
+                        f"page ids must lie in [0, {self.access_range}) "
+                        "(the access range)"
+                    )
+            for page in block:
+                # Narrow or strided block rows index as contiguous intp.
+                yield page.astype(np.intp, copy=False)
+
     def _emit_step(
         self, tracer, labels, request_time, page, hit, measuring,
         physical_step, now, value, victims, *,
@@ -484,7 +501,8 @@ def build_columnar_engine(
 
     ``physical`` is the logical→physical page matrix — one shared row
     for noise-free groups, one row per client otherwise — holding at
-    least the ``access_range`` columns a trace can request.  A policy
+    least the ``access_range`` columns a trace can request.  The policy
+    gets ``min(cache_size, access_range)`` slots per client.  A policy
     without a columnar formulation raises
     :class:`~repro.errors.ConfigurationError`.  A multi-channel
     :class:`~repro.core.schedule.BroadcastProgram` (detected by its
@@ -506,8 +524,12 @@ def build_columnar_engine(
         num_disks=layout.num_disks,
         lix_alpha=config.lix_alpha,
     )
+    # A client requests at most access_range distinct pages, so slots
+    # past that never fill: a clamped cache that is full holds every
+    # page and never misses, which leaves every result as it was.
     policy = make_batched_policy(
-        config.policy, num_clients, config.cache_size, oracles
+        config.policy, num_clients, min(config.cache_size, access_range),
+        oracles,
     )
     channel_of = None
     num_channels = 1

@@ -7,8 +7,10 @@ batch spec: same spec in, same
 clients are bucketed by :func:`~repro.population.spec.client_groups`
 (a segment of constants is one bucket; finite-support draws bucket by
 equal draws).  A bucket whose policy has a columnar form runs as one
-columnar engine run over a ``(steps, clients)`` trace matrix,
-multi-channel programs included.  Every other client (a segment with
+columnar engine run over its clients' traces, drawn a block of steps
+at a time (:class:`~repro.exec.build.TraceBlocks`), so its memory does
+not grow with the trace length; multi-channel programs included.
+Every other client (a segment with
 a :class:`Uniform` field, an unbatchable policy such as LRU-K) runs as
 a per-client ``fast`` plan through :func:`~repro.exec.run.execute_plan`.
 

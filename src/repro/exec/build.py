@@ -30,13 +30,20 @@ never shifts the other's draws.  One entry of each is kept: a fleet
 whose clients all have different seeds holds one extra mapping and
 trace, never one per client.  Both shared objects are read-only (the
 mapping's arrays and the trace's page array reject writes).
+
+Every trace follows one draw rule, :class:`TraceBlocks`: a client's
+pages invert the uniforms of its seed's ``requests`` stream.  A
+columnar run draws its columns a block of steps at a time
+(:data:`BLOCK_DRAWS` page draws a block), so it never holds the whole
+``(steps, clients)`` trace; :func:`draw_trace`, the scalar engines'
+whole trace, is the one-block, one-column case.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,31 +94,87 @@ def _trace_key(config: ExperimentConfig, num_requests: int) -> Tuple:
     )
 
 
-def trace_source(config: ExperimentConfig, num_requests: int):
-    """What ``config``'s ``num_requests``-request traces sample: the
-    drift over those requests, or the static distribution."""
-    if config.drift_rotations:
-        return config.build_drift(num_requests)
-    return config.build_distribution()
+#: Page draws in one block of a columnar trace: a run holds
+#: ``max(1, BLOCK_DRAWS // clients)`` steps of every column at a time.
+#: Chosen by measurement (docs/PERFORMANCE.md, "Fleet memory"): each
+#: block costs one ``Generator.random`` call per column, so smaller
+#: blocks trade wall time for memory.
+BLOCK_DRAWS = 2 ** 18
 
 
-def draw_trace(config: ExperimentConfig, seed: int, num_requests: int,
-               source=None) -> np.ndarray:
-    """The pages of client ``seed``'s first ``num_requests`` requests
-    under ``config``'s workload, from the seed's ``requests`` stream.
+class TraceBlocks:
+    """The first ``num_requests`` requests of one client per seed under
+    ``config``'s workload, drawn a block of steps at a time.
 
-    ``source`` is :func:`trace_source`'s, built once by a caller that
-    draws many seeds.  A drifting workload rotates its hotspot over the
-    ``num_requests`` drawn (warm-up included) while the policy oracle
-    keeps the frozen t=0 snapshot: §3's stale-profile scenario, which
+    Iterating yields ``(rows, clients)`` blocks of logical page ids in
+    step order, ``max(1, BLOCK_DRAWS // clients)`` rows each (the last
+    block may be shorter), each a new array.  Each iteration starts
+    every column afresh from its seed's ``requests`` stream, so the
+    blocks of any iteration concatenate to the same ``shape`` matrix,
+    and column ``c`` equals ``draw_trace(config, seeds[c],
+    num_requests)``: a generator's ``random(a)`` followed by
+    ``random(b)`` equals ``random(a + b)``.
+
+    A drifting workload rotates its hotspot over the ``num_requests``
+    drawn (warm-up included) while the policy oracle keeps the frozen
+    t=0 snapshot: §3's stale-profile scenario, which
     ``figures.drift_study`` sweeps over ``drift_rotations``.
     """
-    if source is None:
-        source = trace_source(config, num_requests)
-    rng = RandomStreams(seed).stream("requests")
-    if config.drift_rotations:
-        return source.generate_trace(num_requests, rng).pages
-    return source.sample(rng, num_requests)
+
+    def __init__(self, config: ExperimentConfig, seeds: Sequence[int],
+                 num_requests: int):
+        self.seeds: List[int] = list(seeds)
+        self.shape = (num_requests, len(self.seeds))
+        self.distribution = config.build_distribution()
+        self.drift = (config.build_drift(num_requests)
+                      if config.drift_rotations else None)
+        #: The narrowest signed dtype holding a page id.
+        self.dtype = np.min_scalar_type(-config.access_range)
+
+    @property
+    def size(self) -> int:
+        """Page draws in the whole trace (steps x clients), as a whole
+        matrix's ``size`` counts them."""
+        return self.shape[0] * self.shape[1]
+
+    def generators(self) -> List[np.random.Generator]:
+        """Each column's fresh ``requests`` stream."""
+        return [RandomStreams(seed).stream("requests") for seed in self.seeds]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        steps, clients = self.shape
+        generators = self.generators()
+        rows = min(steps, max(1, BLOCK_DRAWS // clients))
+        # One uniform buffer, reused: column c's rows are contiguous.
+        draws = np.empty(rows * clients)
+        for start in range(0, steps, rows):
+            yield self.block(generators,
+                             draws[:min(rows, steps - start) * clients], start)
+
+    def block(self, generators: Sequence[np.random.Generator],
+              draws: np.ndarray, start: int) -> np.ndarray:
+        """Requests ``start, start + 1, ...`` of each generator's column,
+        as a ``(rows, clients)`` block: ``draws`` (the block's
+        ``clients * rows`` buffer) takes each column's next ``rows``
+        uniforms in one call, and the whole block inverts at once."""
+        uniforms = draws.reshape(len(generators), -1)
+        for column, generator in enumerate(generators):
+            generator.random(out=uniforms[column])
+        pages = self.distribution.invert(
+            draws, out=np.empty(len(draws), dtype=self.dtype)
+        ).reshape(uniforms.shape)
+        if self.drift is not None:
+            pages[...] = self.drift.rotate(pages, start)
+        return pages.T
+
+
+def draw_trace(config: ExperimentConfig, seed: int,
+               num_requests: int) -> np.ndarray:
+    """The pages of client ``seed``'s first ``num_requests`` requests
+    under ``config``'s workload: the one-block, one-column case of
+    :class:`TraceBlocks`."""
+    trace = TraceBlocks(config, [seed], num_requests)
+    return trace.block(trace.generators(), np.empty(num_requests), 0)[:, 0]
 
 
 def structural_hash(config: ExperimentConfig) -> str:

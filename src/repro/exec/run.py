@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cache.batched import batchable_policy_name
 from repro.errors import ConfigurationError
-from repro.exec.build import BuildCache, draw_trace, trace_source
+from repro.exec.build import BuildCache, TraceBlocks
 from repro.exec.plan import RunPlan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import EngineOutcome, FastEngine
@@ -32,13 +32,6 @@ from repro.obs.clock import perf_counter
 from repro.obs.monitor import MonitorContext
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import RunningStats
-
-#: Extra requests drawn beyond the measured count so the warm-up phase
-#: (cache fill) never exhausts the trace.  The cache needs at least
-#: ``cache_size`` misses to fill; skew makes warm-up take longer, so the
-#: allowance is generous and checked after the run.
-_WARMUP_ALLOWANCE_FACTOR = 6
-
 
 @dataclass
 class ExperimentResult:
@@ -72,16 +65,6 @@ class ExperimentResult:
             f"hit_rate={self.hit_rate:.1%}, "
             f"period={self.schedule_period}"
         )
-
-
-def _warmup_trace_allowance(config: ExperimentConfig) -> int:
-    """Requests to draw beyond the measured phase for cache warm-up."""
-    if config.warmup_requests is not None:
-        return config.warmup_requests
-    if not config.has_cache:
-        return 8  # a couple of requests fills the 1-page cache
-    fill_allowance = max(2_000, _WARMUP_ALLOWANCE_FACTOR * config.cache_size)
-    return fill_allowance + config.extra_warmup
 
 
 @contextmanager
@@ -175,9 +158,12 @@ def run_columnar(
 
     Column ``c`` draws its mapping and trace from ``seeds[c]``'s
     streams, as a plan of ``config`` with that seed does, so its result
-    does not depend on the seeds beside it.  A ``batch`` plan is a
-    one-seed call, and a fleet makes one call per bucket.  Observers see
-    a bare run's path; a traced run labels column ``c`` ``labels[c]``.
+    does not depend on the seeds beside it.  The traces reach the
+    engine as :class:`~repro.exec.build.TraceBlocks`, drawn a block of
+    steps at a time as the run goes, so the run never holds a
+    ``(steps, clients)`` trace matrix.  A ``batch`` plan is a one-seed
+    call, and a fleet makes one call per bucket.  Observers see a bare
+    run's path; a traced run labels column ``c`` ``labels[c]``.
     Returns the :class:`~repro.batch.engine.BatchOutcome`, and the
     schedule and layout it ran on.
     """
@@ -202,11 +188,7 @@ def run_columnar(
             physical[row] = mapping.physical_array()[:access_range]
     engine = build_columnar_engine(config, schedule, layout, physical,
                                    len(seeds))
-    total = config.num_requests + _warmup_trace_allowance(config)
-    source = trace_source(config, total)
-    pages = np.empty((total, len(seeds)), dtype=np.int64)
-    for column, seed in enumerate(seeds):
-        pages[:, column] = draw_trace(config, seed, total, source)
+    trace = TraceBlocks(config, seeds, config.requests_drawn)
 
     with monitored_run(config, schedule, tracer):
         if profiling:
@@ -214,7 +196,7 @@ def run_columnar(
             profile.start_phase("run")
         try:
             outcome = engine.run(
-                pages,
+                trace,
                 warmup_requests=config.warmup_requests,
                 extra_warmup=config.extra_warmup,
                 collect_responses=collect_responses,
@@ -285,9 +267,7 @@ def execute_plan(
         mapping = builds.mapping(config, layout)
         cache = config.build_policy(schedule, mapping,
                                     config.build_distribution(), layout)
-        trace = builds.trace(
-            config, config.num_requests + _warmup_trace_allowance(config)
-        )
+        trace = builds.trace(config, config.requests_drawn)
         if profiling:
             profile.stop_phase("build")
             profile.start_phase("run")

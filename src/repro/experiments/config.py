@@ -4,7 +4,11 @@ Client parameters (Table 2): CacheSize, ThinkTime, AccessRange, θ,
 RegionSize.  Server parameters (Table 3): ServerDBSize, NumDisks,
 DiskSize(i), Δ, Offset, Noise.  Study settings (Table 4) are the
 defaults: ServerDBSize 5000, AccessRange 1000, ThinkTime 2.0, θ 0.95,
-RegionSize 50, 15,000 measured requests after cache warm-up.
+RegionSize 50, and ``num_requests`` 15,000.  A run draws
+``num_requests`` plus a warm-up allowance
+(:attr:`ExperimentConfig.requests_drawn`) and measures every request
+after its warm-up, so it measures at least ``num_requests`` requests,
+and more when the warm-up ends before the allowance runs out.
 
 The five disk configurations the paper studies are exposed as
 :data:`DISK_PRESETS`: D1⟨500,4500⟩, D2⟨900,4100⟩, D3⟨2500,2500⟩,
@@ -21,6 +25,7 @@ import numpy as np
 
 from repro.cache.base import PolicyContext
 from repro.cache.registry import make_policy, policy_oracles
+from repro.core.chunks import MAX_PERIOD
 from repro.core.disks import DiskLayout, disk_index_array
 from repro.core.programs import _flat_program, _multidisk_program
 from repro.core.schedule import (
@@ -47,6 +52,17 @@ NOISE_LEVELS: Tuple[float, ...] = (0.00, 0.15, 0.30, 0.45, 0.60, 0.75)
 
 #: Δ values swept along the x-axis of Figures 5-9 and 13.
 DELTA_RANGE: Tuple[int, ...] = tuple(range(0, 8))
+
+#: Extra requests drawn beyond the measured count so the warm-up phase
+#: (cache fill) never exhausts the trace.  The cache needs at least
+#: ``cache_size`` misses to fill; skew makes warm-up take longer, so the
+#: allowance is generous and checked after the run.
+_WARMUP_ALLOWANCE_FACTOR = 6
+
+#: A run's clock must stay below 2**53, where float64 still holds every
+#: integer: past it ``int(t) + 1`` is no longer exact, and the slot
+#: arithmetic of the engines goes wrong without an error.
+CLOCK_LIMIT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -167,8 +183,63 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"retune_cost must be >= 0, got {self.retune_cost}"
             )
+        self._check_clock()
+
+    def _check_clock(self) -> None:
+        """Reject a run whose clock can outgrow :data:`CLOCK_LIMIT`.
+
+        Each request advances a client's clock by at most its think
+        time, a retune and one broadcast period (at most
+        :data:`~repro.core.chunks.MAX_PERIOD` slots), so
+        ``requests_drawn`` of them bound the clock.  The error names the
+        largest of the fields that set the bound.
+        """
+        step = self.think_time + self.retune_cost + MAX_PERIOD
+        drawn = self.requests_drawn
+        if drawn * step < CLOCK_LIMIT:
+            return
+        name, value = max(
+            ("think_time", self.think_time), ("retune_cost", self.retune_cost),
+            key=lambda field_value: field_value[1],
+        )
+        if value <= MAX_PERIOD:
+            name, value = "num_requests", self.num_requests
+        raise ConfigurationError(
+            f"{name} {value!r} lets a run's clock reach {drawn * step:.4g} "
+            f"({drawn:,} requests drawn x (think_time {self.think_time!r} + "
+            f"retune_cost {self.retune_cost!r} + {MAX_PERIOD:,} period "
+            f"slots)); it must stay below 2**53 = {CLOCK_LIMIT:,}, where "
+            "float64 times stop being exact"
+        )
 
     # -- derived quantities -------------------------------------------------
+    @property
+    def warmup_allowance(self) -> int:
+        """Requests drawn beyond ``num_requests`` for the warm-up.
+
+        ``warmup_requests`` when given; else 8 for a cache-less client
+        (a couple of requests fill its 1-page cache), and for a cache
+        ``max(2000, 6 * cache_size)`` plus :attr:`extra_warmup`.  Every
+        engine warms up on the head of the drawn trace and then measures
+        every request left, so a run measures ``num_requests`` plus the
+        part of this allowance its warm-up left unused, not
+        ``num_requests`` alone: a cache-less run measures
+        ``num_requests + 7``.
+        """
+        if self.warmup_requests is not None:
+            return self.warmup_requests
+        if not self.has_cache:
+            return 8
+        fill_allowance = max(2_000, _WARMUP_ALLOWANCE_FACTOR * self.cache_size)
+        return fill_allowance + self.extra_warmup
+
+    @property
+    def requests_drawn(self) -> int:
+        """Requests in a run's trace: ``num_requests`` plus
+        :attr:`warmup_allowance`.  A run's warm-up and measured requests
+        add up to it."""
+        return self.num_requests + self.warmup_allowance
+
     @property
     def server_db_size(self) -> int:
         """Total pages broadcast (the paper's ServerDBSize)."""

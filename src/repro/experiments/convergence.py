@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.exec.run import _warmup_trace_allowance
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import FastEngine
 from repro.sim.stats import WindowedSeries
@@ -96,7 +95,7 @@ def run_until_converged(
 
     # Warm-up: a plan's own rule and trace allowance on a throwaway
     # trace, so the measured chunks start at steady state.
-    warm_allowance = _warmup_trace_allowance(config)
+    warm_allowance = config.warmup_allowance
     if config.cache_size > 1 and warm_allowance > 0:
         warm_trace = generate_trace(distribution, warm_allowance,
                                     request_stream)

@@ -5,7 +5,7 @@ the wait a cache miss experiences is fully determined by the request
 instant: ``next_completion(page, t) - t``.  The engine therefore
 advances directly from request to request instead of ticking through
 broadcast slots, which is what makes full paper-scale parameter sweeps
-(48 design points x 15,000 measured requests each) practical in pure
+(48 design points at ``num_requests`` 15,000 each) practical in pure
 Python.
 
 One request loop (:meth:`FastEngine._run`) serves every scalar run — a
@@ -49,7 +49,13 @@ figure reproductions.
 Measurement protocol (§5): response times are recorded only once the
 cache has filled ("the cache warm-up effects were eliminated by
 beginning our measurements only after the cache was full"), after which
-``num_requests`` requests are measured.
+every request left in the trace is measured.  A plan's trace holds
+``num_requests`` plus a warm-up allowance
+(:attr:`~repro.experiments.config.ExperimentConfig.requests_drawn`),
+so a run measures ``num_requests`` plus whatever of the allowance its
+warm-up left: D5 Δ=3 PIX at CacheSize = Offset = 500, Noise 30% and
+``num_requests`` 1,500 draws 7,500 requests, warms up on 4,017 and
+measures 3,483, on every engine.
 """
 
 from __future__ import annotations

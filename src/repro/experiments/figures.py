@@ -3,8 +3,8 @@
 Every function returns a :class:`FigureData`: the x-axis, one y-series
 per curve, and enough labelling to print a table matching the paper's
 plot.  All functions accept ``num_requests`` and ``seed`` so tests can
-run them at reduced scale; the defaults are the paper's (15,000 measured
-requests, Table 4 parameters).
+run them at reduced scale; the defaults are the paper's (``num_requests``
+15,000, Table 4 parameters).
 
 The module also contains the extension studies promised in DESIGN.md §6:
 bus-stop paradox, broadcast shaping, PT prefetching, the policy zoo,

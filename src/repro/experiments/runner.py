@@ -29,7 +29,6 @@ from repro.exec.executor import ProgressCallback, run_plans
 from repro.exec.plan import RunPlan, plan_sweep
 from repro.exec.run import (  # noqa: F401 - re-exported for compatibility
     ExperimentResult,
-    _warmup_trace_allowance,
     execute_plan,
 )
 from repro.experiments.config import ExperimentConfig

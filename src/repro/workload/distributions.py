@@ -14,13 +14,16 @@ each search at the number of CDF entries at or below the left edge of
 ``u``'s bin, and the draw then steps up past the few entries left in
 that bin.  The bin count is a power of two, so ``u * _GUIDE_BINS`` and
 ``cdf * _GUIDE_BINS`` are exact and the result equals ``searchsorted``
-for every ``u``.
+for every ``u``.  :meth:`AccessDistribution.invert` is that walk over
+given draws; a whole trace (:meth:`AccessDistribution.sample`) and a
+block of many clients' draws (:class:`repro.exec.build.TraceBlocks`)
+both run it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +31,10 @@ from repro.errors import ConfigurationError
 
 #: Equal bins of ``[0, 1)`` in the sampling guide table (a power of two).
 _GUIDE_BINS = 4096
+
+#: Draws :meth:`AccessDistribution.invert` walks at a time, so that its
+#: temporaries stay a fixed size however many draws it inverts.
+_INVERT_CHUNK = 2 ** 16
 
 
 class AccessDistribution(ABC):
@@ -59,21 +66,33 @@ class AccessDistribution(ABC):
         }
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. logical page requests.
+        """Draw ``size`` i.i.d. logical page requests: the pages of
+        ``rng.random(size)`` (:meth:`invert`)."""
+        return self.invert(rng.random(size))
 
-        Exactly ``searchsorted(cdf, rng.random(size), side="right")``,
-        found from the cached guide table: each draw takes as many steps
-        as CDF entries share its bin, so the cost is O(size) plus
-        O(access_range) once per distribution.
+    def invert(self, draws: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The logical page each uniform draw in ``[0, 1)`` requests.
+
+        Exactly ``searchsorted(cdf, draws, side="right")`` for 1-D
+        ``draws``, found from the cached guide table: each draw takes as
+        many steps as CDF entries share its bin, so the cost is
+        O(len(draws)) plus O(access_range) once per distribution.  The
+        walk takes :data:`_INVERT_CHUNK` draws at a time and writes into
+        ``out`` (an integer array of ``draws``' length) when given.
         """
         cdf, guide = self._cdf(), self._guide()
-        draws = rng.random(size)
-        pages = guide[(draws * _GUIDE_BINS).astype(np.intp)]
-        pending = np.flatnonzero(cdf[pages] <= draws)
-        while len(pending):
-            pages[pending] += 1
-            pending = pending[cdf[pages[pending]] <= draws[pending]]
-        return pages
+        if out is None:
+            out = np.empty(len(draws), dtype=np.intp)
+        for start in range(0, len(draws), _INVERT_CHUNK):
+            chunk = draws[start:start + _INVERT_CHUNK]
+            pages = guide[(chunk * _GUIDE_BINS).astype(np.intp)]
+            pending = np.flatnonzero(cdf[pages] <= chunk)
+            while len(pending):
+                pages[pending] += 1
+                pending = pending[cdf[pages[pending]] <= chunk[pending]]
+            out[start:start + len(chunk)] = pages
+        return out
 
     def sample_one(self, rng: np.random.Generator) -> int:
         """Draw a single logical page request."""

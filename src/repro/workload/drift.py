@@ -92,10 +92,18 @@ class DriftingZipfDistribution:
             raise ConfigurationError(
                 f"num_requests must be >= 1, got {num_requests}"
             )
-        base_samples = self.base.sample(rng, num_requests)
-        indices = np.arange(num_requests)
+        return RequestTrace(self.rotate(self.base.sample(rng, num_requests)))
+
+    def rotate(self, pages: np.ndarray, start: int = 0) -> np.ndarray:
+        """Base-distribution ``pages`` drawn at request indices
+        ``start, start + 1, ...`` along their last axis, each rotated by
+        the hotspot shift in force at its index.
+
+        A trace drawn in blocks rotates each block from its first
+        request's index, so its pages equal the whole trace's.
+        """
+        indices = np.arange(start, start + pages.shape[-1])
         steps = (
             indices * self.rotations * self.num_regions / self.horizon
         ).astype(np.int64) % self.num_regions
-        shifted = (base_samples + steps * self.region_size) % self.access_range
-        return RequestTrace(shifted)
+        return (pages + steps * self.region_size) % self.access_range

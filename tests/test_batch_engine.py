@@ -406,7 +406,9 @@ class TestFleetOptions:
 
 
 class TestColumnarBuilders:
-    """A policy without a columnar form is refused by name, not built."""
+    """A policy without a columnar form is refused by name, not built,
+    and one with a columnar form gets only the slots a client can
+    fill."""
 
     @pytest.mark.parametrize("policy", ["LRU-K", "2Q"])
     def test_policy_without_columnar_form_rejected(self, policy):
@@ -422,6 +424,26 @@ class TestColumnarBuilders:
             build_columnar_engine(base, schedule, layout, physical, 2)
         with pytest.raises(ConfigurationError, match=message):
             make_batched_policy(policy, 2, 20, BatchedOracles())
+
+    @pytest.mark.parametrize("policy", ["LRU", "P", "PIX", "LIX", "L"])
+    def test_slots_clamped_to_access_range(self, policy):
+        # A client requests at most access_range distinct pages, so a
+        # CacheSize of 5,000 needs 100 slots; unclamped, 3 LIX clients
+        # took 15,009 link nodes.
+        from repro.batch.engine import build_columnar_engine
+        from repro.exec.build import BuildCache
+
+        oversized = config(policy=policy, cache_size=5_000, seed=7,
+                           warmup_requests=50)  # access_range=100
+        layout, schedule = BuildCache().layout_and_schedule(oversized)
+        physical = oversized.build_mapping(layout).physical_array()[None, :]
+        engine = build_columnar_engine(oversized, schedule, layout,
+                                       physical, 3)
+        assert engine.policy.slots.shape == (3, 100)
+        batch = run_experiment(oversized, engine="batch")
+        fast = run_experiment(oversized, engine="fast")
+        assert result_states([batch]) == result_states([fast])
+        assert round(batch.mean_response_time, 2) == 27.73
 
 
 class TestPageRange:
@@ -448,9 +470,15 @@ class TestPageRange:
         pages = np.arange(120, dtype=np.int64).reshape(60, 2) % 100
         engine.run(pages, warmup_requests=0)
         pages[30, 1] = bad
-        engine = build_columnar_engine(base, schedule, layout, physical, 2)
-        with pytest.raises(ConfigurationError, match=r"\[0, 100\)"):
-            engine.run(pages, warmup_requests=0)
+        # The whole matrix, and blocks of it with row 30 in the second
+        # of three.
+        for trace in (pages, np.split(pages, [17, 40])):
+            engine = build_columnar_engine(base, schedule, layout,
+                                           physical, 2)
+            with pytest.raises(ConfigurationError,
+                               match=rf"trace requests page {bad}; page "
+                                     r"ids must lie in \[0, 100\)"):
+                engine.run(trace, warmup_requests=0)
 
     def test_matrix_narrower_than_access_range_rejected(self):
         from repro.batch.engine import build_columnar_engine
@@ -463,6 +491,30 @@ class TestPageRange:
         with pytest.raises(ConfigurationError,
                            match="99 columns.*access_range 100"):
             build_columnar_engine(base, schedule, layout, physical, 2)
+
+
+class TestBoundedMemory:
+    def test_fleet_memory_does_not_grow_with_trace_length(self):
+        # The trace reaches the engine a block at a time; a whole
+        # (steps, clients) matrix grew the peak by about 14 MB here.
+        import tracemalloc
+
+        from repro.exec.build import BuildCache
+        from repro.exec.run import run_columnar
+
+        def traced_peak(num_requests):
+            cacheless = config(cache_size=1, policy="LRU",
+                               num_requests=num_requests)
+            builds = BuildCache()
+            builds.layout_and_schedule(cacheless)
+            tracemalloc.start()
+            try:
+                run_columnar(cacheless, range(200), builds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(10_000) - traced_peak(1_000) < 2 ** 20
 
 
 class TestKernelStatistical:

@@ -19,7 +19,7 @@ from repro.exec import RunPlan, execute_plan
 from repro.exec.run import result_state
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import FastEngine
-from repro.experiments.runner import _warmup_trace_allowance, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.experiments.simengine import run_single_client
 from repro.obs.profile import Profiler
 from repro.workload.mapping import LogicalPhysicalMapping
@@ -120,6 +120,27 @@ class TestExactResultState:
         assert_exact_states_agree(small_config(cache_size=1, policy="LRU"))
 
 
+class TestMeasuredRequests:
+    """Each engine measures every request after its warm-up, up to the
+    end of the drawn trace: more than ``num_requests`` whenever the
+    warm-up ends before its allowance runs out."""
+
+    @pytest.mark.parametrize("engine", ["fast", "batch", "process"])
+    @pytest.mark.parametrize("cache_size, policy",
+                             [(1, "LRU"), (20, "PIX")],
+                             ids=["cacheless", "cached"])
+    def test_warmup_and_measured_requests_add_up_to_the_trace(
+            self, engine, cache_size, policy):
+        config = small_config(cache_size=cache_size, policy=policy,
+                              num_requests=150)
+        result = run_experiment(config, engine=engine)
+        assert (result.measured_requests + result.warmup_requests
+                == config.requests_drawn)
+        assert result.measured_requests > config.num_requests
+        if not config.has_cache:
+            assert result.measured_requests == config.num_requests + 7
+
+
 # Irregular spacing for every page (no count divides the period
 # evenly in an arithmetic progression), so the fast engine's fixed-gap
 # shortcut declines and misses go through bisection — the path §2.2
@@ -186,7 +207,7 @@ def _build_run_inputs(config):
     cache = config.build_policy(schedule, mapping, distribution, layout)
     trace = generate_trace(
         distribution,
-        config.num_requests + _warmup_trace_allowance(config),
+        config.requests_drawn,
         streams.stream("requests"),
     )
     return layout, schedule, mapping, cache, trace

@@ -136,6 +136,51 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             build()
 
+    @pytest.mark.parametrize("think_time", [1e16, 1e300])
+    def test_clock_past_exact_float64_rejected(self, think_time):
+        # Unchecked, think_time=1e16 read a mean of 3.56 on fast and
+        # -8.8e15 on batch, and the process engine did not finish.
+        message = (f"think_time {think_time!r} lets a run's clock reach "
+                   f"{2_300 * (think_time + 1.0 + 2 ** 22):.4g}")
+        with pytest.raises(ConfigurationError, match=re.escape(message)) \
+                as raised:
+            ExperimentConfig(
+                disk_sizes=(50, 200, 250), delta=3, cache_size=10,
+                policy="LIX", access_range=100, region_size=10,
+                num_requests=100, seed=7, think_time=think_time,
+            )
+        assert "2**53 = 9,007,199,254,740,992" in str(raised.value)
+
+    def test_paper_scale_figure_configs_construct(self, monkeypatch):
+        # Every config a scalable artifact builds at its default scale
+        # passes validation, the clock bound included; the builders stop
+        # where they would start running.
+        from repro.experiments import figures
+        from repro.experiments.cli import ARTIFACTS
+
+        class Built(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Built
+
+        made = []
+        check = ExperimentConfig._check_clock
+
+        def recording(config):
+            check(config)
+            made.append(config)
+
+        monkeypatch.setattr(ExperimentConfig, "_check_clock", recording)
+        monkeypatch.setattr(figures, "sweep_results", stop)
+        monkeypatch.setattr(figures, "BuildCache", stop)
+        for name, (builder, scalable, _parallel) in ARTIFACTS.items():
+            if scalable:
+                made.clear()
+                with pytest.raises(Built):
+                    builder()
+                assert made, name
+
     def test_explicit_warmup_allows_oversized_cache(self):
         config = ExperimentConfig(
             cache_size=101, access_range=100, region_size=10,

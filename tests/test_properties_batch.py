@@ -18,6 +18,9 @@ random request strings:
   disks, caches up to 48 pages, hundreds of skewed requests) reach the
   long linked chains, the emptied chains and the moving minimum of the
   indexed policies.
+* a columnar run whose traces arrive a block of steps at a time, at
+  any block size, equals the run of its whole ``(steps, clients)``
+  matrix, and the blocks concatenate to each client's whole trace.
 
 Decision equality on every step subsumes evict-score agreement: a
 diverging score would pick a diverging victim somewhere in the stream.
@@ -673,3 +676,127 @@ class TestColumnsEqualFastEngine:
             for client in range(clients)
         ]
         assert_columns_equal_fast(outcome, fast_outcomes)
+
+
+# ---------------------------------------------------------------------------
+# Trace blocks: a run drawn a block of steps at a time equals the run of
+# its whole (steps, clients) matrix
+# ---------------------------------------------------------------------------
+
+import pytest
+
+from repro.exec import build as build_module
+from repro.exec import run as run_module
+from repro.exec.build import TraceBlocks, draw_trace
+
+#: Block sizes in steps: one step, a prime, the module's default and
+#: one block for the whole trace (``None`` and ``0`` stand for the last
+#: two).
+BLOCK_STEPS = (1, 7, None, 0)
+
+
+def _block_config(policy, channels, noise, drift_rotations, warmup, seed):
+    return ExperimentConfig(
+        disk_sizes=(20, 60, 80), delta=2, cache_size=6, policy=policy,
+        access_range=60, region_size=6, num_requests=50, seed=seed,
+        offset=7, noise=noise, channels=channels,
+        drift_rotations=drift_rotations,
+        warmup_requests=30 if warmup == "fixed" else None,
+    )
+
+
+def _block_draws(steps, clients, total):
+    """The ``BLOCK_DRAWS`` that makes blocks of ``steps`` rows."""
+    if steps is None:
+        return build_module.BLOCK_DRAWS
+    return (steps or total) * clients
+
+
+def _traced_columns(config, seeds):
+    """``run_columnar``'s outcome and its traced records."""
+    sink = MemorySink()
+    outcome, _schedule, _layout = run_module.run_columnar(
+        config, seeds, BuildCache(),
+        labels=[f"client{seed}" for seed in seeds], tracer=Tracer(sink),
+    )
+    return outcome, [(r.time, r.kind, r.fields) for r in sink.records]
+
+
+def _whole_matrix(config, seeds, num_requests):
+    """Each seed's ``draw_trace`` as one ``(steps, clients)`` matrix."""
+    return np.stack([draw_trace(config, seed, num_requests)
+                     for seed in seeds], axis=1)
+
+
+class TestTraceBlocks:
+    @given(
+        st.sampled_from(BLOCK_STEPS),
+        st.sampled_from(("LRU", "P", "PIX", "LIX", "L")),
+        st.sampled_from((1, 2)),
+        st.sampled_from((0.0, 0.3)),
+        st.sampled_from((0.0, 1.5)),
+        st.sampled_from(("fill", "fixed")),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2 ** 16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_block_run_equals_whole_matrix_run(
+        self, steps, policy, channels, noise, drift_rotations, warmup,
+        clients, seed,
+    ):
+        config = _block_config(policy, channels, noise, drift_rotations,
+                               warmup, seed)
+        seeds = [seed + client for client in range(clients)]
+        total = config.requests_drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(build_module, "BLOCK_DRAWS",
+                          _block_draws(steps, clients, total))
+            blocked, blocked_records = _traced_columns(config, seeds)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(run_module, "TraceBlocks", _whole_matrix)
+            whole, whole_records = _traced_columns(config, seeds)
+        for field in dataclasses.fields(blocked):
+            got = getattr(blocked, field.name)
+            want = getattr(whole, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, field.name
+                assert np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
+        assert blocked_records == whole_records
+
+    @given(
+        st.sampled_from(BLOCK_STEPS),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from((0.0, 1.5)),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=2 ** 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_concatenate_to_draw_trace(
+        self, steps, clients, drift_rotations, num_requests, seed,
+    ):
+        config = ExperimentConfig(access_range=60, region_size=6,
+                                  drift_rotations=drift_rotations)
+        seeds = [seed * 7 + client for client in range(clients)]
+        trace = TraceBlocks(config, seeds, num_requests)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(build_module, "BLOCK_DRAWS",
+                          _block_draws(steps, clients, num_requests))
+            blocks = list(trace)
+        if steps:
+            assert {len(block) for block in blocks[:-1]} <= {steps}
+        pages = np.concatenate(blocks)
+        assert pages.shape == trace.shape
+        assert trace.size == pages.size
+        assert np.array_equal(pages, _whole_matrix(config, seeds,
+                                                   num_requests))
+        # The scalar path's draw: the distribution's own sample, rotated
+        # by the drift when it drifts.
+        rng = RandomStreams(seeds[0]).stream("requests")
+        if drift_rotations:
+            scalar = config.build_drift(num_requests).generate_trace(
+                num_requests, rng).pages
+        else:
+            scalar = config.build_distribution().sample(rng, num_requests)
+        assert np.array_equal(pages[:, 0], scalar)
