@@ -20,6 +20,14 @@ Also replays the serial run from its checkpoint journal and verifies
 the resumed sweep reproduces the original exactly without re-executing
 anything.  Leaves the manifests in the artifact directory.
 
+Last, sweep memory: a serial sweep drops each broadcast program after
+the last plan that broadcasts it, so its peak does not grow with the
+number of programs.  The script prints the ``tracemalloc`` peaks of
+serial sweeps over 1, 40 and 120 distinct paper-scale programs
+(D5 Δ=7; D1-D5 × Δ 0-7; the same × C ∈ {1, 2, 4}) at 100 requests a
+point, and fails unless the 120-program peak lies within 2 MiB of the
+one-program peak (keeping every program put it 75 MiB above).
+
 Usage::
 
     PYTHONPATH=src python scripts/parallel_smoke.py --out parallel-artifacts
@@ -30,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -43,7 +52,11 @@ from repro.exec import (
     plan_sweep,
     run_plans,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import (
+    DELTA_RANGE,
+    DISK_PRESETS,
+    ExperimentConfig,
+)
 from repro.experiments.runner import sweep_results
 from repro.obs.manifest import (
     build_sweep_manifest,
@@ -52,6 +65,9 @@ from repro.obs.manifest import (
 )
 
 JOBS = 2
+
+#: How far the 120-program sweep's peak may lie above one program's.
+SWEEP_MEMORY_SLACK = 2 * 2 ** 20
 
 
 def smoke_grid():
@@ -73,6 +89,30 @@ def smoke_grid():
         for noise in (0.0, 0.45)
         for delta in range(4)
     ]
+
+
+def program_grid(presets, channel_counts):
+    """One cache-less design point per paper program: every Δ of each
+    preset at each channel count, 100 requests a point."""
+    return [
+        ExperimentConfig(
+            disk_sizes=DISK_PRESETS[preset], delta=delta, channels=channels,
+            retune_cost=1.0, num_requests=100, seed=42,
+        )
+        for channels in channel_counts
+        for preset in presets
+        for delta in DELTA_RANGE
+    ]
+
+
+def sweep_peak(configs) -> int:
+    """The ``tracemalloc`` peak, in bytes, of one serial sweep."""
+    tracemalloc.start()
+    try:
+        sweep_results(configs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def canonical(path: Path) -> str:
@@ -166,6 +206,26 @@ def main(argv=None) -> int:
     ]:
         failures.append("checkpoint replay diverged from the live run")
 
+    print("== sweep memory (serial, one tracemalloc peak per sweep) ==")
+    presets = sorted(DISK_PRESETS)
+    sweeps = [
+        ("D5 Δ=7", program_grid(["D5"], (1,))[-1:]),
+        ("D1-D5 × Δ 0-7", program_grid(presets, (1,))),
+        ("D1-D5 × Δ 0-7 × C 1,2,4", program_grid(presets, (1, 2, 4))),
+    ]
+    sweep_results(sweeps[0][1])  # lazy imports stay out of the peaks
+    peaks = []
+    for name, grid in sweeps:
+        peaks.append(sweep_peak(grid))
+        print(f"{len(grid):4d} programs ({name}): "
+              f"peak {peaks[-1] / 2 ** 20:.2f} MiB")
+    if peaks[-1] - peaks[0] >= SWEEP_MEMORY_SLACK:
+        failures.append(
+            f"the {len(sweeps[-1][1])}-program sweep peaked "
+            f"{(peaks[-1] - peaks[0]) / 2 ** 20:.2f} MiB above one program "
+            f"(limit {SWEEP_MEMORY_SLACK / 2 ** 20:.0f} MiB)"
+        )
+
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
@@ -174,6 +234,8 @@ def main(argv=None) -> int:
     print(f"jobs=1 == jobs={args.jobs} == isolated across "
           f"{len(configs)} points: means, samples, manifests")
     print(f"checkpoint replay reproduced the sweep from {journal.name}")
+    print(f"sweep memory: {len(sweeps[-1][1])} programs within "
+          f"{SWEEP_MEMORY_SLACK / 2 ** 20:.0f} MiB of one")
     print("artifacts in", out)
     return 0
 

@@ -12,7 +12,11 @@ broadcast program (disk sizes, Δ, explicit relative frequencies) and
 nothing else.  Both objects are immutable after construction (the
 schedule builds every timing table in ``__init__``), so sharing them
 across runs cannot perturb results; the equivalence is asserted by
-``tests/test_exec_plan.py``.
+``tests/test_exec_plan.py``.  An entry stays until
+:meth:`BuildCache.release` drops it: the in-process branch of
+:func:`~repro.exec.executor.run_plans` releases each program after the
+last pending plan that broadcasts it, so a sweep holds only the
+programs its remaining plans need, never every program it built.
 
 The cache also keeps the *last* logical→physical mapping and the *last*
 request trace it built, and hands either back when the next plan asks
@@ -223,6 +227,11 @@ class BuildCache:
         else:
             self.hits += 1
         return entry
+
+    def release(self, config: ExperimentConfig) -> None:
+        """Drop ``config``'s layout and schedule, which the cache holds:
+        a plan that asks for them again builds them anew."""
+        del self._built[structural_key(config)]
 
     def mapping(
         self, config: ExperimentConfig, layout: DiskLayout

@@ -32,6 +32,14 @@ their runs — the in-process loop one per call, the pool one per worker
 process — so sweep points sharing a broadcast structure skip schedule
 construction, and consecutive points sharing a mapping or trace skip
 drawing it.
+
+The in-process loop also bounds the sweep's memory: it drops each
+program (layout and schedule) after the last pending plan that
+broadcasts it, so it holds only the programs its remaining plans need,
+and still builds each one once.  A position resumed from the journal
+is not pending, so it counts as no use.  A pool worker keeps every
+program it builds until the pool closes at the end of the call: it
+cannot know which plans it will get next.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.exec.build import BuildCache
+from repro.exec.build import BuildCache, structural_key
 from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.plan import RunPlan
 from repro.exec.run import ExperimentResult, execute_plan
@@ -142,9 +150,11 @@ def run_plans(
     oversubscription never turns it into a pessimization.  When that is
     1, or an enabled ``tracer`` or ``profile`` is attached, the pending
     plans run one after another in this process on one
-    :class:`~repro.exec.build.BuildCache` — the reference execution,
-    byte-identical to the pool and free of its overhead.  ``progress``
-    and ``checkpoint`` see every result through :class:`InOrderResults`.
+    :class:`~repro.exec.build.BuildCache`, which drops each program
+    after the last pending plan that broadcasts it — the reference
+    execution, byte-identical to the pool and free of its overhead.
+    ``progress`` and ``checkpoint`` see every result through
+    :class:`InOrderResults`.
     """
     check_jobs(jobs)
     plans = list(plans)
@@ -161,11 +171,15 @@ def run_plans(
         # single-worker, or single-core runs gain nothing from a
         # pool — on a 1-core host the pool *costs* wall clock.
         builds = BuildCache()
+        last_use = {structural_key(plans[position].config): position
+                    for position in pending}
         for position in pending:
             plan = plans[position]
-            book.complete(position, execute_plan(
-                plan, tracer=tracer, builds=builds, profile=profile,
-            ), plan)
+            result = execute_plan(plan, tracer=tracer, builds=builds,
+                                  profile=profile)
+            if last_use[structural_key(plan.config)] == position:
+                builds.release(plan.config)
+            book.complete(position, result, plan)
         return book.results
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

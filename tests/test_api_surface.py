@@ -82,7 +82,7 @@ class TestExportSnapshot:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.12.0"
+        assert repro.__version__ == "1.13.0"
 
     def test_engines_report_for_themselves(self):
         # 1.11.0: every engine's loop emits its own cache.* records and

@@ -1,6 +1,8 @@
-"""Unit tests for the plan layer: RunPlan, seed derivation, build cache."""
+"""Unit tests for the plan layer: RunPlan, seed derivation, build cache,
+and how long a sweep keeps each broadcast program."""
 
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -8,14 +10,21 @@ from repro.errors import ConfigurationError
 from repro.exec import (
     BuildCache,
     RunPlan,
+    SweepCheckpoint,
     derive_seed,
     execute_plan,
     plan_sweep,
+    run_plans,
     structural_hash,
     structural_key,
 )
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.exec.run import result_state
+from repro.experiments.config import (
+    DELTA_RANGE,
+    DISK_PRESETS,
+    ExperimentConfig,
+)
+from repro.experiments.runner import run_experiment, sweep_results
 from repro.population import PopulationSpec, SegmentSpec, expand
 
 
@@ -220,3 +229,109 @@ class TestExecutePlan:
         assert clone.samples == result.samples
         assert clone.response_stats.count == result.response_stats.count
         assert clone.response_stats._m2 == result.response_stats._m2
+
+
+def paper_point(preset, delta, channels=1, **fields):
+    """A cache-less design point on the paper's disk ``preset``."""
+    return ExperimentConfig(disk_sizes=DISK_PRESETS[preset], delta=delta,
+                            channels=channels, retune_cost=1.0,
+                            num_requests=100, seed=42, **fields)
+
+
+def sweep_peak(configs):
+    """The ``tracemalloc`` peak of one serial sweep over ``configs``."""
+    tracemalloc.start()
+    try:
+        sweep_results(configs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def exact_states(results):
+    """Each result's exact state, wall clock removed."""
+    states = []
+    for result in results:
+        state = result_state(result)
+        del state["wall_seconds"]
+        states.append(state)
+    return states
+
+
+@pytest.fixture
+def program_events(monkeypatch):
+    """``("build", key)`` for each schedule built and ``("release",
+    key)`` for each program a build cache drops, in order."""
+    events = []
+    build_schedule = ExperimentConfig.build_schedule
+    release = BuildCache.release
+
+    def counted_build(config, layout=None):
+        events.append(("build", structural_key(config)))
+        return build_schedule(config, layout)
+
+    def counted_release(cache, config):
+        events.append(("release", structural_key(config)))
+        release(cache, config)
+
+    monkeypatch.setattr(ExperimentConfig, "build_schedule", counted_build)
+    monkeypatch.setattr(BuildCache, "release", counted_release)
+    return events
+
+
+class TestProgramRetention:
+    """A serial ``run_plans`` call drops each program after the last
+    pending plan that broadcasts it, and builds each one once."""
+
+    @pytest.mark.parametrize("grid", [
+        [paper_point(preset, delta) for preset in sorted(DISK_PRESETS)
+         for delta in DELTA_RANGE],
+        [paper_point("D5", delta, channels) for channels in (1, 2, 4)
+         for delta in DELTA_RANGE],
+    ], ids=["figure5", "multichannel"])
+    def test_sweep_peak_holds_one_program(self, grid):
+        # Every program of a Δ sweep differs, so keeping them all grew
+        # the Figure 5 peak to 14.1 MiB and the multi-channel one to
+        # 17.5 MiB; the longest period, D5 Δ=7, alone peaks at 1.5 MiB.
+        longest = [paper_point("D5", 7)]
+        sweep_results(longest)
+        assert sweep_peak(grid) - sweep_peak(longest) < 2 ** 20
+
+    @pytest.mark.parametrize("order", ["noise-outer", "aba"])
+    def test_returning_grid_builds_each_program_once(self, program_events,
+                                                     order):
+        if order == "noise-outer":
+            # Figures 6-9's order: every Δ of D5 once per noise level.
+            configs = [paper_point("D5", delta, noise=noise, cache_size=50,
+                                   policy="LIX", offset=50)
+                       for noise in (0.0, 0.3) for delta in DELTA_RANGE]
+        else:
+            configs = [paper_point("D1", 3), paper_point("D2", 3),
+                       paper_point("D1", 3, noise=0.3)]
+        plans = plan_sweep(configs, collect_responses=True)
+        results = run_plans(plans)
+        built = list(dict.fromkeys(structural_key(c) for c in configs))
+        # Each program goes after its last plan: by Δ once the last
+        # noise level starts, and B before A in A, B, A.
+        released = built if order == "noise-outer" else built[::-1]
+        assert program_events == ([("build", key) for key in built]
+                                  + [("release", key) for key in released])
+        assert exact_states(results) == exact_states(
+            [execute_plan(plan) for plan in plans]
+        )
+
+    def test_journalled_plan_is_no_use(self, program_events, tmp_path):
+        a, b = paper_point("D1", 3), paper_point("D2", 3)
+        last_a = paper_point("D1", 3, noise=0.3)
+        plans = plan_sweep([a, b, last_a], collect_responses=True)
+        path = str(tmp_path / "sweep.jsonl")
+        run_plans(plans[2:], checkpoint=SweepCheckpoint(path))
+        del program_events[:]
+        resumed = run_plans(plans, checkpoint=SweepCheckpoint(path))
+        # The journal holds A's last plan, so A goes after its first.
+        key_a, key_b = structural_key(a), structural_key(b)
+        assert program_events == [("build", key_a), ("release", key_a),
+                                  ("build", key_b), ("release", key_b)]
+        assert exact_states(resumed) == exact_states(
+            [execute_plan(plan) for plan in plans]
+        )

@@ -156,16 +156,24 @@ class TestCli:
     def test_module_entry_point(self, schedule_trace):
         import subprocess
         import sys
+        from pathlib import Path
 
+        # The child gets none of the caller's environment, so ``-B``
+        # keeps it from writing bytecode into the source tree: a tree
+        # that has run the tests should import as a fresh one does.
+        root = Path(__file__).parent.parent
+        bytecode = set((root / "src").rglob("*.pyc"))
         completed = subprocess.run(
-            [sys.executable, "-m", "repro.obs", "summary", schedule_trace],
+            [sys.executable, "-B", "-m", "repro.obs", "summary",
+             schedule_trace],
             capture_output=True,
             text=True,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd=str(__import__("pathlib").Path(__file__).parent.parent),
+            cwd=str(root),
         )
         assert completed.returncode == 0
         assert "fixed gaps" in completed.stdout
+        assert set((root / "src").rglob("*.pyc")) <= bytecode
 
 
 class TestAnalyzeCommand:
